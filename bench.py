@@ -71,15 +71,7 @@ def full_warm_caches(corpus_path: str, n_docs: int = 4000):
     from document_parser_private_ray.oracle.document import DocumentOracle
     from document_parser_private_ray.sources.corpus import generate_document
 
-    oracle = DocumentOracle()
-    for i in range(n_docs):
-        d = generate_document(i, SEED)
-        sp = d["spans"]
-        oracle.process(
-            d["doc_id"], [s["kind"] for s in sp], [s["text"] for s in sp],
-            [s["media_ref"] for s in sp],
-        )
-    caches = oracle.export_caches()
+    caches = DocumentOracle().warm(generate_document(i, SEED) for i in range(n_docs))
     tmp = cache_path + ".tmp"
     with open(tmp, "wb") as f:
         pickle.dump(caches, f)

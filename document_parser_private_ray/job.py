@@ -74,20 +74,8 @@ def main(argv=None) -> dict:
         # seed every actor at steady-state throughput (BASELINE.md)
         from .oracle.document import DocumentOracle
 
-        oracle = DocumentOracle(with_pii=args.with_pii)
         sample = read_corpus(files[0]).limit(args.warm_sample)
-        for row in sample.iter_rows():
-            spans = row["spans"] or []
-            try:
-                oracle.process(
-                    row["doc_id"],
-                    [s["kind"] for s in spans],
-                    [s["text"] for s in spans],
-                    [s["media_ref"] for s in spans],
-                )
-            except Exception:
-                pass  # poison rows are handled in-stage
-        warm_ref = ray.put(oracle.export_caches())
+        warm_ref = ray.put(DocumentOracle(with_pii=args.with_pii).warm(sample.iter_rows()))
 
     def pipeline_fn(ds):
         return parse_resumes(

@@ -21,7 +21,7 @@ Output span contract (north rule: per-row span-sequence equality on
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..config import SECTION_NAMES
 from ..functions.extract import ResumeExtractor
@@ -69,6 +69,23 @@ class DocumentOracle:
             "company": dict(ex.exp_normalizer._memo_company),
             "title": dict(ex.exp_normalizer._memo_title),
         }
+
+    def warm(self, rows: Iterable[Dict]) -> Dict:
+        """The driver warm pass: ``process`` every row (``doc_id`` +
+        ``spans``) and return ``export_caches()``. Best-effort — a
+        poison row is skipped here and handled in-stage."""
+        for row in rows:
+            spans = row["spans"] or []
+            try:
+                self.process(
+                    row["doc_id"],
+                    [s["kind"] for s in spans],
+                    [s["text"] for s in spans],
+                    [s["media_ref"] for s in spans],
+                )
+            except Exception:
+                pass
+        return self.export_caches()
 
     def seed_caches(self, caches: Dict) -> None:
         ex = self.extractor

@@ -42,6 +42,8 @@ from typing import Dict, Iterable, Tuple
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import co_partition
+
 
 def union_find(edges: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     """Exact min-root labels for every node appearing in ``edges``."""
@@ -135,27 +137,11 @@ def connected_components(
         path Ray-native aggregates pay (the PageRank/cosupplier
         lesson)."""
 
-        def add_nb(t: pa.Table) -> pa.Table:
-            import numpy as np
-
-            nb = (
-                t["node"].to_numpy(zero_copy_only=False) % n_buckets
-            ).astype("int32")
-            return t.append_column("nb", pa.array(nb))
-
         def min_bucket(group: pa.Table) -> pa.Table:
-            g = (
-                group.select(["node", "label"])
-                .group_by("node")
-                .aggregate([("label", "min")])
-            )
+            g = group.group_by("node").aggregate([("label", "min")])
             return g.rename_columns(["node", "label"])
 
-        return (
-            rows.map_batches(add_nb, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("nb")
-            .map_groups(min_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        )
+        return co_partition({"labels": (rows, None)}, "node", min_bucket, n_buckets)
 
     # initial labels: every node labels itself (distinct src covers all
     # nodes because edges are directed both ways)

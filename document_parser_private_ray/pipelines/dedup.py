@@ -25,6 +25,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.sketches import MinHasher, hamming64, jaccard, shingles, simhash64
+from .exchange import co_partition, co_partition_pairs, run_starts
+
+# golden-ratio multiplier for the (band, key) class mixes
+_G = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _read_docs(sf_dir: str, columns=("doc_id", "text")):
@@ -57,26 +61,15 @@ def dedup_exact(sf_dir: str, n_buckets: int = 64):
         ["content_hash", "doc_id"]
     )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        # first hex digit pairs of the sha256 give a uniform bucket
-        b = [int(h[:2], 16) % n_buckets for h in t["content_hash"].to_pylist()]
-        return t.append_column("b", pa.array(b, type=pa.int32()))
-
     def reduce_bucket(group: pa.Table) -> pa.Table:
-        g = (
-            group.select(["content_hash", "doc_id"])
-            .group_by("content_hash")
-            .aggregate([("doc_id", "min"), ("doc_id", "count")])
+        g = group.group_by("content_hash").aggregate(
+            [("doc_id", "min"), ("doc_id", "count")]
         )
-        g = g.rename_columns(["content_hash", "keep_doc_id", "n_copies"])
-        return g.select(["content_hash", "keep_doc_id", "n_copies"])
+        return g.rename_columns(["content_hash", "keep_doc_id", "n_copies"])
 
-    return (
-        hashed.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("b")
-        .map_groups(reduce_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("keep_doc_id")
-    )
+    return co_partition(
+        {"hashes": (hashed, None)}, "content_hash", reduce_bucket, n_buckets
+    ).sort("keep_doc_id")
 
 
 # -- MinHash-LSH near-dup ------------------------------------------------
@@ -126,15 +119,10 @@ def minhash_candidate_pairs(
     # self-joins per hash class instead of a Python map_groups call per
     # bucket (tens of thousands of tiny buckets made that path
     # group-call-bound — same fix as ngram_jaccard's inverted index)
-    n_hash_classes = 64
-
     def add_class(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         k = t["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
         b = t["band"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        cls = ((k * np.uint64(0x9E3779B97F4A7C15) + b) % n_hash_classes).astype("int32")
-        return t.append_column("cls", pa.array(cls))
+        return t.append_column("cls", pa.array(k * _G + b))
 
     def class_pairs(group: pa.Table) -> pa.Table:
         import logging
@@ -186,47 +174,27 @@ def minhash_candidate_pairs(
         # bands within the class): fewer rows move
         return out.group_by(["doc_a", "doc_b"]).aggregate([])
 
-    pairs = (
-        sigs.map_batches(add_class, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cls")
-        .map_groups(class_pairs, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    banded = sigs.map_batches(add_class, batch_format="pyarrow", zero_copy_batch=True)
+    pairs = co_partition({"bands": (banded, None)}, "cls", class_pairs, 64)
     # distinct pairs (same pair can collide in several hash classes)
     return _dedupe_pairs_bucketed(
         pairs, [([], "count_all")], ["doc_a", "doc_b", "count()"]
     )
 
 
-def _dedupe_pairs_bucketed(pairs, aggs, out_names, n_classes: int = 64):
-    """Global per-(doc_a, doc_b) aggregate via hash-bucket co-partition
+def _dedupe_pairs_bucketed(pairs, aggs, out_names):
+    """Global per-(doc_a, doc_b) aggregate via pair-class co-partition
     + ONE vectorized pa group_by per bucket. Pair keys are corpus-scale
     and repeat across LSH hash classes, where a native
     groupby(doc_a, doc_b).aggregate pays the per-distinct-key
     cross-block merge cost (the cosupplier lesson). Same single
     exchange, no per-key cost."""
-    import numpy as np
-
-    G = np.uint64(0x9E3779B97F4A7C15)
-
-    def add_pcls(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (((a * G + b) * G) >> np.uint64(58)).astype("int32")
-        return t.append_column("__pcls", pa.array(p))
 
     def agg_bucket(group: pa.Table) -> pa.Table:
-        g = (
-            group.drop_columns(["__pcls"])
-            .group_by(["doc_a", "doc_b"])
-            .aggregate(aggs)
-        )
+        g = group.group_by(["doc_a", "doc_b"]).aggregate(aggs)
         return g.rename_columns(out_names)
 
-    return (
-        pairs.map_batches(add_pcls, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__pcls")
-        .map_groups(agg_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return co_partition_pairs(pairs, agg_bucket)
 
 
 def attach_pair_texts(pairs, docs, n_buckets: int = 32, n_pairs=None,
@@ -348,47 +316,27 @@ def _attach_pair_texts_shuffle(pairs, docs, n_buckets: int = 64):
         a = pc.cast(t["doc_a"], pa.int64()).combine_chunks()
         b = pc.cast(t["doc_b"], pa.int64()).combine_chunks()
         n = len(a)
-        key = pa.concat_arrays([a, b])
-        kb = (key.to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
         return pa.Table.from_pydict(
             {
-                "key": key,
+                "key": pa.concat_arrays([a, b]),
                 "doc_a": pa.concat_arrays([a, a]),
                 "doc_b": pa.concat_arrays([b, b]),
-                "role": pa.array(["a"] * n + ["b"] * n),
-                "text": pa.nulls(2 * n, type=pa.string()),
-                "kb": pa.array(kb),
+                "role": pa.array(["a"] * n + ["b"] * n, type=pa.string()),
             }
         )
 
-    def docs_as_rows(t: pa.Table) -> pa.Table:
+    def candidate_docs(t: pa.Table) -> pa.Table:
         keep = bloom_mask(
             pc.cast(t["doc_id"], pa.int64()).to_numpy(zero_copy_only=False),
             ray.get(bloom_ref),
         )
-        t = t.filter(pa.array(keep))
-        n = len(t)
-        key = pc.cast(t["doc_id"], pa.int64())
-        kb = (key.to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
-        return pa.Table.from_pydict(
-            {
-                "key": key,
-                "doc_a": pa.nulls(n, type=pa.int64()),
-                "doc_b": pa.nulls(n, type=pa.int64()),
-                "role": pa.array(["d"] * n),
-                "text": t["text"],
-                "kb": pa.array(kb),
-            }
-        )
+        return t.filter(pa.array(keep))
 
     sides = pairs.map_batches(explode_sides, batch_format="pyarrow", zero_copy_batch=True)
-    drows = docs.map_batches(docs_as_rows, batch_format="pyarrow", zero_copy_batch=True)
+    drows = docs.map_batches(candidate_docs, batch_format="pyarrow", zero_copy_batch=True)
 
-    def attach_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        is_doc = pc.equal(g["role"], "d")
-        doc_rows = g.filter(is_doc)
-        side_rows = g.filter(pc.invert(is_doc))
+    def attach_bucket(t: dict) -> pa.Table:
+        doc_rows, side_rows = t["D"], t["P"]
         if doc_rows.num_rows == 0 or side_rows.num_rows == 0:
             return pa.Table.from_pydict(
                 {
@@ -398,7 +346,7 @@ def _attach_pair_texts_shuffle(pairs, docs, n_buckets: int = 64):
                     "text": pa.array([], type=pa.string()),
                 }
             )
-        dk = doc_rows["key"].to_numpy(zero_copy_only=False)
+        dk = doc_rows["doc_id"].to_numpy(zero_copy_only=False)
         order = np.argsort(dk)
         dk_s = dk[order]
         texts_sorted = doc_rows["text"].combine_chunks().take(pa.array(order))
@@ -415,20 +363,20 @@ def _attach_pair_texts_shuffle(pairs, docs, n_buckets: int = 64):
             }
         )
 
-    attached = (
-        sides.union(drows)
-        .groupby("kb")
-        .map_groups(attach_bucket, batch_format="pyarrow", zero_copy_batch=True)
+    attached = co_partition(
+        {
+            "P": (sides, pa.schema([
+                ("key", pa.int64()),
+                ("doc_a", pa.int64()),
+                ("doc_b", pa.int64()),
+                ("role", pa.string()),
+            ])),
+            "D": (drows, pa.schema([("doc_id", pa.int64()), ("text", pa.string())])),
+        },
+        {"P": "key", "D": "doc_id"},
+        attach_bucket,
+        n_buckets,
     )
-
-    def add_pair_bucket(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = (
-            ((a * np.uint64(0x9E3779B97F4A7C15) + b) * np.uint64(0x9E3779B97F4A7C15))
-            >> np.uint64(58)
-        ).astype("int32")
-        return t.append_column("pb", pa.array(pb))
 
     def reassemble_bucket(group: pa.Table) -> pa.Table:
         g = group.combine_chunks()
@@ -468,11 +416,7 @@ def _attach_pair_texts_shuffle(pairs, docs, n_buckets: int = 64):
             }
         )
 
-    return (
-        attached.map_batches(add_pair_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pb")
-        .map_groups(reassemble_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return co_partition_pairs(attached, reassemble_bucket)
 
 
 def minhash_verified_pairs(
@@ -659,9 +603,7 @@ def neardup_keep_best(
         nb = mbytes[sorter][idx]
         order = np.lexsort((node_arr, -nb, lab_arr))
         lab_s, node_s, nb_s = lab_arr[order], node_arr[order], nb[order]
-        first = np.ones(len(lab_s), dtype=bool)
-        first[1:] = lab_s[1:] != lab_s[:-1]
-        starts = np.flatnonzero(first)
+        starts = np.flatnonzero(run_starts(lab_s))
         sizes = np.diff(np.append(starts, len(lab_s)))
         return rd.from_arrow(
             pa.Table.from_pydict(
@@ -679,12 +621,6 @@ def neardup_keep_best(
     )
     joined = bucketed_join(labels, lens, "node", "doc_id", n_buckets=16)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        lab = t["label"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "b", pa.array((lab % n_buckets).astype(np.int32))
-        )
-
     def elect_bucket(group: pa.Table) -> pa.Table:
         lab = group["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         node = group["node"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -693,9 +629,7 @@ def neardup_keep_best(
         # doc asc) — lexsort keys are last-significant-first
         order = np.lexsort((node, -nb, lab))
         lab_s, node_s, nb_s = lab[order], node[order], nb[order]
-        first = np.ones(len(lab_s), dtype=bool)
-        first[1:] = lab_s[1:] != lab_s[:-1]
-        starts = np.flatnonzero(first)
+        starts = np.flatnonzero(run_starts(lab_s))
         sizes = np.diff(np.append(starts, len(lab_s)))
         return pa.Table.from_pydict(
             {
@@ -706,12 +640,9 @@ def neardup_keep_best(
             }
         )
 
-    return (
-        joined.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("b")
-        .map_groups(elect_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("cluster")
-    )
+    return co_partition(
+        {"members": (joined, None)}, "label", elect_bucket, n_buckets
+    ).sort("cluster")
 
 
 # -- SimHash near-dup ----------------------------------------------------
@@ -769,8 +700,6 @@ def dedup_simhash(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
     # (band, value) bucket space into classes, one Arrow self-join per
     # class, star construction for oversize buckets, Hamming verify as
     # a numpy popcount over xor-ed signatures (16-bit table lookups).
-    n_hash_classes = 64
-
     _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
 
     def _popcount64(x: np.ndarray) -> np.ndarray:
@@ -785,8 +714,7 @@ def dedup_simhash(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
     def add_class(t: pa.Table) -> pa.Table:
         v = t["value"].to_numpy(zero_copy_only=False).astype(np.uint64)
         b = t["band"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        cls = ((v * np.uint64(0x9E3779B97F4A7C15) + b) % n_hash_classes).astype("int32")
-        return t.append_column("cls", pa.array(cls))
+        return t.append_column("cls", pa.array(v * _G + b))
 
     def class_pairs(group: pa.Table) -> pa.Table:
         import logging
@@ -868,14 +796,10 @@ def dedup_simhash(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
             ["doc_a", "doc_b", "hamming"]
         )
 
-    from ray.data.aggregate import Min
-
-    pairs = (
-        sigs.map_batches(explode_bands, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_class, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cls")
-        .map_groups(class_pairs, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    banded = sigs.map_batches(
+        explode_bands, batch_format="pyarrow", zero_copy_batch=True
+    ).map_batches(add_class, batch_format="pyarrow", zero_copy_batch=True)
+    pairs = co_partition({"bands": (banded, None)}, "cls", class_pairs, 64)
     # a pair can collide in several hash classes -> global dedupe
     return _dedupe_pairs_bucketed(
         pairs, [("hamming", "min")], ["doc_a", "doc_b", "hamming"]
@@ -921,20 +845,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
         explode, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024
     )
 
-    # one bucket per hash class of shingles: ALL postings of a shingle
-    # land in one group (bucket = sh % n), so document frequency and the
-    # per-shingle pair sets stay globally correct — but pair generation
-    # runs as ONE vectorized Arrow self-join per bucket instead of a
-    # Python map_groups call per shingle (tens of thousands of tiny
-    # groups made that path group-call-bound)
-    n_sh_buckets = 64
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        b = (t["sh"].to_numpy(zero_copy_only=False) % n_sh_buckets).astype("int32")
-        return t.append_column("bucket", pa.array(b))
-
+    # ALL postings of a shingle land in one bucket, so document
+    # frequency and the per-shingle pair sets stay globally correct —
+    # and pair generation runs as ONE vectorized Arrow self-join per
+    # bucket instead of a Python call per shingle
     def bucket_self_join(group: pa.Table) -> pa.Table:
         import logging
 
@@ -1007,36 +921,19 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
             names=["doc_a", "doc_b", "n_inter", "n_a", "n_b"],
         )
 
-    def add_pair_bucket(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = (
-            ((a * np.uint64(0x9E3779B97F4A7C15) + b) * np.uint64(0x9E3779B97F4A7C15))
-            >> np.uint64(58)
-        ).astype("int32")
-        return t.append_column("pb", pa.array(pb))
-
     def sum_pairs_bucket(group: pa.Table) -> pa.Table:
         # pair keys are corpus-scale and repeat across shingle buckets:
         # co-partition by pair hash + ONE vectorized group_by per bucket
         # instead of groupby(doc_a, doc_b).aggregate's per-key
         # cross-block merge (r5 — the cosupplier idiom)
-        g = (
-            group.select(["doc_a", "doc_b", "n_inter", "n_a", "n_b"])
-            .group_by(["doc_a", "doc_b"])
-            .aggregate([("n_inter", "sum"), ("n_a", "max"), ("n_b", "max")])
+        g = group.group_by(["doc_a", "doc_b"]).aggregate(
+            [("n_inter", "sum"), ("n_a", "max"), ("n_b", "max")]
         )
         return g.rename_columns(["doc_a", "doc_b", "n_inter", "n_a", "n_b"])
 
-    inter = (
-        postings.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(bucket_self_join, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_pair_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pb")
-        .map_groups(sum_pairs_bucket, batch_format="pyarrow", zero_copy_batch=True)
+    inter = co_partition_pairs(
+        co_partition({"postings": (postings, None)}, "sh", bucket_self_join, 64),
+        sum_pairs_bucket,
     )
 
     def score(t: pa.Table) -> pa.Table:
@@ -1152,8 +1049,6 @@ def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000
     hash into classes, each class emits per-pair partial counts via one
     vectorized Arrow self-join (stop-fingerprints with df > ``max_df``
     dropped, logged), and a global groupby sums the partials."""
-    from ray.data.aggregate import Sum
-
     from ..functions.textstats import winnow_fingerprints
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -1173,14 +1068,6 @@ def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000
     postings = _read_docs(sf_dir).map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024
     )
-
-    n_classes = 64
-
-    def add_class(t: pa.Table) -> pa.Table:
-        cls = (
-            t["fp"].to_numpy(zero_copy_only=False).astype(np.uint64) % n_classes
-        ).astype("int32")
-        return t.append_column("cls", pa.array(cls))
 
     def class_pairs(group: pa.Table) -> pa.Table:
         import logging
@@ -1217,9 +1104,7 @@ def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000
         )
 
     out = _dedupe_pairs_bucketed(
-        postings.map_batches(add_class, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cls")
-        .map_groups(class_pairs, batch_format="pyarrow", zero_copy_batch=True),
+        co_partition({"postings": (postings, None)}, "fp", class_pairs, 64),
         [("n_shared", "sum")],
         ["doc_a", "doc_b", "n_shared"],
     )
@@ -1246,45 +1131,24 @@ def dedup_against_state(sf_dir: str, n_buckets: int = 16):
     ingest state), ``dup_incoming`` (hash first seen earlier — lower
     doc_id — within this same increment).
 
-    Scale shape: both sides project to (hash-prefix bucket, hash[, id])
-    BEFORE the one co-partition exchange (the bucketed_filter_join
-    skeleton, but the membership test is on the FULL hash string inside
-    each bucket, and the incoming side also resolves first-seen within
-    the bucket — rows with equal hashes share a bucket by
-    construction). The state never broadcasts: at 100 TB the ingest
-    index is billions of hashes and must shuffle, not ship."""
-    from ray.data.aggregate import Min
-
+    Scale shape: both sides project to (id, hash) BEFORE the one
+    co-partition exchange on the hash; inside each bucket the state /
+    increment split is the doc_id parity, the membership test is on the
+    FULL hash string, and the increment also resolves first-seen — rows
+    with equal hashes share a bucket by construction. The state never
+    broadcasts: at 100 TB the ingest index is billions of hashes and
+    must shuffle, not ship."""
     ds = _read_docs(sf_dir)
     hashed = ds.map_batches(
         add_content_hash, batch_format="pyarrow", zero_copy_batch=True
     ).select_columns(["doc_id", "content_hash"])
 
-    def tag(batch: pa.Table) -> pa.Table:
-        ids = pc.cast(batch["doc_id"], pa.int64())
-        h = batch["content_hash"]
-        # bucket on the 48-bit hash prefix, co-locating equal hashes
-        import numpy as np
-
-        pref = np.array(
-            [int(x[:12], 16) % n_buckets for x in h.to_pylist()], dtype=np.int32
-        )
-        even = pc.equal(pc.bit_wise_and(ids, pa.scalar(1, type=pa.int64())),
-                        pa.scalar(0, type=pa.int64()))
-        side = pc.if_else(even, pa.scalar("S"), pa.scalar("I"))
-        return pa.Table.from_pydict(
-            {
-                "doc_id": ids,
-                "h": h,
-                "__bucket": pa.array(pref),
-                "__side": side,
-            }
-        )
-
     def classify(group: pa.Table) -> pa.Table:
-        state_mask = pc.equal(group["__side"], "S")
-        state_h = pc.unique(group.filter(state_mask)["h"])
-        inc = group.filter(pc.invert(state_mask))
+        ids = pc.cast(group["doc_id"], pa.int64())
+        in_inc = pc.equal(pc.bit_wise_and(ids, pa.scalar(1, type=pa.int64())),
+                          pa.scalar(1, type=pa.int64()))
+        state_h = pc.unique(group.filter(pc.invert(in_inc))["content_hash"])
+        inc = group.filter(in_inc)
         if inc.num_rows == 0:
             return pa.Table.from_pydict(
                 {
@@ -1293,15 +1157,15 @@ def dedup_against_state(sf_dir: str, n_buckets: int = 16):
                 }
             )
         # first-seen within the increment: min doc_id per hash
-        firsts = inc.select(["h", "doc_id"]).group_by("h").aggregate(
+        firsts = inc.select(["content_hash", "doc_id"]).group_by("content_hash").aggregate(
             [("doc_id", "min")]
         )
         first_by_h = dict(
-            zip(firsts["h"].to_pylist(), firsts["doc_id_min"].to_pylist())
+            zip(firsts["content_hash"].to_pylist(), firsts["doc_id_min"].to_pylist())
         )
-        in_state = pc.is_in(inc["h"], value_set=state_h).to_pylist()
+        in_state = pc.is_in(inc["content_hash"], value_set=state_h).to_pylist()
         ids = inc["doc_id"].to_pylist()
-        hs = inc["h"].to_pylist()
+        hs = inc["content_hash"].to_pylist()
         status = [
             "dup_state" if s
             else ("dup_incoming" if first_by_h[h] < i else "new")
@@ -1314,12 +1178,9 @@ def dedup_against_state(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    return (
-        hashed.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(classify, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("doc_id")
-    )
+    return co_partition(
+        {"hashes": (hashed, None)}, "content_hash", classify, n_buckets
+    ).sort("doc_id")
 
 
 def dup_cluster_histogram(sf_dir: str):
@@ -1379,17 +1240,12 @@ def dup_rate_by_source(sf_dir: str):
         add_content_hash, batch_format="pyarrow", zero_copy_batch=True
     ).select_columns(["content_hash", "doc_id", "source"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = [int(h[:2], 16) % 64 for h in t["content_hash"].to_pylist()]
-        return t.append_column("b", pa.array(b, type=pa.int32()))
-
     def mark_bucket(group: pa.Table) -> pa.Table:
         h = np.asarray(group["content_hash"].to_pylist(), dtype=object)
         d = group["doc_id"].to_numpy(zero_copy_only=False)
         order = np.lexsort((d, h))
         h_s, d_s = h[order], d[order]
-        first = np.ones(len(h_s), dtype=bool)
-        first[1:] = h_s[1:] != h_s[:-1]  # sorted: keeper = first of run
+        first = run_starts(h_s)  # sorted: keeper = first of run
         is_dup = np.zeros(len(h_s), dtype=bool)
         is_dup[order] = ~first
         t = pa.Table.from_pydict(
@@ -1403,9 +1259,7 @@ def dup_rate_by_source(sf_dir: str):
         return g.rename_columns(["source", "n", "n_dup"])
 
     return (
-        hashed.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("b")
-        .map_groups(mark_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"hashes": (hashed, None)}, "content_hash", mark_bucket, 64)
         .groupby("source")
         .aggregate(
             Sum("n", alias_name="n_docs"),

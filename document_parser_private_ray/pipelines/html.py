@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.readers import read_table
+from .exchange import co_partition, run_starts
 
 
 def _render_batch(batch: pa.Table) -> pa.Table:
@@ -267,7 +268,7 @@ def web_curate(
     text group (among quality+language passers) and its canonical-URL
     group (among ALL crawled pages). The two dedups share ONE
     co-partition exchange by unioning their key spaces with disjoint
-    prefixes ('T:'sha256(text) / 'U:'url) — each md5 bucket closes with
+    prefixes ('T:'sha256(text) / 'U:'url) — each key bucket closes with
     one vectorized Arrow group_by; a second keys-only exchange on
     doc_id intersects the keeper sets (a doc surviving both dedups
     contributes exactly two keeper rows). Corpus is parsed once,
@@ -303,48 +304,24 @@ def web_curate(
             for x in passed["text"].to_pylist()
         ]
         ids = t["doc_id"].to_pylist() + passed["doc_id"].to_pylist()
-        b = [
-            int(hashlib.md5(k.encode()).hexdigest()[:4], 16) % n_buckets
-            for k in keys
-        ]
         return pa.Table.from_arrays(
-            [
-                pa.array(keys, type=pa.string()),
-                pa.array(ids, type=pa.int64()),
-                pa.array(b, type=pa.int32()),
-            ],
-            names=["key", "doc_id", "b"],
+            [pa.array(keys, type=pa.string()), pa.array(ids, type=pa.int64())],
+            names=["key", "doc_id"],
         )
 
     def keepers_bucket(group: pa.Table) -> pa.Table:
-        g = (
-            group.select(["key", "doc_id"])
-            .group_by("key")
-            .aggregate([("doc_id", "min")])
-        )
+        g = group.group_by("key").aggregate([("doc_id", "min")])
         return pa.Table.from_arrays([g["doc_id_min"]], names=["doc_id"])
 
-    keeper_rows = (
-        feats.map_batches(tag_union, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("b")
-        .map_groups(keepers_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    def add_doc_bucket(t: pa.Table) -> pa.Table:
-        b = (t["doc_id"].to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
-        return t.append_column("db", pa.array(b))
-
     def both_keeper(group: pa.Table) -> pa.Table:
-        g = group.select(["doc_id"]).group_by("doc_id").aggregate([([], "count_all")])
+        g = group.group_by("doc_id").aggregate([([], "count_all")])
         both = g.filter(pc.equal(g["count_all"], 2))
         return pa.Table.from_arrays([both["doc_id"]], names=["doc_id"])
 
-    survivors = (
-        keeper_rows.map_batches(
-            add_doc_bucket, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("db")
-        .map_groups(both_keeper, batch_format="pyarrow", zero_copy_batch=True)
+    keys = feats.map_batches(tag_union, batch_format="pyarrow", zero_copy_batch=True)
+    keeper_rows = co_partition({"keys": (keys, None)}, "key", keepers_bucket, n_buckets)
+    survivors = co_partition(
+        {"keepers": (keeper_rows, None)}, "doc_id", both_keeper, n_buckets
     )
     return split_rollup(survivors)
 
@@ -380,13 +357,12 @@ def crawl_frontier(sf_dir: str, n_buckets: int = 32):
     outlink URLs minus the crawled pages' canonical URLs — the
     frontier a crawler feeds back into its queue. Both sides are
     corpus-scale, so neither broadcasts: outlinks pre-distinct per
-    batch, both sides tag-union into ONE md5-bucket co-partition
+    batch, both sides share ONE url-bucket co-partition
     exchange, and each bucket closes with a vectorized set difference
     (distinct(A) filtered by ``is_in`` against B). Note a page whose
     canonical points elsewhere (the doc_id % 7 == 3 twist) leaves its
     own /doc/K URL in the frontier — exactly right for canonical-URL
     bookkeeping."""
-    import hashlib
 
     def frontier_rows(batch: pa.Table) -> pa.Table:
         # ONE parse per page yields both sides: its outlinks (A) and
@@ -415,13 +391,6 @@ def crawl_frontier(sf_dir: str, n_buckets: int = 32):
         frontier_rows, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = [
-            int(hashlib.md5(u.encode()).hexdigest()[:4], 16) % n_buckets
-            for u in t["url"].to_pylist()
-        ]
-        return t.append_column("b", pa.array(b, type=pa.int32()))
-
     def frontier_bucket(group: pa.Table) -> pa.Table:
         side = pc.equal(group["side"], "A")
         a = pc.unique(group.filter(side)["url"])
@@ -429,48 +398,31 @@ def crawl_frontier(sf_dir: str, n_buckets: int = 32):
         keep = pc.invert(pc.is_in(a, value_set=b))
         return pa.Table.from_arrays([a.filter(keep)], names=["url"])
 
-    return (
-        both.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("b")
-        .map_groups(frontier_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("url")
-    )
+    return co_partition(
+        {"urls": (both, None)}, "url", frontier_bucket, n_buckets
+    ).sort("url")
 
 
 def url_dedup(sf_dir: str, n_buckets: int = 64):
     """Canonical-URL-level dedup (the crawl pass that collapses the
     same page fetched under several URLs): keeper = min doc_id per
     normalized canonical URL. Same scale shape as ``dedup.dedup_exact``
-    — (url, doc_id) keys-only projection BEFORE the shuffle, md5-bucket
+    — (url, doc_id) keys-only projection BEFORE the shuffle, url-bucket
     co-partition, ONE vectorized Arrow group_by per bucket (per-group
     Python never runs; URL groups are unbounded at corpus scale)."""
-    import hashlib
-
     urls = _pages(sf_dir).map_batches(
         _metadata_batch, batch_format="pyarrow", zero_copy_batch=True
     ).select_columns(["doc_id", "canonical_url"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = [
-            int(hashlib.md5(u.encode()).hexdigest()[:4], 16) % n_buckets
-            for u in t["canonical_url"].to_pylist()
-        ]
-        return t.append_column("b", pa.array(b, type=pa.int32()))
-
     def reduce_bucket(group: pa.Table) -> pa.Table:
-        g = (
-            group.select(["canonical_url", "doc_id"])
-            .group_by("canonical_url")
-            .aggregate([("doc_id", "min"), ("doc_id", "count")])
+        g = group.group_by("canonical_url").aggregate(
+            [("doc_id", "min"), ("doc_id", "count")]
         )
         return g.rename_columns(["canonical_url", "keep_doc_id", "n_copies"])
 
-    return (
-        urls.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("b")
-        .map_groups(reduce_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("keep_doc_id")
-    )
+    return co_partition(
+        {"urls": (urls, None)}, "canonical_url", reduce_bucket, n_buckets
+    ).sort("keep_doc_id")
 
 
 def web_extract_job(
@@ -517,8 +469,6 @@ def anchor_texts(sf_dir: str, top_k: int = 30):
     Counter partials collapse them BEFORE the first exchange; the
     per-url argmax closes in a url-hash bucket co-partition with one
     numpy lexsort per bucket (no per-url Python)."""
-    import hashlib
-
     import numpy as np
     from ray.data.aggregate import Sum
 
@@ -560,13 +510,6 @@ def anchor_texts(sf_dir: str, top_k: int = 30):
         .aggregate(Sum("n", alias_name="n"))
     )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = [
-            int(hashlib.md5(u.encode()).hexdigest()[:4], 16) % 32
-            for u in t["url"].to_pylist()
-        ]
-        return t.append_column("b", pa.array(b, type=pa.int32()))
-
     def reduce_bucket(group: pa.Table) -> pa.Table:
         urls = np.asarray(group["url"].to_pylist(), dtype=object)
         texts = np.asarray(group["atext"].to_pylist(), dtype=object)
@@ -574,9 +517,7 @@ def anchor_texts(sf_dir: str, top_k: int = 30):
         # one lexsort ranks every (url) group: count desc, text asc
         order = np.lexsort((texts, -ns, urls))
         urls, texts, ns = urls[order], texts[order], ns[order]
-        first = np.ones(len(urls), dtype=bool)
-        first[1:] = urls[1:] != urls[:-1]
-        starts = np.flatnonzero(first)
+        starts = np.flatnonzero(run_starts(urls))
         ends = np.append(starts[1:], len(urls))
         sums = np.add.reduceat(ns, starts) if len(ns) else np.array([], dtype=np.int64)
         return pa.Table.from_arrays(
@@ -590,9 +531,7 @@ def anchor_texts(sf_dir: str, top_k: int = 30):
         )
 
     return (
-        counts.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("b")
-        .map_groups(reduce_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"anchors": (counts, None)}, "url", reduce_bucket, 32)
         .sort(["n_anchors", "url"], descending=[True, False])
         .limit(top_k)
     )

@@ -1,15 +1,13 @@
 """Distributed join patterns (R3 + the guide's partitioned-hash-join
 shape).
 
-``bucketed_join`` is the large-⋈-large pattern for engines without a
-native shuffle join: both sides get a ``bucket = key % B`` column
-(vectorized), are null-padded to a common schema, tagged, unioned, and
-a single ``groupby(bucket).map_groups`` performs the per-bucket join
-with the Arrow (Acero) hash-join kernel — ONE all-to-all exchange
-co-partitions both sides by construction, and every block stays Arrow
-end-to-end (no pandas dtype upcasts, no mixed block types downstream).
-Skewed hot keys are handled by raising B (salting a hot key into
-sub-buckets composes: bucket on (key, salt)).
+Every join here is a kernel handed to ``exchange.co_partition``: both
+sides move through ONE all-to-all exchange keyed by bucket, and each
+bucket runs the join locally — the Arrow (Acero) hash join for
+``bucketed_join``, a vectorized membership test for
+``bucketed_filter_join``, a finish-the-aggregate-then-join for the fused
+queries. Blocks stay Arrow end-to-end (no pandas dtype upcasts, no
+mixed block types downstream).
 
 (Ray 2.49 ships an experimental ``Dataset.join``; this explicit version
 is the portable, skew-controllable primitive the oracle-checked queries
@@ -20,6 +18,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .exchange import co_partition
 
 
 def bucketed_join(
@@ -41,43 +41,16 @@ def bucketed_join(
         raise ValueError(f"unsupported join_type {join_type!r}")
     lschema = left.schema()
     rschema = right.schema()
-    lcols = list(lschema.names)
-    rcols = list(rschema.names)
-    types = {}
-    for name, t in zip(lschema.names, lschema.types):
-        types[name] = t
-    for name, t in zip(rschema.names, rschema.types):
-        types.setdefault(name, t)
-    all_cols = lcols + [c for c in rcols if c not in lcols]
+    all_cols = list(lschema.names) + [
+        c for c in rschema.names if c not in lschema.names
+    ]
 
-    def tag_and_pad(tag: str, key: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            keys = batch[key].to_numpy(zero_copy_only=False)
-            bucket = pa.array((keys % n_buckets).astype("int32"))
-            arrays, names = [], []
-            for c in all_cols:
-                names.append(c)
-                if c in batch.column_names:
-                    arrays.append(batch[c])
-                else:
-                    arrays.append(pa.nulls(len(batch), type=types[c]))
-            names += ["__bucket", "__side"]
-            arrays += [bucket, pa.array([tag] * len(batch))]
-            return pa.Table.from_arrays(arrays, names=names)
-
-        return fn
-
-    lt = left.map_batches(tag_and_pad("L", left_key), batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.map_batches(tag_and_pad("R", right_key), batch_format="pyarrow", zero_copy_batch=True)
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        mask = pc.equal(group["__side"], "L")
-        l = group.filter(mask).select(lcols)
-        r = group.filter(pc.invert(mask)).select(rcols)
+    def join_bucket(t: dict) -> pa.Table:
+        l, r = t["L"], t["R"]
         # Acero drops the right key column; carry a copy through the
         # payload so it survives with correct per-row semantics (equal
         # to the left key on matches, null on outer non-matches).
-        r = r.append_column("__rk", pc.cast(r[right_key], types[right_key]))
+        r = r.append_column("__rk", r[right_key])
         out = l.join(r, keys=[left_key], right_keys=[right_key], join_type=join_type)
         if right_key != left_key and right_key not in out.column_names:
             out = out.append_column(right_key, out["__rk"])
@@ -85,8 +58,11 @@ def bucketed_join(
             out = out.drop_columns(["__rk"])
         return out.select(all_cols)
 
-    return lt.union(rt).groupby("__bucket").map_groups(
-        join_bucket, batch_format="pyarrow", zero_copy_batch=True
+    return co_partition(
+        {"L": (left, lschema), "R": (right, rschema)},
+        {"L": left_key, "R": right_key},
+        join_bucket,
+        n_buckets,
     )
 
 
@@ -97,7 +73,7 @@ def order_lineitem_revenue(sf_dir: str, n_buckets: int = 16, k: int = 15):
 
     Fused shape (r5): lineitem pre-aggregates per-batch partials
     (l_orderkey -> revenue, n) BEFORE the exchange, both sides
-    co-partition by orderkey bucket in ONE union-tag exchange, and each
+    co-partition by orderkey bucket in ONE exchange, and each
     bucket FINISHES its per-order aggregate (all of an order's rows
     land in one bucket by construction) before the Acero join attaches
     the order attributes — the previous corpus-scale
@@ -117,87 +93,48 @@ def order_lineitem_revenue(sf_dir: str, n_buckets: int = 16, k: int = 15):
         override_num_blocks=16,
     )
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        b = (
-            batch["o_orderkey"].to_numpy(zero_copy_only=False) % n_buckets
-        ).astype("int32")
-        return pa.Table.from_pydict(
-            {
-                "key": pc.cast(batch["o_orderkey"], pa.int64()),
-                "o_orderdate": batch["o_orderdate"],
-                "o_orderpriority": batch["o_orderpriority"],
-                "revenue": pa.nulls(batch.num_rows, type=pa.float64()),
-                "n_lines": pa.nulls(batch.num_rows, type=pa.int64()),
-                "__bucket": pa.array(b),
-                "__side": pa.array(["O"] * batch.num_rows),
-            }
-        )
-
     def lineitem_partials(batch: pa.Table) -> pa.Table:
         rev = pc.multiply(
             batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
         )
-        t = pa.Table.from_pydict(
-            {"key": pc.cast(batch["l_orderkey"], pa.int64()), "revenue": rev}
-        )
-        g = t.group_by("key").aggregate([("revenue", "sum"), ("revenue", "count")])
-        g = g.rename_columns(["key", "revenue", "n_lines"])
-        b = (g["key"].to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
-        n = g.num_rows
-        return pa.Table.from_pydict(
-            {
-                "key": g["key"],
-                "o_orderdate": pa.nulls(n, type=orders.schema().types[1]),
-                "o_orderpriority": pa.nulls(n, type=pa.string()),
-                "revenue": g["revenue"],
-                "n_lines": pc.cast(g["n_lines"], pa.int64()),
-                "__bucket": pa.array(b),
-                "__side": pa.array(["L"] * n),
-            }
-        )
+        t = pa.Table.from_pydict({"l_orderkey": batch["l_orderkey"], "revenue": rev})
+        g = t.group_by("l_orderkey").aggregate([("revenue", "sum"), ("revenue", "count")])
+        return g.rename_columns(["l_orderkey", "revenue", "n_lines"])
 
-    ot = orders.map_batches(tag_orders, batch_format="pyarrow", zero_copy_batch=True)
-    lt = lineitem.map_batches(
+    partials = lineitem.map_batches(
         lineitem_partials, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def join_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        side = pc.equal(g["__side"], "O")
-        o = g.filter(side).select(["key", "o_orderdate", "o_orderpriority"])
-        l = g.filter(pc.invert(side)).select(["key", "revenue", "n_lines"])
-        empty = pa.Table.from_pydict(
-            {
-                "o_orderkey": pa.array([], type=pa.int64()),
-                "revenue": pa.array([], type=pa.float64()),
-                "n_lines": pa.array([], type=pa.int64()),
-                "o_orderdate": pa.array([], type=orders.schema().types[1]),
-                "o_orderpriority": pa.array([], type=pa.string()),
-            }
-        )
-        if o.num_rows == 0 or l.num_rows == 0:
-            return empty
+    def join_bucket(t: dict) -> pa.Table:
         # finish the per-order aggregate — co-partitioned, so this is
         # the FINAL value, not a partial
-        agg = l.group_by("key").aggregate(
+        agg = t["L"].group_by("l_orderkey").aggregate(
             [("revenue", "sum"), ("n_lines", "sum")]
         )
-        agg = agg.rename_columns(["key", "revenue", "n_lines"])
-        out = agg.join(o, keys=["key"], join_type="inner")
-        return pa.Table.from_pydict(
-            {
-                "o_orderkey": out["key"],
-                "revenue": out["revenue"],
-                "n_lines": out["n_lines"],
-                "o_orderdate": out["o_orderdate"],
-                "o_orderpriority": out["o_orderpriority"],
-            }
+        agg = agg.rename_columns(["o_orderkey", "revenue", "n_lines"])
+        out = agg.join(t["O"], keys="o_orderkey", join_type="inner")
+        return out.select(
+            ["o_orderkey", "revenue", "n_lines", "o_orderdate", "o_orderpriority"]
         )
 
     return (
-        ot.union(lt)
-        .groupby("__bucket")
-        .map_groups(join_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition(
+            {
+                "O": (orders, pa.schema([
+                    ("o_orderkey", pa.int64()),
+                    ("o_orderdate", pa.timestamp("us")),
+                    ("o_orderpriority", pa.string()),
+                ])),
+                "L": (partials, pa.schema([
+                    ("l_orderkey", pa.int64()),
+                    ("revenue", pa.float64()),
+                    ("n_lines", pa.int64()),
+                ])),
+            },
+            {"O": "o_orderkey", "L": "l_orderkey"},
+            join_bucket,
+            n_buckets,
+        )
         .sort(["revenue", "o_orderkey"], descending=[True, False])
         .limit(k)
     )
@@ -216,54 +153,28 @@ def bucketed_filter_join(
     left, right, left_key: str, right_key: str, mode: str, n_buckets: int = 16
 ):
     """Semi / anti join of two Datasets on integer keys — the same
-    union-tag-co-partition shape as ``bucketed_join`` (ONE all-to-all
-    exchange), but the per-bucket kernel is a vectorized membership
-    test (``pc.is_in``) instead of Acero's hash join: left rows whose
-    key does (semi) / does not (anti) appear on the right. The right
-    side ships only its KEY column through the shuffle."""
+    co-partition exchange as ``bucketed_join``, but the per-bucket
+    kernel is a vectorized membership test (``pc.is_in``) instead of
+    Acero's hash join: left rows whose key does (semi) / does not
+    (anti) appear on the right. The right side ships only its KEY
+    column through the shuffle."""
     if mode not in ("semi", "anti"):
         raise ValueError(f"mode must be 'semi' or 'anti', got {mode!r}")
     lschema = left.schema()
-    lcols = list(lschema.names)
     ltypes = dict(zip(lschema.names, lschema.types))
+    rschema = pa.schema([(right_key, ltypes[left_key])])
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        keys = batch[left_key].to_numpy(zero_copy_only=False)
-        bucket = pa.array((keys % n_buckets).astype("int32"))
-        return (
-            batch.append_column("__bucket", bucket)
-            .append_column("__side", pa.array(["L"] * len(batch)))
-        )
-
-    def right_keys_only(batch: pa.Table) -> pa.Table:
-        keys = batch[right_key].to_numpy(zero_copy_only=False)
-        bucket = pa.array((keys % n_buckets).astype("int32"))
-        arrays = [
-            pc.cast(batch[right_key], ltypes[left_key])
-            if c == left_key
-            else pa.nulls(len(batch), type=ltypes[c])
-            for c in lcols
-        ]
-        return pa.Table.from_arrays(
-            arrays + [bucket, pa.array(["R"] * len(batch))],
-            names=lcols + ["__bucket", "__side"],
-        )
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.select_columns([right_key]).map_batches(
-        right_keys_only, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def filter_bucket(group: pa.Table) -> pa.Table:
-        side = pc.equal(group["__side"], "L")
-        l = group.filter(side)
-        rkeys = pc.unique(group.filter(pc.invert(side))[left_key])
+    def filter_bucket(t: dict) -> pa.Table:
+        l = t["L"]
+        rkeys = pc.unique(t["R"][right_key])
         hit = pc.is_in(l[left_key], value_set=rkeys)
-        mask = hit if mode == "semi" else pc.invert(hit)
-        return l.filter(mask).select(lcols)
+        return l.filter(hit if mode == "semi" else pc.invert(hit))
 
-    return lt.union(rt).groupby("__bucket").map_groups(
-        filter_bucket, batch_format="pyarrow", zero_copy_batch=True
+    return co_partition(
+        {"L": (left, lschema), "R": (right.select_columns([right_key]), rschema)},
+        {"L": left_key, "R": right_key},
+        filter_bucket,
+        n_buckets,
     )
 
 
@@ -330,7 +241,7 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
     (n_big = 0), which an inner join cannot produce. Fused shape (r5):
     the lineitem side filters and pre-aggregates per batch BEFORE the
     exchange, both sides co-partition by orderkey bucket in ONE
-    union-tag exchange, and each bucket FINISHES the per-order count
+    exchange, and each bucket FINISHES the per-order count
     (co-partitioned, so the in-bucket sum is final), realizes the
     outer-join zeros with a searchsorted against its order keys, and
     emits <= distinct-count histogram partials — the previous version
@@ -341,7 +252,6 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
 
     from ..sources.readers import read_table
 
-    n_buckets = 16
     # downstream shuffles partition by incoming BLOCK count: fuller read
     # blocks cut the fixed per-exchange cost (the pagerank/Q3 idiom)
     orders = read_table(
@@ -352,48 +262,24 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
         override_num_blocks=16,
     )
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        key = pc.cast(batch["o_orderkey"], pa.int64())
-        b = (key.to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
-        return pa.Table.from_pydict(
-            {
-                "key": key,
-                "n": pa.nulls(batch.num_rows, type=pa.int64()),
-                "__bucket": pa.array(b),
-                "__side": pa.array(["O"] * batch.num_rows),
-            }
-        )
-
     def big_line_partials(batch: pa.Table) -> pa.Table:
         big = batch.filter(pc.greater(batch["l_quantity"], qty_floor))
         g = big.select(["l_orderkey"]).group_by("l_orderkey").aggregate(
             [("l_orderkey", "count")]
         )
-        g = g.rename_columns(["key", "n"])
-        b = (g["key"].to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
-        return pa.Table.from_pydict(
-            {
-                "key": pc.cast(g["key"], pa.int64()),
-                "n": pc.cast(g["n"], pa.int64()),
-                "__bucket": pa.array(b),
-                "__side": pa.array(["L"] * g.num_rows),
-            }
-        )
+        return g.rename_columns(["l_orderkey", "n"])
 
-    ot = orders.map_batches(tag_orders, batch_format="pyarrow", zero_copy_batch=True)
-    lt = lineitem.map_batches(
+    partials = lineitem.map_batches(
         big_line_partials, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def hist_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        side = pc.equal(g["__side"], "O")
-        ok = g.filter(side)["key"].to_numpy(zero_copy_only=False)
-        l = g.filter(pc.invert(side))
+    def hist_bucket(t: dict) -> pa.Table:
+        ok = t["O"]["o_orderkey"].to_numpy(zero_copy_only=False)
+        l = t["L"]
         counts = np.zeros(len(ok), dtype=np.int64)
         if l.num_rows and len(ok):
-            agg = l.select(["key", "n"]).group_by("key").aggregate([("n", "sum")])
-            lk = agg["key"].to_numpy(zero_copy_only=False)
+            agg = l.group_by("l_orderkey").aggregate([("n", "sum")])
+            lk = agg["l_orderkey"].to_numpy(zero_copy_only=False)
             ln = agg["n_sum"].to_numpy(zero_copy_only=False)
             order = np.argsort(lk)
             lk, ln = lk[order], ln[order]
@@ -409,9 +295,15 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
         )
 
     return (
-        ot.union(lt)
-        .groupby("__bucket")
-        .map_groups(hist_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition(
+            {
+                "O": (orders, pa.schema([("o_orderkey", pa.int64())])),
+                "L": (partials, pa.schema([("l_orderkey", pa.int64()), ("n", pa.int64())])),
+            },
+            {"O": "o_orderkey", "L": "l_orderkey"},
+            hist_bucket,
+            16,
+        )
         .groupby("n_big")
         .aggregate(Sum("n", alias_name="n_orders"))
         .sort("n_big")
@@ -649,10 +541,7 @@ def orders_above_customer_avg(sf_dir: str):
 
     from ..sources.readers import read_table
 
-    n_buckets = 32
-
     def prep(b: pa.Table) -> pa.Table:
-        ck = b["o_custkey"].to_numpy(zero_copy_only=False)
         return pa.Table.from_pydict(
             {
                 "o_custkey": pc.cast(b["o_custkey"], pa.int64()),
@@ -664,7 +553,6 @@ def orders_above_customer_avg(sf_dir: str):
                     ).astype(np.int64),
                     type=pa.int64(),
                 ),
-                "__bucket": pa.array((ck % n_buckets).astype("int32")),
             }
         )
 
@@ -712,8 +600,7 @@ def orders_above_customer_avg(sf_dir: str):
         return p.rename_columns(["o_orderpriority", "n_above", "n_total"])
 
     return (
-        orders.groupby("__bucket")
-        .map_groups(flag_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"O": (orders, None)}, "o_custkey", flag_bucket, 32)
         .groupby("o_orderpriority")
         .aggregate(
             Sum("n_above", alias_name="n_above_avg"),

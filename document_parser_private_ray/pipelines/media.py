@@ -21,6 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 import pyarrow as pa
 
+from .exchange import co_partition
+
+
 MEDIA_SCHEMA = pa.schema(
     [
         ("media_ref", pa.string()),
@@ -364,27 +367,18 @@ def media_dedup(media=None, n_items: int = 256, alias_mod: int = 200):
             }
         )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = [int(h[:2], 16) % 64 for h in t["payload_md5"].to_pylist()]
-        return t.append_column("b", pa.array(b, type=pa.int32()))
-
     def reduce_bucket(group: pa.Table) -> pa.Table:
         # bucketed vectorized reduce: keys = distinct payloads
         # (unbounded at corpus scale), so one Arrow group_by per hash
         # bucket instead of a per-distinct-group Ray aggregate
-        g = (
-            group.select(["payload_md5", "media_ref"])
-            .group_by("payload_md5")
-            .aggregate([("media_ref", "min"), ("media_ref", "count")])
+        g = group.group_by("payload_md5").aggregate(
+            [("media_ref", "min"), ("media_ref", "count")]
         )
         return g.rename_columns(["payload_md5", "keep_ref", "n_copies"])
 
-    return (
-        media.map_batches(
-            digest, batch_format="pyarrow", zero_copy_batch=True, batch_size=64
-        )
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("b")
-        .map_groups(reduce_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("keep_ref")
+    digests = media.map_batches(
+        digest, batch_format="pyarrow", zero_copy_batch=True, batch_size=64
     )
+    return co_partition(
+        {"digests": (digests, None)}, "payload_md5", reduce_bucket, 64
+    ).sort("keep_ref")

@@ -18,7 +18,7 @@ per-bucket partial sums via one small groupby (bucket = doc_id //
 bucket_size, so the driver-side prefix table has n_docs/bucket_size
 rows — size bucket_size so this stays ~1e5 rows at full scale), bucket
 offsets broadcast via ``ray.put``, then intra-bucket cumulative sums
-computed vectorized inside one ``groupby(bucket).map_groups`` pass.
+computed vectorized inside one ``co_partition`` pass on the bucket.
 No global sort, no full materialization; the only exchange is the
 bucket co-partition shuffle of the slim (doc_id, n_tokens) projection.
 """
@@ -29,6 +29,9 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+
+from .exchange import co_partition, run_starts
+
 
 WEIGHT_EIGHTHS_BASE = 4  # weight = (4 + md5(source) % 16) / 8 in [0.5, 2.375]
 WEIGHT_EIGHTHS_MOD = 16
@@ -148,14 +151,20 @@ def pack_sequences(
         acc += r["bucket_tokens"]
     offs_ref = ray.put(offsets)
 
-    # pass 2: intra-bucket exclusive cumsum + broadcast offset
+    # pass 2: intra-bucket exclusive cumsum + broadcast offset; a group
+    # may hold several range buckets, contiguous in doc_id order
     def assign(group: pa.Table) -> pa.Table:
         offs = ray.get(offs_ref)
         idx = pa.compute.sort_indices(group["doc_id"])
         g = group.take(idx)
         n = g["n_tokens"].to_numpy(zero_copy_only=False)
-        before = np.concatenate(([0], np.cumsum(n[:-1]))) if len(n) else n
-        before = before + offs[g["bucket"][0].as_py()]
+        b = g["bucket"].to_numpy(zero_copy_only=False)
+        new_run = run_starts(b)
+        first = np.flatnonzero(new_run)
+        run = np.cumsum(new_run) - 1
+        cs = np.cumsum(n) - n
+        base = np.array([offs[x] for x in b[first]], dtype=np.int64) - cs[first]
+        before = cs + base[run]
         return pa.Table.from_arrays(
             [
                 g["doc_id"],
@@ -165,8 +174,6 @@ def pack_sequences(
             names=["doc_id", "n_tokens", "bin"],
         )
 
-    return (
-        slim.groupby("bucket")
-        .map_groups(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("doc_id")
-    )
+    return co_partition(
+        {"tokens": (slim, None)}, "bucket", assign, max(len(offsets), 1)
+    ).sort("doc_id")

@@ -36,6 +36,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import co_partition, co_partition_pairs
+
 DAMP_NUM = 85          # 0.85 damping as a rational
 DAMP_DEN = 100
 TELEPORT_MICRO = 150_000   # (1 - 0.85) in micro-units
@@ -53,7 +55,7 @@ def distinct_cust_supp_pairs(sf_dir: str, n_buckets: int = 16):
 
     The dedup runs at pair-hash-bucket grain: per-batch local distinct
     (each order's ~4 lines collapse before the exchange), then ONE
-    vectorized Arrow ``group_by`` per 64-way bucket via ``map_groups``.
+    vectorized Arrow ``group_by`` per 64-way pair bucket.
     Ray's ``groupby(keys).aggregate()`` pays its cross-block merge cost
     per distinct key when keys repeat across blocks — measured 13.0 s
     for the ~590k sf0.1 pairs vs 0.25 s for this shape, same exchange."""
@@ -76,30 +78,18 @@ def distinct_cust_supp_pairs(sf_dir: str, n_buckets: int = 16):
     )
 
     def local_pairs(t: pa.Table) -> pa.Table:
-        g = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "c": pc.cast(t["o_custkey"], pa.int64()),
                 "s": pc.cast(t["l_suppkey"], pa.int64()),
             }
         ).group_by(["c", "s"]).aggregate([])
-        c = g["c"].to_numpy(zero_copy_only=False)
-        s = g["s"].to_numpy(zero_copy_only=False)
-        return g.append_column(
-            "pb", pa.array(((c * 31 + s) & 63).astype("int32"))
-        )
 
     def distinct_bucket(group: pa.Table) -> pa.Table:
-        return group.select(["c", "s"]).group_by(["c", "s"]).aggregate([])
+        return group.group_by(["c", "s"]).aggregate([])
 
-    return (
-        joined.map_batches(
-            local_pairs, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("pb")
-        .map_groups(
-            distinct_bucket, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    local = joined.map_batches(local_pairs, batch_format="pyarrow", zero_copy_batch=True)
+    return co_partition_pairs(local, distinct_bucket, "c", "s")
 
 
 def build_bipartite_edges(sf_dir: str, n_buckets: int = 16):
@@ -149,125 +139,105 @@ def supplier_pagerank(sf_dir: str, n_iters: int = 3, k: int = 20,
     synchronous iterations: (s_suppkey, score_micro), ordered by
     (score desc, suppkey).
 
-    Fused-exchange shape: every iteration is ONE groupby(node-bucket)
-    exchange. Edges carry bucket(src); contributions carry
-    bucket(dst). Inside a bucket group the nodes receiving
-    contributions ARE the nodes whose out-edges live here (bucket is a
-    pure function of the node id), so one ``map_groups`` call sums the
-    incoming mass, adds the teleport term, recomputes the local
-    degrees, and immediately emits the NEXT round's contributions —
-    degree join and score groupby collapse into the same exchange.
+    Fused-exchange shape: every iteration is ONE co-partition of the
+    edges (by src) with the contributions (by dst). Inside a bucket the
+    nodes receiving contributions ARE the nodes whose out-edges live
+    here (the bucket is a pure function of the node id), so one kernel
+    call sums the incoming mass, adds the teleport term, recomputes the
+    local degrees, and immediately emits the NEXT round's contributions
+    — degree join and score groupby collapse into the same exchange.
     The arithmetic is int64 fixed-point throughout, so the fused
     grouping reproduces the unrolled DuckDB oracle bit-for-bit."""
     import numpy as np
 
-    B = np.int64(n_buckets)
-
     def _contrib_table(dst, c):
         return pa.Table.from_pydict(
-            {
-                "key": pa.array((dst % B).astype("int32")),
-                "a": pa.array(dst, type=pa.int64()),
-                "v": pa.array(c, type=pa.int64()),
-                "b": pa.array(np.zeros(len(dst), dtype=np.int64)),
-                "kind": pa.array(
-                    np.ones(len(dst), dtype=np.int8)
-                ),
-            }
+            {"node": pa.array(dst, type=pa.int64()), "v": pa.array(c, type=pa.int64())}
         )
 
-    def tag_edges(t: pa.Table) -> pa.Table:
-        src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dst = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.Table.from_pydict(
-            {
-                "key": pa.array((src % B).astype("int32")),
-                "a": pa.array(src, type=pa.int64()),
-                "v": pa.array(np.zeros(len(src), dtype=np.int64)),
-                "b": pa.array(dst, type=pa.int64()),
-                "kind": pa.array(np.zeros(len(src), dtype=np.int8)),
-            }
+    def scores_of(contribs: pa.Table):
+        nodes, sums = _sum_by_int64(
+            contribs["node"].to_numpy(zero_copy_only=False),
+            contribs["v"].to_numpy(zero_copy_only=False),
         )
+        return nodes, sums + TELEPORT_MICRO
 
-    edges_b = _cut(
+    # edges ship as (node=src, dst): sharing the key column with the
+    # contributions keeps the padded exchange rows narrow. Every cut
+    # input is repartitioned to n_buckets blocks: each exchange maps
+    # and sorts per incoming block, so fewer, fuller blocks cut the
+    # per-round task count (the components.py block-count note)
+    edges = _cut(
         build_bipartite_edges(sf_dir, n_buckets=n_buckets).map_batches(
-            tag_edges, batch_format="pyarrow", zero_copy_batch=True
-        )
+            lambda t: t.rename_columns(["node", "dst"]),
+            batch_format="pyarrow", zero_copy_batch=True,
+        ).repartition(n_buckets)
     )
 
     def first_round(group: pa.Table) -> pa.Table:
-        # all rows are edges; initial score is a constant, so the
-        # first contributions need only the in-group degrees
-        src = group["a"].to_numpy(zero_copy_only=False)
-        dst = group["b"].to_numpy(zero_copy_only=False)
+        # initial score is a constant, so the first contributions need
+        # only the in-group degrees
+        src = group["node"].to_numpy(zero_copy_only=False)
+        dst = group["dst"].to_numpy(zero_copy_only=False)
         nodes, inv = np.unique(src, return_inverse=True)
         deg = np.bincount(inv).astype(np.int64)
         c = (INIT_MICRO * DAMP_NUM) // (DAMP_DEN * deg[inv])
         return _contrib_table(dst, c)
 
-    def fused_round(emit_scores: bool):
-        def fn(group: pa.Table) -> pa.Table:
-            kind = group["kind"].to_numpy(zero_copy_only=False)
-            a = group["a"].to_numpy(zero_copy_only=False)
-            em = kind == 0
-            c_node = a[~em]
-            c_val = group["v"].to_numpy(zero_copy_only=False)[~em]
-            nodes, sums = _sum_by_int64(c_node, c_val)
-            score = sums + TELEPORT_MICRO
-            if emit_scores:
-                return pa.Table.from_pydict(
-                    {
-                        "node": pa.array(nodes, type=pa.int64()),
-                        "score": pa.array(score, type=pa.int64()),
-                    }
-                )
-            src = a[em]
-            dst = group["b"].to_numpy(zero_copy_only=False)[em]
-            su, inv = np.unique(src, return_inverse=True)
-            deg = np.bincount(inv).astype(np.int64)
-            # every src in this bucket received mass (edges are
-            # bidirectional), so the lookup is total; validate anyway
-            # rather than misattribute on a malformed graph
-            idx = np.searchsorted(nodes, su)
-            ok = (idx < len(nodes)) & (
-                nodes[np.minimum(idx, len(nodes) - 1)] == su
-            )
-            if not ok.all():
-                keep = ok[inv]
-                src, dst, inv = src[keep], dst[keep], inv[keep]
-                su_ok = np.flatnonzero(ok)
-                remap = np.full(len(su), -1, dtype=np.int64)
-                remap[su_ok] = np.arange(len(su_ok))
-                inv = remap[inv]
-                idx = idx[ok]
-                deg = deg[ok]
-            s_src = score[idx][inv]
-            c = (s_src * DAMP_NUM) // (DAMP_DEN * deg[inv])
-            return _contrib_table(dst, c)
+    def next_round(t: dict) -> pa.Table:
+        nodes, score = scores_of(t["C"])
+        src = t["E"]["node"].to_numpy(zero_copy_only=False)
+        dst = t["E"]["dst"].to_numpy(zero_copy_only=False)
+        su, inv = np.unique(src, return_inverse=True)
+        deg = np.bincount(inv).astype(np.int64)
+        # every src in this bucket received mass (edges are
+        # bidirectional), so the lookup is total; validate anyway
+        # rather than misattribute on a malformed graph
+        idx = np.searchsorted(nodes, su)
+        ok = (idx < len(nodes)) & (
+            nodes[np.minimum(idx, len(nodes) - 1)] == su
+        )
+        if not ok.all():
+            keep = ok[inv]
+            src, dst, inv = src[keep], dst[keep], inv[keep]
+            su_ok = np.flatnonzero(ok)
+            remap = np.full(len(su), -1, dtype=np.int64)
+            remap[su_ok] = np.arange(len(su_ok))
+            inv = remap[inv]
+            idx = idx[ok]
+            deg = deg[ok]
+        s_src = score[idx][inv]
+        c = (s_src * DAMP_NUM) // (DAMP_DEN * deg[inv])
+        return _contrib_table(dst, c)
 
-        return fn
+    def final_scores(group: pa.Table) -> pa.Table:
+        nodes, score = scores_of(group)
+        return pa.Table.from_pydict(
+            {
+                "node": pa.array(nodes, type=pa.int64()),
+                "score": pa.array(score, type=pa.int64()),
+            }
+        )
 
+    edge_schema = pa.schema([("node", pa.int64()), ("dst", pa.int64())])
+    contrib_schema = pa.schema([("node", pa.int64()), ("v", pa.int64())])
     # iteration 1's join half: contributions from the constant initial
     # scores — one exchange over the edges alone
     contribs = _cut(
-        edges_b.groupby("key").map_groups(
-            first_round, batch_format="pyarrow", zero_copy_batch=True
-        )
+        co_partition({"E": (edges, None)}, "node", first_round, n_buckets)
+        .repartition(n_buckets)
     )
     # per-iteration cuts: measured 1.8x faster than one deep lazy plan
     for _ in range(n_iters - 1):
         contribs = _cut(
-            edges_b.union(contribs)
-            .groupby("key")
-            .map_groups(
-                fused_round(emit_scores=False),
-                batch_format="pyarrow", zero_copy_batch=True,
-            )
+            co_partition(
+                {"E": (edges, edge_schema), "C": (contribs, contrib_schema)},
+                "node",
+                next_round,
+                n_buckets,
+            ).repartition(n_buckets)
         )
-    scores = contribs.groupby("key").map_groups(
-        fused_round(emit_scores=True),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    scores = co_partition({"C": (contribs, None)}, "node", final_scores, n_buckets)
 
     def suppliers_only(t: pa.Table) -> pa.Table:
         node = pc.cast(t["node"], pa.int64())
@@ -308,25 +278,11 @@ def cosupplier_pairs(sf_dir: str, k: int = 15, max_deg: int = 32,
 
     pairs = distinct_cust_supp_pairs(sf_dir, n_buckets=n_buckets)
 
-    # group at BUCKET grain, not per customer: map_groups emits one
-    # block per group, and 100k one-customer blocks would drown the
-    # downstream operators in per-block overhead; a c%64 bucket holds
-    # many customers and the explosion loops them inside one call,
-    # emitting one pre-counted block per bucket
-    pairs = pairs.map_batches(
-        lambda t: t.append_column(
-            "bucket",
-            pc.cast(
-                pc.bit_wise_and(
-                    pc.cast(t["c"], pa.int64()), pa.scalar(63, type=pa.int64())
-                ),
-                pa.int32(),
-            ),
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
+    # group at BUCKET grain, not per customer: a kernel call emits one
+    # block, and 100k one-customer blocks would drown the downstream
+    # operators in per-block overhead; a customer bucket holds many
+    # customers and the explosion loops them inside one call, emitting
+    # one pre-counted block per bucket
     def explode_bucket(group: pa.Table) -> pa.Table:
         c = group["c"].to_numpy(zero_copy_only=False)
         sup = group["s"].to_numpy(zero_copy_only=False)
@@ -364,36 +320,19 @@ def cosupplier_pairs(sf_dir: str, k: int = 15, max_deg: int = 32,
         g = t.group_by(["s_a", "s_b"]).aggregate([("n", "sum")])
         return g.rename_columns(["s_a", "s_b", "n"])
 
-    exploded = pairs.groupby("bucket").map_groups(
-        explode_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    exploded = co_partition({"pairs": (pairs, None)}, "c", explode_bucket, 64)
 
     # final reduce at BUCKET grain again: Ray's groupby().aggregate()
     # pays per-distinct-group overhead (~0.1 ms/group — 500k pair keys
     # would cost ~45 s); a pair-hash bucket co-partition plus ONE
     # vectorized Arrow group_by per bucket does the same exchange in
     # 64 calls
-    def add_pair_bucket(t: pa.Table) -> pa.Table:
-        a = t["s_a"].to_numpy(zero_copy_only=False)
-        b = t["s_b"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "pb", pa.array(((a * 31 + b) & 63).astype("int32"))
-        )
-
     def reduce_bucket(group: pa.Table) -> pa.Table:
-        g = (
-            group.select(["s_a", "s_b", "n"])
-            .group_by(["s_a", "s_b"])
-            .aggregate([("n", "sum")])
-        )
+        g = group.group_by(["s_a", "s_b"]).aggregate([("n", "sum")])
         return g.rename_columns(["s_a", "s_b", "n_shared_customers"])
 
     return (
-        exploded.map_batches(
-            add_pair_bucket, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("pb")
-        .map_groups(reduce_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition_pairs(exploded, reduce_bucket, "s_a", "s_b")
         .sort(
             ["n_shared_customers", "s_a", "s_b"], descending=[True, False, False]
         )

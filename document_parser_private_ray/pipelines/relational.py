@@ -17,6 +17,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import co_partition, run_starts
+
 
 def _read(sf_dir: str, table: str, columns, num_blocks: int | None = None):
     from ..sources.readers import read_table
@@ -175,77 +177,31 @@ def top_customers_by_order_value(sf_dir: str, segment: str = "BUILDING", k: int 
     in-bucket aggregate is final — no second corpus-scale groupby), and
     only the top-k result KEYS — k rows, driver-small by construction —
     come back to fetch display names with one filtered scan."""
-    import numpy as np
-
-    n_buckets = 32
-
-    def seg_key_rows(batch: pa.Table) -> pa.Table:
-        keys = pc.cast(
-            batch.filter(pc.equal(batch["c_mktsegment"], segment))["c_custkey"],
-            pa.int64(),
-        )
-        b = (keys.to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
-        n = len(keys)
-        return pa.Table.from_pydict(
-            {
-                "key": keys,
-                "o_totalprice": pa.nulls(n, type=pa.float64()),
-                "__bucket": pa.array(b),
-                "__side": pa.array(["C"] * n),
-            }
-        )
-
-    def order_rows(batch: pa.Table) -> pa.Table:
-        keys = pc.cast(batch["o_custkey"], pa.int64())
-        b = (keys.to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
-        return pa.Table.from_pydict(
-            {
-                "key": keys,
-                "o_totalprice": batch["o_totalprice"],
-                "__bucket": pa.array(b),
-                "__side": pa.array(["O"] * batch.num_rows),
-            }
-        )
-
     seg_cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"], num_blocks=16).map_batches(
-        seg_key_rows, batch_format="pyarrow", zero_copy_batch=True
+        lambda b: b.filter(pc.equal(b["c_mktsegment"], segment)).select(["c_custkey"]),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"], num_blocks=16).map_batches(
-        order_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"], num_blocks=16)
 
-    def semi_agg_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        side = pc.equal(g["__side"], "O")
-        o = g.filter(side)
-        ckeys = pc.unique(g.filter(pc.invert(side))["key"])
-        empty = pa.Table.from_pydict(
-            {
-                "o_custkey": pa.array([], type=pa.int64()),
-                "total_value": pa.array([], type=pa.float64()),
-                "n_orders": pa.array([], type=pa.int64()),
-            }
-        )
-        if o.num_rows == 0 or len(ckeys) == 0:
-            return empty
-        o = o.filter(pc.is_in(o["key"], value_set=ckeys))
-        if o.num_rows == 0:
-            return empty
-        agg = o.select(["key", "o_totalprice"]).group_by("key").aggregate(
+    def semi_agg_bucket(t: dict) -> pa.Table:
+        o = t["O"]
+        o = o.filter(pc.is_in(o["o_custkey"], value_set=pc.unique(t["C"]["c_custkey"])))
+        agg = o.group_by("o_custkey").aggregate(
             [("o_totalprice", "sum"), ("o_totalprice", "count")]
         )
-        return pa.Table.from_pydict(
-            {
-                "o_custkey": agg["key"],
-                "total_value": agg["o_totalprice_sum"],
-                "n_orders": pc.cast(agg["o_totalprice_count"], pa.int64()),
-            }
-        )
+        return agg.rename_columns(["o_custkey", "total_value", "n_orders"])
 
     out = (
-        orders.union(seg_cust)
-        .groupby("__bucket")
-        .map_groups(semi_agg_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition(
+            {
+                "O": (orders, pa.schema([("o_custkey", pa.int64()), ("o_totalprice", pa.float64())])),
+                "C": (seg_cust, pa.schema([("c_custkey", pa.int64())])),
+            },
+            {"O": "o_custkey", "C": "c_custkey"},
+            semi_agg_bucket,
+            32,
+        )
         .sort("total_value", descending=True)
         .limit(k)
         .materialize()  # k rows
@@ -381,12 +337,6 @@ def purchases_asof_views(sf_dir: str):
 
     both = ds.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__b",
-            pc.cast(pc.bit_wise_and(batch["user_id"], 63), pa.int32()),
-        )
-
     def asof_bucket(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
         ts = (
@@ -424,11 +374,7 @@ def purchases_asof_views(sf_dir: str):
             }
         )
 
-    return (
-        both.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(asof_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return co_partition({"events": (both, None)}, "user_id", asof_bucket, 64)
 
 
 # -- per-user sessionization (map_groups ordered-state pattern) ----------
@@ -445,12 +391,6 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
     import numpy as np
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"], num_blocks=16)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__b",
-            pc.cast(pc.bit_wise_and(batch["user_id"], 63), pa.int32()),
-        )
 
     gap_us = int(gap_minutes) * 60_000_000
 
@@ -473,9 +413,8 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
             )
         order = np.lexsort((ts, uid))
         uid, ts, val = uid[order], ts[order], val[order]
-        brk = np.empty(len(uid), dtype=bool)
-        brk[0] = True
-        brk[1:] = (uid[1:] != uid[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
+        brk = run_starts(uid)
+        brk[1:] |= (ts[1:] - ts[:-1]) > gap_us
         starts = np.flatnonzero(brk)
         ends = np.concatenate((starts[1:], [len(uid)])) - 1
         return pa.Table.from_pydict(
@@ -494,11 +433,7 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(sessionize_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return co_partition({"events": (ds, None)}, "user_id", sessionize_bucket, 64)
 
 
 # -- per-group top-k (grouped rank at scale) -----------------------------
@@ -514,12 +449,6 @@ def user_top_events(sf_dir: str, k: int = 3, n_buckets: int = 64):
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"], num_blocks=16)
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        ub = (b["user_id"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return b.append_column("__bucket", pa.array(ub))
-
     def topk_bucket(group: pa.Table) -> pa.Table:
         g = group.combine_chunks()
         uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -532,10 +461,7 @@ def user_top_events(sf_dir: str, k: int = 3, n_buckets: int = 64):
         order = np.lexsort((eid, ts, -val, uid))
         uid_s = uid[order]
         n = len(uid_s)
-        new_run = np.empty(n, dtype=bool)
-        if n:
-            new_run[0] = True
-            new_run[1:] = uid_s[1:] != uid_s[:-1]
+        new_run = run_starts(uid_s)
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
         rank = np.arange(n) - run_start + 1
         sel = rank <= k
@@ -550,9 +476,7 @@ def user_top_events(sf_dir: str, k: int = 3, n_buckets: int = 64):
         )
 
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(topk_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"events": (ds, None)}, "user_id", topk_bucket, n_buckets)
         .sort(["user_id", "rank"])
     )
 
@@ -571,12 +495,6 @@ def event_gaps(sf_dir: str, n_buckets: int = 64):
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"], num_blocks=16)
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        ub = (b["user_id"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return b.append_column("__bucket", pa.array(ub))
-
     def gaps_bucket(group: pa.Table) -> pa.Table:
         g = group.combine_chunks()
         uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -588,16 +506,14 @@ def event_gaps(sf_dir: str, n_buckets: int = 64):
         order = np.lexsort((eid, ts, uid))
         uid_s, ts_s = uid[order], ts[order]
         n = len(uid_s)
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = uid_s[1:] != uid_s[:-1]
-        run_starts = np.flatnonzero(new_run)
-        run_lens = np.diff(np.append(run_starts, n))
+        new_run = run_starts(uid_s)
+        starts = np.flatnonzero(new_run)
+        run_lens = np.diff(np.append(starts, n))
         # diffs within user runs only (cross-boundary diffs dropped)
         within = ~new_run[1:] if n > 1 else np.zeros(0, dtype=bool)
         dvalid = np.diff(ts_s)[within] if n > 1 else np.zeros(0, dtype=np.int64)
         gap_counts = run_lens - 1
-        n_runs = len(run_starts)
+        n_runs = len(starts)
         max_gap = np.zeros(n_runs, dtype=np.int64)
         sum_gap = np.zeros(n_runs, dtype=np.int64)
         has = gap_counts > 0
@@ -609,7 +525,7 @@ def event_gaps(sf_dir: str, n_buckets: int = 64):
             sum_gap[has] = np.add.reduceat(dvalid, gv_starts[has])
         return pa.Table.from_pydict(
             {
-                "user_id": pa.array(uid_s[run_starts], type=pa.int64()),
+                "user_id": pa.array(uid_s[starts], type=pa.int64()),
                 "n_events": pa.array(run_lens.astype(np.int64), type=pa.int64()),
                 "n_gaps": pa.array(gap_counts.astype(np.int64), type=pa.int64()),
                 "max_gap_us": pa.array(max_gap, type=pa.int64()),
@@ -618,9 +534,7 @@ def event_gaps(sf_dir: str, n_buckets: int = 64):
         )
 
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(gaps_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"events": (ds, None)}, "user_id", gaps_bucket, n_buckets)
         .sort("user_id")
     )
 
@@ -709,14 +623,7 @@ def funnel_counts(sf_dir: str, stages=("view", "click", "purchase")):
     with the users-remaining count."""
     import numpy as np
 
-    n_buckets = 64
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"], num_blocks=16)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        ub = (b["user_id"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return b.append_column("__bucket", pa.array(ub))
 
     def depth_bucket(group: pa.Table) -> pa.Table:
         # every user in the bucket advances through the stage machine
@@ -758,11 +665,7 @@ def funnel_counts(sf_dir: str, stages=("view", "click", "purchase")):
             }
         )
 
-    per_user = (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(depth_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    per_user = co_partition({"events": (ds, None)}, "user_id", depth_bucket, 64)
     from ray.data.aggregate import Count
 
     hist = per_user.groupby("depth").aggregate(Count(alias_name="n")).take_all()
@@ -791,14 +694,7 @@ def retention_cohorts(sf_dir: str):
     DuckDB date_trunc('week')."""
     import numpy as np
 
-    n_buckets = 64
     ds = _read(sf_dir, "events", ["user_id", "ts"], num_blocks=16)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        ub = (b["user_id"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return b.append_column("__bucket", pa.array(ub))
 
     def weeks_bucket(group: pa.Table) -> pa.Table:
         g = group.combine_chunks()
@@ -814,14 +710,10 @@ def retention_cohorts(sf_dir: str):
         uid_s, wk_s = uid[order], wk[order]
         n = len(uid_s)
         # distinct (user, week) rows, then cohort = user run's first week
-        keep = np.empty(n, dtype=bool)
-        keep[0] = True
-        keep[1:] = (uid_s[1:] != uid_s[:-1]) | (wk_s[1:] != wk_s[:-1])
+        keep = run_starts(uid_s, wk_s)
         du, dw = uid_s[keep], wk_s[keep]
         m = len(du)
-        new_user = np.empty(m, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = du[1:] != du[:-1]
+        new_user = run_starts(du)
         run_start = np.maximum.accumulate(np.where(new_user, np.arange(m), 0))
         cohort = dw[run_start]
         # ISO yyyy-mm-dd strings: engine-neutral for the value compare
@@ -841,9 +733,7 @@ def retention_cohorts(sf_dir: str):
     from ray.data.aggregate import Count
 
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(weeks_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"events": (ds, None)}, "user_id", weeks_bucket, 64)
         .groupby(["cohort_week", "active_week"])
         .aggregate(Count(alias_name="n_users"))
         .sort(["cohort_week", "active_week"])
@@ -911,7 +801,7 @@ def _priority_segment_cells(sf_dir: str, n_buckets: int = 32):
     """(prio, seg, n) contingency cells from orders ⋈ customer WITHOUT a
     driver-side customer read (customer scales with the fact tables —
     VERDICT r4 #4): both sides co-partition by custkey bucket in ONE
-    union-tag exchange (the ``bucketed_filter_join`` shape); each
+    exchange (the ``bucketed_filter_join`` shape); each
     bucket's kernel maps its orders to segments with one sorted-key
     searchsorted and collapses to <= P x S partial cells; a tiny final
     groupby sums the cells. Unmatched orders drop — inner-join
@@ -922,38 +812,8 @@ def _priority_segment_cells(sf_dir: str, n_buckets: int = 32):
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"], num_blocks=16)
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"], num_blocks=16)
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        b = (batch["o_custkey"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return pa.Table.from_pydict(
-            {
-                "key": pc.cast(batch["o_custkey"], pa.int64()),
-                "prio": batch["o_orderpriority"],
-                "seg": pa.nulls(batch.num_rows, type=pa.string()),
-                "__bucket": pa.array(b),
-                "__side": pa.array(["O"] * batch.num_rows),
-            }
-        )
-
-    def tag_cust(batch: pa.Table) -> pa.Table:
-        b = (batch["c_custkey"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return pa.Table.from_pydict(
-            {
-                "key": pc.cast(batch["c_custkey"], pa.int64()),
-                "prio": pa.nulls(batch.num_rows, type=pa.string()),
-                "seg": batch["c_mktsegment"],
-                "__bucket": pa.array(b),
-                "__side": pa.array(["C"] * batch.num_rows),
-            }
-        )
-
-    def cells_bucket(group: pa.Table) -> pa.Table:
-        side = pc.equal(group["__side"], "O")
-        o = group.filter(side)
-        c = group.filter(pc.invert(side))
+    def cells_bucket(t: dict) -> pa.Table:
+        o, c = t["O"], t["C"]
         if o.num_rows == 0 or c.num_rows == 0:
             return pa.Table.from_pydict(
                 {
@@ -962,25 +822,29 @@ def _priority_segment_cells(sf_dir: str, n_buckets: int = 32):
                     "n": pa.array([], type=pa.int64()),
                 }
             )
-        ck = c["key"].to_numpy(zero_copy_only=False)
+        ck = c["c_custkey"].to_numpy(zero_copy_only=False)
         order = np.argsort(ck)
-        seg_sorted = c["seg"].combine_chunks().take(pa.array(order))
-        idx, ok = _dim_lookup(ck[order], o["key"].to_numpy(zero_copy_only=False))
+        seg_sorted = c["c_mktsegment"].combine_chunks().take(pa.array(order))
+        idx, ok = _dim_lookup(ck[order], o["o_custkey"].to_numpy(zero_copy_only=False))
         if not ok.all():
             o = o.filter(pa.array(ok))
             idx = idx[ok]
-        t = pa.Table.from_pydict(
-            {"prio": o["prio"], "seg": seg_sorted.take(pa.array(idx))}
+        cells = pa.Table.from_pydict(
+            {"prio": o["o_orderpriority"], "seg": seg_sorted.take(pa.array(idx))}
         )
-        g = t.group_by(["prio", "seg"]).aggregate([("seg", "count")])
+        g = cells.group_by(["prio", "seg"]).aggregate([("seg", "count")])
         return g.rename_columns(["prio", "seg", "n"])
 
-    ot = orders.map_batches(tag_orders, batch_format="pyarrow", zero_copy_batch=True)
-    ct = cust.map_batches(tag_cust, batch_format="pyarrow", zero_copy_batch=True)
     return (
-        ot.union(ct)
-        .groupby("__bucket")
-        .map_groups(cells_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition(
+            {
+                "O": (orders, pa.schema([("o_custkey", pa.int64()), ("o_orderpriority", pa.string())])),
+                "C": (cust, pa.schema([("c_custkey", pa.int64()), ("c_mktsegment", pa.string())])),
+            },
+            {"O": "o_custkey", "C": "c_custkey"},
+            cells_bucket,
+            n_buckets,
+        )
         .groupby(["prio", "seg"])
         .aggregate(Sum("n", alias_name="n"))
         .take_all()
@@ -1024,51 +888,8 @@ def session_purchase_counts(sf_dir: str, gap_minutes: int = 30, n_buckets: int =
     sessions = events_sessionize(sf_dir, gap_minutes=gap_minutes)
     events = _read(sf_dir, "events", ["user_id", "ts", "event_type"], num_blocks=16)
 
-    def pad_sessions(batch: pa.Table) -> pa.Table:
-        uid = pc.cast(batch["user_id"], pa.int64())
-        b = (uid.to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
-        return pa.Table.from_pydict(
-            {
-                "user_id": uid,
-                "session_start": batch["session_start"],
-                "session_end": batch["session_end"],
-                "n_events": pc.cast(batch["n_events"], pa.int64()),
-                "ts": pa.nulls(batch.num_rows, type=pa.timestamp("us")),
-                "event_type": pa.nulls(batch.num_rows, type=pa.string()),
-                "__side": pa.array(["S"] * batch.num_rows),
-                "__bucket": pa.array(b),
-            }
-        )
-
-    def pad_events(batch: pa.Table) -> pa.Table:
-        uid = pc.cast(batch["user_id"], pa.int64())
-        b = (uid.to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
-        return pa.Table.from_pydict(
-            {
-                "user_id": uid,
-                "session_start": pa.nulls(
-                    batch.num_rows, type=pa.timestamp("us")
-                ),
-                "session_end": pa.nulls(batch.num_rows, type=pa.timestamp("us")),
-                "n_events": pa.nulls(batch.num_rows, type=pa.int64()),
-                "ts": pc.cast(batch["ts"], pa.timestamp("us")),
-                "event_type": batch["event_type"],
-                "__side": pa.array(["E"] * batch.num_rows),
-                "__bucket": pa.array(b),
-            }
-        )
-
-    both = sessions.map_batches(
-        pad_sessions, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        events.map_batches(pad_events, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        side = pc.equal(g["__side"], "S")
-        sess = g.filter(side)
-        ev = g.filter(pc.invert(side))
+    def join_bucket(t: dict) -> pa.Table:
+        sess, ev = t["S"], t["E"]
         empty = pa.Table.from_pydict(
             {
                 "user_id": pa.array([], type=pa.int64()),
@@ -1131,8 +952,24 @@ def session_purchase_counts(sf_dir: str, gap_minutes: int = 30, n_buckets: int =
         )
 
     return (
-        both.groupby("__bucket")
-        .map_groups(join_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition(
+            {
+                "S": (sessions, pa.schema([
+                    ("user_id", pa.int64()),
+                    ("session_start", pa.timestamp("us")),
+                    ("session_end", pa.timestamp("us")),
+                    ("n_events", pa.int64()),
+                ])),
+                "E": (events, pa.schema([
+                    ("user_id", pa.int64()),
+                    ("ts", pa.timestamp("us")),
+                    ("event_type", pa.string()),
+                ])),
+            },
+            "user_id",
+            join_bucket,
+            n_buckets,
+        )
         .sort(["user_id", "session_start"])
     )
 
@@ -1202,20 +1039,15 @@ def user_cumulative_spend(sf_dir: str):
     call (r5: was groupby(user_id).map_groups)."""
     import numpy as np
 
-    n_buckets = 64
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"], num_blocks=16)
 
-    def purchases_with_bucket(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.equal(b["event_type"], "purchase")).drop_columns(
+    def only_purchases(b: pa.Table) -> pa.Table:
+        return b.filter(pc.equal(b["event_type"], "purchase")).drop_columns(
             ["event_type"]
         )
-        ub = (
-            t["user_id"].to_numpy(zero_copy_only=False) % n_buckets
-        ).astype("int32")
-        return t.append_column("__bucket", pa.array(ub))
 
     purchases = ds.map_batches(
-        purchases_with_bucket, batch_format="pyarrow", zero_copy_batch=True
+        only_purchases, batch_format="pyarrow", zero_copy_batch=True
     )
 
     def cumsum_bucket(group: pa.Table) -> pa.Table:
@@ -1233,10 +1065,7 @@ def user_cumulative_spend(sf_dir: str):
         ).astype(np.int64)
         cs = np.cumsum(cents)
         n = len(uid_s)
-        new_run = np.empty(n, dtype=bool)
-        if n:
-            new_run[0] = True
-            new_run[1:] = uid_s[1:] != uid_s[:-1]
+        new_run = run_starts(uid_s)
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
         base = np.where(run_start > 0, cs[np.maximum(run_start - 1, 0)], 0)
         return pa.Table.from_pydict(
@@ -1250,8 +1079,7 @@ def user_cumulative_spend(sf_dir: str):
         )
 
     return (
-        purchases.groupby("__bucket")
-        .map_groups(cumsum_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"purchases": (purchases, None)}, "user_id", cumsum_bucket, 64)
         .sort(["user_id", "ts", "event_id"])
     )
 
@@ -1309,14 +1137,7 @@ def user_event_paths(sf_dir: str, k: int = 20, max_len: int = 50):
     import numpy as np
     from ray.data.aggregate import Sum
 
-    n_buckets = 64
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"], num_blocks=16)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        ub = (b["user_id"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return b.append_column("__bucket", pa.array(ub))
 
     def paths_bucket(group: pa.Table) -> pa.Table:
         g = group.combine_chunks()
@@ -1329,16 +1150,14 @@ def user_event_paths(sf_dir: str, k: int = 20, max_len: int = 50):
         order = np.lexsort((eid, ts, uid))
         uid_s = uid[order]
         n = len(uid_s)
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = uid_s[1:] != uid_s[:-1]
+        new_run = run_starts(uid_s)
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
         rank = np.arange(n) - run_start
         sel = rank < max_len
         et = _as_array_rel(g["event_type"]).take(pa.array(order[sel]))
-        run_starts = np.flatnonzero(new_run)
+        starts = np.flatnonzero(new_run)
         run_lens = np.minimum(
-            np.diff(np.append(run_starts, n)), max_len
+            np.diff(np.append(starts, n)), max_len
         )
         offsets = np.concatenate(([0], np.cumsum(run_lens)))
         paths = pc.binary_join(
@@ -1352,9 +1171,7 @@ def user_event_paths(sf_dir: str, k: int = 20, max_len: int = 50):
         return p.rename_columns(["path", "n"])
 
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(paths_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"events": (ds, None)}, "user_id", paths_bucket, 64)
         .groupby("path")
         .aggregate(Sum("n", alias_name="n_users"))
         .sort(["n_users", "path"], descending=[True, False])
@@ -1458,14 +1275,7 @@ def event_transitions(sf_dir: str):
     import numpy as np
     from ray.data.aggregate import Sum
 
-    n_buckets = 64
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"], num_blocks=16)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        ub = (b["user_id"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return b.append_column("__bucket", pa.array(ub))
 
     def pairs_bucket(group: pa.Table) -> pa.Table:
         g = group.combine_chunks()
@@ -1501,9 +1311,7 @@ def event_transitions(sf_dir: str):
         return g2.rename_columns(["prev_type", "next_type", "n"])
 
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(pairs_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"events": (ds, None)}, "user_id", pairs_bucket, 64)
         .groupby(["prev_type", "next_type"])
         .aggregate(Sum("n", alias_name="n_transitions"))
         .sort(["prev_type", "next_type"])
@@ -1812,20 +1620,15 @@ def user_first_last_purchase(sf_dir: str):
     row per purchasing user with both endpoints in exact cents."""
     import numpy as np
 
-    n_buckets = 64
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"], num_blocks=16)
 
-    def purchases_with_bucket(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.equal(b["event_type"], "purchase")).drop_columns(
+    def only_purchases(b: pa.Table) -> pa.Table:
+        return b.filter(pc.equal(b["event_type"], "purchase")).drop_columns(
             ["event_type"]
         )
-        ub = (t["user_id"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return t.append_column("__bucket", pa.array(ub))
 
     purchases = ds.map_batches(
-        purchases_with_bucket, batch_format="pyarrow", zero_copy_batch=True
+        only_purchases, batch_format="pyarrow", zero_copy_batch=True
     )
 
     def endpoints_bucket(group: pa.Table) -> pa.Table:
@@ -1842,9 +1645,7 @@ def user_first_last_purchase(sf_dir: str):
         order = np.lexsort((eid, ts, uid))
         uid_s, ts_s, cents_s = uid[order], ts[order], cents[order]
         n = len(uid_s)
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = uid_s[1:] != uid_s[:-1]
+        new_run = run_starts(uid_s)
         firsts = np.flatnonzero(new_run)
         lasts = np.append(firsts[1:], n) - 1
         return pa.Table.from_pydict(
@@ -1865,8 +1666,7 @@ def user_first_last_purchase(sf_dir: str):
         )
 
     return (
-        purchases.groupby("__bucket")
-        .map_groups(endpoints_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"purchases": (purchases, None)}, "user_id", endpoints_bucket, 64)
         .sort("user_id")
     )
 
@@ -2153,13 +1953,6 @@ def signup_conversion_24h(sf_dir: str):
         zero_copy_batch=True,
     )
 
-    n_buckets = 64
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        ub = (b["user_id"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return b.append_column("__bucket", pa.array(ub))
 
     def per_bucket(group: pa.Table) -> pa.Table:
         # every user in the bucket at once: first-signup via a scatter
@@ -2199,9 +1992,7 @@ def signup_conversion_24h(sf_dir: str):
         )
 
     agg = (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"events": (ds, None)}, "user_id", per_bucket, 64)
         .aggregate(
             Sum("signed", alias_name="n_signup_users"),
             Sum("converted", alias_name="n_converted_24h"),
@@ -2322,13 +2113,6 @@ def time_to_convert_percentiles(sf_dir: str, percentiles=(0.5, 0.9)):
         zero_copy_batch=True,
     )
 
-    n_buckets = 64
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        ub = (b["user_id"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return b.append_column("__bucket", pa.array(ub))
 
     def delta_bucket(group: pa.Table) -> pa.Table:
         # every user at once: first view and first at-or-after purchase
@@ -2363,9 +2147,7 @@ def time_to_convert_percentiles(sf_dir: str, percentiles=(0.5, 0.9)):
         )
 
     hist = (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(delta_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"events": (ds, None)}, "user_id", delta_bucket, 64)
         .groupby("mins")
         .aggregate(Sum("n", alias_name="cnt"))
         .take_all()

@@ -43,19 +43,17 @@ def parse_resumes(
     concurrency=None,
     batch_size: int = 32,
     skew_threshold: Optional[int] = None,
-    warm_sample: int = 0,
     warm_caches=None,
     max_tasks_in_flight: Optional[int] = None,
 ):
     """Attach the parse chain to a spans Dataset. ``concurrency`` sizes
     the actor pool (None -> (2, 8)).
 
-    ``warm_sample > 0``: run the chain over the first N documents on the
-    driver first and broadcast the resulting pure-function memo caches
-    (fuzzy decisions, line classifications, date parses) to every actor
-    via ray.put — actors start at steady-state throughput instead of
-    each paying the cold-cache transient (the dominant cost when
-    docs-per-actor is small)."""
+    ``warm_caches``: pure-function memo caches (fuzzy decisions, line
+    classifications, date parses — ``DocumentOracle.warm`` builds them
+    in one driver pass), broadcast via ray.put so every actor starts at
+    steady-state throughput instead of each paying the cold-cache
+    transient (the dominant cost when docs-per-actor is small)."""
     fn_kwargs = dict(data_dir=data_dir, today=today, with_pii=with_pii)
     pool = concurrency if concurrency is not None else (2, 8)
     # fixed pools may cap the per-actor task queue (2 beats the default 4
@@ -72,31 +70,12 @@ def parse_resumes(
         pool_kwargs = dict(concurrency=pool)
 
     if warm_caches is not None:
-        # caller-provided pure-function memo dicts (e.g. persisted from a
-        # previous run of the same corpus) — broadcast as-is
+        # broadcast as-is (a caller may pass an existing ObjectRef)
         import ray
 
         fn_kwargs["warm_caches"] = (
             warm_caches if isinstance(warm_caches, ray.ObjectRef) else ray.put(warm_caches)
         )
-    elif warm_sample > 0:
-        import ray
-
-        from ..oracle.document import DocumentOracle
-
-        oracle = DocumentOracle(data_dir=data_dir, today=today)
-        for row in ds.limit(warm_sample).take_all():
-            spans = row["spans"] or []
-            try:
-                oracle.process(
-                    row["doc_id"],
-                    [s["kind"] for s in spans],
-                    [s["text"] for s in spans],
-                    [s["media_ref"] for s in spans],
-                )
-            except Exception:
-                pass  # poison rows handled in-stage; warmup is best-effort
-        fn_kwargs["warm_caches"] = ray.put(oracle.export_caches())
 
     if skew_threshold:
         costed = ds.map_batches(add_cost_column, batch_format="pyarrow", zero_copy_batch=True)

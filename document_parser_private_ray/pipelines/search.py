@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import co_partition, run_starts
+
 DEFAULT_QUERY = "hash join merge"
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -129,9 +131,7 @@ def build_postings(
     and comma-joined; stop-word-scale lists are truncated to the
     ``max_df`` smallest doc_ids with an explicit ``truncated`` flag and
     the TRUE df kept. Hot keys are salted: the first exchange
-    co-partitions by WORD-HASH BUCKET (crc32 over the per-batch
-    DISTINCT vocabulary — the only per-string Python, bounded by
-    vocab-per-batch) and dedupes at (word, doc_id % n_salts) grain —
+    co-partitions by WORD-HASH BUCKET and dedupes at (word, doc_id % n_salts) grain —
     each salt sees a DISJOINT doc partition, so per-salt distinct
     counts sum to the exact global df and per-salt smallest ids are
     correct partials of the global smallest. Every kernel handles ALL
@@ -140,8 +140,6 @@ def build_postings(
     per (word, salt) and per word), and the second exchange merges
     <= n_salts list-typed partial rows per word, still bucket-grain.
     No group ever materializes an unbounded posting."""
-    import zlib
-
     from ..sources.readers import read_table
 
     ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
@@ -176,15 +174,7 @@ def build_postings(
                 ),
             }
         )
-        out = pairs.group_by(["word", "salt", "doc_id"]).aggregate([])
-        uw, inv = np.unique(
-            out["word"].to_numpy(zero_copy_only=False), return_inverse=True
-        )
-        wb = np.array(
-            [zlib.crc32(w.encode("utf-8")) % n_buckets for w in uw],
-            dtype=np.int32,
-        )[inv]
-        return out.append_column("wb", pa.array(wb))
+        return pairs.group_by(["word", "salt", "doc_id"]).aggregate([])
 
     def partial_bucket(group: pa.Table) -> pa.Table:
         # all (word, salt) partials of the bucket in one pass: encode
@@ -200,37 +190,27 @@ def build_postings(
         doc = g["doc_id"].to_numpy(zero_copy_only=False)
         order = np.lexsort((doc, salt, code))
         c_s, s_s, d_s = code[order], salt[order], doc[order]
-        n = len(c_s)
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = (
-            (c_s[1:] != c_s[:-1]) | (s_s[1:] != s_s[:-1]) | (d_s[1:] != d_s[:-1])
-        )
+        first = run_starts(c_s, s_s, d_s)
         c_s, s_s, d_s = c_s[first], s_s[first], d_s[first]
         m = len(c_s)
-        new_run = np.empty(m, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (c_s[1:] != c_s[:-1]) | (s_s[1:] != s_s[:-1])
+        new_run = run_starts(c_s, s_s)
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(m), 0))
         rank = np.arange(m) - run_start
         sel = rank < max_df
-        run_starts = np.flatnonzero(new_run)
-        run_lens = np.diff(np.append(run_starts, m))
+        starts = np.flatnonzero(new_run)
+        run_lens = np.diff(np.append(starts, m))
         kept_lens = np.minimum(run_lens, max_df)
         offsets = np.concatenate(([0], np.cumsum(kept_lens)))
         id_lists = pa.ListArray.from_arrays(
             pa.array(offsets, type=pa.int32()),
             pa.array(d_s[sel], type=pa.int64()),
         )
-        words = enc.dictionary.take(pa.array(c_s[run_starts], type=pa.int32()))
+        words = enc.dictionary.take(pa.array(c_s[starts], type=pa.int32()))
         return pa.Table.from_pydict(
             {
                 "word": words,
                 "df": pa.array(run_lens.astype(np.int64), type=pa.int64()),
                 "ids": id_lists,
-                "wb": pa.array(
-                    [g["wb"][0].as_py()] * len(run_starts), type=pa.int32()
-                ),
             }
         )
 
@@ -257,22 +237,17 @@ def build_postings(
         df = g["df"].to_numpy(zero_copy_only=False)
         order_w = np.argsort(code, kind="stable")
         cw = code[order_w]
-        new_w = np.empty(len(cw), dtype=bool)
-        new_w[0] = True
-        new_w[1:] = cw[1:] != cw[:-1]
+        new_w = run_starts(cw)
         w_starts = np.flatnonzero(new_w)
         df_sum = np.add.reduceat(df[order_w], w_starts)
         word_codes = cw[w_starts]
         # per-word max_df smallest ids out of the unioned lists
-        new_run = np.empty(m, dtype=bool)
-        if m:
-            new_run[0] = True
-            new_run[1:] = c_s[1:] != c_s[:-1]
+        new_run = run_starts(c_s)
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(m), 0))
         rank = np.arange(m) - run_start
         sel = rank < max_df
-        run_starts = np.flatnonzero(new_run)
-        run_lens = np.diff(np.append(run_starts, m))
+        starts = np.flatnonzero(new_run)
+        run_lens = np.diff(np.append(starts, m))
         kept_lens = np.minimum(run_lens, max_df)
         offsets = np.concatenate(([0], np.cumsum(kept_lens)))
         id_strs = pc.cast(pa.array(d_s[sel], type=pa.int64()), pa.string())
@@ -292,11 +267,10 @@ def build_postings(
             }
         )
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("wb")
-        .map_groups(partial_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("wb")
-        .map_groups(merge_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("word")
+    postings = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
+    partials = co_partition(
+        {"postings": (postings, None)}, "word", partial_bucket, n_buckets
     )
+    return co_partition(
+        {"partials": (partials, None)}, "word", merge_bucket, n_buckets
+    ).sort("word")

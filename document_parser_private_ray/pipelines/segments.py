@@ -20,6 +20,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import co_partition, run_starts
+
 
 def _read_docs(sf_dir: str, columns=("doc_id", "text")):
     from ..sources.readers import read_table
@@ -223,92 +225,48 @@ def dedup_segments(sf_dir: str, seg_words: int = 4, n_buckets: int = 16):
 
     segs = docs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
 
-    def add_wbucket(t: pa.Table) -> pa.Table:
-        h = t["h1"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "wb", pa.array((h & 63).astype("int32"))
-        )
-
     def min_bucket(group: pa.Table) -> pa.Table:
-        g = (
-            group.select(["h1", "h2", "ckey"])
-            .group_by(["h1", "h2"])
-            .aggregate([("ckey", "min")])
-        )
+        g = group.group_by(["h1", "h2"]).aggregate([("ckey", "min")])
         return g.rename_columns(["h1", "h2", "wkey"])
 
     # winners via a BUCKETED vectorized reduce (one Arrow group_by per
     # hash bucket): the key count equals distinct segments — unbounded
     # at corpus scale — and Ray-native aggregates pay per-distinct-group
     # overhead on exactly that axis
-    winners = (
-        segs.select_columns(["h1", "h2", "ckey"])
-        .map_batches(add_wbucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("wb")
-        .map_groups(min_bucket, batch_format="pyarrow", zero_copy_batch=True)
+    winners = co_partition(
+        {"segs": (segs.select_columns(["h1", "h2", "ckey"]), None)},
+        "h1",
+        min_bucket,
+        64,
     )
 
-    SEG_COLS = ["doc_id", "pos", "seg", "h1", "h2", "ckey"]
-
-    def tag(side: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            b = pc.cast(
-                pc.bit_wise_and(
-                    batch["h1"], pa.scalar(n_buckets - 1, type=pa.int64())
-                ),
-                pa.int32(),
-            )
-            arrays = [
-                batch[c] if c in batch.column_names
-                else pa.nulls(batch.num_rows, type=pa.int64())
-                for c in SEG_COLS
-            ]
-            # the winners side has no doc/pos/seg payload; pad nulls
-            if side == "R":
-                arrays = [
-                    batch["wkey"] if c == "ckey" else arrays[i]
-                    for i, c in enumerate(SEG_COLS)
-                ]
-                arrays[2] = pa.nulls(batch.num_rows, type=pa.string())
-            return pa.Table.from_arrays(
-                arrays + [b, pa.array([side] * batch.num_rows)],
-                names=SEG_COLS + ["__bucket", "__side"],
-            )
-
-        return fn
-
-    lt = segs.map_batches(tag("L"), batch_format="pyarrow", zero_copy_batch=True)
-    rt = winners.map_batches(tag("R"), batch_format="pyarrow", zero_copy_batch=True)
-
-    def attach_and_flag(group: pa.Table) -> pa.Table:
-        side = pc.equal(group["__side"], "L")
-        l = group.filter(side).select(SEG_COLS)
-        r = group.filter(pc.invert(side))
-        w = pa.Table.from_arrays(
-            [r["h1"], r["h2"], r["ckey"]], names=["h1", "h2", "wkey"]
-        )
-        out = l.join(w, keys=["h1", "h2"], join_type="inner")
+    def attach_and_flag(t: dict) -> pa.Table:
+        out = t["L"].join(t["R"], keys=["h1", "h2"], join_type="inner")
         keep = pc.equal(out["ckey"], out["wkey"])
         return pa.Table.from_arrays(
             [out["doc_id"], out["pos"], out["seg"], keep],
             names=["doc_id", "pos", "seg", "keep"],
         )
 
-    flagged = (
-        lt.union(rt)
-        .groupby("__bucket")
-        .map_groups(attach_and_flag, batch_format="pyarrow", zero_copy_batch=True)
+    i64 = pa.int64()
+    flagged = co_partition(
+        {
+            "L": (segs, pa.schema([
+                ("doc_id", i64), ("pos", i64), ("seg", pa.string()),
+                ("h1", i64), ("h2", i64), ("ckey", i64),
+            ])),
+            "R": (winners, pa.schema([("h1", i64), ("h2", i64), ("wkey", i64)])),
+        },
+        "h1",
+        attach_and_flag,
+        n_buckets,
     )
-
-    def add_doc_bucket(t: pa.Table) -> pa.Table:
-        b = (t["doc_id"].to_numpy(zero_copy_only=False) % 64).astype("int32")
-        return t.append_column("db", pa.array(b))
 
     def reassemble_bucket(group: pa.Table) -> pa.Table:
         # every doc in the bucket reassembles from ONE Arrow sort + run
         # offsets + a single ListArray binary_join (r5; was one Python
         # group call per document)
-        g = group.drop_columns(["db"]).combine_chunks()
+        g = group.combine_chunks()
         idx = pc.sort_indices(
             g, sort_keys=[("doc_id", "ascending"), ("pos", "ascending")]
         )
@@ -316,12 +274,10 @@ def dedup_segments(sf_dir: str, seg_words: int = 4, n_buckets: int = 16):
         doc = g["doc_id"].to_numpy(zero_copy_only=False)
         keep = g["keep"].to_numpy(zero_copy_only=False).astype(bool)
         n = len(doc)
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = doc[1:] != doc[:-1]
-        run_starts = np.flatnonzero(new_run)
-        run_lens = np.diff(np.append(run_starts, n))
-        kept_counts = np.add.reduceat(keep.astype(np.int64), run_starts)
+        new_run = run_starts(doc)
+        starts = np.flatnonzero(new_run)
+        run_lens = np.diff(np.append(starts, n))
+        kept_counts = np.add.reduceat(keep.astype(np.int64), starts)
         seg_kept = _as_array(g["seg"]).filter(pa.array(keep))
         offsets = np.concatenate(([0], np.cumsum(kept_counts)))
         clean = pc.binary_join(
@@ -332,16 +288,13 @@ def dedup_segments(sf_dir: str, seg_words: int = 4, n_buckets: int = 16):
         )
         return pa.Table.from_pydict(
             {
-                "doc_id": pa.array(doc[run_starts], type=pa.int64()),
+                "doc_id": pa.array(doc[starts], type=pa.int64()),
                 "n_segs": pa.array(run_lens.astype(np.int64), type=pa.int64()),
                 "n_kept": pa.array(kept_counts, type=pa.int64()),
                 "clean_text": clean,
             }
         )
 
-    return (
-        flagged.map_batches(add_doc_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("db")
-        .map_groups(reassemble_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("doc_id")
-    )
+    return co_partition(
+        {"flagged": (flagged, None)}, "doc_id", reassemble_bucket, 64
+    ).sort("doc_id")

@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 
 from ..functions.sketches import shingles
 from .dedup import _read_docs, attach_pair_texts
+from .exchange import co_partition, run_starts
 from .joins import bucketed_join
 
 
@@ -120,10 +121,7 @@ def _explode_shingles(batch: pa.Table, k: int) -> pa.Table:
     # per-doc DISTINCT: lexsort (doc, hash), keep run firsts
     order = np.lexsort((hashes, flat_doc))
     d_s, h_s = flat_doc[order], hashes[order]
-    first = np.empty(len(order), dtype=bool)
-    if len(order):
-        first[0] = True
-        first[1:] = (d_s[1:] != d_s[:-1]) | (h_s[1:] != h_s[:-1])
+    first = run_starts(d_s, h_s)
     d_u, h_u = d_s[first], h_s[first]
     n_per_doc = np.bincount(d_u, minlength=len(n_tok)).astype(np.int64)
     return pa.Table.from_pydict(
@@ -188,44 +186,28 @@ def ppjoin_pairs(
     )
 
     # -- global document frequency per shingle: per-batch partials, then
-    # a HASH-BUCKET co-partition + one vectorized pa group_by per bucket
+    # a tok-bucket co-partition + one vectorized pa group_by per bucket
     # instead of groupby(tok).aggregate(Sum) — shingle vocab is
     # corpus-scale and every tok repeats across many blocks, which is
     # exactly the ~0.1 ms/key cross-block merge path the engine avoids
     # (the cosupplier fix); same single exchange, no per-key cost
     def partial_df(t: pa.Table) -> pa.Table:
         tok, cnt = np.unique(t["tok"].to_numpy(zero_copy_only=False), return_counts=True)
-        hb = (
-            (tok.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-            >> np.uint64(58)
-        ).astype(np.int32)
         return pa.Table.from_pydict(
             {"tok": pa.array(tok, type=pa.int64()),
-             "df_part": pa.array(cnt.astype(np.int64), type=pa.int64()),
-             "hb": pa.array(hb)}
+             "df_part": pa.array(cnt.astype(np.int64), type=pa.int64())}
         )
 
     def sum_df_bucket(group: pa.Table) -> pa.Table:
-        g = (
-            group.select(["tok", "df_part"])
-            .group_by("tok")
-            .aggregate([("df_part", "sum")])
-        )
+        g = group.group_by("tok").aggregate([("df_part", "sum")])
         return g.rename_columns(["tok", "df"])
 
-    dftab = (
-        postings.map_batches(partial_df, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("hb")
-        .map_groups(sum_df_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    df_parts = postings.map_batches(partial_df, batch_format="pyarrow", zero_copy_batch=True)
+    dftab = co_partition({"df_parts": (df_parts, None)}, "tok", sum_df_bucket, 64)
 
     with_df = bucketed_join(postings, dftab, "tok", "tok", n_buckets=16)
 
     # -- prefix selection: co-partition by doc, lexsort once per group
-    def add_doc_bucket(t: pa.Table) -> pa.Table:
-        b = (t["doc_id"].to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
-        return t.append_column("db", pa.array(b))
-
     def prefix_select(group: pa.Table) -> pa.Table:
         g = group.combine_chunks()
         doc = g["doc_id"].to_numpy(zero_copy_only=False)
@@ -235,10 +217,7 @@ def ppjoin_pairs(
         order = np.lexsort((tok, df, doc))
         doc_s = doc[order]
         # rank of each posting within its doc under the (df, tok) order
-        new_doc = np.empty(len(doc_s), dtype=bool)
-        if len(doc_s):
-            new_doc[0] = True
-            new_doc[1:] = doc_s[1:] != doc_s[:-1]
+        new_doc = run_starts(doc_s)
         seg_start = np.maximum.accumulate(np.where(new_doc, np.arange(len(doc_s)), 0))
         rank = np.arange(len(doc_s)) - seg_start
         n_s = n[order]
@@ -257,21 +236,15 @@ def ppjoin_pairs(
             }
         )
 
-    prefixes = (
-        with_df.map_batches(add_doc_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("db")
-        .map_groups(prefix_select, batch_format="pyarrow", zero_copy_batch=True)
+    prefixes = co_partition(
+        {"postings": (with_df, None)}, "doc_id", prefix_select, n_buckets
     )
 
     # -- candidate pairs: vectorized self-join per tok bucket
-    def add_tok_bucket(t: pa.Table) -> pa.Table:
-        b = (t["tok"].to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
-        return t.append_column("tb", pa.array(b))
-
     def bucket_pairs(group: pa.Table) -> pa.Table:
         import logging
 
-        g = group.select(["tok", "doc_id", "n", "pos"]).combine_chunks()
+        g = group.combine_chunks()
         empty = pa.Table.from_pydict(
             {
                 "doc_a": pa.array([], type=pa.int64()),
@@ -354,9 +327,7 @@ def ppjoin_pairs(
         return agg.rename_columns(["doc_a", "doc_b", "n_a", "n_b"])
 
     cand = (
-        prefixes.map_batches(add_tok_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("tb")
-        .map_groups(bucket_pairs, batch_format="pyarrow", zero_copy_batch=True)
+        co_partition({"prefixes": (prefixes, None)}, "tok", bucket_pairs, n_buckets)
         .groupby(["doc_a", "doc_b"])
         .aggregate(Max("n_a", alias_name="n_a"), Max("n_b", alias_name="n_b"))
         .materialize()

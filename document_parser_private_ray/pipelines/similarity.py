@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import co_partition, co_partition_pairs, run_starts
+
 
 def _norm_rows(mat: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(mat, axis=1, keepdims=True)
@@ -93,7 +95,7 @@ def load_queries(sf_dir: str, n_queries: int = 8) -> tuple:
 def _global_topk(locals_, k: int, score_col: str, descending: bool, n_buckets: int = 64):
     """Global per-query top-k over local-candidate rows (query_id,
     vec_id, score) — the bucketed-lexsort rank idiom (VERDICT r4 #1):
-    query_ids hash into n_buckets classes, and ONE vectorized kernel
+    query_ids co-partition into n_buckets buckets, and ONE vectorized kernel
     per bucket lexsorts (query, score, vec_id), derives ranks by
     run-start subtraction, and keeps rank <= k. No per-query-group
     Python call, no pandas frame — at batch-ANN scale (queries ∝
@@ -101,11 +103,6 @@ def _global_topk(locals_, k: int, score_col: str, descending: bool, n_buckets: i
     interpreter round-trip per query. Tie-break matches the oracles'
     ROW_NUMBER ordering: (score desc|asc, vec_id asc)."""
     score_type = dict(zip(locals_.schema().names, locals_.schema().types))[score_col]
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        q = t["query_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = ((q * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(58)).astype(np.int32)
-        return t.append_column("qb", pa.array(b))
 
     def topk_bucket(group: pa.Table) -> pa.Table:
         g = group.combine_chunks()
@@ -124,9 +121,7 @@ def _global_topk(locals_, k: int, score_col: str, descending: bool, n_buckets: i
             )
         order = np.lexsort((vid, -s if descending else s, qid))
         qs = qid[order]
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = qs[1:] != qs[:-1]
+        new_run = run_starts(qs)
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
         rank = np.arange(n) - run_start + 1
         sel = rank <= k
@@ -139,12 +134,9 @@ def _global_topk(locals_, k: int, score_col: str, descending: bool, n_buckets: i
             }
         )
 
-    return (
-        locals_.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("qb")
-        .map_groups(topk_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["query_id", "rank"])
-    )
+    return co_partition(
+        {"candidates": (locals_, None)}, "query_id", topk_bucket, n_buckets
+    ).sort(["query_id", "rank"])
 
 
 def ann_bruteforce_topk(sf_dir: str, k: int = 5, n_queries: int = 8):
@@ -259,15 +251,12 @@ def embedding_neardup_lsh(
             }
         )
 
-    n_hash_classes = 64
-
     def add_class(t: pa.Table) -> pa.Table:
         b = t["bucket"].to_numpy(zero_copy_only=False).astype(np.uint64)
         tt = t["table"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        cls = ((b * np.uint64(0x9E3779B97F4A7C15) + tt) % n_hash_classes).astype(
-            "int32"
+        return t.append_column(
+            "cls", pa.array(b * np.uint64(0x9E3779B97F4A7C15) + tt)
         )
-        return t.append_column("cls", pa.array(cls))
 
     def class_pairs(group: pa.Table) -> pa.Table:
         g = group.select(["table", "bucket", "vec_id"]).combine_chunks()
@@ -318,37 +307,23 @@ def embedding_neardup_lsh(
             names=["id_a", "id_b"],
         )
 
-    def add_pair_class(t: pa.Table) -> pa.Table:
-        a = t["id_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["id_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pcls = (
-            ((a * np.uint64(0x9E3779B97F4A7C15) + b) * np.uint64(0x9E3779B97F4A7C15))
-            >> np.uint64(58)
-        ).astype(np.int32)
-        return t.append_column("pcls", pa.array(pcls))
-
     def count_pair_bucket(group: pa.Table) -> pa.Table:
         # candidate-pair collision counts are corpus-scale with keys
         # repeated across class groups: co-partition by pair hash and
         # count with ONE vectorized group_by per bucket instead of
         # groupby(id_a, id_b).Count's per-key cross-block merge
-        g = (
-            group.select(["id_a", "id_b"])
-            .group_by(["id_a", "id_b"])
-            .aggregate([([], "count_all")])
-        )
+        g = group.group_by(["id_a", "id_b"]).aggregate([([], "count_all")])
         return g.rename_columns(["id_a", "id_b", "n_collisions"])
 
-    pairs = (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
-        .map_batches(add_class, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cls")
-        .map_groups(class_pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_pair_class, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pcls")
-        .map_groups(count_pair_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()
-    )
+    banded = ds.map_batches(
+        bucketize, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
+    ).map_batches(add_class, batch_format="pyarrow", zero_copy_batch=True)
+    pairs = co_partition_pairs(
+        co_partition({"bands": (banded, None)}, "cls", class_pairs, 64),
+        count_pair_bucket,
+        "id_a",
+        "id_b",
+    ).materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
         return pairs.sort(["id_a", "id_b"])
@@ -491,46 +466,20 @@ def _attach_pair_vecs_shuffle(pairs, embeddings, n_buckets: int = 64):
         b = pc.cast(t["id_b"], pa.int64()).combine_chunks()
         nc = pc.cast(t["n_collisions"], pa.int64()).combine_chunks()
         n = len(a)
-        key = pa.concat_arrays([a, b])
-        kb = (key.to_numpy(zero_copy_only=False) % n_buckets).astype("int32")
         return pa.Table.from_pydict(
             {
-                "key": key,
+                "key": pa.concat_arrays([a, b]),
                 "id_a": pa.concat_arrays([a, a]),
                 "id_b": pa.concat_arrays([b, b]),
                 "n_collisions": pa.concat_arrays([nc, nc]),
-                "role": pa.array(["a"] * n + ["b"] * n),
-                "vec": pa.nulls(2 * n, type=VEC),
-                "kb": pa.array(kb),
-            }
-        )
-
-    def vecs_as_rows(t: pa.Table) -> pa.Table:
-        n = len(t)
-        key = pc.cast(t["vec_id"], pa.int64())
-        kb = (
-            key.to_numpy(zero_copy_only=False) % n_buckets
-        ).astype("int32")
-        return pa.Table.from_pydict(
-            {
-                "key": key,
-                "id_a": pa.nulls(n, type=pa.int64()),
-                "id_b": pa.nulls(n, type=pa.int64()),
-                "n_collisions": pa.nulls(n, type=pa.int64()),
-                "role": pa.array(["d"] * n),
-                "vec": pc.cast(t["embedding"], VEC),
-                "kb": pa.array(kb),
+                "role": pa.array(["a"] * n + ["b"] * n, type=pa.string()),
             }
         )
 
     sides = pairs.map_batches(explode_sides, batch_format="pyarrow", zero_copy_batch=True)
-    drows = embeddings.map_batches(vecs_as_rows, batch_format="pyarrow", zero_copy_batch=True)
 
-    def attach_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        is_doc = pc.equal(g["role"], "d")
-        docs = g.filter(is_doc)
-        side_rows = g.filter(pc.invert(is_doc))
+    def attach_bucket(t: dict) -> pa.Table:
+        docs, side_rows = t["V"], t["P"]
         empty = pa.Table.from_pydict(
             {
                 "id_a": pa.array([], type=pa.int64()),
@@ -542,10 +491,10 @@ def _attach_pair_vecs_shuffle(pairs, embeddings, n_buckets: int = 64):
         )
         if docs.num_rows == 0 or side_rows.num_rows == 0:
             return empty
-        dk = docs["key"].to_numpy(zero_copy_only=False)
+        dk = docs["vec_id"].to_numpy(zero_copy_only=False)
         order = np.argsort(dk)
         dk_s = dk[order]
-        vecs_sorted = docs["vec"].combine_chunks().take(pa.array(order))
+        vecs_sorted = docs["embedding"].combine_chunks().take(pa.array(order))
         sk = side_rows["key"].to_numpy(zero_copy_only=False)
         idx = np.minimum(np.searchsorted(dk_s, sk), len(dk_s) - 1)
         ok = dk_s[idx] == sk
@@ -560,20 +509,19 @@ def _attach_pair_vecs_shuffle(pairs, embeddings, n_buckets: int = 64):
             }
         )
 
-    attached = (
-        sides.union(drows)
-        .groupby("kb")
-        .map_groups(attach_bucket, batch_format="pyarrow", zero_copy_batch=True)
+    i64 = pa.int64()
+    attached = co_partition(
+        {
+            "P": (sides, pa.schema([
+                ("key", i64), ("id_a", i64), ("id_b", i64),
+                ("n_collisions", i64), ("role", pa.string()),
+            ])),
+            "V": (embeddings, pa.schema([("vec_id", i64), ("embedding", VEC)])),
+        },
+        {"P": "key", "V": "vec_id"},
+        attach_bucket,
+        n_buckets,
     )
-
-    def add_pair_bucket(t: pa.Table) -> pa.Table:
-        a = t["id_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["id_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = (
-            ((a * np.uint64(0x9E3779B97F4A7C15) + b) * np.uint64(0x9E3779B97F4A7C15))
-            >> np.uint64(58)
-        ).astype(np.int32)
-        return t.append_column("pb", pa.array(pb))
 
     def reassemble_bucket(group: pa.Table) -> pa.Table:
         g = group.combine_chunks()
@@ -616,11 +564,7 @@ def _attach_pair_vecs_shuffle(pairs, embeddings, n_buckets: int = 64):
             }
         )
 
-    return (
-        attached.map_batches(add_pair_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pb")
-        .map_groups(reassemble_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return co_partition_pairs(attached, reassemble_bucket, "id_a", "id_b")
 
 
 def ann_lsh_topk(sf_dir: str, k: int = 5, n_queries: int = 8, n_bits: int = 6):

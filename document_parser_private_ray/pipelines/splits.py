@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pyarrow as pa
+
+from .exchange import co_partition, run_starts
 
 
 def _read_ids(sf_dir: str):
@@ -91,25 +94,31 @@ def sample_stratified(sf_dir: str, n_per_source: int = 10):
         return batch.append_column("hkey", pa.array(hkeys, type=pa.uint64()))
 
     def topn(group: pa.Table) -> pa.Table:
+        # every source in the bucket at once: one sort, rank = offset
+        # from the source run's start
         idx = pc.sort_indices(
-            group, sort_keys=[("hkey", "ascending"), ("doc_id", "ascending")]
+            group,
+            sort_keys=[("source", "ascending"), ("hkey", "ascending"),
+                       ("doc_id", "ascending")],
         )
-        top = group.take(idx[:n_per_source])
+        g = group.take(idx)
+        new_run = run_starts(np.asarray(g["source"].to_pylist(), dtype=object))
+        pos = np.arange(len(new_run))
+        rank = pos - np.maximum.accumulate(np.where(new_run, pos, 0)) + 1
+        keep = rank <= n_per_source
         return pa.Table.from_arrays(
             [
-                top["source"],
-                top["doc_id"],
-                pa.array(range(1, top.num_rows + 1), type=pa.int64()),
+                g["source"].filter(pa.array(keep)),
+                g["doc_id"].filter(pa.array(keep)),
+                pa.array(rank[keep], type=pa.int64()),
             ],
             names=["source", "doc_id", "rk"],
         )
 
-    return (
-        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .map_groups(topn, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["source", "rk"])
-    )
+    keyed_ds = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
+    return co_partition(
+        {"docs": (keyed_ds, None)}, "source", topn, 16
+    ).sort(["source", "rk"])
 
 
 def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
@@ -166,9 +175,15 @@ def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
         h = group["h"].to_numpy(zero_copy_only=False)
         ids = group["doc_id"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, h))
-        base = offs[int(group["rng"][0].as_py())]
+        # ranges are order-preserving on h, so the sorted rows form one
+        # run per range; rank = range offset + position in the run
+        rng = group["rng"].to_numpy(zero_copy_only=False)[order]
+        new_run = run_starts(rng)
+        at = np.arange(len(order), dtype=np.int64)
+        run_start = np.maximum.accumulate(np.where(new_run, at, 0))
+        base = np.array([offs[int(r)] for r in rng[new_run]], dtype=np.int64)
         pos = np.empty(len(order), dtype=np.int64)
-        pos[order] = base + np.arange(len(order), dtype=np.int64)
+        pos[order] = base[np.cumsum(new_run) - 1] + at - run_start
         return pa.Table.from_pydict(
             {
                 "doc_id": pa.array(ids, type=pa.int64()),
@@ -176,11 +191,9 @@ def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
             }
         )
 
-    return (
-        hashed.groupby("rng")
-        .map_groups(rank_range, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("doc_id")
-    )
+    return co_partition(
+        {"hashes": (hashed, None)}, "rng", rank_range, n_ranges
+    ).sort("doc_id")
 
 
 def label_balance_by_split(sf_dir: str):

@@ -8,6 +8,7 @@ __ray_entry__.oracle_sql)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -17,6 +18,7 @@ from ..functions.textstats import (
     md5_fingerprint,
     winnow_fingerprints,
 )
+from .exchange import co_partition, run_starts
 
 
 def _read_docs(sf_dir: str, columns=("doc_id", "text")):
@@ -203,39 +205,31 @@ def doc_tfidf(sf_dir: str, k: int = 5):
     """(doc_id, word, tf, df, tfidf_micro, rank) — top-k TF-IDF terms
     per document. Scale shape: explode to (doc_id, word, tf) inside
     map_batches (per-doc Counter, one row per distinct term), then ONE
-    groupby(word) computes df = group row count AND attaches it to every
-    row in the same pass (no second shuffle, no broadcast vocabulary —
-    a join-free df attach that holds at any vocabulary size), then one
-    groupby(doc_id) ranks vectorized. Scores are integer micros
+    word co-partition computes df = per-word row count AND attaches it
+    to every row in the same pass (no second shuffle, no broadcast
+    vocabulary — a join-free df attach that holds at any vocabulary
+    size), then one doc_id co-partition ranks vectorized. Scores are integer micros
     (floor(tf * ln(N/df) * 1e6 + 0.5)) so the DuckDB oracle
     hash-compares exactly; ties break by word ascending."""
-    import zlib
     from collections import Counter
 
-    import numpy as np
-
-    n_buckets = 64
     ds = _read_docs(sf_dir)
     n_docs = ds.count()
 
     def explode(batch: pa.Table) -> pa.Table:
-        out_id, out_w, out_tf, out_wb = [], [], [], []
+        out_id, out_w, out_tf = [], [], []
         for i, t in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             for w, c in Counter((t or "").lower().split()).items():
                 out_id.append(i)
                 out_w.append(w)
                 out_tf.append(c)
-                # deterministic word-space bucket (crc32 — stable across
-                # workers, unlike Python's randomized str hash)
-                out_wb.append(zlib.crc32(w.encode("utf-8")) % n_buckets)
         return pa.Table.from_arrays(
             [
                 pa.array(out_id, type=pa.int64()),
                 pa.array(out_w, type=pa.string()),
                 pa.array(out_tf, type=pa.int64()),
-                pa.array(out_wb, type=pa.int32()),
             ],
-            names=["doc_id", "word", "tf", "wb"],
+            names=["doc_id", "word", "tf"],
         )
 
     tf = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
@@ -245,7 +239,7 @@ def doc_tfidf(sf_dir: str, k: int = 5):
         # computed for EVERY word in the bucket by one vectorized Arrow
         # group_by + hash join (r5; was one Python group call per word,
         # vocabulary-scale)
-        g = group.drop_columns(["wb"]).combine_chunks()
+        g = group.combine_chunks()
         dfs = (
             g.select(["word"])
             .group_by("word")
@@ -269,19 +263,11 @@ def doc_tfidf(sf_dir: str, k: int = 5):
             names=["doc_id", "word", "tf", "df", "tfidf_micro"],
         )
 
-    scored = tf.groupby("wb").map_groups(
-        attach_df_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def add_doc_bucket(t: pa.Table) -> pa.Table:
-        b = (t["doc_id"].to_numpy(zero_copy_only=False) % n_buckets).astype(
-            "int32"
-        )
-        return t.append_column("db", pa.array(b))
+    scored = co_partition({"terms": (tf, None)}, "word", attach_df_bucket, 64)
 
     def topk_bucket(group: pa.Table) -> pa.Table:
         # one Arrow sort + numpy run-rank covers every doc in the bucket
-        g = group.drop_columns(["db"]).combine_chunks()
+        g = group.combine_chunks()
         idx = pc.sort_indices(
             g,
             sort_keys=[
@@ -293,9 +279,7 @@ def doc_tfidf(sf_dir: str, k: int = 5):
         g = g.take(idx)
         doc = g["doc_id"].to_numpy(zero_copy_only=False)
         n = len(doc)
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = doc[1:] != doc[:-1]
+        new_run = run_starts(doc)
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
         rank = np.arange(n) - run_start + 1
         sel = rank <= k
@@ -303,12 +287,9 @@ def doc_tfidf(sf_dir: str, k: int = 5):
             "rank", pa.array(rank[sel], type=pa.int64())
         )
 
-    return (
-        scored.map_batches(add_doc_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("db")
-        .map_groups(topk_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["doc_id", "rank"])
-    )
+    return co_partition(
+        {"scored": (scored, None)}, "doc_id", topk_bucket, 64
+    ).sort(["doc_id", "rank"])
 
 
 def doc_chunks(sf_dir: str, window: int = 64, stride: int = 48):
@@ -721,8 +702,6 @@ def top_words_by_source(sf_dir: str, k: int = 5):
         flat = pc.list_flatten(toks)
         # repeat each row's source once per token via the list offsets
         sizes = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        import numpy as np
-
         src = batch["source"].take(
             pa.array(np.repeat(np.arange(len(batch)), sizes))
         )
@@ -741,24 +720,30 @@ def top_words_by_source(sf_dir: str, k: int = 5):
     )
 
     def topk(group: pa.Table) -> pa.Table:
+        # every source in the bucket at once: one sort, rank = offset
+        # from the source run's start
         idx = pc.sort_indices(
-            group, sort_keys=[("n", "descending"), ("word", "ascending")]
+            group,
+            sort_keys=[("source", "ascending"), ("n", "descending"),
+                       ("word", "ascending")],
         )
-        top = group.take(idx[:k])
+        g = group.take(idx)
+        new_run = run_starts(np.asarray(g["source"].to_pylist(), dtype=object))
+        pos = np.arange(len(new_run))
+        rank = pos - np.maximum.accumulate(np.where(new_run, pos, 0)) + 1
+        keep = pa.array(rank <= k)
         return pa.Table.from_arrays(
             [
-                top["source"],
-                top["word"],
-                pc.cast(top["n"], pa.int64()),
-                pa.array(range(1, top.num_rows + 1), type=pa.int64()),
+                g["source"].filter(keep),
+                g["word"].filter(keep),
+                pc.cast(g["n"], pa.int64()).filter(keep),
+                pa.array(rank[rank <= k], type=pa.int64()),
             ],
             names=["source", "word", "n", "rk"],
         )
 
-    return (
-        agg.groupby("source")
-        .map_groups(topk, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["source", "rk"])
+    return co_partition({"counts": (agg, None)}, "source", topk, 16).sort(
+        ["source", "rk"]
     )
 
 

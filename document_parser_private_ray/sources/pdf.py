@@ -290,9 +290,18 @@ def _content_streams(data: bytes) -> List[bytes]:
         if _FLATE_RE.search(d):
             payload = zlib.decompress(payload)
             if b"/DecodeParms" in d:
+                pm = _PRED_RE.search(d)
+                if pm is None:
+                    # e.g. an indirect ``/DecodeParms n 0 R``: guessing
+                    # "no predictor" would return garbled text
+                    raise NotImplementedError(
+                        "/DecodeParms without an inline /Predictor is "
+                        "outside the minimal subset; pass extract= with a "
+                        "full PDF backend"
+                    )
                 payload = _undo_predictor(
                     payload,
-                    int(mm.group(1)) if (mm := _PRED_RE.search(d)) else 1,
+                    int(pm.group(1)),
                     int(mm.group(1)) if (mm := _COLS_RE.search(d)) else 1,
                     int(mm.group(1)) if (mm := _COLORS_RE.search(d)) else 1,
                     int(mm.group(1)) if (mm := _BPC_RE.search(d)) else 8,

@@ -161,6 +161,168 @@ def test_bucketed_join_left_outer(ray_session):
         bucketed_join(left, right, "k", "rk", join_type="right outer")
 
 
+def _table(ds):
+    import pyarrow as pa
+
+    return pa.concat_tables(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+
+
+def _sorted_rows(table, cols):
+    return sorted(zip(*(table[c].to_pylist() for c in cols)))
+
+
+@pytest.mark.parametrize("n_buckets", [1, 3, 16])
+def test_co_partition_two_side_matches_single_side(ray_session, n_buckets):
+    """The same int-key inner join through a two-side call and through
+    a single-side call (caller-tagged rows) agree with pandas."""
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from document_parser_private_ray.pipelines.exchange import co_partition
+
+    lrows = [{"k": i % 7, "a": i} for i in range(40)]
+    rrows = [{"k": i % 11, "b": 100 + i} for i in range(25)]
+    exp = sorted(
+        pd.DataFrame(lrows).merge(pd.DataFrame(rrows), on="k")[["k", "a", "b"]]
+        .itertuples(index=False, name=None)
+    )
+
+    two = co_partition(
+        {
+            "L": (rd.from_items(lrows), pa.schema([("k", pa.int64()), ("a", pa.int64())])),
+            "R": (rd.from_items(rrows), pa.schema([("k", pa.int64()), ("b", pa.int64())])),
+        },
+        "k",
+        lambda t: t["L"].join(t["R"], keys="k").select(["k", "a", "b"]),
+        n_buckets,
+    )
+    both = rd.from_items(
+        [{"k": r["k"], "v": r["a"], "side": "L"} for r in lrows]
+        + [{"k": r["k"], "v": r["b"], "side": "R"} for r in rrows]
+    )
+
+    def split_join(group):
+        is_l = pc.equal(group["side"], "L")
+        left = group.filter(is_l).select(["k", "v"]).rename_columns(["k", "a"])
+        right = group.filter(pc.invert(is_l)).select(["k", "v"]).rename_columns(["k", "b"])
+        return left.join(right, keys="k").select(["k", "a", "b"])
+
+    one = co_partition({"rows": (both, None)}, "k", split_join, n_buckets)
+    cols = ["k", "a", "b"]
+    assert _sorted_rows(_table(two), cols) == exp
+    assert _sorted_rows(_table(one), cols) == exp
+
+
+def test_co_partition_kernel_sees_own_side_columns(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from document_parser_private_ray.pipelines.exchange import co_partition
+
+    left = rd.from_items([{"id": i, "x": float(i), "extra": "drop"} for i in range(10)])
+    right = rd.from_items([{"rid": i, "y": f"y{i}"} for i in range(0, 10, 2)])
+    schemas = {
+        "L": pa.schema([("id", pa.int64()), ("x", pa.float64())]),
+        "R": pa.schema([("rid", pa.int64()), ("y", pa.string())]),
+    }
+
+    def columns_seen(t):
+        return pa.table(
+            {
+                "side": list(t),
+                "cols": [",".join(tbl.column_names) for tbl in t.values()],
+                "rows": [tbl.num_rows for tbl in t.values()],
+            }
+        )
+
+    out = _table(co_partition(
+        {"L": (left, schemas["L"]), "R": (right, schemas["R"])},
+        {"L": "id", "R": "rid"},
+        columns_seen,
+        4,
+    ))
+    seen = {(s, c) for s, c in zip(out["side"].to_pylist(), out["cols"].to_pylist())}
+    assert seen == {("L", "id,x"), ("R", "rid,y")}
+    rows = {}
+    for s, n in zip(out["side"].to_pylist(), out["rows"].to_pylist()):
+        rows[s] = rows.get(s, 0) + n
+    assert rows == {"L": 10, "R": 5}
+
+
+def test_co_partition_zero_row_block_side(ray_session):
+    """A side whose batches filter down to zero rows still unions: the
+    ``__side`` tag is typed ``string`` even when empty."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from document_parser_private_ray.pipelines.exchange import _const_str, co_partition
+
+    assert _const_str("C", 0).type == pa.string()
+    assert _const_str("C", 3).to_pylist() == ["C"] * 3
+
+    blocks = [
+        pa.table({"c": pa.array([1, 2, 3], pa.int64()), "seg": ["A", "B", "A"]}),
+        pa.table({"c": pa.array([4, 5], pa.int64()), "seg": ["B", "B"]}),
+        pa.table({"c": pa.array([], pa.int64()), "seg": pa.array([], pa.string())}),
+    ]
+    cust = rd.from_arrow(blocks).map_batches(
+        lambda b: b.filter(pc.equal(b["seg"], "A")).select(["c"]),
+        batch_format="pyarrow",
+    )
+    orders = rd.from_items([{"oc": i % 6, "v": i} for i in range(12)])
+    out = _table(co_partition(
+        {
+            "O": (orders, pa.schema([("oc", pa.int64()), ("v", pa.int64())])),
+            "C": (cust, pa.schema([("c", pa.int64())])),
+        },
+        {"O": "oc", "C": "c"},
+        lambda t: t["O"].filter(pc.is_in(t["O"]["oc"], value_set=t["C"]["c"])),
+        4,
+    ))
+    assert sorted(out["v"].to_pylist()) == [1, 3, 7, 9]
+
+
+def test_string_buckets_stable_across_processes():
+    """String keys bucket by crc32, not Python's salted ``hash``: two
+    interpreters with different hash seeds agree."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import json, pyarrow as pa\n"
+        "from document_parser_private_ray.pipelines.exchange import bucket_ids\n"
+        "keys = pa.chunked_array([['a', 'b', None, 'héllo'], ['a', 'zz']])\n"
+        "print(json.dumps(bucket_ids(keys, 16).to_pylist()))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=root)
+        res = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        outs.append(json.loads(res.stdout))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == outs[0][4]  # equal keys, equal buckets
+    assert all(0 <= b < 16 for b in outs[0])
+
+
+def test_run_starts_empty_and_multi_key():
+    import numpy as np
+
+    from document_parser_private_ray.pipelines.exchange import run_starts
+
+    assert run_starts(np.array([], dtype=np.int64)).tolist() == []
+    assert run_starts(np.array([3, 3, 4, 4, 4])).tolist() == [True, False, True, False, False]
+    assert run_starts(np.array([1, 1, 1]), np.array([0, 1, 1])).tolist() == [True, True, False]
+
+
 def test_funnel_counts_hand_case(ray_session, tmp_path):
     """Strict ordering: a click BEFORE the first view must not count."""
     import datetime as dt

@@ -307,9 +307,19 @@ def test_tiff_predictor_roundtrip():
     assert [b["text"] for b in got] == ["tiff differenced content stream here."]
 
 
-def test_unknown_predictor_raises():
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        (b"/Predictor 15", b"/Predictor 99"),
+        # an indirect reference leaves no inline /Predictor to read
+        (b"/DecodeParms << /Predictor 15 /Columns 64 >>", b"/DecodeParms 9 0 R"),
+    ],
+    ids=["unknown_predictor", "indirect_decodeparms"],
+)
+def test_unknown_predictor_raises(old, new):
     blocks = [{"kind": "text", "text": "zzz"}]
     data = write_minimal_pdf(blocks, compress=True, predictor=15)
-    bad = data.replace(b"/Predictor 15", b"/Predictor 99")
+    assert old in data
+    bad = data.replace(old, new)
     with pytest.raises(NotImplementedError):
         extract_pdf_blocks(bad)

@@ -141,10 +141,12 @@ def test_pii_chain_equality(ray_session, corpus_path):
 def test_warm_broadcast_identical_results(ray_session, corpus_path):
     """Cache seeding must be purely an optimization: warm-broadcast
     parse == cold parse, span for span."""
+    from document_parser_private_ray.oracle.document import DocumentOracle
     from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
 
     cold = parse_resumes(read_corpus(corpus_path), concurrency=(1, 2))
-    warm = parse_resumes(read_corpus(corpus_path), concurrency=(1, 2), warm_sample=50)
+    caches = DocumentOracle().warm(read_corpus(corpus_path).limit(50).take_all())
+    warm = parse_resumes(read_corpus(corpus_path), concurrency=(1, 2), warm_caches=caches)
     a = {r["doc_id"]: (r["out_spans"], r["resume"]) for r in cold.take_all()}
     b = {r["doc_id"]: (r["out_spans"], r["resume"]) for r in warm.take_all()}
     assert a == b
