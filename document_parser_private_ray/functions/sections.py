@@ -26,6 +26,7 @@ import re
 from typing import Dict, List, Optional, Sequence
 
 from ..config import SECTION_NAMES, SECTION_PATTERNS
+from .memocap import memo_put
 
 _DATE_HINT_PATTERNS = tuple(
     re.compile(p, re.IGNORECASE)
@@ -60,10 +61,6 @@ _DATE_HINT_COMBINED = re.compile(
 class SectionDetector:
     """Compiled-regex section detector. Construct once per worker."""
 
-    #: classification memo cap — cleared wholesale when exceeded so a
-    #: pathological corpus can't grow worker heap unboundedly
-    _MEMO_CAP = 500_000
-
     def __init__(self, patterns: Optional[Dict[str, List[str]]] = None):
         if patterns is None:
             self.banks = _DEFAULT_BANKS
@@ -79,7 +76,7 @@ class SectionDetector:
         )
         # line -> ("s", section) | ("d", None) | ("p", None); line
         # classification is state-free, and real corpora repeat lines
-        # (boilerplate, headings, bullets) heavily
+        # (boilerplate, headings, bullets) heavily; capped by memo_put
         self._line_memo: Dict[str, tuple] = {}
 
     def _classify(self, line: str) -> tuple:
@@ -99,10 +96,6 @@ class SectionDetector:
                 r = ("d", None)
             else:
                 r = ("p", None)
-            if len(self._line_memo) >= self._MEMO_CAP:
-                self._line_memo.clear()
-            from .memocap import memo_put
-
             memo_put(self._line_memo, line, r)
         return r
 

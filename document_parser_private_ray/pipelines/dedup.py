@@ -7,15 +7,18 @@ Scale shapes:
     (hash-partitioned shuffle moves only (hash, doc_id) pairs after a
     projection, never the text);
   * MinHash-LSH: per-batch signatures (actor pool holds the permutation
-    matrix) -> explode to (band, key, doc_id) rows -> groupby bands ->
-    candidate pairs -> Jaccard verify -> min-label dedup. The only
-    all-to-all moves the tiny band-key table;
+    matrix) -> explode to (band, key, doc_id) rows -> co-partition on
+    (band, key) -> candidate pairs -> Jaccard verify -> min-label dedup;
   * SimHash: 64-bit signature per doc; bucket by the 4x16-bit bands
     (Hamming<=3 within-band collision guarantee via pigeonhole) ->
     verify Hamming distance;
   * embedding cosine: normalized vectors, candidate buckets via sign-LSH
     or brute-force per-batch matmul against a broadcast matrix (small
     collections) — both paths return identical pairs on the testdata.
+
+Every near-dup query here builds and attaches its candidate pairs with
+the shared pair layer (``pairs.py``): ``self_pairs`` per exchange
+bucket, the size-gated ``attach_pair_values`` before a verify.
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.sketches import MinHasher, hamming64, jaccard, shingles, simhash64
+from ..functions.sketches import MinHasher, jaccard, shingles, simhash64
 from .exchange import co_partition, co_partition_pairs, run_starts
-
-# golden-ratio multiplier for the (band, key) class mixes
-_G = np.uint64(0x9E3779B97F4A7C15)
+from .pairs import attach_pair_values, fits_broadcast, lookup, scan_ids, self_pairs
 
 
 def _read_docs(sf_dir: str, columns=("doc_id", "text")):
@@ -104,7 +105,10 @@ class MinHashSignatures:
 def minhash_candidate_pairs(
     sf_dir: str, n_perm: int = 128, n_bands: int = 16, max_bucket: int = 4096
 ):
-    """(doc_a, doc_b) candidate pairs from shared LSH buckets."""
+    """(doc_a, doc_b, count()) candidate pairs from shared LSH buckets:
+    the (band, key) rows co-partition on those two columns and every
+    bucket runs ``pairs.self_pairs`` (the star over the min id for an
+    LSH bucket over ``max_bucket`` members, logged)."""
     ds = _read_docs(sf_dir)
     sigs = ds.map_batches(
         MinHashSignatures,
@@ -114,69 +118,14 @@ def minhash_candidate_pairs(
         concurrency=(1, 4),
     )
 
-    # hash-bucket the (band, key) space: every LSH bucket lands whole in
-    # one group, but pair generation runs as a few VECTORIZED Arrow
-    # self-joins per hash class instead of a Python map_groups call per
-    # bucket (tens of thousands of tiny buckets made that path
-    # group-call-bound — same fix as ngram_jaccard's inverted index)
-    def add_class(t: pa.Table) -> pa.Table:
-        k = t["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["band"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column("cls", pa.array(k * _G + b))
-
     def class_pairs(group: pa.Table) -> pa.Table:
-        import logging
-
-        g = group.select(["band", "key", "doc_id"]).combine_chunks()
-        g = pa.Table.from_arrays(
-            [g["band"], g["key"], pc.cast(g["doc_id"], pa.int64())],
-            names=["band", "key", "doc_id"],
-        )
-        stats = g.group_by(["band", "key"]).aggregate(
-            [("doc_id", "count"), ("doc_id", "min")]
-        )
-        g = g.join(stats, keys=["band", "key"], join_type="inner")
-        empty = pa.Table.from_pydict(
-            {
-                "doc_a": pa.array([], type=pa.int64()),
-                "doc_b": pa.array([], type=pa.int64()),
-            }
-        )
-        parts = []
-        over = pc.greater(g["doc_id_count"], max_bucket)
-        heavy = g.filter(over)
-        if heavy.num_rows > 0:
-            logging.getLogger(__name__).warning(
-                "LSH buckets over cap %d (largest %d members): emitting star pairs",
-                max_bucket, pc.max(heavy["doc_id_count"]).as_py(),
-            )
-            # star over the bucket's min id: (min, x) for every x != min
-            star = heavy.filter(pc.not_equal(heavy["doc_id"], heavy["doc_id_min"]))
-            parts.append(
-                pa.Table.from_arrays(
-                    [star["doc_id_min"], star["doc_id"]], names=["doc_a", "doc_b"]
-                )
-            )
-        normal = g.filter(pc.invert(over)).select(["band", "key", "doc_id"])
-        if normal.num_rows > 0:
-            left = normal.rename_columns(["band", "key", "doc_a"])
-            right = normal.rename_columns(["band", "key", "doc_b"])
-            joined = left.join(right, keys=["band", "key"], join_type="inner")
-            parts.append(
-                joined.filter(pc.less(joined["doc_a"], joined["doc_b"])).select(
-                    ["doc_a", "doc_b"]
-                )
-            )
-        if not parts:
-            return empty
-        out = pa.concat_tables(parts)
+        out = self_pairs(group, ["band", "key"], "doc_id", max_bucket=max_bucket)
         # local distinct before the shuffle (a pair may repeat across
-        # bands within the class): fewer rows move
+        # bands within the bucket): fewer rows move
         return out.group_by(["doc_a", "doc_b"]).aggregate([])
 
-    banded = sigs.map_batches(add_class, batch_format="pyarrow", zero_copy_batch=True)
-    pairs = co_partition({"bands": (banded, None)}, "cls", class_pairs, 64)
-    # distinct pairs (same pair can collide in several hash classes)
+    pairs = co_partition_pairs(sigs, class_pairs, "key", "band")
+    # distinct pairs (same pair can collide in several exchange buckets)
     return _dedupe_pairs_bucketed(
         pairs, [([], "count_all")], ["doc_a", "doc_b", "count()"]
     )
@@ -185,7 +134,7 @@ def minhash_candidate_pairs(
 def _dedupe_pairs_bucketed(pairs, aggs, out_names):
     """Global per-(doc_a, doc_b) aggregate via pair-class co-partition
     + ONE vectorized pa group_by per bucket. Pair keys are corpus-scale
-    and repeat across LSH hash classes, where a native
+    and repeat across LSH buckets, where a native
     groupby(doc_a, doc_b).aggregate pays the per-distinct-key
     cross-block merge cost (the cosupplier lesson). Same single
     exchange, no per-key cost."""
@@ -197,228 +146,6 @@ def _dedupe_pairs_bucketed(pairs, aggs, out_names):
     return co_partition_pairs(pairs, agg_bucket)
 
 
-def attach_pair_texts(pairs, docs, n_buckets: int = 32, n_pairs=None,
-                      broadcast_max_pairs: int = 100_000):
-    """Text co-location for a candidate-pair table: returns a Dataset
-    (doc_a, doc_b, text_a, text_b). Two execution shapes, chosen by
-    candidate-set size — the broadcast-vs-shuffle join decision:
-
-    * **broadcast path** (``n_pairs`` known and <= ``broadcast_max_pairs``):
-      the pair list is already driver-resident (it IS the query result);
-      its id set is ``ray.put`` once, one full scan of ``docs`` filters
-      candidate rows with NO corpus shuffle, and the tiny (id -> text)
-      map broadcasts back into a stateless map over the pairs. The
-      driver holds only ids + candidate texts, both O(n_pairs) and
-      hard-bounded by the threshold.
-    * **shuffle path** (large/unknown candidate sets): pair sides
-      explode to key-tagged rows, union with the projected docs table,
-      ONE groupby(key) attaches each doc's text to every side-row in
-      its bucket, then ONE groupby(doc_a, doc_b) reassembles
-      (text_a, text_b) — two co-partition shuffles total, no driver
-      materialization, no per-pair text duplication beyond the two
-      sides every join must ship.
-    """
-    if n_pairs is not None and n_pairs <= broadcast_max_pairs:
-        return _attach_pair_texts_broadcast(pairs, docs)
-    return _attach_pair_texts_shuffle(pairs, docs)
-
-
-def _attach_pair_texts_broadcast(pairs, docs):
-    import ray
-
-    pair_tbl = pa.concat_tables(
-        [b for b in pairs.select_columns(["doc_a", "doc_b"]).iter_batches(
-            batch_format="pyarrow", batch_size=None)]
-    )
-    a = pc.cast(pair_tbl["doc_a"], pa.int64())
-    b = pc.cast(pair_tbl["doc_b"], pa.int64())
-    id_set = set(a.to_pylist()) | set(b.to_pylist())
-    ids_ref = ray.put(pa.array(sorted(id_set), type=pa.int64()))
-
-    class FilterCandidates:
-        def __init__(self):
-            self.ids = ray.get(ids_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mask = pc.is_in(pc.cast(batch["doc_id"], pa.int64()), value_set=self.ids)
-            return batch.filter(mask)
-
-    cand = pa.concat_tables(
-        [t for t in docs.map_batches(
-            FilterCandidates, batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=(1, 4),
-        ).iter_batches(batch_format="pyarrow", batch_size=None)]
-    )
-    import ray.data as rd
-
-    texts = dict(
-        zip(pc.cast(cand["doc_id"], pa.int64()).to_pylist(), cand["text"].to_pylist())
-    )
-    # drop pairs referencing ids absent from the docs table — the
-    # shuffle path's inner-join does the same, so both size-gated paths
-    # agree on missing-id semantics (ADVICE r2)
-    a_list, b_list = a.to_pylist(), b.to_pylist()
-    kept = [
-        (x, y) for x, y in zip(a_list, b_list) if x in texts and y in texts
-    ]
-    return rd.from_arrow(
-        pa.Table.from_pydict(
-            {
-                "doc_a": pa.array([x for x, _ in kept], type=pa.int64()),
-                "doc_b": pa.array([y for _, y in kept], type=pa.int64()),
-                "text_a": pa.array([texts[x] for x, _ in kept]),
-                "text_b": pa.array([texts[y] for _, y in kept]),
-            }
-        )
-    )
-
-
-def _attach_pair_texts_shuffle(pairs, docs, n_buckets: int = 64):
-    """Scale path: candidate pairs are corpus-scale, so both attach
-    stages are hash-bucket co-partitions with ONE vectorized kernel per
-    bucket (r5 — previously the key stage paid one interpreter call per
-    candidate doc and the reassembly one per candidate PAIR):
-
-      1. key stage: side rows + bloom-pruned doc rows bucket by doc_id;
-         inside a bucket an argsort + searchsorted maps every side row
-         to its text (an Arrow take, no per-row Python);
-      2. pair stage: attached side rows bucket by pair hash; the a-side
-         and b-side align via np.unique on the structured (doc_a,
-         doc_b) key, emitting (text_a, text_b) rows.
-    """
-    import numpy as np
-    import ray
-
-    from .bloom import bloom_mask, build_bloom
-
-    # Bloom-prune the docs side BEFORE the co-partition exchange: the
-    # candidate-pair id set is tiny next to the corpus, so most doc
-    # texts can never match a pair and must not enter the shuffle.
-    # False positives ship harmlessly (the in-group inner match drops
-    # them); false negatives are impossible.
-    pairs = pairs.materialize()  # consumed twice: bloom build + sides
-
-    def pair_keys(t: pa.Table) -> pa.Table:
-        a = pc.cast(t["doc_a"], pa.int64()).combine_chunks()
-        b = pc.cast(t["doc_b"], pa.int64()).combine_chunks()
-        return pa.Table.from_pydict({"key": pa.concat_arrays([a, b])})
-
-    bloom_ref = ray.put(
-        build_bloom(
-            pairs.map_batches(
-                pair_keys, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            "key",
-        )
-    )
-
-    def explode_sides(t: pa.Table) -> pa.Table:
-        a = pc.cast(t["doc_a"], pa.int64()).combine_chunks()
-        b = pc.cast(t["doc_b"], pa.int64()).combine_chunks()
-        n = len(a)
-        return pa.Table.from_pydict(
-            {
-                "key": pa.concat_arrays([a, b]),
-                "doc_a": pa.concat_arrays([a, a]),
-                "doc_b": pa.concat_arrays([b, b]),
-                "role": pa.array(["a"] * n + ["b"] * n, type=pa.string()),
-            }
-        )
-
-    def candidate_docs(t: pa.Table) -> pa.Table:
-        keep = bloom_mask(
-            pc.cast(t["doc_id"], pa.int64()).to_numpy(zero_copy_only=False),
-            ray.get(bloom_ref),
-        )
-        return t.filter(pa.array(keep))
-
-    sides = pairs.map_batches(explode_sides, batch_format="pyarrow", zero_copy_batch=True)
-    drows = docs.map_batches(candidate_docs, batch_format="pyarrow", zero_copy_batch=True)
-
-    def attach_bucket(t: dict) -> pa.Table:
-        doc_rows, side_rows = t["D"], t["P"]
-        if doc_rows.num_rows == 0 or side_rows.num_rows == 0:
-            return pa.Table.from_pydict(
-                {
-                    "doc_a": pa.array([], type=pa.int64()),
-                    "doc_b": pa.array([], type=pa.int64()),
-                    "role": pa.array([], type=pa.string()),
-                    "text": pa.array([], type=pa.string()),
-                }
-            )
-        dk = doc_rows["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(dk)
-        dk_s = dk[order]
-        texts_sorted = doc_rows["text"].combine_chunks().take(pa.array(order))
-        sk = side_rows["key"].to_numpy(zero_copy_only=False)
-        idx = np.minimum(np.searchsorted(dk_s, sk), len(dk_s) - 1)
-        ok = dk_s[idx] == sk
-        kept = side_rows.filter(pa.array(ok))
-        return pa.Table.from_pydict(
-            {
-                "doc_a": kept["doc_a"],
-                "doc_b": kept["doc_b"],
-                "role": kept["role"],
-                "text": texts_sorted.take(pa.array(idx[ok])),
-            }
-        )
-
-    attached = co_partition(
-        {
-            "P": (sides, pa.schema([
-                ("key", pa.int64()),
-                ("doc_a", pa.int64()),
-                ("doc_b", pa.int64()),
-                ("role", pa.string()),
-            ])),
-            "D": (drows, pa.schema([("doc_id", pa.int64()), ("text", pa.string())])),
-        },
-        {"P": "key", "D": "doc_id"},
-        attach_bucket,
-        n_buckets,
-    )
-
-    def reassemble_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        is_a = pc.equal(g["role"], "a")
-        ta = g.filter(is_a)
-        tb = g.filter(pc.invert(is_a))
-        if ta.num_rows == 0 or tb.num_rows == 0:
-            return pa.Table.from_pydict(
-                {
-                    "doc_a": pa.array([], type=pa.int64()),
-                    "doc_b": pa.array([], type=pa.int64()),
-                    "text_a": pa.array([], type=pa.string()),
-                    "text_b": pa.array([], type=pa.string()),
-                }
-            )
-
-        def codes(t):
-            arr = np.empty(t.num_rows, dtype=[("a", np.int64), ("b", np.int64)])
-            arr["a"] = t["doc_a"].to_numpy(zero_copy_only=False)
-            arr["b"] = t["doc_b"].to_numpy(zero_copy_only=False)
-            return arr
-
-        ca, cb = codes(ta), codes(tb)
-        uniq, inv = np.unique(np.concatenate([ca, cb]), return_inverse=True)
-        inv_a, inv_b = inv[: len(ca)], inv[len(ca):]
-        pos_b = np.full(len(uniq), -1, dtype=np.int64)
-        pos_b[inv_b] = np.arange(len(cb))
-        match = pos_b[inv_a]
-        sel = match >= 0
-        kept_a = ta.filter(pa.array(sel))
-        return pa.Table.from_pydict(
-            {
-                "doc_a": kept_a["doc_a"],
-                "doc_b": kept_a["doc_b"],
-                "text_a": kept_a["text"],
-                "text_b": tb["text"].combine_chunks().take(pa.array(match[sel])),
-            }
-        )
-
-    return co_partition_pairs(attached, reassemble_bucket)
-
-
 def minhash_verified_pairs(
     sf_dir: str, threshold: float = 0.8, n_perm: int = 128, n_bands: int = 16,
     pair_filter=None,
@@ -427,9 +154,9 @@ def minhash_verified_pairs(
     pairs -> exact Jaccard verify. Returns (verified_pairs_dataset,
     n_candidates, n_verified); the dataset is None when no candidates
     survive either stage. Candidate texts co-locate with their pairs
-    via ``attach_pair_texts`` (size-gated: broadcast id-filter for
-    small candidate sets, two co-partition groupbys at scale — never an
-    unbounded driver text fetch or a broadcast shingle map), and the
+    via ``pairs.attach_pair_values`` (size-gated: broadcast id-filter
+    for small candidate sets, one co-partition per side at scale — never
+    an unbounded driver text fetch or a broadcast shingle map), and the
     Jaccard verify runs per batch with a batch-local shingle memo.
 
     ``pair_filter`` (optional): a per-batch pa.Table -> pa.Table
@@ -446,7 +173,7 @@ def minhash_verified_pairs(
     if n_candidates == 0:
         return None, 0, 0
 
-    with_texts = attach_pair_texts(pairs_ds, _read_docs(sf_dir), n_pairs=n_candidates)
+    with_texts = attach_pair_values(pairs_ds, _read_docs(sf_dir), "doc_id", "text", n_candidates)
 
     def verify(batch: pa.Table) -> pa.Table:
         memo = {}
@@ -511,13 +238,33 @@ def dedup_minhash(sf_dir: str, threshold: float = 0.8, n_perm: int = 128, n_band
     }
 
 
+def _elect_keepers(group: pa.Table) -> pa.Table:
+    """One row per label of (label, node, n_bytes) rows: the keeper is
+    the first of each label run under (label asc, bytes desc, doc asc)
+    — lexsort keys are last-significant-first."""
+    lab = group["label"].to_numpy(zero_copy_only=False).astype(np.int64)
+    node = group["node"].to_numpy(zero_copy_only=False).astype(np.int64)
+    nb = group["n_bytes"].to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.lexsort((node, -nb, lab))
+    lab_s, node_s, nb_s = lab[order], node[order], nb[order]
+    starts = np.flatnonzero(run_starts(lab_s))
+    sizes = np.diff(np.append(starts, len(lab_s)))
+    return pa.Table.from_pydict(
+        {
+            "cluster": pa.array(lab_s[starts], type=pa.int64()),
+            "keep_doc_id": pa.array(node_s[starts], type=pa.int64()),
+            "keep_bytes": pa.array(nb_s[starts], type=pa.int64()),
+            "n_members": pa.array(sizes.astype(np.int64)),
+        }
+    )
+
+
 def neardup_keep_best(
     sf_dir: str,
     threshold: float = 0.8,
     n_perm: int = 128,
     n_bands: int = 16,
     n_buckets: int = 64,
-    broadcast_max_nodes: int = 100_000,
 ):
     """Quality-canonical near-dup resolution: one row per MinHash
     near-dup cluster with the keeper chosen by CONTENT QUALITY (max
@@ -526,40 +273,31 @@ def neardup_keep_best(
     page rather than whichever crawled first. Returns
     (cluster, keep_doc_id, keep_bytes, n_members) sorted by cluster.
 
-    Scale shape (the attach_pair_texts broadcast-vs-shuffle decision,
-    gated on the LABELLED-NODE count — bounded by verified near-dup
-    pairs, never the corpus):
+    Scale shape (the ``pairs`` broadcast-vs-shuffle gate, applied to
+    the LABELLED-NODE count — bounded by verified near-dup pairs, never
+    the corpus):
 
-    * **broadcast path** (<= ``broadcast_max_nodes`` labelled nodes):
-      the (node -> label) map is already driver-sized (it IS part of
-      the result); its id set broadcasts via ``ray.put`` and ONE
-      shuffle-free docs scan returns just the members' byte lengths,
-      then a single driver-side lexsort elects every keeper. Zero
-      exchanges beyond connected_components itself (bench: this took
-      the query from 20.8 s to the dedup_minhash ballpark — the join
-      path was paying 3 exchanges to process a few hundred rows).
+    * **broadcast path**: the (node -> label) map is already
+      driver-sized (it IS part of the result); ``pairs.scan_ids``
+      returns just the members' byte lengths in ONE shuffle-free docs
+      scan, and the keepers are elected on the driver. Zero exchanges
+      beyond connected_components itself.
     * **shuffle path** (larger label sets): ONE co-partition join
-      attaches byte lengths, then the dedup_exact bucket idiom —
-      hash-bucket the label space, one vectorized lexsort +
-      first-of-run per bucket, zero per-cluster Python calls."""
-    import numpy as np
+      attaches byte lengths, then the keepers are elected per label
+      bucket — one vectorized lexsort + first-of-run per bucket, zero
+      per-cluster Python calls."""
+    import ray.data as rd
 
     from .components import connected_components
     from .joins import bucketed_join
 
     verified, _, _ = minhash_verified_pairs(sf_dir, threshold, n_perm, n_bands)
-    empty = pa.Table.from_pydict(
-        {
-            "cluster": pa.array([], type=pa.int64()),
-            "keep_doc_id": pa.array([], type=pa.int64()),
-            "keep_bytes": pa.array([], type=pa.int64()),
-            "n_members": pa.array([], type=pa.int64()),
-        }
-    )
     if verified is None:
-        import ray.data as rd
-
-        return rd.from_arrow(empty)
+        return rd.from_arrow(_elect_keepers(pa.table({
+            "label": pa.array([], pa.int64()),
+            "node": pa.array([], pa.int64()),
+            "n_bytes": pa.array([], pa.int64()),
+        })))
 
     labels = connected_components(verified).materialize()
     n_nodes = labels.count()
@@ -572,76 +310,27 @@ def neardup_keep_best(
             }
         )
 
-    if n_nodes <= broadcast_max_nodes:
-        import ray
-        import ray.data as rd
-
-        lab_tbl = pa.concat_tables(
-            labels.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
-        node_arr = lab_tbl["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lab_arr = lab_tbl["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ids_ref = ray.put(pa.array(node_arr, type=pa.int64()))
-
-        def member_bytes(batch: pa.Table) -> pa.Table:
-            t = doc_bytes(batch)
-            return t.filter(pc.is_in(t["doc_id"], value_set=ray.get(ids_ref)))
-
-        mem = pa.concat_tables(
-            _read_docs(sf_dir)
-            .map_batches(member_bytes, batch_format="pyarrow", zero_copy_batch=True)
-            .iter_batches(batch_format="pyarrow", batch_size=None)
-        )  # <= n_nodes rows by construction
-        mids = mem["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        mbytes = mem["n_bytes"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sorter = np.argsort(mids)
-        mids_s = mids[sorter]
-        idx = np.searchsorted(mids_s, node_arr)
-        ok = (idx < len(mids_s)) & (mids_s[np.minimum(idx, len(mids_s) - 1)] == node_arr)
-        if not ok.all():
-            raise ValueError("labelled node missing from documents table")
-        nb = mbytes[sorter][idx]
-        order = np.lexsort((node_arr, -nb, lab_arr))
-        lab_s, node_s, nb_s = lab_arr[order], node_arr[order], nb[order]
-        starts = np.flatnonzero(run_starts(lab_s))
-        sizes = np.diff(np.append(starts, len(lab_s)))
-        return rd.from_arrow(
-            pa.Table.from_pydict(
-                {
-                    "cluster": pa.array(lab_s[starts], type=pa.int64()),
-                    "keep_doc_id": pa.array(node_s[starts], type=pa.int64()),
-                    "keep_bytes": pa.array(nb_s[starts], type=pa.int64()),
-                    "n_members": pa.array(sizes.astype(np.int64)),
-                }
-            )
-        )
-
     lens = _read_docs(sf_dir).map_batches(
         doc_bytes, batch_format="pyarrow", zero_copy_batch=True
     )
-    joined = bucketed_join(labels, lens, "node", "doc_id", n_buckets=16)
-
-    def elect_bucket(group: pa.Table) -> pa.Table:
-        lab = group["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        node = group["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nb = group["n_bytes"].to_numpy(zero_copy_only=False).astype(np.int64)
-        # keeper = first of each label run under (label asc, bytes desc,
-        # doc asc) — lexsort keys are last-significant-first
-        order = np.lexsort((node, -nb, lab))
-        lab_s, node_s, nb_s = lab[order], node[order], nb[order]
-        starts = np.flatnonzero(run_starts(lab_s))
-        sizes = np.diff(np.append(starts, len(lab_s)))
-        return pa.Table.from_pydict(
-            {
-                "cluster": pa.array(lab_s[starts], type=pa.int64()),
-                "keep_doc_id": pa.array(node_s[starts], type=pa.int64()),
-                "keep_bytes": pa.array(nb_s[starts], type=pa.int64()),
-                "n_members": pa.array(sizes.astype(np.int64)),
-            }
+    if fits_broadcast(n_nodes):
+        lab = pa.concat_tables(labels.iter_batches(batch_format="pyarrow", batch_size=None))
+        node = pc.cast(lab["node"], pa.int64()).to_numpy(zero_copy_only=False)
+        mem = scan_ids(lens, "doc_id", node, ["doc_id", "n_bytes"])
+        found, row = lookup(
+            mem["doc_id"].to_numpy(zero_copy_only=False), node
         )
+        if not found.all():
+            raise ValueError("labelled node missing from documents table")
+        return rd.from_arrow(_elect_keepers(pa.table({
+            "label": lab["label"],
+            "node": node,
+            "n_bytes": mem["n_bytes"].combine_chunks().take(pa.array(row)),
+        })))
 
+    joined = bucketed_join(labels, lens, "node", "doc_id", n_buckets=16)
     return co_partition(
-        {"members": (joined, None)}, "label", elect_bucket, n_buckets
+        {"members": (joined, None)}, "label", _elect_keepers, n_buckets
     ).sort("cluster")
 
 
@@ -667,9 +356,9 @@ def simhash_table(sf_dir: str):
 def dedup_simhash(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
     """Near-dup pairs by SimHash banding + Hamming verify — fully
     distributed: signatures explode to (band, value, doc_id, simhash)
-    rows, buckets hash into classes, and each class generates its pairs
-    with one vectorized Arrow self-join plus a numpy popcount Hamming
-    verify (no Python call per bucket); a final groupby dedupes pairs
+    rows co-partitioned on (band, value), and each bucket generates its
+    pairs with ``pairs.self_pairs`` plus a numpy popcount Hamming
+    verify (no Python call per band bucket); a final groupby dedupes pairs
     that collide in several bands. Only the tiny banded table shuffles.
     A bucket over ``max_bucket`` members verifies only the star over its
     min id (O(n) instead of the O(n²) straggler bomb; cluster
@@ -696,10 +385,8 @@ def dedup_simhash(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
             }
         )
 
-    # same vectorized treatment as minhash_candidate_pairs: hash the
-    # (band, value) bucket space into classes, one Arrow self-join per
-    # class, star construction for oversize buckets, Hamming verify as
-    # a numpy popcount over xor-ed signatures (16-bit table lookups).
+    # Hamming verify as a numpy popcount over xor-ed signatures
+    # (16-bit table lookups)
     _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
 
     def _popcount64(x: np.ndarray) -> np.ndarray:
@@ -711,96 +398,29 @@ def dedup_simhash(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
             + _POP16[((x >> np.uint64(48)) & np.uint64(0xFFFF)).astype(np.int64)]
         ).astype(np.int64)
 
-    def add_class(t: pa.Table) -> pa.Table:
-        v = t["value"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["band"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column("cls", pa.array(v * _G + b))
-
     def class_pairs(group: pa.Table) -> pa.Table:
-        import logging
-
-        g = group.select(["band", "value", "doc_id", "simhash"]).combine_chunks()
-        stats = g.group_by(["band", "value"]).aggregate(
-            [("doc_id", "count"), ("doc_id", "min")]
+        cand = self_pairs(
+            group, ["band", "value"], "doc_id", carry=["simhash"], max_bucket=max_bucket
         )
-        g = g.join(stats, keys=["band", "value"], join_type="inner")
-        parts = []
-        over = pc.greater(g["doc_id_count"], max_bucket)
-        heavy = g.filter(over)
-        if heavy.num_rows > 0:
-            logging.getLogger(__name__).warning(
-                "simhash buckets over cap %d (largest %d members): star verify",
-                max_bucket, pc.max(heavy["doc_id_count"]).as_py(),
-            )
-            # star over each bucket's min id; fetch the root's simhash by
-            # joining the roots back on (band, value)
-            roots = (
-                heavy.group_by(["band", "value"])
-                .aggregate([("doc_id_min", "min")])
-                .rename_columns(["band", "value", "root_id"])
-            )
-            root_sigs = g.join(
-                roots, keys=["band", "value"], join_type="inner"
-            )
-            root_rows = root_sigs.filter(
-                pc.equal(root_sigs["doc_id"], root_sigs["root_id"])
-            ).select(["band", "value", "doc_id", "simhash"]).rename_columns(
-                ["band", "value", "root_id", "root_sim"]
-            )
-            others = heavy.select(["band", "value", "doc_id", "simhash"]).join(
-                root_rows, keys=["band", "value"], join_type="inner"
-            )
-            others = others.filter(pc.not_equal(others["doc_id"], others["root_id"]))
-            parts.append(
-                pa.Table.from_arrays(
-                    [others["root_id"], others["doc_id"], others["root_sim"], others["simhash"]],
-                    names=["doc_a", "doc_b", "sim_a", "sim_b"],
-                )
-            )
-        normal = g.filter(pc.invert(over)).select(["band", "value", "doc_id", "simhash"])
-        if normal.num_rows > 0:
-            left = normal.rename_columns(["band", "value", "doc_a", "sim_a"])
-            right = normal.rename_columns(["band", "value", "doc_b", "sim_b"])
-            joined = left.join(right, keys=["band", "value"], join_type="inner")
-            parts.append(
-                joined.filter(pc.less(joined["doc_a"], joined["doc_b"])).select(
-                    ["doc_a", "doc_b", "sim_a", "sim_b"]
-                )
-            )
-        if not parts:
-            return pa.Table.from_pydict(
-                {
-                    "doc_a": pa.array([], type=pa.int64()),
-                    "doc_b": pa.array([], type=pa.int64()),
-                    "hamming": pa.array([], type=pa.int64()),
-                }
-            )
-        cand = pa.concat_tables(parts)
         ham = _popcount64(
             np.bitwise_xor(
-                cand["sim_a"].to_numpy(zero_copy_only=False).astype(np.uint64),
-                cand["sim_b"].to_numpy(zero_copy_only=False).astype(np.uint64),
+                cand["simhash_a"].to_numpy(zero_copy_only=False).astype(np.uint64),
+                cand["simhash_b"].to_numpy(zero_copy_only=False).astype(np.uint64),
             )
         )
         cand = pa.Table.from_arrays(
-            [
-                pc.cast(cand["doc_a"], pa.int64()),
-                pc.cast(cand["doc_b"], pa.int64()),
-                pa.array(ham, type=pa.int64()),
-            ],
+            [cand["doc_a"], cand["doc_b"], pa.array(ham, type=pa.int64())],
             names=["doc_a", "doc_b", "hamming"],
         )
         cand = cand.filter(pc.less_equal(cand["hamming"], max_hamming))
-        # local distinct (a pair may collide in several bands in-class)
+        # local distinct (a pair may collide in several bands in-bucket)
         return cand.group_by(["doc_a", "doc_b"]).aggregate([("hamming", "min")]).rename_columns(
             ["doc_a", "doc_b", "hamming"]
         )
 
-    banded = sigs.map_batches(
-        explode_bands, batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(add_class, batch_format="pyarrow", zero_copy_batch=True)
-    pairs = co_partition({"bands": (banded, None)}, "cls", class_pairs, 64)
-    # a pair can collide in several hash classes -> global dedupe
+    banded = sigs.map_batches(explode_bands, batch_format="pyarrow", zero_copy_batch=True)
+    pairs = co_partition_pairs(banded, class_pairs, "value", "band")
+    # a pair can collide in several exchange buckets -> global dedupe
     return _dedupe_pairs_bucketed(
         pairs, [("hamming", "min")], ["doc_a", "doc_b", "hamming"]
     ).sort(["doc_a", "doc_b"])
@@ -812,12 +432,12 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
     """All pairs with shingle-Jaccard >= threshold — EXACT, with the
     inverted-index shuffle shape (no take_all, no broadcast corpus map):
 
-      1. ONE shingling pass -> exploded (shingle, doc_id, n_sh) rows
+      1. ONE shingling pass -> exploded (shingle, doc_id, n) rows
          (each posting carries its document's set size, so no separate
          size table and no size joins);
       2. postings hash-bucket by shingle (all postings of a shingle land
          in one bucket, so document frequency stays globally exact) and
-         each bucket runs a VECTORIZED Arrow self-join: per-pair partial
+         each bucket runs ``pairs.self_pairs``: per-pair partial
          intersection counts plus both set sizes, stop-shingles with
          df > ``max_df`` dropped (logged);
       3. one global groupby(doc_a, doc_b) sums the partials;
@@ -839,20 +459,18 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
         from .setjoin import _explode_shingles
 
         t = _explode_shingles(batch, k)
-        return t.rename_columns(["sh", "doc_id", "n_sh"])
+        return t.rename_columns(["sh", "doc_id", "n"])
 
     postings = _read_docs(sf_dir).map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024
     )
 
     # ALL postings of a shingle land in one bucket, so document
-    # frequency and the per-shingle pair sets stay globally correct —
-    # and pair generation runs as ONE vectorized Arrow self-join per
-    # bucket instead of a Python call per shingle
+    # frequency and the per-shingle pair sets stay globally correct
     def bucket_self_join(group: pa.Table) -> pa.Table:
         import logging
 
-        g = group.select(["sh", "doc_id", "n_sh"]).combine_chunks()
+        g = group.select(["sh", "doc_id", "n"]).combine_chunks()
         # global df per shingle (complete posting lists are in-group)
         df = pc.value_counts(g["sh"])
         heavy = df.filter(pc.greater(pc.struct_field(df, "counts"), max_df))
@@ -864,47 +482,19 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
                 pc.is_in(g["sh"], value_set=pc.struct_field(heavy, "values"))
             )
             g = g.filter(keep)
-        empty = pa.Table.from_pydict(
-            {
-                "doc_a": pa.array([], type=pa.int64()),
-                "doc_b": pa.array([], type=pa.int64()),
-                "n_inter": pa.array([], type=pa.int64()),
-                "n_a": pa.array([], type=pa.int64()),
-                "n_b": pa.array([], type=pa.int64()),
-            }
-        )
-        if g.num_rows == 0:
-            return empty
-        left = pa.Table.from_arrays(
-            [g["sh"], g["doc_id"], g["n_sh"]], names=["sh", "doc_a", "n_a"]
-        )
-        right = pa.Table.from_arrays(
-            [g["sh"], g["doc_id"], g["n_sh"]], names=["sh", "doc_b", "n_b"]
-        )
-        joined = left.join(right, keys=["sh"], join_type="inner")
+        pairs = self_pairs(g, "sh", "doc_id", carry=["n"])
         # length filter (r5): J <= min/max, so min < t*max can never
         # reach the threshold — applied identically in every bucket,
         # the pair vanishes everywhere, exactly as if post-filtered
-        pairs = joined.filter(
-            pc.and_(
-                pc.less(joined["doc_a"], joined["doc_b"]),
-                pc.greater_equal(
-                    pc.cast(
-                        pc.min_element_wise(joined["n_a"], joined["n_b"]),
-                        pa.float64(),
-                    ),
-                    pc.multiply(
-                        pa.scalar(threshold, type=pa.float64()),
-                        pc.cast(
-                            pc.max_element_wise(joined["n_a"], joined["n_b"]),
-                            pa.float64(),
-                        ),
-                    ),
+        pairs = pairs.filter(
+            pc.greater_equal(
+                pc.cast(pc.min_element_wise(pairs["n_a"], pairs["n_b"]), pa.float64()),
+                pc.multiply(
+                    pa.scalar(threshold, type=pa.float64()),
+                    pc.cast(pc.max_element_wise(pairs["n_a"], pairs["n_b"]), pa.float64()),
                 ),
             )
         )
-        if pairs.num_rows == 0:
-            return empty
         # partial |A ∩ B| per pair within the bucket (combined globally
         # by the downstream groupby); sizes ride along (equal per doc)
         agg = pairs.group_by(["doc_a", "doc_b"]).aggregate(
@@ -1046,8 +636,8 @@ def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000
     (Schleimer'03 local fingerprints -> shared-substring candidates, the
     MOSS shape). Same scale pattern as the n-gram inverted index: one
     fingerprinting pass explodes to (fp, doc_id) rows, fingerprints
-    hash into classes, each class emits per-pair partial counts via one
-    vectorized Arrow self-join (stop-fingerprints with df > ``max_df``
+    hash into buckets, each bucket emits per-pair partial counts via
+    ``pairs.self_pairs`` (stop-fingerprints with df > ``max_df``
     dropped, logged), and a global groupby sums the partials."""
     from ..functions.textstats import winnow_fingerprints
 
@@ -1082,22 +672,9 @@ def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000
             g = g.filter(
                 pc.invert(pc.is_in(g["fp"], value_set=pc.struct_field(heavy, "values")))
             )
-        empty = pa.Table.from_pydict(
-            {
-                "doc_a": pa.array([], type=pa.int64()),
-                "doc_b": pa.array([], type=pa.int64()),
-                "n_shared": pa.array([], type=pa.int64()),
-            }
+        agg = self_pairs(g, "fp", "doc_id").group_by(["doc_a", "doc_b"]).aggregate(
+            [("fp", "count")]
         )
-        if g.num_rows == 0:
-            return empty
-        left = g.rename_columns(["fp", "doc_a"])
-        right = g.rename_columns(["fp", "doc_b"])
-        joined = left.join(right, keys=["fp"], join_type="inner")
-        pairs = joined.filter(pc.less(joined["doc_a"], joined["doc_b"]))
-        if pairs.num_rows == 0:
-            return empty
-        agg = pairs.group_by(["doc_a", "doc_b"]).aggregate([("fp", "count")])
         return pa.Table.from_arrays(
             [agg["doc_a"], agg["doc_b"], pc.cast(agg["fp_count"], pa.int64())],
             names=["doc_a", "doc_b", "n_shared"],

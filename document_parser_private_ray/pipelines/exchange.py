@@ -141,16 +141,18 @@ def co_partition(
 def co_partition_pairs(pairs, kernel: Callable, a: str = "doc_a", b: str = "doc_b"):
     """``co_partition`` of one pair table into 64 buckets on an (a, b)
     id mix (the top 6 bits of a golden-ratio hash), so every row of a
-    pair lands in one bucket whatever the id distribution."""
+    pair lands in one bucket whatever the id distribution. Any two
+    int columns work: the class-keyed pair kernels co-locate their
+    (band, key) rows the same way."""
     g = np.uint64(0x9E3779B97F4A7C15)
 
-    def add_class(t: pa.Table) -> pa.Table:
+    def mix_class(t: pa.Table) -> pa.Table:
         x = t[a].to_numpy(zero_copy_only=False).astype(np.uint64)
         y = t[b].to_numpy(zero_copy_only=False).astype(np.uint64)
         cls = (((x * g + y) * g) >> np.uint64(58)).astype(np.int32)
         return t.append_column("pair_cls", pa.array(cls))
 
-    tagged = pairs.map_batches(add_class, batch_format="pyarrow", zero_copy_batch=True)
+    tagged = pairs.map_batches(mix_class, batch_format="pyarrow", zero_copy_batch=True)
     return co_partition({"pairs": (tagged, None)}, "pair_cls", kernel, 64)
 
 

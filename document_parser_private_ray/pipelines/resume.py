@@ -2,17 +2,12 @@
 output spans (north rule), expressed Ray-Data-first.
 
     read (Lance/Parquet, pruned)
-      -> [optional skew pre-pass: est_cost column, vectorized]
       -> map_batches(ParseDocuments, actor pool)   # the whole per-doc chain
       -> write_parquet / downstream aggregates
 
 Skew: documents are heavy-tailed (FIXTURES §1). The pipeline keeps
 batches small for the parse stage so the streaming executor
-load-balances many small tasks across the pool (dynamic work stealing);
-``route_by_cost`` additionally sends pathological documents (giant
-multi-thousand-span CVs) through a batch_size=1 branch so one monster
-never stalls a full batch. Routing is a cheap vectorized filter on the
-est_cost column computed in one pass.
+load-balances many small tasks across the pool (dynamic work stealing).
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from typing import Optional
 
 import pyarrow.compute as pc
 
-from ..stages.parse import ParseDocuments, add_cost_column
+from ..stages.parse import ParseDocuments
 
 
 def read_corpus(path: str, columns=("doc_id", "spans")):
@@ -42,7 +37,6 @@ def parse_resumes(
     with_pii: bool = False,
     concurrency=None,
     batch_size: int = 32,
-    skew_threshold: Optional[int] = None,
     warm_caches=None,
     max_tasks_in_flight: Optional[int] = None,
 ):
@@ -76,32 +70,6 @@ def parse_resumes(
         fn_kwargs["warm_caches"] = (
             warm_caches if isinstance(warm_caches, ray.ObjectRef) else ray.put(warm_caches)
         )
-
-    if skew_threshold:
-        costed = ds.map_batches(add_cost_column, batch_format="pyarrow", zero_copy_batch=True)
-        small = costed.map_batches(
-            lambda t: t.filter(pc.less_equal(t["est_cost"], skew_threshold)).drop_columns(["est_cost"]),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        large = costed.map_batches(
-            lambda t: t.filter(pc.greater(t["est_cost"], skew_threshold)).drop_columns(["est_cost"]),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        parsed_small = small.map_batches(
-            ParseDocuments,
-            fn_constructor_kwargs=fn_kwargs,
-            batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=batch_size,
-            **pool_kwargs,
-        )
-        parsed_large = large.map_batches(
-            ParseDocuments,
-            fn_constructor_kwargs=fn_kwargs,
-            batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=1,
-            concurrency=(1, 2),
-        )
-        return parsed_small.union(parsed_large)
 
     return ds.map_batches(
         ParseDocuments,

@@ -20,7 +20,7 @@ ascending df makes prefixes maximally rare, so posting-list groups in
 the pair exchange stay small; the subsequent length filter
 (t_den*min(|A|,|B|) >= t_num*max) prunes before any text ships, and
 the exact verify runs only on surviving pairs via the gated
-broadcast-vs-shuffle ``attach_pair_texts``.
+broadcast-vs-shuffle ``pairs.attach_pair_values``.
 
 Reference parity: the reference engine has no set-similarity join —
 this is part of the added large-scale-curation surface (SURVEY §6).
@@ -32,9 +32,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.sketches import shingles
-from .dedup import _read_docs, attach_pair_texts
 from .exchange import co_partition, run_starts
 from .joins import bucketed_join
+from .pairs import attach_pair_values, self_pairs
 
 
 def _explode_shingles(batch: pa.Table, k: int) -> pa.Table:
@@ -155,12 +155,13 @@ def ppjoin_pairs(
          group batch orders every doc's postings by (df, tok), a
          vectorized boundary mask keeps rank < n - ceil(t*n) + 1;
       5. candidate pairs: prefix postings co-partition by tok bucket,
-         vectorized Arrow self-join per bucket + the length filter
-         t_den*min >= t_num*max, partial pair-dedup in-bucket, global
-         dedup in one groupby;
-      6. exact verify over ``attach_pair_texts`` (broadcast id-filter
-         when the candidate set is small, two co-partition groupbys at
-         scale) — never an all-pairs or driver-side text fetch.
+         ``pairs.self_pairs`` per bucket + the length and positional
+         filters, partial pair-dedup in-bucket, global dedup in one
+         groupby;
+      6. exact verify over ``pairs.attach_pair_values`` (broadcast
+         id-filter when the candidate set is small, one co-partition
+         per side at scale) — never an all-pairs or driver-side text
+         fetch.
 
     Empty-shingle docs never enter the index: Jaccard over an empty
     set is undefined here (the near-dup families own the empty-doc
@@ -240,21 +241,11 @@ def ppjoin_pairs(
         {"postings": (with_df, None)}, "doc_id", prefix_select, n_buckets
     )
 
-    # -- candidate pairs: vectorized self-join per tok bucket
+    # -- candidate pairs: one self_pairs per tok bucket
     def bucket_pairs(group: pa.Table) -> pa.Table:
         import logging
 
         g = group.combine_chunks()
-        empty = pa.Table.from_pydict(
-            {
-                "doc_a": pa.array([], type=pa.int64()),
-                "doc_b": pa.array([], type=pa.int64()),
-                "n_a": pa.array([], type=pa.int64()),
-                "n_b": pa.array([], type=pa.int64()),
-            }
-        )
-        if g.num_rows == 0:
-            return empty
         # hot-posting diagnostic: the in-bucket self-join is quadratic
         # per tok's posting group; the df-ascending prefix order keeps
         # groups small, but a pathological corpus (one shingle shared by
@@ -269,27 +260,16 @@ def ppjoin_pairs(
                 "coarser shingles for this corpus",
                 max_posting,
             )
-        left = pa.Table.from_arrays(
-            [g["tok"], g["doc_id"], g["n"], g["pos"]],
-            names=["tok", "doc_a", "n_a", "pos_a"],
-        )
-        right = pa.Table.from_arrays(
-            [g["tok"], g["doc_id"], g["n"], g["pos"]],
-            names=["tok", "doc_b", "n_b", "pos_b"],
-        )
-        joined = left.join(right, keys=["tok"], join_type="inner")
-        mask = pc.and_(
-            pc.less(joined["doc_a"], joined["doc_b"]),
-            # length filter: t*max <= min is necessary for J >= t
-            pc.greater_equal(
-                pc.multiply(
-                    pc.min_element_wise(joined["n_a"], joined["n_b"]),
-                    pa.scalar(t_den, type=pa.int64()),
-                ),
-                pc.multiply(
-                    pc.max_element_wise(joined["n_a"], joined["n_b"]),
-                    pa.scalar(t_num, type=pa.int64()),
-                ),
+        joined = self_pairs(g, "tok", "doc_id", carry=["n", "pos"])
+        # length filter: t*max <= min is necessary for J >= t
+        mask = pc.greater_equal(
+            pc.multiply(
+                pc.min_element_wise(joined["n_a"], joined["n_b"]),
+                pa.scalar(t_den, type=pa.int64()),
+            ),
+            pc.multiply(
+                pc.max_element_wise(joined["n_a"], joined["n_b"]),
+                pa.scalar(t_num, type=pa.int64()),
             ),
         )
         # positional filter (Xiao'08 §3.2): with c the smallest common
@@ -318,10 +298,7 @@ def ppjoin_pairs(
                 ),
             ),
         )
-        pairs = joined.filter(mask)
-        if pairs.num_rows == 0:
-            return empty
-        agg = pairs.group_by(["doc_a", "doc_b"]).aggregate(
+        agg = joined.filter(mask).group_by(["doc_a", "doc_b"]).aggregate(
             [("n_a", "max"), ("n_b", "max")]
         )
         return agg.rename_columns(["doc_a", "doc_b", "n_a", "n_b"])
@@ -348,8 +325,8 @@ def ppjoin_pairs(
         return rd.from_arrow(pa.Table.from_pydict({f.name: [] for f in schema_out},
                                                    schema=schema_out))
 
-    with_texts = attach_pair_texts(
-        cand.select_columns(["doc_a", "doc_b"]), docs, n_pairs=n_cand
+    with_texts = attach_pair_values(
+        cand.select_columns(["doc_a", "doc_b"]), docs, "doc_id", "text", n_cand
     )
 
     def verify(batch: pa.Table) -> pa.Table:

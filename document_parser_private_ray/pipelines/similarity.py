@@ -18,6 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .exchange import co_partition, co_partition_pairs, run_starts
+from .pairs import attach_pair_values, self_pairs
 
 
 def _norm_rows(mat: np.ndarray) -> np.ndarray:
@@ -196,21 +197,20 @@ class SignLSH:
 
 def embedding_neardup_lsh(
     sf_dir: str, threshold: float = 0.45, n_bits: int = 4, n_tables: int = 8,
-    max_bucket: int = 8192, broadcast_max_pairs: int = 100_000,
+    max_bucket: int = 8192,
 ):
     """Scale path for embedding near-dup — three stages, none of which
     ships a vector more than once per pair side:
 
       1. bucket assignment: map_batches emits (table, bucket, vec_id)
-         rows ONLY (~20 bytes/row) — r2 shipped every FULL embedding
-         x n_tables through the shuffle (VERDICT r2 #4);
-      2. candidate pairs: (table, bucket) buckets hash into classes,
-         one vectorized Arrow self-join per class (star over the min
-         id for buckets over ``max_bucket``), then one global groupby
-         counts per-pair collisions across tables;
+         rows ONLY (~20 bytes/row), never a full embedding;
+      2. candidate pairs: rows co-partition on (table, bucket) and
+         each exchange bucket runs ``pairs.self_pairs`` (star over the
+         min id for an LSH bucket over ``max_bucket``), then one global
+         groupby counts per-pair collisions across tables;
       3. verify: vectors co-locate with their candidate pairs via the
-         size-gated broadcast-or-shuffle attach (the attach_pair_texts
-         shape), and a row-wise dot over normalized float64 matrices
+         size-gated ``pairs.attach_pair_values``, and a row-wise dot
+         over normalized float64 matrices
          keeps pairs with cosine > threshold. Shuffle volume for this
          stage is <= 2 vectors per candidate pair (logged).
 
@@ -251,65 +251,19 @@ def embedding_neardup_lsh(
             }
         )
 
-    def add_class(t: pa.Table) -> pa.Table:
-        b = t["bucket"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        tt = t["table"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column(
-            "cls", pa.array(b * np.uint64(0x9E3779B97F4A7C15) + tt)
-        )
-
     def class_pairs(group: pa.Table) -> pa.Table:
-        g = group.select(["table", "bucket", "vec_id"]).combine_chunks()
-        stats = g.group_by(["table", "bucket"]).aggregate(
-            [("vec_id", "count"), ("vec_id", "min")]
-        )
-        g = g.join(stats, keys=["table", "bucket"], join_type="inner")
-        parts = []
-        over = pc.greater(g["vec_id_count"], max_bucket)
-        heavy = g.filter(over)
-        if heavy.num_rows > 0:
-            # oversize bucket (e.g. zero-vector / constant-embedding
-            # spam): candidates are the star over the bucket's min id —
-            # O(n) instead of the O(n²) straggler; connectivity for
-            # clustering survives, redundant clique edges drop.
-            logging.getLogger(__name__).warning(
-                "sign-LSH buckets over cap %d (largest %d members): star candidates",
-                max_bucket, pc.max(heavy["vec_id_count"]).as_py(),
-            )
-            star = heavy.filter(pc.not_equal(heavy["vec_id"], heavy["vec_id_min"]))
-            parts.append(
-                pa.Table.from_arrays(
-                    [star["vec_id_min"], star["vec_id"]], names=["id_a", "id_b"]
-                )
-            )
-        normal = g.filter(pc.invert(over)).select(["table", "bucket", "vec_id"])
-        if normal.num_rows > 0:
-            left = normal.rename_columns(["table", "bucket", "id_a"])
-            right = normal.rename_columns(["table", "bucket", "id_b"])
-            joined = left.join(right, keys=["table", "bucket"], join_type="inner")
-            parts.append(
-                joined.filter(pc.less(joined["id_a"], joined["id_b"])).select(
-                    ["id_a", "id_b"]
-                )
-            )
-        if not parts:
-            return pa.Table.from_pydict(
-                {
-                    "id_a": pa.array([], type=pa.int64()),
-                    "id_b": pa.array([], type=pa.int64()),
-                }
-            )
-        out = pa.concat_tables(parts)
-        # one row per (table, bucket) collision — the downstream count
-        # across tables IS the n_collisions column, so no local distinct
-        return pa.Table.from_arrays(
-            [pc.cast(out["id_a"], pa.int64()), pc.cast(out["id_b"], pa.int64())],
-            names=["id_a", "id_b"],
-        )
+        # an oversize bucket (zero-vector / constant-embedding spam)
+        # emits the star over its min id; one row per (table, bucket)
+        # collision — the downstream count across tables IS the
+        # n_collisions column, so no local distinct
+        return self_pairs(
+            group, ["table", "bucket"], "vec_id", max_bucket=max_bucket,
+            a="id_a", b="id_b",
+        ).select(["id_a", "id_b"])
 
     def count_pair_bucket(group: pa.Table) -> pa.Table:
         # candidate-pair collision counts are corpus-scale with keys
-        # repeated across class groups: co-partition by pair hash and
+        # repeated across LSH buckets: co-partition by pair hash and
         # count with ONE vectorized group_by per bucket instead of
         # groupby(id_a, id_b).Count's per-key cross-block merge
         g = group.group_by(["id_a", "id_b"]).aggregate([([], "count_all")])
@@ -317,9 +271,9 @@ def embedding_neardup_lsh(
 
     banded = ds.map_batches(
         bucketize, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
-    ).map_batches(add_class, batch_format="pyarrow", zero_copy_batch=True)
+    )
     pairs = co_partition_pairs(
-        co_partition({"bands": (banded, None)}, "cls", class_pairs, 64),
+        co_partition_pairs(banded, class_pairs, "bucket", "table"),
         count_pair_bucket,
         "id_a",
         "id_b",
@@ -332,8 +286,8 @@ def embedding_neardup_lsh(
         "(2/pair) instead of n_vectors x %d full embeddings",
         n_pairs, 2 * n_pairs, n_tables,
     )
-    with_vecs = _attach_pair_vecs(
-        pairs, ds, n_pairs=n_pairs, broadcast_max_pairs=broadcast_max_pairs
+    with_vecs = attach_pair_values(
+        pairs, ds, "vec_id", "embedding", n_pairs, a="id_a", b="id_b"
     )
 
     def verify(batch: pa.Table) -> pa.Table:
@@ -345,8 +299,8 @@ def embedding_neardup_lsh(
                     "n_collisions": pa.array([], type=pa.int64()),
                 }
             )
-        va = _norm_rows(embedding_matrix(batch["vec_a"], np.float64))
-        vb = _norm_rows(embedding_matrix(batch["vec_b"], np.float64))
+        va = _norm_rows(embedding_matrix(batch["embedding_a"], np.float64))
+        vb = _norm_rows(embedding_matrix(batch["embedding_b"], np.float64))
         sims = np.einsum("ij,ij->i", va, vb)
         mask = pa.array(sims > threshold)
         return pa.Table.from_arrays(
@@ -361,210 +315,6 @@ def embedding_neardup_lsh(
     return with_vecs.map_batches(
         verify, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
     ).sort(["id_a", "id_b"])
-
-
-def _attach_pair_vecs(pairs, embeddings, n_pairs=None, broadcast_max_pairs: int = 100_000):
-    """Co-locate embeddings with a candidate-pair table: returns a
-    Dataset (id_a, id_b, n_collisions, vec_a, vec_b). Same size-gated
-    two-path shape as dedup.attach_pair_texts:
-
-    * broadcast (n_pairs <= cap): the pair list is driver-resident (it
-      IS the candidate result); one filtered scan of the embeddings
-      collects only candidate vectors, which map back into the pairs —
-      no corpus shuffle;
-    * shuffle: pair sides explode to vec_id-keyed rows, union with the
-      projected embeddings, ONE groupby(key) attaches each vector to
-      its side rows, ONE groupby(pair) reassembles (vec_a, vec_b)."""
-    if n_pairs is not None and n_pairs <= broadcast_max_pairs:
-        return _attach_pair_vecs_broadcast(pairs, embeddings)
-    return _attach_pair_vecs_shuffle(pairs, embeddings)
-
-
-def _attach_pair_vecs_broadcast(pairs, embeddings):
-    import ray
-    import ray.data as rd
-
-    pair_tbl = pa.concat_tables(
-        [
-            b
-            for b in pairs.select_columns(["id_a", "id_b", "n_collisions"]).iter_batches(
-                batch_format="pyarrow", batch_size=None
-            )
-        ]
-    )
-    a = pc.cast(pair_tbl["id_a"], pa.int64())
-    b = pc.cast(pair_tbl["id_b"], pa.int64())
-    id_set = set(a.to_pylist()) | set(b.to_pylist())
-    ids_ref = ray.put(pa.array(sorted(id_set), type=pa.int64()))
-
-    class FilterCandidates:
-        def __init__(self):
-            self.ids = ray.get(ids_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mask = pc.is_in(pc.cast(batch["vec_id"], pa.int64()), value_set=self.ids)
-            return batch.filter(mask)
-
-    cand = pa.concat_tables(
-        [
-            t
-            for t in embeddings.map_batches(
-                FilterCandidates, batch_format="pyarrow", zero_copy_batch=True,
-                concurrency=(1, 4),
-            ).iter_batches(batch_format="pyarrow", batch_size=None)
-        ]
-    )
-    vecs = dict(
-        zip(pc.cast(cand["vec_id"], pa.int64()).to_pylist(), cand["embedding"].to_pylist())
-    )
-    a_list, b_list = a.to_pylist(), b.to_pylist()
-    n_col = pair_tbl["n_collisions"].to_pylist()
-    kept = [
-        (x, y, c) for x, y, c in zip(a_list, b_list, n_col) if x in vecs and y in vecs
-    ]
-    vec_type = pa.list_(pa.float32())
-    return rd.from_arrow(
-        pa.Table.from_pydict(
-            {
-                "id_a": pa.array([x for x, _, _ in kept], type=pa.int64()),
-                "id_b": pa.array([y for _, y, _ in kept], type=pa.int64()),
-                "n_collisions": pa.array([c for _, _, c in kept], type=pa.int64()),
-                "vec_a": pa.array([vecs[x] for x, _, _ in kept], type=vec_type),
-                "vec_b": pa.array([vecs[y] for _, y, _ in kept], type=vec_type),
-            }
-        )
-    )
-
-
-def _pair_struct(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """(id_a, id_b) rows as a sortable structured array — the vectorized
-    pair key for alignment via np.unique (no 2^32 id-packing assumption,
-    so it survives 64-bit vec_ids)."""
-    arr = np.empty(len(ia), dtype=[("a", np.int64), ("b", np.int64)])
-    arr["a"] = ia
-    arr["b"] = ib
-    return arr
-
-
-def _attach_pair_vecs_shuffle(pairs, embeddings, n_buckets: int = 64):
-    """Scale path of the pair-vector attach: candidate pairs are
-    corpus-scale here, so BOTH stages are hash-bucket co-partitions with
-    one vectorized kernel per bucket (r5: the previous per-key
-    ``attach`` and per-PAIR ``reassemble`` map_groups paid one
-    interpreter call per candidate pair — minutes at web scale):
-
-      1. key stage: side rows + vector rows bucket by vec_id; inside a
-         bucket one argsort + searchsorted maps every side row to its
-         vector (a ListArray take, no per-row Python);
-      2. pair stage: attached side rows bucket by pair hash; inside a
-         bucket the a-side and b-side align via np.unique on the
-         structured (id_a, id_b) key, emitting (vec_a, vec_b) rows."""
-    VEC = pa.list_(pa.float32())
-
-    def explode_sides(t: pa.Table) -> pa.Table:
-        a = pc.cast(t["id_a"], pa.int64()).combine_chunks()
-        b = pc.cast(t["id_b"], pa.int64()).combine_chunks()
-        nc = pc.cast(t["n_collisions"], pa.int64()).combine_chunks()
-        n = len(a)
-        return pa.Table.from_pydict(
-            {
-                "key": pa.concat_arrays([a, b]),
-                "id_a": pa.concat_arrays([a, a]),
-                "id_b": pa.concat_arrays([b, b]),
-                "n_collisions": pa.concat_arrays([nc, nc]),
-                "role": pa.array(["a"] * n + ["b"] * n, type=pa.string()),
-            }
-        )
-
-    sides = pairs.map_batches(explode_sides, batch_format="pyarrow", zero_copy_batch=True)
-
-    def attach_bucket(t: dict) -> pa.Table:
-        docs, side_rows = t["V"], t["P"]
-        empty = pa.Table.from_pydict(
-            {
-                "id_a": pa.array([], type=pa.int64()),
-                "id_b": pa.array([], type=pa.int64()),
-                "n_collisions": pa.array([], type=pa.int64()),
-                "role": pa.array([], type=pa.string()),
-                "vec": pa.array([], type=VEC),
-            }
-        )
-        if docs.num_rows == 0 or side_rows.num_rows == 0:
-            return empty
-        dk = docs["vec_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(dk)
-        dk_s = dk[order]
-        vecs_sorted = docs["embedding"].combine_chunks().take(pa.array(order))
-        sk = side_rows["key"].to_numpy(zero_copy_only=False)
-        idx = np.minimum(np.searchsorted(dk_s, sk), len(dk_s) - 1)
-        ok = dk_s[idx] == sk
-        kept = side_rows.filter(pa.array(ok))
-        return pa.Table.from_pydict(
-            {
-                "id_a": kept["id_a"],
-                "id_b": kept["id_b"],
-                "n_collisions": kept["n_collisions"],
-                "role": kept["role"],
-                "vec": vecs_sorted.take(pa.array(idx[ok])),
-            }
-        )
-
-    i64 = pa.int64()
-    attached = co_partition(
-        {
-            "P": (sides, pa.schema([
-                ("key", i64), ("id_a", i64), ("id_b", i64),
-                ("n_collisions", i64), ("role", pa.string()),
-            ])),
-            "V": (embeddings, pa.schema([("vec_id", i64), ("embedding", VEC)])),
-        },
-        {"P": "key", "V": "vec_id"},
-        attach_bucket,
-        n_buckets,
-    )
-
-    def reassemble_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        is_a = pc.equal(g["role"], "a")
-        ta = g.filter(is_a)
-        tb = g.filter(pc.invert(is_a))
-        empty = pa.Table.from_pydict(
-            {
-                "id_a": pa.array([], type=pa.int64()),
-                "id_b": pa.array([], type=pa.int64()),
-                "n_collisions": pa.array([], type=pa.int64()),
-                "vec_a": pa.array([], type=VEC),
-                "vec_b": pa.array([], type=VEC),
-            }
-        )
-        if ta.num_rows == 0 or tb.num_rows == 0:
-            return empty
-        ca = _pair_struct(
-            ta["id_a"].to_numpy(zero_copy_only=False),
-            ta["id_b"].to_numpy(zero_copy_only=False),
-        )
-        cb = _pair_struct(
-            tb["id_a"].to_numpy(zero_copy_only=False),
-            tb["id_b"].to_numpy(zero_copy_only=False),
-        )
-        uniq, inv = np.unique(np.concatenate([ca, cb]), return_inverse=True)
-        inv_a, inv_b = inv[: len(ca)], inv[len(ca):]
-        pos_b = np.full(len(uniq), -1, dtype=np.int64)
-        pos_b[inv_b] = np.arange(len(cb))
-        match = pos_b[inv_a]
-        sel = match >= 0
-        kept_a = ta.filter(pa.array(sel))
-        return pa.Table.from_pydict(
-            {
-                "id_a": kept_a["id_a"],
-                "id_b": kept_a["id_b"],
-                "n_collisions": kept_a["n_collisions"],
-                "vec_a": kept_a["vec"],
-                "vec_b": tb["vec"].combine_chunks().take(pa.array(match[sel])),
-            }
-        )
-
-    return co_partition_pairs(attached, reassemble_bucket, "id_a", "id_b")
 
 
 def ann_lsh_topk(sf_dir: str, k: int = 5, n_queries: int = 8, n_bits: int = 6):

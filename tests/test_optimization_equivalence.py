@@ -137,3 +137,20 @@ def test_memo_cap_is_semantics_free():
     finally:
         memocap.MEMO_CAP = old_cap
     assert a == b
+
+    # the section detector's line memo follows the same cap: it keeps
+    # its first entries (no wholesale clear) and detect() is unchanged
+    text = (
+        "SKILLS\nPython, SQL\nEXPERIENCE\nJan 2020 - Present\n"
+        "Built pipelines\nEDUCATION:\nBSc Computer Science\nBuilt pipelines"
+    )
+    want = SectionDetector().detect(text)
+    det = SectionDetector()
+    memocap.MEMO_CAP = 2
+    try:
+        got = det.detect(text)
+        assert len(det._line_memo) == 2
+        assert det.detect(text) == got
+    finally:
+        memocap.MEMO_CAP = old_cap
+    assert got == want

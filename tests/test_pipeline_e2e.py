@@ -71,18 +71,6 @@ def test_resume_struct_equality(ray_session, corpus_path):
         assert got[doc_id]["resume"] == exp["resume"], f"resume mismatch for {doc_id}"
 
 
-def test_skew_routing_same_result(ray_session, corpus_path):
-    from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
-
-    plain = parse_resumes(read_corpus(corpus_path), concurrency=(1, 2))
-    routed = parse_resumes(
-        read_corpus(corpus_path), concurrency=(1, 2), skew_threshold=5000
-    )
-    a = {r["doc_id"]: r["out_spans"] for r in plain.take_all()}
-    b = {r["doc_id"]: r["out_spans"] for r in routed.take_all()}
-    assert a == b
-
-
 def test_span_equality_larger_corpus(ray_session, tmp_path):
     """Wider sweep: 400 docs (more huge-doc and fallback shapes)."""
     from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus

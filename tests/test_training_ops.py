@@ -205,11 +205,12 @@ def test_neardup_keep_best_prefers_longest(ray_session, tmp_path):
 
 
 def test_adversarial_constant_text_bucket_cap(ray_session, tmp_path):
-    """Adversarial corpus: many documents with IDENTICAL text, so every
-    band hashes them into one bucket. The oversize-bucket guard must
-    emit star pairs (O(n) edges) instead of the O(n^2) clique, the run
-    must finish, and dedup must still drop all but the min doc_id —
-    star connectivity preserves the component (VERDICT r1 item 6)."""
+    """Adversarial corpus: many documents with IDENTICAL text (and
+    identical embeddings), so every band hashes them into one bucket.
+    The oversize-bucket guard must emit star pairs (O(n) edges) instead
+    of the O(n^2) clique, the run must finish, and dedup must still
+    drop all but the min doc_id — star connectivity preserves the
+    component (VERDICT r1 item 6)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -218,6 +219,7 @@ def test_adversarial_constant_text_bucket_cap(ray_session, tmp_path):
         dedup_simhash,
         minhash_candidate_pairs,
     )
+    from document_parser_private_ray.pipelines.similarity import embedding_neardup_lsh
 
     n = 120
     rows = [{"doc_id": i, "text": "same spam text " * 12} for i in range(n)]
@@ -245,6 +247,25 @@ def test_adversarial_constant_text_bucket_cap(ray_session, tmp_path):
     # star cap keeps the pair list linear in cluster size
     spam = out[(out.doc_a < n) & (out.doc_b < n)]
     assert len(spam) == n - 1
+
+    # constant embeddings share one sign-LSH bucket in every table: the
+    # cap gives the star over the min vec_id, one collision per table
+    rng = np.random.RandomState(5)
+    vecs = [[0.5] * 8] * n + [list(rng.normal(size=8)) for _ in range(5)]
+    pq.write_table(
+        pa.table(
+            {
+                "vec_id": pa.array(range(n + 5), type=pa.int64()),
+                "embedding": pa.array(vecs, type=pa.list_(pa.float32())),
+            }
+        ),
+        str(d / "embeddings.parquet"),
+    )
+    emb = embedding_neardup_lsh(str(d), max_bucket=16).to_pandas()
+    spam = emb[(emb.id_a < n) & (emb.id_b < n)]
+    assert len(spam) == n - 1
+    assert (spam.id_a == 0).all()
+    assert (spam.n_collisions == 8).all()
 
 
 def test_user_top_events_matches_duckdb(ray_session):
@@ -280,37 +301,117 @@ def test_dataset_split_deterministic_and_complete(ray_session):
     assert 0.5 < frac_train < 1.0
 
 
-def test_attach_pair_texts_paths_agree(ray_session, tmp_path):
-    """The broadcast fast path and the 2-shuffle scale path of
-    attach_pair_texts must produce identical (pair, text, text) rows."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+@pytest.mark.parametrize("kind", ["texts", "vectors"])
+def test_attach_pair_values_paths_agree(ray_session, monkeypatch, kind):
+    """The broadcast path and the per-side co-partition path of
+    attach_pair_values return identical rows for text and vector
+    payloads: every pair column rides along, each side gets its own
+    value, and a pair whose id is missing from the table drops."""
+    import ray.data as rd
 
-    from document_parser_private_ray.pipelines.dedup import (
-        _read_docs,
-        attach_pair_texts,
-        minhash_candidate_pairs,
+    from document_parser_private_ray.pipelines import pairs as pair_layer
+
+    rng = np.random.RandomState(3)
+    n = 40
+    if kind == "texts":
+        id_col, value_col, a, b = "doc_id", "text", "doc_a", "doc_b"
+        values = [" ".join(f"d{i}w{j}" for j in range(1 + i % 7)) for i in range(n)]
+        vtype = pa.string()
+    else:
+        id_col, value_col, a, b = "vec_id", "embedding", "id_a", "id_b"
+        values = [list(map(float, rng.normal(size=8))) for _ in range(n)]
+        vtype = pa.list_(pa.float32())
+    table = rd.from_arrow(
+        pa.table({id_col: pa.array(range(n), type=pa.int64()),
+                  value_col: pa.array(values, type=vtype)})
     )
+    i64 = pa.int64()
+    # a dangling id (99) whose pair must drop on both paths
+    pairs = rd.from_arrow(
+        pa.table(
+            {
+                a: pa.array([0, 1, 2, 5, 7, 3], type=i64),
+                b: pa.array([9, 8, 4, 6, 99, 12], type=i64),
+                "n_collisions": pa.array([1, 2, 3, 1, 4, 2], type=i64),
+            }
+        )
+    )
+    cols = [a, b, "n_collisions", f"{value_col}_a", f"{value_col}_b"]
 
-    base = " ".join(f"tok{i}" for i in range(90))
-    rows = [
-        {"doc_id": i, "text": base + f" tail{i}" if i % 5 == 0
-         else " ".join(f"d{i}w{j}" for j in range(70))}
-        for i in range(30)
-    ]
-    d = tmp_path / "agree"
-    d.mkdir()
-    pq.write_table(pa.Table.from_pylist(rows), str(d / "documents.parquet"))
+    def comparable(v):
+        return v if isinstance(v, str) else tuple(np.asarray(v, dtype=np.float32))
 
-    pairs = minhash_candidate_pairs(str(d)).materialize()
-    n = pairs.count()
-    assert n > 0
-    cols = ["doc_a", "doc_b", "text_a", "text_b"]
-    bc = attach_pair_texts(pairs, _read_docs(str(d)), n_pairs=n).to_pandas()
-    sh = attach_pair_texts(pairs, _read_docs(str(d)), n_pairs=None).to_pandas()
-    bc = bc[cols].sort_values(cols[:2]).reset_index(drop=True)
-    sh = sh[cols].sort_values(cols[:2]).reset_index(drop=True)
+    def run():
+        df = pair_layer.attach_pair_values(
+            pairs, table, id_col, value_col, 6, a=a, b=b
+        ).to_pandas()
+        assert list(df.columns) == cols
+        for c in cols[3:]:
+            df[c] = df[c].map(comparable)
+        return df.sort_values([a, b]).reset_index(drop=True)
+
+    bc = run()
+    monkeypatch.setattr(pair_layer, "BROADCAST_MAX_PAIRS", 0)
+    sh = run()
     assert bc.equals(sh)
+    assert bc[[a, b]].values.tolist() == [[0, 9], [1, 8], [2, 4], [3, 12], [5, 6]]
+    for side, col in ((a, cols[3]), (b, cols[4])):
+        assert bc[col].tolist() == [comparable(values[i]) for i in bc[side]]
+
+
+def test_self_pairs_kernel():
+    """self_pairs equals brute-force a < b pairs per key group; an
+    oversize group emits the star over its min id carrying the root's
+    values; an empty group gives a typed empty table."""
+    import itertools
+
+    from document_parser_private_ray.pipelines.pairs import self_pairs
+
+    rng = np.random.RandomState(7)
+    names = ["k", "doc_a", "doc_b", "c_a", "c_b"]
+    for _ in range(25):
+        n = rng.randint(1, 40)
+        t = pa.table(
+            {
+                "k": pa.array(rng.randint(0, 4, n), type=pa.int32()),
+                "id": pa.array(rng.permutation(200)[:n], type=pa.int64()),
+                "c": pa.array(rng.randint(0, 1000, n).astype(np.uint64)),
+            }
+        )
+        rows = t.to_pylist()
+        cap = int(rng.randint(2, 8))
+        exp_all, exp_star = [], []
+        for k in {r["k"] for r in rows}:
+            m = [r for r in rows if r["k"] == k]
+            clique = [
+                (k, x["id"], y["id"], x["c"], y["c"])
+                for x, y in itertools.product(m, m)
+                if x["id"] < y["id"]
+            ]
+            exp_all += clique
+            if len(m) > cap:
+                root = min(m, key=lambda r: r["id"])
+                exp_star += [
+                    (k, root["id"], r["id"], root["c"], r["c"])
+                    for r in m if r is not root
+                ]
+            else:
+                exp_star += clique
+        for got, exp in (
+            (self_pairs(t, "k", "id", carry=["c"]), exp_all),
+            (self_pairs(t, "k", "id", carry=["c"], max_bucket=cap), exp_star),
+        ):
+            assert got.column_names == names
+            assert sorted(zip(*(got[c].to_pylist() for c in names))) == sorted(exp)
+
+    empty = self_pairs(
+        t.slice(0, 0), ["k"], "id", carry=["c"], max_bucket=1, a="id_a", b="id_b"
+    )
+    assert empty.num_rows == 0
+    assert empty.schema == pa.schema(
+        [("k", pa.int32()), ("id_a", pa.int64()), ("id_b", pa.int64()),
+         ("c_a", pa.uint64()), ("c_b", pa.uint64())]
+    )
 
 
 def test_ngram_jaccard_exact_with_empty_docs(ray_session, tmp_path):
@@ -1722,11 +1823,12 @@ def test_bucketed_join_full_outer_small(ray_session):
     assert right_only["rk"] == 3
 
 
-def test_neardup_keep_best_paths_equivalent(ray_session, tmp_path):
+def test_neardup_keep_best_paths_equivalent(ray_session, tmp_path, monkeypatch):
     """Broadcast (small label set) and co-partition-join election paths
     return identical tables."""
     import pyarrow.parquet as pq
 
+    from document_parser_private_ray.pipelines import pairs as pair_layer
     from document_parser_private_ray.pipelines.dedup import neardup_keep_best
 
     base = " ".join(f"token{i}" for i in range(120))
@@ -1742,7 +1844,9 @@ def test_neardup_keep_best_paths_equivalent(ray_session, tmp_path):
     pq.write_table(pa.Table.from_pylist(rows), str(d / "documents.parquet"))
 
     a = neardup_keep_best(str(d), threshold=0.8).to_pandas()
-    b = neardup_keep_best(str(d), threshold=0.8, broadcast_max_nodes=0).to_pandas()
+    monkeypatch.setattr(pair_layer, "BROADCAST_MAX_PAIRS", 0)
+    b = neardup_keep_best(str(d), threshold=0.8).to_pandas()
+    assert len(a) > 0
     assert a.values.tolist() == b.values.tolist()
 
 
@@ -1934,52 +2038,3 @@ def test_doc_normalize_unicode_semantics(ray_session, tmp_path):
     assert got[2]["norm_text"] == "ctrlcharsstripped"
     assert got[3]["norm_text"] == "already clean" and got[3]["changed"] == 0
     assert got[4]["norm_text"] == "" and got[4]["n_after"] == 0
-
-
-def test_attach_pair_vecs_paths_agree(ray_session, tmp_path):
-    """The broadcast fast path and the bucketed 2-shuffle scale path of
-    the pair-VECTOR attach (embedding_neardup_lsh's verify input) must
-    produce identical (pair, n_collisions, vec, vec) rows."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from document_parser_private_ray.pipelines.similarity import (
-        _attach_pair_vecs_broadcast,
-        _attach_pair_vecs_shuffle,
-    )
-
-    rng = np.random.RandomState(3)
-    n = 40
-    emb = rd.from_arrow(
-        pa.table(
-            {
-                "vec_id": pa.array(range(n), type=pa.int64()),
-                "embedding": pa.array(
-                    [list(map(float, rng.normal(size=8))) for _ in range(n)],
-                    type=pa.list_(pa.float32()),
-                ),
-            }
-        )
-    )
-    # pairs including a dangling id (99) that must drop on both paths
-    pairs = rd.from_arrow(
-        pa.table(
-            {
-                "id_a": pa.array([0, 1, 2, 5, 7, 3], type=pa.int64()),
-                "id_b": pa.array([9, 8, 4, 6, 99, 12], type=pa.int64()),
-                "n_collisions": pa.array([1, 2, 3, 1, 4, 2], type=pa.int64()),
-            }
-        )
-    )
-
-    def norm(ds):
-        df = ds.to_pandas()
-        df["vec_a"] = df["vec_a"].map(lambda v: tuple(np.asarray(v, dtype=np.float32)))
-        df["vec_b"] = df["vec_b"].map(lambda v: tuple(np.asarray(v, dtype=np.float32)))
-        return df.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-
-    bc = norm(_attach_pair_vecs_broadcast(pairs, emb))
-    sh = norm(_attach_pair_vecs_shuffle(pairs, emb))
-    assert bc.equals(sh)
-    assert len(bc) == 5  # dangling pair dropped

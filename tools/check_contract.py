@@ -3,15 +3,27 @@ ray.init first, import __ray_entry__, run entry() + every query at
 sf0.01, compare SQL-oracled ones against DuckDB (rowcount + sorted
 column names + order-insensitive value hash).
 
-    python tools/check_contract.py [SF_DIR] [--only q1,q2] [--json PATH]
+    python tools/check_contract.py [SF_DIR] [--only q1,q2] [--changed REV] [--json PATH]
 
 ``--json PATH`` writes one record per query ({status, rows, hash,
-wall_s}) plus the CPU count and git SHA of the checkout."""
+wall_s}) plus the CPU count and git SHA of the checkout.
+
+``--changed REV`` sweeps only the queries a change since git revision
+``REV`` can reach: every package module changed since REV (committed,
+staged, unstaged or untracked), then every package module importing one
+of them, directly or transitively; a query is selected when its
+``_q_*`` body, or a ``__ray_entry__`` helper it calls, imports one of
+those modules. When ``__ray_entry__.py`` itself changed, queries whose
+function closure or oracle SQL differs from REV's are selected too.
+The selected names are printed before the sweep."""
+import ast
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
 import time
+import types
 
 import duckdb
 import pandas as pd
@@ -27,6 +39,11 @@ if "--only" in sys.argv:
     i = sys.argv.index("--only")
     ONLY = set(sys.argv[i + 1].split(","))
     del sys.argv[i : i + 2]
+CHANGED = None
+if "--changed" in sys.argv:
+    i = sys.argv.index("--changed")
+    CHANGED = sys.argv[i + 1]
+    del sys.argv[i : i + 2]
 JSON_PATH = None
 if "--json" in sys.argv:
     i = sys.argv.index("--json")
@@ -39,6 +56,104 @@ os.environ["GRAFT_VERIFY_SF"] = SF
 
 import __ray_entry__ as entry_mod
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PKG = "document_parser_private_ray"
+
+
+def git(*args):
+    return subprocess.run(
+        ["git", *args], cwd=HERE, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def package_modules() -> dict:
+    """Dotted module name -> path for every .py file of the package."""
+    mods = {}
+    for root, _, files in os.walk(os.path.join(HERE, PKG)):
+        for f in files:
+            if f.endswith(".py"):
+                rel = os.path.relpath(os.path.join(root, f), HERE)[:-3]
+                name = rel.replace(os.sep, ".")
+                mods[name.removesuffix(".__init__")] = rel + ".py"
+    return mods
+
+
+def imported_modules(tree, package: str, mods) -> set:
+    """Package modules an AST imports anywhere (function-level imports
+    included), relative imports resolved against ``package``, with the
+    parent packages an import executes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")[: len(package.split(".")) - node.level + 1]
+                base = ".".join(parts + ([base] if base else []))
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        for n in names:
+            while n:
+                if n in mods:
+                    out.add(n)
+                n = n.rpartition(".")[0]
+    return out
+
+
+def changed_queries(rev: str, qs: dict, oracles: dict) -> set:
+    mods = package_modules()
+    files = set(git("diff", "--name-only", rev).splitlines())
+    files |= set(git("ls-files", "--others", "--exclude-standard").splitlines())
+    affected = {m for m, path in mods.items() if path in files}
+    graph = {}
+    for m, path in mods.items():
+        pkg = m if path.endswith("__init__.py") else m.rpartition(".")[0]
+        with open(os.path.join(HERE, path)) as f:
+            graph[m] = imported_modules(ast.parse(f.read()), pkg, mods)
+    grew = True
+    while grew:
+        more = {m for m, deps in graph.items() if deps & affected} - affected
+        affected |= more
+        grew = bool(more)
+
+    entry_funcs = {
+        k: v for k, v in vars(entry_mod).items()
+        if inspect.isfunction(v) and v.__module__ == entry_mod.__name__
+    }
+    old_src = {}
+    if "__ray_entry__.py" in files:
+        old_text = git("show", f"{rev}:__ray_entry__.py")
+        old_src = {
+            n.name: ast.dump(n) for n in ast.parse(old_text).body
+            if isinstance(n, ast.FunctionDef)
+        }
+        old_mod = types.ModuleType("_ray_entry_at_rev")
+        exec(compile(old_text, f"__ray_entry__.py@{rev}", "exec"), old_mod.__dict__)
+        old_oracles = old_mod.oracle_sql()
+
+    def closure(fn, seen):
+        """``fn`` and every ``__ray_entry__`` function it names, transitively."""
+        tree = ast.parse(inspect.getsource(fn))
+        seen[fn.__name__] = tree
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in entry_funcs and node.id not in seen:
+                closure(entry_funcs[node.id], seen)
+        return seen
+
+    picked = set()
+    for name, fn in qs.items():
+        trees = closure(fn, {})
+        if any(imported_modules(t, "", mods) & affected for t in trees.values()):
+            picked.add(name)
+        elif "__ray_entry__.py" in files and (
+            any(old_src.get(f) != ast.dump(t.body[0]) for f, t in trees.items())
+            or old_oracles.get(name) != oracles.get(name)
+        ):
+            picked.add(name)
+    return picked
+
 
 
 def to_df(res):
@@ -58,7 +173,7 @@ def value_hash(df: pd.DataFrame) -> str:
 
 
 # 1. entry()
-if ONLY is None:
+if ONLY is None and CHANGED is None:
     t0 = time.time()
     res = entry_mod.entry()
     df = to_df(res)
@@ -73,6 +188,10 @@ for t in TABLES:
 qs = entry_mod.queries()
 oracles = entry_mod.oracle_sql()
 print(f"{len(qs)} queries, {len(oracles)} oracled")
+if CHANGED is not None:
+    picked = changed_queries(CHANGED, qs, oracles)
+    ONLY = picked if ONLY is None else ONLY & picked
+    print(f"--changed {CHANGED}: {len(ONLY)} queries: {', '.join(sorted(ONLY))}")
 fails = []
 records = {}
 for name, fn in qs.items():
@@ -116,19 +235,13 @@ for name, fn in qs.items():
 
 print("\nFAILS:", fails if fails else "none")
 if JSON_PATH:
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-    def git(*args):
-        return subprocess.run(
-            ["git", *args], cwd=here, capture_output=True, text=True
-        ).stdout.strip()
-
     with open(JSON_PATH, "w") as f:
         json.dump(
             {"sf_dir": SF, "nproc": len(os.sched_getaffinity(0)),
              "git_sha": git("rev-parse", "HEAD") or None,
              # uncommitted edits to tracked files on top of git_sha
              "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+             "changed_since": CHANGED,
              "n_fails": len(fails), "queries": records},
             f, indent=1, sort_keys=True,
         )
