@@ -851,7 +851,6 @@ def minhash_against_state(
     threshold: float = 0.8,
     n_perm: int = 128,
     n_bands: int = 16,
-    broadcast_max_matches: int = 100_000,
 ):
     """Incremental NEAR-dup ingestion — ``dedup_against_state``'s
     production shape upgraded from exact hashes to MinHash similarity:
@@ -868,7 +867,8 @@ def minhash_against_state(
     shuffle); ``pair_filter`` drops same-side pairs BEFORE the
     pair-text verify so Jaccard runs only on incoming-vs-state
     candidates; the per-incoming match rollup is bounded by verified
-    near-dup pairs and attaches by the broadcast-vs-shuffle gate."""
+    near-dup pairs and attaches by the pair layer's broadcast-vs-shuffle
+    gate (``pairs.fits_broadcast``)."""
     import numpy as np
 
     from ray.data.aggregate import Count, Min
@@ -895,13 +895,11 @@ def minhash_against_state(
 
     def finalize(batch: pa.Table, match_ids, match_min, match_n) -> pa.Table:
         ids = pc.cast(batch["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(match_ids, ids)
-        hit = (idx < len(match_ids)) & (
-            match_ids[np.minimum(idx, max(len(match_ids) - 1, 0))] == ids
-            if len(match_ids)
-            else np.zeros(len(ids), dtype=bool)
-        )
-        safe = np.minimum(idx, max(len(match_ids) - 1, 0))
+        hit, row = lookup(match_ids, ids)
+        match_doc_id = np.full(len(ids), -1, dtype=np.int64)
+        match_doc_id[hit] = match_min[row[hit]]
+        n_matches = np.zeros(len(ids), dtype=np.int64)
+        n_matches[hit] = match_n[row[hit]]
         return pa.Table.from_pydict(
             {
                 "doc_id": pa.array(ids, type=pa.int64()),
@@ -909,14 +907,8 @@ def minhash_against_state(
                     np.where(hit, "neardup_state", "new").tolist(),
                     type=pa.string(),
                 ),
-                "match_doc_id": pa.array(
-                    np.where(hit, match_min[safe] if len(match_ids) else -1, -1),
-                    type=pa.int64(),
-                ),
-                "n_matches": pa.array(
-                    np.where(hit, match_n[safe] if len(match_ids) else 0, 0),
-                    type=pa.int64(),
-                ),
+                "match_doc_id": pa.array(match_doc_id, type=pa.int64()),
+                "n_matches": pa.array(n_matches, type=pa.int64()),
             }
         )
 
@@ -948,17 +940,13 @@ def minhash_against_state(
         )
         .materialize()
     )
-    n = matches.count()
-    if n <= broadcast_max_matches:
+    if fits_broadcast(matches.count()):
         tbl = pa.concat_tables(
             matches.iter_batches(batch_format="pyarrow", batch_size=None)
         )
-        mi = tbl["inc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(mi)
-        consts = (
-            mi[order],
-            tbl["match_doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)[order],
-            tbl["n_matches"].to_numpy(zero_copy_only=False).astype(np.int64)[order],
+        consts = tuple(
+            tbl[c].to_numpy(zero_copy_only=False).astype(np.int64)
+            for c in ("inc_id", "match_doc_id", "n_matches")
         )
         return incoming.map_batches(
             lambda t: finalize(t, *consts),

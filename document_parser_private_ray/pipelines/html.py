@@ -7,8 +7,11 @@ in-sandbox substitute for a crawled-HTML corpus (``sources.html.
 render_html_page``); extraction is the general jusText/Boilerpipe-style
 classifier (``sources.html.extract_html_blocks``). Both stages are
 embarrassingly parallel per-document maps — no shuffle anywhere; at
-100 TB the chain streams block-by-block with backpressure and the only
-state (the compiled classifier) is per-actor.
+100 TB the chain streams block-by-block with backpressure. Extraction
+holds no per-worker state, so each stage is a stage instance (its
+``extract`` callable pickled with it) mapped as Ray tasks, which fuse
+with the render map into one task per 128-page batch and start on the
+reusable task-worker pool instead of waiting for an actor pool.
 
 Verification is closed-form: the page generator's chrome is boilerplate
 by construction, so the DuckDB oracle reconstructs the exact expected
@@ -45,12 +48,16 @@ def _render_batch(batch: pa.Table) -> pa.Table:
 
 
 class HtmlMainContent:
-    """Actor-pool extraction stage: html -> exploded main-content spans.
+    """Task-mapped extraction stage: html -> exploded main-content spans.
 
-    The default backend is the stdlib DOM-heuristic classifier; a real
-    DOM library (lxml/selectolax/trafilatura — absent offline) slots in
-    via ``extract=`` loaded once per actor in ``__init__``, matching the
-    PdfExtract/DocxExtract slot architecture."""
+    Pass an instance to ``map_batches``: the stage runs as Ray tasks
+    fused with the render map, and the operator keeps the class name
+    (``MapBatches(HtmlMainContent)``). The default backend is the
+    stdlib DOM-heuristic classifier; a real DOM library
+    (lxml/selectolax/trafilatura — absent offline) slots in via
+    ``extract=``, a picklable ``html -> blocks`` callable shipped with
+    the instance, matching the PdfExtract/DocxExtract slot
+    architecture."""
 
     def __init__(self, extract: Optional[Callable] = None):
         if extract is None:
@@ -125,41 +132,26 @@ def _pages(sf_dir: str):
     )
 
 
-def html_spans(
-    sf_dir: str,
-    extract: Optional[Callable] = None,
-    concurrency=(1, 8),
-):
+def html_spans(sf_dir: str, extract: Optional[Callable] = None):
     """Per-document main-content span sequence (kind, text, media_ref,
     span_offset) after boilerplate strip — the north rule's span tuple
-    over HTML input. ``concurrency`` sizes the extraction actor pool:
-    (1, 8) amortizes actor startup at test scale; on a cluster pass
-    (cores_per_node, total_cores) — the stage is embarrassingly
-    parallel and compute-bound (~6 ms/page parse, ds.stats() audited:
-    task CPU == task wall)."""
+    over HTML input. Render and extraction fuse into one Ray task per
+    128-page batch on the shared task-worker pool, so the stage scales
+    with the cluster's CPUs without a pool size to tune: it is
+    embarrassingly parallel and compute-bound (0.87 ms/page extraction,
+    ``html.extract_html_blocks.ms_per_page`` of the ``html_extract``
+    benchmark trace on 4 CPUs)."""
     return _pages(sf_dir).map_batches(
-        HtmlMainContent,
-        fn_constructor_kwargs={"extract": extract},
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=concurrency,
+        HtmlMainContent(extract), batch_format="pyarrow", batch_size=128
     )
 
 
-def html_main_content(
-    sf_dir: str,
-    extract: Optional[Callable] = None,
-    concurrency=(1, 8),
-):
+def html_main_content(sf_dir: str, extract: Optional[Callable] = None):
     """Per-document recovered main text + span/media counts. By
     construction main_text == the whitespace-normalized source text, so
     the oracle is the documents table itself."""
     return _pages(sf_dir).map_batches(
-        HtmlDocSummary,
-        fn_constructor_kwargs={"extract": extract},
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=concurrency,
+        HtmlDocSummary(extract), batch_format="pyarrow", batch_size=128
     )
 
 
@@ -254,7 +246,6 @@ def web_curate(
     max_digit_ratio: float = 0.3,
     langs=("en",),
     n_buckets: int = 64,
-    concurrency=(1, 8),
 ):
     """The composed WEB curation chain — what a crawl-to-training-set
     pipeline actually runs, end to end as one streaming plan:
@@ -278,11 +269,7 @@ def web_curate(
     from .curate import make_language_filter, make_quality_filter, split_rollup
 
     feats = _pages(sf_dir).map_batches(
-        WebCurationFeatures,
-        fn_constructor_kwargs={"extract": None},
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=concurrency,
+        WebCurationFeatures(), batch_format="pyarrow", batch_size=128
     )
     quality_filter = make_quality_filter(min_words, max_digit_ratio)
     language_filter = make_language_filter(langs)
@@ -442,13 +429,7 @@ def web_extract_job(
     def stage(ds):
         return ds.map_batches(
             _render_batch, batch_format="pyarrow", zero_copy_batch=True
-        ).map_batches(
-            HtmlMainContent,
-            fn_constructor_kwargs={"extract": None},
-            batch_format="pyarrow",
-            batch_size=128,
-            concurrency=(1, 4),
-        )
+        ).map_batches(HtmlMainContent(), batch_format="pyarrow", batch_size=128)
 
     return run_resumable_table(
         f"{sf_dir}/documents.parquet",

@@ -97,8 +97,11 @@ class PdfExtract:
     chain is the in-repo minimal-subset extractor
     (``sources.pdf.extract_pdf_blocks``: uncompressed literal-string
     streams, M3 font-heading classification, Courier table grids);
-    real-world backends (pdfplumber/fitz/OCR actors loaded in this
-    actor's __init__) prepend via ``backends=``/``extract=``."""
+    real-world backends (pdfplumber/fitz/OCR) prepend via
+    ``backends=``/``extract=``. The stage holds nothing but its backend
+    list, so ``from_*_files`` map an instance as Ray tasks, the
+    backends pickled with it; a backend that needs a loaded model per
+    worker belongs in an actor-pool stage of its own."""
 
     fmt = "pdf"
 
@@ -196,41 +199,32 @@ class HtmlExtract(PdfExtract):
         return extract_html_blocks
 
 
-def _from_staged_files(cls, paths, extract, backends, concurrency):
+def _from_staged_files(stage, paths):
     import ray.data as rd
 
     ds = rd.read_binary_files(paths, include_paths=True)
-    return ds.map_batches(
-        cls,
-        fn_constructor_kwargs={"extract": extract, "backends": backends},
-        batch_format="pyarrow",
-        batch_size=16,
-        concurrency=concurrency,
-    )
+    return ds.map_batches(stage, batch_format="pyarrow", batch_size=16)
 
 
 def from_pdf_files(
     paths,
     extract: Optional[Callable] = None,
     backends: Optional[list] = None,
-    concurrency=(1, 4),
 ):
-    return _from_staged_files(PdfExtract, paths, extract, backends, concurrency)
+    return _from_staged_files(PdfExtract(extract, backends), paths)
 
 
 def from_docx_files(
     paths,
     extract: Optional[Callable] = None,
     backends: Optional[list] = None,
-    concurrency=(1, 4),
 ):
-    return _from_staged_files(DocxExtract, paths, extract, backends, concurrency)
+    return _from_staged_files(DocxExtract(extract, backends), paths)
 
 
 def from_html_files(
     paths,
     extract: Optional[Callable] = None,
     backends: Optional[list] = None,
-    concurrency=(1, 4),
 ):
-    return _from_staged_files(HtmlExtract, paths, extract, backends, concurrency)
+    return _from_staged_files(HtmlExtract(extract, backends), paths)

@@ -2,13 +2,15 @@
 
 The container ships no PDF library (SURVEY §7.0), so ``from_pdf_files``
 was a pluggable slot only. This module closes the loop the way SURVEY
-§7.0 planned: a tiny GENERATOR writing uncompressed-text PDFs (the
-subset: literal-string `Tj` show-text operators, no /Filter streams,
-ASCII/latin-1 text, Helvetica fonts) and an EXTRACTOR handling exactly
-that subset — so the full chain pdf-bytes -> blocks -> spans -> parse
-runs and is testable entirely in-sandbox. Real-world PDFs still route
-through the pluggable ``extract=`` hook (pdfplumber/fitz chain,
-pdf_parser.py:119-196 shape) when a backend exists.
+§7.0 planned: a tiny GENERATOR writing text PDFs (the subset:
+literal-string `Tj` show-text operators, ASCII/latin-1 text, Helvetica
+fonts, optionally Flate-compressed) and an EXTRACTOR handling that
+subset under any chain of the stdlib-decodable filters (FlateDecode
+with predictors, ASCIIHexDecode, ASCII85Decode) — so the full chain
+pdf-bytes -> blocks -> spans -> parse runs and is testable entirely
+in-sandbox. Real-world PDFs still route through the pluggable
+``extract=`` hook (pdfplumber/fitz chain, pdf_parser.py:119-196 shape)
+when a backend exists.
 
 Block classification reuses the M3 font-heading heuristic
 (``functions.layout.is_heading_block`` — pdf_parser.py:215-219), so
@@ -18,6 +20,8 @@ layout integration produces.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import re
 import zlib
 from typing import Dict, List
@@ -217,7 +221,9 @@ _STREAM_DICT_RE = re.compile(
     rb"<<((?:[^<>]|<<(?:[^<>]|<<[^<>]*>>)*>>)*)>>\s*stream\r?\n", re.DOTALL
 )
 _LENGTH_RE = re.compile(rb"/Length\s+(\d+)(?!\s+0\s+R)")
-_FLATE_RE = re.compile(rb"/Filter\s*(?:\[\s*)?/FlateDecode")
+# ``/Filter /Name`` or ``/Filter [/A /B ...]`` (decode order)
+_FILTER_RE = re.compile(rb"/Filter\s*(\[[^\]]*\]|/[A-Za-z0-9]+)")
+_NAME_RE = re.compile(rb"/([A-Za-z0-9]+)")
 _PRED_RE = re.compile(rb"/Predictor\s+(\d+)")
 _COLS_RE = re.compile(rb"/Columns\s+(\d+)")
 _COLORS_RE = re.compile(rb"/Colors\s+(\d+)")
@@ -263,14 +269,65 @@ def _font_map(data: bytes) -> Dict[bytes, str]:
     return mapping
 
 
+def _filters(d: bytes) -> List[str]:
+    """The stream dict's ``/Filter`` chain in decode order. A ``/Filter``
+    that is not a name or an array of names (an indirect reference)
+    raises rather than passing the stream through undecoded."""
+    m = _FILTER_RE.search(d)
+    if m is None:
+        if b"/Filter" in d:
+            raise NotImplementedError(
+                "/Filter that is not a name or an array of names is outside "
+                "the minimal subset; pass extract= with a full PDF backend"
+            )
+        return []
+    return [n.decode("latin-1") for n in _NAME_RE.findall(m.group(1))]
+
+
+def _decode(payload: bytes, name: str, d: bytes) -> bytes:
+    """One filter of the chain. FlateDecode inflates via stdlib zlib,
+    then inverts any ``/DecodeParms`` predictor (TIFF differencing, PNG
+    Sub/Up/Average/Paeth); ASCIIHexDecode and ASCII85Decode use
+    binascii / base64. Any other filter (LZW, RunLength, DCT, JPX) is
+    outside the minimal subset and raises, naming the filter."""
+    if name == "ASCIIHexDecode":
+        digits = re.sub(rb"\s", b"", payload).split(b">", 1)[0]
+        # an odd final digit is followed by an implied 0 (PDF 32000-1 §7.4.2)
+        return binascii.unhexlify(digits + b"0" * (len(digits) % 2))
+    if name == "ASCII85Decode":
+        return base64.a85decode(payload.strip().split(b"~>", 1)[0])
+    if name != "FlateDecode":
+        raise NotImplementedError(
+            f"/{name} content streams are outside the minimal subset; "
+            "pass extract= with a full PDF backend"
+        )
+    payload = zlib.decompress(payload)
+    if b"/DecodeParms" not in d:
+        return payload
+    pm = _PRED_RE.search(d)
+    if pm is None:
+        # e.g. an indirect ``/DecodeParms n 0 R``: guessing
+        # "no predictor" would return garbled text
+        raise NotImplementedError(
+            "/DecodeParms without an inline /Predictor is "
+            "outside the minimal subset; pass extract= with a "
+            "full PDF backend"
+        )
+    return _undo_predictor(
+        payload,
+        int(pm.group(1)),
+        int(mm.group(1)) if (mm := _COLS_RE.search(d)) else 1,
+        int(mm.group(1)) if (mm := _COLORS_RE.search(d)) else 1,
+        int(mm.group(1)) if (mm := _BPC_RE.search(d)) else 8,
+    )
+
+
 def _content_streams(data: bytes) -> List[bytes]:
     """Decoded content-stream payloads. ``/Length <n>`` (direct, not an
     indirect ``n 0 R`` reference) slices the payload exactly — Flate
     output may legally contain ``endstream`` as bytes; otherwise fall
-    back to the lazy endstream scan. FlateDecode inflates via stdlib
-    zlib, then any ``/DecodeParms`` predictor (TIFF differencing, PNG
-    Sub/Up/Average/Paeth) is inverted; any other filter is outside the
-    minimal subset and raises."""
+    back to the lazy endstream scan. The ``/Filter`` chain decodes in
+    order, every filter or a raise (``_decode``) — never a skip."""
     streams: List[bytes] = []
     for m in _STREAM_DICT_RE.finditer(data):
         d = m.group(1)
@@ -287,30 +344,8 @@ def _content_streams(data: bytes) -> List[bytes]:
                 payload = payload[:-1]
             if payload.endswith(b"\r"):
                 payload = payload[:-1]
-        if _FLATE_RE.search(d):
-            payload = zlib.decompress(payload)
-            if b"/DecodeParms" in d:
-                pm = _PRED_RE.search(d)
-                if pm is None:
-                    # e.g. an indirect ``/DecodeParms n 0 R``: guessing
-                    # "no predictor" would return garbled text
-                    raise NotImplementedError(
-                        "/DecodeParms without an inline /Predictor is "
-                        "outside the minimal subset; pass extract= with a "
-                        "full PDF backend"
-                    )
-                payload = _undo_predictor(
-                    payload,
-                    int(pm.group(1)),
-                    int(mm.group(1)) if (mm := _COLS_RE.search(d)) else 1,
-                    int(mm.group(1)) if (mm := _COLORS_RE.search(d)) else 1,
-                    int(mm.group(1)) if (mm := _BPC_RE.search(d)) else 8,
-                )
-        elif b"/Filter" in d:
-            raise NotImplementedError(
-                "only FlateDecode content streams are inside the minimal "
-                "subset; pass extract= with a full PDF backend"
-            )
+        for name in _filters(d):
+            payload = _decode(payload, name, d)
         streams.append(payload)
     return streams
 

@@ -420,3 +420,50 @@ def test_unclosed_anchor_farm_bounded_and_emitted():
     # anchor left open at EOF still flushes on close()
     eof = extract_links('<body><a href="/only">dangling text')
     assert eof["links"] == [{"href": "/only", "text": "dangling text"}]
+
+
+def test_extract_slot_on_task_path(ray_session, tmp_path):
+    """A custom ``extract=`` callable ships with the stage instance to
+    the task workers: html_spans and html_main_content both reflect it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from document_parser_private_ray.pipelines.html import (
+        html_main_content,
+        html_spans,
+    )
+
+    words = "alpha beta gamma delta epsilon zeta eta theta".split()
+    n = 12  # doc_ids 0, 5, 10 carry a media span
+    pq.write_table(
+        pa.table({
+            "doc_id": list(range(n)),
+            "text": [" ".join(words[(i + j) % 8] for j in range(30 + 7 * i)) for i in range(n)],
+            "source": [f"src{i % 3}" for i in range(n)],
+        }),
+        str(tmp_path / "documents.parquet"),
+    )
+    sf = str(tmp_path)
+
+    def shout(page):
+        return [
+            {**b, "text": b["text"].upper()} for b in extract_html_blocks(page)
+        ]
+
+    def spans(**kw):
+        return html_spans(sf, **kw).to_pandas().sort_values(
+            ["doc_id", "span_offset"]).reset_index(drop=True)
+
+    def summary(**kw):
+        return html_main_content(sf, **kw).to_pandas().sort_values(
+            "doc_id").reset_index(drop=True)
+
+    plain, loud = spans(), spans(extract=shout)
+    assert len(plain) > 0 and (plain["text"] != loud["text"]).any()
+    assert loud["text"].tolist() == plain["text"].str.upper().tolist()
+    assert loud.drop(columns="text").equals(plain.drop(columns="text"))
+
+    plain, loud = summary(), summary(extract=shout)
+    assert len(plain) > 0
+    assert loud["main_text"].tolist() == plain["main_text"].str.upper().tolist()
+    assert loud["doc_id"].tolist() == plain["doc_id"].tolist()

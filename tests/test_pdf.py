@@ -323,3 +323,74 @@ def test_unknown_predictor_raises(old, new):
     bad = data.replace(old, new)
     with pytest.raises(NotImplementedError):
         extract_pdf_blocks(bad)
+
+
+def _refiltered(blocks, filters):
+    """The PDF of ``blocks`` with its content stream encoded for the
+    ``/Filter`` chain ``filters`` (listed in decode order, so encoding
+    runs in reverse): a bare name for one filter, an array otherwise."""
+    import base64
+    import binascii
+    import zlib as _z
+
+    encode = {
+        "FlateDecode": _z.compress,
+        # whitespace between digits and the EOD marker are legal
+        "ASCIIHexDecode": lambda b: binascii.hexlify(b, b"\n", 30) + b">",
+        "ASCII85Decode": lambda b: base64.a85encode(b, wrapcol=64) + b"~>",
+    }
+    base = write_minimal_pdf(blocks)
+    raw = base.split(b"stream\n", 1)[1].split(b"\nendstream", 1)[0]
+    for name in reversed(filters):
+        raw = encode[name](raw)
+    names = b" ".join(b"/" + f.encode() for f in filters)
+    entry = names if len(filters) == 1 else b"[" + names + b"]"
+    head, tail = base.split(b"4 0 obj\n", 1)
+    return (
+        head
+        + b"4 0 obj\n<< /Length " + str(len(raw)).encode() + b" /Filter " + entry
+        + b" >>\nstream\n" + raw + b"\nendstream\nendobj\n"
+        + tail.split(b"endobj\n", 1)[1]
+    )
+
+
+_CHAIN_BLOCKS = [
+    {"kind": "heading", "text": "SUMMARY"},
+    {"kind": "text", "text": "filter chains decode (in order) or raise."},
+    {"kind": "table", "data": [["a", "b"], ["1", "2"]]},
+]
+
+
+@pytest.mark.parametrize(
+    "filters",
+    [
+        ["ASCIIHexDecode"],
+        ["ASCII85Decode"],
+        ["ASCII85Decode", "FlateDecode"],
+        # inflate, then un-hex: the second filter is never skipped
+        ["FlateDecode", "ASCIIHexDecode"],
+    ],
+    ids=["hex", "a85", "a85_flate", "flate_hex"],
+)
+def test_filter_chain_roundtrip(filters):
+    data = _refiltered(_CHAIN_BLOCKS, filters)
+    plain = extract_pdf_blocks(write_minimal_pdf(_CHAIN_BLOCKS))
+    assert [b["kind"] for b in plain] == ["heading", "text", "table"]
+    assert extract_pdf_blocks(data) == plain
+
+
+def test_hex_odd_digit_count_pads_zero():
+    from document_parser_private_ray.sources.pdf import _decode
+
+    assert _decode(b"41 42 4>", "ASCIIHexDecode", b"") == b"AB@"
+
+
+@pytest.mark.parametrize(
+    "name", ["LZWDecode", "RunLengthDecode", "DCTDecode", "JPXDecode"]
+)
+def test_unsupported_filter_in_chain_raises_by_name(name):
+    data = _refiltered(_CHAIN_BLOCKS, ["FlateDecode"]).replace(
+        b"/Filter /FlateDecode", b"/Filter [/FlateDecode /" + name.encode() + b"]"
+    )
+    with pytest.raises(NotImplementedError, match=name):
+        extract_pdf_blocks(data)

@@ -103,15 +103,9 @@ def test_html_chain_null_text(ray_session):
     pages = poisoned.map_batches(
         _render_batch, batch_format="pyarrow", zero_copy_batch=True
     )
-    spans = pages.map_batches(
-        HtmlMainContent, fn_constructor_kwargs={"extract": None},
-        batch_format="pyarrow", concurrency=1,
-    ).take_all()
+    spans = pages.map_batches(HtmlMainContent(), batch_format="pyarrow").take_all()
     assert {s["doc_id"] for s in spans} == {1}  # null/empty -> no spans
-    summary = pages.map_batches(
-        HtmlDocSummary, fn_constructor_kwargs={"extract": None},
-        batch_format="pyarrow", concurrency=1,
-    ).take_all()
+    summary = pages.map_batches(HtmlDocSummary(), batch_format="pyarrow").take_all()
     by_id = {r["doc_id"]: r for r in summary}
     assert by_id[1]["main_text"] == "plenty of real words in this paragraph here"
     # null/empty docs yield NO summary row — HtmlDocSummary mirrors the

@@ -1906,6 +1906,27 @@ def test_minhash_against_state_planted(ray_session, tmp_path):
     assert out.loc[13, "match_doc_id"] == -1
 
 
+def test_minhash_against_state_shuffle_path(ray_session, monkeypatch):
+    """Past the pair layer's broadcast gate the per-incoming match
+    rollup attaches through the bucketed join, with the broadcast
+    path's answer."""
+    from document_parser_private_ray.pipelines import joins
+    from document_parser_private_ray.pipelines import pairs as pair_layer
+    from document_parser_private_ray.pipelines.dedup import minhash_against_state
+
+    bc = minhash_against_state(SF).to_pandas()
+    calls = []
+    real = joins.bucketed_join
+    monkeypatch.setattr(
+        joins, "bucketed_join", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    monkeypatch.setattr(pair_layer, "BROADCAST_MAX_PAIRS", 0)
+    sh = minhash_against_state(SF).to_pandas()
+    assert calls  # the shuffle branch ran
+    assert set(bc["status"]) == {"new", "neardup_state"}
+    assert sh.equals(bc)
+
+
 def test_ppjoin_pairs_vs_bruteforce(ray_session):
     """Prefix-filtered set-similarity join == brute-force all-pairs
     Jaccard at sf0.001 — the prefix theorem guarantees full recall, the
