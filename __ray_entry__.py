@@ -50,7 +50,7 @@ def entry() -> Any:
     from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
 
     corpus = _corpus_for("/root/testdata/sf0.001")
-    return parse_resumes(read_corpus(corpus), concurrency=(1, 4), batch_size=32)
+    return parse_resumes(read_corpus(corpus), batch_size=32)
 
 
 # --------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def entry() -> Any:
 def _q_parse_resumes(sf_dir: str):
     from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
 
-    return parse_resumes(read_corpus(_corpus_for(sf_dir)), concurrency=(2, 8))
+    return parse_resumes(read_corpus(_corpus_for(sf_dir)))
 
 
 def _q_parse_resumes_pii(sf_dir: str):
@@ -67,9 +67,7 @@ def _q_parse_resumes_pii(sf_dir: str):
     columns (per-document counters, hash strategy)."""
     from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
 
-    ds = parse_resumes(
-        read_corpus(_corpus_for(sf_dir, n_docs=200)), with_pii=True, concurrency=(2, 8)
-    )
+    ds = parse_resumes(read_corpus(_corpus_for(sf_dir, n_docs=200)), with_pii=True)
     return ds.select_columns(["doc_id", "anonymized_text", "error"])
 
 
@@ -174,7 +172,7 @@ def _q_span_rollup(sf_dir: str):
         resume_rollup,
     )
 
-    parsed = parse_resumes(read_corpus(_corpus_for(sf_dir)), concurrency=(2, 8))
+    parsed = parse_resumes(read_corpus(_corpus_for(sf_dir)))
     target = _atomic_export(
         _rollup_export_path(sf_dir),
         lambda d: parsed.select_columns(
@@ -1218,7 +1216,7 @@ def _q_accuracy_eval(sf_dir: str):
 
     n_eval = 200
     corpus = _corpus_for(sf_dir, n_docs=n_eval)
-    parsed = parse_resumes(read_corpus(corpus), concurrency=(2, 8))
+    parsed = parse_resumes(read_corpus(corpus))
     preds = parsed_to_prediction_columns(parsed)
     golden = _accuracy_golden(n_eval)
 
@@ -1262,7 +1260,7 @@ def _q_checkpoint_lineage(sf_dir: str):
     def pipeline(ds):
         from document_parser_private_ray.pipelines.resume import parse_resumes
 
-        return parse_resumes(ds, concurrency=(1, 4))
+        return parse_resumes(ds)
 
     def write(target: str):
         run_resumable(files, target, pipeline, run_id="r1", files_per_partition=2)

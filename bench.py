@@ -34,8 +34,8 @@ def corpus_docs_for(sf_dir: str) -> int:
     import pyarrow.parquet as pq
 
     n_docs_tbl = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-    return n_docs_tbl * 80  # sf0.1 -> 400k docs: enough work per actor that
-    # steady-state throughput, not pool ramp-up, is what the bench measures
+    return n_docs_tbl * 80  # sf0.1 -> 400k docs: enough work per worker that
+    # steady-state throughput, not start-up, is what the bench measures
 
 
 def ensure_corpus(n_docs: int) -> str:
@@ -58,9 +58,9 @@ def ensure_corpus(n_docs: int) -> str:
 def full_warm_caches(corpus_path: str, n_docs: int = 4000):
     """Build (or load) the saturated pure-function cache for this corpus:
     one driver-side oracle pass over a deterministic sample, persisted
-    beside the corpus. Both scaling levels then start every actor fully
+    beside the corpus. Both scaling levels then start every worker fully
     warm — the production pattern (dictionary decisions precomputed once
-    per corpus and broadcast), and it removes the asymmetric per-actor
+    per corpus and broadcast), and it removes the asymmetric per-worker
     warm-up transient from the scaling measurement (see BASELINE.md)."""
     import pickle
 
@@ -80,14 +80,11 @@ def full_warm_caches(corpus_path: str, n_docs: int = 4000):
 
 
 def run_headline(corpus_path: str, num_cpus: int) -> dict:
-    """The measured job: read -> parse chain -> write parquet.
-    Tuned per the diagnosis in BASELINE.md: fixed pool (autoscaling ramps
-    too slowly for a bounded job), 4 CPUs headroom for read/write tasks,
-    ~14 input blocks per CPU with batch_size 448 (≈1 batch per block:
-    coarser tasks cut block/batch machinery overhead at 28 actors while
-    14 blocks/CPU still bounds the straggler tail), per-actor task queue
-    capped at 2 for end-of-job balance, driver-warmed broadcast
-    caches."""
+    """The measured job: read -> parse chain (fused task map) -> write
+    parquet. ~14 input blocks per CPU with batch_size 448 (≈1 batch per
+    block: coarse tasks cut block/batch machinery overhead while 14
+    blocks/CPU still bounds the straggler tail), driver-warmed broadcast
+    caches (BASELINE.md)."""
     import ray.data as rd
 
     from document_parser_private_ray.pipelines.resume import parse_resumes
@@ -95,16 +92,14 @@ def run_headline(corpus_path: str, num_cpus: int) -> dict:
     out_dir = f"/tmp/dppr_bench_out/{num_cpus}"
     if os.path.isdir(out_dir):
         shutil.rmtree(out_dir)
-    pool = max(2, int(num_cpus * 0.75), num_cpus - 4)
     t0 = time.monotonic()
     ds = parse_resumes(
         rd.read_parquet(
             corpus_path, columns=["doc_id", "spans"],
             override_num_blocks=num_cpus * 14,
         ),
-        concurrency=pool, batch_size=448,
+        batch_size=448,
         warm_caches=full_warm_caches(corpus_path),
-        max_tasks_in_flight=2,
     )
     ds.write_parquet(out_dir)
     wall = time.monotonic() - t0
@@ -223,11 +218,10 @@ _MP_STATE = {}
 
 def _mp_init(corpus_path: str):
     """Control-worker init: the identical parse stage, warm caches
-    seeded from the same persisted file the Ray actors use."""
+    seeded from the same persisted file the Ray workers use."""
     from document_parser_private_ray.stages.parse import ParseDocuments
 
-    _MP_STATE["stage"] = ParseDocuments(warm_caches=None)
-    _MP_STATE["stage"].oracle.seed_caches(full_warm_caches(corpus_path))
+    _MP_STATE["stage"] = ParseDocuments(warm_caches=full_warm_caches(corpus_path))
 
 
 def _mp_parse_chunk(task) -> int:

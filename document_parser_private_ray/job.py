@@ -23,17 +23,6 @@ import json
 import os
 
 
-def _auto_pool(requested: int) -> int:
-    """Actor-pool size: leave ~4 CPUs of headroom for read/write tasks
-    (the bench-tuned rule; see bench.run_headline)."""
-    if requested > 0:
-        return requested
-    import ray
-
-    n = int(ray.cluster_resources().get("CPU", 8))
-    return max(2, int(n * 0.75), n - 4)
-
-
 def main(argv=None) -> dict:
     p = argparse.ArgumentParser(
         prog="document_parser_private_ray.job",
@@ -44,7 +33,6 @@ def main(argv=None) -> dict:
     p.add_argument("--output", required=True, help="output directory (parts/ + lineage/)")
     p.add_argument("--run-id", default="run-0")
     p.add_argument("--files-per-partition", type=int, default=8)
-    p.add_argument("--concurrency", type=int, default=0, help="actor pool size (0 = auto)")
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--with-pii", action="store_true")
     p.add_argument(
@@ -65,13 +53,11 @@ def main(argv=None) -> dict:
     if not files:
         raise SystemExit(f"no parquet files under {args.input}")
 
-    pool = _auto_pool(args.concurrency)
-
     warm_ref = None
     if args.warm_sample > 0:
         # one driver-side oracle pass over a deterministic sample; the
         # resulting pure-function memo caches are broadcast once and
-        # seed every actor at steady-state throughput (BASELINE.md)
+        # seed every worker at steady-state throughput (BASELINE.md)
         from .oracle.document import DocumentOracle
 
         sample = read_corpus(files[0]).limit(args.warm_sample)
@@ -81,7 +67,6 @@ def main(argv=None) -> dict:
         return parse_resumes(
             ds,
             with_pii=args.with_pii,
-            concurrency=pool,
             batch_size=args.batch_size,
             warm_caches=warm_ref,
         )
@@ -98,7 +83,6 @@ def main(argv=None) -> dict:
     summary["doc_count"] = sum(lineage["doc_count"].to_pylist())
     summary["span_count"] = sum(lineage["span_count"].to_pylist())
     summary["error_count"] = sum(lineage["error_count"].to_pylist())
-    summary["actor_pool"] = pool
     print(json.dumps(summary))
     return summary
 

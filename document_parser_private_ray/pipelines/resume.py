@@ -2,12 +2,20 @@
 output spans (north rule), expressed Ray-Data-first.
 
     read (Lance/Parquet, pruned)
-      -> map_batches(ParseDocuments, actor pool)   # the whole per-doc chain
+      -> map_batches(ParseDocuments(...))   # the whole per-doc chain, as tasks
       -> write_parquet / downstream aggregates
+
+The parse runs on Ray's reusable task workers, not an actor pool: the
+mapped ``ParseDocuments`` instance ships as its constructor arguments
+(warm caches as one ``ray.put`` ref) and each worker process keeps the
+oracle it built in a per-process slot (``stages.parse``), so imports,
+ontologies and seeded memos are paid once per worker, not once per job.
+A task map also fuses with the following write into one
+``MapBatches(ParseDocuments)->Write`` operator.
 
 Skew: documents are heavy-tailed (FIXTURES §1). The pipeline keeps
 batches small for the parse stage so the streaming executor
-load-balances many small tasks across the pool (dynamic work stealing).
+load-balances many small tasks across the workers.
 """
 
 from __future__ import annotations
@@ -40,43 +48,28 @@ def parse_resumes(
     warm_caches=None,
     max_tasks_in_flight: Optional[int] = None,
 ):
-    """Attach the parse chain to a spans Dataset. ``concurrency`` sizes
-    the actor pool (None -> (2, 8)).
+    """Attach the parse chain to a spans Dataset as a task map.
 
     ``warm_caches``: pure-function memo caches (fuzzy decisions, line
     classifications, date parses — ``DocumentOracle.warm`` builds them
-    in one driver pass), broadcast via ray.put so every actor starts at
-    steady-state throughput instead of each paying the cold-cache
-    transient (the dominant cost when docs-per-actor is small)."""
-    fn_kwargs = dict(data_dir=data_dir, today=today, with_pii=with_pii)
-    pool = concurrency if concurrency is not None else (2, 8)
-    # fixed pools may cap the per-actor task queue (2 beats the default 4
-    # for end-of-job balance under heavy-tailed blocks — BASELINE.md)
-    if max_tasks_in_flight is not None and isinstance(pool, int):
-        from ray.data import ActorPoolStrategy
+    in one driver pass), broadcast via ray.put (or passed as an existing
+    ObjectRef) so every worker starts at steady-state throughput
+    instead of paying the cold-cache transient. The driver never
+    resolves the ref.
 
-        pool_kwargs = dict(
-            compute=ActorPoolStrategy(
-                size=pool, max_tasks_in_flight_per_actor=max_tasks_in_flight
-            )
-        )
-    else:
-        pool_kwargs = dict(concurrency=pool)
-
+    ``concurrency`` and ``max_tasks_in_flight`` have no effect: they
+    sized the actor pool this stage used to run on, and are accepted
+    only so existing callers keep working."""
     if warm_caches is not None:
-        # broadcast as-is (a caller may pass an existing ObjectRef)
         import ray
 
-        fn_kwargs["warm_caches"] = (
-            warm_caches if isinstance(warm_caches, ray.ObjectRef) else ray.put(warm_caches)
-        )
-
+        if not isinstance(warm_caches, ray.ObjectRef):
+            warm_caches = ray.put(warm_caches)
+    stage = ParseDocuments(
+        data_dir=data_dir, today=today, with_pii=with_pii, warm_caches=warm_caches
+    )
     return ds.map_batches(
-        ParseDocuments,
-        fn_constructor_kwargs=fn_kwargs,
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size,
-        **pool_kwargs,
+        stage, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
     )
 
 

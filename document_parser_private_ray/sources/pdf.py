@@ -6,7 +6,8 @@ was a pluggable slot only. This module closes the loop the way SURVEY
 literal-string `Tj` show-text operators, ASCII/latin-1 text, Helvetica
 fonts, optionally Flate-compressed) and an EXTRACTOR handling that
 subset under any chain of the stdlib-decodable filters (FlateDecode
-with predictors, ASCIIHexDecode, ASCII85Decode) — so the full chain
+and LZWDecode with predictors, RunLengthDecode, ASCIIHexDecode,
+ASCII85Decode) — so the full chain
 pdf-bytes -> blocks -> spans -> parse runs and is testable entirely
 in-sandbox. Real-world PDFs still route through the pluggable
 ``extract=`` hook (pdfplumber/fitz chain, pdf_parser.py:119-196 shape)
@@ -228,6 +229,8 @@ _PRED_RE = re.compile(rb"/Predictor\s+(\d+)")
 _COLS_RE = re.compile(rb"/Columns\s+(\d+)")
 _COLORS_RE = re.compile(rb"/Colors\s+(\d+)")
 _BPC_RE = re.compile(rb"/BitsPerComponent\s+(\d+)")
+_EARLY_RE = re.compile(rb"/EarlyChange\s+(\d+)")
+_INLINE_PARMS_RE = re.compile(rb"/DecodeParms\s*[<\[]")
 _FONT_REF_RE = re.compile(rb"/(F\d+)\s+(\d+)\s+0\s+R")
 _OBJ_RE = re.compile(rb"(\d+)\s+0\s+obj(.*?)endobj", re.DOTALL)
 _BASEFONT_RE = re.compile(rb"/BaseFont\s*/([A-Za-z0-9+-]+)")
@@ -284,35 +287,97 @@ def _filters(d: bytes) -> List[str]:
     return [n.decode("latin-1") for n in _NAME_RE.findall(m.group(1))]
 
 
+def _lzw_decode(data: bytes, early_change: int = 1) -> bytes:
+    """LZWDecode (PDF 32000-1 §7.4.4): MSB-first codes of 9 to 12 bits,
+    256 clears the table, 257 ends the data. With ``early_change`` 1
+    (the default) the code width grows one code early."""
+    out = bytearray()
+    table = [bytes([i]) for i in range(256)] + [b"", b""]
+    width, prev = 9, None
+    acc = nbits = 0
+    for byte in data:
+        acc = (acc << 8) | byte
+        nbits += 8
+        while nbits >= width:
+            nbits -= width
+            code = (acc >> nbits) & ((1 << width) - 1)
+            acc &= (1 << nbits) - 1
+            if code == 256:
+                del table[258:]
+                width, prev = 9, None
+                continue
+            if code == 257:
+                return bytes(out)
+            if code < len(table):
+                entry = table[code]
+            elif code == len(table) and prev is not None:
+                entry = prev + prev[:1]
+            else:
+                raise ValueError(f"LZW code {code} outside the table")
+            if prev is not None and len(table) < 4096:
+                table.append(prev + entry[:1])
+            out += entry
+            prev = entry
+            if width < 12 and len(table) + early_change >= 1 << width:
+                width += 1
+    return bytes(out)
+
+
+def _run_length_decode(data: bytes) -> bytes:
+    """RunLengthDecode (PDF 32000-1 §7.4.5): a length byte n < 128 copies
+    the next n + 1 bytes, n > 128 repeats the next byte 257 - n times,
+    128 ends the data."""
+    out = bytearray()
+    i = 0
+    while i < len(data):
+        n = data[i]
+        if n == 128:
+            break
+        if n < 128:
+            out += data[i + 1 : i + 2 + n]
+            i += n + 2
+        else:
+            out += data[i + 1 : i + 2] * (257 - n)
+            i += 2
+    return bytes(out)
+
+
 def _decode(payload: bytes, name: str, d: bytes) -> bytes:
-    """One filter of the chain. FlateDecode inflates via stdlib zlib,
-    then inverts any ``/DecodeParms`` predictor (TIFF differencing, PNG
-    Sub/Up/Average/Paeth); ASCIIHexDecode and ASCII85Decode use
-    binascii / base64. Any other filter (LZW, RunLength, DCT, JPX) is
-    outside the minimal subset and raises, naming the filter."""
+    """One filter of the chain. FlateDecode inflates via stdlib zlib and
+    LZWDecode via ``_lzw_decode`` (``/EarlyChange``), each then
+    inverting any ``/DecodeParms`` predictor (TIFF differencing, PNG
+    Sub/Up/Average/Paeth); RunLengthDecode, ASCIIHexDecode and
+    ASCII85Decode are stdlib byte loops / binascii / base64. Any other
+    filter (DCT, JPX) is outside the minimal subset and raises, naming
+    the filter."""
     if name == "ASCIIHexDecode":
         digits = re.sub(rb"\s", b"", payload).split(b">", 1)[0]
         # an odd final digit is followed by an implied 0 (PDF 32000-1 §7.4.2)
         return binascii.unhexlify(digits + b"0" * (len(digits) % 2))
     if name == "ASCII85Decode":
         return base64.a85decode(payload.strip().split(b"~>", 1)[0])
-    if name != "FlateDecode":
+    if name == "RunLengthDecode":
+        return _run_length_decode(payload)
+    if name not in ("FlateDecode", "LZWDecode"):
         raise NotImplementedError(
             f"/{name} content streams are outside the minimal subset; "
             "pass extract= with a full PDF backend"
         )
-    payload = zlib.decompress(payload)
-    if b"/DecodeParms" not in d:
-        return payload
+    if b"/DecodeParms" in d and _INLINE_PARMS_RE.search(d) is None:
+        # e.g. an indirect ``/DecodeParms n 0 R``: guessing "no
+        # predictor" would return garbled text
+        raise NotImplementedError(
+            "/DecodeParms that is not an inline dictionary is outside the "
+            "minimal subset; pass extract= with a full PDF backend"
+        )
+    if name == "FlateDecode":
+        payload = zlib.decompress(payload)
+    else:
+        em = _EARLY_RE.search(d)
+        payload = _lzw_decode(payload, int(em.group(1)) if em else 1)
     pm = _PRED_RE.search(d)
     if pm is None:
-        # e.g. an indirect ``/DecodeParms n 0 R``: guessing
-        # "no predictor" would return garbled text
-        raise NotImplementedError(
-            "/DecodeParms without an inline /Predictor is "
-            "outside the minimal subset; pass extract= with a "
-            "full PDF backend"
-        )
+        return payload
     return _undo_predictor(
         payload,
         int(pm.group(1)),

@@ -1,9 +1,17 @@
 """Ray Data stages for the parse chain (SURVEY §3.4 lifecycle).
 
 Each stage is a callable usable in ``map_batches(..., batch_format=
-"pyarrow")``. Stateful stages are classes (actor pools: ontologies,
-regex banks and PII rules built once per actor in ``__init__``);
-cheap column math is in stateless functions.
+"pyarrow")``; cheap column math is in stateless functions.
+
+``ParseDocuments`` runs as Ray tasks: ``pipelines.resume`` maps a
+constructed instance, which pickles as its constructor arguments only
+(``warm_caches`` as an ``ObjectRef``, never the resolved memo dicts).
+The ``DocumentOracle`` — ontologies, regex banks, PII rules and the
+seeded memos — lives in a per-process slot (``_SLOT``) built on the
+first batch a worker process parses for a configuration and reused by
+its later tasks, jobs and ``job.main`` partitions. A different
+configuration or warm-cache ref replaces the slot, so a process holds
+at most one memo set.
 
 Per-row try/except inside the UDF turns a poison document into an
 ``error`` column value instead of a task failure (the reference's
@@ -31,10 +39,44 @@ _EMPTY_RESUME = {
 }
 
 
+# (key, DocumentOracle) of the last configuration this process parsed
+# with; task workers outlive jobs, so the oracle outlives them too
+_SLOT: list = [None, None]
+
+
+def _build_oracle(config: dict, warm_caches: Optional[dict]) -> DocumentOracle:
+    oracle = DocumentOracle(**config)
+    if warm_caches is not None:
+        # broadcast warm-start: driver-warmed memo dicts (pure-function
+        # caches, valid on any worker)
+        oracle.seed_caches(warm_caches)
+    return oracle
+
+
+def _slot_oracle(config: dict, warm_ref) -> DocumentOracle:
+    """This process's oracle for ``config`` seeded from ``warm_ref``
+    (an ObjectRef or None), built on first use. The slot keys on the
+    ref's id, not the ref, so it never pins the object."""
+    key = (config, None if warm_ref is None else warm_ref.binary())
+    if _SLOT[0] != key:
+        _SLOT[:] = [None, None]  # release the old memos before building
+        if warm_ref is not None:
+            import ray
+
+            warm_ref = ray.get(warm_ref)
+        _SLOT[:] = [key, _build_oracle(config, warm_ref)]
+    return _SLOT[1]
+
+
 class ParseDocuments:
     """spans -> (out_spans, resume[, pii]) — the whole per-document chain
-    in one actor stage (M1-M13 + N1-N18; no intermediate shuffle: the
-    chain is embarrassingly parallel per document, SURVEY §3.4)."""
+    in one task stage (M1-M13 + N1-N18; no intermediate shuffle: the
+    chain is embarrassingly parallel per document, SURVEY §3.4).
+
+    ``warm_caches``: a dict of memo caches (``DocumentOracle.warm``)
+    gives the instance its own oracle, built here; an ObjectRef to such
+    a dict, or None, takes the process slot's oracle on first use, so
+    the pickled instance is only its constructor arguments."""
 
     def __init__(
         self,
@@ -44,19 +86,23 @@ class ParseDocuments:
         pii_config: Optional[dict] = None,
         warm_caches=None,
     ):
-        self.oracle = DocumentOracle(
+        self.config = dict(
             data_dir=data_dir, today=today, with_pii=with_pii, pii_config=pii_config
         )
         self.with_pii = with_pii or pii_config is not None
         self.schema = PARSED_PII_SCHEMA if self.with_pii else PARSED_SCHEMA
-        if warm_caches is not None:
-            # broadcast warm-start: an ObjectRef to driver-warmed memo
-            # dicts (pure-function caches, valid on any worker)
-            import ray
+        self.warm_ref = None
+        self._oracle = None
+        if isinstance(warm_caches, dict):
+            self._oracle = _build_oracle(self.config, warm_caches)
+        else:
+            self.warm_ref = warm_caches
 
-            if isinstance(warm_caches, ray.ObjectRef):
-                warm_caches = ray.get(warm_caches)
-            self.oracle.seed_caches(warm_caches)
+    @property
+    def oracle(self) -> DocumentOracle:
+        if self._oracle is not None:
+            return self._oracle
+        return _slot_oracle(self.config, self.warm_ref)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -86,6 +132,7 @@ class ParseDocuments:
         errors: list = []
         anon_texts: list = []
         pii_maps: list = []
+        process = self.oracle.process_columnar
         idx = 0
         for i, (doc_id, ln) in enumerate(zip(doc_ids, lens)):
             ln = ln or 0
@@ -94,9 +141,7 @@ class ParseDocuments:
             media = all_media[idx : idx + ln]
             idx += ln
             try:
-                ks, ts, ms, resume, anon, pii_map = self.oracle.process_columnar(
-                    doc_id, kinds, texts, media
-                )
+                ks, ts, ms, resume, anon, pii_map = process(doc_id, kinds, texts, media)
                 span_kinds.extend(ks)
                 span_texts.extend(ts)
                 span_media.extend(ms)

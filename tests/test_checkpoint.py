@@ -27,7 +27,7 @@ def corpus_files(tmp_path_factory):
 def _pipeline(ds):
     from document_parser_private_ray.pipelines.resume import parse_resumes
 
-    return parse_resumes(ds, concurrency=(1, 2), batch_size=16)
+    return parse_resumes(ds, batch_size=16)
 
 
 def _collect(out_dir):

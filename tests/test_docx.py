@@ -108,7 +108,7 @@ def test_docx_through_parse_chain(ray_session, tmp_path):
     )
     parsed = {
         os.path.basename(r["doc_id"]): r
-        for r in parse_resumes(spans_ds, concurrency=(1, 2)).take_all()
+        for r in parse_resumes(spans_ds).take_all()
     }
 
     oracle = DocumentOracle()

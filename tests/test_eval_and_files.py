@@ -89,7 +89,7 @@ def test_parsed_projection(ray_session, tmp_path):
 
     d = tmp_path / "c"
     write_corpus_local(str(d), 10, 42)
-    parsed = parse_resumes(rd.read_parquet(str(d)), concurrency=(1, 2))
+    parsed = parse_resumes(rd.read_parquet(str(d)))
     proj = parsed_to_prediction_columns(parsed).take_all()
     assert len(proj) == 10
     assert all(set(r) == {"doc_id", "skills", "companies", "education"} for r in proj)
@@ -121,7 +121,7 @@ def test_text_files_feed_parse_chain(ray_session, tmp_path):
         "TECHNICAL SKILLS\nPython, Docker"
     )
     ds = from_text_files(str(tmp_path / "cv.txt")).select_columns(["doc_id", "spans"])
-    parsed = parse_resumes(ds, concurrency=(1, 1)).take_all()
+    parsed = parse_resumes(ds).take_all()
     assert len(parsed) == 1
     resume = parsed[0]["resume"]
     assert resume["contact"]["email"] == "john@x.com"

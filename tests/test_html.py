@@ -270,7 +270,7 @@ def test_html_to_parse_chain_e2e(ray_session, tmp_path):
     spans_ds = ds.map_batches(
         lambda t: t.select(["doc_id", "spans"]), batch_format="pyarrow"
     )
-    got = parse_resumes(spans_ds, concurrency=(1, 2)).take_all()[0]
+    got = parse_resumes(spans_ds).take_all()[0]
     oracle = DocumentOracle()
     out = oracle.process(
         rows[0]["doc_id"],

@@ -37,7 +37,7 @@ def test_job_end_to_end_and_resume(ray_session, tmp_path):
     summary = main(
         [
             "--input", src, "--output", out, "--run-id", "r1",
-            "--files-per-partition", "1", "--concurrency", "2",
+            "--files-per-partition", "1",
             "--warm-sample", "20",
         ]
     )
@@ -61,7 +61,7 @@ def test_job_end_to_end_and_resume(ray_session, tmp_path):
     summary2 = main(
         [
             "--input", src, "--output", out, "--run-id", "r2",
-            "--files-per-partition", "1", "--concurrency", "2",
+            "--files-per-partition", "1",
             "--warm-sample", "0",
         ]
     )

@@ -95,7 +95,7 @@ def test_wide_row_split_reassemble_roundtrip(ray_session):
     table = generate_batch(ids, 42)
     direct = {
         r["doc_id"]: r["out_spans"]
-        for r in parse_resumes(rd.from_arrow(table), concurrency=(1, 2)).take_all()
+        for r in parse_resumes(rd.from_arrow(table)).take_all()
     }
     split_ds = rd.from_arrow(table).map_batches(
         split_oversize_rows(max_spans=100), batch_format="pyarrow"
@@ -106,7 +106,7 @@ def test_wide_row_split_reassemble_roundtrip(ray_session):
     )
     via_split = {
         r["doc_id"]: r["out_spans"]
-        for r in parse_resumes(rejoined, concurrency=(1, 2)).take_all()
+        for r in parse_resumes(rejoined).take_all()
     }
     assert direct == via_split
 

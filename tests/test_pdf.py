@@ -46,7 +46,7 @@ def test_not_a_pdf_raises():
 
 def test_non_flate_filter_raises():
     data = (
-        b"%PDF-1.4\n1 0 obj\n<< /Length 5 /Filter /LZWDecode >>\n"
+        b"%PDF-1.4\n1 0 obj\n<< /Length 5 /Filter /DCTDecode >>\n"
         b"stream\nxxxxx\nendstream\nendobj\n%%EOF\n"
     )
     with pytest.raises(NotImplementedError):
@@ -117,7 +117,7 @@ def test_pdf_to_parse_chain_span_equality(ray_session, tmp_path):
     )
     parsed = {
         os.path.basename(r["doc_id"]): r
-        for r in parse_resumes(spans_ds, concurrency=(1, 2)).take_all()
+        for r in parse_resumes(spans_ds).take_all()
     }
 
     oracle = DocumentOracle()
@@ -177,7 +177,7 @@ def test_table_pdf_through_parse_chain(ray_session, tmp_path):
     spans_ds = ds.map_batches(
         lambda t: t.select(["doc_id", "spans"]), batch_format="pyarrow"
     )
-    parsed = parse_resumes(spans_ds, concurrency=(1, 2)).take_all()
+    parsed = parse_resumes(spans_ds).take_all()
     assert parsed[0]["error"] == ""
     assert "table" in {s["kind"] for s in parsed[0]["out_spans"]}
 
@@ -214,7 +214,7 @@ def test_flate_pdf_through_parse_chain(ray_session, tmp_path):
     spans_ds = from_pdf_files([pz]).map_batches(
         lambda t: t.select(["doc_id", "spans"]), batch_format="pyarrow"
     )
-    parsed = parse_resumes(spans_ds, concurrency=(1, 2)).take_all()
+    parsed = parse_resumes(spans_ds).take_all()
     assert parsed[0]["error"] == ""
     assert "Python" in parsed[0]["resume"]["skills"]
 
@@ -325,10 +325,67 @@ def test_unknown_predictor_raises(old, new):
         extract_pdf_blocks(bad)
 
 
-def _refiltered(blocks, filters):
+def _lzw_encode(data: bytes, early_change: int = 1) -> bytes:
+    """LZW encoder for the round trips: a clear code first and whenever
+    the table fills, widths grown as the decoder grows them (one code
+    early when ``early_change`` is 1), then the EOD code."""
+    codes, width = [(256, 9)], 9
+    table, nxt = {bytes([i]): i for i in range(256)}, 258
+    w = b""
+    for c in data:
+        wc = w + bytes([c])
+        if wc in table:
+            w = wc
+            continue
+        codes.append((table[w], width))
+        table[wc], nxt = nxt, nxt + 1
+        if width < 12 and nxt + early_change > 1 << width:
+            width += 1
+        if nxt == 4096:
+            codes.append((256, width))
+            table, nxt, width = {bytes([i]): i for i in range(256)}, 258, 9
+        w = bytes([c])
+    if w:
+        codes.append((table[w], width))
+        # the decoder adds its last entry on this code, so EOD may be wider
+        if width < 12 and nxt + 1 + early_change > 1 << width:
+            width += 1
+    codes.append((257, width))
+    acc = nbits = 0
+    out = bytearray()
+    for code, bits in codes:
+        acc, nbits = (acc << bits) | code, nbits + bits
+        while nbits >= 8:
+            nbits -= 8
+            out.append((acc >> nbits) & 0xFF)
+    if nbits:
+        out.append((acc << (8 - nbits)) & 0xFF)
+    return bytes(out)
+
+
+def _rle_encode(data: bytes) -> bytes:
+    """RunLengthDecode encoder: repeat records for runs of 2+, literal
+    records otherwise, each at most 128 bytes, then EOD (128)."""
+    out, i = bytearray(), 0
+    while i < len(data):
+        j = i
+        while j < len(data) and j - i < 128 and data[j] == data[i]:
+            j += 1
+        if j - i >= 2:
+            out += bytes([257 - (j - i), data[i]])
+        else:
+            while j < len(data) and j - i < 128 and data[j] != data[j - 1]:
+                j += 1
+            out += bytes([j - i - 1]) + data[i:j]
+        i = j
+    return bytes(out + b"\x80")
+
+
+def _refiltered(blocks, filters, parms=b""):
     """The PDF of ``blocks`` with its content stream encoded for the
     ``/Filter`` chain ``filters`` (listed in decode order, so encoding
-    runs in reverse): a bare name for one filter, an array otherwise."""
+    runs in reverse): a bare name for one filter, an array otherwise.
+    ``parms`` is written as the stream's ``/DecodeParms``."""
     import base64
     import binascii
     import zlib as _z
@@ -338,6 +395,8 @@ def _refiltered(blocks, filters):
         # whitespace between digits and the EOD marker are legal
         "ASCIIHexDecode": lambda b: binascii.hexlify(b, b"\n", 30) + b">",
         "ASCII85Decode": lambda b: base64.a85encode(b, wrapcol=64) + b"~>",
+        "LZWDecode": lambda b: _lzw_encode(b, 0 if b"/EarlyChange 0" in parms else 1),
+        "RunLengthDecode": _rle_encode,
     }
     base = write_minimal_pdf(blocks)
     raw = base.split(b"stream\n", 1)[1].split(b"\nendstream", 1)[0]
@@ -349,7 +408,7 @@ def _refiltered(blocks, filters):
     return (
         head
         + b"4 0 obj\n<< /Length " + str(len(raw)).encode() + b" /Filter " + entry
-        + b" >>\nstream\n" + raw + b"\nendstream\nendobj\n"
+        + (b" /DecodeParms " + parms if parms else b"") + b" >>\nstream\n" + raw + b"\nendstream\nendobj\n"
         + tail.split(b"endobj\n", 1)[1]
     )
 
@@ -369,8 +428,11 @@ _CHAIN_BLOCKS = [
         ["ASCII85Decode", "FlateDecode"],
         # inflate, then un-hex: the second filter is never skipped
         ["FlateDecode", "ASCIIHexDecode"],
+        ["LZWDecode"],
+        ["RunLengthDecode"],
+        ["ASCIIHexDecode", "LZWDecode"],
     ],
-    ids=["hex", "a85", "a85_flate", "flate_hex"],
+    ids=["hex", "a85", "a85_flate", "flate_hex", "lzw", "runlength", "hex_lzw"],
 )
 def test_filter_chain_roundtrip(filters):
     data = _refiltered(_CHAIN_BLOCKS, filters)
@@ -385,9 +447,70 @@ def test_hex_odd_digit_count_pads_zero():
     assert _decode(b"41 42 4>", "ASCIIHexDecode", b"") == b"AB@"
 
 
-@pytest.mark.parametrize(
-    "name", ["LZWDecode", "RunLengthDecode", "DCTDecode", "JPXDecode"]
-)
+def test_lzw_reference_vector():
+    """The LZW example of the PDF reference (§7.4.4.2)."""
+    from document_parser_private_ray.sources.pdf import _lzw_decode
+
+    data = bytes.fromhex("80 0B 60 50 22 0C 0C 85 01")
+    assert _lzw_decode(data) == bytes.fromhex("2D 2D 2D 2D 2D 41 2D 2D 2D 42")
+    assert _lzw_encode(bytes.fromhex("2D 2D 2D 2D 2D 41 2D 2D 2D 42")) == data
+
+
+@pytest.mark.parametrize("early_change", [1, 0])
+def test_lzw_roundtrip_through_width_changes_and_clears(early_change):
+    """Enough distinct strings to grow the code width 9 -> 12 and refill
+    the table (a clear code mid-stream), under both EarlyChange modes."""
+    import random
+
+    from document_parser_private_ray.sources.pdf import _lzw_decode
+
+    rng = random.Random(7)
+    data = bytes(rng.choice(b"abcdefgh ") for _ in range(60_000))
+    enc = _lzw_encode(data, early_change)
+    assert _lzw_decode(enc, early_change) == data
+    with pytest.raises(ValueError):
+        _lzw_decode(enc, 1 - early_change)
+
+
+def test_lzw_early_change_zero_and_predictor_in_pdf():
+    from document_parser_private_ray.sources.pdf import _png_predict_encode
+
+    plain = extract_pdf_blocks(write_minimal_pdf(_CHAIN_BLOCKS))
+    data = _refiltered(_CHAIN_BLOCKS, ["LZWDecode"], b"<< /EarlyChange 0 >>")
+    assert extract_pdf_blocks(data) == plain
+    # LZW + PNG predictor: encode the predicted rows, then LZW
+    base = write_minimal_pdf(_CHAIN_BLOCKS)
+    raw = base.split(b"stream\n", 1)[1].split(b"\nendstream", 1)[0]
+    enc = _lzw_encode(_png_predict_encode(raw, 16))
+    head, tail = base.split(b"4 0 obj\n", 1)
+    doc = (
+        head + b"4 0 obj\n<< /Length " + str(len(enc)).encode()
+        + b" /Filter /LZWDecode /DecodeParms << /Predictor 12 /Columns 16 >>"
+        + b" >>\nstream\n" + enc + b"\nendstream\nendobj\n"
+        + tail.split(b"endobj\n", 1)[1]
+    )
+    assert extract_pdf_blocks(doc) == plain
+
+
+def test_run_length_decode():
+    from document_parser_private_ray.sources.pdf import _run_length_decode
+
+    # literal "abc", three "z", EOD, then bytes past EOD are ignored
+    assert _run_length_decode(b"\x02abc\xfez\x80junk") == b"abczzz"
+    data = b"a" * 300 + bytes(range(200)) + b"bb" + b"c"
+    assert _run_length_decode(_rle_encode(data)) == data
+
+
+def test_corrupt_lzw_stream_raises():
+    data = (
+        b"%PDF-1.4\n1 0 obj\n<< /Length 5 /Filter /LZWDecode >>\n"
+        b"stream\nxxxxx\nendstream\nendobj\n%%EOF\n"
+    )
+    with pytest.raises(ValueError, match="LZW"):
+        extract_pdf_blocks(data)
+
+
+@pytest.mark.parametrize("name", ["DCTDecode", "JPXDecode"])
 def test_unsupported_filter_in_chain_raises_by_name(name):
     data = _refiltered(_CHAIN_BLOCKS, ["FlateDecode"]).replace(
         b"/Filter /FlateDecode", b"/Filter [/FlateDecode /" + name.encode() + b"]"

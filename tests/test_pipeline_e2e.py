@@ -40,7 +40,7 @@ def test_span_equality_pipeline_vs_oracle(ray_session, corpus_path):
     from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
 
     ds = read_corpus(corpus_path)
-    parsed = parse_resumes(ds, concurrency=(1, 2), batch_size=16)
+    parsed = parse_resumes(ds, batch_size=16)
     got = {row["doc_id"]: row for row in parsed.take_all()}
 
     expected = oracle_outputs()
@@ -64,7 +64,7 @@ def test_span_equality_pipeline_vs_oracle(ray_session, corpus_path):
 def test_resume_struct_equality(ray_session, corpus_path):
     from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
 
-    parsed = parse_resumes(read_corpus(corpus_path), concurrency=(1, 2), batch_size=16)
+    parsed = parse_resumes(read_corpus(corpus_path), batch_size=16)
     got = {row["doc_id"]: row for row in parsed.take_all()}
     expected = oracle_outputs()
     for doc_id, exp in list(expected.items())[:25]:
@@ -78,7 +78,7 @@ def test_span_equality_larger_corpus(ray_session, tmp_path):
 
     path = str(tmp_path / "big")
     write_corpus_local(path, 400, seed=SEED, rows_per_file=100)
-    parsed = parse_resumes(read_corpus(path), concurrency=(2, 4), batch_size=64)
+    parsed = parse_resumes(read_corpus(path), batch_size=64)
     got = {r["doc_id"]: r["out_spans"] for r in parsed.take_all()}
 
     oracle = DocumentOracle()
@@ -107,9 +107,7 @@ def test_pii_chain_equality(ray_session, corpus_path):
     from document_parser_private_ray.sources.corpus import generate_document
 
     n = 40
-    parsed = parse_resumes(
-        read_corpus(corpus_path), with_pii=True, concurrency=(1, 2)
-    )
+    parsed = parse_resumes(read_corpus(corpus_path), with_pii=True)
     got = {
         r["doc_id"]: (r["anonymized_text"], r["pii_map"])
         for r in parsed.take_all()
@@ -132,9 +130,9 @@ def test_warm_broadcast_identical_results(ray_session, corpus_path):
     from document_parser_private_ray.oracle.document import DocumentOracle
     from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
 
-    cold = parse_resumes(read_corpus(corpus_path), concurrency=(1, 2))
+    cold = parse_resumes(read_corpus(corpus_path))
     caches = DocumentOracle().warm(read_corpus(corpus_path).limit(50).take_all())
-    warm = parse_resumes(read_corpus(corpus_path), concurrency=(1, 2), warm_caches=caches)
+    warm = parse_resumes(read_corpus(corpus_path), warm_caches=caches)
     a = {r["doc_id"]: (r["out_spans"], r["resume"]) for r in cold.take_all()}
     b = {r["doc_id"]: (r["out_spans"], r["resume"]) for r in warm.take_all()}
     assert a == b
@@ -152,7 +150,7 @@ def test_explode_reassemble_roundtrip(ray_session, corpus_path):
         .groupby("doc_id")
         .map_groups(reassemble_group, batch_format="pyarrow")
     )
-    parsed = parse_resumes(reassembled, concurrency=(1, 2))
+    parsed = parse_resumes(reassembled)
     got = {r["doc_id"]: r["out_spans"] for r in parsed.take_all()}
     expected = oracle_outputs()
     for doc_id, exp in expected.items():
@@ -161,3 +159,85 @@ def test_explode_reassemble_roundtrip(ray_session, corpus_path):
             for s in exp["out_spans"]
         ]
         assert got[doc_id] == exp_spans
+
+
+def test_shipped_stage_is_small_and_shares_the_slot(ray_session, monkeypatch):
+    """The mapped stage pickles as its constructor arguments plus the
+    warm-cache ref — never the oracle or the memo dicts. Unpickled
+    copies in one process share that process's oracle; a different ref
+    replaces it; an inline dict still builds a private oracle."""
+    import pickle
+
+    import ray
+
+    from document_parser_private_ray.functions.sections import SectionDetector
+    from document_parser_private_ray.stages import parse
+
+    monkeypatch.setattr(parse, "_SLOT", [None, None])
+    detector = SectionDetector()
+    for i in range(12_000):
+        detector._classify(f"line {i} of a synthetic paragraph")
+    caches = {"lines": dict(detector._line_memo)}
+    assert len(pickle.dumps(caches)) > 300_000
+
+    blob = ray.cloudpickle.dumps(parse.ParseDocuments(warm_caches=ray.put(caches)))
+    assert len(blob) < 16 * 1024
+    first, second = pickle.loads(blob), pickle.loads(blob)
+    shared = first.oracle
+    assert second.oracle is shared
+    assert len(shared.detector._line_memo) == 12_000
+
+    other = pickle.loads(ray.cloudpickle.dumps(parse.ParseDocuments(warm_caches=ray.put({}))))
+    replaced = other.oracle
+    assert replaced is not shared and parse._SLOT[1] is replaced
+    assert len(replaced.detector._line_memo) == 0
+
+    own = parse.ParseDocuments(warm_caches=caches)
+    assert own.oracle is not parse._SLOT[1]
+    assert len(own.oracle.detector._line_memo) == 12_000
+
+
+@pytest.mark.parametrize("with_pii", [False, True], ids=["plain", "pii"])
+def test_back_to_back_jobs_identical_rows(ray_session, corpus_path, with_pii):
+    """Jobs on one cluster reuse the workers' oracles: the same ref
+    twice, then a different (empty) warm dict, each row identical to
+    the in-process oracle."""
+    import ray
+
+    from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
+
+    oracle = DocumentOracle(with_pii=with_pii)
+    expected = {}
+    for i in range(N_DOCS):
+        doc = generate_document(i, SEED)
+        sp = doc["spans"]
+        expected[doc["doc_id"]] = oracle.process(
+            doc["doc_id"], [s["kind"] for s in sp], [s["text"] for s in sp],
+            [s["media_ref"] for s in sp],
+        )
+    caches = DocumentOracle(with_pii=with_pii).warm(read_corpus(corpus_path).limit(50).take_all())
+    ref = ray.put(caches)
+    for warm in (ref, ref, {}):
+        parsed = parse_resumes(
+            read_corpus(corpus_path), with_pii=with_pii, warm_caches=warm, batch_size=16
+        )
+        got = {r["doc_id"]: r for r in parsed.take_all()}
+        assert set(got) == set(expected)
+        for doc_id, exp in expected.items():
+            g = got[doc_id]
+            assert g["error"] == ""
+            assert g["out_spans"] == exp["out_spans"], doc_id
+            assert g["resume"] == exp["resume"], doc_id
+            if with_pii:
+                assert (g["anonymized_text"], g["pii_map"]) == (
+                    exp["anonymized_text"], exp["pii_map"]
+                ), doc_id
+
+
+def test_parse_fuses_with_write(ray_session, corpus_path, tmp_path):
+    """The parse is a task map, so Ray fuses it with the write."""
+    from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
+
+    parsed = parse_resumes(read_corpus(corpus_path), batch_size=16)
+    parsed.write_parquet(str(tmp_path / "out"))
+    assert "MapBatches(ParseDocuments)->Write" in parsed.stats()

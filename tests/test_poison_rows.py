@@ -28,7 +28,7 @@ def test_poison_rows_degrade_to_error_column(ray_session):
         },
     ]
     ds = rd.from_arrow(pa.Table.from_pylist(rows, schema=INPUT_SCHEMA))
-    out = parse_resumes(ds, concurrency=2, batch_size=2).to_pandas()
+    out = parse_resumes(ds, batch_size=2).to_pandas()
     assert len(out) == 4  # no task death, every row accounted for
     by_id = {r["doc_id"]: r for _, r in out.iterrows()}
 
@@ -69,7 +69,7 @@ def test_poison_rows_with_pii_stage(ray_session):
         },
     ]
     ds = rd.from_arrow(pa.Table.from_pylist(rows, schema=INPUT_SCHEMA))
-    out = parse_resumes(ds, with_pii=True, concurrency=2, batch_size=2).to_pandas()
+    out = parse_resumes(ds, with_pii=True, batch_size=2).to_pandas()
     by_id = {r["doc_id"]: r for _, r in out.iterrows()}
     assert by_id["a"]["error"].startswith("TypeError")
     assert by_id["a"]["anonymized_text"] == "" and len(by_id["a"]["pii_map"]) == 0
