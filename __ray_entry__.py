@@ -1,9 +1,14 @@
-"""Driver contract for the graft builder (Ray Data target).
+"""Driver contract (Ray Data target).
 
 ``entry()`` — flagship parse chain over the deterministic synthetic
 interleaved-span corpus (sized from sf0.001).
-``queries()`` — one entry per implemented operator/pipeline
-(SURVEY.md §2 + the training-data family); each callable takes sf_dir.
+``queries()`` — name -> callable(sf_dir) for every contract query, built
+from ``QUERY_TABLE`` in driver order. A row names one package function,
+its constant kwargs, the float columns to turn into integer cents and
+the columns to keep; the ``_q_*`` functions cover the queries that do
+more than call one function on sf_dir (synthetic-corpus inputs, oracle
+export staging, synthetic media, the checkpoint lineage check). A new
+query is one new row, placed where it should sit in the driver window.
 ``oracle_sql()`` — DuckDB-equivalent SQL for every SQL-expressible
 query (same column names; float aggregates as integer cents/micros on
 both sides — cross-engine ROUND() is hash poison). Sketch/LSH/IVF
@@ -13,14 +18,17 @@ resolution and candidate-dependent MinHash counts are rows-only (those
 carry the pytest span-equality / planted-dup gates instead).
 
 Ray is initialised by the driver BEFORE this module is imported: nothing
-here calls ray.init()/ray.shutdown().
+here calls ray.init()/ray.shutdown(), and importing it imports no
+package module (each query imports its pipeline when it runs).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import os
 from collections.abc import Callable
-from typing import Any
+from typing import Any, NamedTuple
 
 SEED = 42
 _CORPUS_CACHE = "/tmp/dppr_corpus"
@@ -184,146 +192,6 @@ def _q_span_rollup(sf_dir: str):
     return resume_rollup(rd.read_parquet(target))
 
 
-def _q_q1(sf_dir: str):
-    from document_parser_private_ray.pipelines.relational import q1_pricing_summary
-
-    return _round_cols(q1_pricing_summary(sf_dir), ["sum_base_price", "sum_disc_price"])
-
-
-def _q_revenue_by_nation(sf_dir: str):
-    from document_parser_private_ray.pipelines.relational import revenue_by_nation
-
-    return _round_cols(revenue_by_nation(sf_dir), ["revenue"])
-
-
-def _q_top_customers(sf_dir: str):
-    from document_parser_private_ray.pipelines.relational import (
-        top_customers_by_order_value,
-    )
-
-    return _round_cols(top_customers_by_order_value(sf_dir), ["total_value"])
-
-
-def _q_events_hourly(sf_dir: str):
-    from document_parser_private_ray.pipelines.relational import events_hourly_window
-
-    return _round_cols(events_hourly_window(sf_dir), ["sum_value"])
-
-
-def _q_sessionize(sf_dir: str):
-    from document_parser_private_ray.pipelines.relational import events_sessionize
-
-    import numpy as np
-
-    def to_cents(df):
-        df["sum_value_cents"] = np.floor(df["sum_value"] * 100.0 + 0.5).astype("int64")
-        return df.drop(columns=["sum_value"])
-
-    return events_sessionize(sf_dir).map_batches(to_cents, batch_format="pandas")
-
-
-def _q_asof_join(sf_dir: str):
-    """As-of join purchases -> latest prior view per user (merge_asof in
-    co-partitioned groups; DuckDB native ASOF JOIN as oracle)."""
-    import numpy as np
-
-    from document_parser_private_ray.pipelines.relational import purchases_asof_views
-
-    def to_cents(df):
-        df["purchase_value_cents"] = np.floor(df["purchase_value"] * 100.0 + 0.5).astype("int64")
-        df["view_value_cents"] = np.floor(df["view_value"] * 100.0 + 0.5).astype("int64")
-        return df.drop(columns=["purchase_value", "view_value"])
-
-    return purchases_asof_views(sf_dir).map_batches(to_cents, batch_format="pandas")
-
-
-def _q_order_lineitem_join(sf_dir: str):
-    """Large-large bucketed hash join (orders ⋈ lineitem)."""
-    from document_parser_private_ray.pipelines.joins import order_lineitem_revenue
-
-    return _round_cols(order_lineitem_revenue(sf_dir), ["revenue"])
-
-
-def _q_winnow_overlap(sf_dir: str):
-    """Substring-dup candidates: pairs sharing >=5 winnowing
-    fingerprints (MOSS shape, inverted-index self-join)."""
-    from document_parser_private_ray.pipelines.dedup import winnow_overlap_pairs
-
-    return winnow_overlap_pairs(sf_dir, min_shared=5)
-
-
-def _q_curate_corpus(sf_dir: str):
-    """Composed curation chain: quality -> language -> exact dedup ->
-    split assignment -> per-split counts (the canonical LLM data-prep
-    pipeline, verified end-to-end against one SQL oracle)."""
-    from document_parser_private_ray.pipelines.curate import curate_corpus
-
-    return curate_corpus(sf_dir)
-
-
-def _q_top_words(sf_dir: str):
-    """Corpus vocabulary top-50 (partial counts before the shuffle)."""
-    from document_parser_private_ray.pipelines.text_analysis import top_words
-
-    return top_words(sf_dir, k=50)
-
-
-def _q_doc_length_percentiles(sf_dir: str):
-    """Exact discrete length percentiles via bounded histogram."""
-    from document_parser_private_ray.pipelines.text_analysis import (
-        doc_length_percentiles,
-    )
-
-    return doc_length_percentiles(sf_dir)
-
-
-def _q_events_sliding(sf_dir: str):
-    """Sliding 3h/1h event-time windows (explode-then-aggregate)."""
-    import numpy as np
-
-    from document_parser_private_ray.pipelines.relational import events_sliding_window
-
-    def to_cents(df):
-        df["sum_value_cents"] = np.floor(df["sum_value"] * 100.0 + 0.5).astype("int64")
-        return df.drop(columns=["sum_value"])
-
-    return events_sliding_window(sf_dir).map_batches(to_cents, batch_format="pandas")
-
-
-def _q_user_top_events(sf_dir: str):
-    """Per-group top-k: top-3 events per user by value (grouped rank —
-    hash shuffle on the key, vectorized rank inside each group)."""
-    from document_parser_private_ray.pipelines.relational import user_top_events
-
-    return user_top_events(sf_dir, k=3)
-
-
-def _q_dataset_split(sf_dir: str):
-    """Deterministic hash-based train/val/test assignment (stable across
-    runs/engines; oracle recomputes via md5_number_upper)."""
-    from document_parser_private_ray.pipelines.splits import dataset_split
-
-    return dataset_split(sf_dir)
-
-
-def _q_split_counts(sf_dir: str):
-    from document_parser_private_ray.pipelines.splits import split_counts
-
-    return split_counts(sf_dir)
-
-
-def _q_distinct_segments(sf_dir: str):
-    from document_parser_private_ray.pipelines.joins import distinct_values
-
-    return distinct_values(sf_dir, "customer", "c_mktsegment")
-
-
-def _q_dedup_exact(sf_dir: str):
-    from document_parser_private_ray.pipelines.dedup import dedup_exact
-
-    return dedup_exact(sf_dir)
-
-
 def _q_dedup_minhash(sf_dir: str):
     import pandas as pd
 
@@ -339,12 +207,6 @@ def _q_dedup_minhash(sf_dir: str):
             }
         ]
     )
-
-
-def _q_dedup_simhash(sf_dir: str):
-    from document_parser_private_ray.pipelines.dedup import dedup_simhash
-
-    return dedup_simhash(sf_dir)
 
 
 def _q_ngram_jaccard(sf_dir: str):
@@ -367,795 +229,16 @@ def _q_ngram_jaccard(sf_dir: str):
     return ds.map_batches(to_micro, batch_format="pyarrow")
 
 
-def _q_embedding_neardup(sf_dir: str):
-    from document_parser_private_ray.pipelines.dedup import embedding_neardup_pairs
-
-    # synthetic embeddings top out near cosine 0.5 — 0.45 keeps the
-    # operator's output non-trivial at every sf
-    return embedding_neardup_pairs(sf_dir, threshold=0.45).select_columns(["id_a", "id_b"])
-
-
-def _q_embedding_neardup_lsh(sf_dir: str):
-    """Scale path: multi-table sign-LSH bucketed near-dup (precision 1.0
-    vs the exact baseline; recall measured in tests)."""
-    from document_parser_private_ray.pipelines.similarity import embedding_neardup_lsh
-
-    return embedding_neardup_lsh(sf_dir, threshold=0.45)
-
-
-def _q_customers_no_urgent_orders(sf_dir: str):
-    """Anti join (Q22 shape) via the co-partitioned bucketed shuffle."""
-    from document_parser_private_ray.pipelines.joins import customers_no_urgent_orders
-
-    return customers_no_urgent_orders(sf_dir)
-
-
-def _q_order_bigline_histogram(sf_dir: str):
-    """LEFT OUTER bucketed join: zero-match orders must appear."""
-    from document_parser_private_ray.pipelines.joins import order_bigline_histogram
-
-    return order_bigline_histogram(sf_dir)
-
-
-def _q_customers_big_spenders(sf_dir: str):
-    """Semi join via the same co-partitioned bucketed shuffle."""
-    from document_parser_private_ray.pipelines.joins import customers_big_spenders
-
-    return customers_big_spenders(sf_dir)
-
-
-def _q_word_collocations(sf_dir: str):
-    """Bigram collocations by integer lift (exp-PMI family) — tagged
-    partial counts, one groupby, candidate-bounded driver math."""
-    from document_parser_private_ray.pipelines.collocations import word_collocations
-
-    return word_collocations(sf_dir, top_k=25)
-
-
-def _q_vocab_kmv(sf_dir: str):
-    """KMV distinct-vocabulary sketch — deterministic (md5, fixed k),
-    so the oracle replays the sketch VALUE, not just the true count."""
-    from document_parser_private_ray.pipelines.cardinality import vocab_kmv
-
-    return vocab_kmv(sf_dir, k=16)
-
-
-def _q_session_purchase_counts(sf_dir: str):
-    """Interval join: events into containing session windows."""
-    from document_parser_private_ray.pipelines.relational import (
-        session_purchase_counts,
-    )
-
-    return session_purchase_counts(sf_dir)
-
-
-def _q_supplier_pagerank(sf_dir: str):
-    """Integer fixed-point PageRank, 3 synchronous iterations."""
-    from document_parser_private_ray.pipelines.pagerank import supplier_pagerank
-
-    # n_buckets=8 at verify/bench scale: scores are bucket-count
-    # invariant (order-free integer arithmetic) and each of the ~9
-    # sequential exchanges carries tiny blocks — fewer partitions cut
-    # the fixed per-exchange cost ~2x (raise for real cluster runs)
-    return supplier_pagerank(sf_dir, n_iters=3, k=20, n_buckets=8)
-
-
-def _q_funnel_counts(sf_dir: str):
-    """Strict ordered view>click>purchase funnel."""
-    from document_parser_private_ray.pipelines.relational import funnel_counts
-
-    return funnel_counts(sf_dir)
-
-
-def _q_retention_cohorts(sf_dir: str):
-    """Weekly retention triangle (cohort week x active week)."""
-    from document_parser_private_ray.pipelines.relational import retention_cohorts
-
-    return retention_cohorts(sf_dir)
-
-
-def _q_sample_stratified(sf_dir: str):
-    """Deterministic per-source top-N sample (grouped-rank shape)."""
-    from document_parser_private_ray.pipelines.splits import sample_stratified
-
-    return sample_stratified(sf_dir, n_per_source=10)
-
-
-def _q_event_gaps(sf_dir: str):
-    """Per-user inter-event gap stats — the LAG-window shape."""
-    from document_parser_private_ray.pipelines.relational import event_gaps
-
-    return event_gaps(sf_dir)
-
-
-def _q_orders_rollup(sf_dir: str):
-    """GROUP BY ROLLUP: fine-grain shuffle once, coarse levels derived
-    from the tiny aggregate in exact integer cents."""
-    from document_parser_private_ray.pipelines.relational import orders_rollup
-
-    return orders_rollup(sf_dir)
-
-
-def _q_customer_balance_quartiles(sf_dir: str):
-    """Grouped NTILE window: per-nation balance quartiles."""
-    from document_parser_private_ray.pipelines.relational import (
-        customer_balance_quartiles,
-    )
-
-    return customer_balance_quartiles(sf_dir)
-
-
-def _q_user_cumulative_spend(sf_dir: str):
-    """Grouped running prefix-sum window over purchase events."""
-    from document_parser_private_ray.pipelines.relational import (
-        user_cumulative_spend,
-    )
-
-    return user_cumulative_spend(sf_dir)
-
-
-def _q_q3_shipping_priority(sf_dir: str):
-    """TPC-H Q3 shape: semi-join chain into a large-large hash join."""
-    from document_parser_private_ray.pipelines.joins import q3_shipping_priority
-
-    return q3_shipping_priority(sf_dir)
-
-
 def _q_span_bytes_by_kind(sf_dir: str):
-    """Corpus storage profile: span counts + text bytes per kind."""
     from document_parser_private_ray.pipelines.layout import span_bytes_by_kind
 
     return span_bytes_by_kind(_corpus_for(sf_dir))
 
 
 def _q_span_transitions(sf_dir: str):
-    """Span-kind adjacency counts over the interleaved-span corpus."""
     from document_parser_private_ray.pipelines.layout import span_kind_transitions
 
     return span_kind_transitions(_corpus_for(sf_dir))
-
-
-def _q_time_to_convert_percentiles(sf_dir: str):
-    """Exact conversion-latency percentiles (first view -> purchase)."""
-    from document_parser_private_ray.pipelines.relational import (
-        time_to_convert_percentiles,
-    )
-
-    return time_to_convert_percentiles(sf_dir)
-
-
-def _q_transition_majority_accuracy(sf_dir: str):
-    """Majority next-event baseline accuracy from the Markov table."""
-    from document_parser_private_ray.pipelines.relational import (
-        transition_majority_accuracy,
-    )
-
-    return transition_majority_accuracy(sf_dir)
-
-
-def _q_source_token_gini(sf_dir: str):
-    """Source-imbalance Gini in exact integer micro."""
-    from document_parser_private_ray.pipelines.text_analysis import (
-        source_token_gini,
-    )
-
-    return source_token_gini(sf_dir)
-
-
-def _q_split_length_ks(sf_dir: str):
-    """Discrete two-sample KS between split length distributions."""
-    from document_parser_private_ray.pipelines.text_analysis import (
-        split_length_ks,
-    )
-
-    return split_length_ks(sf_dir)
-
-
-def _q_signup_conversion_24h(sf_dir: str):
-    """Activation: purchases within 24h of first signup."""
-    from document_parser_private_ray.pipelines.relational import (
-        signup_conversion_24h,
-    )
-
-    return signup_conversion_24h(sf_dir)
-
-
-def _q_weekly_revenue_wow(sf_dir: str):
-    """Week-over-week revenue as exact integer pairs."""
-    from document_parser_private_ray.pipelines.relational import weekly_revenue_wow
-
-    return weekly_revenue_wow(sf_dir)
-
-
-def _q_dup_rate_by_source(sf_dir: str):
-    """Per-source exact-duplicate rate (curation report)."""
-    from document_parser_private_ray.pipelines.dedup import dup_rate_by_source
-
-    return dup_rate_by_source(sf_dir)
-
-
-def _q_label_balance_by_split(sf_dir: str):
-    """Class-label balance per md5 train/val/test split."""
-    from document_parser_private_ray.pipelines.splits import label_balance_by_split
-
-    return label_balance_by_split(sf_dir)
-
-
-def _q_value_outliers(sf_dir: str):
-    """Exact-integer 3-sigma outlier counts per event type."""
-    from document_parser_private_ray.pipelines.relational import value_outliers
-
-    return value_outliers(sf_dir)
-
-
-def _q_order_price_quartiles(sf_dir: str):
-    """Exact quantiles over unbounded-cardinality values (2-pass)."""
-    from document_parser_private_ray.pipelines.relational import (
-        order_price_quartiles,
-    )
-
-    return order_price_quartiles(sf_dir)
-
-
-def _q_cosupplier_pairs(sf_dir: str):
-    """Two-hop graph co-occurrence: suppliers sharing customers."""
-    from document_parser_private_ray.pipelines.pagerank import cosupplier_pairs
-
-    return cosupplier_pairs(sf_dir)
-
-
-def _q_dup_cluster_histogram(sf_dir: str):
-    """Dedup diagnostics: exact-duplicate cluster-size distribution."""
-    from document_parser_private_ray.pipelines.dedup import dup_cluster_histogram
-
-    return dup_cluster_histogram(sf_dir)
-
-
-def _q_user_first_last_purchase(sf_dir: str):
-    """Grouped argmin/argmax: per-user first and last purchase."""
-    from document_parser_private_ray.pipelines.relational import (
-        user_first_last_purchase,
-    )
-
-    return user_first_last_purchase(sf_dir)
-
-
-def _q_nation_share_of_region(sf_dir: str):
-    """Two-level percent-of-total in exact integer pairs."""
-    from document_parser_private_ray.pipelines.relational import (
-        nation_share_of_region,
-    )
-
-    return nation_share_of_region(sf_dir)
-
-
-def _q_orders_above_customer_avg(sf_dir: str):
-    """Decorrelated subquery with a division-free integer compare."""
-    from document_parser_private_ray.pipelines.joins import (
-        orders_above_customer_avg,
-    )
-
-    return orders_above_customer_avg(sf_dir)
-
-
-def _q_daily_revenue_ma7(sf_dir: str):
-    """Gap-aware trailing 7-day revenue window at daily grain."""
-    from document_parser_private_ray.pipelines.relational import daily_revenue_ma7
-
-    return daily_revenue_ma7(sf_dir)
-
-
-def _q_building_not_big_spenders(sf_dir: str):
-    """Set algebra: EXCEPT composed from keys-only co-partition joins."""
-    from document_parser_private_ray.pipelines.joins import (
-        building_not_big_spenders,
-    )
-
-    return building_not_big_spenders(sf_dir)
-
-
-def _q_length_mad_by_lang(sf_dir: str):
-    """Robust stats: exact per-language median + MAD of doc lengths."""
-    from document_parser_private_ray.pipelines.text_analysis import (
-        length_mad_by_lang,
-    )
-
-    return length_mad_by_lang(sf_dir)
-
-
-def _q_priority_segment_chi2(sf_dir: str):
-    """Exact integer chi-square over the priority x segment crosstab."""
-    from document_parser_private_ray.pipelines.relational import (
-        priority_segment_chi2,
-    )
-
-    return priority_segment_chi2(sf_dir)
-
-
-def _q_orders_by_weekday(sf_dir: str):
-    """Day-of-week seasonality rollup (epoch-day arithmetic)."""
-    from document_parser_private_ray.pipelines.relational import orders_by_weekday
-
-    return orders_by_weekday(sf_dir)
-
-
-def _q_props_field_stats(sf_dir: str):
-    """Vectorized JSON field extraction + typed aggregation."""
-    from document_parser_private_ray.pipelines.relational import props_field_stats
-
-    return props_field_stats(sf_dir)
-
-
-def _q_revenue_by_region(sf_dir: str):
-    """Snowflake rollup: three dimension hops pre-joined + broadcast."""
-    from document_parser_private_ray.pipelines.relational import revenue_by_region
-
-    return revenue_by_region(sf_dir)
-
-
-def _q_event_transitions(sf_dir: str):
-    """First-order Markov transition counts over user sequences."""
-    from document_parser_private_ray.pipelines.relational import event_transitions
-
-    return event_transitions(sf_dir)
-
-
-def _q_revenue_by_parttype(sf_dir: str):
-    """Star rollup with the part dimension broadcast."""
-    from document_parser_private_ray.pipelines.relational import revenue_by_parttype
-
-    return revenue_by_parttype(sf_dir)
-
-
-def _q_fk_violations(sf_dir: str):
-    """Referential-integrity audit via keys-only anti joins."""
-    from document_parser_private_ray.pipelines.joins import fk_violations
-
-    return fk_violations(sf_dir)
-
-
-def _q_embedding_norms(sf_dir: str):
-    """Per-vector squared L2 norms in order-free integer micro."""
-    from document_parser_private_ray.pipelines.similarity import embedding_norms
-
-    return embedding_norms(sf_dir)
-
-
-def _q_event_value_trends(sf_dir: str):
-    """Distributed least squares from int64 partial sums."""
-    from document_parser_private_ray.pipelines.relational import event_value_trends
-
-    return event_value_trends(sf_dir)
-
-
-def _q_user_event_paths(sf_dir: str):
-    """Path mining: most common ordered event-type journeys."""
-    from document_parser_private_ray.pipelines.relational import user_event_paths
-
-    return user_event_paths(sf_dir)
-
-
-def _q_profile_columns(sf_dir: str):
-    """Single-scan per-column profile of the orders table."""
-    from document_parser_private_ray.pipelines.profile import profile_columns
-
-    return profile_columns(sf_dir)
-
-
-def _q_events_hourly_users(sf_dir: str):
-    """Windowed COUNT(DISTINCT): distinct active users per hour."""
-    from document_parser_private_ray.pipelines.relational import (
-        events_hourly_users,
-    )
-
-    return events_hourly_users(sf_dir)
-
-
-def _q_build_postings(sf_dir: str):
-    """Inverted-index construction: df-capped posting lists."""
-    from document_parser_private_ray.pipelines.search import build_postings
-
-    return build_postings(sf_dir, max_df=300)
-
-
-def _q_table_checksum(sf_dir: str):
-    """Order-free per-source content checksums (anti-entropy shape)."""
-    from document_parser_private_ray.pipelines.integrity import table_checksum
-
-    return table_checksum(sf_dir)
-
-
-def _q_vocab_hll(sf_dir: str):
-    """HyperLogLog vocabulary estimate (register-wise max merge)."""
-    from document_parser_private_ray.pipelines.cardinality import vocab_hll
-
-    return vocab_hll(sf_dir)
-
-
-def _q_corpus_shuffle(sf_dir: str):
-    """Deterministic global shuffle with exact positions."""
-    from document_parser_private_ray.pipelines.splits import corpus_shuffle
-
-    return corpus_shuffle(sf_dir)
-
-
-def _q_remove_boilerplate(sf_dir: str):
-    """CCNet-shape boilerplate removal over 4-word segments."""
-    from document_parser_private_ray.pipelines.segments import remove_boilerplate
-
-    return remove_boilerplate(sf_dir)
-
-
-def _q_dedup_segments(sf_dir: str):
-    """Corpus-wide first-occurrence exact segment dedup."""
-    from document_parser_private_ray.pipelines.segments import dedup_segments
-
-    return dedup_segments(sf_dir)
-
-
-def _q_dedup_against_state(sf_dir: str):
-    """Incremental ingest dedup vs a persisted hash state."""
-    from document_parser_private_ray.pipelines.dedup import dedup_against_state
-
-    return dedup_against_state(sf_dir)
-
-
-def _q_embedding_kmeans(sf_dir: str):
-    """K-means cluster profile (train-small / assign-everywhere)."""
-    from document_parser_private_ray.pipelines.similarity import embedding_kmeans_sizes
-
-    return embedding_kmeans_sizes(sf_dir)
-
-
-def _q_priority_segment_pivot(sf_dir: str):
-    """PIVOT/crosstab: priority rows x market-segment count columns."""
-    from document_parser_private_ray.pipelines.relational import priority_segment_pivot
-
-    return priority_segment_pivot(sf_dir)
-
-
-def _q_word_cms_estimates(sf_dir: str):
-    """Count-Min sketch probed word frequencies (replayable sketch)."""
-    from document_parser_private_ray.pipelines.cardinality import word_cms_estimates
-
-    return word_cms_estimates(sf_dir)
-
-
-def _q_orders_price_bands(sf_dir: str):
-    """Broadcast range join: band boundaries ride with the task."""
-    from document_parser_private_ray.pipelines.relational import orders_price_bands
-
-    return orders_price_bands(sf_dir)
-
-
-def _q_vocab_kmv_by_source(sf_dir: str):
-    """Grouped KMV sketch: per-source vocabulary estimates."""
-    from document_parser_private_ray.pipelines.cardinality import vocab_kmv_by_source
-
-    return vocab_kmv_by_source(sf_dir, k=16)
-
-
-def _q_doc_letter_concentration(sf_dir: str):
-    """Herfindahl letter-concentration spam signal, integer micro."""
-    from document_parser_private_ray.pipelines.text_analysis import (
-        doc_letter_concentration,
-    )
-
-    return doc_letter_concentration(sf_dir)
-
-
-def _q_top_words_by_source(sf_dir: str):
-    """Grouped heavy hitters: per-source vocabulary top-k."""
-    from document_parser_private_ray.pipelines.text_analysis import top_words_by_source
-
-    return top_words_by_source(sf_dir, k=5)
-
-
-def _q_length_percentiles_by_lang(sf_dir: str):
-    """Grouped exact PERCENTILE_DISC via bounded per-stratum histograms."""
-    from document_parser_private_ray.pipelines.text_analysis import (
-        doc_length_percentiles_by_lang,
-    )
-
-    return doc_length_percentiles_by_lang(sf_dir)
-
-
-def _q_doc_oov_rate(sf_dir: str):
-    """Per-doc OOV-bigram rate (deterministic LM-quality proxy)."""
-    from document_parser_private_ray.pipelines.tokenizer import doc_oov_rate
-
-    return doc_oov_rate(sf_dir, top_k=20)
-
-
-def _q_bpe_pair_counts(sf_dir: str):
-    """Tokenizer-training statistic: corpus-wide in-word adjacent
-    char-pair counts (the global argmax is the first BPE merge)."""
-    from document_parser_private_ray.pipelines.tokenizer import bpe_pair_counts
-
-    return bpe_pair_counts(sf_dir, top_k=50)
-
-
-def _q_source_filter(sf_dir: str):
-    """Domain-level quality filter: per-doc verdicts from the
-    per-source mean-score gate (CCNet/FineWeb shape)."""
-    from document_parser_private_ray.pipelines.domains import source_filter
-
-    return source_filter(sf_dir)
-
-
-def _q_source_stats(sf_dir: str):
-    from document_parser_private_ray.pipelines.domains import source_stats
-
-    return source_stats(sf_dir)
-
-
-def _q_semdedup(sf_dir: str):
-    """SemDeDup: k-means-confined semantic dedup — quadratic cosine
-    compare runs within clusters only (sum(|c|^2), not n^2)."""
-    from document_parser_private_ray.pipelines.semdedup import semdedup
-
-    return semdedup(sf_dir, threshold=0.45)
-
-
-def _q_ann_bruteforce(sf_dir: str):
-    from document_parser_private_ray.pipelines.similarity import ann_bruteforce_topk
-
-    return ann_bruteforce_topk(sf_dir, k=5, n_queries=8).select_columns(
-        ["query_id", "vec_id", "rank"]
-    )
-
-
-def _q_ann_lsh(sf_dir: str):
-    from document_parser_private_ray.pipelines.similarity import ann_lsh_topk
-
-    return ann_lsh_topk(sf_dir, k=5, n_queries=8).select_columns(
-        ["query_id", "vec_id", "rank"]
-    )
-
-
-def _q_ann_ivf(sf_dir: str):
-    """IVF ANN: deterministic k-means cells, n_probe nearest cells per
-    query, exact cosine rerank inside the probed cells."""
-    from document_parser_private_ray.pipelines.similarity import ann_ivf_topk
-
-    return ann_ivf_topk(sf_dir, k=5, n_queries=8).select_columns(
-        ["query_id", "vec_id", "rank"]
-    )
-
-
-def _q_neardup_keep_best(sf_dir: str):
-    """Quality-canonical near-dup resolution: one row per MinHash
-    near-dup cluster, keeper = max text bytes (tie min doc_id) — the
-    keep-the-most-complete-copy curation policy."""
-    from document_parser_private_ray.pipelines.dedup import neardup_keep_best
-
-    return neardup_keep_best(sf_dir)
-
-
-def _q_ann_ivfpq(sf_dir: str):
-    """IVF-PQ ANN (by_residual=False): coarse cells prune candidates,
-    PQ codes + integer-micro ADC lookup tables score them — the
-    memory-bounded embedding path (m_sub bytes per vector)."""
-    from document_parser_private_ray.pipelines.similarity import ann_ivfpq_topk
-
-    return ann_ivfpq_topk(sf_dir, k=5, n_queries=8)
-
-
-def _q_doc_perplexity(sf_dir: str):
-    """CCNet-style LM quality filter: char-bigram NLL per document in
-    exact integer micro-nats (729-parameter model trained in one
-    bounded-exchange scan, broadcast into a shuffle-free scoring
-    scan); keep = integer cross-multiply against the threshold."""
-    from document_parser_private_ray.pipelines.lm import doc_perplexity
-
-    return doc_perplexity(sf_dir)
-
-
-def _q_embedding_pca(sf_dir: str):
-    """Integer-exact PCA projection onto the top-4 components (the
-    dimensionality-reduction pass before ANN/k-means): constants
-    trained on a deterministic sample, ONE shuffle-free scan, every
-    value an order-free int64 dot product."""
-    from document_parser_private_ray.pipelines.similarity import embedding_pca
-
-    return embedding_pca(sf_dir)
-
-
-def _q_snapshot_diff(sf_dir: str):
-    """Corpus-version diff via the FULL OUTER bucketed join: one row
-    per added / removed / changed doc between the documents table and
-    a deterministically derived prior snapshot; only (id, md5) pairs
-    shuffle."""
-    from document_parser_private_ray.pipelines.joins import snapshot_diff
-
-    return snapshot_diff(sf_dir)
-
-
-def _q_minhash_against_state(sf_dir: str):
-    """Incremental MinHash near-dup ingestion: odd doc_ids (the
-    increment) classified against even doc_ids (the persisted state)
-    through the banded exchange — the state shuffles, never
-    broadcasts."""
-    from document_parser_private_ray.pipelines.dedup import minhash_against_state
-
-    return minhash_against_state(sf_dir)
-
-
-def _q_ppjoin_pairs(sf_dir: str):
-    """Exact set-similarity self-join via prefix filtering (AllPairs/
-    PPJoin): every doc pair with 3-gram shingle Jaccard >= 0.7, with
-    integer (n_common, n_union) so no float channel is hashed."""
-    from document_parser_private_ray.pipelines.setjoin import ppjoin_pairs
-
-    return ppjoin_pairs(sf_dir)
-
-
-def _q_doc_quality(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_quality
-
-    return doc_quality(sf_dir)
-
-
-def _q_doc_quality_extended(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_quality_extended
-
-    return doc_quality_extended(sf_dir)
-
-
-def _q_doc_tokens(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_tokens
-
-    return doc_tokens(sf_dir).select_columns(["doc_id", "ws_tokens"])
-
-
-def _q_doc_tokens_bpe(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_tokens
-
-    return doc_tokens(sf_dir)
-
-
-def _q_doc_language(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import lang_histogram
-
-    return lang_histogram(sf_dir)
-
-
-def _q_doc_fingerprints(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_fingerprints
-
-    return doc_fingerprints(sf_dir).select_columns(["doc_id", "md5"])
-
-
-def _q_doc_winnow(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_fingerprints
-
-    return doc_fingerprints(sf_dir).select_columns(["doc_id", "n_winnow"])
-
-
-def _q_doc_repetition(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_repetition
-
-    return doc_repetition(sf_dir)
-
-
-def _q_doc_tfidf(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_tfidf
-
-    return doc_tfidf(sf_dir)
-
-
-def _q_doc_chunks(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_chunks
-
-    return doc_chunks(sf_dir)
-
-
-def _q_doc_stopwords(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_stopwords
-
-    return doc_stopwords(sf_dir)
-
-
-def _q_html_spans(sf_dir: str):
-    from document_parser_private_ray.pipelines.html import html_spans
-
-    return html_spans(sf_dir)
-
-
-def _q_html_main_content(sf_dir: str):
-    from document_parser_private_ray.pipelines.html import html_main_content
-
-    return html_main_content(sf_dir)
-
-
-def _q_html_outlinks(sf_dir: str):
-    from document_parser_private_ray.pipelines.html import html_outlinks
-
-    return html_outlinks(sf_dir)
-
-
-def _q_html_metadata(sf_dir: str):
-    from document_parser_private_ray.pipelines.html import html_metadata
-
-    return html_metadata(sf_dir)
-
-
-def _q_url_dedup(sf_dir: str):
-    from document_parser_private_ray.pipelines.html import url_dedup
-
-    return url_dedup(sf_dir)
-
-
-def _q_web_curate(sf_dir: str):
-    from document_parser_private_ray.pipelines.html import web_curate
-
-    return web_curate(sf_dir)
-
-
-def _q_link_indegree(sf_dir: str):
-    from document_parser_private_ray.pipelines.html import link_indegree
-
-    return link_indegree(sf_dir)
-
-
-def _q_crawl_frontier(sf_dir: str):
-    from document_parser_private_ray.pipelines.html import crawl_frontier
-
-    return crawl_frontier(sf_dir)
-
-
-def _q_decontaminate_clean(sf_dir: str):
-    from document_parser_private_ray.pipelines.decontam import decontaminate_clean
-
-    return decontaminate_clean(sf_dir)
-
-
-def _q_anchor_texts(sf_dir: str):
-    from document_parser_private_ray.pipelines.html import anchor_texts
-
-    return anchor_texts(sf_dir)
-
-
-def _q_doc_normalize(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_normalize
-
-    return doc_normalize(sf_dir)
-
-
-def _q_bm25_search(sf_dir: str):
-    from document_parser_private_ray.pipelines.search import bm25_search
-
-    return bm25_search(sf_dir)
-
-
-def _q_doc_model_score(sf_dir: str):
-    from document_parser_private_ray.pipelines.text_analysis import doc_model_score
-
-    return doc_model_score(sf_dir)
-
-
-def _q_decontaminate(sf_dir: str):
-    from document_parser_private_ray.pipelines.decontam import decontaminate
-
-    return decontaminate(sf_dir)
-
-
-def _q_data_mix(sf_dir: str):
-    from document_parser_private_ray.pipelines.mixing import data_mix
-
-    return data_mix(sf_dir)
-
-
-def _q_mix_counts(sf_dir: str):
-    from document_parser_private_ray.pipelines.mixing import mix_counts
-
-    return mix_counts(sf_dir)
-
-
-def _q_pack_sequences(sf_dir: str):
-    from document_parser_private_ray.pipelines.mixing import pack_sequences
-
-    return pack_sequences(sf_dir)
 
 
 def _q_doc_pii(sf_dir: str):
@@ -1402,258 +485,228 @@ def _round_cols(ds, cols):
     return ds.map_batches(rounder, batch_format="pyarrow")
 
 
+class Q(NamedTuple):
+    """One contract query. A string ``target`` names a package function
+    (``"pipelines.<module>.<func>"``); the query calls it as
+    ``target(sf_dir, **kwargs)``, turns each ``cents`` column into
+    integer ``<col>_cents`` (``_round_cols``) and keeps only ``cols``
+    when given. A callable ``target`` is a ``_q_*`` function of sf_dir
+    for the queries that do more than that."""
+
+    name: str
+    target: str | Callable[[str], Any]
+    kwargs: dict[str, Any] = {}
+    cents: list[str] = []
+    cols: list[str] = []
+
+
+def _run(row: Q, sf_dir: str):
+    module, _, func = row.target.rpartition(".")
+    fn = getattr(importlib.import_module(f"document_parser_private_ray.{module}"), func)
+    ds = fn(sf_dir, **row.kwargs)
+    if row.cents:
+        ds = _round_cols(ds, row.cents)
+    if row.cols:
+        ds = ds.select_columns(row.cols)
+    return ds
+
+
+# Rows are in driver order. The driver's CORRECTNESS window records the
+# first 50 queries, so the order decides which queries get an external
+# green row; tools/check_contract.py sweeps all of them regardless.
+QUERY_TABLE = (
+    # -- rows 1-50: the current driver window ---------------------------------
+    Q("top_customers", "pipelines.relational.top_customers_by_order_value", cents=["total_value"]),
+    Q("customers_big_spenders", "pipelines.joins.customers_big_spenders"),
+    Q("events_sliding", "pipelines.relational.events_sliding_window", cents=["sum_value"]),
+    Q("curate_corpus", "pipelines.curate.curate_corpus"),
+    Q("winnow_overlap", "pipelines.dedup.winnow_overlap_pairs", {"min_shared": 5}),
+    Q("top_words", "pipelines.text_analysis.top_words", {"k": 50}),
+    Q("doc_length_percentiles", "pipelines.text_analysis.doc_length_percentiles"),
+    Q("user_top_events", "pipelines.relational.user_top_events", {"k": 3}),
+    Q("split_counts", "pipelines.splits.split_counts"),
+    Q("ngram_jaccard", _q_ngram_jaccard),
+    # synthetic embeddings top out near cosine 0.5 — 0.45 keeps the
+    # near-dup output non-trivial at every sf
+    Q(
+        "embedding_neardup",
+        "pipelines.dedup.embedding_neardup_pairs",
+        {"threshold": 0.45},
+        cols=["id_a", "id_b"],
+    ),
+    Q("embedding_neardup_lsh", "pipelines.similarity.embedding_neardup_lsh", {"threshold": 0.45}),
+    Q("html_main_content", "pipelines.html.html_main_content"),
+    Q("html_outlinks", "pipelines.html.html_outlinks"),
+    Q("html_metadata", "pipelines.html.html_metadata"),
+    Q("url_dedup", "pipelines.html.url_dedup"),
+    Q("customer_balance_quartiles", "pipelines.relational.customer_balance_quartiles"),
+    Q("link_indegree", "pipelines.html.link_indegree"),
+    Q("crawl_frontier", "pipelines.html.crawl_frontier"),
+    Q("decontaminate_clean", "pipelines.decontam.decontaminate_clean"),
+    Q("doc_normalize", "pipelines.text_analysis.doc_normalize"),
+    Q("anchor_texts", "pipelines.html.anchor_texts"),
+    Q(
+        "ann_lsh",
+        "pipelines.similarity.ann_lsh_topk",
+        {"k": 5, "n_queries": 8},
+        cols=["query_id", "vec_id", "rank"],
+    ),
+    Q("ann_ivfpq", "pipelines.similarity.ann_ivfpq_topk", {"k": 5, "n_queries": 8}),
+    Q("neardup_keep_best", "pipelines.dedup.neardup_keep_best"),
+    Q("doc_perplexity", "pipelines.lm.doc_perplexity"),
+    Q("embedding_pca", "pipelines.similarity.embedding_pca"),
+    Q("snapshot_diff", "pipelines.joins.snapshot_diff"),
+    Q("minhash_against_state", "pipelines.dedup.minhash_against_state"),
+    Q("ppjoin_pairs", "pipelines.setjoin.ppjoin_pairs"),
+    Q("doc_quality_extended", "pipelines.text_analysis.doc_quality_extended"),
+    Q("doc_tokens_bpe", "pipelines.text_analysis.doc_tokens"),
+    Q("doc_winnow", "pipelines.text_analysis.doc_fingerprints", cols=["doc_id", "n_winnow"]),
+    Q("doc_repetition", "pipelines.text_analysis.doc_repetition"),
+    Q("doc_chunks", "pipelines.text_analysis.doc_chunks"),
+    Q("doc_stopwords", "pipelines.text_analysis.doc_stopwords"),
+    Q("source_filter", "pipelines.domains.source_filter"),
+    Q("source_stats", "pipelines.domains.source_stats"),
+    Q("bpe_pair_counts", "pipelines.tokenizer.bpe_pair_counts", {"top_k": 50}),
+    Q("vocab_kmv", "pipelines.cardinality.vocab_kmv", {"k": 16}),
+    Q("vocab_kmv_by_source", "pipelines.cardinality.vocab_kmv_by_source", {"k": 16}),
+    Q("word_cms_estimates", "pipelines.cardinality.word_cms_estimates"),
+    Q("orders_price_bands", "pipelines.relational.orders_price_bands"),
+    Q("priority_segment_pivot", "pipelines.relational.priority_segment_pivot"),
+    Q("event_gaps", "pipelines.relational.event_gaps"),
+    Q("orders_rollup", "pipelines.relational.orders_rollup"),
+    Q("remove_boilerplate", "pipelines.segments.remove_boilerplate"),
+    Q("table_checksum", "pipelines.integrity.table_checksum"),
+    Q("events_hourly_users", "pipelines.relational.events_hourly_users"),
+    Q("user_event_paths", "pipelines.relational.user_event_paths"),
+    # -- rows 51-89: not yet in any driver window -----------------------------
+    Q("event_value_trends", "pipelines.relational.event_value_trends"),
+    Q("fk_violations", "pipelines.joins.fk_violations"),
+    Q("embedding_norms", "pipelines.similarity.embedding_norms"),
+    Q("event_transitions", "pipelines.relational.event_transitions"),
+    Q("revenue_by_parttype", "pipelines.relational.revenue_by_parttype"),
+    Q("revenue_by_region", "pipelines.relational.revenue_by_region"),
+    Q("props_field_stats", "pipelines.relational.props_field_stats"),
+    Q("orders_by_weekday", "pipelines.relational.orders_by_weekday"),
+    Q("priority_segment_chi2", "pipelines.relational.priority_segment_chi2"),
+    Q("length_mad_by_lang", "pipelines.text_analysis.length_mad_by_lang"),
+    Q("building_not_big_spenders", "pipelines.joins.building_not_big_spenders"),
+    Q("daily_revenue_ma7", "pipelines.relational.daily_revenue_ma7"),
+    Q("orders_above_customer_avg", "pipelines.joins.orders_above_customer_avg"),
+    Q("user_first_last_purchase", "pipelines.relational.user_first_last_purchase"),
+    Q("nation_share_of_region", "pipelines.relational.nation_share_of_region"),
+    Q("dup_cluster_histogram", "pipelines.dedup.dup_cluster_histogram"),
+    Q("cosupplier_pairs", "pipelines.pagerank.cosupplier_pairs"),
+    Q("order_price_quartiles", "pipelines.relational.order_price_quartiles"),
+    Q("value_outliers", "pipelines.relational.value_outliers"),
+    Q("label_balance_by_split", "pipelines.splits.label_balance_by_split"),
+    Q("dup_rate_by_source", "pipelines.dedup.dup_rate_by_source"),
+    Q("signup_conversion_24h", "pipelines.relational.signup_conversion_24h"),
+    Q("weekly_revenue_wow", "pipelines.relational.weekly_revenue_wow"),
+    Q("source_token_gini", "pipelines.text_analysis.source_token_gini"),
+    Q("split_length_ks", "pipelines.text_analysis.split_length_ks"),
+    Q("transition_majority_accuracy", "pipelines.relational.transition_majority_accuracy"),
+    Q("time_to_convert_percentiles", "pipelines.relational.time_to_convert_percentiles"),
+    Q("span_transitions", _q_span_transitions),
+    Q("span_bytes_by_kind", _q_span_bytes_by_kind),
+    Q("funnel_counts", "pipelines.relational.funnel_counts"),
+    Q("retention_cohorts", "pipelines.relational.retention_cohorts"),
+    Q("doc_oov_rate", "pipelines.tokenizer.doc_oov_rate", {"top_k": 20}),
+    Q("doc_letter_concentration", "pipelines.text_analysis.doc_letter_concentration"),
+    Q("top_words_by_source", "pipelines.text_analysis.top_words_by_source", {"k": 5}),
+    Q("length_percentiles_by_lang", "pipelines.text_analysis.doc_length_percentiles_by_lang"),
+    Q("word_collocations", "pipelines.collocations.word_collocations", {"top_k": 25}),
+    Q("data_mix", "pipelines.mixing.data_mix"),
+    Q("mix_counts", "pipelines.mixing.mix_counts"),
+    Q("media_full", _q_media_full),
+    # -- rows 90-139: the rounds 1-4 window, rows already recorded ------------
+    Q("parse_resumes", _q_parse_resumes),
+    Q("parse_resumes_pii", _q_parse_resumes_pii),
+    Q("detect_sections", _q_detect_sections),
+    Q("span_rollup", _q_span_rollup),
+    Q("layout_blocks", _q_layout_blocks),
+    Q("checkpoint_lineage", _q_checkpoint_lineage),
+    Q("doc_pii", _q_doc_pii),
+    Q("accuracy_eval", _q_accuracy_eval),
+    Q(
+        "q1_pricing_summary",
+        "pipelines.relational.q1_pricing_summary",
+        cents=["sum_base_price", "sum_disc_price"],
+    ),
+    Q("revenue_by_nation", "pipelines.relational.revenue_by_nation", cents=["revenue"]),
+    Q("largest_docs", _q_largest_docs),
+    Q("order_lineitem_join", "pipelines.joins.order_lineitem_revenue", cents=["revenue"]),
+    Q("customers_no_urgent_orders", "pipelines.joins.customers_no_urgent_orders"),
+    Q("profile_columns", "pipelines.profile.profile_columns"),
+    Q("order_bigline_histogram", "pipelines.joins.order_bigline_histogram"),
+    Q("q3_shipping_priority", "pipelines.joins.q3_shipping_priority"),
+    Q("events_hourly", "pipelines.relational.events_hourly_window", cents=["sum_value"]),
+    Q("events_sessionize", "pipelines.relational.events_sessionize", cents=["sum_value"]),
+    Q(
+        "asof_purchases_views",
+        "pipelines.relational.purchases_asof_views",
+        cents=["purchase_value", "view_value"],
+    ),
+    Q("session_purchase_counts", "pipelines.relational.session_purchase_counts"),
+    Q("user_cumulative_spend", "pipelines.relational.user_cumulative_spend"),
+    Q("web_curate", "pipelines.html.web_curate"),
+    Q("corpus_shuffle", "pipelines.splits.corpus_shuffle"),
+    Q(
+        "distinct_segments",
+        "pipelines.joins.distinct_values",
+        {"table": "customer", "column": "c_mktsegment"},
+    ),
+    Q("sample_stratified", "pipelines.splits.sample_stratified", {"n_per_source": 10}),
+    Q("dataset_split", "pipelines.splits.dataset_split"),
+    Q("dedup_exact", "pipelines.dedup.dedup_exact"),
+    Q("dedup_against_state", "pipelines.dedup.dedup_against_state"),
+    Q("dedup_minhash", _q_dedup_minhash),
+    Q("dedup_simhash", "pipelines.dedup.dedup_simhash"),
+    Q("html_spans", "pipelines.html.html_spans"),
+    Q("semdedup", "pipelines.semdedup.semdedup", {"threshold": 0.45}),
+    Q(
+        "ann_bruteforce",
+        "pipelines.similarity.ann_bruteforce_topk",
+        {"k": 5, "n_queries": 8},
+        cols=["query_id", "vec_id", "rank"],
+    ),
+    Q(
+        "ann_ivf",
+        "pipelines.similarity.ann_ivf_topk",
+        {"k": 5, "n_queries": 8},
+        cols=["query_id", "vec_id", "rank"],
+    ),
+    Q("embedding_kmeans", "pipelines.similarity.embedding_kmeans_sizes"),
+    Q("doc_quality", "pipelines.text_analysis.doc_quality"),
+    Q("doc_tokens", "pipelines.text_analysis.doc_tokens", cols=["doc_id", "ws_tokens"]),
+    Q("doc_language", "pipelines.text_analysis.lang_histogram"),
+    Q("doc_fingerprints", "pipelines.text_analysis.doc_fingerprints", cols=["doc_id", "md5"]),
+    Q("doc_tfidf", "pipelines.text_analysis.doc_tfidf"),
+    Q("doc_model_score", "pipelines.text_analysis.doc_model_score"),
+    Q("decontaminate", "pipelines.decontam.decontaminate"),
+    Q("bm25_search", "pipelines.search.bm25_search"),
+    Q("build_postings", "pipelines.search.build_postings", {"max_df": 300}),
+    # n_buckets=8 at verify/bench scale: scores are bucket-count invariant
+    # (order-free integer arithmetic) and each of the ~9 sequential
+    # exchanges carries tiny blocks — fewer partitions cut the fixed
+    # per-exchange cost ~2x (raise for real cluster runs)
+    Q(
+        "supplier_pagerank",
+        "pipelines.pagerank.supplier_pagerank",
+        {"n_iters": 3, "k": 20, "n_buckets": 8},
+    ),
+    Q("dedup_segments", "pipelines.segments.dedup_segments"),
+    Q("media_features", _q_media_features),
+    Q("media_dedup", _q_media_dedup),
+    Q("pack_sequences", "pipelines.mixing.pack_sequences"),
+    Q("vocab_hll", "pipelines.cardinality.vocab_hll"),
+)
+
+
 def queries() -> dict[str, Callable[[str], Any]]:
-    # The driver's CORRECTNESS window records the FIRST 50 entries. The
-    # canonical order below keeps one row per operator family first (the
-    # round-1..4 curated window); the ROTATION at the end of this
-    # function then moves the queries that window already recorded to
-    # the back, so each round the driver externally green-lights 50
-    # queries that have no driver-produced row yet (VERDICT r4 #5).
-    # Everything is always verified by tools/check_contract.py's full
-    # sweep regardless of window position.
-    base = {
-        # -- driver window (1-50): one row per operator family ------------
-        # flagship parse chain (non-SQL; pytest span-equality gate)
-        "parse_resumes": _q_parse_resumes,
-        "parse_resumes_pii": _q_parse_resumes_pii,
-        "detect_sections": _q_detect_sections,
-        "span_rollup": _q_span_rollup,
-        # layout analysis (M2/M3)
-        "layout_blocks": _q_layout_blocks,
-        # checkpoint/lineage (north rule resumability through the contract)
-        "checkpoint_lineage": _q_checkpoint_lineage,
-        # PII extraction (SQL-verified)
-        "doc_pii": _q_doc_pii,
-        # eval join + accuracy metrics (self-check: F1 must be 1.0)
-        "accuracy_eval": _q_accuracy_eval,
-        # relational (SQL-verified)
-        "q1_pricing_summary": _q_q1,
-        "revenue_by_nation": _q_revenue_by_nation,
-        "largest_docs": _q_largest_docs,
-        "order_lineitem_join": _q_order_lineitem_join,
-        "customers_no_urgent_orders": _q_customers_no_urgent_orders,
-        # single-scan column profiling
-        "profile_columns": _q_profile_columns,
-        "order_bigline_histogram": _q_order_bigline_histogram,
-        # chained multi-way join (TPC-H Q3 shape)
-        "q3_shipping_priority": _q_q3_shipping_priority,
-        # windows: tumbling, sessionize, as-of, interval join, prefix, NTILE
-        "events_hourly": _q_events_hourly,
-        "events_sessionize": _q_sessionize,
-        "asof_purchases_views": _q_asof_join,
-        "session_purchase_counts": _q_session_purchase_counts,
-        "user_cumulative_spend": _q_user_cumulative_spend,
-        # composed web curation (single-parse two-key dedup chain)
-        "web_curate": _q_web_curate,
-        # deterministic global training shuffle (exact positions)
-        "corpus_shuffle": _q_corpus_shuffle,
-        "distinct_segments": _q_distinct_segments,
-        # deterministic stratified sampling (per-source top-N by hash)
-        "sample_stratified": _q_sample_stratified,
-        "dataset_split": _q_dataset_split,
-        # dedup family
-        "dedup_exact": _q_dedup_exact,
-        "dedup_against_state": _q_dedup_against_state,
-        "dedup_minhash": _q_dedup_minhash,
-        "dedup_simhash": _q_dedup_simhash,
-        # HTML boilerplate strip + DOM heuristics (north-rule extraction
-        # surface; closed-form span-sequence oracle incl. media_ref/order)
-        "html_spans": _q_html_spans,
-        "semdedup": _q_semdedup,
-        # similarity search
-        "ann_bruteforce": _q_ann_bruteforce,
-        "ann_ivf": _q_ann_ivf,
-        # k-means cluster profile over embeddings
-        "embedding_kmeans": _q_embedding_kmeans,
-        # text analysis
-        "doc_quality": _q_doc_quality,
-        "doc_tokens": _q_doc_tokens,
-        "doc_language": _q_doc_language,
-        "doc_fingerprints": _q_doc_fingerprints,
-        "doc_tfidf": _q_doc_tfidf,
-        # model-based quality filter (weights per actor, fixed-point)
-        "doc_model_score": _q_doc_model_score,
-        # benchmark decontamination (broadcast eval shingles, one scan)
-        "decontaminate": _q_decontaminate,
-        # full-text search (BM25 top-k) + inverted-index construction
-        "bm25_search": _q_bm25_search,
-        "build_postings": _q_build_postings,
-        # iterative graph algorithm (integer fixed-point PageRank)
-        "supplier_pagerank": _q_supplier_pagerank,
-        # segment-level curation (ExactSubstr-style dedup)
-        "dedup_segments": _q_dedup_segments,
-        # multimodal plumbing
-        "media_features": _q_media_features,
-        "media_dedup": _q_media_dedup,
-        # sequence packing (distributed exclusive prefix sum)
-        "pack_sequences": _q_pack_sequences,
-        # HyperLogLog cardinality (max-combine register sketch)
-        "vocab_hll": _q_vocab_hll,
-        # -- past the driver window (51+): full-sweep verified -------------
-        "top_customers": _q_top_customers,
-        "customers_big_spenders": _q_customers_big_spenders,
-        "events_sliding": _q_events_sliding,
-        "curate_corpus": _q_curate_corpus,
-        "winnow_overlap": _q_winnow_overlap,
-        "top_words": _q_top_words,
-        "doc_length_percentiles": _q_doc_length_percentiles,
-        "user_top_events": _q_user_top_events,
-        "split_counts": _q_split_counts,
-        "ngram_jaccard": _q_ngram_jaccard,
-        "embedding_neardup": _q_embedding_neardup,
-        "embedding_neardup_lsh": _q_embedding_neardup_lsh,
-        "html_main_content": _q_html_main_content,
-        "html_outlinks": _q_html_outlinks,
-        "html_metadata": _q_html_metadata,
-        "url_dedup": _q_url_dedup,
-        "customer_balance_quartiles": _q_customer_balance_quartiles,
-        "link_indegree": _q_link_indegree,
-        "crawl_frontier": _q_crawl_frontier,
-        "decontaminate_clean": _q_decontaminate_clean,
-        "doc_normalize": _q_doc_normalize,
-        "anchor_texts": _q_anchor_texts,
-        "ann_lsh": _q_ann_lsh,
-        # PQ-compressed IVF (the memory-bounded embedding scale path)
-        "ann_ivfpq": _q_ann_ivfpq,
-        # quality-canonical near-dup resolution (keep longest, not min-id)
-        "neardup_keep_best": _q_neardup_keep_best,
-        # CCNet-style char-bigram LM perplexity filter (integer micro-nats)
-        "doc_perplexity": _q_doc_perplexity,
-        # integer-exact PCA projection of the embedding table
-        "embedding_pca": _q_embedding_pca,
-        # corpus-version diff via the FULL OUTER bucketed join
-        "snapshot_diff": _q_snapshot_diff,
-        # incremental MinHash near-dup vs the persisted ingest state
-        "minhash_against_state": _q_minhash_against_state,
-        # exact prefix-filtered set-similarity self-join (AllPairs/PPJoin)
-        "ppjoin_pairs": _q_ppjoin_pairs,
-        "doc_quality_extended": _q_doc_quality_extended,
-        "doc_tokens_bpe": _q_doc_tokens_bpe,
-        "doc_winnow": _q_doc_winnow,
-        "doc_repetition": _q_doc_repetition,
-        "doc_chunks": _q_doc_chunks,
-        "doc_stopwords": _q_doc_stopwords,
-        # domain-level filtering (per-source mean-score gate, broadcast)
-        "source_filter": _q_source_filter,
-        "source_stats": _q_source_stats,
-        # tokenizer training (BPE first-merge pair statistics)
-        "bpe_pair_counts": _q_bpe_pair_counts,
-        # cardinality sketching (KMV distinct-vocabulary estimate)
-        "vocab_kmv": _q_vocab_kmv,
-        "vocab_kmv_by_source": _q_vocab_kmv_by_source,
-        # Count-Min sketch word-frequency estimates
-        "word_cms_estimates": _q_word_cms_estimates,
-        # broadcast range join (band assignment)
-        "orders_price_bands": _q_orders_price_bands,
-        # pivot / crosstab
-        "priority_segment_pivot": _q_priority_segment_pivot,
-        # lag-window gap stats + hierarchical rollup
-        "event_gaps": _q_event_gaps,
-        "orders_rollup": _q_orders_rollup,
-        # segment-level curation (CCNet boilerplate)
-        "remove_boilerplate": _q_remove_boilerplate,
-        # distributed integrity checksum
-        "table_checksum": _q_table_checksum,
-        # windowed COUNT(DISTINCT)
-        "events_hourly_users": _q_events_hourly_users,
-        # path mining (ordered event-type journeys)
-        "user_event_paths": _q_user_event_paths,
-        # distributed least squares (exact integer normal equations)
-        "event_value_trends": _q_event_value_trends,
-        # referential-integrity audit + embedding-health profile
-        "fk_violations": _q_fk_violations,
-        "embedding_norms": _q_embedding_norms,
-        # Markov transitions + broadcast star rollup on the part dim
-        "event_transitions": _q_event_transitions,
-        "revenue_by_parttype": _q_revenue_by_parttype,
-        # snowflake rollup (supplier -> nation -> region pre-joined)
-        "revenue_by_region": _q_revenue_by_region,
-        # semi-structured JSON extraction (vectorized regex kernel)
-        "props_field_stats": _q_props_field_stats,
-        # day-of-week seasonality (date-part derivation family)
-        "orders_by_weekday": _q_orders_by_weekday,
-        # distributed statistics (chi-square independence, integer micro)
-        "priority_segment_chi2": _q_priority_segment_chi2,
-        # robust statistics (exact grouped median + MAD from one histogram)
-        "length_mad_by_lang": _q_length_mad_by_lang,
-        # set algebra (EXCEPT over derived key sets)
-        "building_not_big_spenders": _q_building_not_big_spenders,
-        # time-RANGE window (trailing 7-day revenue, gap-aware)
-        "daily_revenue_ma7": _q_daily_revenue_ma7,
-        # correlated subquery, decorrelated (above-own-average orders)
-        "orders_above_customer_avg": _q_orders_above_customer_avg,
-        # grouped argmin/argmax + percent-of-total share pair
-        "user_first_last_purchase": _q_user_first_last_purchase,
-        "nation_share_of_region": _q_nation_share_of_region,
-        # dedup diagnostics (cluster-size distribution)
-        "dup_cluster_histogram": _q_dup_cluster_histogram,
-        # two-hop graph co-occurrence (degree-capped pair mining)
-        "cosupplier_pairs": _q_cosupplier_pairs,
-        # exact quantiles over unbounded-cardinality values (2-pass rank)
-        "order_price_quartiles": _q_order_price_quartiles,
-        # anomaly detection (exact-integer k-sigma outliers)
-        "value_outliers": _q_value_outliers,
-        # dataset validation (label balance per split)
-        "label_balance_by_split": _q_label_balance_by_split,
-        # curation report (per-source duplicate rate)
-        "dup_rate_by_source": _q_dup_rate_by_source,
-        # activation conversion + period-over-period
-        "signup_conversion_24h": _q_signup_conversion_24h,
-        "weekly_revenue_wow": _q_weekly_revenue_wow,
-        # imbalance + drift statistics (Gini, two-sample KS)
-        "source_token_gini": _q_source_token_gini,
-        "split_length_ks": _q_split_length_ks,
-        # baseline model eval (majority next-event accuracy)
-        "transition_majority_accuracy": _q_transition_majority_accuracy,
-        # conversion-latency distribution (exact discrete percentiles)
-        "time_to_convert_percentiles": _q_time_to_convert_percentiles,
-        # document-structure analytics (span-kind adjacency + byte mass)
-        "span_transitions": _q_span_transitions,
-        "span_bytes_by_kind": _q_span_bytes_by_kind,
-        # event-sequence analytics
-        "funnel_counts": _q_funnel_counts,
-        "retention_cohorts": _q_retention_cohorts,
-        # LM-quality proxy: per-doc OOV-bigram rate
-        "doc_oov_rate": _q_doc_oov_rate,
-        # character-distribution concentration (spam signal)
-        "doc_letter_concentration": _q_doc_letter_concentration,
-        # grouped heavy hitters + grouped exact percentiles
-        "top_words_by_source": _q_top_words_by_source,
-        "length_percentiles_by_lang": _q_length_percentiles_by_lang,
-        # collocation mining (bigram lift, candidate-bounded)
-        "word_collocations": _q_word_collocations,
-        # training-data mixing
-        "data_mix": _q_data_mix,
-        "mix_counts": _q_mix_counts,
-        # multimodal full pipeline
-        "media_full": _q_media_full,
+    return {
+        q.name: q.target if callable(q.target) else functools.partial(_run, q)
+        for q in QUERY_TABLE
     }
-    # -- round-5 window rotation ------------------------------------------
-    # The 50 names below occupied the driver window in rounds 1-4 (they
-    # are CORRECTNESS_r04.json's keys, in order) and already carry
-    # externally-recorded green rows; rotating them to the back surfaces
-    # the next 50 sweep-only queries to the driver without touching any
-    # query or oracle definition.
-    recorded = [
-        "parse_resumes", "parse_resumes_pii", "detect_sections",
-        "span_rollup", "layout_blocks", "checkpoint_lineage", "doc_pii",
-        "accuracy_eval", "q1_pricing_summary", "revenue_by_nation",
-        "largest_docs", "order_lineitem_join", "customers_no_urgent_orders",
-        "profile_columns", "order_bigline_histogram", "q3_shipping_priority",
-        "events_hourly", "events_sessionize", "asof_purchases_views",
-        "session_purchase_counts", "user_cumulative_spend", "web_curate",
-        "corpus_shuffle", "distinct_segments", "sample_stratified",
-        "dataset_split", "dedup_exact", "dedup_against_state",
-        "dedup_minhash", "dedup_simhash", "html_spans", "semdedup",
-        "ann_bruteforce", "ann_ivf", "embedding_kmeans", "doc_quality",
-        "doc_tokens", "doc_language", "doc_fingerprints", "doc_tfidf",
-        "doc_model_score", "decontaminate", "bm25_search", "build_postings",
-        "supplier_pagerank", "dedup_segments", "media_features",
-        "media_dedup", "pack_sequences", "vocab_hll",
-    ]
-    rotated = {k: v for k, v in base.items() if k not in recorded}
-    rotated.update({k: base[k] for k in recorded})
-    return rotated
 
 
 def _sql_word_list(words) -> str:

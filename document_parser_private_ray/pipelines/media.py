@@ -264,7 +264,7 @@ class MediaFeatures:
         )
 
 
-def media_full_pipeline(n_items: int = 256, concurrency=(1, 4)):
+def media_full_pipeline(n_items: int = 256):
     """The full multimodal chain: synthesize (image/audio/video) ->
     frame-sample videos into image rows -> resize images -> decode/
     feature actor pool. Every stage is an actor-pool map_batches over
@@ -278,17 +278,17 @@ def media_full_pipeline(n_items: int = 256, concurrency=(1, 4)):
         batch_size=64,
     )
     sampled = media.map_batches(
-        FrameSample, batch_format="pyarrow", batch_size=32, concurrency=concurrency
+        FrameSample, batch_format="pyarrow", batch_size=32, concurrency=(1, 4)
     )
     resized = sampled.map_batches(
-        MediaResize, batch_format="pyarrow", batch_size=32, concurrency=concurrency
+        MediaResize, batch_format="pyarrow", batch_size=32, concurrency=(1, 4)
     )
     return resized.map_batches(
-        MediaFeatures, batch_format="pyarrow", batch_size=32, concurrency=concurrency
+        MediaFeatures, batch_format="pyarrow", batch_size=32, concurrency=(1, 4)
     )
 
 
-def media_pipeline(n_items: int = 256, concurrency=(1, 4)):
+def media_pipeline(n_items: int = 256):
     """End-to-end media stage demo: synthesize refs -> decode/feature
     actor pool -> features table. Small batches on purpose (binary
     payload sizing)."""
@@ -304,7 +304,7 @@ def media_pipeline(n_items: int = 256, concurrency=(1, 4)):
         MediaFeatures,
         batch_format="pyarrow",
         batch_size=32,
-        concurrency=concurrency,
+        concurrency=(1, 4),
     )
 
 

@@ -11,52 +11,32 @@ wall_s}) plus the CPU count and git SHA of the checkout.
 ``--changed REV`` sweeps only the queries a change since git revision
 ``REV`` can reach: every package module changed since REV (committed,
 staged, unstaged or untracked), then every package module importing one
-of them, directly or transitively; a query is selected when its
-``_q_*`` body, or a ``__ray_entry__`` helper it calls, imports one of
-those modules. When ``__ray_entry__.py`` itself changed, queries whose
-function closure or oracle SQL differs from REV's are selected too.
-The selected names are printed before the sweep."""
+of them, directly or transitively. A ``QUERY_TABLE`` row is selected
+when the module of its ``"pipelines.<module>.<func>"`` target is among
+them; a row whose target is a ``_q_*`` function is selected when that
+function, or a ``__ray_entry__`` helper it calls, imports one of them.
+When ``__ray_entry__.py`` itself changed, a query is selected too when
+its row, the entry-file functions it runs (for a string target, the
+shared runner and, with ``cents``, ``_round_cols``) or its oracle SQL
+differ from REV's. The selected names are printed before the sweep.
+
+Importing this module starts no Ray and parses no arguments; ``main()``
+does both."""
 import ast
 import hashlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 import time
 import types
 
-import duckdb
 import pandas as pd
-import ray
 
-import os
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-
-ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
-
-ONLY = None
-if "--only" in sys.argv:
-    i = sys.argv.index("--only")
-    ONLY = set(sys.argv[i + 1].split(","))
-    del sys.argv[i : i + 2]
-CHANGED = None
-if "--changed" in sys.argv:
-    i = sys.argv.index("--changed")
-    CHANGED = sys.argv[i + 1]
-    del sys.argv[i : i + 2]
-JSON_PATH = None
-if "--json" in sys.argv:
-    i = sys.argv.index("--json")
-    JSON_PATH = sys.argv[i + 1]
-    del sys.argv[i : i + 2]
-SF = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-# data-dependent oracles (corpus paths, trained centroids) must derive
-# from the SAME scale this sweep verifies at
-os.environ["GRAFT_VERIFY_SF"] = SF
-
-import __ray_entry__ as entry_mod
-TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, HERE)
+TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 PKG = "document_parser_private_ray"
 
 
@@ -78,6 +58,16 @@ def package_modules() -> dict:
     return mods
 
 
+def with_parents(name: str, mods) -> set:
+    """``name`` and the parent packages importing it executes."""
+    out = set()
+    while name:
+        if name in mods:
+            out.add(name)
+        name = name.rpartition(".")[0]
+    return out
+
+
 def imported_modules(tree, package: str, mods) -> set:
     """Package modules an AST imports anywhere (function-level imports
     included), relative imports resolved against ``package``, with the
@@ -95,14 +85,59 @@ def imported_modules(tree, package: str, mods) -> set:
         else:
             continue
         for n in names:
-            while n:
-                if n in mods:
-                    out.add(n)
-                n = n.rpartition(".")[0]
+            out |= with_parents(n, mods)
     return out
 
 
-def changed_queries(rev: str, qs: dict, oracles: dict) -> set:
+def entry_functions(entry_mod) -> dict:
+    return {
+        k: v for k, v in vars(entry_mod).items()
+        if inspect.isfunction(v) and v.__module__ == entry_mod.__name__
+    }
+
+
+def closure(fn, funcs, seen) -> dict:
+    """``fn`` and every ``__ray_entry__`` function it names, transitively,
+    as name -> AST."""
+    tree = ast.parse(inspect.getsource(fn))
+    seen[fn.__name__] = tree
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in funcs and node.id not in seen:
+            closure(funcs[node.id], funcs, seen)
+    return seen
+
+
+def query_trees(row, funcs) -> dict:
+    """The entry-file functions a table row runs, as name -> AST."""
+    if callable(row.target):
+        return closure(row.target, funcs, {})
+    trees = closure(funcs["_run"], funcs, {})
+    if not row.cents:
+        trees.pop("_round_cols")
+    return trees
+
+
+def query_modules(entry_mod, mods) -> dict:
+    """Query name -> the package modules running it imports."""
+    funcs = entry_functions(entry_mod)
+    out = {}
+    for row in entry_mod.QUERY_TABLE:
+        deps = set()
+        for tree in query_trees(row, funcs).values():
+            deps |= imported_modules(tree, "", mods)
+        if isinstance(row.target, str):
+            deps |= with_parents(f"{PKG}.{row.target.rpartition('.')[0]}", mods)
+        out[row.name] = deps
+    return out
+
+
+def row_key(row):
+    """A row comparable across two loaded copies of the entry file."""
+    target = row.target if isinstance(row.target, str) else row.target.__name__
+    return row._replace(target=target)
+
+
+def changed_queries(rev: str, entry_mod, oracles: dict) -> set:
     mods = package_modules()
     files = set(git("diff", "--name-only", rev).splitlines())
     files |= set(git("ls-files", "--others", "--exclude-standard").splitlines())
@@ -118,11 +153,7 @@ def changed_queries(rev: str, qs: dict, oracles: dict) -> set:
         affected |= more
         grew = bool(more)
 
-    entry_funcs = {
-        k: v for k, v in vars(entry_mod).items()
-        if inspect.isfunction(v) and v.__module__ == entry_mod.__name__
-    }
-    old_src = {}
+    picked = {q for q, deps in query_modules(entry_mod, mods).items() if deps & affected}
     if "__ray_entry__.py" in files:
         old_text = git("show", f"{rev}:__ray_entry__.py")
         old_src = {
@@ -132,28 +163,18 @@ def changed_queries(rev: str, qs: dict, oracles: dict) -> set:
         old_mod = types.ModuleType("_ray_entry_at_rev")
         exec(compile(old_text, f"__ray_entry__.py@{rev}", "exec"), old_mod.__dict__)
         old_oracles = old_mod.oracle_sql()
-
-    def closure(fn, seen):
-        """``fn`` and every ``__ray_entry__`` function it names, transitively."""
-        tree = ast.parse(inspect.getsource(fn))
-        seen[fn.__name__] = tree
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and node.id in entry_funcs and node.id not in seen:
-                closure(entry_funcs[node.id], seen)
-        return seen
-
-    picked = set()
-    for name, fn in qs.items():
-        trees = closure(fn, {})
-        if any(imported_modules(t, "", mods) & affected for t in trees.values()):
-            picked.add(name)
-        elif "__ray_entry__.py" in files and (
-            any(old_src.get(f) != ast.dump(t.body[0]) for f, t in trees.items())
-            or old_oracles.get(name) != oracles.get(name)
-        ):
-            picked.add(name)
+        # a REV from before the table has no rows: every query counts as changed
+        old_rows = {r.name: row_key(r) for r in getattr(old_mod, "QUERY_TABLE", ())}
+        funcs = entry_functions(entry_mod)
+        for row in entry_mod.QUERY_TABLE:
+            trees = query_trees(row, funcs)
+            if (
+                old_rows.get(row.name) != row_key(row)
+                or any(old_src.get(f) != ast.dump(t.body[0]) for f, t in trees.items())
+                or old_oracles.get(row.name) != oracles.get(row.name)
+            ):
+                picked.add(row.name)
     return picked
-
 
 
 def to_df(res):
@@ -172,79 +193,108 @@ def value_hash(df: pd.DataFrame) -> str:
     return hashlib.sha256(str(rows).encode()).hexdigest()[:16]
 
 
-# 1. entry()
-if ONLY is None and CHANGED is None:
-    t0 = time.time()
-    res = entry_mod.entry()
-    df = to_df(res)
-    print(f"entry(): {len(df)} rows, schema={sorted(df.columns)}, {time.time()-t0:.1f}s")
-    assert len(df) > 0
+def main(argv):
+    only = changed = json_path = None
+    if "--only" in argv:
+        i = argv.index("--only")
+        only = set(argv[i + 1].split(","))
+        del argv[i : i + 2]
+    if "--changed" in argv:
+        i = argv.index("--changed")
+        changed = argv[i + 1]
+        del argv[i : i + 2]
+    if "--json" in argv:
+        i = argv.index("--json")
+        json_path = argv[i + 1]
+        del argv[i : i + 2]
+    sf = argv[1] if len(argv) > 1 else "/root/testdata/sf0.01"
+    # data-dependent oracles (corpus paths, trained centroids) must derive
+    # from the SAME scale this sweep verifies at
+    os.environ["GRAFT_VERIFY_SF"] = sf
 
-# 2. queries vs oracle
-con = duckdb.connect()
-for t in TABLES:
-    con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
+    import duckdb
+    import ray
 
-qs = entry_mod.queries()
-oracles = entry_mod.oracle_sql()
-print(f"{len(qs)} queries, {len(oracles)} oracled")
-if CHANGED is not None:
-    picked = changed_queries(CHANGED, qs, oracles)
-    ONLY = picked if ONLY is None else ONLY & picked
-    print(f"--changed {CHANGED}: {len(ONLY)} queries: {', '.join(sorted(ONLY))}")
-fails = []
-records = {}
-for name, fn in qs.items():
-    if ONLY is not None and name not in ONLY:
-        continue
-    t0 = time.time()
-    try:
-        rdf = to_df(fn(SF))
-    except Exception as e:
-        fails.append((name, f"RAY ERROR {type(e).__name__}: {e}"))
-        print(f"  {name}: RAY ERROR {e}")
-        records[name] = {"status": "ERROR", "rows": None, "hash": None,
-                         "wall_s": round(time.time() - t0, 3)}
-        continue
-    dt = time.time() - t0
-    records[name] = {"status": "ROWS_ONLY", "rows": len(rdf),
-                     "hash": value_hash(rdf), "wall_s": round(dt, 3)}
-    if name in oracles:
-        odf = con.execute(oracles[name]).df()
-        rn, on = len(rdf), len(odf)
-        rc, oc = sorted(rdf.columns), sorted(odf.columns)
-        rh, oh = value_hash(rdf), value_hash(odf)
-        ok = rn == on and rc == oc and rh == oh
-        records[name]["status"] = "OK" if ok else "MISMATCH"
-        print(f"  {name}: {'OK' if ok else 'MISMATCH'} rows={rn}/{on} cols_eq={rc==oc} hash_eq={rh==oh} ({dt:.1f}s)")
-        if not ok:
-            fails.append((name, f"rows {rn}/{on} cols {rc} vs {oc} hash {rh} vs {oh}"))
-            if rc == oc and rn == on:
-                m = rdf[sorted(rdf.columns)].round(6).sort_values(sorted(rdf.columns)).reset_index(drop=True)
-                o = odf[sorted(odf.columns)].round(6).sort_values(sorted(odf.columns)).reset_index(drop=True)
-                diff = (m != o) & ~(m.isna() & o.isna())
-                print(diff.sum())
-                bad = diff.any(axis=1)
-                print("ray:", m[bad].head(3).to_dict("records"))
-                print("sql:", o[bad].head(3).to_dict("records"))
-    else:
-        print(f"  {name}: rows-only {len(rdf)} rows ({dt:.1f}s)")
-        if len(rdf) == 0:
-            fails.append((name, "0 rows"))
-            records[name]["status"] = "EMPTY"
+    ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+    import __ray_entry__ as entry_mod
 
-print("\nFAILS:", fails if fails else "none")
-if JSON_PATH:
-    with open(JSON_PATH, "w") as f:
-        json.dump(
-            {"sf_dir": SF, "nproc": len(os.sched_getaffinity(0)),
-             "git_sha": git("rev-parse", "HEAD") or None,
-             # uncommitted edits to tracked files on top of git_sha
-             "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-             "changed_since": CHANGED,
-             "n_fails": len(fails), "queries": records},
-            f, indent=1, sort_keys=True,
-        )
+    # 1. entry()
+    if only is None and changed is None:
+        t0 = time.time()
+        res = entry_mod.entry()
+        df = to_df(res)
+        print(f"entry(): {len(df)} rows, schema={sorted(df.columns)}, {time.time()-t0:.1f}s")
+        assert len(df) > 0
 
-ray.shutdown()
-sys.exit(1 if fails else 0)
+    # 2. queries vs oracle
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')")
+
+    qs = entry_mod.queries()
+    oracles = entry_mod.oracle_sql()
+    print(f"{len(qs)} queries, {len(oracles)} oracled")
+    if changed is not None:
+        picked = changed_queries(changed, entry_mod, oracles)
+        only = picked if only is None else only & picked
+        print(f"--changed {changed}: {len(only)} queries: {', '.join(sorted(only))}")
+    fails = []
+    records = {}
+    for name, fn in qs.items():
+        if only is not None and name not in only:
+            continue
+        t0 = time.time()
+        try:
+            rdf = to_df(fn(sf))
+        except Exception as e:
+            fails.append((name, f"RAY ERROR {type(e).__name__}: {e}"))
+            print(f"  {name}: RAY ERROR {e}")
+            records[name] = {"status": "ERROR", "rows": None, "hash": None,
+                             "wall_s": round(time.time() - t0, 3)}
+            continue
+        dt = time.time() - t0
+        records[name] = {"status": "ROWS_ONLY", "rows": len(rdf),
+                         "hash": value_hash(rdf), "wall_s": round(dt, 3)}
+        if name in oracles:
+            odf = con.execute(oracles[name]).df()
+            rn, on = len(rdf), len(odf)
+            rc, oc = sorted(rdf.columns), sorted(odf.columns)
+            rh, oh = value_hash(rdf), value_hash(odf)
+            ok = rn == on and rc == oc and rh == oh
+            records[name]["status"] = "OK" if ok else "MISMATCH"
+            print(f"  {name}: {'OK' if ok else 'MISMATCH'} rows={rn}/{on} cols_eq={rc==oc} hash_eq={rh==oh} ({dt:.1f}s)")
+            if not ok:
+                fails.append((name, f"rows {rn}/{on} cols {rc} vs {oc} hash {rh} vs {oh}"))
+                if rc == oc and rn == on:
+                    m = rdf[sorted(rdf.columns)].round(6).sort_values(sorted(rdf.columns)).reset_index(drop=True)
+                    o = odf[sorted(odf.columns)].round(6).sort_values(sorted(odf.columns)).reset_index(drop=True)
+                    diff = (m != o) & ~(m.isna() & o.isna())
+                    print(diff.sum())
+                    bad = diff.any(axis=1)
+                    print("ray:", m[bad].head(3).to_dict("records"))
+                    print("sql:", o[bad].head(3).to_dict("records"))
+        else:
+            print(f"  {name}: rows-only {len(rdf)} rows ({dt:.1f}s)")
+            if len(rdf) == 0:
+                fails.append((name, "0 rows"))
+                records[name]["status"] = "EMPTY"
+
+    print("\nFAILS:", fails if fails else "none")
+    if json_path:
+        with open(json_path, "w") as f:
+            json.dump(
+                {"sf_dir": sf, "nproc": len(os.sched_getaffinity(0)),
+                 "git_sha": git("rev-parse", "HEAD") or None,
+                 # uncommitted edits to tracked files on top of git_sha
+                 "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+                 "changed_since": changed,
+                 "n_fails": len(fails), "queries": records},
+                f, indent=1, sort_keys=True,
+            )
+
+    ray.shutdown()
+    return 1 if fails else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
