@@ -112,9 +112,7 @@ def _q_detect_sections(sf_dir: str):
 
     return (
         read_corpus(_corpus_for(sf_dir))
-        .map_batches(
-            DetectSectionsStage, batch_format="pyarrow", batch_size=64, concurrency=(1, 4)
-        )
+        .map_batches(DetectSectionsStage(), batch_format="pyarrow", batch_size=64)
         .map_batches(flatten, batch_format="pyarrow", zero_copy_batch=True)
         .sort(["doc_id", "sec_idx"])
     )
@@ -370,7 +368,7 @@ _MEDIA_FULL_EXPORT = "/tmp/dppr_corpus/media-full-export-n192-s42"
 
 def _q_media_full(sf_dir: str):
     """Full multimodal chain: frame-sample video -> resize images ->
-    decode/feature actor pools (stubbed kernels, real plumbing).
+    decode/feature task maps (stubbed kernels, real plumbing).
     SQL-oracled via the media_features export pattern: the post-resize
     intermediate (the real frame-sample + resize output) lands in
     parquet, and DuckDB recomputes the final stage's byte accounting +
@@ -391,24 +389,15 @@ def _q_media_full(sf_dir: str):
             lambda b: synth_media_batch(b["ref"], with_video=True),
             batch_format="numpy", batch_size=64,
         )
-        .map_batches(
-            FrameSample, batch_format="pyarrow", batch_size=32,
-            concurrency=(1, 4),
-        )
-        .map_batches(
-            MediaResize, batch_format="pyarrow", batch_size=32,
-            concurrency=(1, 4),
-        )
+        .map_batches(FrameSample(), batch_format="pyarrow", batch_size=32)
+        .map_batches(MediaResize(), batch_format="pyarrow", batch_size=32)
     )
     target = _atomic_export(
         _MEDIA_FULL_EXPORT, lambda d: resized.write_parquet(d)
     )
     return (
         rd.read_parquet(target)
-        .map_batches(
-            MediaFeatures, batch_format="pyarrow", batch_size=32,
-            concurrency=(1, 4),
-        )
+        .map_batches(MediaFeatures(), batch_format="pyarrow", batch_size=32)
         .select_columns(["media_ref", "kind", "n_bytes", "checksum", "decode_error"])
     )
 
@@ -417,7 +406,7 @@ _MEDIA_EXPORT = "/tmp/dppr_corpus/media-export-n256-s42"
 
 
 def _q_media_features(sf_dir: str):
-    """Synth media -> export parquet -> MediaFeatures actor stage. The
+    """Synth media -> export parquet -> MediaFeatures task stage. The
     export lets the SQL oracle recompute n_bytes/checksum from the same
     payload bytes (the span_rollup export pattern): the stage's
     pass-through, byte accounting, integrity checksum and error column
@@ -439,9 +428,7 @@ def _q_media_features(sf_dir: str):
     mine = _atomic_export(_MEDIA_EXPORT, write)
     return (
         rd.read_parquet(mine)
-        .map_batches(
-            MediaFeatures, batch_format="pyarrow", batch_size=32, concurrency=(1, 4)
-        )
+        .map_batches(MediaFeatures(), batch_format="pyarrow", batch_size=32)
         .select_columns(["media_ref", "kind", "n_bytes", "checksum", "decode_error"])
     )
 

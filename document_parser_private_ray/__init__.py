@@ -6,7 +6,8 @@ Built from scratch against the *capabilities* of the reference
 text+media span documents in, section detection + entity extraction +
 dictionary/fuzzy normalization out — every stage expressed as
 ``ray.data.Dataset`` transforms (``map_batches`` over zero-copy Arrow
-batches, actor pools for stateful stages), plus the corpus-scale
+batches, run as Ray tasks; memo-bearing state lives in a per-process
+slot), plus the corpus-scale
 operators a 100 TB training-data pipeline needs (dedup, similarity
 search, text analysis, multimodal plumbing).
 
@@ -15,7 +16,7 @@ Layout:
                 reused by both the single-doc oracle and the Ray UDFs
     oracle/     single-document end-to-end oracle (golden generator)
     sources/    synthetic corpus generator + table readers
-    stages/     Ray Data map_batches stages (stateless fns + actor classes)
+    stages/     Ray Data map_batches stages (stateless fns + stage classes)
     state/      checkpoint / lineage for resumable runs
     pipelines/  end-to-end pipeline builders (resume parse, dedup, ANN,
                 text analysis, relational)

@@ -77,7 +77,8 @@ def _iso(d) -> str:
 
 class ResumeExtractor:
     """Per-section extraction + normalization. Construct once per worker
-    (loads ontologies, compiles banks); an actor-pool citizen."""
+    (loads ontologies, compiles banks); ``ParseDocuments`` keeps it in
+    the per-process slot."""
 
     def __init__(
         self,

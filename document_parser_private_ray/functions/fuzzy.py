@@ -20,8 +20,8 @@ the same scorer family from its public definition:
 
 Scores are floats in [0, 100]. No preprocessing is applied (rapidfuzz
 >=2 default: ``processor=None``). These functions are called inside
-per-actor ``lru_cache``-wrapped normalizers, so at corpus scale each
-distinct raw string is scored once per worker.
+memoised normalizers that live in each worker process, so at corpus
+scale each distinct raw string is scored once per worker.
 """
 
 from __future__ import annotations
@@ -220,7 +220,8 @@ class FuzzyIndex:
     """Prebuilt scoring index over a fixed choice list: per-choice token
     sets, char histograms and lengths are computed once (per worker), so
     the WRatio ceiling check costs a dict-walk instead of re-tokenizing
-    the choice on every query. Build in an actor's ``__init__``."""
+    the choice on every query. Build once per worker process, e.g. in
+    a stage's ``__init__``."""
 
     __slots__ = ("choices", "lens", "token_sets", "histograms")
 

@@ -3,7 +3,7 @@
 Memoization here is always a pure-function shortcut, so capping is
 semantics-free: once a cache holds MEMO_CAP entries, new keys skip
 insertion (lookups keep working and the Zipf-head hit rate persists).
-Without a cap a long-lived actor streaming billions of distinct
+Without a cap a long-lived worker process streaming billions of distinct
 documents grows its caches — and its GC pressure — without bound.
 """
 

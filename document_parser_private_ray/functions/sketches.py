@@ -44,7 +44,7 @@ def shingles(text: str, k: int = 3) -> Set[int]:
 
 class MinHasher:
     """n_perm universal-hash MinHash over shingle sets. Deterministic
-    (seeded coefficient matrix); construct once per actor.
+    (seeded coefficient matrix); construct once per stage.
 
     The hash family is (a*x + b) mod p with p = 4294967311 (smallest
     prime > 2^32) over the 32-bit TRUNCATED shingle universe: a, b, x

@@ -12,10 +12,10 @@ Semantics mirror /root/reference/normalization/skill_normalizer.py:
     sorted de-dup.
 
 State (ontology dict + flat variant index + lowercase map) is built once
-per worker — use inside an actor pool or a module-level singleton. All
-results are memoized per instance: at corpus scale the distinct-skill
-vocabulary is tiny compared to row count, so fuzzy scoring runs once per
-distinct string per worker.
+per worker — hold it in the per-process slot or a module-level
+singleton. All results are memoized per instance: at corpus scale the
+distinct-skill vocabulary is tiny compared to row count, so fuzzy
+scoring runs once per distinct string per worker.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ class DocumentOracle:
     # Every memo below caches a PURE function of its input (frozen
     # 'today', fixed ontologies), so a cache warmed anywhere is valid
     # everywhere: warm once on the driver over a small sample, ray.put,
-    # seed every actor — workers start at steady-state throughput.
+    # seed every worker — workers start at steady-state throughput.
 
     def export_caches(self) -> Dict:
         ex = self.extractor

@@ -85,55 +85,48 @@ def decontaminate(
 
     bench_ref = ray.put(benchmark_shingles(sf_dir, k))
 
-    class Scan:
-        def __init__(self):
-            self.bench = ray.get(bench_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            texts = t["text"].to_pylist()
-            n = len(texts)
-            counts = np.empty(n, dtype=np.int64)
-            hash_parts = []
-            for i, txt in enumerate(texts):
-                s = shingles(txt, k)
-                counts[i] = len(s)
-                hash_parts.append(np.fromiter(s, dtype=np.uint64, count=len(s)))
-            flat = (
-                np.concatenate(hash_parts)
-                if hash_parts
-                else np.empty(0, dtype=np.uint64)
-            ).astype(np.int64)
-            hits = np.isin(flat, self.bench)
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            cs = np.zeros(len(flat) + 1, dtype=np.int64)
-            np.cumsum(hits, out=cs[1:])
-            n_ov = cs[offsets[1:]] - cs[offsets[:-1]]
-            safe = np.maximum(counts, 1)
-            micro = np.floor(n_ov / safe * 1_000_000 + 0.5).astype(np.int64)
-            micro[counts == 0] = 0
-            is_bench = ((ids % BENCH_MOD) == 0).astype(np.int64)
-            contaminated = (
-                (micro >= threshold_micro) & (is_bench == 0) & (counts > 0)
-            ).astype(np.int64)
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array(ids, type=pa.int64()),
-                    "n_sh": pa.array(counts, type=pa.int64()),
-                    "n_overlap": pa.array(n_ov, type=pa.int64()),
-                    "contam_micro": pa.array(micro, type=pa.int64()),
-                    "is_benchmark": pa.array(is_bench, type=pa.int64()),
-                    "contaminated": pa.array(contaminated, type=pa.int64()),
-                }
-            )
+    def scan(t: pa.Table) -> pa.Table:
+        bench = ray.get(bench_ref)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        texts = t["text"].to_pylist()
+        n = len(texts)
+        counts = np.empty(n, dtype=np.int64)
+        hash_parts = []
+        for i, txt in enumerate(texts):
+            s = shingles(txt, k)
+            counts[i] = len(s)
+            hash_parts.append(np.fromiter(s, dtype=np.uint64, count=len(s)))
+        flat = (
+            np.concatenate(hash_parts)
+            if hash_parts
+            else np.empty(0, dtype=np.uint64)
+        ).astype(np.int64)
+        hits = np.isin(flat, bench)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        cs = np.zeros(len(flat) + 1, dtype=np.int64)
+        np.cumsum(hits, out=cs[1:])
+        n_ov = cs[offsets[1:]] - cs[offsets[:-1]]
+        safe = np.maximum(counts, 1)
+        micro = np.floor(n_ov / safe * 1_000_000 + 0.5).astype(np.int64)
+        micro[counts == 0] = 0
+        is_bench = ((ids % BENCH_MOD) == 0).astype(np.int64)
+        contaminated = (
+            (micro >= threshold_micro) & (is_bench == 0) & (counts > 0)
+        ).astype(np.int64)
+        return pa.Table.from_pydict(
+            {
+                "doc_id": pa.array(ids, type=pa.int64()),
+                "n_sh": pa.array(counts, type=pa.int64()),
+                "n_overlap": pa.array(n_ov, type=pa.int64()),
+                "contam_micro": pa.array(micro, type=pa.int64()),
+                "is_benchmark": pa.array(is_bench, type=pa.int64()),
+                "contaminated": pa.array(contaminated, type=pa.int64()),
+            }
+        )
 
     return _read_docs(sf_dir).map_batches(
-        Scan,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 4),
-        batch_size=1024,
+        scan, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024
     )
 
 
@@ -155,83 +148,76 @@ def decontaminate_clean(sf_dir: str, k: int = 3):
 
     bench_ref = ray.put(benchmark_shingles(sf_dir, k))
 
-    class Clean:
-        def __init__(self):
-            self.bench = ray.get(bench_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            texts = t["text"].to_pylist()
-            # positional shingle hashes, concatenated across the batch
-            originals, lowers, counts, hash_parts = [], [], [], []
-            for txt in texts:
-                wo = (txt or "").split()
-                wl = (txt or "").lower().split()
-                originals.append(wo)
-                lowers.append(wl)
-                if not wl:
-                    counts.append(0)
-                elif len(wl) < k:
-                    counts.append(1)
-                    hash_parts.append(
-                        np.array([_stable_hash64(" ".join(wl))], dtype=np.uint64)
+    def clean_batch(t: pa.Table) -> pa.Table:
+        bench = ray.get(bench_ref)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        texts = t["text"].to_pylist()
+        # positional shingle hashes, concatenated across the batch
+        originals, lowers, counts, hash_parts = [], [], [], []
+        for txt in texts:
+            wo = (txt or "").split()
+            wl = (txt or "").lower().split()
+            originals.append(wo)
+            lowers.append(wl)
+            if not wl:
+                counts.append(0)
+            elif len(wl) < k:
+                counts.append(1)
+                hash_parts.append(
+                    np.array([_stable_hash64(" ".join(wl))], dtype=np.uint64)
+                )
+            else:
+                m = len(wl) - k + 1
+                counts.append(m)
+                hash_parts.append(
+                    np.fromiter(
+                        (
+                            _stable_hash64(" ".join(wl[i : i + k]))
+                            for i in range(m)
+                        ),
+                        dtype=np.uint64,
+                        count=m,
                     )
-                else:
-                    m = len(wl) - k + 1
-                    counts.append(m)
-                    hash_parts.append(
-                        np.fromiter(
-                            (
-                                _stable_hash64(" ".join(wl[i : i + k]))
-                                for i in range(m)
-                            ),
-                            dtype=np.uint64,
-                            count=m,
-                        )
-                    )
-            flat = (
-                np.concatenate(hash_parts)
-                if hash_parts
-                else np.empty(0, dtype=np.uint64)
-            ).astype(np.int64)
-            hits = np.isin(flat, self.bench)
-            clean, n_tok, n_rm = [], [], []
-            pos = 0
-            for row, (wo, wl, m) in enumerate(zip(originals, lowers, counts)):
-                row_hits = hits[pos : pos + m]
-                pos += m
-                n = len(wo)
-                n_tok.append(n)
-                if ids[row] % BENCH_MOD == 0 or n == 0 or not row_hits.any():
-                    clean.append(" ".join(wo))
-                    n_rm.append(0)
-                    continue
-                if len(wl) < k:
-                    # the single whole-doc shingle hit: everything goes
-                    clean.append("")
-                    n_rm.append(n)
-                    continue
-                hs = np.flatnonzero(row_hits)
-                diff = np.zeros(n + k, dtype=np.int64)
-                np.add.at(diff, hs, 1)
-                np.add.at(diff, hs + k, -1)
-                covered = np.cumsum(diff[:n]) > 0
-                kept = [w for w, c in zip(wo, covered) if not c]
-                clean.append(" ".join(kept))
-                n_rm.append(int(covered.sum()))
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array(ids, type=pa.int64()),
-                    "clean_text": pa.array(clean, type=pa.string()),
-                    "n_tokens": pa.array(n_tok, type=pa.int64()),
-                    "n_removed": pa.array(n_rm, type=pa.int64()),
-                }
-            )
+                )
+        flat = (
+            np.concatenate(hash_parts)
+            if hash_parts
+            else np.empty(0, dtype=np.uint64)
+        ).astype(np.int64)
+        hits = np.isin(flat, bench)
+        clean, n_tok, n_rm = [], [], []
+        pos = 0
+        for row, (wo, wl, m) in enumerate(zip(originals, lowers, counts)):
+            row_hits = hits[pos : pos + m]
+            pos += m
+            n = len(wo)
+            n_tok.append(n)
+            if ids[row] % BENCH_MOD == 0 or n == 0 or not row_hits.any():
+                clean.append(" ".join(wo))
+                n_rm.append(0)
+                continue
+            if len(wl) < k:
+                # the single whole-doc shingle hit: everything goes
+                clean.append("")
+                n_rm.append(n)
+                continue
+            hs = np.flatnonzero(row_hits)
+            diff = np.zeros(n + k, dtype=np.int64)
+            np.add.at(diff, hs, 1)
+            np.add.at(diff, hs + k, -1)
+            covered = np.cumsum(diff[:n]) > 0
+            kept = [w for w, c in zip(wo, covered) if not c]
+            clean.append(" ".join(kept))
+            n_rm.append(int(covered.sum()))
+        return pa.Table.from_pydict(
+            {
+                "doc_id": pa.array(ids, type=pa.int64()),
+                "clean_text": pa.array(clean, type=pa.string()),
+                "n_tokens": pa.array(n_tok, type=pa.int64()),
+                "n_removed": pa.array(n_rm, type=pa.int64()),
+            }
+        )
 
     return _read_docs(sf_dir).map_batches(
-        Clean,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 4),
-        batch_size=1024,
+        clean_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024
     )

@@ -6,9 +6,10 @@ Scale shapes:
   * exact: vectorized content hash -> groupby(hash) -> keep min doc_id
     (hash-partitioned shuffle moves only (hash, doc_id) pairs after a
     projection, never the text);
-  * MinHash-LSH: per-batch signatures (actor pool holds the permutation
-    matrix) -> explode to (band, key, doc_id) rows -> co-partition on
-    (band, key) -> candidate pairs -> Jaccard verify -> min-label dedup;
+  * MinHash-LSH: per-batch signatures (a task map over one hasher that
+    ships with its permutation coefficients) -> explode to (band, key,
+    doc_id) rows -> co-partition on (band, key) -> candidate pairs ->
+    Jaccard verify -> min-label dedup;
   * SimHash: 64-bit signature per doc; bucket by the 4x16-bit bands
     (Hamming<=3 within-band collision guarantee via pigeonhole) ->
     verify Hamming distance;
@@ -76,8 +77,9 @@ def dedup_exact(sf_dir: str, n_buckets: int = 64):
 # -- MinHash-LSH near-dup ------------------------------------------------
 
 class MinHashSignatures:
-    """Actor stage: text -> (doc_id, band, key) rows. The permutation
-    coefficients live once per actor."""
+    """Task stage: text -> (doc_id, band, key) rows. The permutation
+    coefficients are built once on the driver and ship with the
+    instance."""
 
     def __init__(self, n_perm: int = 128, n_bands: int = 16, k_shingle: int = 3):
         self.hasher = MinHasher(n_perm=n_perm)
@@ -111,11 +113,9 @@ def minhash_candidate_pairs(
     LSH bucket over ``max_bucket`` members, logged)."""
     ds = _read_docs(sf_dir)
     sigs = ds.map_batches(
-        MinHashSignatures,
-        fn_constructor_kwargs={"n_perm": n_perm, "n_bands": n_bands},
+        MinHashSignatures(n_perm=n_perm, n_bands=n_bands),
         batch_format="pyarrow", zero_copy_batch=True,
         batch_size=512,
-        concurrency=(1, 4),
     )
 
     def class_pairs(group: pa.Table) -> pa.Table:

@@ -6,9 +6,9 @@ individual pages).
 
 Scale shape:
 
-* per-doc scoring is the existing ``ModelScore`` actor stage (weights
-  resident per actor, fully vectorized) with the ``source`` column
-  passed through;
+* per-doc scoring is the existing ``ModelScore`` task stage (weights
+  ship with the mapped instance, fully vectorized) with the ``source``
+  column passed through;
 * the shuffle ships only per-batch PARTIAL aggregates — each batch
   collapses to (source, sum_score, n_docs) rows via
   ``pa.Table.group_by`` before the global groupby, so the exchange is
@@ -59,11 +59,7 @@ def _scored(sf_dir: str):
     return read_table(
         f"{sf_dir}/documents.parquet", ["doc_id", "source", "text"]
     ).map_batches(
-        _ScoreWithSource,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 4),
-        batch_size=2048,
+        _ScoreWithSource(), batch_format="pyarrow", zero_copy_batch=True, batch_size=2048
     )
 
 
@@ -131,30 +127,21 @@ def source_filter(
     kept = set(stats.loc[stats["src_kept"] == 1, "source"])  # bounded by #domains
     kept_ref = ray.put(pa.array(sorted(kept), type=pa.string()))
 
-    class Attach:
-        def __init__(self):
-            self.kept = ray.get(kept_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            flag = pa.compute.cast(
-                pa.compute.is_in(t["source"], value_set=self.kept), pa.int64()
-            )
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.compute.cast(t["doc_id"], pa.int64()),
-                    "source": t["source"],
-                    "score_micro": pa.compute.cast(t["score_micro"], pa.int64()),
-                    "src_kept": flag,
-                }
-            )
+    def attach(t: pa.Table) -> pa.Table:
+        flag = pa.compute.cast(
+            pa.compute.is_in(t["source"], value_set=ray.get(kept_ref)), pa.int64()
+        )
+        return pa.Table.from_pydict(
+            {
+                "doc_id": pa.compute.cast(t["doc_id"], pa.int64()),
+                "source": t["source"],
+                "score_micro": pa.compute.cast(t["score_micro"], pa.int64()),
+                "src_kept": flag,
+            }
+        )
 
     return (
         _scored(sf_dir)
-        .map_batches(
-            Attach,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 4),
-        )
+        .map_batches(attach, batch_format="pyarrow", zero_copy_batch=True)
         .sort("doc_id")
     )

@@ -4,7 +4,7 @@ The analyzer itself is pure logic over page dicts
 (``functions.layout``); this module gives it the Ray Data shape: a
 deterministic synthetic corpus of layout documents (page dicts in the
 ``fitz.Page.get_text("dict")`` schema — the same mocked-page approach
-the reference's test_LayoutAnalyzer.py uses), an actor-pool
+the reference's test_LayoutAnalyzer.py uses), a task
 ``map_batches`` stage running analyze -> integrate -> spans, and a
 per-document stats row for the driver's ``layout_blocks`` query.
 """
@@ -81,9 +81,9 @@ _STATS_SCHEMA = pa.schema(
 
 
 class LayoutAnalyzeStage:
-    """Actor stage: doc ids -> analyze -> integrate -> span + stats row.
-    (State is trivial here, but the stage is an actor class so a real
-    layout model slots into __init__ without reshaping the pipeline.)"""
+    """Task stage: doc ids -> analyze -> integrate -> span + stats row.
+    (State is trivial here, but the stage is a class so a real layout
+    model slots into __init__ without reshaping the pipeline.)"""
 
     def __init__(self, seed: int = 42):
         self.seed = seed
@@ -174,11 +174,7 @@ def layout_blocks(n_docs: int = 500, seed: int = 42):
 
     ds = rd.range(n_docs)
     return ds.map_batches(
-        LayoutAnalyzeStage,
-        fn_constructor_kwargs={"seed": seed},
-        batch_format="numpy",
-        batch_size=128,
-        concurrency=(1, 4),
+        LayoutAnalyzeStage(seed), batch_format="numpy", batch_size=128
     ).sort("doc_id")
 
 

@@ -1,14 +1,14 @@
 """Multimodal column plumbing: image/audio payloads as opaque binary
-columns with typed metadata, processed by actor-pool stages.
+columns with typed metadata, processed by task map stages.
 
 The decode kernels (PIL/ffmpeg-class work) are STUBBED — the libraries
 are not in this container — behind ``decoder=`` hooks with a
 deterministic fake default, so the Ray-side plumbing (schema, batch
-sizing for large binaries, actor signature, output layout) is real and
+sizing for large binaries, stage signature, output layout) is real and
 tested; swapping in a real decoder is a constructor argument.
 
 Memory notes for binary columns: batches stay small (batch_size 32) so
-batch x concurrency fits worker heaps; blocks of wide binary rows
+batch x concurrent tasks fits worker heaps; blocks of wide binary rows
 should also get a larger ``DataContext.target_max_block_size`` rather
 than absurdly-small split blocks (ray guide: object-store pressure).
 """
@@ -83,10 +83,10 @@ def _fake_resize(payload: bytes, width: int, height: int) -> bytes:
 
 
 class MediaResize:
-    """Actor stage: resize image payloads to a fixed target (video/audio
+    """Task stage: resize image payloads to a fixed target (video/audio
     rows pass through untouched). ``resizer(payload, w, h) -> bytes`` is
     the pluggable kernel slot (a real deployment passes PIL/libvips and
-    sizes the pool with ``num_cpus``/``num_gpus``); the default is the
+    sets ``num_cpus``/``num_gpus`` on the map); the default is the
     deterministic fake, so the plumbing — schema, pass-through,
     metadata update — is real and tested."""
 
@@ -135,7 +135,7 @@ def _fake_frame(payload: bytes, idx: int) -> bytes:
 
 
 class FrameSample:
-    """Actor stage: explode each video row into one IMAGE row per
+    """Task stage: explode each video row into one IMAGE row per
     sampled frame (every ``every_k``-th of ``meta_n_frames``) — the
     flat-map shape: output rows != input rows is native to map_batches.
     Non-video rows pass through. ``sampler(payload, idx) -> bytes`` is
@@ -203,9 +203,9 @@ def _fake_decode(kind: str, payload: bytes, dim: int = 8) -> np.ndarray:
 
 
 class MediaFeatures:
-    """Actor stage: binary payload -> feature vector + integrity info.
+    """Task stage: binary payload -> feature vector + integrity info.
     ``decoder(kind, payload) -> np.ndarray`` is the pluggable model slot
-    (loads once per actor); default is the deterministic fake.
+    (ships with the mapped instance); default is the deterministic fake.
 
     A real deployment would pass e.g. a PIL/torchvision pipeline here and
     schedule with ``num_gpus=``; raising NotImplementedError from a
@@ -267,8 +267,8 @@ class MediaFeatures:
 def media_full_pipeline(n_items: int = 256):
     """The full multimodal chain: synthesize (image/audio/video) ->
     frame-sample videos into image rows -> resize images -> decode/
-    feature actor pool. Every stage is an actor-pool map_batches over
-    binary columns with small batches."""
+    feature. Every stage is a task map_batches over binary columns with
+    small batches."""
     import ray.data as rd
 
     refs = rd.from_items([{"ref": f"media://synth/{i}"} for i in range(n_items)])
@@ -277,20 +277,14 @@ def media_full_pipeline(n_items: int = 256):
         batch_format="numpy",
         batch_size=64,
     )
-    sampled = media.map_batches(
-        FrameSample, batch_format="pyarrow", batch_size=32, concurrency=(1, 4)
-    )
-    resized = sampled.map_batches(
-        MediaResize, batch_format="pyarrow", batch_size=32, concurrency=(1, 4)
-    )
-    return resized.map_batches(
-        MediaFeatures, batch_format="pyarrow", batch_size=32, concurrency=(1, 4)
-    )
+    sampled = media.map_batches(FrameSample(), batch_format="pyarrow", batch_size=32)
+    resized = sampled.map_batches(MediaResize(), batch_format="pyarrow", batch_size=32)
+    return resized.map_batches(MediaFeatures(), batch_format="pyarrow", batch_size=32)
 
 
 def media_pipeline(n_items: int = 256):
     """End-to-end media stage demo: synthesize refs -> decode/feature
-    actor pool -> features table. Small batches on purpose (binary
+    task map -> features table. Small batches on purpose (binary
     payload sizing)."""
     import ray.data as rd
 
@@ -300,12 +294,7 @@ def media_pipeline(n_items: int = 256):
         batch_format="numpy",
         batch_size=64,
     )
-    return media.map_batches(
-        MediaFeatures,
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, 4),
-    )
+    return media.map_batches(MediaFeatures(), batch_format="pyarrow", batch_size=32)
 
 
 def synth_aliased_media(n_items: int = 256, alias_mod: int = 200):

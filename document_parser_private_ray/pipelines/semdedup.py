@@ -59,21 +59,18 @@ def semdedup(
     C = train_ivf_centroids(sf_dir, n_centroids, train_sample)
     cref = ray.put(C)
 
-    class Assign:
-        def __init__(self):
-            self.C = ray.get(cref)  # (k, d) float64, once per actor
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            M = embedding_matrix(t["embedding"], np.float64)
-            d = ((M[:, None, :] - self.C[None, :, :]) ** 2).sum(-1)
-            cid = d.argmin(1)  # ties -> lowest cid, same as the oracle's (d, cid) order
-            return pa.Table.from_pydict(
-                {
-                    "vec_id": pa.compute.cast(t["vec_id"], pa.int64()),
-                    "cluster": pa.array(cid.astype(np.int64), type=pa.int64()),
-                    "embedding": t["embedding"],
-                }
-            )
+    def assign(t: pa.Table) -> pa.Table:
+        Cm = ray.get(cref)
+        M = embedding_matrix(t["embedding"], np.float64)
+        d = ((M[:, None, :] - Cm[None, :, :]) ** 2).sum(-1)
+        cid = d.argmin(1)  # ties -> lowest cid, same as the oracle's (d, cid) order
+        return pa.Table.from_pydict(
+            {
+                "vec_id": pa.compute.cast(t["vec_id"], pa.int64()),
+                "cluster": pa.array(cid.astype(np.int64), type=pa.int64()),
+                "embedding": t["embedding"],
+            }
+        )
 
     def dedup_cluster(group: pa.Table) -> pa.Table:
         ids = group["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -99,11 +96,7 @@ def semdedup(
         )
 
     ds = _read_embeddings(sf_dir).map_batches(
-        Assign,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 4),
-        batch_size=1024,
+        assign, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024
     )
     return (
         ds.groupby("cluster")

@@ -182,7 +182,8 @@ def ann_bruteforce_topk(sf_dir: str, k: int = 5, n_queries: int = 8):
 
 class SignLSH:
     """Sign-random-projection hasher (stateful: the projection matrix
-    lives once per actor). bucket = bits of sign(R @ v)."""
+    is built once and ships with the mapped function). bucket = bits of
+    sign(R @ v)."""
 
     def __init__(self, dim: int, n_bits: int = 8, seed: int = 11):
         rng = np.random.RandomState(seed)

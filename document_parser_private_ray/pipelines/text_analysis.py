@@ -1,6 +1,6 @@
 """Text-analysis pipelines over a documents table (doc_id, text):
 language ID, quality scoring, token counting, fingerprinting, and the
-PII pass — each a single vectorized/actor map_batches stage.
+PII pass — each a single vectorized map_batches task stage.
 
 Quality and token metrics are defined to be exactly SQL-expressible so
 the driver's DuckDB oracle verifies values bit-for-bit (see
@@ -379,34 +379,8 @@ def lang_histogram(sf_dir: str):
     return doc_language(sf_dir).groupby("lang").aggregate(Count(alias_name="n_docs")).sort("lang")
 
 
-class PIIScan:
-    """Actor stage: per-document PII anonymization over the text column
-    (rules compiled once per actor)."""
-
-    def __init__(self, config=None):
-        from ..functions.pii import PIIAnonymizer
-
-        self.engine = PIIAnonymizer(config)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        n_pii, anon = [], []
-        for t in texts:
-            a, m = self.engine.anonymize(t or "")
-            anon.append(a)
-            n_pii.append(len(m))
-        return pa.Table.from_arrays(
-            [
-                batch["doc_id"],
-                pa.array(anon),
-                pa.array(n_pii, type=pa.int64()),
-            ],
-            names=["doc_id", "anonymized_text", "n_pii"],
-        )
-
-
 class PIICounts:
-    """Actor stage: per-document accepted-PII counts per entity type
+    """Task stage: per-document accepted-PII counts per entity type
     (after the engine's overlap-priority resolution). Defined to be
     exactly SQL-expressible: the DuckDB oracle recomputes match
     positions via string_split_regex and replays the greedy
@@ -478,34 +452,16 @@ def doc_pii_counts(corpus_path: str, config=None):
     driver."""
     import ray.data as rd
 
-    kwargs = {"config": config} if config is not None else None
     return (
         rd.read_parquet(corpus_path, columns=["doc_id", "spans"])
         .map_batches(_reconstruct_text_batch, batch_format="pyarrow", zero_copy_batch=True)
         .map_batches(
-            PIICounts,
-            fn_constructor_kwargs=kwargs,
+            PIICounts(config),
             batch_format="pyarrow", zero_copy_batch=True,
             batch_size=1024,
-            concurrency=(1, 4),
         )
         .sort("doc_id")
     )
-
-
-def doc_pii(sf_dir: str, config=None):
-    ds = _read_docs(sf_dir)
-    # pass constructor kwargs only when a config is given: a dict in
-    # fn_constructor_kwargs defeats Ray's operator-fingerprint schema
-    # dedup ("Failed to hash the schemas" warning spam)
-    kwargs = {"config": config} if config is not None else None
-    return ds.map_batches(
-        PIIScan,
-        fn_constructor_kwargs=kwargs,
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1024,
-        concurrency=(1, 4),
-    ).sort("doc_id")
 
 
 def top_words(sf_dir: str, k: int = 50):
@@ -587,14 +543,14 @@ def doc_length_percentiles(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
 
 
 class ModelScore:
-    """Actor stage: deterministic linear quality model over integer
+    """Task stage: deterministic linear quality model over integer
     fixed-point features — the batched-model-inference pattern (weights
-    loaded once per actor in ``__init__``, vectorized scoring per
-    batch). The model is a stand-in for a fasttext/logreg quality
-    classifier: integer micro-unit shares and integer weights keep the
-    arithmetic bit-exact across engines so the DuckDB oracle verifies
-    scores value-for-value (transcendental links would not survive
-    cross-engine doubles).
+    loaded once in ``__init__`` and shipped with the instance,
+    vectorized scoring per batch). The model is a stand-in for a
+    fasttext/logreg quality classifier: integer micro-unit shares and
+    integer weights keep the arithmetic bit-exact across engines so the
+    DuckDB oracle verifies scores value-for-value (transcendental links
+    would not survive cross-engine doubles).
 
     Reference seed: none (single-doc CLI); LLM-training-data family
     (model-based quality filtering a la CCNet/fasttext)."""
@@ -605,9 +561,6 @@ class ModelScore:
     KEEP_MICRO = 1_500_000
 
     def __init__(self, weights=None, keep_micro=None):
-        import numpy as np
-
-        self.np = np
         self.bias, self.w_stop, self.w_alpha, self.w_punct = (
             weights or self.WEIGHTS
         )
@@ -615,7 +568,6 @@ class ModelScore:
         self.stop_set = pa.array(STOPWORDS, type=pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        np = self.np
         text = batch["text"]
         if isinstance(text, pa.ChunkedArray):
             text = text.combine_chunks()
@@ -676,13 +628,9 @@ class ModelScore:
 
 def doc_model_score(sf_dir: str):
     """(doc_id, feature shares, score_micro, keep) — linear quality
-    model over the corpus, weights resident per actor."""
+    model over the corpus, weights shipped with the mapped instance."""
     return _read_docs(sf_dir).map_batches(
-        ModelScore,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 4),
-        batch_size=2048,
+        ModelScore(), batch_format="pyarrow", zero_copy_batch=True, batch_size=2048
     ).sort("doc_id")
 
 

@@ -101,7 +101,7 @@ class PdfExtract:
     ``backends=``/``extract=``. The stage holds nothing but its backend
     list, so ``from_*_files`` map an instance as Ray tasks, the
     backends pickled with it; a backend that needs a loaded model per
-    worker belongs in an actor-pool stage of its own."""
+    worker keeps it in a per-process slot (``stages.parse.worker_state``)."""
 
     fmt = "pdf"
 

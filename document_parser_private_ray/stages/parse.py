@@ -3,15 +3,16 @@
 Each stage is a callable usable in ``map_batches(..., batch_format=
 "pyarrow")``; cheap column math is in stateless functions.
 
-``ParseDocuments`` runs as Ray tasks: ``pipelines.resume`` maps a
-constructed instance, which pickles as its constructor arguments only
-(``warm_caches`` as an ``ObjectRef``, never the resolved memo dicts).
-The ``DocumentOracle`` — ontologies, regex banks, PII rules and the
-seeded memos — lives in a per-process slot (``_SLOT``) built on the
-first batch a worker process parses for a configuration and reused by
-its later tasks, jobs and ``job.main`` partitions. A different
-configuration or warm-cache ref replaces the slot, so a process holds
-at most one memo set.
+Both stages run as Ray tasks over a constructed instance, which
+pickles as its constructor arguments only (``warm_caches`` as an
+``ObjectRef``, never the resolved memo dicts). The state that carries
+memos — ``ParseDocuments``'s ``DocumentOracle`` (ontologies, regex
+banks, PII rules and the seeded memos) and ``DetectSectionsStage``'s
+``SectionDetector`` — lives in a per-process slot (``worker_state``)
+built on the first batch a worker process runs for a configuration
+and reused by its later tasks, jobs and ``job.main`` partitions. A
+different configuration replaces the stage's slot, so a process holds
+at most one memo set per stage.
 
 Per-row try/except inside the UDF turns a poison document into an
 ``error`` column value instead of a task failure (the reference's
@@ -39,9 +40,20 @@ _EMPTY_RESUME = {
 }
 
 
-# (key, DocumentOracle) of the last configuration this process parsed
-# with; task workers outlive jobs, so the oracle outlives them too
-_SLOT: list = [None, None]
+# stage name -> (key, state) of the last configuration this process ran
+# the stage with; task workers outlive jobs, so the state outlives them too
+_SLOTS: dict = {}
+
+
+def worker_state(name: str, key, build):
+    """This process's state for stage ``name`` under ``key``, built by
+    ``build()`` on first use. A different key replaces the stage's
+    state; other stages' slots are untouched."""
+    held = _SLOTS.get(name)
+    if held is None or held[0] != key:
+        _SLOTS.pop(name, None)  # release the old state before building
+        _SLOTS[name] = (key, build())
+    return _SLOTS[name][1]
 
 
 def _build_oracle(config: dict, warm_caches: Optional[dict]) -> DocumentOracle:
@@ -51,21 +63,6 @@ def _build_oracle(config: dict, warm_caches: Optional[dict]) -> DocumentOracle:
         # caches, valid on any worker)
         oracle.seed_caches(warm_caches)
     return oracle
-
-
-def _slot_oracle(config: dict, warm_ref) -> DocumentOracle:
-    """This process's oracle for ``config`` seeded from ``warm_ref``
-    (an ObjectRef or None), built on first use. The slot keys on the
-    ref's id, not the ref, so it never pins the object."""
-    key = (config, None if warm_ref is None else warm_ref.binary())
-    if _SLOT[0] != key:
-        _SLOT[:] = [None, None]  # release the old memos before building
-        if warm_ref is not None:
-            import ray
-
-            warm_ref = ray.get(warm_ref)
-        _SLOT[:] = [key, _build_oracle(config, warm_ref)]
-    return _SLOT[1]
 
 
 class ParseDocuments:
@@ -102,7 +99,16 @@ class ParseDocuments:
     def oracle(self) -> DocumentOracle:
         if self._oracle is not None:
             return self._oracle
-        return _slot_oracle(self.config, self.warm_ref)
+        ref = self.warm_ref
+
+        def build():
+            import ray
+
+            return _build_oracle(self.config, None if ref is None else ray.get(ref))
+
+        # keyed on the ref's id, not the ref, so the slot never pins it
+        key = (self.config, None if ref is None else ref.binary())
+        return worker_state("parse", key, build)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -186,7 +192,9 @@ class ParseDocuments:
 
 class DetectSectionsStage:
     """spans -> one row per document with packed section contents
-    (stage 2 of the lifecycle, usable standalone for section analytics)."""
+    (stage 2 of the lifecycle, usable standalone for section analytics).
+    The ``SectionDetector`` and its line memo live in the process slot,
+    so the memo outlives a task."""
 
     _SCHEMA = pa.schema(
         [
@@ -201,15 +209,22 @@ class DetectSectionsStage:
         a flat {section: [regex]} dict or a loaded parsing_rules.yaml
         (the user-editable surface; config.section_patterns_from_config
         normalizes the nested shape)."""
-        from ..functions.sections import SectionDetector
-
         if section_patterns is not None and (
             "detection_rules" in section_patterns or "patterns" in section_patterns
         ):
             from ..config import section_patterns_from_config
 
             section_patterns = section_patterns_from_config(section_patterns)
-        self.detector = SectionDetector(section_patterns)
+        self.section_patterns = section_patterns
+
+    @property
+    def detector(self):
+        from ..functions.sections import SectionDetector
+
+        patterns = self.section_patterns
+        # section order is match priority, so the key is the ordered items
+        key = None if patterns is None else list(patterns.items())
+        return worker_state("detect_sections", key, lambda: SectionDetector(patterns))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -230,6 +245,7 @@ class DetectSectionsStage:
         offsets = np.empty(n + 1, dtype=np.int32)
         offsets[0] = 0
         n_sections = np.empty(n, dtype=np.int32)
+        detect = self.detector.detect
         idx = 0
         for i, ln in enumerate(lens):
             ln = ln or 0
@@ -238,7 +254,7 @@ class DetectSectionsStage:
             )
             idx += ln
             cnt = 0
-            for name, content in self.detector.detect(raw).items():
+            for name, content in detect(raw).items():
                 if content.strip():
                     names_out.append(name)
                     contents_out.append(content)

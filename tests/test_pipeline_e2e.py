@@ -173,7 +173,7 @@ def test_shipped_stage_is_small_and_shares_the_slot(ray_session, monkeypatch):
     from document_parser_private_ray.functions.sections import SectionDetector
     from document_parser_private_ray.stages import parse
 
-    monkeypatch.setattr(parse, "_SLOT", [None, None])
+    monkeypatch.setattr(parse, "_SLOTS", {})
     detector = SectionDetector()
     for i in range(12_000):
         detector._classify(f"line {i} of a synthetic paragraph")
@@ -189,12 +189,62 @@ def test_shipped_stage_is_small_and_shares_the_slot(ray_session, monkeypatch):
 
     other = pickle.loads(ray.cloudpickle.dumps(parse.ParseDocuments(warm_caches=ray.put({}))))
     replaced = other.oracle
-    assert replaced is not shared and parse._SLOT[1] is replaced
+    assert replaced is not shared and parse._SLOTS["parse"][1] is replaced
     assert len(replaced.detector._line_memo) == 0
 
     own = parse.ParseDocuments(warm_caches=caches)
-    assert own.oracle is not parse._SLOT[1]
+    assert own.oracle is not parse._SLOTS["parse"][1]
     assert len(own.oracle.detector._line_memo) == 12_000
+
+
+def test_detect_sections_stage_shares_the_slot(monkeypatch):
+    """Unpickled ``DetectSectionsStage`` copies with equal patterns share
+    one detector whose line memo outlives a batch; different patterns
+    replace it; the parse slot and the detect slot never evict each
+    other."""
+    import pickle
+
+    import pyarrow as pa
+
+    from document_parser_private_ray.schemas import INPUT_SCHEMA
+    from document_parser_private_ray.stages import parse
+
+    monkeypatch.setattr(parse, "_SLOTS", {})
+    p = {"publications": [r"^publications$"], "summary": [r"^summary$"]}
+    blob = pickle.dumps(parse.DetectSectionsStage(section_patterns=p))
+    assert len(blob) < 1024
+    first, second = pickle.loads(blob), pickle.loads(blob)
+    batch = pa.Table.from_pylist(
+        [
+            {
+                "doc_id": "d1",
+                "spans": [
+                    {"kind": "heading", "text": "PUBLICATIONS", "media_ref": "", "offset": 0},
+                    {"kind": "text", "text": "Paper A", "media_ref": "", "offset": 1},
+                ],
+            }
+        ],
+        schema=INPUT_SCHEMA,
+    )
+    (out,) = first(batch).to_pylist()
+    assert [sec["name"] for sec in out["sections"]] == ["publications"]
+    assert "Paper A" in out["sections"][0]["content"]
+    shared = first.detector
+    memo = len(shared._line_memo)
+    assert memo > 0
+    second(batch)
+    assert second.detector is shared and len(shared._line_memo) == memo
+
+    oracle = parse.ParseDocuments().oracle
+    assert first.detector is shared and parse.ParseDocuments().oracle is oracle
+
+    other = pickle.loads(
+        pickle.dumps(parse.DetectSectionsStage(section_patterns={"summary": [r"^summary$"]}))
+    )
+    replaced = other.detector
+    assert replaced is not shared and parse._SLOTS["detect_sections"][1] is replaced
+    assert len(replaced._line_memo) == 0
+    assert parse._SLOTS["parse"][1] is oracle
 
 
 @pytest.mark.parametrize("with_pii", [False, True], ids=["plain", "pii"])

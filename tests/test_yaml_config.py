@@ -104,10 +104,8 @@ def test_custom_section_vocabulary_end_to_end(ray_session, tmp_path):
     ]
     ds = rd.from_items(rows)
     out = ds.map_batches(
-        DetectSectionsStage,
-        fn_constructor_kwargs={"section_patterns": loaded},
+        DetectSectionsStage(section_patterns=loaded),
         batch_format="pyarrow",
-        concurrency=1,
     ).take_all()
     sections = {s["name"]: s["content"] for s in out[0]["sections"]}
     assert "publications" in sections
