@@ -20,12 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.textstats import lang_id
-
-
-def _read_docs(sf_dir: str):
-    from ..sources.readers import read_table
-
-    return read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
+from ..sources.readers import read_documents
 
 
 def make_quality_filter(min_words: int = 5, max_digit_ratio: float = 0.3):
@@ -89,7 +84,7 @@ def curated_survivors(
     — e.g. main text recovered by the HTML extractor (web_curate)."""
     from ray.data.aggregate import Min
 
-    ds = docs if docs is not None else _read_docs(sf_dir)
+    ds = docs if docs is not None else read_documents(sf_dir)
     quality_filter = make_quality_filter(min_words, max_digit_ratio)
     language_filter = make_language_filter(langs)
 

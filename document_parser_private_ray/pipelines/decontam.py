@@ -30,17 +30,10 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.sketches import shingles
+from ..sources.readers import read_documents
 
 BENCH_MOD = 37  # deterministic eval-set stand-in: doc_id % 37 == 0
 THRESHOLD_MICRO = 200_000  # contaminated iff >=20% of a doc's shingles hit
-
-
-def _read_docs(sf_dir: str):
-    import ray.data as rd
-
-    return rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
 
 
 def benchmark_shingles(sf_dir: str, k: int = 3) -> np.ndarray:
@@ -60,7 +53,7 @@ def benchmark_shingles(sf_dir: str, k: int = 3) -> np.ndarray:
         arr = np.fromiter(out, dtype=np.uint64, count=len(out)).astype(np.int64)
         return pa.Table.from_pydict({"sh": pa.array(arr, type=pa.int64())})
 
-    parts = _read_docs(sf_dir).map_batches(
+    parts = read_documents(sf_dir).map_batches(
         part, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024
     )
     tbl = pa.concat_tables(
@@ -125,7 +118,7 @@ def decontaminate(
             }
         )
 
-    return _read_docs(sf_dir).map_batches(
+    return read_documents(sf_dir).map_batches(
         scan, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024
     )
 
@@ -218,6 +211,6 @@ def decontaminate_clean(sf_dir: str, k: int = 3):
             }
         )
 
-    return _read_docs(sf_dir).map_batches(
+    return read_documents(sf_dir).map_batches(
         clean_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024
     )

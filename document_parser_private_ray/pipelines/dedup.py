@@ -29,14 +29,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.sketches import MinHasher, jaccard, shingles, simhash64
-from .exchange import co_partition, co_partition_pairs, run_starts
+from ..sources.readers import read_documents
+from .exchange import co_partition, co_partition_pairs, grouped_agg, run_starts
 from .pairs import attach_pair_values, fits_broadcast, lookup, scan_ids, self_pairs
-
-
-def _read_docs(sf_dir: str, columns=("doc_id", "text")):
-    from ..sources.readers import read_table
-
-    return read_table(f"{sf_dir}/documents.parquet", columns)
 
 
 # -- exact dedup ---------------------------------------------------------
@@ -58,7 +53,7 @@ def dedup_exact(sf_dir: str, n_buckets: int = 64):
     Arrow group_by per bucket — Ray-native aggregates pay per-distinct-
     group overhead, and this reduce has one group per unique document
     (unbounded at corpus scale)."""
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
     hashed = ds.map_batches(add_content_hash, batch_format="pyarrow", zero_copy_batch=True).select_columns(
         ["content_hash", "doc_id"]
     )
@@ -111,7 +106,7 @@ def minhash_candidate_pairs(
     the (band, key) rows co-partition on those two columns and every
     bucket runs ``pairs.self_pairs`` (the star over the min id for an
     LSH bucket over ``max_bucket`` members, logged)."""
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
     sigs = ds.map_batches(
         MinHashSignatures(n_perm=n_perm, n_bands=n_bands),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -173,7 +168,7 @@ def minhash_verified_pairs(
     if n_candidates == 0:
         return None, 0, 0
 
-    with_texts = attach_pair_values(pairs_ds, _read_docs(sf_dir), "doc_id", "text", n_candidates)
+    with_texts = attach_pair_values(pairs_ds, read_documents(sf_dir), "doc_id", "text", n_candidates)
 
     def verify(batch: pa.Table) -> pa.Table:
         memo = {}
@@ -310,7 +305,7 @@ def neardup_keep_best(
             }
         )
 
-    lens = _read_docs(sf_dir).map_batches(
+    lens = read_documents(sf_dir).map_batches(
         doc_bytes, batch_format="pyarrow", zero_copy_batch=True
     )
     if fits_broadcast(n_nodes):
@@ -339,7 +334,7 @@ def neardup_keep_best(
 def simhash_table(sf_dir: str):
     """(doc_id, simhash, band0..band3) — 16-bit bands for Hamming<=3
     bucketing (pigeonhole: <=3 differing bits leave >=1 band intact)."""
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
 
     def sig(batch: pa.Table) -> pa.Table:
         hs = [simhash64(t) for t in batch["text"].to_pylist()]
@@ -461,7 +456,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
         t = _explode_shingles(batch, k)
         return t.rename_columns(["sh", "doc_id", "n"])
 
-    postings = _read_docs(sf_dir).map_batches(
+    postings = read_documents(sf_dir).map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024
     )
 
@@ -554,7 +549,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
 
     from ray.data.aggregate import Min
 
-    empties = _read_docs(sf_dir).map_batches(
+    empties = read_documents(sf_dir).map_batches(
         empty_ids, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
     if empties.count() > 1:
@@ -655,7 +650,7 @@ def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000
             }
         )
 
-    postings = _read_docs(sf_dir).map_batches(
+    postings = read_documents(sf_dir).map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024
     )
 
@@ -715,7 +710,7 @@ def dedup_against_state(sf_dir: str, n_buckets: int = 16):
     with equal hashes share a bucket by construction. The state never
     broadcasts: at 100 TB the ingest index is billions of hashes and
     must shuffle, not ship."""
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
     hashed = ds.map_batches(
         add_content_hash, batch_format="pyarrow", zero_copy_batch=True
     ).select_columns(["doc_id", "content_hash"])
@@ -765,28 +760,19 @@ def dup_cluster_histogram(sf_dir: str):
     sizes — (cluster_size, n_clusters, n_docs) — the number a curation
     run reports before deciding thresholds. Same projection-first scan
     as ``dedup_exact`` (only (hash, doc) ever shuffles), then the
-    cluster-size aggregate collapses to a histogram via per-batch
-    partials and one tiny second groupby."""
-    from ray.data.aggregate import Count, Sum
+    cluster-size aggregate collapses to a histogram via
+    ``grouped_agg``."""
+    from ray.data.aggregate import Count
 
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
     hashed = ds.map_batches(
         add_content_hash, batch_format="pyarrow", zero_copy_batch=True
     ).select_columns(["content_hash", "doc_id"])
     clusters = hashed.groupby("content_hash").aggregate(
-        Count(alias_name="size")
+        Count(alias_name="cluster_size")
     )
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["size"]).group_by("size").aggregate([("size", "count")])
-        return g.rename_columns(["cluster_size", "n"])
-
     return (
-        clusters.map_batches(
-            hist_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("cluster_size")
-        .aggregate(Sum("n", alias_name="n_clusters"))
+        grouped_agg(clusters, "cluster_size", {"n_clusters": ("cluster_size", "count")})
         .map_batches(
             lambda b: b.append_column(
                 "n_docs",
@@ -809,10 +795,7 @@ def dup_rate_by_source(sf_dir: str):
     semantics): the (hash, doc, source) projection shuffles once on a
     hash bucket, each bucket marks non-keepers vectorized, and a tiny
     groupby(source) folds the counts."""
-    import numpy as np
-    from ray.data.aggregate import Sum
-
-    ds = _read_docs(sf_dir, columns=("doc_id", "text", "source"))
+    ds = read_documents(sf_dir, columns=("doc_id", "text", "source"))
     hashed = ds.map_batches(
         add_content_hash, batch_format="pyarrow", zero_copy_batch=True
     ).select_columns(["content_hash", "doc_id", "source"])
@@ -823,27 +806,16 @@ def dup_rate_by_source(sf_dir: str):
         order = np.lexsort((d, h))
         h_s, d_s = h[order], d[order]
         first = run_starts(h_s)  # sorted: keeper = first of run
-        is_dup = np.zeros(len(h_s), dtype=bool)
+        is_dup = np.zeros(len(h_s), dtype=np.int64)
         is_dup[order] = ~first
-        t = pa.Table.from_pydict(
-            {
-                "source": group["source"],
-                "n": pa.array(np.ones(len(h_s), dtype=np.int64)),
-                "n_dup": pa.array(is_dup.astype(np.int64)),
-            }
-        )
-        g = t.group_by("source").aggregate([("n", "sum"), ("n_dup", "sum")])
-        return g.rename_columns(["source", "n", "n_dup"])
+        return pa.Table.from_pydict({"source": group["source"], "is_dup": is_dup})
 
-    return (
-        co_partition({"hashes": (hashed, None)}, "content_hash", mark_bucket, 64)
-        .groupby("source")
-        .aggregate(
-            Sum("n", alias_name="n_docs"),
-            Sum("n_dup", alias_name="n_duplicates"),
-        )
-        .sort("source")
-    )
+    marked = co_partition({"hashes": (hashed, None)}, "content_hash", mark_bucket, 64)
+    return grouped_agg(
+        marked,
+        "source",
+        {"n_docs": (None, "count"), "n_duplicates": ("is_dup", "sum")},
+    ).sort("source")
 
 
 def minhash_against_state(
@@ -882,7 +854,7 @@ def minhash_against_state(
         sf_dir, threshold, n_perm, n_bands, pair_filter=cross_side
     )
 
-    incoming = _read_docs(sf_dir, columns=("doc_id",)).map_batches(
+    incoming = read_documents(sf_dir, columns=("doc_id",)).map_batches(
         lambda t: t.filter(
             pc.equal(
                 pc.bit_wise_and(pc.cast(t["doc_id"], pa.int64()), 1),

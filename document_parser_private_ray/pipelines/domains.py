@@ -10,8 +10,8 @@ Scale shape:
   ship with the mapped instance, fully vectorized) with the ``source``
   column passed through;
 * the shuffle ships only per-batch PARTIAL aggregates — each batch
-  collapses to (source, sum_score, n_docs) rows via
-  ``pa.Table.group_by`` before the global groupby, so the exchange is
+  collapses to (source, sum_score, n_docs) rows in
+  ``exchange.grouped_agg`` before the global groupby, so the exchange is
   bounded by batches x domains, not docs;
 * the surviving-source set is bounded by the number of DOMAINS (tiny
   next to any corpus — the web has ~1e8 registrable domains vs 1e11+
@@ -39,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .exchange import grouped_agg
 from .text_analysis import ModelScore
 
 CUTOFF_MICRO = 1_330_000  # per-source mean-score keep threshold
@@ -70,28 +71,10 @@ def source_stats(
 ):
     """Per-source rollup: ``source``, ``n_docs``, ``sum_score_micro``,
     ``src_kept`` — one row per domain, sorted by source."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = (
-            t.select(["source", "score_micro"])
-            .group_by("source")
-            .aggregate([("score_micro", "sum"), ("score_micro", "count")])
-        )
-        return pa.Table.from_pydict(
-            {
-                "source": g["source"],
-                "part_sum": pa.compute.cast(g["score_micro_sum"], pa.int64()),
-                "part_n": pa.compute.cast(g["score_micro_count"], pa.int64()),
-            }
-        )
-
-    agg = (
-        _scored(sf_dir)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(Sum("part_sum", alias_name="sum_score_micro"),
-                   Sum("part_n", alias_name="n_docs"))
+    agg = grouped_agg(
+        _scored(sf_dir),
+        "source",
+        {"sum_score_micro": ("score_micro", "sum"), "n_docs": ("score_micro", "count")},
     )
 
     def verdict(t: pa.Table) -> pa.Table:

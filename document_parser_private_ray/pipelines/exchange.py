@@ -19,6 +19,14 @@ exchange layout in one place:
 Co-partitioning both sides once and joining inside each bucket is the
 large-⋈-large shape; raising ``n_buckets`` spreads a hot key's bucket
 mates (salting composes: bucket on a (key, salt) column).
+
+``grouped_agg`` is the one two-phase grouped aggregate: inside one
+``map_batches`` task each batch collapses to one partial row per key
+(``pa.Table.group_by``), then one Ray ``groupby(keys).aggregate`` merges
+the partials (``Sum`` for sums and counts, ``Min`` / ``Max``), so the
+exchange carries partials, never raw rows. A ``co_partition`` kernel
+whose result is summed per key returns its raw rows and hands the
+exchange's output to ``grouped_agg``.
 """
 
 from __future__ import annotations
@@ -135,6 +143,35 @@ def co_partition(
 
     return tagged.groupby(BUCKET).map_groups(
         run, batch_format="pyarrow", zero_copy_batch=True
+    )
+
+
+def grouped_agg(ds, keys, aggs: Mapping[str, tuple], rows: Callable | None = None,
+                batch_size: int | None = None):
+    """``ds`` grouped by ``keys`` and aggregated in two phases.
+
+    ``aggs`` maps each output name to ``(column, op)``, ``op`` one of
+    ``sum`` / ``count`` / ``min`` / ``max``; ``count`` counts the
+    column's non-null values, or every row when ``column`` is ``None``.
+    Each batch of ``batch_size`` rows (``None``: one block) first goes
+    through ``rows`` (a batch -> table function deriving the key and
+    value columns), then collapses to one partial row per key. Output
+    columns: the keys, then ``aggs`` in order."""
+    from ray.data.aggregate import Max, Min, Sum
+
+    merge = {"sum": Sum, "count": Sum, "min": Min, "max": Max}
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    specs = [([], "count_all") if col is None else (col, op) for col, op in aggs.values()]
+
+    def partial(batch: pa.Table) -> pa.Table:
+        t = batch if rows is None else rows(batch)
+        return t.group_by(keys).aggregate(specs).rename_columns([*keys, *aggs])
+
+    return (
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
+                       batch_size=batch_size)
+        .groupby(keys)
+        .aggregate(*(merge[op](name, alias_name=name) for name, (_, op) in aggs.items()))
     )
 
 

@@ -29,7 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.readers import read_table
-from .exchange import co_partition, run_starts
+from .exchange import co_partition, grouped_agg, run_starts
 
 
 def _render_batch(batch: pa.Table) -> pa.Table:
@@ -321,22 +321,11 @@ def link_indegree(sf_dir: str, top_k: int = 30):
     groupby: each batch collapses its chrome edges to one row per URL
     and the exchange carries partials, never the raw hot-key edges.
     Top-k by (in_degree desc, url) keeps the result driver-small."""
-    from ray.data.aggregate import Sum
-
-    edges = html_outlinks(sf_dir)
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("url").aggregate([("doc_id", "count")])
-        return g.rename_columns(["url", "n"])
-
-    ranked = (
-        edges.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("url")
-        .aggregate(Sum("n", alias_name="in_degree"))
+    return (
+        grouped_agg(html_outlinks(sf_dir), "url", {"in_degree": ("doc_id", "count")})
         .sort(["in_degree", "url"], descending=[True, False])
         .limit(top_k)
     )
-    return ranked
 
 
 def crawl_frontier(sf_dir: str, n_buckets: int = 32):

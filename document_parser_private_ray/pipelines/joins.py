@@ -19,7 +19,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import co_partition
+from .exchange import co_partition, grouped_agg
+from .relational import _cents
 
 
 def bucketed_join(
@@ -369,12 +370,10 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
         # aggregate BEFORE the join: per-batch per-order partial sums,
         # so the join's right side is order-grain and the post-join
         # groupby disappears (one row per order straight off the join)
-        cents = np.floor(
+        cents = _cents(
             batch["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - batch["l_discount"].to_numpy(zero_copy_only=False))
-            * 100
-            + 0.5
-        ).astype(np.int64)
+        )
         t = pa.Table.from_pydict(
             {
                 "l_orderkey": batch["l_orderkey"],
@@ -502,15 +501,10 @@ def building_not_big_spenders(sf_dir: str, spend_floor: float = 1_500_000.0):
     out = bucketed_filter_join(building, big, "c_custkey", "o_custkey", "anti")
 
     def to_cents(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        cents = np.floor(
-            batch["c_acctbal"].to_numpy(zero_copy_only=False) * 100 + 0.5
-        ).astype(np.int64)
         return pa.Table.from_pydict(
             {
                 "c_custkey": batch["c_custkey"],
-                "acctbal_cents": pa.array(cents, type=pa.int64()),
+                "acctbal_cents": _cents(batch["c_acctbal"].to_numpy(zero_copy_only=False)),
             }
         )
 
@@ -530,14 +524,12 @@ def orders_above_customer_avg(sf_dir: str):
     Fused shape (r5): orders co-partition by custkey bucket in ONE
     exchange; inside each bucket the per-customer aggregate is FINAL
     (all of a customer's orders are co-located), rows flag against it
-    via one argsort + searchsorted, and the bucket emits <= #priorities
-    partial rows for the tiny final groupby. The previous version built
+    via one argsort + searchsorted, and ``grouped_agg`` collapses the
+    flagged rows to per-priority partials for the tiny final groupby. The previous version built
     a separate per-customer Dataset and joined it back — two exchanges
     plus a re-execution of the orders scan (two lazy consumers of one
     Dataset re-run the upstream)."""
     import numpy as np
-
-    from ray.data.aggregate import Sum
 
     from ..sources.readers import read_table
 
@@ -546,13 +538,7 @@ def orders_above_customer_avg(sf_dir: str):
             {
                 "o_custkey": pc.cast(b["o_custkey"], pa.int64()),
                 "o_orderpriority": b["o_orderpriority"],
-                "price_cents": pa.array(
-                    np.floor(
-                        b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-                        + 0.5
-                    ).astype(np.int64),
-                    type=pa.int64(),
-                ),
+                "price_cents": _cents(b["o_totalprice"].to_numpy(zero_copy_only=False)),
             }
         )
 
@@ -564,14 +550,6 @@ def orders_above_customer_avg(sf_dir: str):
 
     def flag_bucket(group: pa.Table) -> pa.Table:
         g = group.combine_chunks()
-        if g.num_rows == 0:
-            return pa.Table.from_pydict(
-                {
-                    "o_orderpriority": pa.array([], type=pa.string()),
-                    "n_above": pa.array([], type=pa.int64()),
-                    "n_total": pa.array([], type=pa.int64()),
-                }
-            )
         ck = g["o_custkey"].to_numpy(zero_copy_only=False)
         cents = g["price_cents"].to_numpy(zero_copy_only=False)
         # per-customer (sum, n) — FINAL, the bucket holds every order
@@ -587,27 +565,16 @@ def orders_above_customer_avg(sf_dir: str):
         ns = agg["price_cents_count"].to_numpy(zero_copy_only=False)[order]
         idx = np.searchsorted(ak_s, ck)
         above = cents * ns[idx] > sums[idx]
-        t = pa.Table.from_pydict(
-            {
-                "o_orderpriority": g["o_orderpriority"],
-                "n_above": pa.array(above.astype(np.int64), type=pa.int64()),
-                "n_total": pa.array(np.ones(len(ck), dtype=np.int64)),
-            }
+        return pa.Table.from_pydict(
+            {"o_orderpriority": g["o_orderpriority"], "above": above.astype(np.int64)}
         )
-        p = t.group_by("o_orderpriority").aggregate(
-            [("n_above", "sum"), ("n_total", "sum")]
-        )
-        return p.rename_columns(["o_orderpriority", "n_above", "n_total"])
 
-    return (
-        co_partition({"O": (orders, None)}, "o_custkey", flag_bucket, 32)
-        .groupby("o_orderpriority")
-        .aggregate(
-            Sum("n_above", alias_name="n_above_avg"),
-            Sum("n_total", alias_name="n_orders"),
-        )
-        .sort("o_orderpriority")
-    )
+    flagged = co_partition({"O": (orders, None)}, "o_custkey", flag_bucket, 32)
+    return grouped_agg(
+        flagged,
+        "o_orderpriority",
+        {"n_above_avg": ("above", "sum"), "n_orders": (None, "count")},
+    ).sort("o_orderpriority")
 
 
 def snapshot_diff(sf_dir: str, n_buckets: int = 16):

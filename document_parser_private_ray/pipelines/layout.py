@@ -189,8 +189,8 @@ def span_kind_transitions(corpus_path: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from .exchange import grouped_agg
     from .resume import read_corpus
 
     ds = read_corpus(corpus_path)
@@ -207,35 +207,21 @@ def span_kind_transitions(corpus_path: str):
         # adjacent-pair mask: position i pairs with i+1 unless i+1 is a
         # document boundary
         n = len(k)
-        if n < 2:
-            return pa.Table.from_pydict(
-                {
-                    "prev_kind": pa.array([], type=pa.string()),
-                    "next_kind": pa.array([], type=pa.string()),
-                    "n": pa.array([], type=pa.int64()),
-                }
-            )
         starts = np.zeros(n, dtype=bool)
         start_idx = local[:-1]
         starts[start_idx[start_idx < n]] = True  # first span of each doc
         # (trailing empty docs have start == n: no span, nothing to mark)
         keep = ~starts[1:]  # pair (i, i+1) valid if i+1 not a doc start
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "prev_kind": pa.array(k[:-1][keep], type=pa.string()),
                 "next_kind": pa.array(k[1:][keep], type=pa.string()),
-                "n": pa.array(np.ones(int(keep.sum()), dtype=np.int64)),
             }
         )
-        g = t.group_by(["prev_kind", "next_kind"]).aggregate([("n", "sum")])
-        return g.rename_columns(["prev_kind", "next_kind", "n"])
 
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["prev_kind", "next_kind"])
-        .aggregate(Sum("n", alias_name="n_transitions"))
-        .sort(["prev_kind", "next_kind"])
-    )
+    return grouped_agg(
+        ds, ["prev_kind", "next_kind"], {"n_transitions": (None, "count")}, rows=pairs
+    ).sort(["prev_kind", "next_kind"])
 
 
 def span_bytes_by_kind(corpus_path: str):
@@ -244,16 +230,13 @@ def span_bytes_by_kind(corpus_path: str):
     sizes block/batch budgets for each kind's processing stage). One
     scan; binary_length runs on the flattened values buffer; only
     kinds-sized partials move."""
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from .exchange import grouped_agg
     from .resume import read_corpus
 
-    ds = read_corpus(corpus_path)
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def kind_bytes(batch: pa.Table) -> pa.Table:
         spans = batch["spans"]
         spans = spans.combine_chunks() if isinstance(spans, pa.ChunkedArray) else spans
         if isinstance(spans, pa.ChunkedArray):
@@ -262,24 +245,11 @@ def span_bytes_by_kind(corpus_path: str):
         nbytes = pc.fill_null(
             pc.binary_length(pc.struct_field(spans.values, "text")), 0
         )
-        t = pa.Table.from_pydict(
-            {
-                "kind": kinds,
-                "n": pa.array(
-                    np.ones(len(kinds), dtype=np.int64), type=pa.int64()
-                ),
-                "b": pc.cast(nbytes, pa.int64()),
-            }
-        )
-        g = t.group_by("kind").aggregate([("n", "sum"), ("b", "sum")])
-        return g.rename_columns(["kind", "n", "b"])
+        return pa.Table.from_pydict({"kind": kinds, "b": pc.cast(nbytes, pa.int64())})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("kind")
-        .aggregate(
-            Sum("n", alias_name="n_spans"),
-            Sum("b", alias_name="total_bytes"),
-        )
-        .sort("kind")
-    )
+    return grouped_agg(
+        read_corpus(corpus_path),
+        "kind",
+        {"n_spans": (None, "count"), "total_bytes": ("b", "sum")},
+        rows=kind_bytes,
+    ).sort("kind")

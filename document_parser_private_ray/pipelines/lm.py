@@ -117,7 +117,7 @@ def train_char_bigram_counts(sf_dir: str) -> np.ndarray:
     batches x 729 rows regardless of corpus size."""
     from ray.data.aggregate import Sum
 
-    from .text_analysis import _read_docs
+    from ..sources.readers import read_documents
 
     def partial(t: pa.Table) -> pa.Table:
         codes, rel = _flat_codes(_normalize(t["text"]))
@@ -132,7 +132,7 @@ def train_char_bigram_counts(sf_dir: str) -> np.ndarray:
         )
 
     rows = (
-        _read_docs(sf_dir, columns=("text",))
+        read_documents(sf_dir, columns=("text",))
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("code")
         .aggregate(Sum("n", alias_name="n"))
@@ -175,7 +175,7 @@ def doc_perplexity(
     The 729-entry LUT is trained distributed (one bounded-exchange
     scan) then broadcast inside the scoring closure; scoring itself is
     one shuffle-free pass."""
-    from .text_analysis import _read_docs
+    from ..sources.readers import read_documents
 
     if counts is None:
         counts = train_char_bigram_counts(sf_dir)
@@ -202,7 +202,7 @@ def doc_perplexity(
         )
 
     return (
-        _read_docs(sf_dir)
+        read_documents(sf_dir)
         .map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
         .sort("doc_id")
     )

@@ -4,20 +4,24 @@ expressed Ray-Data-first over the TPC-H-ish testdata tables.
 Patterns demonstrated (and verified against DuckDB SQL by the driver):
   * column-pruned reads (every read passes ``columns=``);
   * vectorized filters/compute inside ``map_batches`` (pyarrow kernels);
-  * pre-aggregation: per-batch partial aggregates -> tiny global groupby
-    (the shuffle moves partials, not rows);
-  * broadcast hash joins: small dimension tables are materialized once,
-    ``ray.put`` into the object store, and joined per batch with pandas
-    merge — no all-to-all shuffle for the small side;
+  * pre-aggregation through ``exchange.grouped_agg``: per-batch partial
+    aggregates -> tiny global groupby (the shuffle moves partials, not
+    rows);
+  * broadcast joins: small dimension tables are read once on the driver,
+    shipped by value into each batch task, and attached per batch with
+    the sorted-key searchsorted ``_dim_lookup`` — no all-to-all shuffle
+    for the small side;
   * global sort/top-k on small aggregate results only.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import co_partition, run_starts
+from .exchange import co_partition, grouped_agg, run_starts
+from .segments import _as_array
 
 
 def _read(sf_dir: str, table: str, columns, num_blocks: int | None = None):
@@ -38,8 +42,6 @@ def _dim_lookup(sorted_keys, fact_keys):
     inner-join semantics, matching the SQL oracles — instead of silently
     misattributing an orphan fact key to the nearest dimension row (or
     raising IndexError when the key exceeds the dimension max)."""
-    import numpy as np
-
     if len(sorted_keys) == 0:
         return (
             np.zeros(len(fact_keys), dtype=np.int64),
@@ -49,68 +51,41 @@ def _dim_lookup(sorted_keys, fact_keys):
     return idx, sorted_keys[idx] == fact_keys
 
 
+def _cents(values: np.ndarray) -> np.ndarray:
+    """Exact integer cents, ``floor(x * 100 + 0.5)`` as int64 — the
+    rounding rule the oracle SQL replays."""
+    return np.floor(values * 100 + 0.5).astype(np.int64)
+
+
 # -- Q1-style pricing summary (groupby + multi-aggregate) ----------------
 
 def q1_pricing_summary(sf_dir: str):
     """lineitem rollup by (returnflag, linestatus) with partial per-batch
     aggregation before the shuffle."""
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(
         sf_dir,
         "lineitem",
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        disc_price = pc.multiply(
+    def disc_price(batch: pa.Table) -> pa.Table:
+        price = pc.multiply(
             batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
         )
-        batch = batch.append_column("disc_price", disc_price)
-        # per-batch partial aggregate: one row per key per batch, done
-        # with pa.Table.group_by — no pandas round-trip (dtype copies)
-        g = (
-            batch.select(
-                ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "disc_price"]
-            )
-            .group_by(["l_returnflag", "l_linestatus"])
-            .aggregate(
-                [
-                    ("l_quantity", "sum"),
-                    ("l_extendedprice", "sum"),
-                    ("disc_price", "sum"),
-                    ("l_quantity", "count"),
-                ]
-            )
-        )
-        return pa.Table.from_arrays(
-            [
-                g["l_returnflag"],
-                g["l_linestatus"],
-                g["l_quantity_sum"],
-                g["l_extendedprice_sum"],
-                g["disc_price_sum"],
-                pc.cast(g["l_quantity_count"], pa.int64()),
-            ],
-            names=[
-                "l_returnflag", "l_linestatus", "sum_qty",
-                "sum_base_price", "sum_disc_price", "count_order",
-            ],
-        )
+        return batch.append_column("disc_price", price)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=65536)
-    out = (
-        partials.groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_base_price", alias_name="sum_base_price"),
-            Sum("sum_disc_price", alias_name="sum_disc_price"),
-            Sum("count_order", alias_name="count_order"),
-        )
-        .sort(["l_returnflag", "l_linestatus"])
-    )
-    return out
+    return grouped_agg(
+        ds,
+        ["l_returnflag", "l_linestatus"],
+        {
+            "sum_qty": ("l_quantity", "sum"),
+            "sum_base_price": ("l_extendedprice", "sum"),
+            "sum_disc_price": ("disc_price", "sum"),
+            "count_order": ("l_quantity", "count"),
+        },
+        rows=disc_price,
+        batch_size=65536,
+    ).sort(["l_returnflag", "l_linestatus"])
 
 
 # -- broadcast-join revenue by nation (R3/R5) ----------------------------
@@ -120,9 +95,7 @@ def revenue_by_nation(sf_dir: str):
     (supplier 100..10k rows, nation 25) are broadcast — read once on the
     driver, shipped by value into each batch task; the fact table
     streams."""
-    import numpy as np
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
 
     supplier = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
@@ -140,7 +113,7 @@ def revenue_by_nation(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"])
 
-    def join_and_partial(batch: pa.Table) -> pa.Table:
+    def join(batch: pa.Table) -> pa.Table:
         idx, ok = _dim_lookup(sk_sorted, batch["l_suppkey"].to_numpy())
         if not ok.all():
             batch = batch.filter(pa.array(ok))
@@ -148,21 +121,14 @@ def revenue_by_nation(sf_dir: str):
         revenue = pc.multiply(
             batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
         )
-        t = pa.Table.from_arrays(
+        return pa.Table.from_arrays(
             [pa.array(name_by_supp[idx], type=pa.string()), revenue],
             names=["n_name", "revenue"],
         )
-        g = t.group_by("n_name").aggregate([("revenue", "sum")])
-        return pa.Table.from_arrays(
-            [g["n_name"], g["revenue_sum"]], names=["n_name", "revenue"]
-        )
 
-    return (
-        ds.map_batches(join_and_partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=65536)
-        .groupby("n_name")
-        .aggregate(Sum("revenue", alias_name="revenue"))
-        .sort("revenue", descending=True)
-    )
+    return grouped_agg(
+        ds, "n_name", {"revenue": ("revenue", "sum")}, rows=join, batch_size=65536
+    ).sort("revenue", descending=True)
 
 
 # -- top-k with broadcast filter (R6) ------------------------------------
@@ -305,7 +271,6 @@ def purchases_asof_views(sf_dir: str):
     each bucket a single lexsort(user, ts, side) + forward-max scan
     matches every purchase to its latest prior view vectorized
     (guide: as-of/range join)."""
-    import numpy as np
     import ray
 
     from .bloom import bloom_mask, build_bloom
@@ -388,8 +353,6 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
     from np.add.reduceat over the break offsets. Partitioning
     assumption: one bucket's events fit in one group — at 100 TB raise
     the bucket count, the kernel is bucket-count-agnostic."""
-    import numpy as np
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"], num_blocks=16)
 
     gap_us = int(gap_minutes) * 60_000_000
@@ -445,8 +408,6 @@ def user_top_events(sf_dir: str, k: int = 3, n_buckets: int = 64):
     every user in it (the bucketed-lexsort idiom; r5 — was one Python
     group call per user). Partitioning assumption: one user's events
     fit in one bucket group."""
-    import numpy as np
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"], num_blocks=16)
 
     def topk_bucket(group: pa.Table) -> pa.Table:
@@ -465,7 +426,7 @@ def user_top_events(sf_dir: str, k: int = 3, n_buckets: int = 64):
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
         rank = np.arange(n) - run_start + 1
         sel = rank <= k
-        cents = np.floor(val[order][sel] * 100 + 0.5).astype(np.int64)
+        cents = _cents(val[order][sel])
         return pa.Table.from_pydict(
             {
                 "user_id": pa.array(uid_s[sel], type=pa.int64()),
@@ -491,8 +452,6 @@ def event_gaps(sf_dir: str, n_buckets: int = 64):
     microseconds so the DuckDB ``lag`` oracle reproduces them
     bit-for-bit. Partitioning assumption: one user's events fit in one
     bucket group."""
-    import numpy as np
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"], num_blocks=16)
 
     def gaps_bucket(group: pa.Table) -> pa.Table:
@@ -549,44 +508,29 @@ def orders_rollup(sf_dir: str):
     aggregate on the driver with exact integer arithmetic, never from
     a second pass over the fact table. NULL rollup markers are encoded
     as 'ALL' / -1 so the comparison is engine-neutral."""
-    import numpy as np
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def year_cents(batch: pa.Table) -> pa.Table:
         years = (
             batch["o_orderdate"].to_numpy(zero_copy_only=False)
             .astype("datetime64[Y]")
             .astype(np.int64)
             + 1970
         )
-        cents = np.floor(
-            batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100 + 0.5
-        ).astype(np.int64)
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "o_orderpriority": batch["o_orderpriority"],
                 "o_year": pa.array(years, type=pa.int64()),
-                "cents": pa.array(cents, type=pa.int64()),
+                "cents": _cents(batch["o_totalprice"].to_numpy(zero_copy_only=False)),
             }
         )
-        g = t.group_by(["o_orderpriority", "o_year"]).aggregate(
-            [("cents", "sum"), ("cents", "count")]
-        )
-        return g.rename_columns(
-            ["o_orderpriority", "o_year", "sum_price_cents", "n_orders"]
-        )
 
-    fine = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["o_orderpriority", "o_year"])
-        .aggregate(
-            Sum("sum_price_cents", alias_name="sum_price_cents"),
-            Sum("n_orders", alias_name="n_orders"),
-        )
-        .take_all()
-    )  # <= priorities x years rows by construction — the aggregate, not the facts
+    fine = grouped_agg(
+        ds,
+        ["o_orderpriority", "o_year"],
+        {"sum_price_cents": ("cents", "sum"), "n_orders": ("cents", "count")},
+        rows=year_cents,
+    ).take_all()  # <= priorities x years rows by construction — the aggregate, not the facts
     rows = [
         (r["o_orderpriority"], r["o_year"], r["n_orders"], r["sum_price_cents"])
         for r in fine
@@ -621,8 +565,6 @@ def funnel_counts(sf_dir: str, stages=("view", "click", "purchase")):
     on user_id, per-group vectorized first-after scan, then a driver
     fold of the tiny per-user stage depth. Output: one row per stage
     with the users-remaining count."""
-    import numpy as np
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"], num_blocks=16)
 
     def depth_bucket(group: pa.Table) -> pa.Table:
@@ -692,8 +634,6 @@ def retention_cohorts(sf_dir: str):
     group call per user); the second groupby is over the tiny
     (weeks x weeks) key space. Week = Monday-start date, matching
     DuckDB date_trunc('week')."""
-    import numpy as np
-
     ds = _read(sf_dir, "events", ["user_id", "ts"], num_blocks=16)
 
     def weeks_bucket(group: pa.Table) -> pa.Table:
@@ -757,8 +697,6 @@ def orders_price_bands(sf_dir: str, bands=None):
     bands with ONE vectorized np.searchsorted (no shuffle join), and
     the only exchange is the final <= #bands groupby. Exact integer
     cents so the SQL BETWEEN-join oracle replays the totals."""
-    import numpy as np
-
     bands = bands or PRICE_BANDS
     names = [b[0] for b in bands]
     uppers = np.array([b[2] for b in bands[:-1]], dtype=np.float64)
@@ -768,28 +706,20 @@ def orders_price_bands(sf_dir: str, bands=None):
     def assign(batch: pa.Table) -> pa.Table:
         price = batch["o_totalprice"].to_numpy(zero_copy_only=False)
         idx = np.searchsorted(uppers, price, side="right")
-        cents = np.floor(price * 100 + 0.5).astype(np.int64)
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "band": pa.array(np.array(names, dtype=object)[idx].tolist(),
                                  type=pa.string()),
-                "cents": pa.array(cents, type=pa.int64()),
+                "cents": _cents(price),
             }
         )
-        g = t.group_by("band").aggregate([("cents", "sum"), ("cents", "count")])
-        return g.rename_columns(["band", "sum_price_cents", "n_orders"])
 
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("band")
-        .aggregate(
-            Sum("sum_price_cents", alias_name="sum_price_cents"),
-            Sum("n_orders", alias_name="n_orders"),
-        )
-        .sort("band")
-    )
+    return grouped_agg(
+        ds,
+        "band",
+        {"sum_price_cents": ("cents", "sum"), "n_orders": ("cents", "count")},
+        rows=assign,
+    ).sort("band")
 
 
 # -- pivot / crosstab ------------------------------------------------------
@@ -803,12 +733,10 @@ def _priority_segment_cells(sf_dir: str, n_buckets: int = 32):
     VERDICT r4 #4): both sides co-partition by custkey bucket in ONE
     exchange (the ``bucketed_filter_join`` shape); each
     bucket's kernel maps its orders to segments with one sorted-key
-    searchsorted and collapses to <= P x S partial cells; a tiny final
-    groupby sums the cells. Unmatched orders drop — inner-join
-    semantics, as in the SQL oracles."""
-    import numpy as np
-    from ray.data.aggregate import Sum
-
+    searchsorted, and ``grouped_agg`` collapses the (prio, seg) rows to
+    <= P x S partial cells before a tiny final groupby sums them.
+    Unmatched orders drop — inner-join semantics, as in the SQL
+    oracles."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"], num_blocks=16)
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"], num_blocks=16)
 
@@ -816,11 +744,7 @@ def _priority_segment_cells(sf_dir: str, n_buckets: int = 32):
         o, c = t["O"], t["C"]
         if o.num_rows == 0 or c.num_rows == 0:
             return pa.Table.from_pydict(
-                {
-                    "prio": pa.array([], type=pa.string()),
-                    "seg": pa.array([], type=pa.string()),
-                    "n": pa.array([], type=pa.int64()),
-                }
+                {"prio": pa.array([], type=pa.string()), "seg": pa.array([], type=pa.string())}
             )
         ck = c["c_custkey"].to_numpy(zero_copy_only=False)
         order = np.argsort(ck)
@@ -829,26 +753,21 @@ def _priority_segment_cells(sf_dir: str, n_buckets: int = 32):
         if not ok.all():
             o = o.filter(pa.array(ok))
             idx = idx[ok]
-        cells = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {"prio": o["o_orderpriority"], "seg": seg_sorted.take(pa.array(idx))}
         )
-        g = cells.group_by(["prio", "seg"]).aggregate([("seg", "count")])
-        return g.rename_columns(["prio", "seg", "n"])
 
-    return (
-        co_partition(
-            {
-                "O": (orders, pa.schema([("o_custkey", pa.int64()), ("o_orderpriority", pa.string())])),
-                "C": (cust, pa.schema([("c_custkey", pa.int64()), ("c_mktsegment", pa.string())])),
-            },
-            {"O": "o_custkey", "C": "c_custkey"},
-            cells_bucket,
-            n_buckets,
-        )
-        .groupby(["prio", "seg"])
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    )  # <= priorities x segments rows by construction
+    cells = co_partition(
+        {
+            "O": (orders, pa.schema([("o_custkey", pa.int64()), ("o_orderpriority", pa.string())])),
+            "C": (cust, pa.schema([("c_custkey", pa.int64()), ("c_mktsegment", pa.string())])),
+        },
+        {"O": "o_custkey", "C": "c_custkey"},
+        cells_bucket,
+        n_buckets,
+    )
+    # <= priorities x segments rows by construction
+    return grouped_agg(cells, ["prio", "seg"], {"n": ("seg", "count")}).take_all()
 
 
 def priority_segment_pivot(sf_dir: str, segments=None):
@@ -883,8 +802,6 @@ def session_purchase_counts(sf_dir: str, gap_minutes: int = 30, n_buckets: int =
     (r5) no per-user interpreter call: the previous groupby(user_id)
     paid one Python group call per user, the shape this engine removes
     everywhere else."""
-    import numpy as np
-
     sessions = events_sessionize(sf_dir, gap_minutes=gap_minutes)
     events = _read(sf_dir, "events", ["user_id", "ts", "event_type"], num_blocks=16)
 
@@ -987,15 +904,13 @@ def customer_balance_quartiles(sf_dir: str, k: int = 4):
     (exact NTILE needs the whole partition ranked; for a partition too
     large for that, use the corpus_shuffle range-bucket + prefix-offset
     rank instead)."""
-    import numpy as np
-
     ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"], num_blocks=16)
 
     def quartile_group(group: pa.Table) -> pa.Table:
         bal = group["c_acctbal"].to_numpy(zero_copy_only=False)
         key = group["c_custkey"].to_numpy(zero_copy_only=False)
         order = np.lexsort((key, bal))
-        cents = np.floor(bal[order] * 100 + 0.5).astype(np.int64)
+        cents = _cents(bal[order])
         n = len(order)
         q, r = divmod(n, k)
         sizes = np.full(k, q, dtype=np.int64)
@@ -1037,8 +952,6 @@ def user_cumulative_spend(sf_dir: str):
     a run-reset cumsum over exact integer cents (order-free arithmetic,
     so the SQL window replays it bit-for-bit) — no per-user interpreter
     call (r5: was groupby(user_id).map_groups)."""
-    import numpy as np
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"], num_blocks=16)
 
     def only_purchases(b: pa.Table) -> pa.Table:
@@ -1060,9 +973,7 @@ def user_cumulative_spend(sf_dir: str):
         eid = g["event_id"].to_numpy(zero_copy_only=False)
         order = np.lexsort((eid, ts, uid))
         uid_s, ts_s, eid_s = uid[order], ts[order], eid[order]
-        cents = np.floor(
-            g["value"].to_numpy(zero_copy_only=False)[order] * 100 + 0.5
-        ).astype(np.int64)
+        cents = _cents(g["value"].to_numpy(zero_copy_only=False)[order])
         cs = np.cumsum(cents)
         n = len(uid_s)
         new_run = run_starts(uid_s)
@@ -1091,9 +1002,9 @@ def events_hourly_users(sf_dir: str):
     shape. Per batch, (hour, user) pairs are deduplicated BEFORE the
     exchange (the distinct-partial idiom: the shuffle carries at most
     windows x users-per-batch pairs, never raw events), one
-    groupby(hour, user) completes the global dedup, and a per-batch
-    second partial count + tiny groupby(hour) sum yields the counts."""
-    from ray.data.aggregate import Sum
+    groupby(hour, user) completes the global dedup, and ``grouped_agg``
+    counts the pairs per hour."""
+    from ray.data.aggregate import Count
 
     ds = _read(sf_dir, "events", ["ts", "user_id"], num_blocks=16)
 
@@ -1102,8 +1013,6 @@ def events_hourly_users(sf_dir: str):
         t = pa.Table.from_pydict({"hour": hours, "user_id": batch["user_id"]})
         return t.group_by(["hour", "user_id"]).aggregate([])
 
-    from ray.data.aggregate import Count
-
     pairs = (
         ds.map_batches(dedup_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["hour", "user_id"])
@@ -1111,16 +1020,7 @@ def events_hourly_users(sf_dir: str):
         .drop_columns(["_c"])
     )
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["hour"]).group_by("hour").aggregate([("hour", "count")])
-        return g.rename_columns(["hour", "n"])
-
-    return (
-        pairs.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("hour")
-        .aggregate(Sum("n", alias_name="n_users"))
-        .sort("hour")
-    )
+    return grouped_agg(pairs, "hour", {"n_users": ("hour", "count")}).sort("hour")
 
 
 # -- path mining (per-user ordered event-type sequences) -------------------
@@ -1131,12 +1031,9 @@ def user_event_paths(sf_dir: str, k: int = 20, max_len: int = 50):
     ``max_len`` events, counted across users and ranked. ONE shuffle on
     the user-BUCKET key; each bucket builds EVERY user's path with one
     lexsort + run-rank truncation + a single ListArray binary_join (r5
-    — was one Python group call per user), collapses to per-bucket
-    partial path counts, and only the top-k survive the final tiny
-    exchange."""
-    import numpy as np
-    from ray.data.aggregate import Sum
-
+    — was one Python group call per user), ``grouped_agg`` collapses the
+    paths to partial path counts, and only the top-k survive the final
+    tiny exchange."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"], num_blocks=16)
 
     def paths_bucket(group: pa.Table) -> pa.Table:
@@ -1154,7 +1051,7 @@ def user_event_paths(sf_dir: str, k: int = 20, max_len: int = 50):
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
         rank = np.arange(n) - run_start
         sel = rank < max_len
-        et = _as_array_rel(g["event_type"]).take(pa.array(order[sel]))
+        et = _as_array(g["event_type"]).take(pa.array(order[sel]))
         starts = np.flatnonzero(new_run)
         run_lens = np.minimum(
             np.diff(np.append(starts, n)), max_len
@@ -1164,25 +1061,14 @@ def user_event_paths(sf_dir: str, k: int = 20, max_len: int = 50):
             pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), et),
             ">",
         )
-        t = pa.Table.from_pydict(
-            {"path": paths, "n": pa.array(np.ones(len(run_lens), dtype=np.int64))}
-        )
-        p = t.group_by("path").aggregate([("n", "sum")])
-        return p.rename_columns(["path", "n"])
+        return pa.Table.from_arrays([paths], names=["path"])
 
+    paths = co_partition({"events": (ds, None)}, "user_id", paths_bucket, 64)
     return (
-        co_partition({"events": (ds, None)}, "user_id", paths_bucket, 64)
-        .groupby("path")
-        .aggregate(Sum("n", alias_name="n_users"))
+        grouped_agg(paths, "path", {"n_users": (None, "count")})
         .sort(["n_users", "path"], descending=[True, False])
         .limit(k)
     )
-
-
-def _as_array_rel(col) -> pa.Array:
-    if isinstance(col, pa.ChunkedArray):
-        return col.chunk(0) if col.num_chunks == 1 else pa.concat_arrays(col.chunks)
-    return col
 
 
 # -- exact integer least-squares trend per event type ----------------------
@@ -1196,48 +1082,31 @@ def event_value_trends(sf_dir: str):
     arithmetic: slope = (n*Sxy - Sx*Sy) / (n*Sxx - Sx^2), reported in
     micro-cents-per-hour with TRUNCATING division (DuckDB HUGEINT '//'
     truncates toward zero, so the oracle replays bit-for-bit)."""
-    import numpy as np
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
     US_PER_HOUR = 3_600_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def moments(batch: pa.Table) -> pa.Table:
         x = (
             batch["ts"].to_numpy(zero_copy_only=False)
             .astype("datetime64[us]").view("int64") // US_PER_HOUR
         )
-        y = np.floor(
-            batch["value"].to_numpy(zero_copy_only=False) * 100 + 0.5
-        ).astype(np.int64)
-        t = pa.Table.from_pydict(
-            {
-                "event_type": batch["event_type"],
-                "n": pa.array(np.ones(len(x), dtype=np.int64)),
-                "sx": pa.array(x),
-                "sy": pa.array(y),
-                "sxy": pa.array(x * y),
-                "sxx": pa.array(x * x),
-            }
+        y = _cents(batch["value"].to_numpy(zero_copy_only=False))
+        return pa.Table.from_pydict(
+            {"event_type": batch["event_type"], "x": x, "y": y, "xy": x * y, "xx": x * x}
         )
-        g = t.group_by("event_type").aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-             ("sxy", "sum"), ("sxx", "sum")]
-        )
-        return g.rename_columns(["event_type", "n", "sx", "sy", "sxy", "sxx"])
 
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sx", alias_name="sx"),
-            Sum("sy", alias_name="sy"),
-            Sum("sxy", alias_name="sxy"),
-            Sum("sxx", alias_name="sxx"),
-        )
-        .take_all()
-    )  # <= #event types rows by construction
+    merged = grouped_agg(
+        ds,
+        "event_type",
+        {
+            "n": (None, "count"),
+            "sx": ("x", "sum"),
+            "sy": ("y", "sum"),
+            "sxy": ("xy", "sum"),
+            "sxx": ("xx", "sum"),
+        },
+        rows=moments,
+    ).take_all()  # <= #event types rows by construction
 
     def tdiv(a: int, b: int) -> int:
         # truncate toward zero (matches DuckDB integer division)
@@ -1272,9 +1141,6 @@ def event_transitions(sf_dir: str):
     once, masks the intra-user adjacent pairs, and collapses to
     <= types^2 partial counts (r5 — was one Python group call per
     user), then a tiny global groupby."""
-    import numpy as np
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"], num_blocks=16)
 
     def pairs_bucket(group: pa.Table) -> pa.Table:
@@ -1288,34 +1154,19 @@ def event_transitions(sf_dir: str):
         order = np.lexsort((eid, ts, uid))
         uid_s = uid[order]
         n = len(uid_s)
-        empty = pa.Table.from_pydict(
-            {
-                "prev_type": pa.array([], type=pa.string()),
-                "next_type": pa.array([], type=pa.string()),
-                "n": pa.array([], type=pa.int64()),
-            }
-        )
-        if n < 2:
-            return empty
-        et = _as_array_rel(g["event_type"]).take(pa.array(order))
+        et = _as_array(g["event_type"]).take(pa.array(order))
         within = pa.array(uid_s[1:] == uid_s[:-1])
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
-                "prev_type": et.slice(0, n - 1).filter(within),
+                "prev_type": et.slice(0, max(n - 1, 0)).filter(within),
                 "next_type": et.slice(1).filter(within),
             }
         )
-        if t.num_rows == 0:
-            return empty
-        g2 = t.group_by(["prev_type", "next_type"]).aggregate([([], "count_all")])
-        return g2.rename_columns(["prev_type", "next_type", "n"])
 
-    return (
-        co_partition({"events": (ds, None)}, "user_id", pairs_bucket, 64)
-        .groupby(["prev_type", "next_type"])
-        .aggregate(Sum("n", alias_name="n_transitions"))
-        .sort(["prev_type", "next_type"])
-    )
+    pairs = co_partition({"events": (ds, None)}, "user_id", pairs_bucket, 64)
+    return grouped_agg(
+        pairs, ["prev_type", "next_type"], {"n_transitions": (None, "count")}
+    ).sort(["prev_type", "next_type"])
 
 
 # -- star-schema rollup with a broadcast dimension --------------------------
@@ -1326,9 +1177,7 @@ def revenue_by_parttype(sf_dir: str):
     dimension's (partkey -> type) map is read once and shipped by value,
     the fact table streams with per-batch searchsorted attach + partial
     aggregation in exact integer cents."""
-    import numpy as np
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
 
     part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"])
     pk = part["p_partkey"].to_numpy()
@@ -1338,37 +1187,26 @@ def revenue_by_parttype(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
 
-    def attach_partial(batch: pa.Table) -> pa.Table:
-        cents = np.floor(
+    def attach(batch: pa.Table) -> pa.Table:
+        cents = _cents(
             batch["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - batch["l_discount"].to_numpy(zero_copy_only=False))
-            * 100
-            + 0.5
-        ).astype(np.int64)
+        )
         idx, ok = _dim_lookup(
             pk_sorted, batch["l_partkey"].to_numpy(zero_copy_only=False)
         )
         if not ok.all():
             idx, cents = idx[ok], cents[ok]
-        t = pa.Table.from_pydict(
-            {
-                "p_type": pa.array(type_by_part[idx], type=pa.string()),
-                "rev": pa.array(cents, type=pa.int64()),
-                "one": pa.array(np.ones(len(cents), dtype=np.int64)),
-            }
+        return pa.Table.from_pydict(
+            {"p_type": pa.array(type_by_part[idx], type=pa.string()), "rev": cents}
         )
-        g = t.group_by("p_type").aggregate([("rev", "sum"), ("one", "sum")])
-        return g.rename_columns(["p_type", "rev", "n"])
 
-    return (
-        ds.map_batches(attach_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p_type")
-        .aggregate(
-            Sum("rev", alias_name="revenue_cents"),
-            Sum("n", alias_name="n_lines"),
-        )
-        .sort("p_type")
-    )
+    return grouped_agg(
+        ds,
+        "p_type",
+        {"revenue_cents": ("rev", "sum"), "n_lines": ("rev", "count")},
+        rows=attach,
+    ).sort("p_type")
 
 
 def revenue_by_region(sf_dir: str):
@@ -1378,9 +1216,7 @@ def revenue_by_region(sf_dir: str):
     broadcast by value; the fact table streams with per-batch
     searchsorted attach and exact-cents partial aggregation — the
     multi-hop star never touches the shuffle."""
-    import numpy as np
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
 
     supplier = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
@@ -1401,37 +1237,26 @@ def revenue_by_region(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"])
 
-    def attach_partial(batch: pa.Table) -> pa.Table:
-        cents = np.floor(
+    def attach(batch: pa.Table) -> pa.Table:
+        cents = _cents(
             batch["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - batch["l_discount"].to_numpy(zero_copy_only=False))
-            * 100
-            + 0.5
-        ).astype(np.int64)
+        )
         idx, ok = _dim_lookup(
             sk_sorted, batch["l_suppkey"].to_numpy(zero_copy_only=False)
         )
         if not ok.all():
             idx, cents = idx[ok], cents[ok]
-        t = pa.Table.from_pydict(
-            {
-                "r_name": pa.array(region_by_supp[idx], type=pa.string()),
-                "rev": pa.array(cents, type=pa.int64()),
-                "one": pa.array(np.ones(len(cents), dtype=np.int64)),
-            }
+        return pa.Table.from_pydict(
+            {"r_name": pa.array(region_by_supp[idx], type=pa.string()), "rev": cents}
         )
-        g = t.group_by("r_name").aggregate([("rev", "sum"), ("one", "sum")])
-        return g.rename_columns(["r_name", "rev", "n"])
 
-    return (
-        ds.map_batches(attach_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("r_name")
-        .aggregate(
-            Sum("rev", alias_name="revenue_cents"),
-            Sum("n", alias_name="n_lines"),
-        )
-        .sort("r_name")
-    )
+    return grouped_agg(
+        ds,
+        "r_name",
+        {"revenue_cents": ("rev", "sum"), "n_lines": ("rev", "count")},
+        rows=attach,
+    ).sort("r_name")
 
 
 # -- semi-structured extraction (JSON property column) ----------------------
@@ -1444,7 +1269,6 @@ def props_field_stats(sf_dir: str, field: str = "k"):
     aggregate via partials. The SQL oracle uses DuckDB's native JSON
     path extraction, pinning the two engines' parse semantics to each
     other."""
-    import numpy as np
     from ray.data.aggregate import Count, Max, Min, Sum
 
     ds = _read(sf_dir, "events", ["event_type", "props"])
@@ -1474,39 +1298,26 @@ def orders_by_weekday(sf_dir: str):
     family (year/hour/week are covered by rollup/windows/cohorts): dow
     computed vectorized from epoch days ((days + 4) % 7, 0 = Sunday,
     matching DuckDB's dayofweek), counts and exact cents via partials."""
-    import numpy as np
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def dow_cents(batch: pa.Table) -> pa.Table:
         days = (
             batch["o_orderdate"].to_numpy(zero_copy_only=False)
             .astype("datetime64[D]").view("int64")
         )
-        dow = (days + 4) % 7  # epoch day 0 = Thursday; 0 = Sunday
-        cents = np.floor(
-            batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100 + 0.5
-        ).astype(np.int64)
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
-                "dow": pa.array(dow, type=pa.int64()),
-                "n": pa.array(np.ones(len(dow), dtype=np.int64)),
-                "cents": pa.array(cents, type=pa.int64()),
+                "dow": (days + 4) % 7,  # epoch day 0 = Thursday; 0 = Sunday
+                "cents": _cents(batch["o_totalprice"].to_numpy(zero_copy_only=False)),
             }
         )
-        g = t.group_by("dow").aggregate([("n", "sum"), ("cents", "sum")])
-        return g.rename_columns(["dow", "n", "cents"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("dow")
-        .aggregate(
-            Sum("n", alias_name="n_orders"),
-            Sum("cents", alias_name="sum_price_cents"),
-        )
-        .sort("dow")
-    )
+    return grouped_agg(
+        ds,
+        "dow",
+        {"n_orders": (None, "count"), "sum_price_cents": ("cents", "sum")},
+        rows=dow_cents,
+    ).sort("dow")
 
 
 def priority_segment_chi2(sf_dir: str):
@@ -1548,46 +1359,30 @@ def daily_revenue_ma7(sf_dir: str):
     """Trailing 7-day revenue window at daily grain — the time-RANGE
     window family (gap-aware: missing days contribute nothing, exactly
     like SQL's RANGE INTERVAL frame). Per-batch partials collapse to
-    (day, cents, n) rows; ONE tiny groupby yields the CALENDAR-BOUNDED
+    (day, cents) rows; ONE tiny groupby yields the CALENDAR-BOUNDED
     daily aggregate (<= ~2.5k rows for this table's 7-year span
     regardless of order volume), and the driver closes the trailing
     window over it with a two-pointer sweep in exact integer cents."""
-    import numpy as np
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def day_cents(batch: pa.Table) -> pa.Table:
         days = (
             batch["o_orderdate"].to_numpy(zero_copy_only=False)
             .astype("datetime64[D]").view("int64")
         )
-        cents = np.floor(
-            batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100 + 0.5
-        ).astype(np.int64)
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
-                "day": pa.array(days, type=pa.int64()),
-                "cents": pa.array(cents, type=pa.int64()),
-                "n": pa.array(np.ones(len(days), dtype=np.int64)),
+                "day": days,
+                "cents": _cents(batch["o_totalprice"].to_numpy(zero_copy_only=False)),
             }
         )
-        g = t.group_by("day").aggregate([("cents", "sum"), ("n", "sum")])
-        return g.rename_columns(["day", "cents", "n"])
 
-    daily = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day")
-        .aggregate(
-            Sum("cents", alias_name="cents"),
-            Sum("n", alias_name="n"),
-        )
-        .take_all()
-    )  # <= distinct order days (calendar-bounded) by construction
+    daily = grouped_agg(
+        ds, "day", {"cents": ("cents", "sum")}, rows=day_cents
+    ).take_all()  # <= distinct order days (calendar-bounded) by construction
     daily.sort(key=lambda r: r["day"])
     days = [int(r["day"]) for r in daily]
     cents = [int(r["cents"]) for r in daily]
-    ns = [int(r["n"]) for r in daily]
     out_day, out_c, out_ma = [], [], []
     lo = 0
     acc = 0
@@ -1618,8 +1413,6 @@ def user_first_last_purchase(sf_dir: str):
     user-BUCKET key, every user's extreme rows picked from one lexsort's
     run boundaries (r5 — was one Python group call per user). Output one
     row per purchasing user with both endpoints in exact cents."""
-    import numpy as np
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"], num_blocks=16)
 
     def only_purchases(b: pa.Table) -> pa.Table:
@@ -1639,9 +1432,7 @@ def user_first_last_purchase(sf_dir: str):
             .astype("datetime64[us]").view("int64")
         )
         eid = g["event_id"].to_numpy(zero_copy_only=False)
-        cents = np.floor(
-            g["value"].to_numpy(zero_copy_only=False) * 100 + 0.5
-        ).astype(np.int64)
+        cents = _cents(g["value"].to_numpy(zero_copy_only=False))
         order = np.lexsort((eid, ts, uid))
         uid_s, ts_s, cents_s = uid[order], ts[order], cents[order]
         n = len(uid_s)
@@ -1678,9 +1469,7 @@ def nation_share_of_region(sf_dir: str):
     integer-cents partials; the <= 25-row nation aggregate closes the
     region totals on the driver (no second pass, no division — the
     share is the exact pair)."""
-    import numpy as np
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
 
     supplier = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
@@ -1702,34 +1491,27 @@ def nation_share_of_region(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"])
 
-    def attach_partial(batch: pa.Table) -> pa.Table:
-        cents = np.floor(
+    def attach(batch: pa.Table) -> pa.Table:
+        cents = _cents(
             batch["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - batch["l_discount"].to_numpy(zero_copy_only=False))
-            * 100
-            + 0.5
-        ).astype(np.int64)
+        )
         idx, ok = _dim_lookup(
             sk_sorted, batch["l_suppkey"].to_numpy(zero_copy_only=False)
         )
         if not ok.all():
             idx, cents = idx[ok], cents[ok]
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "r_name": pa.array(reg[idx], type=pa.string()),
                 "n_name": pa.array(nat[idx], type=pa.string()),
-                "rev": pa.array(cents, type=pa.int64()),
+                "rev": cents,
             }
         )
-        g = t.group_by(["r_name", "n_name"]).aggregate([("rev", "sum")])
-        return g.rename_columns(["r_name", "n_name", "rev"])
 
-    rows = (
-        ds.map_batches(attach_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["r_name", "n_name"])
-        .aggregate(Sum("rev", alias_name="revenue_cents"))
-        .take_all()
-    )  # <= 25 nation rows by construction
+    rows = grouped_agg(
+        ds, ["r_name", "n_name"], {"revenue_cents": ("rev", "sum")}, rows=attach
+    ).take_all()  # <= 25 nation rows by construction
     totals: dict = {}
     for r in rows:
         totals[r["r_name"]] = totals.get(r["r_name"], 0) + int(r["revenue_cents"])
@@ -1759,32 +1541,17 @@ def order_price_quartiles(sf_dir: str, percentiles=(0.25, 0.5, 0.75)):
     exact k-th value locally. No global sort, no unbounded histogram."""
     import math
 
-    import numpy as np
-    from ray.data.aggregate import Sum
-
     SHIFT = 14
 
     ds = _read(sf_dir, "orders", ["o_totalprice"])
 
-    def bucket_counts(batch: pa.Table) -> pa.Table:
-        cents = np.floor(
-            batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100 + 0.5
-        ).astype(np.int64)
-        t = pa.Table.from_pydict(
-            {
-                "bkt": pa.array(cents >> SHIFT, type=pa.int64()),
-                "n": pa.array(np.ones(len(cents), dtype=np.int64)),
-            }
-        )
-        g = t.group_by("bkt").aggregate([("n", "sum")])
-        return g.rename_columns(["bkt", "n"])
+    def bucket(batch: pa.Table) -> pa.Table:
+        cents = _cents(batch["o_totalprice"].to_numpy(zero_copy_only=False))
+        return pa.Table.from_pydict({"bkt": cents >> SHIFT})
 
-    hist = (
-        ds.map_batches(bucket_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    )  # <= value_range / 2^14 rows by construction
+    hist = grouped_agg(
+        ds, "bkt", {"n": (None, "count")}, rows=bucket
+    ).take_all()  # <= value_range / 2^14 rows by construction
     hist.sort(key=lambda r: r["bkt"])
     total = sum(int(r["n"]) for r in hist)
     targets = {}  # bucket -> [(p, residual_rank_within_bucket)]
@@ -1802,9 +1569,7 @@ def order_price_quartiles(sf_dir: str, percentiles=(0.25, 0.5, 0.75)):
     wanted_arr = pa.array(wanted, type=pa.int64())
 
     def pick_buckets(batch: pa.Table) -> pa.Table:
-        cents = np.floor(
-            batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100 + 0.5
-        ).astype(np.int64)
+        cents = _cents(batch["o_totalprice"].to_numpy(zero_copy_only=False))
         bkt = cents >> SHIFT
         keep = pc.is_in(pa.array(bkt, type=pa.int64()), value_set=wanted_arr)
         return pa.Table.from_pydict(
@@ -1847,50 +1612,27 @@ def value_outliers(sf_dir: str, k_sigma: int = 3):
     broadcast thresholds with one vectorized compare per batch."""
     import math
 
-    import numpy as np
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_type", "value"]).map_batches(
         lambda b: pa.Table.from_pydict(
             {
                 "event_type": b["event_type"],
-                "cents": pa.array(
-                    np.floor(
-                        b["value"].to_numpy(zero_copy_only=False) * 100 + 0.5
-                    ).astype(np.int64),
-                    type=pa.int64(),
-                ),
+                "cents": _cents(b["value"].to_numpy(zero_copy_only=False)),
             }
         ),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
 
-    def stat_partial(batch: pa.Table) -> pa.Table:
+    def square(batch: pa.Table) -> pa.Table:
         c = batch["cents"].to_numpy(zero_copy_only=False)
-        t = pa.Table.from_pydict(
-            {
-                "event_type": batch["event_type"],
-                "n": pa.array(np.ones(len(c), dtype=np.int64)),
-                "sx": pa.array(c),
-                "sxx": pa.array(c * c),
-            }
-        )
-        g = t.group_by("event_type").aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sxx", "sum")]
-        )
-        return g.rename_columns(["event_type", "n", "sx", "sxx"])
+        return batch.append_column("cc", pa.array(c * c))
 
-    stats = (
-        ds.map_batches(stat_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sx", alias_name="sx"),
-            Sum("sxx", alias_name="sxx"),
-        )
-        .take_all()
-    )  # <= #event types rows by construction
+    stats = grouped_agg(
+        ds,
+        "event_type",
+        {"n": (None, "count"), "sx": ("cents", "sum"), "sxx": ("cc", "sum")},
+        rows=square,
+    ).take_all()  # <= #event types rows by construction
     # exact thresholds: x is an outlier iff x*n - Sx > isqrt(K) or
     # Sx - x*n > isqrt(K), K = k^2 * (n*Sxx - Sx^2)  (Python bigints)
     TH = {}
@@ -1900,7 +1642,7 @@ def value_outliers(sf_dir: str, k_sigma: int = 3):
         root = math.isqrt(K) if K > 0 else 0
         TH[r["event_type"]] = (n, sx, root)
 
-    def flag_partial(batch: pa.Table) -> pa.Table:
+    def flag(batch: pa.Table) -> pa.Table:
         et = np.asarray(batch["event_type"].to_pylist(), dtype=object)
         c = batch["cents"].to_numpy(zero_copy_only=False)
         types, inv = np.unique(et, return_inverse=True)
@@ -1910,28 +1652,15 @@ def value_outliers(sf_dir: str, k_sigma: int = 3):
         sx_vec = np.array([TH[t][1] for t in types], dtype=np.int64)[inv]
         root_vec = np.array([TH[t][2] for t in types], dtype=np.int64)[inv]
         dev = c * n_vec - sx_vec
-        is_out = np.abs(dev) > root_vec
-        out_n = np.bincount(inv, minlength=len(types)).astype(np.int64)
-        out_o = np.bincount(inv[is_out], minlength=len(types)).astype(np.int64)
-        return pa.Table.from_pydict(
-            {
-                "event_type": pa.array(types.tolist(), type=pa.string()),
-                "n": pa.array(out_n, type=pa.int64()),
-                "n_outliers": pa.array(out_o, type=pa.int64()),
-            }
-        )
+        is_out = (np.abs(dev) > root_vec).astype(np.int64)
+        return batch.append_column("is_out", pa.array(is_out))
 
-    from ray.data.aggregate import Sum as _Sum
-
-    return (
-        ds.map_batches(flag_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            _Sum("n", alias_name="n_events"),
-            _Sum("n_outliers", alias_name="n_outliers"),
-        )
-        .sort("event_type")
-    )
+    return grouped_agg(
+        ds,
+        "event_type",
+        {"n_events": (None, "count"), "n_outliers": ("is_out", "sum")},
+        rows=flag,
+    ).sort("event_type")
 
 
 def signup_conversion_24h(sf_dir: str):
@@ -1940,7 +1669,6 @@ def signup_conversion_24h(sf_dir: str):
     analysis: ONE shuffle on user_id, first-signup and first-qualifying-
     purchase found vectorized inside the group, a single summary row
     out. Output: (n_signup_users, n_converted_24h)."""
-    import numpy as np
     from ray.data.aggregate import Sum
 
     US_DAY = 86_400_000_000
@@ -2016,35 +1744,23 @@ def weekly_revenue_wow(sf_dir: str):
     without division). Weeks are Monday-start epoch-week indexes
     (== date_trunc('week')); the weekly aggregate is calendar-bounded,
     so the LAG closes on the driver."""
-    import numpy as np
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def week_cents(batch: pa.Table) -> pa.Table:
         days = (
             batch["o_orderdate"].to_numpy(zero_copy_only=False)
             .astype("datetime64[D]").view("int64")
         )
-        week = (days - 4 + 7 * 10_000) // 7 - 10_000  # Monday-start
-        cents = np.floor(
-            batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100 + 0.5
-        ).astype(np.int64)
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
-                "week": pa.array(week, type=pa.int64()),
-                "cents": pa.array(cents, type=pa.int64()),
+                "week": (days - 4 + 7 * 10_000) // 7 - 10_000,  # Monday-start
+                "cents": _cents(batch["o_totalprice"].to_numpy(zero_copy_only=False)),
             }
         )
-        g = t.group_by("week").aggregate([("cents", "sum")])
-        return g.rename_columns(["week", "cents"])
 
-    weekly = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("week")
-        .aggregate(Sum("cents", alias_name="cents"))
-        .take_all()
-    )  # <= calendar weeks by construction
+    weekly = grouped_agg(
+        ds, "week", {"cents": ("cents", "sum")}, rows=week_cents
+    ).take_all()  # <= calendar weeks by construction
     weekly.sort(key=lambda r: r["week"])
     weeks = [int(r["week"]) for r in weekly]
     cents = [int(r["cents"]) for r in weekly]
@@ -2100,7 +1816,6 @@ def time_to_convert_percentiles(sf_dir: str, percentiles=(0.5, 0.9)):
     derived metric)."""
     import math
 
-    import numpy as np
     from ray.data.aggregate import Sum
 
     US_MIN = 60_000_000

@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.readers import read_documents
 from .exchange import co_partition, run_starts
 
 DEFAULT_QUERY = "hash join merge"
@@ -33,19 +34,13 @@ BM25_B = 0.75
 BM25_TF_W = 2.2  # k1 + 1, as its own literal (1.2 + 1.0 != parse("2.2"))
 
 
-def _read_docs(sf_dir: str):
-    from ..sources.readers import read_table
-
-    return read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
-
-
 def bm25_search(sf_dir: str, query: str = DEFAULT_QUERY, k: int = 10):
     """(doc_id, score_micro) — top-k documents for the query under BM25
     (Robertson/Sparck Jones idf: ln((N - df + 0.5)/(df + 0.5) + 1))."""
     terms = sorted(set(query.lower().split()))
     term_set = set(terms)
 
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
 
     from .text_analysis import _ws_token_count_vec
 

@@ -20,13 +20,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.readers import read_documents
 from .exchange import co_partition, run_starts
-
-
-def _read_docs(sf_dir: str, columns=("doc_id", "text")):
-    from ..sources.readers import read_table
-
-    return read_table(f"{sf_dir}/documents.parquet", list(columns))
 
 
 def _as_array(col) -> pa.Array:
@@ -105,7 +100,7 @@ def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
     import ray
     from ray.data.aggregate import Sum
 
-    docs = _read_docs(sf_dir)
+    docs = read_documents(sf_dir)
 
     def df_partials(batch: pa.Table) -> pa.Table:
         segs = _segment_batch(batch, seg_words)
@@ -200,7 +195,7 @@ def dedup_segments(sf_dir: str, seg_words: int = 4, n_buckets: int = 16):
     reassembles kept segments in position order."""
     import hashlib
 
-    docs = _read_docs(sf_dir)
+    docs = read_documents(sf_dir)
     POS_BITS = 21
 
     def explode(batch: pa.Table) -> pa.Table:

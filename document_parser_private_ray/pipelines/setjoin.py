@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.sketches import shingles
-from .exchange import co_partition, run_starts
+from .exchange import co_partition, grouped_agg, run_starts
 from .joins import bucketed_join
 from .pairs import attach_pair_values, self_pairs
 
@@ -167,8 +167,6 @@ def ppjoin_pairs(
     set is undefined here (the near-dup families own the empty-doc
     star; see ``ngram_jaccard_pairs``).
     """
-    from ray.data.aggregate import Max
-
     from ..sources.readers import read_table
 
     # the chain is 6 bounded exchanges over a table small relative to
@@ -298,17 +296,13 @@ def ppjoin_pairs(
                 ),
             ),
         )
-        agg = joined.filter(mask).group_by(["doc_a", "doc_b"]).aggregate(
-            [("n_a", "max"), ("n_b", "max")]
-        )
-        return agg.rename_columns(["doc_a", "doc_b", "n_a", "n_b"])
+        return joined.filter(mask).select(["doc_a", "doc_b", "n_a", "n_b"])
 
-    cand = (
-        co_partition({"prefixes": (prefixes, None)}, "tok", bucket_pairs, n_buckets)
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Max("n_a", alias_name="n_a"), Max("n_b", alias_name="n_b"))
-        .materialize()
-    )
+    cand = grouped_agg(
+        co_partition({"prefixes": (prefixes, None)}, "tok", bucket_pairs, n_buckets),
+        ["doc_a", "doc_b"],
+        {"n_a": ("n_a", "max"), "n_b": ("n_b", "max")},
+    ).materialize()
     n_cand = cand.count()
 
     schema_out = pa.schema(

@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import co_partition, co_partition_pairs, run_starts
+from .exchange import co_partition, co_partition_pairs, grouped_agg, run_starts
 from .pairs import attach_pair_values, self_pairs
 
 
@@ -633,14 +633,13 @@ def embedding_kmeans_sizes(
     ``ann_ivf_topk`` so both operators put every vector in the same
     cell."""
     import ray
-    from ray.data.aggregate import Min, Sum
 
     from ..sources.readers import read_table
 
     C = train_ivf_centroids(sf_dir, n_centroids, train_sample)
     ref = ray.put(C)
 
-    def assign_partial(batch: pa.Table) -> pa.Table:
+    def assign(batch: pa.Table) -> pa.Table:
         Cm = ray.get(ref)
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         raw = embedding_matrix(batch["embedding"], np.float64)
@@ -649,28 +648,14 @@ def embedding_kmeans_sizes(
             - 2.0 * raw @ Cm.T
             + (Cm**2).sum(1)[None, :]
         )
-        assign = d.argmin(1).astype(np.int64)
-        t = pa.Table.from_pydict(
-            {
-                "cid": pa.array(assign, type=pa.int64()),
-                "vec_id": pa.array(ids, type=pa.int64()),
-            }
-        )
-        g = t.group_by("cid").aggregate(
-            [("vec_id", "count"), ("vec_id", "min")]
-        )
-        return g.rename_columns(["cid", "n", "mn"])
+        return pa.Table.from_pydict({"cid": d.argmin(1).astype(np.int64), "vec_id": ids})
 
-    return (
-        read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"])
-        .map_batches(assign_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cid")
-        .aggregate(
-            Sum("n", alias_name="n_vecs"),
-            Min("mn", alias_name="min_vec_id"),
-        )
-        .sort("cid")
-    )
+    return grouped_agg(
+        read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"]),
+        "cid",
+        {"n_vecs": ("vec_id", "count"), "min_vec_id": ("vec_id", "min")},
+        rows=assign,
+    ).sort("cid")
 
 
 def embedding_norms(sf_dir: str):

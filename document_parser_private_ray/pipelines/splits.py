@@ -17,7 +17,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from .exchange import co_partition, run_starts
+from .exchange import co_partition, grouped_agg, run_starts
 
 
 def _read_ids(sf_dir: str):
@@ -203,30 +203,20 @@ def label_balance_by_split(sf_dir: str):
     as ``dataset_split`` (content-stable, engine-replayable); counts
     pre-aggregate per batch before ONE tiny groupby over
     splits x labels."""
-    from ray.data.aggregate import Sum
-
     from ..sources.readers import read_table
 
-    ds = read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "label"])
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def split_label(batch: pa.Table) -> pa.Table:
         splits = [split_of(str(i)) for i in batch["vec_id"].to_pylist()]
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "split": pa.array(splits, type=pa.string()),
-                "label": pa.array(
-                    batch["label"].to_numpy(zero_copy_only=False).astype("int64"),
-                    type=pa.int64(),
-                ),
-                "n": pa.array([1] * batch.num_rows, type=pa.int64()),
+                "label": batch["label"].to_numpy(zero_copy_only=False).astype("int64"),
             }
         )
-        g = t.group_by(["split", "label"]).aggregate([("n", "sum")])
-        return g.rename_columns(["split", "label", "n"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["split", "label"])
-        .aggregate(Sum("n", alias_name="n_vectors"))
-        .sort(["split", "label"])
-    )
+    return grouped_agg(
+        read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "label"]),
+        ["split", "label"],
+        {"n_vectors": (None, "count")},
+        rows=split_label,
+    ).sort(["split", "label"])

@@ -18,13 +18,8 @@ from ..functions.textstats import (
     md5_fingerprint,
     winnow_fingerprints,
 )
-from .exchange import co_partition, run_starts
-
-
-def _read_docs(sf_dir: str, columns=("doc_id", "text")):
-    from ..sources.readers import read_table
-
-    return read_table(f"{sf_dir}/documents.parquet", columns)
+from ..sources.readers import read_documents
+from .exchange import co_partition, grouped_agg, run_starts
 
 
 def _ws_token_count_vec(text: pa.ChunkedArray | pa.Array):
@@ -44,7 +39,7 @@ def _ws_token_count_vec(text: pa.ChunkedArray | pa.Array):
 def doc_quality(sf_dir: str):
     """(doc_id, n_chars, n_words, upper_ratio, digit_ratio) — vectorized
     pyarrow kernels, zero Python per-row work."""
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
 
     def metrics(batch: pa.Table) -> pa.Table:
         text = batch["text"]
@@ -70,7 +65,7 @@ def doc_quality(sf_dir: str):
 def doc_quality_extended(sf_dir: str):
     """(doc_id, punct_ratio, alpha_chars, space_chars) — additional
     SQL-parity quality features, all single-regex-pass vectorized."""
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
 
     def metrics(batch: pa.Table) -> pa.Table:
         text = batch["text"]
@@ -96,7 +91,7 @@ def doc_quality_extended(sf_dir: str):
 
 def doc_tokens(sf_dir: str):
     """(doc_id, ws_tokens, bpe_tokens) token counts."""
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
 
     def counts(batch: pa.Table) -> pa.Table:
         texts = batch["text"].to_pylist()
@@ -114,7 +109,7 @@ def doc_tokens(sf_dir: str):
 
 def doc_language(sf_dir: str):
     """(doc_id, lang) n-gram/stopword language ID."""
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
 
     def langs(batch: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -131,7 +126,7 @@ def doc_language(sf_dir: str):
 def doc_fingerprints(sf_dir: str):
     """(doc_id, md5, n_winnow) md5 exact fingerprint (SQL-verifiable) +
     winnowing local fingerprint count."""
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
 
     def fp(batch: pa.Table) -> pa.Table:
         texts = batch["text"].to_pylist()
@@ -161,7 +156,7 @@ def doc_repetition(sf_dir: str):
                                  (integer cross-multiplication)"""
     from collections import Counter
 
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
 
     def rep(batch: pa.Table) -> pa.Table:
         texts = batch["text"].to_pylist()
@@ -213,7 +208,7 @@ def doc_tfidf(sf_dir: str, k: int = 5):
     hash-compares exactly; ties break by word ascending."""
     from collections import Counter
 
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
     n_docs = ds.count()
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -300,7 +295,7 @@ def doc_chunks(sf_dir: str, window: int = 64, stride: int = 48):
     (whitespace-normalizing, so the DuckDB oracle reproduces it
     byte-exactly). Pure per-row flat map — no shuffle, no state."""
 
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
 
     def explode(batch: pa.Table) -> pa.Table:
         out_id, out_k, out_n, out_t = [], [], [], []
@@ -340,7 +335,7 @@ def doc_stopwords(sf_dir: str):
     no Python per-row work."""
     import numpy as np
 
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
     stop_set = pa.array(STOPWORDS, type=pa.string())
 
     def count(batch: pa.Table) -> pa.Table:
@@ -471,7 +466,7 @@ def top_words(sf_dir: str, k: int = 50):
     never tokens), groupby-sum, deterministic (n desc, word) top-k."""
     from ray.data.aggregate import Sum
 
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(
@@ -505,7 +500,7 @@ def doc_length_percentiles(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
     row."""
     from ray.data.aggregate import Count
 
-    ds = _read_docs(sf_dir, columns=("doc_id", "text"))
+    ds = read_documents(sf_dir, columns=("doc_id", "text"))
 
     def lengths(batch: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -629,7 +624,7 @@ class ModelScore:
 def doc_model_score(sf_dir: str):
     """(doc_id, feature shares, score_micro, keep) — linear quality
     model over the corpus, weights shipped with the mapped instance."""
-    return _read_docs(sf_dir).map_batches(
+    return read_documents(sf_dir).map_batches(
         ModelScore(), batch_format="pyarrow", zero_copy_batch=True, batch_size=2048
     ).sort("doc_id")
 
@@ -641,11 +636,9 @@ def top_words_by_source(sf_dir: str, k: int = 5):
     never tokens), ONE groupby-sum on the composite key, then a
     per-source vectorized rank. Deterministic (n desc, word) order so
     the SQL window oracle replays the exact rows."""
-    from ray.data.aggregate import Sum
+    ds = read_documents(sf_dir, columns=("source", "text"))
 
-    ds = _read_docs(sf_dir, columns=("source", "text"))
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
+    def source_words(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(pc.utf8_lower(batch["text"]), r"[^a-z0-9]+")
         flat = pc.list_flatten(toks)
         # repeat each row's source once per token via the list offsets
@@ -654,17 +647,10 @@ def top_words_by_source(sf_dir: str, k: int = 5):
             pa.array(np.repeat(np.arange(len(batch)), sizes))
         )
         t = pa.Table.from_arrays([src, flat], names=["source", "word"])
-        t = t.filter(pc.greater(pc.utf8_length(t["word"]), 0))
-        g = t.group_by(["source", "word"]).aggregate([("word", "count")])
-        return g.rename_columns(["source", "word", "n"])
+        return t.filter(pc.greater(pc.utf8_length(t["word"]), 0))
 
-    agg = (
-        ds.map_batches(
-            partial_counts, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=4096,
-        )
-        .groupby(["source", "word"])
-        .aggregate(Sum("n", alias_name="n"))
+    agg = grouped_agg(
+        ds, ["source", "word"], {"n": ("word", "count")}, rows=source_words, batch_size=4096
     )
 
     def topk(group: pa.Table) -> pa.Table:
@@ -705,7 +691,7 @@ def doc_length_percentiles_by_lang(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
 
     from ray.data.aggregate import Count
 
-    ds = _read_docs(sf_dir, columns=("lang", "text"))
+    ds = read_documents(sf_dir, columns=("lang", "text"))
 
     def lengths(batch: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -762,7 +748,7 @@ def doc_letter_concentration(sf_dir: str):
     (row * 26 + letter) read straight from the string buffer."""
     import numpy as np
 
-    ds = _read_docs(sf_dir)
+    ds = read_documents(sf_dir)
 
     def conc(t: pa.Table) -> pa.Table:
         text = t["text"]
@@ -816,7 +802,7 @@ def length_mad_by_lang(sf_dir: str):
 
     from ray.data.aggregate import Count
 
-    ds = _read_docs(sf_dir, columns=("lang", "text"))
+    ds = read_documents(sf_dir, columns=("lang", "text"))
 
     def lengths(batch: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -873,22 +859,17 @@ def source_token_gini(sf_dir: str):
     (2 n sum) over the <= #sources totals, closed on the driver with
     Python ints (the aggregate is source-bounded; the corpus scan ships
     per-batch partial token counts only)."""
-    from ray.data.aggregate import Sum
+    def tokens(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pydict(
+            {"source": batch["source"], "n": _ws_token_count_vec(batch["text"])}
+        )
 
-    ds = _read_docs(sf_dir, columns=("source", "text"))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        toks = _ws_token_count_vec(batch["text"])
-        t = pa.Table.from_pydict({"source": batch["source"], "n": toks})
-        g = t.group_by("source").aggregate([("n", "sum")])
-        return g.rename_columns(["source", "n"])
-
-    rows = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(Sum("n", alias_name="n_tokens"))
-        .take_all()
-    )  # <= #sources rows by construction
+    rows = grouped_agg(
+        read_documents(sf_dir, columns=("source", "text")),
+        "source",
+        {"n_tokens": ("n", "sum")},
+        rows=tokens,
+    ).take_all()  # <= #sources rows by construction
     xs = sorted(int(r["n_tokens"]) for r in rows)
     n, total = len(xs), sum(xs)
     num = sum(
@@ -916,7 +897,7 @@ def split_length_ks(sf_dir: str):
 
     from .splits import split_of
 
-    ds = _read_docs(sf_dir, columns=("doc_id", "text"))
+    ds = read_documents(sf_dir, columns=("doc_id", "text"))
 
     def lengths(batch: pa.Table) -> pa.Table:
         splits = [split_of(str(i)) for i in batch["doc_id"].to_pylist()]

@@ -26,15 +26,9 @@ from typing import Dict, List
 
 import pyarrow as pa
 
-SPAN_TYPE = pa.struct(
-    [
-        ("kind", pa.string()),
-        ("text", pa.string()),
-        ("media_ref", pa.string()),
-        ("offset", pa.int32()),
-    ]
-)
-CORPUS_SCHEMA = pa.schema([("doc_id", pa.string()), ("spans", pa.list_(SPAN_TYPE))])
+from ..schemas import INPUT_SCHEMA
+
+CORPUS_SCHEMA = INPUT_SCHEMA
 
 _FIRST = ["John", "Jane", "Alex", "Sam", "Maria", "Chen", "Aisha", "Lebo", "Nina", "Paul"]
 _LAST = ["Smith", "Jones", "Nkosi", "Okafor", "Garcia", "Mokoena", "Li", "Brown", "Dube", "Khan"]

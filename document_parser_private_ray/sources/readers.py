@@ -65,6 +65,12 @@ def read_table(
     return ds
 
 
+def read_documents(sf_dir: str, columns: Sequence[str] = ("doc_id", "text")):
+    """The ``documents.parquet`` table under ``sf_dir`` through
+    ``read_table`` (column-pruned, metadata-free block schemas)."""
+    return read_table(f"{sf_dir}/documents.parquet", columns)
+
+
 def _strip_schema_metadata(batch: pa.Table) -> pa.Table:
     if batch.schema.metadata:
         return batch.replace_schema_metadata(None)

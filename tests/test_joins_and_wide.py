@@ -285,6 +285,47 @@ def test_co_partition_zero_row_block_side(ray_session):
     assert sorted(out["v"].to_pylist()) == [1, 3, 7, 9]
 
 
+@pytest.mark.parametrize("derive", [False, True])
+def test_grouped_agg_matches_one_arrow_group_by(ray_session, derive):
+    """Partial-per-batch then merge equals one ``pa.Table.group_by`` over
+    the whole table, across several blocks (one empty), null values,
+    and both the ``rows=`` and the ``rows=None`` path."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from document_parser_private_ray.pipelines.exchange import grouped_agg
+
+    blocks = [
+        pa.table({"k": ["a", "b", "a", "c"], "g": [1, 1, 1, 2], "v": [5, None, 7, -1]}),
+        pa.table({"k": pa.array([], pa.string()), "g": pa.array([], pa.int64()),
+                  "v": pa.array([], pa.int64())}),
+        pa.table({"k": ["b", "a", "c", "c", "b"], "g": [1, 1, 2, 3, 1], "v": [2, 3, None, 4, 9]}),
+    ]
+
+    def doubled(t: pa.Table) -> pa.Table:
+        return t.append_column("x", pc.multiply(t["v"], 2))
+
+    full = pa.concat_tables(blocks)
+    if derive:
+        full = doubled(full)
+    col = "x" if derive else "v"
+    aggs = {
+        "s": (col, "sum"), "n": (col, "count"), "rows": (None, "count"),
+        "lo": (col, "min"), "hi": (col, "max"),
+    }
+    out = _table(grouped_agg(
+        rd.from_arrow(blocks), ["k", "g"], aggs, rows=doubled if derive else None,
+        batch_size=2 if derive else None,
+    ))
+    exp = full.group_by(["k", "g"]).aggregate(
+        [(col, "sum"), (col, "count"), ([], "count_all"), (col, "min"), (col, "max")]
+    ).rename_columns(["k", "g", *aggs])
+    assert out.column_names == ["k", "g", *aggs]
+    cols = out.column_names
+    assert _sorted_rows(out, cols) == _sorted_rows(exp, cols)
+
+
 def test_string_buckets_stable_across_processes():
     """String keys bucket by crc32, not Python's salted ``hash``: two
     interpreters with different hash seeds agree."""
