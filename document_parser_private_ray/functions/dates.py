@@ -169,8 +169,3 @@ class DateNormalizer:
                 return self.normalize(parts[0].strip()), self.normalize(parts[1].strip())
         single = self.normalize(text)
         return single, single
-
-
-def iso(d: Optional[date]) -> Optional[str]:
-    """Render a date as ISO-8601 string (Arrow output convention)."""
-    return d.isoformat() if d else None

@@ -80,12 +80,6 @@ class MinHasher:
         return keys
 
 
-def md5_hash64(s: str) -> int:
-    """First 8 bytes of md5, big-endian — SQL-reproducible:
-    ``('0x' || substr(md5(s), 1, 16))::UBIGINT`` in DuckDB."""
-    return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[:8], "big")
-
-
 def simhash64(text: str) -> int:
     """64-bit SimHash over word features (Charikar '02). Word features
     hash with md5 (not blake2b) so the DuckDB oracle can recompute the

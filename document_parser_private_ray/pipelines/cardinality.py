@@ -56,10 +56,10 @@ def vocab_kmv(sf_dir: str, k: int = K_DEFAULT):
     """Single-row KMV estimate of the corpus vocabulary size:
     ``k`` (sketch size), ``kth_hash`` (the k-th minimum md5, '' when
     the vocabulary is smaller than k), ``est_distinct``."""
-    from ..sources.readers import read_table
+    from ..sources.readers import read_documents
 
     minima = (
-        read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
+        read_documents(sf_dir)
         .map_batches(
             lambda t: _batch_word_hash_minima(t, k),
             batch_format="pyarrow",
@@ -117,9 +117,9 @@ def vocab_kmv_by_source(sf_dir: str, k: int = K_DEFAULT):
     never by the stratum's text volume), and the per-group finalizer
     dedups, sorts and keeps k. Columns: source, k, kth_hash ('' when
     the stratum vocabulary is smaller than k), est_distinct."""
-    from ..sources.readers import read_table
+    from ..sources.readers import read_documents
 
-    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text", "source"])
+    ds = read_documents(sf_dir, ["doc_id", "text", "source"])
     partials = ds.map_batches(
         lambda t: _batch_source_hash_minima(t, k),
         batch_format="pyarrow",
@@ -175,7 +175,7 @@ def word_cms_estimates(sf_dir: str, probes=None,
     bucket's counter), including collision inflation."""
     import numpy as np
 
-    from ..sources.readers import read_table
+    from ..sources.readers import read_documents
 
     if probes is None:
         probes = ["data", "table", "query", "spark", "zebra"]
@@ -212,7 +212,7 @@ def word_cms_estimates(sf_dir: str, probes=None,
     from ray.data.aggregate import Sum
 
     counters = (
-        read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
+        read_documents(sf_dir)
         .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True,
                      batch_size=1024)
         .groupby(["row", "bucket"])
@@ -288,10 +288,10 @@ def vocab_hll(sf_dir: str):
     Columns: m, n_zero_registers, sum_rho, est_distinct."""
     from ray.data.aggregate import Max
 
-    from ..sources.readers import read_table
+    from ..sources.readers import read_documents
 
     merged = (
-        read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
+        read_documents(sf_dir)
         .map_batches(
             _hll_partial,
             batch_format="pyarrow",

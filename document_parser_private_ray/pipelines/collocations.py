@@ -114,10 +114,10 @@ def word_collocations(
     ``lift_micro`` — ordered by lift desc, then w1, w2."""
     from ray.data.aggregate import Sum
 
-    from ..sources.readers import read_table
+    from ..sources.readers import read_documents
 
     counts = (
-        read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
+        read_documents(sf_dir)
         .map_batches(
             _tagged_partials,
             batch_format="pyarrow",

@@ -30,7 +30,7 @@ import pyarrow.compute as pc
 
 from ..functions.sketches import MinHasher, jaccard, shingles, simhash64
 from ..sources.readers import read_documents
-from .exchange import co_partition, co_partition_pairs, grouped_agg, run_starts
+from .exchange import co_partition, co_partition_pairs, grouped_agg, run_starts, sorted_runs
 from .pairs import attach_pair_values, fits_broadcast, lookup, scan_ids, self_pairs
 
 
@@ -793,24 +793,18 @@ def dup_rate_by_source(sf_dir: str):
     source, how many documents are non-keeper copies of some duplicate
     cluster. The keeper is min doc_id per content hash (dedup_exact
     semantics): the (hash, doc, source) projection shuffles once on a
-    hash bucket, each bucket marks non-keepers vectorized, and a tiny
-    groupby(source) folds the counts."""
+    hash bucket, each bucket's rows come sorted by (hash, doc)
+    (``exchange.sorted_runs``) so every row past its hash run's first
+    is a non-keeper, and a tiny groupby(source) folds the counts."""
     ds = read_documents(sf_dir, columns=("doc_id", "text", "source"))
     hashed = ds.map_batches(
         add_content_hash, batch_format="pyarrow", zero_copy_batch=True
     ).select_columns(["content_hash", "doc_id", "source"])
 
-    def mark_bucket(group: pa.Table) -> pa.Table:
-        h = np.asarray(group["content_hash"].to_pylist(), dtype=object)
-        d = group["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, h))
-        h_s, d_s = h[order], d[order]
-        first = run_starts(h_s)  # sorted: keeper = first of run
-        is_dup = np.zeros(len(h_s), dtype=np.int64)
-        is_dup[order] = ~first
-        return pa.Table.from_pydict({"source": group["source"], "is_dup": is_dup})
+    def mark_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        return pa.table({"source": g["source"], "is_dup": pa.array(pos > 0).cast(pa.int64())})
 
-    marked = co_partition({"hashes": (hashed, None)}, "content_hash", mark_bucket, 64)
+    marked = sorted_runs(hashed, "content_hash", ["doc_id"], mark_bucket, 64)
     return grouped_agg(
         marked,
         "source",

@@ -55,11 +55,9 @@ class _ScoreWithSource(ModelScore):
 
 
 def _scored(sf_dir: str):
-    from ..sources.readers import read_table
+    from ..sources.readers import read_documents
 
-    return read_table(
-        f"{sf_dir}/documents.parquet", ["doc_id", "source", "text"]
-    ).map_batches(
+    return read_documents(sf_dir, ["doc_id", "source", "text"]).map_batches(
         _ScoreWithSource(), batch_format="pyarrow", zero_copy_batch=True, batch_size=2048
     )
 

@@ -27,6 +27,16 @@ the partials (``Sum`` for sums and counts, ``Min`` / ``Max``), so the
 exchange carries partials, never raw rows. A ``co_partition`` kernel
 whose result is summed per key returns its raw rows and hands the
 exchange's output to ``grouped_agg``.
+
+``sorted_runs`` is the one "sort the bucket, find each key's run, rank
+within it" step: after the single-side exchange, each bucket is combined
+once and sorted once by ``pc.sort_indices`` on (key, *order_by) — a
+stable Arrow sort, so rows equal on every sort column keep their
+arrival order — and the kernel receives the sorted table with ``pos``,
+every row's 0-based position in its key run (``pos == 0`` starts a run,
+``pos + 1`` is the rank). String keys find their runs from dictionary
+codes. Kernels built on it never sort, never copy keys to numpy or
+Python objects to sort them, and never recompute run starts.
 """
 
 from __future__ import annotations
@@ -146,6 +156,28 @@ def co_partition(
     )
 
 
+def sorted_runs(ds, key: str, order_by, kernel: Callable, n_buckets: int):
+    """``co_partition`` of one dataset on ``key``, then ``kernel(table,
+    pos)`` once per bucket on the bucket's rows sorted by ``key``
+    ascending and then ``order_by`` (each entry a column name, ascending,
+    or ``(column, "descending")``). ``pos`` is the int64 position of each
+    row within its run of equal keys; a zero-row bucket gets an empty
+    ``pos``."""
+    sort_keys = [(key, "ascending")] + [
+        (c, "ascending") if isinstance(c, str) else tuple(c) for c in order_by
+    ]
+
+    def run(group: pa.Table):
+        g = group.combine_chunks()
+        g = g.take(pc.sort_indices(g, sort_keys=sort_keys))
+        keys = g[key].combine_chunks()
+        if not (pa.types.is_integer(keys.type) or pa.types.is_temporal(keys.type)):
+            keys = pc.dictionary_encode(keys, null_encoding="encode").indices
+        return kernel(g, run_positions(run_starts(keys.to_numpy(zero_copy_only=False))))
+
+    return co_partition({"rows": (ds, None)}, key, run, n_buckets)
+
+
 def grouped_agg(ds, keys, aggs: Mapping[str, tuple], rows: Callable | None = None,
                 batch_size: int | None = None):
     """``ds`` grouped by ``keys`` and aggregated in two phases.
@@ -203,3 +235,10 @@ def run_starts(*sorted_keys: np.ndarray) -> np.ndarray:
     for k in sorted_keys:
         new_run[1:] |= k[1:] != k[:-1]
     return new_run
+
+
+def run_positions(new_run: np.ndarray) -> np.ndarray:
+    """int64 0-based position of every row within its run, given the
+    ``run_starts`` mask of the sorted rows."""
+    at = np.arange(len(new_run), dtype=np.int64)
+    return at - np.maximum.accumulate(np.where(new_run, at, 0))

@@ -29,7 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.readers import read_table
-from .exchange import co_partition, grouped_agg, run_starts
+from .exchange import co_partition, grouped_agg, sorted_runs
 
 
 def _render_batch(batch: pa.Table) -> pa.Table:
@@ -437,8 +437,8 @@ def anchor_texts(sf_dir: str, top_k: int = 30):
     distinct anchor texts, and the dominant text (max count, ties by
     text). Chrome anchors are hot (url, text) keys, so per-batch
     Counter partials collapse them BEFORE the first exchange; the
-    per-url argmax closes in a url-hash bucket co-partition with one
-    numpy lexsort per bucket (no per-url Python)."""
+    per-url argmax closes in ``exchange.sorted_runs`` on the url (one
+    Arrow sort per url-hash bucket, no per-url Python)."""
     import numpy as np
     from ray.data.aggregate import Sum
 
@@ -480,28 +480,22 @@ def anchor_texts(sf_dir: str, top_k: int = 30):
         .aggregate(Sum("n", alias_name="n"))
     )
 
-    def reduce_bucket(group: pa.Table) -> pa.Table:
-        urls = np.asarray(group["url"].to_pylist(), dtype=object)
-        texts = np.asarray(group["atext"].to_pylist(), dtype=object)
-        ns = group["n"].to_numpy(zero_copy_only=False)
-        # one lexsort ranks every (url) group: count desc, text asc
-        order = np.lexsort((texts, -ns, urls))
-        urls, texts, ns = urls[order], texts[order], ns[order]
-        starts = np.flatnonzero(run_starts(urls))
-        ends = np.append(starts[1:], len(urls))
-        sums = np.add.reduceat(ns, starts) if len(ns) else np.array([], dtype=np.int64)
+    def reduce_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        # each url run sorted by count desc, text asc: its first row
+        # holds the top text
+        starts = np.flatnonzero(pos == 0)
         return pa.Table.from_arrays(
             [
-                pa.array(urls[starts], type=pa.string()),
-                pa.array(sums.astype(np.int64), type=pa.int64()),
-                pa.array((ends - starts).astype(np.int64), type=pa.int64()),
-                pa.array(texts[starts], type=pa.string()),
+                g["url"].take(starts),
+                pa.array(np.add.reduceat(g["n"].to_numpy(), starts), type=pa.int64()),
+                pa.array(np.diff(np.append(starts, len(pos)))),
+                g["atext"].take(starts),
             ],
             names=["url", "n_anchors", "n_unique_texts", "top_text"],
         )
 
     return (
-        co_partition({"anchors": (counts, None)}, "url", reduce_bucket, 32)
+        sorted_runs(counts, "url", [("n", "descending"), "atext"], reduce_bucket, 32)
         .sort(["n_anchors", "url"], descending=[True, False])
         .limit(top_k)
     )

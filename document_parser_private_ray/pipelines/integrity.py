@@ -38,9 +38,9 @@ def table_checksum(sf_dir: str):
     cast)."""
     from ray.data.aggregate import Sum
 
-    from ..sources.readers import read_table
+    from ..sources.readers import read_documents
 
-    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text", "source"])
+    ds = read_documents(sf_dir, ["doc_id", "text", "source"])
 
     def partial(batch: pa.Table) -> pa.Table:
         srcs = batch["source"].to_pylist()

@@ -18,7 +18,7 @@ per-bucket partial sums via one small groupby (bucket = doc_id //
 bucket_size, so the driver-side prefix table has n_docs/bucket_size
 rows — size bucket_size so this stays ~1e5 rows at full scale), bucket
 offsets broadcast via ``ray.put``, then intra-bucket cumulative sums
-computed vectorized inside one ``co_partition`` pass on the bucket.
+computed vectorized inside one ``sorted_runs`` pass on the bucket.
 No global sort, no full materialization; the only exchange is the
 bucket co-partition shuffle of the slim (doc_id, n_tokens) projection.
 """
@@ -30,7 +30,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from .exchange import co_partition, run_starts
+from ..sources.readers import read_documents
+from .exchange import sorted_runs
 
 
 WEIGHT_EIGHTHS_BASE = 4  # weight = (4 + md5(source) % 16) / 8 in [0.5, 2.375]
@@ -42,12 +43,6 @@ PACK_BUCKET = 4096
 def _md5_int(key: str) -> int:
     """First 8 md5 digest bytes little-endian == DuckDB md5_number_upper."""
     return int.from_bytes(hashlib.md5(key.encode()).digest()[:8], "little")
-
-
-def _read(sf_dir: str, columns):
-    from ..sources.readers import read_table
-
-    return read_table(f"{sf_dir}/documents.parquet", columns)
 
 
 def source_weight_eighths(source: str) -> int:
@@ -91,7 +86,7 @@ def data_mix(sf_dir: str, weights_eighths: dict[str, int] | None = None):
         )
 
     return (
-        _read(sf_dir, ["doc_id", "source"])
+        read_documents(sf_dir, ["doc_id", "source"])
         .map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
         .sort(["doc_id", "copy"])
     )
@@ -120,7 +115,7 @@ def pack_sequences(
 
     from .text_analysis import _ws_token_count_vec
 
-    ds = _read(sf_dir, ["doc_id", "text"])
+    ds = read_documents(sf_dir)
 
     def tokens(batch: pa.Table) -> pa.Table:
         n = _ws_token_count_vec(batch["text"])
@@ -151,29 +146,20 @@ def pack_sequences(
         acc += r["bucket_tokens"]
     offs_ref = ray.put(offsets)
 
-    # pass 2: intra-bucket exclusive cumsum + broadcast offset; a group
-    # may hold several range buckets, contiguous in doc_id order
-    def assign(group: pa.Table) -> pa.Table:
+    # pass 2: broadcast offset + exclusive cumsum within each range
+    # bucket's doc_id-sorted run; a group may hold several range buckets
+    def assign(g: pa.Table, pos: np.ndarray) -> pa.Table:
         offs = ray.get(offs_ref)
-        idx = pa.compute.sort_indices(group["doc_id"])
-        g = group.take(idx)
-        n = g["n_tokens"].to_numpy(zero_copy_only=False)
-        b = g["bucket"].to_numpy(zero_copy_only=False)
-        new_run = run_starts(b)
-        first = np.flatnonzero(new_run)
-        run = np.cumsum(new_run) - 1
+        starts = pos == 0
+        base = np.array([offs[x] for x in g["bucket"].to_numpy()[starts]], dtype=np.int64)
+        n = g["n_tokens"].to_numpy()
         cs = np.cumsum(n) - n
-        base = np.array([offs[x] for x in b[first]], dtype=np.int64) - cs[first]
-        before = cs + base[run]
+        before = base[np.cumsum(starts) - 1] + cs - cs[np.arange(len(pos)) - pos]
         return pa.Table.from_arrays(
-            [
-                g["doc_id"],
-                g["n_tokens"],
-                pa.array((before // capacity).astype("int64")),
-            ],
+            [g["doc_id"], g["n_tokens"], pa.array(before // capacity)],
             names=["doc_id", "n_tokens", "bin"],
         )
 
-    return co_partition(
-        {"tokens": (slim, None)}, "bucket", assign, max(len(offsets), 1)
+    return sorted_runs(
+        slim, "bucket", ["doc_id"], assign, max(len(offsets), 1)
     ).sort("doc_id")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import co_partition, co_partition_pairs
+from .exchange import co_partition, co_partition_pairs, sorted_runs
 
 DAMP_NUM = 85          # 0.85 damping as a rational
 DAMP_DEN = 100
@@ -283,17 +283,12 @@ def cosupplier_pairs(sf_dir: str, k: int = 15, max_deg: int = 32,
     # operators in per-block overhead; a customer bucket holds many
     # customers and the explosion loops them inside one call, emitting
     # one pre-counted block per bucket
-    def explode_bucket(group: pa.Table) -> pa.Table:
-        c = group["c"].to_numpy(zero_copy_only=False)
-        sup = group["s"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((sup, c))
-        c, sup = c[order], sup[order]
-        bounds = np.flatnonzero(np.diff(c)) + 1
+    def explode_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        # each customer's run holds its suppliers ascending
+        sup = g["s"].to_numpy()
+        starts = np.flatnonzero(pos == 0)
         out_a, out_b = [], []
-        for lo, hi in zip(
-            np.concatenate(([0], bounds)),
-            np.concatenate((bounds, [len(c)])),
-        ):
+        for lo, hi in zip(starts, np.append(starts[1:], len(pos))):
             s_list = sup[lo : min(hi, lo + max_deg)]
             if len(s_list) < 2:
                 continue
@@ -320,7 +315,7 @@ def cosupplier_pairs(sf_dir: str, k: int = 15, max_deg: int = 32,
         g = t.group_by(["s_a", "s_b"]).aggregate([("n", "sum")])
         return g.rename_columns(["s_a", "s_b", "n"])
 
-    exploded = co_partition({"pairs": (pairs, None)}, "c", explode_bucket, 64)
+    exploded = sorted_runs(pairs, "c", ["s"], explode_bucket, 64)
 
     # final reduce at BUCKET grain again: Ray's groupby().aggregate()
     # pays per-distinct-group overhead (~0.1 ms/group — 500k pair keys

@@ -20,7 +20,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import co_partition, grouped_agg, run_starts
+from .exchange import co_partition, grouped_agg, run_starts, sorted_runs
 from .segments import _as_array
 
 
@@ -268,9 +268,10 @@ def purchases_asof_views(sf_dir: str):
     has no native as-of join — the pattern is: tag both streams, ONE
     co-partitioning exchange on a user-hash BUCKET (64 groups, so the
     per-group Python overhead is constant, not per-user), then inside
-    each bucket a single lexsort(user, ts, side) + forward-max scan
-    matches every purchase to its latest prior view vectorized
-    (guide: as-of/range join)."""
+    each bucket the rows sorted by (user, ts, views before purchases)
+    (``exchange.sorted_runs``) and one forward-max scan match every
+    purchase to its latest prior view vectorized (guide: as-of/range
+    join)."""
     import ray
 
     from .bloom import bloom_mask, build_bloom
@@ -302,44 +303,31 @@ def purchases_asof_views(sf_dir: str):
 
     both = ds.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
 
-    def asof_bucket(group: pa.Table) -> pa.Table:
-        uid = group["user_id"].to_numpy(zero_copy_only=False)
-        ts = (
-            group["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").view("int64")
-        )
-        val = group["value"].to_numpy(zero_copy_only=False)
-        is_p = pc.equal(group["event_type"], "purchase").to_numpy(
-            zero_copy_only=False
-        )
-        # views sort BEFORE purchases at equal (user, ts): a view at
-        # exactly t matches a purchase at t (allow_exact_matches)
-        order = np.lexsort((is_p, ts, uid))
-        uid, ts, val, is_p = uid[order], ts[order], val[order], is_p[order]
-        n = len(uid)
+    def asof_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        is_p = pc.equal(g["event_type"], "purchase").to_numpy()
         # latest-view-so-far: forward max of view positions; a carry
-        # from the previous user fails the uid check and drops (inner)
-        vpos = np.where(~is_p, np.arange(n, dtype=np.int64), -1)
-        ff = np.maximum.accumulate(vpos)
-        sel = is_p & (ff >= 0)
-        sel[sel] = uid[np.flatnonzero(sel)] == uid[ff[sel]]
-        pi = np.flatnonzero(sel)
+        # from the previous user lies before the run start and drops
+        # (inner)
+        at = np.arange(len(pos), dtype=np.int64)
+        ff = np.maximum.accumulate(np.where(is_p, -1, at))
+        pi = np.flatnonzero(is_p & (ff >= at - pos))
         vi = ff[pi]
-        return pa.Table.from_pydict(
+        return pa.table(
             {
-                "user_id": pa.array(uid[pi], type=pa.int64()),
-                "ts": pa.array(
-                    ts[pi].view("datetime64[us]"), type=pa.timestamp("us")
-                ),
-                "purchase_value": pa.array(val[pi], type=pa.float64()),
-                "view_ts": pa.array(
-                    ts[vi].view("datetime64[us]"), type=pa.timestamp("us")
-                ),
-                "view_value": pa.array(val[vi], type=pa.float64()),
+                "user_id": g["user_id"].take(pi),
+                "ts": g["ts"].take(pi),
+                "purchase_value": g["value"].take(pi),
+                "view_ts": g["ts"].take(vi),
+                "view_value": g["value"].take(vi),
             }
         )
 
-    return co_partition({"events": (both, None)}, "user_id", asof_bucket, 64)
+    # "view" > "purchase": views sort BEFORE purchases at equal
+    # (user, ts), so a view at exactly t matches a purchase at t
+    # (allow_exact_matches)
+    return sorted_runs(
+        both, "user_id", ["ts", ("event_type", "descending")], asof_bucket, 64
+    )
 
 
 # -- per-user sessionization (map_groups ordered-state pattern) ----------
@@ -347,56 +335,35 @@ def purchases_asof_views(sf_dir: str):
 def events_sessionize(sf_dir: str, gap_minutes: int = 30):
     """Session windows per user: ONE co-partitioning exchange on a
     user-hash BUCKET (64 groups — constant per-group Python overhead
-    instead of one interpreter call per user), then inside each bucket a
-    single lexsort(user, ts); session breaks are a vectorized diff
-    (user-change OR gap>threshold) and the per-session aggregates come
+    instead of one interpreter call per user), then the bucket's rows
+    sorted by (user, ts) (``exchange.sorted_runs``); session breaks are
+    a vectorized diff (user-change OR gap>threshold) and the per-session
+    aggregates come
     from np.add.reduceat over the break offsets. Partitioning
     assumption: one bucket's events fit in one group — at 100 TB raise
     the bucket count, the kernel is bucket-count-agnostic."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"], num_blocks=16)
 
-    gap_us = int(gap_minutes) * 60_000_000
+    gap = np.timedelta64(int(gap_minutes), "m")
 
-    def sessionize_bucket(group: pa.Table) -> pa.Table:
-        uid = group["user_id"].to_numpy(zero_copy_only=False)
-        ts = (
-            group["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").view("int64")
-        )
-        val = group["value"].to_numpy(zero_copy_only=False)
-        if len(uid) == 0:
-            return pa.Table.from_pydict(
-                {
-                    "user_id": pa.array([], type=pa.int64()),
-                    "session_start": pa.array([], type=pa.timestamp("us")),
-                    "session_end": pa.array([], type=pa.timestamp("us")),
-                    "n_events": pa.array([], type=pa.int64()),
-                    "sum_value": pa.array([], type=pa.float64()),
-                }
-            )
-        order = np.lexsort((ts, uid))
-        uid, ts, val = uid[order], ts[order], val[order]
-        brk = run_starts(uid)
-        brk[1:] |= (ts[1:] - ts[:-1]) > gap_us
+    def sessionize_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        brk = pos == 0
+        brk[1:] |= np.diff(g["ts"].to_numpy()) > gap
         starts = np.flatnonzero(brk)
-        ends = np.concatenate((starts[1:], [len(uid)])) - 1
-        return pa.Table.from_pydict(
+        lens = np.diff(np.append(starts, len(pos)))
+        return pa.table(
             {
-                "user_id": pa.array(uid[starts], type=pa.int64()),
-                "session_start": pa.array(
-                    ts[starts].view("datetime64[us]"), type=pa.timestamp("us")
-                ),
-                "session_end": pa.array(
-                    ts[ends].view("datetime64[us]"), type=pa.timestamp("us")
-                ),
-                "n_events": pa.array(ends - starts + 1, type=pa.int64()),
+                "user_id": g["user_id"].take(starts),
+                "session_start": g["ts"].take(starts),
+                "session_end": g["ts"].take(starts + lens - 1),
+                "n_events": pa.array(lens),
                 "sum_value": pa.array(
-                    np.add.reduceat(val, starts), type=pa.float64()
+                    np.add.reduceat(g["value"].to_numpy(), starts), type=pa.float64()
                 ),
             }
         )
 
-    return co_partition({"events": (ds, None)}, "user_id", sessionize_bucket, 64)
+    return sorted_runs(ds, "user_id", ["ts"], sessionize_bucket, 64)
 
 
 # -- per-group top-k (grouped rank at scale) -----------------------------
@@ -404,98 +371,62 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
 def user_top_events(sf_dir: str, k: int = 3, n_buckets: int = 64):
     """Top-k events per user by (value desc, ts, event_id) with a dense
     1-based rank — the grouped-rank operator shape: one hash shuffle on
-    the user-BUCKET key, then one lexsort + run-rank per bucket covers
-    every user in it (the bucketed-lexsort idiom; r5 — was one Python
-    group call per user). Partitioning assumption: one user's events
-    fit in one bucket group."""
+    the user-BUCKET key, then the bucket's sorted rows and run positions
+    (``exchange.sorted_runs``) rank every user in it at once (r5 — was
+    one Python group call per user). Partitioning assumption: one
+    user's events fit in one bucket group."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"], num_blocks=16)
 
-    def topk_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        val = g["value"].to_numpy(zero_copy_only=False)
-        ts = (
-            g["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").view("int64")
-        )
-        eid = g["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((eid, ts, -val, uid))
-        uid_s = uid[order]
-        n = len(uid_s)
-        new_run = run_starts(uid_s)
-        run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
-        rank = np.arange(n) - run_start + 1
-        sel = rank <= k
-        cents = _cents(val[order][sel])
-        return pa.Table.from_pydict(
+    def topk_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        sel = np.flatnonzero(pos < k)
+        return pa.table(
             {
-                "user_id": pa.array(uid_s[sel], type=pa.int64()),
-                "event_id": pa.array(eid[order][sel], type=pa.int64()),
-                "value_cents": pa.array(cents, type=pa.int64()),
-                "rank": pa.array(rank[sel], type=pa.int64()),
+                "user_id": g["user_id"].take(sel),
+                "event_id": g["event_id"].take(sel),
+                "value_cents": pa.array(_cents(g["value"].to_numpy()[sel])),
+                "rank": pa.array(pos[sel] + 1),
             }
         )
 
-    return (
-        co_partition({"events": (ds, None)}, "user_id", topk_bucket, n_buckets)
-        .sort(["user_id", "rank"])
-    )
+    return sorted_runs(
+        ds, "user_id", [("value", "descending"), "ts", "event_id"], topk_bucket, n_buckets
+    ).sort(["user_id", "rank"])
 
 
 # -- per-user lag window (inter-event gaps) ------------------------------
 
 def event_gaps(sf_dir: str, n_buckets: int = 64):
     """Per-user inter-event gap statistics — the LAG-window shape: one
-    hash shuffle on the user-BUCKET key, then one lexsort per bucket
-    with segmented diff/reduceat aggregates covering every user in it
-    (r5 — was one Python group call per user). Gaps are exact integer
+    hash shuffle on the user-BUCKET key, then the bucket's (user, ts,
+    event_id)-sorted rows (``exchange.sorted_runs``) with segmented
+    diff/reduceat aggregates covering every user in it (r5 — was one
+    Python group call per user). Gaps are exact integer
     microseconds so the DuckDB ``lag`` oracle reproduces them
     bit-for-bit. Partitioning assumption: one user's events fit in one
     bucket group."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"], num_blocks=16)
 
-    def gaps_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = (
-            g["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").view("int64")
-        )
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid_s, ts_s = uid[order], ts[order]
-        n = len(uid_s)
-        new_run = run_starts(uid_s)
-        starts = np.flatnonzero(new_run)
-        run_lens = np.diff(np.append(starts, n))
-        # diffs within user runs only (cross-boundary diffs dropped)
-        within = ~new_run[1:] if n > 1 else np.zeros(0, dtype=bool)
-        dvalid = np.diff(ts_s)[within] if n > 1 else np.zeros(0, dtype=np.int64)
-        gap_counts = run_lens - 1
-        n_runs = len(starts)
-        max_gap = np.zeros(n_runs, dtype=np.int64)
-        sum_gap = np.zeros(n_runs, dtype=np.int64)
-        has = gap_counts > 0
-        if dvalid.size:
-            # each has-gap run's diffs are contiguous in dvalid; their
-            # start offsets are the prefix sums of earlier gap counts
-            gv_starts = np.concatenate(([0], np.cumsum(gap_counts)))[:-1]
-            max_gap[has] = np.maximum.reduceat(dvalid, gv_starts[has])
-            sum_gap[has] = np.add.reduceat(dvalid, gv_starts[has])
-        return pa.Table.from_pydict(
+    def gaps_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        starts = np.flatnonzero(pos == 0)
+        lens = np.diff(np.append(starts, len(pos)))
+        # the gap before each row, 0 at a user's first event (sorted
+        # ts: every gap is >= 0, so the 0 never lifts a max)
+        gap = np.zeros(len(pos), dtype=np.int64)
+        gap[1:] = np.diff(pc.cast(g["ts"], pa.int64()).to_numpy())
+        gap[starts] = 0
+        return pa.table(
             {
-                "user_id": pa.array(uid_s[starts], type=pa.int64()),
-                "n_events": pa.array(run_lens.astype(np.int64), type=pa.int64()),
-                "n_gaps": pa.array(gap_counts.astype(np.int64), type=pa.int64()),
-                "max_gap_us": pa.array(max_gap, type=pa.int64()),
-                "sum_gap_us": pa.array(sum_gap, type=pa.int64()),
+                "user_id": g["user_id"].take(starts),
+                "n_events": pa.array(lens),
+                "n_gaps": pa.array(lens - 1),
+                "max_gap_us": pa.array(np.maximum.reduceat(gap, starts)),
+                "sum_gap_us": pa.array(np.add.reduceat(gap, starts)),
             }
         )
 
-    return (
-        co_partition({"events": (ds, None)}, "user_id", gaps_bucket, n_buckets)
-        .sort("user_id")
-    )
+    return sorted_runs(
+        ds, "user_id", ["ts", "event_id"], gaps_bucket, n_buckets
+    ).sort("user_id")
 
 
 # -- hierarchical rollup (GROUP BY ROLLUP shape) --------------------------
@@ -567,23 +498,17 @@ def funnel_counts(sf_dir: str, stages=("view", "click", "purchase")):
     with the users-remaining count."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"], num_blocks=16)
 
-    def depth_bucket(group: pa.Table) -> pa.Table:
+    def depth_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         # every user in the bucket advances through the stage machine
         # together: per stage, one vectorized candidate mask + one
         # first-per-user selection over the (user, ts, event_id)-sorted
         # rows — K tiny passes, zero per-user Python (r5; was one group
         # call per user)
-        g = group.combine_chunks()
-        uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = (
-            g["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").view("int64")
-        )
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        types = g["event_type"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid_s, ts_s, types_s = uid[order], ts[order], types[order]
-        users, inv = np.unique(uid_s, return_inverse=True)
+        ts_s = pc.cast(g["ts"], pa.int64()).to_numpy()
+        types_s = g["event_type"].to_numpy()
+        starts = pos == 0
+        users = g["user_id"].to_numpy()[starts]
+        inv = np.cumsum(starts) - 1  # each row's user run
         cur = np.full(len(users), -(2**62), dtype=np.int64)
         reached = np.zeros(len(users), dtype=np.int64)
         alive = np.ones(len(users), dtype=bool)
@@ -607,7 +532,7 @@ def funnel_counts(sf_dir: str, stages=("view", "click", "purchase")):
             }
         )
 
-    per_user = co_partition({"events": (ds, None)}, "user_id", depth_bucket, 64)
+    per_user = sorted_runs(ds, "user_id", ["ts", "event_id"], depth_bucket, 64)
     from ray.data.aggregate import Count
 
     hist = per_user.groupby("depth").aggregate(Count(alias_name="n")).take_all()
@@ -630,32 +555,22 @@ def retention_cohorts(sf_dir: str):
     """Classic retention triangle: users grouped by first-activity week
     (cohort), counted in every week they were active. ONE shuffle on the
     user-BUCKET key computes every user's (cohort_week, active_week)
-    pairs with one lexsort + run masks per bucket (r5 — was one Python
-    group call per user); the second groupby is over the tiny
+    pairs from the bucket's (user, ts)-sorted rows and run masks
+    (``exchange.sorted_runs``; r5 — was one Python group call per
+    user); the second groupby is over the tiny
     (weeks x weeks) key space. Week = Monday-start date, matching
     DuckDB date_trunc('week')."""
     ds = _read(sf_dir, "events", ["user_id", "ts"], num_blocks=16)
 
-    def weeks_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        days = (
-            g["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[D]")
-            .view("int64")
-        )
-        # Monday-start week containing `day` (1970-01-01 is a Thursday)
+    def weeks_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        days = g["ts"].to_numpy().astype("datetime64[D]").view("int64")
+        # Monday-start week containing `day` (1970-01-01 is a Thursday);
+        # sorted ts gives sorted weeks within each user run
         wk = ((days + 3) // 7) * 7 - 3
-        order = np.lexsort((wk, uid))
-        uid_s, wk_s = uid[order], wk[order]
-        n = len(uid_s)
-        # distinct (user, week) rows, then cohort = user run's first week
-        keep = run_starts(uid_s, wk_s)
-        du, dw = uid_s[keep], wk_s[keep]
-        m = len(du)
-        new_user = run_starts(du)
-        run_start = np.maximum.accumulate(np.where(new_user, np.arange(m), 0))
-        cohort = dw[run_start]
+        # distinct (user, week) rows; cohort = the user run's first week
+        keep = run_starts(wk) | (pos == 0)
+        dw = wk[keep]
+        cohort = wk[np.arange(len(pos)) - pos][keep]
         # ISO yyyy-mm-dd strings: engine-neutral for the value compare
         return pa.Table.from_pydict(
             {
@@ -673,7 +588,7 @@ def retention_cohorts(sf_dir: str):
     from ray.data.aggregate import Count
 
     return (
-        co_partition({"events": (ds, None)}, "user_id", weeks_bucket, 64)
+        sorted_runs(ds, "user_id", ["ts"], weeks_bucket, 64)
         .groupby(["cohort_week", "active_week"])
         .aggregate(Count(alias_name="n_users"))
         .sort(["cohort_week", "active_week"])
@@ -947,9 +862,10 @@ def user_cumulative_spend(sf_dir: str):
     """Running cumulative purchase spend per user — the grouped
     prefix-sum window (SUM OVER PARTITION BY user ORDER BY ts ROWS
     UNBOUNDED PRECEDING). Purchases are filtered AT THE SCAN, then ONE
-    shuffle on user-hash bucket; each bucket's kernel lexsorts
-    (user, ts, event_id) ONCE and computes every user's prefix sum with
-    a run-reset cumsum over exact integer cents (order-free arithmetic,
+    shuffle on user-hash bucket; each bucket's kernel takes its rows
+    sorted by (user, ts, event_id) (``exchange.sorted_runs``) and
+    computes every user's prefix sum with a run-reset cumsum over exact
+    integer cents (order-free arithmetic,
     so the SQL window replays it bit-for-bit) — no per-user interpreter
     call (r5: was groupby(user_id).map_groups)."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"], num_blocks=16)
@@ -963,36 +879,24 @@ def user_cumulative_spend(sf_dir: str):
         only_purchases, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def cumsum_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = (
-            g["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").view("int64")
-        )
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid_s, ts_s, eid_s = uid[order], ts[order], eid[order]
-        cents = _cents(g["value"].to_numpy(zero_copy_only=False)[order])
+    def cumsum_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        cents = _cents(g["value"].to_numpy())
         cs = np.cumsum(cents)
-        n = len(uid_s)
-        new_run = run_starts(uid_s)
-        run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
-        base = np.where(run_start > 0, cs[np.maximum(run_start - 1, 0)], 0)
-        return pa.Table.from_pydict(
+        # minus the bucket-wide sum before each user run's first row
+        before = (cs - cents)[np.arange(len(pos)) - pos]
+        return pa.table(
             {
-                "user_id": pa.array(uid_s, type=pa.int64()),
-                "event_id": pa.array(eid_s, type=pa.int64()),
-                "ts": pa.array(ts_s.view("datetime64[us]"), type=pa.timestamp("us")),
-                "spend_cents": pa.array(cents, type=pa.int64()),
-                "cum_spend_cents": pa.array(cs - base, type=pa.int64()),
+                "user_id": g["user_id"],
+                "event_id": g["event_id"],
+                "ts": g["ts"],
+                "spend_cents": pa.array(cents),
+                "cum_spend_cents": pa.array(cs - before),
             }
         )
 
-    return (
-        co_partition({"purchases": (purchases, None)}, "user_id", cumsum_bucket, 64)
-        .sort(["user_id", "ts", "event_id"])
-    )
+    return sorted_runs(
+        purchases, "user_id", ["ts", "event_id"], cumsum_bucket, 64
+    ).sort(["user_id", "ts", "event_id"])
 
 
 # -- tumbling-window distinct users (DAU/HAU counting) ---------------------
@@ -1029,41 +933,26 @@ def user_event_paths(sf_dir: str, k: int = 20, max_len: int = 50):
     """Most common user journeys — every user's chronologically ordered
     event-type sequence (joined with '>'), truncated to the first
     ``max_len`` events, counted across users and ranked. ONE shuffle on
-    the user-BUCKET key; each bucket builds EVERY user's path with one
-    lexsort + run-rank truncation + a single ListArray binary_join (r5
-    — was one Python group call per user), ``grouped_agg`` collapses the
+    the user-BUCKET key; each bucket builds EVERY user's path from its
+    sorted rows and run positions (``exchange.sorted_runs``): run-rank
+    truncation + a single ListArray binary_join (r5 — was one Python
+    group call per user), ``grouped_agg`` collapses the
     paths to partial path counts, and only the top-k survive the final
     tiny exchange."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"], num_blocks=16)
 
-    def paths_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = (
-            g["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").view("int64")
-        )
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid_s = uid[order]
-        n = len(uid_s)
-        new_run = run_starts(uid_s)
-        run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
-        rank = np.arange(n) - run_start
-        sel = rank < max_len
-        et = _as_array(g["event_type"]).take(pa.array(order[sel]))
-        starts = np.flatnonzero(new_run)
-        run_lens = np.minimum(
-            np.diff(np.append(starts, n)), max_len
-        )
-        offsets = np.concatenate(([0], np.cumsum(run_lens)))
+    def paths_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        keep = pos < max_len
+        et = _as_array(g["event_type"]).filter(pa.array(keep))
+        # every run starts a path; the last offset closes the last one
+        offsets = np.flatnonzero(np.append(pos[keep] == 0, True))
         paths = pc.binary_join(
             pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), et),
             ">",
         )
         return pa.Table.from_arrays([paths], names=["path"])
 
-    paths = co_partition({"events": (ds, None)}, "user_id", paths_bucket, 64)
+    paths = sorted_runs(ds, "user_id", ["ts", "event_id"], paths_bucket, 64)
     return (
         grouped_agg(paths, "path", {"n_users": (None, "count")})
         .sort(["n_users", "path"], descending=[True, False])
@@ -1137,33 +1026,25 @@ def event_value_trends(sf_dir: str):
 def event_transitions(sf_dir: str):
     """First-order Markov transition counts (prev_type -> type) over
     every user's chronological event sequence — the LAG-pair shape: ONE
-    shuffle on the user-BUCKET key; each bucket lexsorts every user at
-    once, masks the intra-user adjacent pairs, and collapses to
+    shuffle on the user-BUCKET key; each bucket's rows come sorted by
+    (user, ts, event_id) (``exchange.sorted_runs``), the intra-user
+    adjacent pairs are masked by run position, and the kernel
+    collapses to
     <= types^2 partial counts (r5 — was one Python group call per
     user), then a tiny global groupby."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"], num_blocks=16)
 
-    def pairs_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = (
-            g["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").view("int64")
-        )
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid_s = uid[order]
-        n = len(uid_s)
-        et = _as_array(g["event_type"]).take(pa.array(order))
-        within = pa.array(uid_s[1:] == uid_s[:-1])
+    def pairs_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        et = _as_array(g["event_type"])
+        within = pa.array(pos[1:] > 0)
         return pa.Table.from_pydict(
             {
-                "prev_type": et.slice(0, max(n - 1, 0)).filter(within),
+                "prev_type": et.slice(0, max(len(pos) - 1, 0)).filter(within),
                 "next_type": et.slice(1).filter(within),
             }
         )
 
-    pairs = co_partition({"events": (ds, None)}, "user_id", pairs_bucket, 64)
+    pairs = sorted_runs(ds, "user_id", ["ts", "event_id"], pairs_bucket, 64)
     return grouped_agg(
         pairs, ["prev_type", "next_type"], {"n_transitions": (None, "count")}
     ).sort(["prev_type", "next_type"])
@@ -1410,8 +1291,9 @@ def daily_revenue_ma7(sf_dir: str):
 def user_first_last_purchase(sf_dir: str):
     """Grouped argmin/argmax — each user's FIRST and LAST purchase by
     (ts, event_id): purchases filtered at the scan, ONE shuffle on the
-    user-BUCKET key, every user's extreme rows picked from one lexsort's
-    run boundaries (r5 — was one Python group call per user). Output one
+    user-BUCKET key, every user's extreme rows picked at the run
+    boundaries of the bucket's sorted rows (``exchange.sorted_runs``;
+    r5 — was one Python group call per user). Output one
     row per purchasing user with both endpoints in exact cents."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"], num_blocks=16)
 
@@ -1424,42 +1306,25 @@ def user_first_last_purchase(sf_dir: str):
         only_purchases, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def endpoints_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = (
-            g["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").view("int64")
-        )
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        cents = _cents(g["value"].to_numpy(zero_copy_only=False))
-        order = np.lexsort((eid, ts, uid))
-        uid_s, ts_s, cents_s = uid[order], ts[order], cents[order]
-        n = len(uid_s)
-        new_run = run_starts(uid_s)
-        firsts = np.flatnonzero(new_run)
-        lasts = np.append(firsts[1:], n) - 1
-        return pa.Table.from_pydict(
+    def endpoints_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        firsts = np.flatnonzero(pos == 0)
+        lens = np.diff(np.append(firsts, len(pos)))
+        lasts = firsts + lens - 1
+        cents = _cents(g["value"].to_numpy())
+        return pa.table(
             {
-                "user_id": pa.array(uid_s[firsts], type=pa.int64()),
-                "n_purchases": pa.array(
-                    (lasts - firsts + 1).astype(np.int64), type=pa.int64()
-                ),
-                "first_ts": pa.array(
-                    ts_s[firsts].view("datetime64[us]"), type=pa.timestamp("us")
-                ),
-                "first_cents": pa.array(cents_s[firsts], type=pa.int64()),
-                "last_ts": pa.array(
-                    ts_s[lasts].view("datetime64[us]"), type=pa.timestamp("us")
-                ),
-                "last_cents": pa.array(cents_s[lasts], type=pa.int64()),
+                "user_id": g["user_id"].take(firsts),
+                "n_purchases": pa.array(lens),
+                "first_ts": g["ts"].take(firsts),
+                "first_cents": pa.array(cents[firsts]),
+                "last_ts": g["ts"].take(lasts),
+                "last_cents": pa.array(cents[lasts]),
             }
         )
 
-    return (
-        co_partition({"purchases": (purchases, None)}, "user_id", endpoints_bucket, 64)
-        .sort("user_id")
-    )
+    return sorted_runs(
+        purchases, "user_id", ["ts", "event_id"], endpoints_bucket, 64
+    ).sort("user_id")
 
 
 def nation_share_of_region(sf_dir: str):

@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.readers import read_documents
-from .exchange import co_partition, run_starts
+from .exchange import co_partition, run_positions, run_starts
 
 DEFAULT_QUERY = "hash join merge"
 BM25_K1 = 1.2
@@ -135,9 +135,7 @@ def build_postings(
     per (word, salt) and per word), and the second exchange merges
     <= n_salts list-typed partial rows per word, still bucket-grain.
     No group ever materializes an unbounded posting."""
-    from ..sources.readers import read_table
-
-    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
+    ds = read_documents(sf_dir)
 
     def explode(batch: pa.Table) -> pa.Table:
         text = batch["text"]
@@ -189,9 +187,7 @@ def build_postings(
         c_s, s_s, d_s = c_s[first], s_s[first], d_s[first]
         m = len(c_s)
         new_run = run_starts(c_s, s_s)
-        run_start = np.maximum.accumulate(np.where(new_run, np.arange(m), 0))
-        rank = np.arange(m) - run_start
-        sel = rank < max_df
+        sel = run_positions(new_run) < max_df
         starts = np.flatnonzero(new_run)
         run_lens = np.diff(np.append(starts, m))
         kept_lens = np.minimum(run_lens, max_df)
@@ -238,9 +234,7 @@ def build_postings(
         word_codes = cw[w_starts]
         # per-word max_df smallest ids out of the unioned lists
         new_run = run_starts(c_s)
-        run_start = np.maximum.accumulate(np.where(new_run, np.arange(m), 0))
-        rank = np.arange(m) - run_start
-        sel = rank < max_df
+        sel = run_positions(new_run) < max_df
         starts = np.flatnonzero(new_run)
         run_lens = np.diff(np.append(starts, m))
         kept_lens = np.minimum(run_lens, max_df)

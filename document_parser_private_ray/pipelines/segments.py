@@ -21,7 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.readers import read_documents
-from .exchange import co_partition, run_starts
+from .exchange import co_partition, sorted_runs
 
 
 def _as_array(col) -> pa.Array:
@@ -257,21 +257,13 @@ def dedup_segments(sf_dir: str, seg_words: int = 4, n_buckets: int = 16):
         n_buckets,
     )
 
-    def reassemble_bucket(group: pa.Table) -> pa.Table:
-        # every doc in the bucket reassembles from ONE Arrow sort + run
-        # offsets + a single ListArray binary_join (r5; was one Python
-        # group call per document)
-        g = group.combine_chunks()
-        idx = pc.sort_indices(
-            g, sort_keys=[("doc_id", "ascending"), ("pos", "ascending")]
-        )
-        g = g.take(idx)
-        doc = g["doc_id"].to_numpy(zero_copy_only=False)
+    def reassemble_bucket(g: pa.Table, run_pos: np.ndarray) -> pa.Table:
+        # every doc in the bucket reassembles from its (doc_id,
+        # pos)-sorted run + a single ListArray binary_join (r5; was one
+        # Python group call per document)
         keep = g["keep"].to_numpy(zero_copy_only=False).astype(bool)
-        n = len(doc)
-        new_run = run_starts(doc)
-        starts = np.flatnonzero(new_run)
-        run_lens = np.diff(np.append(starts, n))
+        starts = np.flatnonzero(run_pos == 0)
+        run_lens = np.diff(np.append(starts, len(run_pos)))
         kept_counts = np.add.reduceat(keep.astype(np.int64), starts)
         seg_kept = _as_array(g["seg"]).filter(pa.array(keep))
         offsets = np.concatenate(([0], np.cumsum(kept_counts)))
@@ -283,13 +275,11 @@ def dedup_segments(sf_dir: str, seg_words: int = 4, n_buckets: int = 16):
         )
         return pa.Table.from_pydict(
             {
-                "doc_id": pa.array(doc[starts], type=pa.int64()),
+                "doc_id": pc.cast(g["doc_id"], pa.int64()).take(starts),
                 "n_segs": pa.array(run_lens.astype(np.int64), type=pa.int64()),
                 "n_kept": pa.array(kept_counts, type=pa.int64()),
                 "clean_text": clean,
             }
         )
 
-    return co_partition(
-        {"flagged": (flagged, None)}, "doc_id", reassemble_bucket, 64
-    ).sort("doc_id")
+    return sorted_runs(flagged, "doc_id", ["pos"], reassemble_bucket, 64).sort("doc_id")

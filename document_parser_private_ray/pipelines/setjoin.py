@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.sketches import shingles
-from .exchange import co_partition, grouped_agg, run_starts
+from .exchange import co_partition, grouped_agg, run_starts, sorted_runs
 from .joins import bucketed_join
 from .pairs import attach_pair_values, self_pairs
 
@@ -151,9 +151,9 @@ def ppjoin_pairs(
          groupby (vocab-scale, not corpus-scale);
       3. df rides back onto postings via one hash-bucketed
          co-partition join (``bucketed_join``);
-      4. prefix selection: co-partition by doc bucket, ONE lexsort per
-         group batch orders every doc's postings by (df, tok), a
-         vectorized boundary mask keeps rank < n - ceil(t*n) + 1;
+      4. prefix selection: ``exchange.sorted_runs`` on doc_id orders
+         every doc's postings by (df, tok), and the run position (the
+         posting's rank in its doc) keeps rank < n - ceil(t*n) + 1;
       5. candidate pairs: prefix postings co-partition by tok bucket,
          ``pairs.self_pairs`` per bucket + the length and positional
          filters, partial pair-dedup in-bucket, global dedup in one
@@ -206,38 +206,24 @@ def ppjoin_pairs(
 
     with_df = bucketed_join(postings, dftab, "tok", "tok", n_buckets=16)
 
-    # -- prefix selection: co-partition by doc, lexsort once per group
-    def prefix_select(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        doc = g["doc_id"].to_numpy(zero_copy_only=False)
-        df = g["df"].to_numpy(zero_copy_only=False)
-        tok = g["tok"].to_numpy(zero_copy_only=False)
-        n = g["n"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((tok, df, doc))
-        doc_s = doc[order]
-        # rank of each posting within its doc under the (df, tok) order
-        new_doc = run_starts(doc_s)
-        seg_start = np.maximum.accumulate(np.where(new_doc, np.arange(len(doc_s)), 0))
-        rank = np.arange(len(doc_s)) - seg_start
-        n_s = n[order]
+    # -- prefix selection: each doc's postings in (df, tok) order; the
+    # run position is the posting's rank in its doc
+    def prefix_select(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        n = g["n"].to_numpy()
         # prefix length p = n - ceil(t*n) + 1 (integer ceil)
-        p = n_s - (t_num * n_s + t_den - 1) // t_den + 1
-        keep = rank < p
-        sel = order[keep]
-        return pa.Table.from_pydict(
+        keep = pa.array(pos < n - (t_num * n + t_den - 1) // t_den + 1)
+        return pa.table(
             {
-                "tok": pa.array(tok[sel], type=pa.int64()),
-                "doc_id": pa.array(doc[sel], type=pa.int64()),
-                "n": pa.array(n[sel], type=pa.int64()),
+                "tok": pc.cast(g["tok"], pa.int64()).filter(keep),
+                "doc_id": pc.cast(g["doc_id"], pa.int64()).filter(keep),
+                "n": pc.cast(g["n"], pa.int64()).filter(keep),
                 # position of the posting in its doc's global (df, tok)
                 # order — feeds the PPJoin positional filter downstream
-                "pos": pa.array(rank[keep], type=pa.int64()),
+                "pos": pa.array(pos).filter(keep),
             }
         )
 
-    prefixes = co_partition(
-        {"postings": (with_df, None)}, "doc_id", prefix_select, n_buckets
-    )
+    prefixes = sorted_runs(with_df, "doc_id", ["df", "tok"], prefix_select, n_buckets)
 
     # -- candidate pairs: one self_pairs per tok bucket
     def bucket_pairs(group: pa.Table) -> pa.Table:

@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import co_partition, co_partition_pairs, grouped_agg, run_starts
+from .exchange import co_partition_pairs, grouped_agg, sorted_runs
 from .pairs import attach_pair_values, self_pairs
 
 
@@ -95,48 +95,30 @@ def load_queries(sf_dir: str, n_queries: int = 8) -> tuple:
 
 def _global_topk(locals_, k: int, score_col: str, descending: bool, n_buckets: int = 64):
     """Global per-query top-k over local-candidate rows (query_id,
-    vec_id, score) — the bucketed-lexsort rank idiom (VERDICT r4 #1):
-    query_ids co-partition into n_buckets buckets, and ONE vectorized kernel
-    per bucket lexsorts (query, score, vec_id), derives ranks by
-    run-start subtraction, and keeps rank <= k. No per-query-group
-    Python call, no pandas frame — at batch-ANN scale (queries ∝
-    corpus) the merge cost is one numpy sort per bucket instead of one
-    interpreter round-trip per query. Tie-break matches the oracles'
-    ROW_NUMBER ordering: (score desc|asc, vec_id asc)."""
-    score_type = dict(zip(locals_.schema().names, locals_.schema().types))[score_col]
+    vec_id, score) — the bucketed rank idiom (VERDICT r4 #1): query_ids
+    co-partition into n_buckets buckets, each bucket's rows come sorted
+    by (query, score, vec_id) with their run positions
+    (``exchange.sorted_runs``), and rank = position + 1 <= k is kept.
+    No per-query-group Python call, no pandas frame — at batch-ANN
+    scale (queries ∝ corpus) the merge cost is one Arrow sort per
+    bucket instead of one interpreter round-trip per query. Tie-break
+    matches the oracles' ROW_NUMBER ordering: (score desc|asc, vec_id
+    asc)."""
 
-    def topk_bucket(group: pa.Table) -> pa.Table:
-        g = group.combine_chunks()
-        qid = g["query_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        vid = g["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = g[score_col].to_numpy(zero_copy_only=False)
-        n = len(qid)
-        if n == 0:
-            return pa.Table.from_pydict(
-                {
-                    "query_id": pa.array([], type=pa.int64()),
-                    "vec_id": pa.array([], type=pa.int64()),
-                    score_col: pa.array([], type=score_type),
-                    "rank": pa.array([], type=pa.int64()),
-                }
-            )
-        order = np.lexsort((vid, -s if descending else s, qid))
-        qs = qid[order]
-        new_run = run_starts(qs)
-        run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
-        rank = np.arange(n) - run_start + 1
-        sel = rank <= k
-        return pa.Table.from_pydict(
+    def topk_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        sel = pa.array(pos < k)
+        return pa.table(
             {
-                "query_id": pa.array(qs[sel], type=pa.int64()),
-                "vec_id": pa.array(vid[order][sel], type=pa.int64()),
-                score_col: pa.array(s[order][sel], type=score_type),
-                "rank": pa.array(rank[sel], type=pa.int64()),
+                "query_id": pc.cast(g["query_id"], pa.int64()).filter(sel),
+                "vec_id": pc.cast(g["vec_id"], pa.int64()).filter(sel),
+                score_col: g[score_col].filter(sel),
+                "rank": pa.array(pos + 1).filter(sel),
             }
         )
 
-    return co_partition(
-        {"candidates": (locals_, None)}, "query_id", topk_bucket, n_buckets
+    order = (score_col, "descending" if descending else "ascending")
+    return sorted_runs(
+        locals_, "query_id", [order, "vec_id"], topk_bucket, n_buckets
     ).sort(["query_id", "rank"])
 
 
@@ -590,36 +572,6 @@ def ann_ivfpq_topk(
     ds = _read_embeddings(sf_dir)
     locals_ = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=1024)
     return _global_topk(locals_, k, "adc", descending=False)
-
-
-def embedding_pq_table(
-    sf_dir: str, m_sub: int = 8, n_codes: int = 16, train_sample: int = 512
-):
-    """The PQ ENCODE pass as a standalone table: (vec_id, code_0..code_
-    {m_sub-1}) — the artifact an IVF-PQ index stores instead of raw
-    vectors (m_sub small ints per vector; at dim=64 float64 that is a
-    64x compression). One broadcast of the trained codebooks, one
-    vectorized map over the corpus, no shuffle; downstream ADC search
-    reads THIS table and never touches the embedding column again."""
-    import ray
-
-    books = train_pq_codebooks(sf_dir, m_sub, n_codes, train_sample)
-    ref = ray.put(books)
-
-    def encode(batch: pa.Table) -> pa.Table:
-        Bk = ray.get(ref)
-        raw = embedding_matrix(batch["embedding"], np.float64)
-        codes = pq_encode(raw, Bk)
-        cols = {"vec_id": pc.cast(batch["vec_id"], pa.int64())}
-        for m in range(Bk.shape[0]):
-            cols[f"code_{m}"] = pa.array(codes[:, m], type=pa.int64())
-        return pa.Table.from_pydict(cols)
-
-    return (
-        _read_embeddings(sf_dir)
-        .map_batches(encode, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024)
-        .sort("vec_id")
-    )
 
 
 def embedding_kmeans_sizes(

@@ -17,13 +17,13 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from .exchange import co_partition, grouped_agg, run_starts
+from .exchange import grouped_agg, sorted_runs
 
 
 def _read_ids(sf_dir: str):
-    from ..sources.readers import read_table
+    from ..sources.readers import read_documents
 
-    return read_table(f"{sf_dir}/documents.parquet", ["doc_id"])
+    return read_documents(sf_dir, ["doc_id"])
 
 
 def split_of(key: str, train_buckets: int = 8, val_buckets: int = 1) -> str:
@@ -80,11 +80,9 @@ def sample_stratified(sf_dir: str, n_per_source: int = 10):
     that."""
     import hashlib as _hl
 
-    import pyarrow.compute as pc
+    from ..sources.readers import read_documents
 
-    from ..sources.readers import read_table
-
-    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "source"])
+    ds = read_documents(sf_dir, ["doc_id", "source"])
 
     def keyed(batch: pa.Table) -> pa.Table:
         hkeys = [
@@ -93,32 +91,19 @@ def sample_stratified(sf_dir: str, n_per_source: int = 10):
         ]
         return batch.append_column("hkey", pa.array(hkeys, type=pa.uint64()))
 
-    def topn(group: pa.Table) -> pa.Table:
-        # every source in the bucket at once: one sort, rank = offset
-        # from the source run's start
-        idx = pc.sort_indices(
-            group,
-            sort_keys=[("source", "ascending"), ("hkey", "ascending"),
-                       ("doc_id", "ascending")],
-        )
-        g = group.take(idx)
-        new_run = run_starts(np.asarray(g["source"].to_pylist(), dtype=object))
-        pos = np.arange(len(new_run))
-        rank = pos - np.maximum.accumulate(np.where(new_run, pos, 0)) + 1
-        keep = rank <= n_per_source
+    def topn(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        # every source in the bucket at once: rank = run position + 1
+        keep = pa.array(pos < n_per_source)
         return pa.Table.from_arrays(
-            [
-                g["source"].filter(pa.array(keep)),
-                g["doc_id"].filter(pa.array(keep)),
-                pa.array(rank[keep], type=pa.int64()),
-            ],
+            [g["source"].filter(keep), g["doc_id"].filter(keep),
+             pa.array(pos + 1).filter(keep)],
             names=["source", "doc_id", "rk"],
         )
 
     keyed_ds = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-    return co_partition(
-        {"docs": (keyed_ds, None)}, "source", topn, 16
-    ).sort(["source", "rk"])
+    return sorted_runs(keyed_ds, "source", ["hkey", "doc_id"], topn, 16).sort(
+        ["source", "rk"]
+    )
 
 
 def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
@@ -129,9 +114,8 @@ def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
     (order-preserving), a tiny groupby counts each range, the driver
     turns the <= ``n_ranges`` counts into exclusive prefix offsets and
     broadcasts them, and ONE shuffle on the range id ranks each bucket
-    locally (offset + in-bucket lexsort arange). Only (doc_id, hash)
-    ever moves."""
-    import numpy as np
+    locally (range offset + position in the range's (h, doc_id)-sorted
+    run, ``exchange.sorted_runs``). Only (doc_id, hash) ever moves."""
     import ray
     from ray.data.aggregate import Count
 
@@ -170,30 +154,16 @@ def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
         acc += r["n"]
     offsets_ref = ray.put(offsets)
 
-    def rank_range(group: pa.Table) -> pa.Table:
+    def rank_range(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        # rank = the range's offset + position in its (h, doc_id) run
         offs = ray.get(offsets_ref)
-        h = group["h"].to_numpy(zero_copy_only=False)
-        ids = group["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, h))
-        # ranges are order-preserving on h, so the sorted rows form one
-        # run per range; rank = range offset + position in the run
-        rng = group["rng"].to_numpy(zero_copy_only=False)[order]
-        new_run = run_starts(rng)
-        at = np.arange(len(order), dtype=np.int64)
-        run_start = np.maximum.accumulate(np.where(new_run, at, 0))
-        base = np.array([offs[int(r)] for r in rng[new_run]], dtype=np.int64)
-        pos = np.empty(len(order), dtype=np.int64)
-        pos[order] = base[np.cumsum(new_run) - 1] + at - run_start
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "pos": pa.array(pos, type=pa.int64()),
-            }
+        rng = g["rng"].to_numpy()
+        base = np.array([offs[int(r)] for r in rng[pos == 0]], dtype=np.int64)
+        return pa.table(
+            {"doc_id": g["doc_id"], "pos": pa.array(base[np.cumsum(pos == 0) - 1] + pos)}
         )
 
-    return co_partition(
-        {"hashes": (hashed, None)}, "rng", rank_range, n_ranges
-    ).sort("doc_id")
+    return sorted_runs(hashed, "rng", ["h", "doc_id"], rank_range, n_ranges).sort("doc_id")
 
 
 def label_balance_by_split(sf_dir: str):

@@ -19,7 +19,7 @@ from ..functions.textstats import (
     winnow_fingerprints,
 )
 from ..sources.readers import read_documents
-from .exchange import co_partition, grouped_agg, run_starts
+from .exchange import co_partition, grouped_agg, sorted_runs
 
 
 def _ws_token_count_vec(text: pa.ChunkedArray | pa.Array):
@@ -203,7 +203,7 @@ def doc_tfidf(sf_dir: str, k: int = 5):
     word co-partition computes df = per-word row count AND attaches it
     to every row in the same pass (no second shuffle, no broadcast
     vocabulary — a join-free df attach that holds at any vocabulary
-    size), then one doc_id co-partition ranks vectorized. Scores are integer micros
+    size), then one doc_id ``sorted_runs`` ranks vectorized. Scores are integer micros
     (floor(tf * ln(N/df) * 1e6 + 0.5)) so the DuckDB oracle
     hash-compares exactly; ties break by word ascending."""
     from collections import Counter
@@ -260,30 +260,13 @@ def doc_tfidf(sf_dir: str, k: int = 5):
 
     scored = co_partition({"terms": (tf, None)}, "word", attach_df_bucket, 64)
 
-    def topk_bucket(group: pa.Table) -> pa.Table:
-        # one Arrow sort + numpy run-rank covers every doc in the bucket
-        g = group.combine_chunks()
-        idx = pc.sort_indices(
-            g,
-            sort_keys=[
-                ("doc_id", "ascending"),
-                ("tfidf_micro", "descending"),
-                ("word", "ascending"),
-            ],
-        )
-        g = g.take(idx)
-        doc = g["doc_id"].to_numpy(zero_copy_only=False)
-        n = len(doc)
-        new_run = run_starts(doc)
-        run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
-        rank = np.arange(n) - run_start + 1
-        sel = rank <= k
-        return g.filter(pa.array(sel)).append_column(
-            "rank", pa.array(rank[sel], type=pa.int64())
-        )
+    def topk_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        # every doc of the bucket ranked at once from its run positions
+        sel = pa.array(pos < k)
+        return g.filter(sel).append_column("rank", pa.array(pos + 1).filter(sel))
 
-    return co_partition(
-        {"scored": (scored, None)}, "doc_id", topk_bucket, 64
+    return sorted_runs(
+        scored, "doc_id", [("tfidf_micro", "descending"), "word"], topk_bucket, 64
     ).sort(["doc_id", "rank"])
 
 
@@ -653,30 +636,20 @@ def top_words_by_source(sf_dir: str, k: int = 5):
         ds, ["source", "word"], {"n": ("word", "count")}, rows=source_words, batch_size=4096
     )
 
-    def topk(group: pa.Table) -> pa.Table:
-        # every source in the bucket at once: one sort, rank = offset
-        # from the source run's start
-        idx = pc.sort_indices(
-            group,
-            sort_keys=[("source", "ascending"), ("n", "descending"),
-                       ("word", "ascending")],
-        )
-        g = group.take(idx)
-        new_run = run_starts(np.asarray(g["source"].to_pylist(), dtype=object))
-        pos = np.arange(len(new_run))
-        rank = pos - np.maximum.accumulate(np.where(new_run, pos, 0)) + 1
-        keep = pa.array(rank <= k)
+    def topk(g: pa.Table, pos: np.ndarray) -> pa.Table:
+        # every source in the bucket at once: rank = run position + 1
+        keep = pa.array(pos < k)
         return pa.Table.from_arrays(
             [
                 g["source"].filter(keep),
                 g["word"].filter(keep),
                 pc.cast(g["n"], pa.int64()).filter(keep),
-                pa.array(rank[rank <= k], type=pa.int64()),
+                pa.array(pos + 1).filter(keep),
             ],
             names=["source", "word", "n", "rk"],
         )
 
-    return co_partition({"counts": (agg, None)}, "source", topk, 16).sort(
+    return sorted_runs(agg, "source", [("n", "descending"), "word"], topk, 16).sort(
         ["source", "rk"]
     )
 
@@ -947,9 +920,7 @@ def doc_normalize(sf_dir: str):
     (``utf8_normalize`` + two regex replaces), zero per-row Python,
     no shuffle. Output: doc_id, norm_text, n_before, n_after, changed.
     """
-    from ..sources.readers import read_table
-
-    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
+    ds = read_documents(sf_dir)
 
     def norm(batch: pa.Table) -> pa.Table:
         import unicodedata

@@ -78,10 +78,10 @@ def bpe_pair_counts(sf_dir: str, top_k: int = 50):
     string), ``n`` — ordered by count desc, pair asc."""
     from ray.data.aggregate import Sum
 
-    from ..sources.readers import read_table
+    from ..sources.readers import read_documents
 
     agg = (
-        read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
+        read_documents(sf_dir)
         .map_batches(_pair_partials, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("pair_code")
         .aggregate(Sum("n", alias_name="n"))
@@ -119,7 +119,7 @@ def doc_oov_rate(sf_dir: str, top_k: int = 20):
     the SQL oracle replays it exactly."""
     import numpy as np
 
-    from ..sources.readers import read_table
+    from ..sources.readers import read_documents
 
     top = bpe_pair_counts(sf_dir, top_k=top_k).take_all()  # <= top_k rows
     vocab_codes = np.array(
@@ -167,7 +167,7 @@ def doc_oov_rate(sf_dir: str, top_k: int = 20):
         )
 
     return (
-        read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
+        read_documents(sf_dir)
         .map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
         .sort("doc_id")
     )

@@ -177,3 +177,85 @@ def test_no_hand_rolled_grouped_partials():
     assert sorted(set(found) - set(ALLOWED_PARTIALS)) == []
     # every allowance still names a live partial
     assert sorted(set(ALLOWED_PARTIALS) - set(found)) == []
+
+
+# -- one sorted-run layer ----------------------------------------------------
+
+SORTS = {"lexsort", "sort_indices", "sort_by"}
+# positional index of each exchange layer's ``kernel`` argument
+KERNEL_ARG = {"co_partition": 2, "co_partition_pairs": 1, "sorted_runs": 3}
+# bucket kernels allowed to sort by hand, with why (a kernel that sorts
+# its bucket by key and order columns to find key runs belongs on
+# ``exchange.sorted_runs``). Outside this guard's reach, and staying as
+# they are: ``relational.customer_balance_quartiles`` sorts inside a
+# per-nation ``groupby().map_groups``, not a ``co_partition``;
+# ``relational.signup_conversion_24h`` and
+# ``time_to_convert_percentiles`` use scatter-min and do not sort.
+ALLOWED_SORTS = {
+    "document_parser_private_ray/pipelines/exchange.py::sorted_runs.run": (
+        "the layer itself: the one stable sort per bucket"
+    ),
+    "document_parser_private_ray/pipelines/relational.py::session_purchase_counts.join_bucket": (
+        "a two-sided interval join: sorts the session side only, then "
+        "searchsorts the event side into it"
+    ),
+    "document_parser_private_ray/pipelines/search.py::build_postings.partial_bucket": (
+        "sorts dictionary codes of the rows left after a per-batch distinct"
+    ),
+    "document_parser_private_ray/pipelines/search.py::build_postings.merge_bucket": (
+        "sorts dictionary codes of flattened id lists, not bucket rows"
+    ),
+    "document_parser_private_ray/pipelines/dedup.py::_elect_keepers": (
+        "also runs on driver tables outside any exchange"
+    ),
+}
+
+
+def _kernel_arg(call: ast.Call):
+    if not isinstance(call.func, ast.Name) or call.func.id not in KERNEL_ARG:
+        return None
+    i = KERNEL_ARG[call.func.id]
+    if len(call.args) > i:
+        return call.args[i]
+    return next((k.value for k in call.keywords if k.arg == "kernel"), None)
+
+
+def _sorting_kernels():
+    """``path::outer.kernel`` (``path::kernel`` for a module-level one) of
+    every function handed to an exchange layer that calls ``np.lexsort``,
+    ``pc.sort_indices`` or ``.sort_by``."""
+    found = set()
+    for path, tree in _sources().items():
+        top = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for outer in top.values():
+            local = {
+                n.name: n for n in ast.walk(outer)
+                if isinstance(n, ast.FunctionDef) and n is not outer
+            }
+            for call in ast.walk(outer):
+                fn = _kernel_arg(call) if isinstance(call, ast.Call) else None
+                if not isinstance(fn, ast.Name):
+                    continue
+                if fn.id in local:
+                    kernel, name = local[fn.id], f"{path}::{outer.name}.{fn.id}"
+                elif fn.id in top:
+                    kernel, name = top[fn.id], f"{path}::{fn.id}"
+                else:
+                    continue
+                if any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in SORTS
+                    for n in ast.walk(kernel)
+                ):
+                    found.add(name)
+    return found
+
+
+def test_no_hand_rolled_sorted_runs():
+    """A bucket kernel that sorts its rows is the "sort the bucket, find
+    key runs, rank" step ``exchange.sorted_runs`` owns; only the kernels
+    named in ``ALLOWED_SORTS`` sort by hand."""
+    found = _sorting_kernels()
+    assert sorted(found - set(ALLOWED_SORTS)) == []
+    # every allowance still names a live sorting kernel
+    assert sorted(set(ALLOWED_SORTS) - found) == []

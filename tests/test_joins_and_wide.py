@@ -326,6 +326,64 @@ def test_grouped_agg_matches_one_arrow_group_by(ray_session, derive):
     assert _sorted_rows(out, cols) == _sorted_rows(exp, cols)
 
 
+SORTED_RUNS_CASES = {
+    "int": ("k", ["id"], [5, 3, 5, 9, 3, 3, 1, 5]),
+    "non_ascii_str": ("k", ["id"], ["é", "b", "日本", "é", "b", "a", "日本", "z"]),
+    "float_desc": ("g", [("x", "descending"), "id"], [2, 1, 2, 2, 1, 7, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("n_buckets", [1, 7])
+@pytest.mark.parametrize("case", sorted(SORTED_RUNS_CASES))
+def test_sorted_runs_matches_one_table_sort(ray_session, case, n_buckets):
+    """Every kernel call sees whole key runs, each equal to its run in one
+    ``pc.sort_indices`` of the concatenated input, with ``pos`` counting
+    0, 1, ... along the run — across several blocks, one of them empty."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from document_parser_private_ray.pipelines.exchange import sorted_runs
+
+    key, order_by, keys = SORTED_RUNS_CASES[case]
+    x = [0.5, 2.0, 0.5, -1.0, 2.0, 3.25, 2.0, 0.5]
+    full = pa.table({key: keys, "x": x, "id": list(range(len(keys)))})
+    blocks = [full.slice(0, 3), full.slice(0, 0), full.slice(3)]
+
+    def kernel(t: pa.Table, pos: np.ndarray) -> pa.Table:
+        assert pos.dtype == np.int64 and len(pos) == t.num_rows
+        # tag each row with its call and its place in the call's order
+        n = t.num_rows
+        return pa.table({
+            "id": t["id"], "pos": pos, "seq": np.arange(n),
+            "call": np.full(n, t["id"][0].as_py() if n else -1),
+        })
+
+    out = _table(sorted_runs(rd.from_arrow(blocks), key, order_by, kernel, n_buckets))
+    sort_keys = [(key, "ascending")] + [
+        (c, "ascending") if isinstance(c, str) else c for c in order_by
+    ]
+    exp = full.take(pc.sort_indices(full, sort_keys=sort_keys))
+    exp_ids = exp["id"].to_pylist()
+    exp_keys = exp[key].to_pylist()
+    exp_pos, prev, run = {}, object(), 0
+    for k, i in zip(exp_keys, exp_ids):
+        run = run + 1 if k == prev else 0
+        exp_pos[i], prev = run, k
+    calls: dict = {}
+    for c, q, i, p in zip(*(out[f].to_pylist() for f in ("call", "seq", "id", "pos"))):
+        calls.setdefault(c, []).append((q, i, p))
+    assert sorted(out["id"].to_pylist()) == sorted(exp_ids)
+    for rows in calls.values():
+        rows.sort()
+        seen = {i for _, i, _ in rows}
+        # the call's rows in the order of the one whole-table sort ...
+        assert [i for _, i, _ in rows] == [i for i in exp_ids if i in seen]
+        # ... holding whole key runs, ranked from 0 along each run
+        assert [p for _, _, p in rows] == [exp_pos[i] for _, i, _ in rows]
+
+
 def test_string_buckets_stable_across_processes():
     """String keys bucket by crc32, not Python's salted ``hash``: two
     interpreters with different hash seeds agree."""
