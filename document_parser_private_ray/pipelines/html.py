@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sources.readers import read_table
+from ..sources.readers import read_documents
 from .exchange import co_partition, grouped_agg, sorted_runs
 
 
@@ -124,35 +124,46 @@ class HtmlDocSummary(HtmlMainContent):
 
 
 def _pages(sf_dir: str):
-    ds = read_table(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
-    )
+    ds = read_documents(sf_dir, ("doc_id", "text", "source"))
     return ds.map_batches(
         _render_batch, batch_format="pyarrow", zero_copy_batch=True
     )
+
+
+def _extract_pages(sf_dir: str, stage: HtmlMainContent):
+    """``stage`` over the rendered pages, 128 pages per batch.
+
+    The chain is one cheap parquet scan feeding a CPU-bound map. Ray
+    Data's per-operator resource reservation would split the CPUs
+    between the two for as long as the scan streams its blocks out, so
+    the map would ramp up from one task and every job's wall would hinge
+    on when the scan's last block is taken. This dataset's own context
+    (a copy; the caller's ``DataContext`` is untouched) turns that
+    reservation off: the map takes every free CPU as soon as it has a
+    block, and the global object-store limit still bounds memory."""
+    ds = _pages(sf_dir).map_batches(stage, batch_format="pyarrow", batch_size=128)
+    ds.context.op_resource_reservation_enabled = False
+    return ds
 
 
 def html_spans(sf_dir: str, extract: Optional[Callable] = None):
     """Per-document main-content span sequence (kind, text, media_ref,
     span_offset) after boilerplate strip — the north rule's span tuple
     over HTML input. Render and extraction fuse into one Ray task per
-    128-page batch on the shared task-worker pool, so the stage scales
-    with the cluster's CPUs without a pool size to tune: it is
-    embarrassingly parallel and compute-bound (0.87 ms/page extraction,
+    read block (extraction runs on 128-page batches) on the shared
+    task-worker pool, so the stage scales with the cluster's CPUs
+    without a pool size to tune: it is embarrassingly parallel and
+    compute-bound (0.54 ms/page extraction,
     ``html.extract_html_blocks.ms_per_page`` of the ``html_extract``
-    benchmark trace on 4 CPUs)."""
-    return _pages(sf_dir).map_batches(
-        HtmlMainContent(extract), batch_format="pyarrow", batch_size=128
-    )
+    benchmark trace, seed 1, on 4 CPUs)."""
+    return _extract_pages(sf_dir, HtmlMainContent(extract))
 
 
 def html_main_content(sf_dir: str, extract: Optional[Callable] = None):
     """Per-document recovered main text + span/media counts. By
     construction main_text == the whitespace-normalized source text, so
     the oracle is the documents table itself."""
-    return _pages(sf_dir).map_batches(
-        HtmlDocSummary(extract), batch_format="pyarrow", batch_size=128
-    )
+    return _extract_pages(sf_dir, HtmlDocSummary(extract))
 
 
 # -- link graph / URL canonicalization --------------------------------------

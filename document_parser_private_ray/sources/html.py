@@ -4,7 +4,13 @@ The north rule names "HTML boilerplate strip, PDF/layout parse, DOM
 heuristics" as the main-content extraction surface. The reference repo
 has no HTML reader (resume inputs are text/PDF), so — like the DOCX
 reader — this module EXCEEDS the reference by closing that part of the
-source matrix with stdlib-only parsing (``html.parser.HTMLParser``).
+source matrix with stdlib-only parsing. One regex tokenizer
+(``_tokenize``) walks each page and calls the walkers'
+``html.parser.HTMLParser`` hooks with the events the stdlib parser
+would emit; a page holding a construct it does not handle (CDATA,
+``<?...>``, an unterminated tag, comment or script, a stray ``<``) is
+re-parsed whole by the stdlib parser and counted in
+``FALLBACK_PAGES``.
 
 The classifier is the published shape shared by jusText (Pomikálek
 2011) and the Boilerpipe/Kohlschütter (WSDM 2010) features — all
@@ -43,8 +49,8 @@ a hash mismatch.
 from __future__ import annotations
 
 import re
-from html import escape
-from html.parser import HTMLParser
+from html import escape, unescape
+from html.parser import HTMLParser, attrfind_tolerant, tagfind_tolerant
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlencode, urljoin, urlsplit, urlunsplit
 
@@ -64,6 +70,137 @@ SHORT_LEN = 25  # chars below which a block cannot self-classify
 MAX_LINK_DENSITY = 0.4
 
 
+# -- tokenizer ----------------------------------------------------------------
+#
+# One master pattern walks the page and calls the walkers' HTMLParser
+# hooks directly. Each alternative is the CPython 3.11 ``html.parser``
+# rule for that construct (``locatestarttagend_tolerant`` in an atomic
+# group, ``endtagfind``, the ``--\s*>`` comment close, the
+# ``set_cdata_mode`` raw-text end; attributes split by the stdlib's own
+# ``tagfind_tolerant`` / ``attrfind_tolerant``), so the hook calls are
+# the stdlib's by construction. Anything else (CDATA, ``<?...>``, a
+# bogus ``<!...>`` comment, an unterminated tag/comment/script, a ``<``
+# that opens no construct, ``</`` + non-letter) raises ``_Fallback``,
+# and ``_parse`` re-parses the whole page with a fresh stdlib walker.
+
+_TOKEN = re.compile(
+    r"""
+    (?P<text>[^<]+)
+  | <(?:
+        !--.*?--\s*>                                    # comment
+      | ![dD][oO][cC][tT][yY][pP][eE][^>]*>             # doctype
+      | /(?:(?P<end>[a-zA-Z][-.a-zA-Z0-9:_]*)\s*>       # endtagfind
+          | (?P<endx>[a-zA-Z][^\t\n\r\f\ />\x00]*)[^>]*>)  # tolerant end tag
+      | (?>(?P<tag>[a-zA-Z][^\t\n\r\f\ />\x00]*)      # locatestarttagend
+          (?P<attrs>(?:[\s/]*
+            (?:(?<=['"\s/])[^\s/>][^\s/=>]*
+              (?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?
+              (?:\s|/(?!>))*
+            )*
+          )?\s*))
+        (?P<close>/?)>
+    )
+    """,
+    re.S | re.X,
+)
+# raw-text end of a script/style body (stdlib set_cdata_mode)
+_RAW_END = {
+    t: re.compile(r"</\s*(%s)\s*>" % t, re.I) for t in HTMLParser.CDATA_CONTENT_ELEMENTS
+}
+
+# pages the tokenizer handed to the stdlib walker, in this process
+FALLBACK_PAGES = 0
+
+
+class _Fallback(Exception):
+    """The page holds a construct the tokenizer does not handle."""
+
+
+def _start_attrs(data: str, i: int, endpos: int):
+    """stdlib ``parse_starttag`` attribute split of the tag at
+    ``data[i:endpos]`` -> (attrs, self_closing)."""
+    k = tagfind_tolerant.match(data, i + 1).end()
+    attrs = []
+    while k < endpos:
+        m = attrfind_tolerant.match(data, k)
+        if not m:
+            break
+        name, rest, value = m.group(1, 2, 3)
+        if not rest:
+            value = None
+        elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+            value = value[1:-1]
+        if value and "&" in value:
+            value = unescape(value)
+        attrs.append((name.lower(), value))
+        k = m.end()
+    end = data[k:endpos].strip()
+    if end not in (">", "/>"):
+        raise _Fallback
+    return attrs, end == "/>"
+
+
+def _tokenize(data: str, handler) -> None:
+    """Walk ``data`` once, calling ``handler``'s HTMLParser hooks with
+    the events the stdlib parser would emit; raises ``_Fallback`` on any
+    construct outside the handled set."""
+    match = _TOKEN.match
+    on_data = handler.handle_data
+    on_start = handler.handle_starttag
+    on_end = handler.handle_endtag
+    pos, n = 0, len(data)
+    while pos < n:
+        m = match(data, pos)
+        if m is None:
+            raise _Fallback
+        i, pos = pos, m.end()
+        kind = m.lastindex
+        if kind == 1:  # text
+            text = m.group(1)
+            on_data(unescape(text) if "&" in text else text)
+        elif kind == 6:  # start tag
+            tag, attrs, close = m.group(4, 5, 6)
+            tag = tag.lower()
+            if attrs:
+                attrs, closed = _start_attrs(data, i, pos)
+            else:  # bare ``<name>`` / ``<name/>``
+                attrs, closed = [], close == "/"
+            if closed:
+                handler.handle_startendtag(tag, attrs)
+                continue
+            on_start(tag, attrs)
+            raw_end = _RAW_END.get(tag)
+            if raw_end is not None:
+                e = raw_end.search(data, pos)
+                # re.I also folds e.g. "ſ" to "s"; the stdlib's endtagfind
+                # then keeps the body open, so such a close falls back
+                if e is None or e.group(1).lower() != tag:
+                    raise _Fallback
+                if e.start() > pos:
+                    on_data(data[pos : e.start()])
+                on_end(tag)
+                pos = e.end()
+        elif kind is not None:  # end tag (endtagfind / tolerant)
+            on_end(m.group(kind).lower())
+        # comment / doctype: no event
+
+
+def _parse(walker_cls, data: str):
+    """A closed ``walker_cls`` instance that has seen ``data``: through
+    ``_tokenize``, or — counted in ``FALLBACK_PAGES`` — through a fresh
+    walker's stdlib ``feed``."""
+    global FALLBACK_PAGES
+    walker = walker_cls()
+    try:
+        _tokenize(data, walker)
+    except _Fallback:
+        FALLBACK_PAGES += 1
+        walker = walker_cls()
+        walker.feed(data)
+    walker.close()
+    return walker
+
+
 class _BlockParser(HTMLParser):
     """DOM walk -> ordered raw blocks with classification features."""
 
@@ -80,6 +217,8 @@ class _BlockParser(HTMLParser):
 
     # -- block assembly ---------------------------------------------------
     def _flush(self):
+        if not self._buf:  # link chars and the boiler flag come with data
+            return
         raw = "".join(self._buf)
         self._buf = []
         link = self._link_chars
@@ -196,15 +335,15 @@ def classify_blocks(
             labels.append("short")
         else:
             labels.append("good")
-    # headings look FORWARD to the first full-length block
-    for i, lab in enumerate(labels):
-        if lab != "heading":
-            continue
-        labels[i] = "bad"
-        for nxt in labels[i + 1:]:
-            if nxt in ("good", "bad"):
-                labels[i] = nxt
-                break
+    # headings look FORWARD to the first full-length block (edge = bad):
+    # one reverse pass carrying the next full-length label
+    nxt = "bad"
+    for i in range(len(labels) - 1, -1, -1):
+        lab = labels[i]
+        if lab == "heading":
+            labels[i] = nxt
+        elif lab != "short":
+            nxt = lab
     # shorts inherit the nearest preceding full-length label (edge = bad)
     last_solid = "bad"
     for i, lab in enumerate(labels):
@@ -220,9 +359,7 @@ def classify_html_blocks(data) -> Tuple[List[Dict], List[str]]:
     for diagnostics, block-level stats and tests."""
     if isinstance(data, (bytes, bytearray)):
         data = bytes(data).decode("utf-8")
-    p = _BlockParser()
-    p.feed(data)
-    p.close()
+    p = _parse(_BlockParser, data)
     p._flush()
     return p.blocks, classify_blocks(p.blocks)
 
@@ -383,9 +520,7 @@ def extract_links(data) -> Dict:
     function so real crawl URLs can flow through the same path)."""
     if isinstance(data, (bytes, bytearray)):
         data = bytes(data).decode("utf-8")
-    p = _LinkParser()
-    p.feed(data)
-    p.close()
+    p = _parse(_LinkParser, data)
     return {
         "canonical": p.canonical,
         "title": " ".join(p.title.split()),

@@ -467,3 +467,186 @@ def test_extract_slot_on_task_path(ray_session, tmp_path):
     assert len(plain) > 0
     assert loud["main_text"].tolist() == plain["main_text"].str.upper().tolist()
     assert loud["doc_id"].tolist() == plain["doc_id"].tolist()
+
+
+def test_extract_chains_lift_reservation_on_own_context(ray_session, tmp_path):
+    """html_spans and html_main_content turn Ray Data's per-operator
+    resource reservation off on their own dataset context only; the
+    caller's DataContext keeps its setting."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    from document_parser_private_ray.pipelines.html import (
+        html_main_content,
+        html_spans,
+    )
+
+    pq.write_table(
+        pa.table({"doc_id": [0], "text": ["alpha beta gamma"], "source": ["src0"]}),
+        str(tmp_path / "documents.parquet"),
+    )
+    before = DataContext.get_current().op_resource_reservation_enabled
+    for build in (html_spans, html_main_content):
+        assert build(str(tmp_path)).context.op_resource_reservation_enabled is False
+    assert DataContext.get_current().op_resource_reservation_enabled == before
+
+
+# -- tokenizer vs stdlib walker ------------------------------------------------
+
+import random  # noqa: E402
+import time  # noqa: E402
+
+from document_parser_private_ray.sources import html as html_mod  # noqa: E402
+
+# the sf0.1 ``documents`` table's 30-word vocabulary, which the
+# html_extract benchmark draws its 10-99 word pages from
+_BENCH_WORDS = (
+    "the a fast slow key order sort table scan merge part window small big "
+    "hash join batch stream spark group query row data filter customer line "
+    "value agg column vector"
+).split()
+
+
+def _stdlib_blocks(page):
+    p = html_mod._BlockParser()
+    p.feed(page)
+    p.close()
+    p._flush()
+    return p.blocks
+
+
+def _stdlib_links(page):
+    p = html_mod._LinkParser()
+    p.feed(page)
+    p.close()
+    return p.links, p.canonical, p.title, p.description
+
+
+def _parsed(page):
+    """(blocks, links) through ``_parse`` and the fallback count it took."""
+    before = html_mod.FALLBACK_PAGES
+    b = html_mod._parse(html_mod._BlockParser, page)
+    b._flush()
+    q = html_mod._parse(html_mod._LinkParser, page)
+    return (b.blocks, (q.links, q.canonical, q.title, q.description),
+            html_mod.FALLBACK_PAGES - before)
+
+
+def test_benchmark_mix_never_falls_back():
+    rng = random.Random(7)
+    before = html_mod.FALLBACK_PAGES
+    for doc_id in range(3000):  # doc_id % 3 = template, % 5 = image
+        text = " ".join(
+            rng.choice(_BENCH_WORDS) for _ in range(rng.randint(10, 99))
+        )
+        page = render_html_page(doc_id, text, f"src{doc_id % 20}")
+        blocks, labels = classify_html_blocks(page)
+        expected = _stdlib_blocks(page)
+        assert blocks == expected
+        assert labels == html_mod.classify_blocks(expected)
+    assert html_mod.FALLBACK_PAGES == before
+
+
+_BODY = "<p>genuine content paragraph that is long enough</p>"
+
+
+@pytest.mark.parametrize(
+    "name,page,falls_back",
+    [
+        ("comment", f"<body><!-- x <p>y</p> --  >{_BODY}</body>", False),
+        ("doctype", f"<!DocType html><body>{_BODY}</body>", False),
+        ("entities", "<p>a &amp; b &lt;c&gt; &copy d & e &#65;&#x42;&bogus; "
+                     "long enough text</p>", False),
+        ("quoted_gt_attr", '<p><a title="a>b" href=\'x>y\'>see</a> and '
+                           "more words to be long</p>", False),
+        ("attr_forms", "<P CLASS=x Data-A=\"&amp;1\" hidden><IMG SRC=a.png "
+                       "alt='&lt;t&gt;'/><br/>long enough text here</P>", False),
+        ("mixed_case_end", f"<DIV>{_BODY}</Div ><div>tail x</DIV junk='>'>",
+         False),
+        ("script_body", "<script>if (a<b) {x='</div>'} </scriptx></SCRIPT >"
+                        + _BODY, False),
+        ("style_body", f"<style>p > a{{}}</ style >{_BODY}", False),
+        ("cdata", f"<body><![CDATA[x<y]]>{_BODY}</body>", True),
+        ("processing_instruction", f"<?xml version='1.0'?><body>{_BODY}", True),
+        ("bogus_comment", f"<!ELEMENT x><body>{_BODY}</body>", True),
+        ("unterminated_tag", f'<body>{_BODY}<p class="x', True),
+        ("unterminated_comment", f"<body>{_BODY}<!-- never closed", True),
+        ("unterminated_script", f"<body>{_BODY}<script>var x = 1;", True),
+        ("script_casefold_close", f"<script>x</\u017fcript>y</script>{_BODY}",
+         True),
+        ("stray_lt", "<p>a < b and 3<4 long enough text here</p>", True),
+        ("end_tag_space", f"<body><p>{_BODY}</ p></body>", True),
+        ("end_tag_empty", f"<body>{_BODY}</></body>", True),
+    ],
+)
+def test_hostile_construct_equal_and_counted(name, page, falls_back):
+    blocks, links, fallbacks = _parsed(page)
+    assert blocks == _stdlib_blocks(page)
+    assert links == _stdlib_links(page)
+    assert fallbacks == (2 if falls_back else 0)
+
+
+# -- heading lookahead ---------------------------------------------------------
+
+
+def _labels_quadratic(blocks):
+    """``classify_blocks`` with its original per-heading tail rescan."""
+    labels = []
+    for b in blocks:
+        if b["boiler_tag"]:
+            labels.append("bad")
+        elif b["chars"] > 0 and b["link_chars"] / b["chars"] > html_mod.MAX_LINK_DENSITY:
+            labels.append("bad")
+        elif b["kind"] == "media":
+            labels.append("short")
+        elif b["kind"] == "heading":
+            labels.append("heading")
+        elif b["chars"] < html_mod.SHORT_LEN:
+            labels.append("short")
+        else:
+            labels.append("good")
+    for i, lab in enumerate(labels):
+        if lab != "heading":
+            continue
+        labels[i] = "bad"
+        for nxt in labels[i + 1:]:
+            if nxt in ("good", "bad"):
+                labels[i] = nxt
+                break
+    last_solid = "bad"
+    for i, lab in enumerate(labels):
+        if lab in ("good", "bad"):
+            last_solid = lab
+        else:
+            labels[i] = last_solid
+    return labels
+
+
+def _block(kind, chars, link_chars=0, boiler=False):
+    return {"kind": kind, "text": "x" * chars, "media_ref": "", "chars": chars,
+            "link_chars": link_chars, "boiler_tag": boiler}
+
+
+def test_heading_lookahead_matches_tail_rescan():
+    rng = random.Random(3)
+    kinds = [
+        lambda: _block("heading", 5),
+        lambda: _block("heading", 30, boiler=True),
+        lambda: _block("text", 40),
+        lambda: _block("text", 10),
+        lambda: _block("text", 40, link_chars=30),
+        lambda: _block("text", 40, boiler=True),
+        lambda: _block("media", 3),
+    ]
+    for _ in range(2000):
+        blocks = [rng.choice(kinds)() for _ in range(rng.randint(0, 12))]
+        assert html_mod.classify_blocks(blocks) == _labels_quadratic(blocks)
+
+
+def test_heading_only_page_classifies_in_linear_time():
+    blocks = [_block("heading", 5) for _ in range(50_000)]
+    t0 = time.perf_counter()
+    labels = html_mod.classify_blocks(blocks)
+    assert time.perf_counter() - t0 < 1.0
+    assert labels == ["bad"] * 50_000

@@ -89,3 +89,110 @@ def test_renderer_roundtrip_fuzzed(doc_id, words):
         assert got[2]["kind"] == "media"
     else:
         assert media == []
+
+
+# -- differential: tokenizer vs stdlib walker on tag soup ---------------------
+
+from document_parser_private_ray.sources import html as html_mod  # noqa: E402
+
+_TAG_NAMES = [
+    "p", "DIV", "Section", "li", "td", "h1", "H3",  # block / heading
+    "Title", "noscript", "svg",  # skip (script/style: _raw_body)
+    "nav", "Footer", "aside", "HEADER",  # boiler
+    "a", "A", "img", "IMG", "br", "b", "B", "link", "meta",
+]
+_ATTR_NAMES = ["href", "SRC", "alt", "class", "rel", "Name", "content", "data-x"]
+_value = st.text(alphabet="ab /x>=&;#'\"", max_size=6) | st.sampled_from(
+    ["canonical", "description", "&amp;x", "a&lt;b&gt;", "&#62;", "/x?a=1&b=2"]
+)
+
+
+@st.composite
+def _attr(draw):
+    name = draw(st.sampled_from(_ATTR_NAMES))
+    value = draw(_value)
+    form = draw(st.sampled_from(["dq", "sq", "bare", "none"]))
+    if form == "dq":
+        return f' {name}="{value.replace(chr(34), "")}"'
+    if form == "sq":
+        return f" {name}='{value.replace(chr(39), '')}'"
+    if form == "bare":
+        bare = "".join(c for c in value if c not in " >'\"")
+        return f" {name}={bare}"
+    return f" {name}"
+
+
+@st.composite
+def _start_tag(draw):
+    tag = draw(st.sampled_from(_TAG_NAMES))
+    attrs = "".join(draw(st.lists(_attr(), max_size=3)))
+    return f"<{tag}{attrs}{draw(st.sampled_from(['', '/', ' /']))}>"
+
+
+_end_tag = st.builds(
+    lambda t, pad: f"</{t}{pad}>", st.sampled_from(_TAG_NAMES),
+    st.sampled_from(["", " ", " x='>'"]),
+)
+_raw_body = st.builds(
+    lambda tag, attrs, body, close: f"<{tag}{''.join(attrs)}>{body}</{close(tag)}>",
+    st.sampled_from(["script", "style", "SCRIPT", "Style"]),
+    st.lists(_attr(), max_size=2),
+    st.lists(
+        st.sampled_from(["a<b", "</div>", "</scriptx>", "x", " ", "</ styl", "<p>"]),
+        max_size=4,
+    ).map("".join),
+    st.sampled_from([str.lower, str.upper, lambda t: f" {t} "]),
+)
+_text = st.text(alphabet="ab cd\n&;#>", max_size=12) | st.sampled_from(
+    ["&amp;", "&lt;", "&copy", "&#65;", "&#x42;", "&bogus;", "&nbsp;x",
+     "long enough words for a content block"]
+)
+_clean = st.one_of(
+    _start_tag(), _end_tag, _raw_body, _text,
+    st.sampled_from(["<!-- c <p> -->", "<!--x--  >", "<!DOCTYPE html>", "<!doctype x>"]),
+)
+_hostile = st.sampled_from([
+    "<![CDATA[x<y]]>", "<?xml version='1.0'?>", "<", "a < b", "<3", "</ p>",
+    "</>", "<!x>", "</1>", "&", "<!--", "<script>", '<p class="',
+])
+
+
+def _equal_to_stdlib(page):
+    blocks, labels = html_mod.classify_html_blocks(page)
+    p = html_mod._BlockParser()
+    p.feed(page)
+    p.close()
+    p._flush()
+    assert blocks == p.blocks
+    assert labels == html_mod.classify_blocks(p.blocks)
+    q = html_mod._LinkParser()
+    q.feed(page)
+    q.close()
+    assert html_mod.extract_links(page) == {
+        "canonical": q.canonical,
+        "title": " ".join(q.title.split()),
+        "description": " ".join(q.description.split()),
+        "links": q.links,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(_clean, max_size=30))
+def test_tokenizer_equals_stdlib_without_fallback(pieces):
+    """Tag soup built only from handled constructs: equal events, and
+    the page never falls back."""
+    before = html_mod.FALLBACK_PAGES
+    _equal_to_stdlib("".join(pieces))
+    assert html_mod.FALLBACK_PAGES == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(st.one_of(_clean, _hostile), max_size=30),
+    cut=st.none() | st.integers(min_value=0, max_value=400),
+)
+def test_tokenizer_equals_stdlib_on_hostile_soup(pieces, cut):
+    """Hostile constructs and truncation at any offset: equal results,
+    whichever path the page took."""
+    page = "".join(pieces)
+    _equal_to_stdlib(page if cut is None else page[:cut])
