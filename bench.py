@@ -179,13 +179,15 @@ def main_plain():
     # carries its own box-state evidence (this host's clock sags under
     # sustained load; see BASELINE.md "Headline regression check").
     try:
-        ctl = run_mp_control(corpus, max(2, NUM_CPUS - 4), min(80_000, n_docs))
+        # one process per CPU: the parse is a task map as wide as the
+        # cluster, so both sides use the same NUM_CPUS
+        ctl = run_mp_control(corpus, NUM_CPUS, min(80_000, n_docs))
         out["control_docs_per_sec_noray"] = ctl["docs_per_sec"]
         out["control_ms_per_doc_noray"] = round(
             1000.0 * ctl["n_procs"] / ctl["docs_per_sec"], 3
         )
         out["ray_ms_per_doc"] = round(
-            1000.0 * (NUM_CPUS - 4) / out["docs_per_sec"], 3
+            1000.0 * NUM_CPUS / out["docs_per_sec"], 3
         )
     except Exception as e:  # control must never sink the bench
         out["control_error"] = repr(e)[:200]
@@ -309,7 +311,6 @@ def main_scaling():
     )
     with_control = os.environ.get("BENCH_SKIP_CONTROL") != "1"
     ctl_runs = {n: [] for n in levels}
-    pools = {n: max(2, int(n * 0.75), n - 4) for n in levels}
     corpus = None
     if with_control:
         import glob as _glob
@@ -334,7 +335,7 @@ def main_scaling():
                 # box throttles under sustained load, so ray and control
                 # must sample the same machine state to be comparable
                 ctl_runs[ncpu].append(
-                    run_mp_control(corpus, pools[ncpu], n_docs=120_000)
+                    run_mp_control(corpus, ncpu, n_docs=120_000)
                 )
     lo, hi = levels
     best = {n: max(r["docs_per_sec"] for r in runs[n]) for n in levels}
@@ -360,7 +361,7 @@ def main_scaling():
         best_ctl = {n: max(r["docs_per_sec"] for r in ctl_runs[n]) for n in levels}
         ceiling = (best_ctl[hi] / best_ctl[lo]) / (hi / lo)
         out["mp_control"] = {
-            str(n): {"pool": pools[n], "runs": ctl_runs[n]} for n in levels
+            str(n): {"pool": n, "runs": ctl_runs[n]} for n in levels
         }
         out["mp_ceiling"] = round(ceiling, 3)
         out["ray_vs_ceiling"] = round(eff / ceiling, 3) if ceiling else None

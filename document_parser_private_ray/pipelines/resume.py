@@ -13,9 +13,17 @@ ontologies and seeded memos are paid once per worker, not once per job.
 A task map also fuses with the following write into one
 ``MapBatches(ParseDocuments)->Write`` operator.
 
-Skew: documents are heavy-tailed (FIXTURES §1). The pipeline keeps
-batches small for the parse stage so the streaming executor
-load-balances many small tasks across the workers.
+Sizing: documents are heavy-tailed (FIXTURES §1), but in a short job
+the fixed cost of each task and the CPUs left idle while the scan
+streams cost more than the tail. ``read_corpus`` asks for
+``BLOCKS_PER_CPU`` read blocks per cluster CPU, each fused
+parse->write task takes one read block, and the map runs under
+``stages.lift_reservation``. On a 6,000-doc corpus split into 2 to 40
+files (4 CPUs, ``PERF_pr11_blocks_by_files.json``), 2 blocks per CPU
+was 6-22% faster than Ray's default block count at every file count;
+1 per CPU lost 10% at 5 files, and 3 and 4 per CPU gained less. On
+the ``resume_stream`` benchmark (12 or 13 files) that is 8 tasks per
+job instead of 25 behind a ``SplitBlocks(2)`` read.
 """
 
 from __future__ import annotations
@@ -24,18 +32,38 @@ from typing import Optional
 
 import pyarrow.compute as pc
 
+from ..stages import lift_reservation
 from ..stages.parse import ParseDocuments
 
 
-def read_corpus(path: str, columns=("doc_id", "spans")):
-    """Read the spans table. Prefers Lance when available (the logical
-    format of the north rule); falls back to Parquet (sandbox physical
-    format — no pylance wheel offline, SURVEY §1.5)."""
+# read blocks per cluster CPU on the spans read: of 1-4 per CPU, the one
+# faster than Ray's default at every file count from 2 to 40 (4 CPUs,
+# PERF_pr11_blocks_by_files.json)
+BLOCKS_PER_CPU = 2
+
+
+def read_corpus(path, columns=("doc_id", "spans")):
+    """Read the spans table from a path or a list of parquet files: the
+    one read of it in the package. Prefers Lance when available (the
+    logical format of the north rule); falls back to Parquet (sandbox
+    physical format — no pylance wheel offline, SURVEY §1.5).
+
+    The parquet read asks for ``BLOCKS_PER_CPU x cluster CPUs`` blocks
+    instead of Ray's default: a narrow corpus is split and a wide one
+    merged to that count, and Ray's own ``target_max_block_size`` cap
+    still splits a read block that would grow past the target. Measured
+    on 4 CPUs over 2 to 40 files (``PERF_pr11_blocks_by_files.json``):
+    +6% to +22% docs/s against Ray's default at each file count. On the
+    ``resume_stream`` benchmark that is 8 blocks with no ``SplitBlocks``."""
+    import ray
     import ray.data as rd
 
-    if path.endswith(".lance"):
+    if isinstance(path, str) and path.endswith(".lance"):
         return rd.read_lance(path, columns=list(columns))
-    return rd.read_parquet(path, columns=list(columns))
+    if not ray.is_initialized():
+        ray.init()  # as read_parquet would on its own
+    blocks = BLOCKS_PER_CPU * int(ray.cluster_resources().get("CPU", 1))
+    return rd.read_parquet(path, columns=list(columns), override_num_blocks=blocks)
 
 
 def parse_resumes(
@@ -48,7 +76,12 @@ def parse_resumes(
     warm_caches=None,
     max_tasks_in_flight: Optional[int] = None,
 ):
-    """Attach the parse chain to a spans Dataset as a task map.
+    """Attach the parse chain to a spans Dataset as a task map, one
+    task per input block (``read_corpus`` sizes them), under
+    ``stages.lift_reservation``: the read is a cheap scan and the parse
+    is CPU-bound. With both, the ``resume_stream`` benchmark (6,000
+    docs, 4 CPUs) went from 1,833 to 2,794 docs/s and from 1.40 to 1.19
+    CPU ms per doc (medians of 10 alternating pairs, 10/10 wins each).
 
     ``warm_caches``: pure-function memo caches (fuzzy decisions, line
     classifications, date parses — ``DocumentOracle.warm`` builds them
@@ -68,8 +101,10 @@ def parse_resumes(
     stage = ParseDocuments(
         data_dir=data_dir, today=today, with_pii=with_pii, warm_caches=warm_caches
     )
-    return ds.map_batches(
-        stage, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
+    return lift_reservation(
+        ds.map_batches(
+            stage, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
+        )
     )
 
 

@@ -428,10 +428,10 @@ def doc_pii_counts(corpus_path: str, config=None):
     not SQL-recomputable without sha256-of-arbitrary-bytes). Raw text
     reconstructs distributed (vectorized map_batches), never on the
     driver."""
-    import ray.data as rd
+    from .resume import read_corpus
 
     return (
-        rd.read_parquet(corpus_path, columns=["doc_id", "spans"])
+        read_corpus(corpus_path)
         .map_batches(_reconstruct_text_batch, batch_format="pyarrow", zero_copy_batch=True)
         .map_batches(
             PIICounts(config),

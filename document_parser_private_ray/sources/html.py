@@ -10,7 +10,8 @@ source matrix with stdlib-only parsing. One regex tokenizer
 would emit; a page holding a construct it does not handle (CDATA,
 ``<?...>``, an unterminated tag, comment or script, a stray ``<``) is
 re-parsed whole by the stdlib parser and counted in
-``FALLBACK_PAGES``.
+``FALLBACK_PAGES``; one the stdlib parser raises on yields nothing and
+is counted in ``FAILED_PAGES``.
 
 The classifier is the published shape shared by jusText (Pomikálek
 2011) and the Boilerpipe/Kohlschütter (WSDM 2010) features — all
@@ -110,6 +111,9 @@ _RAW_END = {
 
 # pages the tokenizer handed to the stdlib walker, in this process
 FALLBACK_PAGES = 0
+# fallback pages the stdlib walker raised on (no blocks, no links), in
+# this process
+FAILED_PAGES = 0
 
 
 class _Fallback(Exception):
@@ -188,15 +192,24 @@ def _tokenize(data: str, handler) -> None:
 def _parse(walker_cls, data: str):
     """A closed ``walker_cls`` instance that has seen ``data``: through
     ``_tokenize``, or — counted in ``FALLBACK_PAGES`` — through a fresh
-    walker's stdlib ``feed``."""
-    global FALLBACK_PAGES
+    walker's stdlib ``feed``. A page the stdlib walker raises on (its
+    ``_markupbase`` asserts on ``<![`` + a non-name token) is counted in
+    ``FAILED_PAGES`` and comes back as an empty walker: no blocks, no
+    links, and the rest of its batch goes on."""
+    global FALLBACK_PAGES, FAILED_PAGES
     walker = walker_cls()
     try:
         _tokenize(data, walker)
     except _Fallback:
         FALLBACK_PAGES += 1
         walker = walker_cls()
-        walker.feed(data)
+        try:
+            walker.feed(data)
+            walker.close()
+        except AssertionError:  # the stdlib parser's one failure type
+            FAILED_PAGES += 1
+            return walker_cls()
+        return walker
     walker.close()
     return walker
 

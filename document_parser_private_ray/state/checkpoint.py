@@ -71,10 +71,11 @@ def run_resumable(
     fail_after: Optional[int] = None,
 ) -> dict:
     """Process partitions not yet committed. ``pipeline_fn(ds) -> ds``
-    attaches the transform chain to each partition's Dataset.
+    attaches the transform chain to each partition's spans Dataset
+    (its files read through ``pipelines.resume.read_corpus``).
     ``fail_after`` kills the run after N partitions (failure-injection
     for resume tests). Returns run summary."""
-    import ray.data as rd
+    from ..pipelines.resume import read_corpus
 
     os.makedirs(os.path.join(out_dir, "parts"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "lineage"), exist_ok=True)
@@ -90,7 +91,7 @@ def run_resumable(
             raise RuntimeError(f"injected failure after {processed} partitions")
 
         t0 = time.monotonic()
-        ds = pipeline_fn(rd.read_parquet(part_files))
+        ds = pipeline_fn(read_corpus(part_files))
 
         final_dir = os.path.join(out_dir, "parts", f"part-{pid:05d}")
         tmp_dir = final_dir + ".tmp"

@@ -259,3 +259,100 @@ def test_no_hand_rolled_sorted_runs():
     assert sorted(found - set(ALLOWED_SORTS)) == []
     # every allowance still names a live sorting kernel
     assert sorted(set(ALLOWED_SORTS) - found) == []
+
+
+# -- one spans read, one reservation rule ------------------------------------
+
+READ_CORPUS = "document_parser_private_ray/pipelines/resume.py::read_corpus"
+LIFT_RESERVATION = "document_parser_private_ray/stages/__init__.py::lift_reservation"
+# spans-table reads and reservation switches allowed outside those two
+# (none)
+ALLOWED_SPANS_READS: set = set()
+ALLOWED_RESERVATION_SWITCHES: set = set()
+
+
+def _functions(tree):
+    """``(qualified name, node)`` of every function, nested ones as
+    ``outer.inner``."""
+    out = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}{child.name}"
+                out.append((name, child))
+                walk(child, name + ".")
+            else:
+                walk(child, prefix)
+
+    walk(tree, "")
+    return out
+
+
+def _innermost(tree):
+    """node -> qualified name of the innermost function holding it
+    (module level: ``<module>``)."""
+    owner = {n: "<module>" for n in ast.walk(tree)}
+    for name, fn in sorted(_functions(tree), key=lambda f: f[0].count(".")):
+        for n in ast.walk(fn):
+            owner[n] = name
+    return owner
+
+
+def _spans_read(call: ast.Call, parents: dict, params: set) -> bool:
+    """A ``read_parquet`` of the spans corpus: it selects a ``spans``
+    column, its path names a corpus, or its dataset goes straight into
+    ``parse_resumes`` or into a chain the function was handed."""
+    cols = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "columns"), None
+    )
+    if isinstance(cols, (ast.List, ast.Tuple)) and any(
+        isinstance(e, ast.Constant) and e.value == "spans" for e in cols.elts
+    ):
+        return True
+    if call.args and "corpus" in ast.unparse(call.args[0]).lower():
+        return True
+    up = parents.get(call)
+    return (
+        isinstance(up, ast.Call)
+        and isinstance(up.func, ast.Name)
+        and (up.func.id == "parse_resumes" or up.func.id in params)
+    )
+
+
+def _offenders():
+    reads, switches = [], []
+    for path, tree in _sources().items():
+        parents = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        owner = _innermost(tree)
+        fns = dict(_functions(tree))
+        for node in ast.walk(tree):
+            where = f"{path}::{owner[node]}"
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "read_parquet"
+            ):
+                fn = fns.get(owner[node])
+                params = {a.arg for a in fn.args.args} if fn is not None else set()
+                if _spans_read(node, parents, params) and where != READ_CORPUS:
+                    reads.append((where, node.lineno))
+            # an attribute store, or the name as a string (``setattr``)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                name = node.attr
+            else:
+                name = node.value if isinstance(node, ast.Constant) else None
+            if name == "op_resource_reservation_enabled" and where != LIFT_RESERVATION:
+                switches.append((where, node.lineno))
+    return reads, switches
+
+
+def test_one_spans_read_and_one_reservation_rule():
+    """The spans corpus is read only by ``resume.read_corpus`` (its
+    CPU-sized block count is the one sizing rule), and Ray Data's
+    per-operator reservation is switched only by
+    ``stages.lift_reservation`` (the one rule for a scan feeding a
+    CPU-bound map)."""
+    reads, switches = _offenders()
+    assert [r for r in reads if r[0] not in ALLOWED_SPANS_READS] == []
+    assert [s for s in switches if s[0] not in ALLOWED_RESERVATION_SWITCHES] == []

@@ -492,6 +492,65 @@ def test_extract_chains_lift_reservation_on_own_context(ray_session, tmp_path):
     assert DataContext.get_current().op_resource_reservation_enabled == before
 
 
+# a page the stdlib walker raises on: ``<![`` followed by a non-name token
+# (``_markupbase._scan_name`` asserts "expected name token")
+_STDLIB_KILLER = "<p>hello world</p><![ 1"
+
+
+def test_stdlib_walker_failure_yields_an_empty_counted_page():
+    """The tokenizer hands the page to the stdlib walker, which raises;
+    the page then yields no blocks and no links and bumps FAILED_PAGES
+    (next to FALLBACK_PAGES) instead of raising."""
+    from document_parser_private_ray.sources import html as mod
+    from document_parser_private_ray.sources.html import extract_links
+
+    fallback, failed = mod.FALLBACK_PAGES, mod.FAILED_PAGES
+    assert classify_html_blocks(_STDLIB_KILLER) == ([], [])
+    assert extract_html_blocks(_STDLIB_KILLER.encode()) == []
+    assert extract_links(_STDLIB_KILLER) == {
+        "canonical": "", "title": "", "description": "", "links": []
+    }
+    assert mod.FALLBACK_PAGES - fallback == 3
+    assert mod.FAILED_PAGES - failed == 3
+    # a page that falls back but parses is not a failure
+    assert classify_html_blocks("<p>hello world</p><![CDATA[x]]>")[0]
+    assert (mod.FALLBACK_PAGES - fallback, mod.FAILED_PAGES - failed) == (4, 3)
+
+
+def test_failing_page_does_not_fail_its_batch(ray_session, tmp_path):
+    """Through html_spans on a 3-page table, one page ending in the
+    stdlib killer loses only its own spans; the other two pages' spans
+    equal direct extraction."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from document_parser_private_ray.pipelines.html import html_spans
+
+    texts = ["alpha beta gamma " * 20, "delta epsilon zeta " * 15, "eta theta iota " * 25]
+    pq.write_table(
+        pa.table({"doc_id": [0, 1, 2], "text": texts, "source": ["s0", "s1", "s2"]}),
+        str(tmp_path / "documents.parquet"),
+    )
+
+    def poisoned(page):
+        if "<h1>Document 1</h1>" in page:
+            page += _STDLIB_KILLER
+        return extract_html_blocks(page)
+
+    rows = html_spans(str(tmp_path), extract=poisoned).take_all()
+    got = {}
+    for r in sorted(rows, key=lambda r: (r["doc_id"], r["span_offset"])):
+        got.setdefault(r["doc_id"], []).append((r["kind"], r["text"], r["media_ref"]))
+    want = {
+        i: [
+            (b["kind"], b["text"], b["media_ref"])
+            for b in extract_html_blocks(render_html_page(i, texts[i], f"s{i}"))
+        ]
+        for i in (0, 2)
+    }
+    assert got == want
+
+
 # -- tokenizer vs stdlib walker ------------------------------------------------
 
 import random  # noqa: E402

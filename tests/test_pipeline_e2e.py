@@ -2,6 +2,8 @@
 the deterministic synthetic corpus — the north-rule span-sequence
 equality gate (kind, text, media_ref, order)."""
 
+import os
+
 import pytest
 
 from document_parser_private_ray.oracle import DocumentOracle
@@ -17,6 +19,19 @@ def corpus_path(tmp_path_factory):
 
     path = tmp_path_factory.mktemp("corpus") / "spans"
     write_corpus_local(str(path), N_DOCS, seed=SEED, rows_per_file=40)
+    return str(path)
+
+
+# more files (24) than the read asks blocks for on 4 CPUs (8)
+MANY_DOCS = 240
+
+
+@pytest.fixture(scope="module")
+def many_files(tmp_path_factory):
+    from document_parser_private_ray.sources.corpus import write_corpus_local
+
+    path = tmp_path_factory.mktemp("corpus") / "many"
+    write_corpus_local(str(path), MANY_DOCS, seed=SEED, rows_per_file=10)
     return str(path)
 
 
@@ -284,10 +299,76 @@ def test_back_to_back_jobs_identical_rows(ray_session, corpus_path, with_pii):
                 ), doc_id
 
 
-def test_parse_fuses_with_write(ray_session, corpus_path, tmp_path):
-    """The parse is a task map, so Ray fuses it with the write."""
+def test_parse_fuses_with_write(ray_session, corpus_path, many_files, tmp_path):
+    """The parse is a task map, so Ray fuses it with the write. On a
+    corpus with more files than the read asks blocks for, each fused
+    task parses and writes one read block: as many tasks and part files
+    as read blocks, and no SplitBlocks."""
+    import re
+
     from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
 
     parsed = parse_resumes(read_corpus(corpus_path), batch_size=16)
     parsed.write_parquet(str(tmp_path / "out"))
     assert "MapBatches(ParseDocuments)->Write" in parsed.stats()
+
+    blocks = read_corpus(many_files).materialize().num_blocks()
+    parsed = parse_resumes(read_corpus(many_files), batch_size=16)
+    parsed.write_parquet(str(tmp_path / "many"))
+    stats = parsed.stats()
+    assert "SplitBlocks" not in stats
+    tasks = re.search(r"MapBatches\(ParseDocuments\)->Write: (\d+) tasks", stats)
+    assert int(tasks.group(1)) == blocks
+    assert len(os.listdir(tmp_path / "many")) == blocks
+
+
+def test_read_corpus_sizes_blocks_to_the_cluster(ray_session, many_files):
+    """read_corpus asks for BLOCKS_PER_CPU x cluster CPUs blocks. On a
+    corpus with more files than that it makes exactly that many, with no
+    SplitBlocks and none past the target; a tiny target raises the
+    count through Ray's own block cap (which slices by average row size,
+    so there a block of a few heavy rows can still pass the target)."""
+    import ray
+    from ray.data import DataContext
+
+    from document_parser_private_ray.pipelines import resume
+
+    def sizes(ds):
+        return [m.size_bytes for b in ds.iter_internal_ref_bundles() for _, m in b.blocks]
+
+    ctx = DataContext.get_current()
+    per_cpu = resume.BLOCKS_PER_CPU * int(ray.cluster_resources()["CPU"])
+    assert len(os.listdir(many_files)) > per_cpu
+
+    ds = resume.read_corpus(many_files).materialize()
+    assert ds.num_blocks() == per_cpu
+    assert "SplitBlocks" not in ds.stats()
+    assert ds.count() == MANY_DOCS
+    assert max(sizes(ds)) <= ctx.target_max_block_size
+
+    # a list of files is the same read
+    files = sorted(os.path.join(many_files, f) for f in os.listdir(many_files))
+    assert resume.read_corpus(files).materialize().num_blocks() == per_cpu
+
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = sum(sizes(ds)) // (3 * per_cpu)
+    try:
+        small = resume.read_corpus(many_files).materialize()
+        assert small.num_blocks() > per_cpu
+        assert small.count() == MANY_DOCS
+    finally:
+        ctx.target_max_block_size = old
+
+
+def test_parse_lifts_reservation_on_own_context(ray_session, corpus_path):
+    """parse_resumes turns Ray Data's per-operator resource reservation
+    off on its own dataset context only; the caller's DataContext keeps
+    its setting."""
+    from ray.data import DataContext
+
+    from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
+
+    before = DataContext.get_current().op_resource_reservation_enabled
+    parsed = parse_resumes(read_corpus(corpus_path))
+    assert parsed.context.op_resource_reservation_enabled is False
+    assert DataContext.get_current().op_resource_reservation_enabled == before
