@@ -21,6 +21,13 @@ impl, not its stale tests — SURVEY §5.2):
     to Jan 1 even though a month name appears later in the string;
   * "13/2022" -> 2022-01-01 (month 13 rejected, year-only pattern wins);
   * "Q1 2023" -> 2023-01-01 (quarter support).
+
+Cost: ``extract_period`` runs on every education and experience entry
+with the whole entry text, so its scans are precompiled and gated on
+the literal each delimiter needs, and the month-year fallback search
+is linear in the input (``_search_month_year``) where the plain regex
+is quadratic on digit-free prose. Answers are those of the plain
+regexes (``tests/test_optimization_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -64,14 +71,47 @@ _STRPTIME_FORMATS = (
     "%Y-%m-%dT%H:%M:%SZ",
 )
 
-_FALLBACK_PATTERNS = (
-    re.compile(r"(?P<month>[a-z]+)[^\d]*(?P<year>\d{4})", re.IGNORECASE),
-    re.compile(r"(?P<month>\d{1,2})[^\d]*(?P<year>\d{4})", re.IGNORECASE),
-    re.compile(r"(?P<year>\d{4})", re.IGNORECASE),
+_MONTH_YEAR_RE = re.compile(r"(?P<month>[a-z]+)[^\d]*(?P<year>\d{4})", re.IGNORECASE)
+_NUM_RE = re.compile(r"\d+")
+
+
+def _search_month_year(text: str):
+    """``_MONTH_YEAR_RE.search(text)`` in linear time.
+
+    ``[^\\d]*`` cannot cross a digit, so a match starting at ``i`` ends
+    4 characters into the first digit run after ``i``, and only if that
+    run is at least 4 long. Searching each such run's window (from the
+    end of the previous run to the run's 4th digit) returns the same
+    match; the plain search retries every start on digit-free prose and
+    is quadratic there.
+    """
+    prev_end = 0
+    for run in _NUM_RE.finditer(text):
+        start, end = run.span()
+        if end - start >= 4:
+            m = _MONTH_YEAR_RE.search(text, prev_end, start + 4)
+            if m:
+                return m
+        prev_end = end
+    return None
+
+
+_FALLBACK_SEARCHES = (
+    _search_month_year,
+    re.compile(r"(?P<month>\d{1,2})[^\d]*(?P<year>\d{4})", re.IGNORECASE).search,
+    re.compile(r"(?P<year>\d{4})", re.IGNORECASE).search,
 )
 
-_PERIOD_DELIMITERS = (r"\s+to\s+", r"\s+-\s+", r"\s*–\s*", r"\s*—\s*")
-_NUM_RE = re.compile(r"\d+")
+# (required literal, compiled delimiter), tried in the reference's order
+_PERIOD_DELIMITERS = tuple(
+    (literal, re.compile(pattern))
+    for literal, pattern in (
+        ("to", r"\s+to\s+"),
+        ("-", r"\s+-\s+"),
+        ("–", r"\s*–\s*"),
+        ("—", r"\s*—\s*"),
+    )
+)
 
 
 class DateNormalizer:
@@ -123,8 +163,8 @@ class DateNormalizer:
             except ValueError:
                 return None
 
-        for pattern in _FALLBACK_PATTERNS:
-            m = pattern.search(date_str)
+        for search in _FALLBACK_SEARCHES:
+            m = search(date_str)
             if not m:
                 continue
             data = m.groupdict()
@@ -161,10 +201,16 @@ class DateNormalizer:
         """Split ``text`` on the first delimiter producing exactly two parts
         and normalize both halves (date_normalizer.py:128-144: the WHOLE
         lowercased entry text is fed in, so month words drowned in prose
-        degrade to year-only resolution — preserved)."""
+        degrade to year-only resolution — preserved).
+
+        A delimiter whose literal is absent cannot split, so it is
+        skipped without a regex pass; ``maxsplit=2`` stops at the second
+        match, which already rules out "exactly two parts"."""
         text = text.lower()
-        for delimiter in _PERIOD_DELIMITERS:
-            parts = re.split(delimiter, text)
+        for literal, delimiter in _PERIOD_DELIMITERS:
+            if literal not in text:
+                continue
+            parts = delimiter.split(text, 2)
             if len(parts) == 2:
                 return self.normalize(parts[0].strip()), self.normalize(parts[1].strip())
         single = self.normalize(text)

@@ -14,6 +14,13 @@ slot kept behind an optional hook:
 
 Outputs are plain dicts/lists shaped for Arrow struct columns: every
 string field present ("" when absent), dates as ISO-8601 strings.
+
+Every education and experience entry runs the field-of-study and
+company scans, so both are precompiled: the field patterns run only
+when a cheap exact substring gate passes, and the company fallback is
+three linear scans instead of one regex that is quadratic on
+capitalised prose. Answers equal the plain regexes
+(``tests/test_optimization_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -39,9 +46,15 @@ _ENTRY_SPLIT_RE = re.compile(r"\n(?=[A-Z][^a-z])")
 _SKILL_DELIM_RE = re.compile(r"[\n,;•/]+")
 _WS_RE = re.compile(r"\s+")
 
-_COMPANY_FALLBACK_RE = re.compile(
-    r"\b([A-Z][a-zA-Z0-9\s,.-]+(?:Inc|LLC|Co|Company|Group|Corp|Corporation|Ltd|Limited))\b"
+# The reference's company fallback is
+#   \b([A-Z][a-zA-Z0-9\s,.-]+(?:Inc|LLC|Co|Company|Group|Corp|Corporation|Ltd|Limited))\b
+# run as three linear scans (see _search_company): that one regex retries
+# every capital of a suffix-free run and is quadratic on capitalised prose.
+_COMPANY_SUFFIX_RE = re.compile(
+    r"(?:Inc|LLC|Co|Company|Group|Corp|Corporation|Ltd|Limited)\b"
 )
+_COMPANY_RUN_RE = re.compile(r"[a-zA-Z0-9\s,.-]+")
+_COMPANY_START_RE = re.compile(r"\b[A-Z]")
 _POSITION_FALLBACK_RE = re.compile(
     r"\b(software engineer|developer|data scientist|project manager|analyst|consultant)\b",
     re.IGNORECASE,
@@ -60,6 +73,11 @@ _FIELDS_OF_STUDY = (
     "mathematics", "chemistry", "biology", "psychology", "history",
     "literature", "arts", "design",
 )
+# (field, its word-bounded case-insensitive pattern), in list order
+_FIELD_PATTERNS = tuple(
+    (field, re.compile(r"\b" + re.escape(field) + r"\b", re.IGNORECASE))
+    for field in _FIELDS_OF_STUDY
+)
 
 _PROJECT_BOUNDARIES = (
     r"\n(?=[A-Z][\w\s-]+ - [\w\s]+(?:app|system|platform|game))",
@@ -69,6 +87,33 @@ _PROJECT_BOUNDARIES = (
     r"\n\n(?=[A-Z])",
 )
 _PROJECT_SPLIT_RE = re.compile("|".join(_PROJECT_BOUNDARIES))
+
+
+def _search_company(text: str) -> Optional[str]:
+    """The reference's company fallback match, found in linear time.
+
+    Every character of a match lies in one maximal ``[a-zA-Z0-9\\s,.-]``
+    run, and the greedy middle backtracks to the run's LAST suffix
+    ``(p, q)``. So the match is ``text[i:q]`` for the leftmost
+    word-bounded capital ``i <= p - 2``, in the first run that has one.
+    Suffix matches cannot overlap (only "LLC" has an inner capital), so
+    one ``finditer`` finds them all.
+    """
+    suffixes = [m.span() for m in _COMPANY_SUFFIX_RE.finditer(text)]
+    k, n = 0, len(suffixes)
+    for run in _COMPANY_RUN_RE.finditer(text):
+        if k == n:
+            break
+        run_start, run_end = run.span()
+        last = None
+        while k < n and suffixes[k][0] < run_end:
+            last = suffixes[k]
+            k += 1
+        if last is not None:
+            m = _COMPANY_START_RE.search(text, run_start, last[0] - 1)
+            if m:
+                return text[m.start():last[1]]
+    return None
 
 
 def _iso(d) -> str:
@@ -137,13 +182,15 @@ class ResumeExtractor:
     def extract_skills(self, skills_text: str) -> List[str]:
         if not skills_text.strip():
             return []
+        ner = self.ner
         skills = set()
         for phrase in _SKILL_DELIM_RE.split(skills_text):
             phrase = phrase.strip()
             if not phrase:
                 continue
             found_ner = False
-            for entity in self._ner(phrase):
+            # no hook, no call: this runs once per phrase of every entry
+            for entity in ner(phrase) if ner else ():
                 group = entity.get("entity_group", "")
                 word = entity.get("word", "")
                 if group in ("MISC", "ORG", "LOC", "PROD") or "skill" in word.lower():
@@ -151,14 +198,15 @@ class ResumeExtractor:
                     found_ner = True
             if not found_ner:
                 skills.add(phrase)
-        normalized = []
+        normalize = self.skill_normalizer.normalize
+        normalized = set()
         for skill in skills:
             if len(skill) <= 1 or skill.isdigit():
                 continue
-            n = self.skill_normalizer.normalize(skill)
+            n = normalize(skill)
             if n:
-                normalized.append(n)
-        return sorted(set(normalized))
+                normalized.add(n)
+        return sorted(normalized)
 
     # -- M8 (:128-157, 288-327) ------------------------------------------
     def extract_education(self, education_text: str) -> List[Dict]:
@@ -203,8 +251,15 @@ class ResumeExtractor:
 
     @staticmethod
     def _extract_field_of_study(text: str) -> Optional[str]:
-        for field in _FIELDS_OF_STUDY:
-            if re.search(r"\b" + re.escape(field) + r"\b", text, re.IGNORECASE):
+        # On ASCII text a case-insensitive match needs the field as a
+        # substring of the lowered text, a cheap exact gate. Non-ASCII
+        # text goes straight to the regex: IGNORECASE also folds
+        # characters such as "ſ" and the Kelvin sign onto ASCII letters.
+        lowered = text.lower() if text.isascii() else None
+        for field, pattern in _FIELD_PATTERNS:
+            if lowered is not None and field not in lowered:
+                continue
+            if pattern.search(text):
                 return field
         return None
 
@@ -244,8 +299,7 @@ class ResumeExtractor:
         for entity in self._ner(text):
             if entity.get("entity_group") == "ORG":
                 return entity["word"]
-        m = _COMPANY_FALLBACK_RE.search(text)
-        return m.group(1) if m else None
+        return _search_company(text)
 
     def _extract_position(self, text: str) -> Optional[str]:
         for entity in self._ner(text):

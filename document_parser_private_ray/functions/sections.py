@@ -39,6 +39,21 @@ _DATE_HINT_PATTERNS = tuple(
 )
 
 
+def _word_start_guarded(pattern: str) -> str:
+    """``pattern`` with its search confined to word starts when it opens
+    with ``[A-Z][a-z]+`` (the job-title patterns).
+
+    Under IGNORECASE such a pattern tries every letter of a word as a
+    start and each try rescans the rest of the word, so one long
+    unbroken word costs quadratic time. A hit that starts inside a word
+    also starts at the word's first letter (both classes fold to the
+    same letters), so ``(?<![a-z])`` keeps every yes/no answer — the
+    only use of a bank — and makes the search linear."""
+    if pattern.startswith("[A-Z][a-z]+"):
+        return "(?<![a-z])" + pattern
+    return pattern
+
+
 def _compile_banks(patterns: Dict[str, List[str]]):
     """One combined alternation per section: ``search`` over
     ``(?:p1)|(?:p2)|...`` decides 'any pattern of this section matches'
@@ -46,7 +61,9 @@ def _compile_banks(patterns: Dict[str, List[str]]):
     per-pattern loop (within-section pattern order is immaterial, only
     section order is), ~10x fewer regex calls on the hot line loop."""
     return {
-        section: re.compile("|".join(f"(?:{p})" for p in pats), re.IGNORECASE)
+        section: re.compile(
+            "|".join(f"(?:{_word_start_guarded(p)})" for p in pats), re.IGNORECASE
+        )
         for section, pats in patterns.items()
         if pats
     }

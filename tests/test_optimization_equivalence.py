@@ -3,7 +3,12 @@
 * section matcher: combined-alternation + union-gate + memo path ==
   naive per-pattern loop (the reference's literal algorithm);
 * FuzzyIndex.extract_one with ceiling pruning == unpruned scan with the
-  plain wratio scorer.
+  plain wratio scorer;
+* the literal-gated, precompiled and linear-time entry scans of
+  ``functions.dates`` / ``functions.extract`` (period split, month-year
+  fallback, field of study, company fallback) and the word-start guard
+  on the job-title section patterns == naive copies of the regex code
+  they replace, on text built from the constructs they react to.
 """
 
 import re
@@ -154,3 +159,111 @@ def test_memo_cap_is_semantics_free():
     finally:
         memocap.MEMO_CAP = old_cap
     assert got == want
+
+
+# -- entry scans: naive copies of the replaced code ---------------------
+
+from document_parser_private_ray.config import SECTION_PATTERNS as _PATTERNS
+from document_parser_private_ray.functions import dates as dates_mod
+from document_parser_private_ray.functions import extract as extract_mod
+from document_parser_private_ray.functions import sections as sections_mod
+from document_parser_private_ray.functions.dates import DateNormalizer
+from document_parser_private_ray.functions.extract import ResumeExtractor
+
+_NAIVE_MONTH_YEAR = re.compile(r"(?P<month>[a-z]+)[^\d]*(?P<year>\d{4})", re.IGNORECASE)
+_NAIVE_COMPANY = re.compile(
+    r"\b([A-Z][a-zA-Z0-9\s,.-]+(?:Inc|LLC|Co|Company|Group|Corp|Corporation|Ltd|Limited))\b"
+)
+_NAIVE_DELIMITERS = (r"\s+to\s+", r"\s+-\s+", r"\s*–\s*", r"\s*—\s*")
+
+
+def naive_extract_period(normalizer, text):
+    text = text.lower()
+    for delimiter in _NAIVE_DELIMITERS:
+        parts = re.split(delimiter, text)
+        if len(parts) == 2:
+            return normalizer.normalize(parts[0].strip()), normalizer.normalize(parts[1].strip())
+    single = normalizer.normalize(text)
+    return single, single
+
+
+def naive_field_of_study(text):
+    for field in extract_mod._FIELDS_OF_STUDY:
+        if re.search(r"\b" + re.escape(field) + r"\b", text, re.IGNORECASE):
+            return field
+    return None
+
+
+def naive_company(text):
+    m = _NAIVE_COMPANY.search(text)
+    return m.group(1) if m else None
+
+
+# the constructs the scans react to, including characters that
+# IGNORECASE folds onto ASCII letters (long s, Kelvin sign, dotted and
+# dotless i), non-ASCII digits and whitespace, and word characters that
+# move a \b
+_ENTRY_ATOMS = [
+    " to ", " - ", "–", "—", " – ", " — ", "-", "to", "TO", "To",
+    " ", "\u00a0", "\u3000", "\n", "  ",
+    "٣٤٥٦", "jan", "Feb", "march", "MAY", "december", "sept",
+    "ſ", "\u212a", "İ", "ı", "_", "é", "Q2", "present",
+    "Inc", "LLC", "Co", "Company", "Group", "Corp", "Corporation",
+    "Ltd", "Limited", "LLCo", "Acme", "A", "x", "y", ",", ".", ":", "(",
+    "computer science", "Physics", "phyſics", "arts", "ARTS", "design",
+    "data science", "history", "maK", "s", "k", "i",
+]
+entry_text = st.lists(
+    st.one_of(
+        st.sampled_from(_ENTRY_ATOMS),
+        st.text(alphabet="0123456789", min_size=1, max_size=5),
+    ),
+    max_size=16,
+).map("".join)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(entry_text)
+def test_month_year_search_equivalence(text):
+    got = dates_mod._search_month_year(text)
+    exp = _NAIVE_MONTH_YEAR.search(text)
+    assert (got and (got.span(), got.groupdict())) == (exp and (exp.span(), exp.groupdict()))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(entry_text)
+def test_extract_period_equivalence(text):
+    # fresh normalizers: both sides start with an empty memo
+    assert DateNormalizer().extract_period(text) == naive_extract_period(DateNormalizer(), text)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(entry_text)
+def test_field_of_study_equivalence(text):
+    assert ResumeExtractor._extract_field_of_study(text) == naive_field_of_study(text)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(entry_text)
+def test_company_fallback_equivalence(text):
+    assert extract_mod._search_company(text) == naive_company(text)
+
+
+_TITLE_PATTERNS = [p for p in _PATTERNS["experience"] if p.startswith("[A-Z][a-z]+")]
+_TITLE_ATOMS = [
+    "Senior", "senior", "Developer", "Engineer", "Lead", "Manager",
+    "Training", "(Python)", " ", "\t", "ſ", "\u212a", "İ", "ı", "_", "é", "9",
+    "a", "Z", "-",
+]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_TITLE_ATOMS), max_size=12).map("".join))
+def test_word_start_guard_keeps_answers(line):
+    assert len(_TITLE_PATTERNS) == 9
+    for plain in _TITLE_PATTERNS:
+        guarded = sections_mod._word_start_guarded(plain)
+        assert guarded != plain
+        assert bool(re.search(guarded, line, re.IGNORECASE)) == bool(
+            re.search(plain, line, re.IGNORECASE)
+        )
