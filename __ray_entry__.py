@@ -672,15 +672,7 @@ QUERY_TABLE = (
     Q("decontaminate", "pipelines.decontam.decontaminate"),
     Q("bm25_search", "pipelines.search.bm25_search"),
     Q("build_postings", "pipelines.search.build_postings", {"max_df": 300}),
-    # n_buckets=8 at verify/bench scale: scores are bucket-count invariant
-    # (order-free integer arithmetic) and each of the ~9 sequential
-    # exchanges carries tiny blocks — fewer partitions cut the fixed
-    # per-exchange cost ~2x (raise for real cluster runs)
-    Q(
-        "supplier_pagerank",
-        "pipelines.pagerank.supplier_pagerank",
-        {"n_iters": 3, "k": 20, "n_buckets": 8},
-    ),
+    Q("supplier_pagerank", "pipelines.pagerank.supplier_pagerank", {"n_iters": 3, "k": 20}),
     Q("dedup_segments", "pipelines.segments.dedup_segments"),
     Q("media_features", _q_media_features),
     Q("media_dedup", _q_media_dedup),

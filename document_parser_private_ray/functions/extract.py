@@ -19,8 +19,9 @@ Every education and experience entry runs the field-of-study and
 company scans, so both are precompiled: the field patterns run only
 when a cheap exact substring gate passes, and the company fallback is
 three linear scans instead of one regex that is quadratic on
-capitalised prose. Answers equal the plain regexes
-(``tests/test_optimization_equivalence.py``).
+capitalised prose. The contact email search is likewise linear: it
+looks only at the local-part runs that end at an ``@``. Answers equal
+the plain regexes (``tests/test_optimization_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ from .skills import SkillNormalizer
 
 NerFn = Callable[[str], List[Dict[str, str]]]
 
-_EMAIL_RE = re.compile(r"\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Z|a-z]{2,}\b")
+# The reference's email pattern is
+#   \b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Z|a-z]{2,}\b
+# found by _search_email: that one regex retries every word start of a
+# long local-part run with no '@' after it and is quadratic there.
+_EMAIL_LOCAL_RUN_RE = re.compile(r"[A-Za-z0-9._%+-]+")
+_EMAIL_DOMAIN_RE = re.compile(r"[A-Za-z0-9.-]+\.[A-Z|a-z]{2,}\b")
+_WORD_BOUNDARY_RE = re.compile(r"\b")
 _PHONE_RE = re.compile(
     r"(\b\d{3}[-.\s]?\d{3}[-.\s]?\d{4}\b|\+\d{1,3}[-.\s]?\d{3,}[-.\s]?\d{4,})\b"
 )
@@ -116,6 +123,31 @@ def _search_company(text: str) -> Optional[str]:
     return None
 
 
+def _search_email(text: str) -> Optional[str]:
+    """The reference's email match, found in linear time.
+
+    The local part of a match starting at ``i`` is the rest of the
+    maximal ``[A-Za-z0-9._%+-]`` run holding ``i``, so it needs an
+    ``@`` right after that run, and the domain part after the ``@`` does
+    not depend on ``i``. The leftmost match therefore starts at the
+    first word boundary of the first run that ends at an ``@`` whose
+    domain part matches. Runs are disjoint, so each is scanned once.
+    """
+    for run in _EMAIL_LOCAL_RUN_RE.finditer(text):
+        at = run.end()
+        if text[at:at + 1] != "@":
+            continue
+        domain = _EMAIL_DOMAIN_RE.match(text, at + 1)
+        if domain is None:
+            continue
+        # endpos=at makes ``at`` look like the end of the text, so a
+        # boundary reported there is not a real one
+        start = _WORD_BOUNDARY_RE.search(text, run.start(), at)
+        if start is not None and start.start() < at:
+            return text[start.start():domain.end()]
+    return None
+
+
 def _iso(d) -> str:
     return d.isoformat() if d else ""
 
@@ -151,9 +183,9 @@ class ResumeExtractor:
         if m:
             contact["name"] = m.group(1).strip()
             contact_text = contact_text[m.end():].strip()
-        m = _EMAIL_RE.search(contact_text)
-        if m:
-            contact["email"] = m.group(0)
+        email = _search_email(contact_text)
+        if email:
+            contact["email"] = email
         phones = _PHONE_RE.findall(contact_text)
         if phones:
             contact["phone"] = phones[0] if isinstance(phones[0], str) else "".join(phones[0])

@@ -28,8 +28,8 @@ round: one scalar — independent of graph size, which is what the
     its stored block refs (``from_arrow_refs``; zero-copy, blocks stay
     in the object store) so every round starts from a depth-0 plan;
  3. the per-round groupby mirrors its input block count into its
-    output, so labels are ``repartition``-ed to a fixed block count or
-    tiny blocks proliferate exponentially.]
+    output, so labels are ``repartition``-ed to ``stages.width()``
+    blocks or tiny blocks proliferate exponentially.]
 
 ``union_find``: the exact driver-side fallback for small edge lists
 (used by tests and as the oracle for the distributed path).
@@ -42,6 +42,7 @@ from typing import Dict, Iterable, Tuple
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages import width
 from .exchange import co_partition
 
 
@@ -97,9 +98,7 @@ def _label_links(labels):
     return labels.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def connected_components(
-    pairs, node_cols=("doc_a", "doc_b"), max_rounds: int = 32, n_buckets: int = 16
-):
+def connected_components(pairs, node_cols=("doc_a", "doc_b"), max_rounds: int = 32):
     """``pairs``: Dataset of undirected edges. Returns a Dataset of
     (node, label) with label = min node id of the component."""
     from ray.data.aggregate import Sum
@@ -119,7 +118,7 @@ def connected_components(
     edges = _cut(
         pairs.map_batches(
             to_directed, batch_format="pyarrow", zero_copy_batch=True
-        ).repartition(n_buckets)
+        ).repartition(width())
     )
     if edges.count() == 0:
         import ray.data as rd
@@ -141,7 +140,7 @@ def connected_components(
             g = group.group_by("node").aggregate([("label", "min")])
             return g.rename_columns(["node", "label"])
 
-        return co_partition({"labels": (rows, None)}, "node", min_bucket, n_buckets)
+        return co_partition({"labels": (rows, None)}, "node", min_bucket)
 
     # initial labels: every node labels itself (distinct src covers all
     # nodes because edges are directed both ways)
@@ -151,7 +150,7 @@ def connected_components(
                 lambda t: pa.Table.from_pydict({"node": t["src"], "label": t["src"]}),
                 batch_format="pyarrow", zero_copy_batch=True,
             )
-        ).repartition(n_buckets)
+        ).repartition(width())
     )
 
     from .joins import bucketed_join
@@ -159,7 +158,7 @@ def connected_components(
     prev_sum = None
     for _ in range(max_rounds):
         relation = edges.union(_label_links(labels))
-        joined = bucketed_join(relation, labels, "src", "node", n_buckets=n_buckets)
+        joined = bucketed_join(relation, labels, "src", "node")
         labels = _cut(
             _min_label_bucketed(
                 joined.map_batches(
@@ -171,7 +170,7 @@ def connected_components(
                     ),
                     batch_format="pyarrow", zero_copy_batch=True,
                 )
-            ).repartition(n_buckets)
+            ).repartition(width())
         )
         # labels only decrease -> sum(label) is a monotone convergence
         # witness; two scalars of driver state per round

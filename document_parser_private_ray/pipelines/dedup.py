@@ -46,7 +46,7 @@ def add_content_hash(batch: pa.Table) -> pa.Table:
     return batch.append_column("content_hash", pa.array(h, type=pa.string()))
 
 
-def dedup_exact(sf_dir: str, n_buckets: int = 64):
+def dedup_exact(sf_dir: str):
     """Survivors of exact-text dedup: keep the min doc_id per distinct
     text. Projection to (hash, doc_id) BEFORE the shuffle; the reduce is
     co-partitioned by a hash bucket and closed with ONE vectorized
@@ -65,7 +65,7 @@ def dedup_exact(sf_dir: str, n_buckets: int = 64):
         return g.rename_columns(["content_hash", "keep_doc_id", "n_copies"])
 
     return co_partition(
-        {"hashes": (hashed, None)}, "content_hash", reduce_bucket, n_buckets
+        {"hashes": (hashed, None)}, "content_hash", reduce_bucket
     ).sort("keep_doc_id")
 
 
@@ -259,7 +259,6 @@ def neardup_keep_best(
     threshold: float = 0.8,
     n_perm: int = 128,
     n_bands: int = 16,
-    n_buckets: int = 64,
 ):
     """Quality-canonical near-dup resolution: one row per MinHash
     near-dup cluster with the keeper chosen by CONTENT QUALITY (max
@@ -323,9 +322,9 @@ def neardup_keep_best(
             "n_bytes": mem["n_bytes"].combine_chunks().take(pa.array(row)),
         })))
 
-    joined = bucketed_join(labels, lens, "node", "doc_id", n_buckets=16)
+    joined = bucketed_join(labels, lens, "node", "doc_id")
     return co_partition(
-        {"members": (joined, None)}, "label", _elect_keepers, n_buckets
+        {"members": (joined, None)}, "label", _elect_keepers
     ).sort("cluster")
 
 
@@ -517,7 +516,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
         return g.rename_columns(["doc_a", "doc_b", "n_inter", "n_a", "n_b"])
 
     inter = co_partition_pairs(
-        co_partition({"postings": (postings, None)}, "sh", bucket_self_join, 64),
+        co_partition({"postings": (postings, None)}, "sh", bucket_self_join),
         sum_pairs_bucket,
     )
 
@@ -676,7 +675,7 @@ def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000
         )
 
     out = _dedupe_pairs_bucketed(
-        co_partition({"postings": (postings, None)}, "fp", class_pairs, 64),
+        co_partition({"postings": (postings, None)}, "fp", class_pairs),
         [("n_shared", "sum")],
         ["doc_a", "doc_b", "n_shared"],
     )
@@ -691,7 +690,7 @@ def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000
 
 # -- incremental dedup against a persisted ingest state -------------------
 
-def dedup_against_state(sf_dir: str, n_buckets: int = 16):
+def dedup_against_state(sf_dir: str):
     """Incremental ingestion dedup — the production shape for a corpus
     that grows batch by batch: classify every INCOMING document against
     a persisted STATE of already-ingested content hashes, without
@@ -751,7 +750,7 @@ def dedup_against_state(sf_dir: str, n_buckets: int = 16):
         )
 
     return co_partition(
-        {"hashes": (hashed, None)}, "content_hash", classify, n_buckets
+        {"hashes": (hashed, None)}, "content_hash", classify
     ).sort("doc_id")
 
 
@@ -804,7 +803,7 @@ def dup_rate_by_source(sf_dir: str):
     def mark_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         return pa.table({"source": g["source"], "is_dup": pa.array(pos > 0).cast(pa.int64())})
 
-    marked = sorted_runs(hashed, "content_hash", ["doc_id"], mark_bucket, 64)
+    marked = sorted_runs(hashed, "content_hash", ["doc_id"], mark_bucket)
     return grouped_agg(
         marked,
         "source",

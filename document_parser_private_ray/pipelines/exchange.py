@@ -5,8 +5,11 @@ exchange so that every row with the same key lands in the same bucket
 group, then runs a per-bucket kernel on each group. It owns the whole
 exchange layout in one place:
 
-* bucket function — int keys ``key % n_buckets``; string keys
-  ``crc32(utf-8) % n_buckets`` (stable across worker processes, unlike
+* bucket count — ``stages.width()``, read on the driver when the plan
+  is built: one rule for every exchange, derived from the cluster's
+  CPUs, never chosen per query;
+* bucket function — int keys ``key % n``; string keys
+  ``crc32(utf-8) % n`` (stable across worker processes, unlike
   Python's salted ``hash``);
 * union layout — each side is null-padded to the union of the schemas
   the caller states on the driver (never ``Dataset.schema()`` inside a
@@ -17,8 +20,10 @@ exchange layout in one place:
   columns (a single-side call hands over the table itself).
 
 Co-partitioning both sides once and joining inside each bucket is the
-large-⋈-large shape; raising ``n_buckets`` spreads a hot key's bucket
-mates (salting composes: bucket on a (key, salt) column).
+large-⋈-large shape. Kernels group by key inside their bucket, so the
+bucket count never changes an answer. A hot key stays in one bucket
+whatever the width; salting spreads it (bucket on a (key, salt)
+column).
 
 ``grouped_agg`` is the one two-phase grouped aggregate: inside one
 ``map_batches`` task each batch collapses to one partial row per key
@@ -48,14 +53,16 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import stages
+
 BUCKET = "__bucket"
 SIDE = "__side"
 
 
-def bucket_ids(keys, n_buckets: int) -> pa.Array:
-    """int32 bucket of every key: ``key % n_buckets`` for integer keys,
-    ``crc32(utf-8) % n_buckets`` for string keys (null strings hash as
-    the empty string)."""
+def bucket_ids(keys, n: int) -> pa.Array:
+    """int32 bucket of every key: ``key % n`` for integer keys,
+    ``crc32(utf-8) % n`` for string keys (null strings hash as the empty
+    string)."""
     if pa.types.is_string(keys.type) or pa.types.is_large_string(keys.type):
         # one crc32 per DISTINCT string, broadcast back through the codes
         if isinstance(keys, pa.ChunkedArray):
@@ -68,7 +75,7 @@ def bucket_ids(keys, n_buckets: int) -> pa.Array:
         h = crc[enc.indices.to_numpy(zero_copy_only=False)]
     else:
         h = keys.to_numpy(zero_copy_only=False)
-    return pa.array((h % n_buckets).astype(np.int32))
+    return pa.array((h % n).astype(np.int32))
 
 
 def _const_str(value: str, n: int) -> pa.Array:
@@ -85,10 +92,9 @@ def co_partition(
     sides: Mapping[str, tuple],
     key: str | Mapping[str, str],
     kernel: Callable,
-    n_buckets: int,
 ):
-    """One exchange co-locating every side's rows by key bucket, then
-    ``kernel`` once per bucket group.
+    """One exchange co-locating every side's rows into ``stages.width()``
+    key buckets, then ``kernel`` once per bucket group.
 
     ``sides`` maps a tag to ``(dataset, schema)``: ``schema`` is the
     ``pa.Schema`` of the columns that side ships, stated on the driver
@@ -98,12 +104,13 @@ def co_partition(
     receives ``{tag: pa.Table}`` holding only that side's schema columns
     (a column several sides share takes the type of the first side that
     states it); with one side it receives the bucket's table."""
+    buckets = stages.width()
     if len(sides) == 1:
         ((tag, (ds, _)),) = sides.items()
         col = key if isinstance(key, str) else key[tag]
 
         def add_bucket(batch: pa.Table) -> pa.Table:
-            return batch.append_column(BUCKET, bucket_ids(batch[col], n_buckets))
+            return batch.append_column(BUCKET, bucket_ids(batch[col], buckets))
 
         def run(group: pa.Table):
             return kernel(group.drop_columns([BUCKET]))
@@ -130,7 +137,7 @@ def co_partition(
                         arrays.append(pc.cast(batch[c], t))
                     else:
                         arrays.append(batch[c])
-                arrays.append(bucket_ids(batch[col], n_buckets))
+                arrays.append(bucket_ids(batch[col], buckets))
                 arrays.append(_const_str(tag, n))
                 return pa.Table.from_arrays(arrays, names=names)
 
@@ -156,7 +163,7 @@ def co_partition(
     )
 
 
-def sorted_runs(ds, key: str, order_by, kernel: Callable, n_buckets: int):
+def sorted_runs(ds, key: str, order_by, kernel: Callable):
     """``co_partition`` of one dataset on ``key``, then ``kernel(table,
     pos)`` once per bucket on the bucket's rows sorted by ``key``
     ascending and then ``order_by`` (each entry a column name, ascending,
@@ -175,7 +182,7 @@ def sorted_runs(ds, key: str, order_by, kernel: Callable, n_buckets: int):
             keys = pc.dictionary_encode(keys, null_encoding="encode").indices
         return kernel(g, run_positions(run_starts(keys.to_numpy(zero_copy_only=False))))
 
-    return co_partition({"rows": (ds, None)}, key, run, n_buckets)
+    return co_partition({"rows": (ds, None)}, key, run)
 
 
 def grouped_agg(ds, keys, aggs: Mapping[str, tuple], rows: Callable | None = None,
@@ -208,21 +215,21 @@ def grouped_agg(ds, keys, aggs: Mapping[str, tuple], rows: Callable | None = Non
 
 
 def co_partition_pairs(pairs, kernel: Callable, a: str = "doc_a", b: str = "doc_b"):
-    """``co_partition`` of one pair table into 64 buckets on an (a, b)
-    id mix (the top 6 bits of a golden-ratio hash), so every row of a
-    pair lands in one bucket whatever the id distribution. Any two
-    int columns work: the class-keyed pair kernels co-locate their
-    (band, key) rows the same way."""
+    """``co_partition`` of one pair table on an (a, b) id mix (the top
+    31 bits of a golden-ratio hash), so every row of a pair lands in one
+    bucket whatever the id distribution. Any two int columns work: the
+    class-keyed pair kernels co-locate their (band, key) rows the same
+    way."""
     g = np.uint64(0x9E3779B97F4A7C15)
 
     def mix_class(t: pa.Table) -> pa.Table:
         x = t[a].to_numpy(zero_copy_only=False).astype(np.uint64)
         y = t[b].to_numpy(zero_copy_only=False).astype(np.uint64)
-        cls = (((x * g + y) * g) >> np.uint64(58)).astype(np.int32)
+        cls = (((x * g + y) * g) >> np.uint64(33)).astype(np.int32)
         return t.append_column("pair_cls", pa.array(cls))
 
     tagged = pairs.map_batches(mix_class, batch_format="pyarrow", zero_copy_batch=True)
-    return co_partition({"pairs": (tagged, None)}, "pair_cls", kernel, 64)
+    return co_partition({"pairs": (tagged, None)}, "pair_cls", kernel)
 
 
 def run_starts(*sorted_keys: np.ndarray) -> np.ndarray:

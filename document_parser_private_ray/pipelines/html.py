@@ -252,7 +252,6 @@ def web_curate(
     min_words: int = 5,
     max_digit_ratio: float = 0.3,
     langs=("en",),
-    n_buckets: int = 64,
 ):
     """The composed WEB curation chain — what a crawl-to-training-set
     pipeline actually runs, end to end as one streaming plan:
@@ -313,9 +312,9 @@ def web_curate(
         return pa.Table.from_arrays([both["doc_id"]], names=["doc_id"])
 
     keys = feats.map_batches(tag_union, batch_format="pyarrow", zero_copy_batch=True)
-    keeper_rows = co_partition({"keys": (keys, None)}, "key", keepers_bucket, n_buckets)
+    keeper_rows = co_partition({"keys": (keys, None)}, "key", keepers_bucket)
     survivors = co_partition(
-        {"keepers": (keeper_rows, None)}, "doc_id", both_keeper, n_buckets
+        {"keepers": (keeper_rows, None)}, "doc_id", both_keeper
     )
     return split_rollup(survivors)
 
@@ -335,7 +334,7 @@ def link_indegree(sf_dir: str, top_k: int = 30):
     )
 
 
-def crawl_frontier(sf_dir: str, n_buckets: int = 32):
+def crawl_frontier(sf_dir: str):
     """URLs discovered by the crawl but not yet fetched: DISTINCT
     outlink URLs minus the crawled pages' canonical URLs — the
     frontier a crawler feeds back into its queue. Both sides are
@@ -382,11 +381,11 @@ def crawl_frontier(sf_dir: str, n_buckets: int = 32):
         return pa.Table.from_arrays([a.filter(keep)], names=["url"])
 
     return co_partition(
-        {"urls": (both, None)}, "url", frontier_bucket, n_buckets
+        {"urls": (both, None)}, "url", frontier_bucket
     ).sort("url")
 
 
-def url_dedup(sf_dir: str, n_buckets: int = 64):
+def url_dedup(sf_dir: str):
     """Canonical-URL-level dedup (the crawl pass that collapses the
     same page fetched under several URLs): keeper = min doc_id per
     normalized canonical URL. Same scale shape as ``dedup.dedup_exact``
@@ -404,7 +403,7 @@ def url_dedup(sf_dir: str, n_buckets: int = 64):
         return g.rename_columns(["canonical_url", "keep_doc_id", "n_copies"])
 
     return co_partition(
-        {"urls": (urls, None)}, "canonical_url", reduce_bucket, n_buckets
+        {"urls": (urls, None)}, "canonical_url", reduce_bucket
     ).sort("keep_doc_id")
 
 
@@ -502,7 +501,7 @@ def anchor_texts(sf_dir: str, top_k: int = 30):
         )
 
     return (
-        sorted_runs(counts, "url", [("n", "descending"), "atext"], reduce_bucket, 32)
+        sorted_runs(counts, "url", [("n", "descending"), "atext"], reduce_bucket)
         .sort(["n_anchors", "url"], descending=[True, False])
         .limit(top_k)
     )

@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .exchange import co_partition, grouped_agg
-from .relational import _cents
+from .relational import _cents, _read
 
 
 def bucketed_join(
@@ -28,7 +28,6 @@ def bucketed_join(
     right,
     left_key: str,
     right_key: str,
-    n_buckets: int = 16,
     join_type: str = "inner",
 ):
     """Hash join of two Datasets on integer key columns (``inner``,
@@ -63,11 +62,10 @@ def bucketed_join(
         {"L": (left, lschema), "R": (right, rschema)},
         {"L": left_key, "R": right_key},
         join_bucket,
-        n_buckets,
     )
 
 
-def order_lineitem_revenue(sf_dir: str, n_buckets: int = 16, k: int = 15):
+def order_lineitem_revenue(sf_dir: str, k: int = 15):
     """orders ⋈ lineitem (both large) -> top-k orders by line revenue,
     carrying order attributes through the join (provably needs the
     join, not just a groupby).
@@ -81,18 +79,8 @@ def order_lineitem_revenue(sf_dir: str, n_buckets: int = 16, k: int = 15):
     ``groupby(o_orderkey)`` AFTER the join paid the per-distinct-key
     cross-block merge cost on top of a second exchange. Only the
     per-order aggregate rows reach the final top-k sort."""
-    from ..sources.readers import read_table
-
-    orders = read_table(
-        f"{sf_dir}/orders.parquet",
-        ["o_orderkey", "o_orderdate", "o_orderpriority"],
-        override_num_blocks=16,
-    )
-    lineitem = read_table(
-        f"{sf_dir}/lineitem.parquet",
-        ["l_orderkey", "l_extendedprice", "l_discount"],
-        override_num_blocks=16,
-    )
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
+    lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
 
     def lineitem_partials(batch: pa.Table) -> pa.Table:
         rev = pc.multiply(
@@ -134,7 +122,6 @@ def order_lineitem_revenue(sf_dir: str, n_buckets: int = 16, k: int = 15):
             },
             {"O": "o_orderkey", "L": "l_orderkey"},
             join_bucket,
-            n_buckets,
         )
         .sort(["revenue", "o_orderkey"], descending=[True, False])
         .limit(k)
@@ -143,15 +130,13 @@ def order_lineitem_revenue(sf_dir: str, n_buckets: int = 16, k: int = 15):
 
 def distinct_values(sf_dir: str, table: str = "customer", column: str = "c_mktsegment"):
     """Distinct values of a column (R9) — ``Dataset.unique`` shuffle."""
-    from ..sources.readers import read_table
-
-    ds = read_table(f"{sf_dir}/{table}.parquet", [column])
+    ds = _read(sf_dir, table, [column])
     vals = sorted(ds.unique(column))
     return pa.Table.from_pydict({column: pa.array(vals)})
 
 
 def bucketed_filter_join(
-    left, right, left_key: str, right_key: str, mode: str, n_buckets: int = 16
+    left, right, left_key: str, right_key: str, mode: str
 ):
     """Semi / anti join of two Datasets on integer keys — the same
     co-partition exchange as ``bucketed_join``, but the per-bucket
@@ -175,7 +160,6 @@ def bucketed_filter_join(
         {"L": (left, lschema), "R": (right.select_columns([right_key]), rschema)},
         {"L": left_key, "R": right_key},
         filter_bucket,
-        n_buckets,
     )
 
 
@@ -184,16 +168,8 @@ def customers_no_urgent_orders(sf_dir: str):
     urgent-priority order, with their segment — sorted by c_custkey.
     The urgency filter runs batch-wise BEFORE the shuffle so only
     matching keys leave the read stage."""
-    from ..sources.readers import read_table
-
-    customers = read_table(
-        f"{sf_dir}/customer.parquet", ["c_custkey", "c_name", "c_mktsegment"],
-        override_num_blocks=8,
-    )
-    orders = read_table(
-        f"{sf_dir}/orders.parquet", ["o_custkey", "o_orderpriority"],
-        override_num_blocks=16,
-    )
+    customers = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"])
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
     def urgent_keys(batch: pa.Table) -> pa.Table:
         mask = pc.starts_with(batch["o_orderpriority"], "1")
@@ -211,17 +187,8 @@ def customers_big_spenders(sf_dir: str):
     """Semi join: customers with at least one fulfilled order above a
     price floor — sorted by c_custkey. Same co-partitioned shuffle as
     the anti join; only the membership polarity differs."""
-    from ..sources.readers import read_table
-
-    customers = read_table(
-        f"{sf_dir}/customer.parquet", ["c_custkey", "c_name", "c_mktsegment"],
-        override_num_blocks=8,
-    )
-    orders = read_table(
-        f"{sf_dir}/orders.parquet",
-        ["o_custkey", "o_orderstatus", "o_totalprice"],
-        override_num_blocks=16,
-    )
+    customers = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"])
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderstatus", "o_totalprice"])
 
     def big_keys(batch: pa.Table) -> pa.Table:
         mask = pc.and_(
@@ -251,17 +218,8 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
 
     from ray.data.aggregate import Sum
 
-    from ..sources.readers import read_table
-
-    # downstream shuffles partition by incoming BLOCK count: fuller read
-    # blocks cut the fixed per-exchange cost (the pagerank/Q3 idiom)
-    orders = read_table(
-        f"{sf_dir}/orders.parquet", ["o_orderkey"], override_num_blocks=16
-    )
-    lineitem = read_table(
-        f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_quantity"],
-        override_num_blocks=16,
-    )
+    orders = _read(sf_dir, "orders", ["o_orderkey"])
+    lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def big_line_partials(batch: pa.Table) -> pa.Table:
         big = batch.filter(pc.greater(batch["l_quantity"], qty_floor))
@@ -303,7 +261,6 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
             },
             {"O": "o_orderkey", "L": "l_orderkey"},
             hist_bucket,
-            16,
         )
         .groupby("n_big")
         .aggregate(Sum("n", alias_name="n_orders"))
@@ -312,8 +269,7 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
 
 
 def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
-                         cutoff: str = "1998-01-01", k: int = 10,
-                         num_read_blocks: int | None = 16):
+                         cutoff: str = "1998-01-01", k: int = 10):
     """TPC-H Q3 shape — a CHAINED multi-way join, each link the cheapest
     exchange that preserves semantics: (1) orders dated before the
     cutoff are SEMI-joined against the segment's customer keys
@@ -325,14 +281,9 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     bit-for-bit. Filters run at the scan on every input."""
     import numpy as np
 
-    from ..sources.readers import read_table
-
     cut = np.datetime64(cutoff, "us")
 
-    customers = read_table(
-        f"{sf_dir}/customer.parquet", ["c_custkey", "c_mktsegment"],
-        override_num_blocks=num_read_blocks,
-    )
+    customers = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     cust_keys = customers.map_batches(
         lambda b: b.filter(pc.equal(b["c_mktsegment"], segment)).select(["c_custkey"]),
         batch_format="pyarrow",
@@ -343,11 +294,9 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
 
     # predicate pushdown: the date filters run INSIDE the parquet scan
     # (row groups skipped via statistics before decode)
-    orders = read_table(
-        f"{sf_dir}/orders.parquet",
-        ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
+    orders = _read(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
         filter=pads.field("o_orderdate") < cut.item(),
-        override_num_blocks=num_read_blocks,
     )
     orders = bucketed_filter_join(orders, cust_keys, "o_custkey", "c_custkey", "semi")
     orders = orders.map_batches(
@@ -391,11 +340,9 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     from ray.data.aggregate import Sum
 
     revenue = (
-        read_table(
-            f"{sf_dir}/lineitem.parquet",
-            ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        _read(
+            sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
             filter=pads.field("l_shipdate") > cut.item(),
-            override_num_blocks=num_read_blocks,
         )
         .map_batches(
             line_revenue_partial, batch_format="pyarrow", zero_copy_batch=True
@@ -426,8 +373,6 @@ def fk_violations(sf_dir: str):
     anti join (``bucketed_filter_join``: one co-partition exchange per
     relationship, parents ship nothing but key columns). Output is one
     row per relationship."""
-    from ..sources.readers import read_table
-
     rels = [
         ("orders.o_custkey->customer.c_custkey",
          ("orders", "o_custkey"), ("customer", "c_custkey")),
@@ -438,12 +383,8 @@ def fk_violations(sf_dir: str):
     ]
     out_r, out_n, out_o = [], [], []
     for name, (child, ckey), (parent, pkey) in rels:
-        child_ds = read_table(
-            f"{sf_dir}/{child}.parquet", [ckey], override_num_blocks=16
-        )
-        parent_ds = read_table(
-            f"{sf_dir}/{parent}.parquet", [pkey], override_num_blocks=16
-        )
+        child_ds = _read(sf_dir, child, [ckey])
+        parent_ds = _read(sf_dir, parent, [pkey])
         n_child = child_ds.count()
         orphans = bucketed_filter_join(
             child_ds, parent_ds, ckey, pkey, "anti"
@@ -469,12 +410,7 @@ def building_not_big_spenders(sf_dir: str, spend_floor: float = 1_500_000.0):
     ``bucketed_filter_join``. Output: (c_custkey, c_acctbal) sorted."""
     from ray.data.aggregate import Sum
 
-    from ..sources.readers import read_table
-
-    building = read_table(
-        f"{sf_dir}/customer.parquet", ["c_custkey", "c_mktsegment", "c_acctbal"],
-        override_num_blocks=8,
-    ).map_batches(
+    building = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"]).map_batches(
         lambda b: b.filter(pc.equal(b["c_mktsegment"], "BUILDING")).drop_columns(
             ["c_mktsegment"]
         ),
@@ -483,10 +419,7 @@ def building_not_big_spenders(sf_dir: str, spend_floor: float = 1_500_000.0):
     )
 
     big = (
-        read_table(
-            f"{sf_dir}/orders.parquet", ["o_custkey", "o_totalprice"],
-            override_num_blocks=16,
-        )
+        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
         .groupby("o_custkey")
         .aggregate(Sum("o_totalprice", alias_name="total"))
         .map_batches(
@@ -531,8 +464,6 @@ def orders_above_customer_avg(sf_dir: str):
     Dataset re-run the upstream)."""
     import numpy as np
 
-    from ..sources.readers import read_table
-
     def prep(b: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
             {
@@ -542,10 +473,8 @@ def orders_above_customer_avg(sf_dir: str):
             }
         )
 
-    orders = read_table(
-        f"{sf_dir}/orders.parquet",
-        ["o_custkey", "o_totalprice", "o_orderpriority"],
-        override_num_blocks=16,
+    orders = _read(
+        sf_dir, "orders", ["o_custkey", "o_totalprice", "o_orderpriority"]
     ).map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
 
     def flag_bucket(group: pa.Table) -> pa.Table:
@@ -569,7 +498,7 @@ def orders_above_customer_avg(sf_dir: str):
             {"o_orderpriority": g["o_orderpriority"], "above": above.astype(np.int64)}
         )
 
-    flagged = co_partition({"O": (orders, None)}, "o_custkey", flag_bucket, 32)
+    flagged = co_partition({"O": (orders, None)}, "o_custkey", flag_bucket)
     return grouped_agg(
         flagged,
         "o_orderpriority",
@@ -577,7 +506,7 @@ def orders_above_customer_avg(sf_dir: str):
     ).sort("o_orderpriority")
 
 
-def snapshot_diff(sf_dir: str, n_buckets: int = 16):
+def snapshot_diff(sf_dir: str):
     """Dataset-version diff — the incremental-ingest primitive that
     tells a recurring crawl/curation job what changed between two
     corpus snapshots: (doc_id, status) for every added / removed /
@@ -594,12 +523,7 @@ def snapshot_diff(sf_dir: str, n_buckets: int = 16):
     import numpy as np
 
     from ..functions.textstats import md5_fingerprint
-    from ..sources.readers import read_table
-
-    docs = read_table(
-        f"{sf_dir}/documents.parquet", ["doc_id", "text"],
-        override_num_blocks=16,
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def current_side(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -636,8 +560,7 @@ def snapshot_diff(sf_dir: str, n_buckets: int = 16):
     cur = docs.map_batches(current_side, batch_format="pyarrow", zero_copy_batch=True)
     snap = docs.map_batches(snapshot_side, batch_format="pyarrow", zero_copy_batch=True)
     joined = bucketed_join(
-        cur, snap, "doc_id", "snap_doc_id",
-        n_buckets=n_buckets, join_type="full outer",
+        cur, snap, "doc_id", "snap_doc_id", join_type="full outer",
     )
 
     def classify(batch: pa.Table) -> pa.Table:

@@ -369,5 +369,5 @@ def media_dedup(media=None, n_items: int = 256, alias_mod: int = 200):
         digest, batch_format="pyarrow", zero_copy_batch=True, batch_size=64
     )
     return co_partition(
-        {"digests": (digests, None)}, "payload_md5", reduce_bucket, 64
+        {"digests": (digests, None)}, "payload_md5", reduce_bucket
     ).sort("keep_ref")

@@ -130,7 +130,8 @@ def pack_sequences(
 
     slim = ds.map_batches(tokens, batch_format="pyarrow", zero_copy_batch=True)
 
-    # pass 1: per-bucket totals (n_buckets rows — tiny relative to corpus)
+    # pass 1: per-bucket totals (one row per range bucket — tiny
+    # relative to corpus)
     from ray.data.aggregate import Sum
 
     totals = (
@@ -161,5 +162,5 @@ def pack_sequences(
         )
 
     return sorted_runs(
-        slim, "bucket", ["doc_id"], assign, max(len(offsets), 1)
+        slim, "bucket", ["doc_id"], assign
     ).sort("doc_id")

@@ -36,6 +36,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages import width
 from .exchange import co_partition, co_partition_pairs, sorted_runs
 
 DAMP_NUM = 85          # 0.85 damping as a rational
@@ -50,32 +51,21 @@ def _cut(ds):
     return rd.from_arrow_refs(ds.materialize().to_arrow_refs())
 
 
-def distinct_cust_supp_pairs(sf_dir: str, n_buckets: int = 16):
+def distinct_cust_supp_pairs(sf_dir: str):
     """Distinct (cust, supp) relation from orders ⋈ lineitem.
 
     The dedup runs at pair-hash-bucket grain: per-batch local distinct
     (each order's ~4 lines collapse before the exchange), then ONE
-    vectorized Arrow ``group_by`` per 64-way pair bucket.
+    vectorized Arrow ``group_by`` per pair bucket.
     Ray's ``groupby(keys).aggregate()`` pays its cross-block merge cost
     per distinct key when keys repeat across blocks — measured 13.0 s
     for the ~590k sf0.1 pairs vs 0.25 s for this shape, same exchange."""
-    from ..sources.readers import read_table
     from .joins import bucketed_join
+    from .relational import _read
 
-    # coarse read blocks: every downstream exchange partitions by the
-    # incoming block count, and this graph is node-count-small — fewer,
-    # fuller blocks cut the per-exchange fixed cost
-    orders = read_table(
-        f"{sf_dir}/orders.parquet", ["o_orderkey", "o_custkey"],
-        override_num_blocks=n_buckets,
-    )
-    lineitem = read_table(
-        f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_suppkey"],
-        override_num_blocks=n_buckets,
-    )
-    joined = bucketed_join(
-        orders, lineitem, "o_orderkey", "l_orderkey", n_buckets=n_buckets
-    )
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
+    joined = bucketed_join(orders, lineitem, "o_orderkey", "l_orderkey")
 
     def local_pairs(t: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
@@ -92,11 +82,11 @@ def distinct_cust_supp_pairs(sf_dir: str, n_buckets: int = 16):
     return co_partition_pairs(local, distinct_bucket, "c", "s")
 
 
-def build_bipartite_edges(sf_dir: str, n_buckets: int = 16):
+def build_bipartite_edges(sf_dir: str):
     """Bidirectional (src, dst) edges between customer nodes (2k) and
     supplier nodes (2k+1) for every distinct (cust, supp) order-line
     relationship."""
-    pairs = distinct_cust_supp_pairs(sf_dir, n_buckets=n_buckets)
+    pairs = distinct_cust_supp_pairs(sf_dir)
 
     def to_edges(t: pa.Table) -> pa.Table:
         c = pc.multiply(t["c"], pa.scalar(2, type=pa.int64()))
@@ -133,8 +123,7 @@ def _sum_by_int64(keys, vals):
     return ks[starts], np.add.reduceat(vs, starts)
 
 
-def supplier_pagerank(sf_dir: str, n_iters: int = 3, k: int = 20,
-                      n_buckets: int = 16):
+def supplier_pagerank(sf_dir: str, n_iters: int = 3, k: int = 20):
     """Top-k supplier nodes by integer PageRank after ``n_iters``
     synchronous iterations: (s_suppkey, score_micro), ordered by
     (score desc, suppkey).
@@ -164,14 +153,14 @@ def supplier_pagerank(sf_dir: str, n_iters: int = 3, k: int = 20,
 
     # edges ship as (node=src, dst): sharing the key column with the
     # contributions keeps the padded exchange rows narrow. Every cut
-    # input is repartitioned to n_buckets blocks: each exchange maps
-    # and sorts per incoming block, so fewer, fuller blocks cut the
-    # per-round task count (the components.py block-count note)
+    # input is repartitioned to ``stages.width()`` blocks: each
+    # exchange maps and sorts per incoming block, so the block count
+    # sets the per-round task count (the components.py block-count note)
     edges = _cut(
-        build_bipartite_edges(sf_dir, n_buckets=n_buckets).map_batches(
+        build_bipartite_edges(sf_dir).map_batches(
             lambda t: t.rename_columns(["node", "dst"]),
             batch_format="pyarrow", zero_copy_batch=True,
-        ).repartition(n_buckets)
+        ).repartition(width())
     )
 
     def first_round(group: pa.Table) -> pa.Table:
@@ -224,8 +213,8 @@ def supplier_pagerank(sf_dir: str, n_iters: int = 3, k: int = 20,
     # iteration 1's join half: contributions from the constant initial
     # scores — one exchange over the edges alone
     contribs = _cut(
-        co_partition({"E": (edges, None)}, "node", first_round, n_buckets)
-        .repartition(n_buckets)
+        co_partition({"E": (edges, None)}, "node", first_round)
+        .repartition(width())
     )
     # per-iteration cuts: measured 1.8x faster than one deep lazy plan
     for _ in range(n_iters - 1):
@@ -234,10 +223,9 @@ def supplier_pagerank(sf_dir: str, n_iters: int = 3, k: int = 20,
                 {"E": (edges, edge_schema), "C": (contribs, contrib_schema)},
                 "node",
                 next_round,
-                n_buckets,
-            ).repartition(n_buckets)
+            ).repartition(width())
         )
-    scores = co_partition({"C": (contribs, None)}, "node", final_scores, n_buckets)
+    scores = co_partition({"C": (contribs, None)}, "node", final_scores)
 
     def suppliers_only(t: pa.Table) -> pa.Table:
         node = pc.cast(t["node"], pa.int64())
@@ -264,8 +252,7 @@ def supplier_pagerank(sf_dir: str, n_iters: int = 3, k: int = 20,
     )
 
 
-def cosupplier_pairs(sf_dir: str, k: int = 15, max_deg: int = 32,
-                     n_buckets: int = 16):
+def cosupplier_pairs(sf_dir: str, k: int = 15, max_deg: int = 32):
     """Two-hop graph co-occurrence: supplier pairs ranked by how many
     customers they share — the collaborative-filtering join over the
     same distinct (cust, supp) relation PageRank builds. Hot customers
@@ -276,7 +263,7 @@ def cosupplier_pairs(sf_dir: str, k: int = 15, max_deg: int = 32,
     final groupby."""
     import numpy as np
 
-    pairs = distinct_cust_supp_pairs(sf_dir, n_buckets=n_buckets)
+    pairs = distinct_cust_supp_pairs(sf_dir)
 
     # group at BUCKET grain, not per customer: a kernel call emits one
     # block, and 100k one-customer blocks would drown the downstream
@@ -315,7 +302,7 @@ def cosupplier_pairs(sf_dir: str, k: int = 15, max_deg: int = 32,
         g = t.group_by(["s_a", "s_b"]).aggregate([("n", "sum")])
         return g.rename_columns(["s_a", "s_b", "n"])
 
-    exploded = sorted_runs(pairs, "c", ["s"], explode_bucket, 64)
+    exploded = sorted_runs(pairs, "c", ["s"], explode_bucket)
 
     # final reduce at BUCKET grain again: Ray's groupby().aggregate()
     # pays per-distinct-group overhead (~0.1 ms/group — 500k pair keys

@@ -194,7 +194,6 @@ def _attach_shuffle(pairs, table, id_col, value_col, a, b):
             {"P": (out, pair_schema), "R": (rows, row_schema)},
             {"P": side, "R": id_col},
             attach_side(side, out_col),
-            64,
         )
         pair_schema = pair_schema.append(pa.field(out_col, value_type))
     return out

@@ -20,19 +20,21 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages import width
 from .exchange import co_partition, grouped_agg, run_starts, sorted_runs
 from .segments import _as_array
 
 
-def _read(sf_dir: str, table: str, columns, num_blocks: int | None = None):
+def _read(sf_dir: str, table: str, columns, filter=None):
+    """The ``{sf_dir}/{table}.parquet`` table through ``read_table``
+    (column-pruned; ``filter`` is a ``pyarrow.dataset`` predicate run
+    inside the scan) in ``stages.width()`` blocks: the exchanges
+    downstream partition by incoming block count, so the read takes
+    the one cluster-derived width instead of a per-query count."""
     from ..sources.readers import read_table
 
-    # num_blocks: downstream shuffles partition by incoming BLOCK count,
-    # so exchange-bound queries pass a small value to cut the fixed
-    # per-exchange cost (the pagerank/Q3 idiom); scan-bound queries
-    # keep the scanner's split for parallelism
     return read_table(
-        f"{sf_dir}/{table}.parquet", columns, override_num_blocks=num_blocks
+        f"{sf_dir}/{table}.parquet", columns, override_num_blocks=width(), filter=filter
     )
 
 
@@ -143,12 +145,12 @@ def top_customers_by_order_value(sf_dir: str, segment: str = "BUILDING", k: int 
     in-bucket aggregate is final — no second corpus-scale groupby), and
     only the top-k result KEYS — k rows, driver-small by construction —
     come back to fetch display names with one filtered scan."""
-    seg_cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"], num_blocks=16).map_batches(
+    seg_cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
         lambda b: b.filter(pc.equal(b["c_mktsegment"], segment)).select(["c_custkey"]),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"], num_blocks=16)
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def semi_agg_bucket(t: dict) -> pa.Table:
         o = t["O"]
@@ -166,7 +168,6 @@ def top_customers_by_order_value(sf_dir: str, segment: str = "BUILDING", k: int 
             },
             {"O": "o_custkey", "C": "c_custkey"},
             semi_agg_bucket,
-            32,
         )
         .sort("total_value", descending=True)
         .limit(k)
@@ -202,7 +203,7 @@ def events_hourly_window(sf_dir: str):
     (timestamp floor) and the window is a groupby over (type, hour)."""
     from ray.data.aggregate import Count, Sum
 
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
     def add_window(batch: pa.Table) -> pa.Table:
         hour = pc.floor_temporal(batch["ts"], unit="hour")
@@ -229,7 +230,7 @@ def events_sliding_window(sf_dir: str, width_hours: int = 3, step_hours: int = 1
     assert width_hours % step_hours == 0, "width must be a multiple of step"
     n_copies = width_hours // step_hours
 
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
     def expand(batch: pa.Table) -> pa.Table:
         import datetime
@@ -266,8 +267,9 @@ def purchases_asof_views(sf_dir: str):
     """As-of join: each purchase event matched to the user's most recent
     view event at-or-before its timestamp (inner semantics). Ray Data
     has no native as-of join — the pattern is: tag both streams, ONE
-    co-partitioning exchange on a user-hash BUCKET (64 groups, so the
-    per-group Python overhead is constant, not per-user), then inside
+    co-partitioning exchange on a user-hash BUCKET (``stages.width()``
+    groups, so the per-group Python overhead is constant, not
+    per-user), then inside
     each bucket the rows sorted by (user, ts, views before purchases)
     (``exchange.sorted_runs``) and one forward-max scan match every
     purchase to its latest prior view vectorized (guide: as-of/range
@@ -276,13 +278,13 @@ def purchases_asof_views(sf_dir: str):
 
     from .bloom import bloom_mask, build_bloom
 
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "value"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "value"])
 
     # bloom of PURCHASING users, built from a cheap keys-only pre-scan:
     # views of users who never purchase can produce no as-of match
     # (inner semantics) and must not enter the co-partition exchange;
     # purchase rows always pass their own bloom by construction
-    purch_users = _read(sf_dir, "events", ["user_id", "event_type"], num_blocks=16).map_batches(
+    purch_users = _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
         lambda b: b.filter(pc.equal(b["event_type"], "purchase")).select(
             ["user_id"]
         ),
@@ -326,7 +328,7 @@ def purchases_asof_views(sf_dir: str):
     # (user, ts), so a view at exactly t matches a purchase at t
     # (allow_exact_matches)
     return sorted_runs(
-        both, "user_id", ["ts", ("event_type", "descending")], asof_bucket, 64
+        both, "user_id", ["ts", ("event_type", "descending")], asof_bucket
     )
 
 
@@ -334,15 +336,15 @@ def purchases_asof_views(sf_dir: str):
 
 def events_sessionize(sf_dir: str, gap_minutes: int = 30):
     """Session windows per user: ONE co-partitioning exchange on a
-    user-hash BUCKET (64 groups — constant per-group Python overhead
-    instead of one interpreter call per user), then the bucket's rows
-    sorted by (user, ts) (``exchange.sorted_runs``); session breaks are
-    a vectorized diff (user-change OR gap>threshold) and the per-session
-    aggregates come
-    from np.add.reduceat over the break offsets. Partitioning
-    assumption: one bucket's events fit in one group — at 100 TB raise
-    the bucket count, the kernel is bucket-count-agnostic."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "value"], num_blocks=16)
+    user-hash BUCKET (``stages.width()`` groups — constant per-group
+    Python overhead instead of one interpreter call per user), then the
+    bucket's rows sorted by (user, ts) (``exchange.sorted_runs``);
+    session breaks are a vectorized diff (user-change OR gap>threshold)
+    and the per-session aggregates come from np.add.reduceat over the
+    break offsets. Partitioning assumption: one bucket's events fit in
+    one group — the width grows with the cluster, and the kernel is
+    bucket-count-agnostic."""
+    ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
     gap = np.timedelta64(int(gap_minutes), "m")
 
@@ -363,19 +365,19 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
             }
         )
 
-    return sorted_runs(ds, "user_id", ["ts"], sessionize_bucket, 64)
+    return sorted_runs(ds, "user_id", ["ts"], sessionize_bucket)
 
 
 # -- per-group top-k (grouped rank at scale) -----------------------------
 
-def user_top_events(sf_dir: str, k: int = 3, n_buckets: int = 64):
+def user_top_events(sf_dir: str, k: int = 3):
     """Top-k events per user by (value desc, ts, event_id) with a dense
     1-based rank — the grouped-rank operator shape: one hash shuffle on
     the user-BUCKET key, then the bucket's sorted rows and run positions
     (``exchange.sorted_runs``) rank every user in it at once (r5 — was
     one Python group call per user). Partitioning assumption: one
     user's events fit in one bucket group."""
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
     def topk_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         sel = np.flatnonzero(pos < k)
@@ -389,13 +391,13 @@ def user_top_events(sf_dir: str, k: int = 3, n_buckets: int = 64):
         )
 
     return sorted_runs(
-        ds, "user_id", [("value", "descending"), "ts", "event_id"], topk_bucket, n_buckets
+        ds, "user_id", [("value", "descending"), "ts", "event_id"], topk_bucket
     ).sort(["user_id", "rank"])
 
 
 # -- per-user lag window (inter-event gaps) ------------------------------
 
-def event_gaps(sf_dir: str, n_buckets: int = 64):
+def event_gaps(sf_dir: str):
     """Per-user inter-event gap statistics — the LAG-window shape: one
     hash shuffle on the user-BUCKET key, then the bucket's (user, ts,
     event_id)-sorted rows (``exchange.sorted_runs``) with segmented
@@ -404,7 +406,7 @@ def event_gaps(sf_dir: str, n_buckets: int = 64):
     microseconds so the DuckDB ``lag`` oracle reproduces them
     bit-for-bit. Partitioning assumption: one user's events fit in one
     bucket group."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
 
     def gaps_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         starts = np.flatnonzero(pos == 0)
@@ -425,7 +427,7 @@ def event_gaps(sf_dir: str, n_buckets: int = 64):
         )
 
     return sorted_runs(
-        ds, "user_id", ["ts", "event_id"], gaps_bucket, n_buckets
+        ds, "user_id", ["ts", "event_id"], gaps_bucket
     ).sort("user_id")
 
 
@@ -496,7 +498,7 @@ def funnel_counts(sf_dir: str, stages=("view", "click", "purchase")):
     on user_id, per-group vectorized first-after scan, then a driver
     fold of the tiny per-user stage depth. Output: one row per stage
     with the users-remaining count."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"])
 
     def depth_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         # every user in the bucket advances through the stage machine
@@ -532,7 +534,7 @@ def funnel_counts(sf_dir: str, stages=("view", "click", "purchase")):
             }
         )
 
-    per_user = sorted_runs(ds, "user_id", ["ts", "event_id"], depth_bucket, 64)
+    per_user = sorted_runs(ds, "user_id", ["ts", "event_id"], depth_bucket)
     from ray.data.aggregate import Count
 
     hist = per_user.groupby("depth").aggregate(Count(alias_name="n")).take_all()
@@ -560,7 +562,7 @@ def retention_cohorts(sf_dir: str):
     user); the second groupby is over the tiny
     (weeks x weeks) key space. Week = Monday-start date, matching
     DuckDB date_trunc('week')."""
-    ds = _read(sf_dir, "events", ["user_id", "ts"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def weeks_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         days = g["ts"].to_numpy().astype("datetime64[D]").view("int64")
@@ -588,7 +590,7 @@ def retention_cohorts(sf_dir: str):
     from ray.data.aggregate import Count
 
     return (
-        sorted_runs(ds, "user_id", ["ts"], weeks_bucket, 64)
+        sorted_runs(ds, "user_id", ["ts"], weeks_bucket)
         .groupby(["cohort_week", "active_week"])
         .aggregate(Count(alias_name="n_users"))
         .sort(["cohort_week", "active_week"])
@@ -642,7 +644,7 @@ def orders_price_bands(sf_dir: str, bands=None):
 SEGMENTS = ["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"]
 
 
-def _priority_segment_cells(sf_dir: str, n_buckets: int = 32):
+def _priority_segment_cells(sf_dir: str):
     """(prio, seg, n) contingency cells from orders ⋈ customer WITHOUT a
     driver-side customer read (customer scales with the fact tables —
     VERDICT r4 #4): both sides co-partition by custkey bucket in ONE
@@ -652,8 +654,8 @@ def _priority_segment_cells(sf_dir: str, n_buckets: int = 32):
     <= P x S partial cells before a tiny final groupby sums them.
     Unmatched orders drop — inner-join semantics, as in the SQL
     oracles."""
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"], num_blocks=16)
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"], num_blocks=16)
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
     def cells_bucket(t: dict) -> pa.Table:
         o, c = t["O"], t["C"]
@@ -679,7 +681,6 @@ def _priority_segment_cells(sf_dir: str, n_buckets: int = 32):
         },
         {"O": "o_custkey", "C": "c_custkey"},
         cells_bucket,
-        n_buckets,
     )
     # <= priorities x segments rows by construction
     return grouped_agg(cells, ["prio", "seg"], {"n": ("seg", "count")}).take_all()
@@ -705,7 +706,7 @@ def priority_segment_pivot(sf_dir: str, segments=None):
 
 # -- interval join (events into containing session windows) ---------------
 
-def session_purchase_counts(sf_dir: str, gap_minutes: int = 30, n_buckets: int = 64):
+def session_purchase_counts(sf_dir: str, gap_minutes: int = 30):
     """Interval join — each event matched to the session window
     [start, end] that contains it (same user), counting purchases per
     session. The two large sides (session windows from
@@ -718,7 +719,7 @@ def session_purchase_counts(sf_dir: str, gap_minutes: int = 30, n_buckets: int =
     paid one Python group call per user, the shape this engine removes
     everywhere else."""
     sessions = events_sessionize(sf_dir, gap_minutes=gap_minutes)
-    events = _read(sf_dir, "events", ["user_id", "ts", "event_type"], num_blocks=16)
+    events = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
     def join_bucket(t: dict) -> pa.Table:
         sess, ev = t["S"], t["E"]
@@ -800,7 +801,6 @@ def session_purchase_counts(sf_dir: str, gap_minutes: int = 30, n_buckets: int =
             },
             "user_id",
             join_bucket,
-            n_buckets,
         )
         .sort(["user_id", "session_start"])
     )
@@ -819,7 +819,7 @@ def customer_balance_quartiles(sf_dir: str, k: int = 4):
     (exact NTILE needs the whole partition ranked; for a partition too
     large for that, use the corpus_shuffle range-bucket + prefix-offset
     rank instead)."""
-    ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"], num_blocks=16)
+    ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
 
     def quartile_group(group: pa.Table) -> pa.Table:
         bal = group["c_acctbal"].to_numpy(zero_copy_only=False)
@@ -868,7 +868,7 @@ def user_cumulative_spend(sf_dir: str):
     integer cents (order-free arithmetic,
     so the SQL window replays it bit-for-bit) — no per-user interpreter
     call (r5: was groupby(user_id).map_groups)."""
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
 
     def only_purchases(b: pa.Table) -> pa.Table:
         return b.filter(pc.equal(b["event_type"], "purchase")).drop_columns(
@@ -895,7 +895,7 @@ def user_cumulative_spend(sf_dir: str):
         )
 
     return sorted_runs(
-        purchases, "user_id", ["ts", "event_id"], cumsum_bucket, 64
+        purchases, "user_id", ["ts", "event_id"], cumsum_bucket
     ).sort(["user_id", "ts", "event_id"])
 
 
@@ -910,7 +910,7 @@ def events_hourly_users(sf_dir: str):
     counts the pairs per hour."""
     from ray.data.aggregate import Count
 
-    ds = _read(sf_dir, "events", ["ts", "user_id"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["ts", "user_id"])
 
     def dedup_partial(batch: pa.Table) -> pa.Table:
         hours = pc.floor_temporal(batch["ts"], unit="hour")
@@ -939,7 +939,7 @@ def user_event_paths(sf_dir: str, k: int = 20, max_len: int = 50):
     group call per user), ``grouped_agg`` collapses the
     paths to partial path counts, and only the top-k survive the final
     tiny exchange."""
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def paths_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         keep = pos < max_len
@@ -952,7 +952,7 @@ def user_event_paths(sf_dir: str, k: int = 20, max_len: int = 50):
         )
         return pa.Table.from_arrays([paths], names=["path"])
 
-    paths = sorted_runs(ds, "user_id", ["ts", "event_id"], paths_bucket, 64)
+    paths = sorted_runs(ds, "user_id", ["ts", "event_id"], paths_bucket)
     return (
         grouped_agg(paths, "path", {"n_users": (None, "count")})
         .sort(["n_users", "path"], descending=[True, False])
@@ -1032,7 +1032,7 @@ def event_transitions(sf_dir: str):
     collapses to
     <= types^2 partial counts (r5 — was one Python group call per
     user), then a tiny global groupby."""
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def pairs_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         et = _as_array(g["event_type"])
@@ -1044,7 +1044,7 @@ def event_transitions(sf_dir: str):
             }
         )
 
-    pairs = sorted_runs(ds, "user_id", ["ts", "event_id"], pairs_bucket, 64)
+    pairs = sorted_runs(ds, "user_id", ["ts", "event_id"], pairs_bucket)
     return grouped_agg(
         pairs, ["prev_type", "next_type"], {"n_transitions": (None, "count")}
     ).sort(["prev_type", "next_type"])
@@ -1295,7 +1295,7 @@ def user_first_last_purchase(sf_dir: str):
     boundaries of the bucket's sorted rows (``exchange.sorted_runs``;
     r5 — was one Python group call per user). Output one
     row per purchasing user with both endpoints in exact cents."""
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"], num_blocks=16)
+    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
 
     def only_purchases(b: pa.Table) -> pa.Table:
         return b.filter(pc.equal(b["event_type"], "purchase")).drop_columns(
@@ -1323,7 +1323,7 @@ def user_first_last_purchase(sf_dir: str):
         )
 
     return sorted_runs(
-        purchases, "user_id", ["ts", "event_id"], endpoints_bucket, 64
+        purchases, "user_id", ["ts", "event_id"], endpoints_bucket
     ).sort("user_id")
 
 
@@ -1538,7 +1538,7 @@ def signup_conversion_24h(sf_dir: str):
 
     US_DAY = 86_400_000_000
 
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"], num_blocks=16).map_batches(
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
         lambda b: b.filter(
             pc.is_in(b["event_type"], value_set=pa.array(["signup", "purchase"]))
         ),
@@ -1585,7 +1585,7 @@ def signup_conversion_24h(sf_dir: str):
         )
 
     agg = (
-        co_partition({"events": (ds, None)}, "user_id", per_bucket, 64)
+        co_partition({"events": (ds, None)}, "user_id", per_bucket)
         .aggregate(
             Sum("signed", alias_name="n_signup_users"),
             Sum("converted", alias_name="n_converted_24h"),
@@ -1685,7 +1685,7 @@ def time_to_convert_percentiles(sf_dir: str, percentiles=(0.5, 0.9)):
 
     US_MIN = 60_000_000
 
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"], num_blocks=16).map_batches(
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
         lambda b: b.filter(
             pc.is_in(b["event_type"], value_set=pa.array(["view", "purchase"]))
         ),
@@ -1727,7 +1727,7 @@ def time_to_convert_percentiles(sf_dir: str, percentiles=(0.5, 0.9)):
         )
 
     hist = (
-        co_partition({"events": (ds, None)}, "user_id", delta_bucket, 64)
+        co_partition({"events": (ds, None)}, "user_id", delta_bucket)
         .groupby("mins")
         .aggregate(Sum("n", alias_name="cnt"))
         .take_all()

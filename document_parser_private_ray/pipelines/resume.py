@@ -16,7 +16,7 @@ A task map also fuses with the following write into one
 Sizing: documents are heavy-tailed (FIXTURES §1), but in a short job
 the fixed cost of each task and the CPUs left idle while the scan
 streams cost more than the tail. ``read_corpus`` asks for
-``BLOCKS_PER_CPU`` read blocks per cluster CPU, each fused
+``SPANS_READ_PER_CPU`` read blocks per cluster CPU, each fused
 parse->write task takes one read block, and the map runs under
 ``stages.lift_reservation``. On a 6,000-doc corpus split into 2 to 40
 files (4 CPUs, ``PERF_pr11_blocks_by_files.json``), 2 blocks per CPU
@@ -32,14 +32,8 @@ from typing import Optional
 
 import pyarrow.compute as pc
 
-from ..stages import lift_reservation
+from ..stages import SPANS_READ_PER_CPU, lift_reservation, width
 from ..stages.parse import ParseDocuments
-
-
-# read blocks per cluster CPU on the spans read: of 1-4 per CPU, the one
-# faster than Ray's default at every file count from 2 to 40 (4 CPUs,
-# PERF_pr11_blocks_by_files.json)
-BLOCKS_PER_CPU = 2
 
 
 def read_corpus(path, columns=("doc_id", "spans")):
@@ -48,22 +42,20 @@ def read_corpus(path, columns=("doc_id", "spans")):
     logical format of the north rule); falls back to Parquet (sandbox
     physical format — no pylance wheel offline, SURVEY §1.5).
 
-    The parquet read asks for ``BLOCKS_PER_CPU x cluster CPUs`` blocks
+    The parquet read asks for ``width(SPANS_READ_PER_CPU)`` blocks
     instead of Ray's default: a narrow corpus is split and a wide one
     merged to that count, and Ray's own ``target_max_block_size`` cap
     still splits a read block that would grow past the target. Measured
     on 4 CPUs over 2 to 40 files (``PERF_pr11_blocks_by_files.json``):
     +6% to +22% docs/s against Ray's default at each file count. On the
     ``resume_stream`` benchmark that is 8 blocks with no ``SplitBlocks``."""
-    import ray
     import ray.data as rd
 
     if isinstance(path, str) and path.endswith(".lance"):
         return rd.read_lance(path, columns=list(columns))
-    if not ray.is_initialized():
-        ray.init()  # as read_parquet would on its own
-    blocks = BLOCKS_PER_CPU * int(ray.cluster_resources().get("CPU", 1))
-    return rd.read_parquet(path, columns=list(columns), override_num_blocks=blocks)
+    return rd.read_parquet(
+        path, columns=list(columns), override_num_blocks=width(SPANS_READ_PER_CPU)
+    )
 
 
 def parse_resumes(
@@ -106,15 +98,6 @@ def parse_resumes(
             stage, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
         )
     )
-
-
-def write_outputs(parsed, out_dir: str, fmt: str = "parquet"):
-    """Sink (S7 parity): the reference emits per-document JSON
-    (main.py:184-186); at corpus scale the same payload goes to a
-    directory of parquet (default) or JSON-lines part files."""
-    if fmt == "json":
-        return parsed.write_json(out_dir)
-    return parsed.write_parquet(out_dir)
 
 
 def sample_corpus(ds, fraction: float = 0.01, seed: int = 7, limit: int = 0):

@@ -119,7 +119,7 @@ def bm25_search(sf_dir: str, query: str = DEFAULT_QUERY, k: int = 10):
 
 
 def build_postings(
-    sf_dir: str, max_df: int = 1000, n_salts: int = 8, n_buckets: int = 64
+    sf_dir: str, max_df: int = 1000, n_salts: int = 8
 ):
     """Inverted-index CONSTRUCTION as a dataset product: (word, df,
     doc_ids) posting lists over the corpus vocabulary, doc_ids sorted
@@ -258,8 +258,8 @@ def build_postings(
 
     postings = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
     partials = co_partition(
-        {"postings": (postings, None)}, "word", partial_bucket, n_buckets
+        {"postings": (postings, None)}, "word", partial_bucket
     )
     return co_partition(
-        {"partials": (partials, None)}, "word", merge_bucket, n_buckets
+        {"partials": (partials, None)}, "word", merge_bucket
     ).sort("word")

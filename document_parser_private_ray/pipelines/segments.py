@@ -181,7 +181,7 @@ def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
     ).sort("doc_id")
 
 
-def dedup_segments(sf_dir: str, seg_words: int = 4, n_buckets: int = 16):
+def dedup_segments(sf_dir: str, seg_words: int = 4):
     """Corpus-wide exact segment dedup (Lee et al. 2021 ExactSubstr at
     fixed-window granularity): only the FIRST occurrence of each
     segment — min (doc_id, pos) over the whole corpus — survives; later
@@ -232,7 +232,6 @@ def dedup_segments(sf_dir: str, seg_words: int = 4, n_buckets: int = 16):
         {"segs": (segs.select_columns(["h1", "h2", "ckey"]), None)},
         "h1",
         min_bucket,
-        64,
     )
 
     def attach_and_flag(t: dict) -> pa.Table:
@@ -254,7 +253,6 @@ def dedup_segments(sf_dir: str, seg_words: int = 4, n_buckets: int = 16):
         },
         "h1",
         attach_and_flag,
-        n_buckets,
     )
 
     def reassemble_bucket(g: pa.Table, run_pos: np.ndarray) -> pa.Table:
@@ -282,4 +280,4 @@ def dedup_segments(sf_dir: str, seg_words: int = 4, n_buckets: int = 16):
             }
         )
 
-    return sorted_runs(flagged, "doc_id", ["pos"], reassemble_bucket, 64).sort("doc_id")
+    return sorted_runs(flagged, "doc_id", ["pos"], reassemble_bucket).sort("doc_id")

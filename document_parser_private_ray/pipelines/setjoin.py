@@ -138,8 +138,6 @@ def ppjoin_pairs(
     t_num: int = 7,
     t_den: int = 10,
     k: int = 3,
-    n_buckets: int = 64,
-    num_read_blocks: int = 16,
 ):
     """All document pairs with shingle-set Jaccard >= t_num/t_den,
     EXACT. Returns (doc_a, doc_b, n_common, n_union) sorted — integer
@@ -167,16 +165,9 @@ def ppjoin_pairs(
     set is undefined here (the near-dup families own the empty-doc
     star; see ``ngram_jaccard_pairs``).
     """
-    from ..sources.readers import read_table
+    from .relational import _read
 
-    # the chain is 6 bounded exchanges over a table small relative to
-    # that count — downstream shuffles partition by INCOMING block
-    # count, so fuller read blocks cut the fixed per-exchange cost
-    # (the pagerank/Q3 idiom); pass None to keep the scanner's split
-    docs = read_table(
-        f"{sf_dir}/documents.parquet", ("doc_id", "text"),
-        override_num_blocks=num_read_blocks,
-    )
+    docs = _read(sf_dir, "documents", ("doc_id", "text"))
     postings = docs.map_batches(
         lambda b: _explode_shingles(b, k),
         batch_format="pyarrow",
@@ -202,9 +193,9 @@ def ppjoin_pairs(
         return g.rename_columns(["tok", "df"])
 
     df_parts = postings.map_batches(partial_df, batch_format="pyarrow", zero_copy_batch=True)
-    dftab = co_partition({"df_parts": (df_parts, None)}, "tok", sum_df_bucket, 64)
+    dftab = co_partition({"df_parts": (df_parts, None)}, "tok", sum_df_bucket)
 
-    with_df = bucketed_join(postings, dftab, "tok", "tok", n_buckets=16)
+    with_df = bucketed_join(postings, dftab, "tok", "tok")
 
     # -- prefix selection: each doc's postings in (df, tok) order; the
     # run position is the posting's rank in its doc
@@ -223,7 +214,7 @@ def ppjoin_pairs(
             }
         )
 
-    prefixes = sorted_runs(with_df, "doc_id", ["df", "tok"], prefix_select, n_buckets)
+    prefixes = sorted_runs(with_df, "doc_id", ["df", "tok"], prefix_select)
 
     # -- candidate pairs: one self_pairs per tok bucket
     def bucket_pairs(group: pa.Table) -> pa.Table:
@@ -285,7 +276,7 @@ def ppjoin_pairs(
         return joined.filter(mask).select(["doc_a", "doc_b", "n_a", "n_b"])
 
     cand = grouped_agg(
-        co_partition({"prefixes": (prefixes, None)}, "tok", bucket_pairs, n_buckets),
+        co_partition({"prefixes": (prefixes, None)}, "tok", bucket_pairs),
         ["doc_a", "doc_b"],
         {"n_a": ("n_a", "max"), "n_b": ("n_b", "max")},
     ).materialize()

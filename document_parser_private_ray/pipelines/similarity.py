@@ -93,10 +93,10 @@ def load_queries(sf_dir: str, n_queries: int = 8) -> tuple:
     return np.asarray(ids, dtype=np.int64), qmat
 
 
-def _global_topk(locals_, k: int, score_col: str, descending: bool, n_buckets: int = 64):
+def _global_topk(locals_, k: int, score_col: str, descending: bool):
     """Global per-query top-k over local-candidate rows (query_id,
     vec_id, score) — the bucketed rank idiom (VERDICT r4 #1): query_ids
-    co-partition into n_buckets buckets, each bucket's rows come sorted
+    co-partition into hash buckets, each bucket's rows come sorted
     by (query, score, vec_id) with their run positions
     (``exchange.sorted_runs``), and rank = position + 1 <= k is kept.
     No per-query-group Python call, no pandas frame — at batch-ANN
@@ -118,7 +118,7 @@ def _global_topk(locals_, k: int, score_col: str, descending: bool, n_buckets: i
 
     order = (score_col, "descending" if descending else "ascending")
     return sorted_runs(
-        locals_, "query_id", [order, "vec_id"], topk_bucket, n_buckets
+        locals_, "query_id", [order, "vec_id"], topk_bucket
     ).sort(["query_id", "rank"])
 
 

@@ -101,7 +101,7 @@ def sample_stratified(sf_dir: str, n_per_source: int = 10):
         )
 
     keyed_ds = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-    return sorted_runs(keyed_ds, "source", ["hkey", "doc_id"], topn, 16).sort(
+    return sorted_runs(keyed_ds, "source", ["hkey", "doc_id"], topn).sort(
         ["source", "rk"]
     )
 
@@ -163,7 +163,7 @@ def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
             {"doc_id": g["doc_id"], "pos": pa.array(base[np.cumsum(pos == 0) - 1] + pos)}
         )
 
-    return sorted_runs(hashed, "rng", ["h", "doc_id"], rank_range, n_ranges).sort("doc_id")
+    return sorted_runs(hashed, "rng", ["h", "doc_id"], rank_range).sort("doc_id")
 
 
 def label_balance_by_split(sf_dir: str):

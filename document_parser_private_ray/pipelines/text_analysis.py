@@ -258,7 +258,7 @@ def doc_tfidf(sf_dir: str, k: int = 5):
             names=["doc_id", "word", "tf", "df", "tfidf_micro"],
         )
 
-    scored = co_partition({"terms": (tf, None)}, "word", attach_df_bucket, 64)
+    scored = co_partition({"terms": (tf, None)}, "word", attach_df_bucket)
 
     def topk_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         # every doc of the bucket ranked at once from its run positions
@@ -266,7 +266,7 @@ def doc_tfidf(sf_dir: str, k: int = 5):
         return g.filter(sel).append_column("rank", pa.array(pos + 1).filter(sel))
 
     return sorted_runs(
-        scored, "doc_id", [("tfidf_micro", "descending"), "word"], topk_bucket, 64
+        scored, "doc_id", [("tfidf_micro", "descending"), "word"], topk_bucket
     ).sort(["doc_id", "rank"])
 
 
@@ -649,7 +649,7 @@ def top_words_by_source(sf_dir: str, k: int = 5):
             names=["source", "word", "n", "rk"],
         )
 
-    return sorted_runs(agg, "source", [("n", "descending"), "word"], topk, 16).sort(
+    return sorted_runs(agg, "source", [("n", "descending"), "word"], topk).sort(
         ["source", "rk"]
     )
 

@@ -269,12 +269,11 @@ def write_corpus_local(out_dir: str, n_docs: int, seed: int = 42, rows_per_file:
         pq.write_table(table, os.path.join(out_dir, f"part-{start:09d}.parquet"))
 
 
-def corpus_dataset(n_docs: int, seed: int = 42, parallelism: int = -1):
+def corpus_dataset(n_docs: int, seed: int = 42):
     """Ray Data generation pipeline: range -> map_batches(generate)."""
     import ray.data as rd
 
-    ds = rd.range(n_docs, override_num_blocks=parallelism if parallelism > 0 else None)
-    return ds.map_batches(
+    return rd.range(n_docs).map_batches(
         lambda b: generate_batch(b["id"], seed),
         batch_format="numpy",
         batch_size=1000,

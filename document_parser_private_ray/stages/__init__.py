@@ -1,5 +1,35 @@
-"""Ray Data stages for the parse chain, and the one execution rule every
-scan -> CPU-bound map chain shares (``lift_reservation``)."""
+"""Ray Data stages for the parse chain, and the two execution rules every
+chain shares: ``lift_reservation`` (a scan feeding a CPU-bound map) and
+``width`` (how many blocks an exchange-feeding read asks for and how
+many buckets an exchange makes)."""
+
+# blocks and buckets per cluster CPU of every exchange and every read
+# feeding one: of 1, 2 and 4 per CPU, 1 gave the lowest total wall on
+# the 120 contract queries that reach an exchange, at sf0.01 and sf0.1
+# (PERF_pr13_width_sweep.json)
+EXCHANGE_PER_CPU = 1
+# blocks per cluster CPU of the spans read, where each block is one
+# fused parse->write task: of 1-4 per CPU, the one faster than Ray's
+# default at every file count from 2 to 40 (PERF_pr11_blocks_by_files.json)
+SPANS_READ_PER_CPU = 2
+
+
+def width(per_cpu: int | None = None) -> int:
+    """The one exchange width: ``per_cpu`` (default
+    ``EXCHANGE_PER_CPU``) x cluster CPUs.
+
+    Read on the driver when a plan is built: the bucket count of every
+    exchange (``exchange.co_partition`` and the layers on it) and the
+    block count of the reads that feed them (``relational._read``,
+    and ``resume.read_corpus`` at ``SPANS_READ_PER_CPU``). Starts a
+    local Ray session if none is running, as a read would on its own."""
+    import ray
+
+    if not ray.is_initialized():
+        ray.init()
+    if per_cpu is None:
+        per_cpu = EXCHANGE_PER_CPU
+    return per_cpu * int(ray.cluster_resources().get("CPU", 1))
 
 
 def lift_reservation(ds):

@@ -124,3 +124,44 @@ def test_changed_maps_each_query_to_its_modules():
     for row in ROWS:
         assert f"{PKG}.{row.target.rpartition('.')[0]}" in deps[row.name], row.name
     assert {f"{PKG}.stages.parse", f"{PKG}.pipelines.resume"} <= deps["detect_sections"]
+
+
+def test_broken_oracle_is_an_error_row_and_the_sweep_goes_on(monkeypatch, tmp_path):
+    """An oracle whose SQL DuckDB rejects makes that query an ``ERROR``
+    row: the queries after it still run and the JSON is still written.
+    Ray and the entry module are stubs, so nothing starts."""
+    import json
+    import types
+
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    cc = _check_contract()
+    for t in cc.TABLES:
+        pq.write_table(pa.table({"x": [1]}), tmp_path / f"{t}.parquet")
+
+    def one_row(sf):
+        return pd.DataFrame({"x": [1]})
+
+    entry = types.ModuleType("__ray_entry__")
+    entry.queries = lambda: {"before": one_row, "broken": one_row, "after": one_row}
+    entry.oracle_sql = lambda: {
+        "before": "SELECT 1 AS x",
+        "broken": "SELECT x FROM no_such_table",
+        "after": "SELECT x FROM orders",
+    }
+    ray = types.SimpleNamespace(init=lambda **kw: None, shutdown=lambda: None)
+    monkeypatch.setitem(sys.modules, "ray", ray)
+    monkeypatch.setitem(sys.modules, "__ray_entry__", entry)
+    monkeypatch.setenv("GRAFT_VERIFY_SF", "")  # main() sets it; restored after
+
+    out = tmp_path / "sweep.json"
+    argv = ["check_contract.py", str(tmp_path), "--only", "before,broken,after",
+            "--json", str(out)]
+    assert cc.main(argv) == 1
+    got = json.loads(out.read_text())
+    assert {q: r["status"] for q, r in got["queries"].items()} == {
+        "before": "OK", "broken": "ERROR", "after": "OK",
+    }
+    assert got["n_fails"] == 1

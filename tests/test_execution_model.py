@@ -356,3 +356,97 @@ def test_one_spans_read_and_one_reservation_rule():
     reads, switches = _offenders()
     assert [r for r in reads if r[0] not in ALLOWED_SPANS_READS] == []
     assert [s for s in switches if s[0] not in ALLOWED_RESERVATION_SWITCHES] == []
+
+
+# -- one exchange-width rule -------------------------------------------------
+
+WIDTH_READERS = {
+    "document_parser_private_ray/pipelines/resume.py::read_corpus",
+    "document_parser_private_ray/pipelines/relational.py::_read",
+}
+WIDTH_NAMES = {"n_buckets", "num_blocks", "num_read_blocks"}
+# positional arity of the exchange layers; one more argument is a width
+EXCHANGE_ARITY = {"co_partition": 3, "sorted_runs": 4}
+# the per-CPU constants of ``stages`` a width may be taken at
+RULE_CONSTANTS = {"EXCHANGE_PER_CPU", "SPANS_READ_PER_CPU"}
+# widths allowed off the rule, with why (none)
+ALLOWED_WIDTHS: set = set()
+
+
+def _is_rule_call(node) -> bool:
+    """``width()`` or ``stages.width()``, bare or at a named per-CPU
+    constant of the rule's module (``width(SPANS_READ_PER_CPU)``)."""
+    return (
+        isinstance(node, ast.Call)
+        and not node.keywords
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "width")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "width")
+        )
+        and all(ast.unparse(a).split(".")[-1] in RULE_CONSTANTS for a in node.args)
+    )
+
+
+def _rule_names(fn) -> set:
+    """Names a function (nested ones included) binds to the rule."""
+    return {
+        t.id
+        for n in ast.walk(fn) if isinstance(n, ast.Assign) and _is_rule_call(n.value)
+        for t in n.targets if isinstance(t, ast.Name)
+    }
+
+
+def _width_offenders():
+    found = []
+    for path, tree in _sources().items():
+        owner = _innermost(tree)
+        fns = dict(_functions(tree))
+        qualname = {fn: name for name, fn in _functions(tree)}
+        for node in ast.walk(tree):
+            where = f"{path}::{owner[node]}"
+            if isinstance(node, ast.FunctionDef):
+                name = f"{path}::{qualname[node]}"
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                for a in args:
+                    if a.arg in WIDTH_NAMES:
+                        found.append((name, f"parameter {a.arg}"))
+            if isinstance(node, ast.Dict) and path == "__ray_entry__.py":
+                for k in node.keys:
+                    if isinstance(k, ast.Constant) and k.value in WIDTH_NAMES:
+                        found.append((where, f"query kwarg {k.value}"))
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            fname = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            top = owner[node].split(".")[0]
+            rule = _rule_names(fns[top]) if top in fns else set()
+
+            def off_rule(expr):
+                return not (_is_rule_call(expr) or (isinstance(expr, ast.Name) and expr.id in rule))
+
+            if fname in EXCHANGE_ARITY and len(node.args) > EXCHANGE_ARITY[fname]:
+                found.append((where, f"{fname} width {ast.unparse(node.args[-1])}"))
+            for k in node.keywords:
+                if k.arg in WIDTH_NAMES:
+                    found.append((where, f"{fname}({k.arg}=)"))
+                if k.arg == "override_num_blocks" and (
+                    where not in WIDTH_READERS or off_rule(k.value)
+                ):
+                    found.append((where, f"override_num_blocks={ast.unparse(k.value)}"))
+            if fname == "repartition" and node.args and off_rule(node.args[0]):
+                found.append((where, f"repartition({ast.unparse(node.args[0])})"))
+            if fname == "bucket_ids" and len(node.args) > 1 and off_rule(node.args[1]):
+                found.append((where, f"bucket_ids(..., {ast.unparse(node.args[1])})"))
+    return found
+
+
+def test_one_exchange_width_rule():
+    """Every exchange and every exchange-feeding read takes its width
+    from ``stages.width()`` on the driver: no package parameter named
+    ``n_buckets`` / ``num_blocks`` / ``num_read_blocks`` (the hash
+    modulus of ``exchange.bucket_ids`` is ``n``), no width argument to
+    ``co_partition`` / ``sorted_runs``, no ``repartition``,
+    ``bucket_ids`` modulus or ``override_num_blocks=`` off the rule, no
+    ``override_num_blocks=`` outside the rule's two readers, and no
+    width kwarg in ``QUERY_TABLE``."""
+    assert [f for f in _width_offenders() if f[0] not in ALLOWED_WIDTHS] == []

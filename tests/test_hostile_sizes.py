@@ -3,8 +3,8 @@
 One 300 KB input per construct goes through each entry scan on a fresh,
 cold instance (empty memos), and each call must return inside a wall
 bound. A linear scan takes well under a second here; a super-linear one
-(the old month-year and company fallbacks, the unguarded job-title
-section patterns) takes minutes to hours on the same input, so the
+(the old month-year, company and email regexes, the unguarded
+job-title section patterns) takes minutes to hours on the same input, so the
 bound separates the two without being tight. The bound is enforced with
 an interval timer, which also interrupts a running regex search.
 """
@@ -40,6 +40,11 @@ INPUTS = {
     ),
     # "to" with no spaces around it: the gate passes, the split finds nothing
     "to_without_spaces": _fill("ato"),
+    # one email local-part run with a word boundary every character and
+    # no "@": the reference's email regex retries every one of them
+    "dotted_run_no_at": _fill("a.b."),
+    # the same run, and one "@" far from it
+    "dotted_run_far_at": _fill("a.b.") + " me@example.org",
 }
 
 # "Class.method" -> the class a fresh instance is made from
@@ -50,6 +55,7 @@ _CALLS = {
     "ResumeExtractor._extract_field_of_study": ResumeExtractor,
     "SectionDetector.detect": SectionDetector,
     "ResumeExtractor.extract_skills": ResumeExtractor,
+    "ResumeExtractor.extract_contact": ResumeExtractor,
 }
 
 

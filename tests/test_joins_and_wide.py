@@ -9,7 +9,7 @@ SF = "/root/testdata/sf0.001"
 def test_bucketed_join_matches_duckdb(ray_session):
     from document_parser_private_ray.pipelines.joins import order_lineitem_revenue
 
-    got = order_lineitem_revenue(SF, n_buckets=8, k=10).to_pandas()
+    got = order_lineitem_revenue(SF, k=10).to_pandas()
     exp = duckdb.sql(
         f"""SELECT o_orderkey,
                    SUM(l_extendedprice * (1 - l_discount)) AS revenue,
@@ -33,7 +33,7 @@ def test_bucketed_join_generic(ray_session):
     right = rd.from_items(
         [{"rk": i % 10, "b": f"R{j}-{i % 10}"} for j, i in enumerate(range(30))]
     )
-    out = bucketed_join(left, right, "k", "rk", n_buckets=4).to_pandas()
+    out = bucketed_join(left, right, "k", "rk").to_pandas()
     # inner join: keys 0..9 each match 3 right rows -> 30 rows
     assert len(out) == 30
     assert set(out["k"]) == set(range(10))
@@ -121,8 +121,8 @@ def test_bucketed_filter_join_semi_anti(ray_session):
     right = rd.from_items(
         [{"rk": k} for k in [0, 2, 2, 4, 6, 8, 10, 12, 14, 16, 18, 99, 100]]
     )
-    semi = bucketed_filter_join(left, right, "k", "rk", mode="semi", n_buckets=4)
-    anti = bucketed_filter_join(left, right, "k", "rk", mode="anti", n_buckets=4)
+    semi = bucketed_filter_join(left, right, "k", "rk", mode="semi")
+    anti = bucketed_filter_join(left, right, "k", "rk", mode="anti")
     semi_df = semi.to_pandas()
     anti_df = anti.to_pandas()
     assert sorted(semi_df["k"]) == [i for i in range(20) if i % 2 == 0]
@@ -140,8 +140,7 @@ def test_bucketed_join_left_outer(ray_session):
 
     left = rd.from_items([{"k": i, "a": f"L{i}"} for i in range(8)])
     right = rd.from_items([{"rk": k, "b": f"R{k}"} for k in [0, 2, 2, 4, 99]])
-    out = bucketed_join(left, right, "k", "rk", n_buckets=3,
-                        join_type="left outer").to_pandas()
+    out = bucketed_join(left, right, "k", "rk", join_type="left outer").to_pandas()
     # matched: k=0 (1 row), k=2 (2 rows), k=4 (1 row); unmatched: 1,3,5,6,7
     assert len(out) == 9
     unmatched = out[out["b"].isna()]
@@ -152,8 +151,7 @@ def test_bucketed_join_left_outer(ray_session):
     assert sorted(matched["k"]) == [0, 2, 2, 4]
     # full outer is supported since snapshot_diff; right-unmatched keys
     # surface with null left columns
-    full = bucketed_join(left, right, "k", "rk", n_buckets=3,
-                         join_type="full outer").to_pandas()
+    full = bucketed_join(left, right, "k", "rk", join_type="full outer").to_pandas()
     assert len(full) == 10  # the 9 left-outer rows + right-only rk=99
     right_only = full[full["a"].isna()]
     assert sorted(right_only["rk"]) == [99]
@@ -171,16 +169,20 @@ def _sorted_rows(table, cols):
     return sorted(zip(*(table[c].to_pylist() for c in cols)))
 
 
-@pytest.mark.parametrize("n_buckets", [1, 3, 16])
-def test_co_partition_two_side_matches_single_side(ray_session, n_buckets):
+@pytest.mark.parametrize("width", [1, 3, 16])
+def test_co_partition_two_side_matches_single_side(ray_session, monkeypatch, width):
     """The same int-key inner join through a two-side call and through
-    a single-side call (caller-tagged rows) agree with pandas."""
+    a single-side call (caller-tagged rows) agree with pandas, at
+    several exchange widths (set through the rule on the driver)."""
     import pandas as pd
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
+    from document_parser_private_ray import stages
     from document_parser_private_ray.pipelines.exchange import co_partition
+
+    monkeypatch.setattr(stages, "width", lambda: width)
 
     lrows = [{"k": i % 7, "a": i} for i in range(40)]
     rrows = [{"k": i % 11, "b": 100 + i} for i in range(25)]
@@ -196,7 +198,6 @@ def test_co_partition_two_side_matches_single_side(ray_session, n_buckets):
         },
         "k",
         lambda t: t["L"].join(t["R"], keys="k").select(["k", "a", "b"]),
-        n_buckets,
     )
     both = rd.from_items(
         [{"k": r["k"], "v": r["a"], "side": "L"} for r in lrows]
@@ -209,7 +210,7 @@ def test_co_partition_two_side_matches_single_side(ray_session, n_buckets):
         right = group.filter(pc.invert(is_l)).select(["k", "v"]).rename_columns(["k", "b"])
         return left.join(right, keys="k").select(["k", "a", "b"])
 
-    one = co_partition({"rows": (both, None)}, "k", split_join, n_buckets)
+    one = co_partition({"rows": (both, None)}, "k", split_join)
     cols = ["k", "a", "b"]
     assert _sorted_rows(_table(two), cols) == exp
     assert _sorted_rows(_table(one), cols) == exp
@@ -241,7 +242,6 @@ def test_co_partition_kernel_sees_own_side_columns(ray_session):
         {"L": (left, schemas["L"]), "R": (right, schemas["R"])},
         {"L": "id", "R": "rid"},
         columns_seen,
-        4,
     ))
     seen = {(s, c) for s, c in zip(out["side"].to_pylist(), out["cols"].to_pylist())}
     assert seen == {("L", "id,x"), ("R", "rid,y")}
@@ -280,7 +280,6 @@ def test_co_partition_zero_row_block_side(ray_session):
         },
         {"O": "oc", "C": "c"},
         lambda t: t["O"].filter(pc.is_in(t["O"]["oc"], value_set=t["C"]["c"])),
-        4,
     ))
     assert sorted(out["v"].to_pylist()) == [1, 3, 7, 9]
 
@@ -333,18 +332,22 @@ SORTED_RUNS_CASES = {
 }
 
 
-@pytest.mark.parametrize("n_buckets", [1, 7])
+@pytest.mark.parametrize("width", [1, 7])
 @pytest.mark.parametrize("case", sorted(SORTED_RUNS_CASES))
-def test_sorted_runs_matches_one_table_sort(ray_session, case, n_buckets):
+def test_sorted_runs_matches_one_table_sort(ray_session, monkeypatch, case, width):
     """Every kernel call sees whole key runs, each equal to its run in one
     ``pc.sort_indices`` of the concatenated input, with ``pos`` counting
-    0, 1, ... along the run — across several blocks, one of them empty."""
+    0, 1, ... along the run — across several blocks, one of them empty,
+    at several exchange widths (set through the rule on the driver)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
+    from document_parser_private_ray import stages
     from document_parser_private_ray.pipelines.exchange import sorted_runs
+
+    monkeypatch.setattr(stages, "width", lambda: width)
 
     key, order_by, keys = SORTED_RUNS_CASES[case]
     x = [0.5, 2.0, 0.5, -1.0, 2.0, 3.25, 2.0, 0.5]
@@ -360,7 +363,7 @@ def test_sorted_runs_matches_one_table_sort(ray_session, case, n_buckets):
             "call": np.full(n, t["id"][0].as_py() if n else -1),
         })
 
-    out = _table(sorted_runs(rd.from_arrow(blocks), key, order_by, kernel, n_buckets))
+    out = _table(sorted_runs(rd.from_arrow(blocks), key, order_by, kernel))
     sort_keys = [(key, "ascending")] + [
         (c, "ascending") if isinstance(c, str) else c for c in order_by
     ]

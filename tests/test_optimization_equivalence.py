@@ -175,6 +175,7 @@ _NAIVE_COMPANY = re.compile(
     r"\b([A-Z][a-zA-Z0-9\s,.-]+(?:Inc|LLC|Co|Company|Group|Corp|Corporation|Ltd|Limited))\b"
 )
 _NAIVE_DELIMITERS = (r"\s+to\s+", r"\s+-\s+", r"\s*–\s*", r"\s*—\s*")
+_NAIVE_EMAIL = re.compile(r"\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Z|a-z]{2,}\b")
 
 
 def naive_extract_period(normalizer, text):
@@ -197,6 +198,11 @@ def naive_field_of_study(text):
 def naive_company(text):
     m = _NAIVE_COMPANY.search(text)
     return m.group(1) if m else None
+
+
+def naive_email(text):
+    m = _NAIVE_EMAIL.search(text)
+    return m.group(0) if m else None
 
 
 # the constructs the scans react to, including characters that
@@ -247,6 +253,21 @@ def test_field_of_study_equivalence(text):
 @given(entry_text)
 def test_company_fallback_equivalence(text):
     assert extract_mod._search_company(text) == naive_company(text)
+
+
+# local-part and domain characters, the '@' and '.' the match hinges
+# on, the literal '|' of the reference's TLD class, and word characters
+# outside ASCII that move a \b next to a run
+_EMAIL_ATOMS = [
+    "a", "Z", "9", "_", ".", "-", "+", "%", "@", "@@", "|", " ", "\n",
+    "co", "org", "x.org", ".c", "me", "é", "ſ", "\u212a", "٣", "A.b.",
+]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_EMAIL_ATOMS), max_size=16).map("".join))
+def test_email_search_equivalence(text):
+    assert extract_mod._search_email(text) == naive_email(text)
 
 
 _TITLE_PATTERNS = [p for p in _PATTERNS["experience"] if p.startswith("[A-Z][a-z]+")]

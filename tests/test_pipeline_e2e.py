@@ -323,7 +323,7 @@ def test_parse_fuses_with_write(ray_session, corpus_path, many_files, tmp_path):
 
 
 def test_read_corpus_sizes_blocks_to_the_cluster(ray_session, many_files):
-    """read_corpus asks for BLOCKS_PER_CPU x cluster CPUs blocks. On a
+    """read_corpus asks for SPANS_READ_PER_CPU x cluster CPUs blocks. On a
     corpus with more files than that it makes exactly that many, with no
     SplitBlocks and none past the target; a tiny target raises the
     count through Ray's own block cap (which slices by average row size,
@@ -331,13 +331,16 @@ def test_read_corpus_sizes_blocks_to_the_cluster(ray_session, many_files):
     import ray
     from ray.data import DataContext
 
+    from document_parser_private_ray import stages
     from document_parser_private_ray.pipelines import resume
 
     def sizes(ds):
         return [m.size_bytes for b in ds.iter_internal_ref_bundles() for _, m in b.blocks]
 
     ctx = DataContext.get_current()
-    per_cpu = resume.BLOCKS_PER_CPU * int(ray.cluster_resources()["CPU"])
+    per_cpu = stages.width(stages.SPANS_READ_PER_CPU)
+    # the spans read stays at 2 blocks per CPU (PERF_pr11_blocks_by_files.json)
+    assert per_cpu == 2 * int(ray.cluster_resources()["CPU"])
     assert len(os.listdir(many_files)) > per_cpu
 
     ds = resume.read_corpus(many_files).materialize()

@@ -1812,10 +1812,7 @@ def test_bucketed_join_full_outer_small(ray_session):
     right = rd.from_arrow(
         pa.table({"rk": pa.array([2, 3], type=pa.int64()), "b": ["m", "n"]})
     )
-    out = (
-        bucketed_join(left, right, "k", "rk", n_buckets=4, join_type="full outer")
-        .to_pandas()
-    )
+    out = bucketed_join(left, right, "k", "rk", join_type="full outer").to_pandas()
     assert len(out) == 3
     rows = {tuple(r) for r in out[["a", "b"]].itertuples(index=False, name=None)}
     assert rows == {("x", None), ("y", "m"), (None, "n")}

@@ -256,7 +256,13 @@ def main(argv):
         records[name] = {"status": "ROWS_ONLY", "rows": len(rdf),
                          "hash": value_hash(rdf), "wall_s": round(dt, 3)}
         if name in oracles:
-            odf = con.execute(oracles[name]).df()
+            try:
+                odf = con.execute(oracles[name]).df()
+            except Exception as e:
+                fails.append((name, f"ORACLE ERROR {type(e).__name__}: {e}"))
+                print(f"  {name}: ORACLE ERROR {e}")
+                records[name]["status"] = "ERROR"
+                continue
             rn, on = len(rdf), len(odf)
             rc, oc = sorted(rdf.columns), sorted(odf.columns)
             rh, oh = value_hash(rdf), value_hash(odf)
