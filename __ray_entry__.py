@@ -4,11 +4,10 @@
 interleaved-span corpus (sized from sf0.001).
 ``queries()`` — name -> callable(sf_dir) for every contract query, built
 from ``QUERY_TABLE`` in driver order. A row names one package function,
-its constant kwargs, the float columns to turn into integer cents and
-the columns to keep; the ``_q_*`` functions cover the queries that do
-more than call one function on sf_dir (synthetic-corpus inputs, oracle
-export staging, synthetic media, the checkpoint lineage check). A new
-query is one new row, placed where it should sit in the driver window.
+its input (the sf dir, a synthetic spans corpus, or none), its constant
+kwargs (oracle export paths among them), the float columns to turn into
+integer cents and the columns to keep. A new query is one new row,
+placed where it should sit in the driver window.
 ``oracle_sql()`` — DuckDB-equivalent SQL for every SQL-expressible
 query (same column names; float aggregates as integer cents/micros on
 both sides — cross-engine ROUND() is hash poison). Sketch/LSH/IVF
@@ -52,6 +51,13 @@ def _corpus_for(sf_dir: str, n_docs: int | None = None) -> str:
     return path
 
 
+def _spans(sf_dir: str, n_docs: int | None = None):
+    """The synthetic spans corpus for ``sf_dir`` as a Dataset."""
+    from document_parser_private_ray.pipelines.resume import read_corpus
+
+    return read_corpus(_corpus_for(sf_dir, n_docs))
+
+
 def entry() -> Any:
     """Flagship: read sf0.001-sized synthetic spans corpus -> full parse
     chain -> parsed table (doc_id, out_spans, resume, error)."""
@@ -61,397 +67,16 @@ def entry() -> Any:
     return parse_resumes(read_corpus(corpus), batch_size=32)
 
 
-# --------------------------------------------------------------------------
-
-
-def _q_parse_resumes(sf_dir: str):
-    from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
-
-    return parse_resumes(read_corpus(_corpus_for(sf_dir)))
-
-
-def _q_parse_resumes_pii(sf_dir: str):
-    """Full chain with the PII stage on: adds anonymized_text + pii_map
-    columns (per-document counters, hash strategy)."""
-    from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
-
-    ds = parse_resumes(read_corpus(_corpus_for(sf_dir, n_docs=200)), with_pii=True)
-    return ds.select_columns(["doc_id", "anonymized_text", "error"])
-
-
-def _q_detect_sections(sf_dir: str):
-    """M4 over the corpus, flattened to one row per detected section
-    (doc_id, sec_idx, name, content) so the DuckDB oracle — which
-    replays the whole line-state machine in SQL (_sections_oracle_sql)
-    — can hash-compare without nested-type stringification skew."""
-    import numpy as np
-
-    from document_parser_private_ray.pipelines.resume import read_corpus
-    from document_parser_private_ray.stages.parse import DetectSectionsStage
-
-    def flatten(batch):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        secs = batch["sections"]
-        flat = pc.list_flatten(secs)
-        parents = pc.list_parent_indices(secs).to_numpy(zero_copy_only=False)
-        # sec_idx = position within each doc's packed list
-        starts = np.zeros(len(batch), dtype=np.int64)
-        lens = pc.list_value_length(secs).fill_null(0).to_numpy(zero_copy_only=False)
-        np.cumsum(lens[:-1], out=starts[1:])
-        sec_idx = np.arange(len(flat)) - starts[parents]
-        return pa.table(
-            {
-                "doc_id": pc.take(batch["doc_id"], pa.array(parents)),
-                "sec_idx": pa.array(sec_idx.astype(np.int32)),
-                "name": pc.struct_field(flat, "name"),
-                "content": pc.struct_field(flat, "content"),
-            }
-        )
-
-    return (
-        read_corpus(_corpus_for(sf_dir))
-        .map_batches(DetectSectionsStage(), batch_format="pyarrow", batch_size=64)
-        .map_batches(flatten, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["doc_id", "sec_idx"])
-    )
-
-
-def _q_largest_docs(sf_dir: str):
-    """R6 on the corpus: top-20 documents by estimated span cost
-    (vectorized cost column -> global sort -> limit) — the skew
-    diagnostic the routing threshold is tuned from."""
-    from document_parser_private_ray.pipelines.resume import read_corpus
-    from document_parser_private_ray.stages.parse import add_cost_column
-
-    ds = read_corpus(_corpus_for(sf_dir)).map_batches(
-        add_cost_column, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return (
-        ds.select_columns(["doc_id", "est_cost"])
-        .sort(["est_cost", "doc_id"], descending=[True, False])
-        .limit(20)
-    )
-
-
-def _rollup_export_path(sf_dir: str) -> str:
-    """Where _q_span_rollup exports the parsed table (doc_id, out_spans,
-    error) so the SQL oracle can recompute the R2 rollup from the same
-    intermediate — the parse chain itself is pytest-gated; the oracle
-    verifies the distributed aggregation (judge-endorsed export
-    pattern)."""
-    corpus = _corpus_for(sf_dir)
-    return corpus + "-rollup-export"
-
-
-def _atomic_export(export: str, write_fn) -> str:
-    """Write an oracle export to a unique per-process dir via
-    ``write_fn(target_dir)``, then swap a symlink into place atomically:
-    two concurrent runs over the same corpus (bench vs contract sweep)
-    each read a complete export, never a half-written one. Returns the
-    per-pid target (the caller reads ITS OWN complete copy)."""
-    import glob as _glob
-    import shutil
-
-    target = f"{export}-pid{os.getpid()}"
-    shutil.rmtree(target, ignore_errors=True)
-    write_fn(target)
-    if os.path.isdir(export) and not os.path.islink(export):
-        shutil.rmtree(export, ignore_errors=True)  # pre-symlink layout
-    tmp_link = f"{export}.lnk-{os.getpid()}"
-    try:
-        os.symlink(target, tmp_link)
-        os.replace(tmp_link, export)
-    except OSError:
-        pass  # a concurrent run already swapped in its own complete export
-    for stale in _glob.glob(f"{export}-pid*"):
-        if stale != target and stale != os.path.realpath(export):
-            shutil.rmtree(stale, ignore_errors=True)
-    return target
-
-
-def _q_span_rollup(sf_dir: str):
-    from document_parser_private_ray.pipelines.resume import (
-        parse_resumes,
-        read_corpus,
-        resume_rollup,
-    )
-
-    parsed = parse_resumes(read_corpus(_corpus_for(sf_dir)))
-    target = _atomic_export(
-        _rollup_export_path(sf_dir),
-        lambda d: parsed.select_columns(
-            ["doc_id", "out_spans", "error"]
-        ).write_parquet(d),
-    )
-    import ray.data as rd
-
-    return resume_rollup(rd.read_parquet(target))
-
-
-def _q_dedup_minhash(sf_dir: str):
-    import pandas as pd
-
-    from document_parser_private_ray.pipelines.dedup import dedup_minhash
-
-    res = dedup_minhash(sf_dir)
-    return pd.DataFrame(
-        [
-            {
-                "n_candidate_pairs": res["n_candidate_pairs"],
-                "n_verified_pairs": res["n_verified_pairs"],
-                "n_dropped": len(res["dropped_doc_ids"]),
-            }
-        ]
-    )
-
-
-def _q_ngram_jaccard(sf_dir: str):
-    from document_parser_private_ray.pipelines.dedup import ngram_jaccard_pairs
-
-    ds = ngram_jaccard_pairs(sf_dir, threshold=0.5)
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    # integer micro-units (floor(j*1e6 + 0.5)) on BOTH engines — the
-    # repo's cents pattern: cross-engine ROUND() is hash poison
-    def to_micro(t):
-        micro = pc.cast(
-            pc.floor(pc.add(pc.multiply(t["jaccard_sim"], 1e6), 0.5)), pa.int64()
-        )
-        return t.set_column(
-            t.schema.get_field_index("jaccard_sim"), "jaccard_micro", micro
-        )
-
-    return ds.map_batches(to_micro, batch_format="pyarrow")
-
-
-def _q_span_bytes_by_kind(sf_dir: str):
-    from document_parser_private_ray.pipelines.layout import span_bytes_by_kind
-
-    return span_bytes_by_kind(_corpus_for(sf_dir))
-
-
-def _q_span_transitions(sf_dir: str):
-    from document_parser_private_ray.pipelines.layout import span_kind_transitions
-
-    return span_kind_transitions(_corpus_for(sf_dir))
-
-
-def _q_doc_pii(sf_dir: str):
-    """Per-document accepted-PII counts (overlap-priority resolved)
-    over the synthetic corpus's raw text — the driver documents table
-    carries no PII, so the PII-bearing corpus surface is what the
-    oracle verifies. Anonymized-text output stays covered by
-    parse_resumes_pii + the pytest PII suite."""
-    from document_parser_private_ray.pipelines.text_analysis import doc_pii_counts
-
-    return doc_pii_counts(_corpus_for(sf_dir))
-
-
-_EVAL_EXPORT = "/tmp/dppr_corpus/accuracy-eval-export"
-
-
-def _accuracy_golden(n_eval: int):
-    from document_parser_private_ray.oracle import DocumentOracle
-    from document_parser_private_ray.sources.corpus import generate_document
-
-    oracle = DocumentOracle()
-    golden = []
-    for i in range(n_eval):
-        doc = generate_document(i, SEED)
-        sp = doc["spans"]
-        out = oracle.process(
-            doc["doc_id"], [s["kind"] for s in sp], [s["text"] for s in sp],
-            [s["media_ref"] for s in sp],
-        )
-        r = out["resume"]
-        golden.append(
-            {
-                "doc_id": doc["doc_id"],
-                "skills": r["skills"],
-                "companies": [e["company"] for e in r["experience"] if e["company"]],
-                "education": [e["degree"] for e in r["education"] if e["degree"]],
-            }
-        )
-    return golden
-
-
-def _q_accuracy_eval(sf_dir: str):
-    """Eval join (R3) + §5 metrics: parse-chain predictions vs the
-    single-doc oracle's golden entities. F1 == 1.0 (1_000_000 micro)
-    for every entity type IS the invariant. SQL-oracled via the export
-    pattern: predictions AND golden land in parquet, and DuckDB replays
-    the exact-set tp/fp/fn counters + integer micro metrics; the fuzzy
-    similarity channel stays pytest-gated (evaluate_predictions)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from document_parser_private_ray.pipelines.evaluate import (
-        entity_counter_metrics,
-        parsed_to_prediction_columns,
-    )
-    from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
-
-    n_eval = 200
-    corpus = _corpus_for(sf_dir, n_docs=n_eval)
-    parsed = parse_resumes(read_corpus(corpus))
-    preds = parsed_to_prediction_columns(parsed)
-    golden = _accuracy_golden(n_eval)
-
-    preds_dir = _atomic_export(
-        f"{_EVAL_EXPORT}-preds", lambda d: preds.write_parquet(d)
-    )
-
-    def write_golden(d):
-        os.makedirs(d, exist_ok=True)
-        pq.write_table(
-            pa.Table.from_pylist(golden), os.path.join(d, "golden.parquet")
-        )
-
-    _atomic_export(f"{_EVAL_EXPORT}-golden", write_golden)
-    return entity_counter_metrics(rd.read_parquet(preds_dir), golden)
-
-
-def _q_checkpoint_lineage(sf_dir: str):
-    """Resumable partitioned run (north rule: per-partition lineage +
-    idempotent resume): parse a small corpus through the checkpoint
-    runner twice — the second pass must skip every committed partition —
-    and return the lineage/counters table."""
-    import shutil
-
-    import pandas as pd
-
-    from document_parser_private_ray.sources.corpus import write_corpus_local
-    from document_parser_private_ray.state.checkpoint import (
-        lineage_table,
-        run_resumable,
-    )
-
-    src = os.path.join(_CORPUS_CACHE, "ckpt-src")
-    if not os.path.exists(os.path.join(src, "_COMPLETE")):
-        write_corpus_local(src, 120, seed=SEED, rows_per_file=20)
-        with open(os.path.join(src, "_COMPLETE"), "w") as f:
-            f.write("ok")
-    files = sorted(
-        os.path.join(src, f) for f in os.listdir(src) if f.endswith(".parquet")
-    )
-    def pipeline(ds):
-        from document_parser_private_ray.pipelines.resume import parse_resumes
-
-        return parse_resumes(ds)
-
-    def write(target: str):
-        run_resumable(files, target, pipeline, run_id="r1", files_per_partition=2)
-        second = run_resumable(
-            files, target, pipeline, run_id="r2", files_per_partition=2
-        )
-        assert second["processed"] == 0 and second["skipped"] == 3
-
-    out = _atomic_export(os.path.join(_CORPUS_CACHE, "ckpt-out"), write)
-    df = lineage_table(out).to_pandas()
-    return df[["partition_id", "doc_count", "span_count", "error_count", "status", "run_id"]]
-
-
-def _q_layout_blocks(sf_dir: str):
-    """M2/M3 layout analysis over a deterministic synthetic layout-dict
-    corpus: per-document block/heading/image/font stats."""
-    from document_parser_private_ray.pipelines.layout import layout_blocks
-
-    return layout_blocks(n_docs=500)
-
-
-_MEDIA_FULL_EXPORT = "/tmp/dppr_corpus/media-full-export-n192-s42"
-
-
-def _q_media_full(sf_dir: str):
-    """Full multimodal chain: frame-sample video -> resize images ->
-    decode/feature task maps (stubbed kernels, real plumbing).
-    SQL-oracled via the media_features export pattern: the post-resize
-    intermediate (the real frame-sample + resize output) lands in
-    parquet, and DuckDB recomputes the final stage's byte accounting +
-    integrity checksum from the same payload bytes; the float feature
-    vectors stay pytest-gated."""
-    import ray.data as rd
-
-    from document_parser_private_ray.pipelines.media import (
-        FrameSample,
-        MediaFeatures,
-        MediaResize,
-        synth_media_batch,
-    )
-
-    refs = rd.from_items([{"ref": f"media://synth/{i}"} for i in range(192)])
-    resized = (
-        refs.map_batches(
-            lambda b: synth_media_batch(b["ref"], with_video=True),
-            batch_format="numpy", batch_size=64,
-        )
-        .map_batches(FrameSample(), batch_format="pyarrow", batch_size=32)
-        .map_batches(MediaResize(), batch_format="pyarrow", batch_size=32)
-    )
-    target = _atomic_export(
-        _MEDIA_FULL_EXPORT, lambda d: resized.write_parquet(d)
-    )
-    return (
-        rd.read_parquet(target)
-        .map_batches(MediaFeatures(), batch_format="pyarrow", batch_size=32)
-        .select_columns(["media_ref", "kind", "n_bytes", "checksum", "decode_error"])
-    )
-
-
-_MEDIA_EXPORT = "/tmp/dppr_corpus/media-export-n256-s42"
-
-
-def _q_media_features(sf_dir: str):
-    """Synth media -> export parquet -> MediaFeatures task stage. The
-    export lets the SQL oracle recompute n_bytes/checksum from the same
-    payload bytes (the span_rollup export pattern): the stage's
-    pass-through, byte accounting, integrity checksum and error column
-    are all hash-gated; only the float feature vectors stay
-    pytest-gated."""
-    import ray.data as rd
-
-    from document_parser_private_ray.pipelines.media import (
-        MediaFeatures,
-        synth_media_batch,
-    )
-
-    def write(target: str):
-        refs = rd.from_items([{"ref": f"media://synth/{i}"} for i in range(256)])
-        refs.map_batches(
-            lambda b: synth_media_batch(b["ref"]), batch_format="numpy", batch_size=64
-        ).write_parquet(target)
-
-    mine = _atomic_export(_MEDIA_EXPORT, write)
-    return (
-        rd.read_parquet(mine)
-        .map_batches(MediaFeatures(), batch_format="pyarrow", batch_size=32)
-        .select_columns(["media_ref", "kind", "n_bytes", "checksum", "decode_error"])
-    )
-
-
-_MEDIA_DEDUP_EXPORT = "/tmp/dppr_corpus/media-dedup-export-n256-m200-s42"
-
-
-def _q_media_dedup(sf_dir: str):
-    """Exact payload dedup over a multimodal binary column. The planted
-    duplicate corpus exports to parquet first so the SQL oracle digests
-    the same bytes (the media_features export pattern)."""
-    import ray.data as rd
-
-    from document_parser_private_ray.pipelines.media import (
-        media_dedup,
-        synth_aliased_media,
-    )
-
-    mine = _atomic_export(
-        _MEDIA_DEDUP_EXPORT,
-        lambda t: synth_aliased_media(n_items=256, alias_mod=200).write_parquet(t),
-    )
-    return media_dedup(rd.read_parquet(mine, columns=["media_ref", "payload"]))
+# Oracle exports: a query writes its intermediate here (atomically, see
+# ``state.atomic_export``) and its oracle SQL reads the same parquet.
+_ROLLUP_EXPORT = f"{_CORPUS_CACHE}/span-rollup-export"
+_EVAL_EXPORT = f"{_CORPUS_CACHE}/accuracy-eval-export"
+_CKPT_SRC = f"{_CORPUS_CACHE}/ckpt-src"
+_CKPT_EXPORT = f"{_CORPUS_CACHE}/ckpt-out"
+_MEDIA_FULL_EXPORT = f"{_CORPUS_CACHE}/media-full-export-n192-s42"
+_MEDIA_EXPORT = f"{_CORPUS_CACHE}/media-export-n256-s42"
+_MEDIA_DEDUP_EXPORT = f"{_CORPUS_CACHE}/media-dedup-export-n256-m200-s42"
+_MEDIA_COLS = ["media_ref", "kind", "n_bytes", "checksum", "decode_error"]
 
 
 def _round_cols(ds, cols):
@@ -473,24 +98,32 @@ def _round_cols(ds, cols):
 
 
 class Q(NamedTuple):
-    """One contract query. A string ``target`` names a package function
-    (``"pipelines.<module>.<func>"``); the query calls it as
-    ``target(sf_dir, **kwargs)``, turns each ``cents`` column into
+    """One contract query: ``target`` names a package function
+    (``"<module>.<func>"`` under the package) and the query calls it on
+    its ``input`` with ``kwargs``, turns each ``cents`` column into
     integer ``<col>_cents`` (``_round_cols``) and keeps only ``cols``
-    when given. A callable ``target`` is a ``_q_*`` function of sf_dir
-    for the queries that do more than that."""
+    when given. ``input`` is ``"sf_dir"`` (the sf directory),
+    ``"spans"`` (the sf-sized synthetic spans corpus as a Dataset), an
+    int n (an n-document one) or None (no input: the function makes
+    its own)."""
 
     name: str
-    target: str | Callable[[str], Any]
+    target: str
     kwargs: dict[str, Any] = {}
     cents: list[str] = []
     cols: list[str] = []
+    input: str | int | None = "sf_dir"
 
 
 def _run(row: Q, sf_dir: str):
     module, _, func = row.target.rpartition(".")
     fn = getattr(importlib.import_module(f"document_parser_private_ray.{module}"), func)
-    ds = fn(sf_dir, **row.kwargs)
+    if row.input is None:
+        ds = fn(**row.kwargs)
+    elif row.input == "sf_dir":
+        ds = fn(sf_dir, **row.kwargs)
+    else:
+        ds = fn(_spans(sf_dir, None if row.input == "spans" else row.input), **row.kwargs)
     if row.cents:
         ds = _round_cols(ds, row.cents)
     if row.cols:
@@ -530,8 +163,8 @@ QUERY_TABLE = (
     Q("split_length_ks", "pipelines.text_analysis.split_length_ks"),
     Q("transition_majority_accuracy", "pipelines.relational.transition_majority_accuracy"),
     Q("time_to_convert_percentiles", "pipelines.relational.time_to_convert_percentiles"),
-    Q("span_transitions", _q_span_transitions),
-    Q("span_bytes_by_kind", _q_span_bytes_by_kind),
+    Q("span_transitions", "pipelines.layout.span_kind_transitions", input="spans"),
+    Q("span_bytes_by_kind", "pipelines.layout.span_bytes_by_kind", input="spans"),
     Q("funnel_counts", "pipelines.relational.funnel_counts"),
     Q("retention_cohorts", "pipelines.relational.retention_cohorts"),
     Q("doc_oov_rate", "pipelines.tokenizer.doc_oov_rate", {"top_k": 20}),
@@ -541,7 +174,13 @@ QUERY_TABLE = (
     Q("word_collocations", "pipelines.collocations.word_collocations", {"top_k": 25}),
     Q("data_mix", "pipelines.mixing.data_mix"),
     Q("mix_counts", "pipelines.mixing.mix_counts"),
-    Q("media_full", _q_media_full),
+    Q(
+        "media_full",
+        "pipelines.media.media_full_pipeline",
+        {"n_items": 192, "export": _MEDIA_FULL_EXPORT},
+        cols=_MEDIA_COLS,
+        input=None,
+    ),
     # -- rows 40-89: the earlier window (rows 40-50 stay in the window) --------
     Q("top_customers", "pipelines.relational.top_customers_by_order_value", cents=["total_value"]),
     Q("customers_big_spenders", "pipelines.joins.customers_big_spenders"),
@@ -552,7 +191,7 @@ QUERY_TABLE = (
     Q("doc_length_percentiles", "pipelines.text_analysis.doc_length_percentiles"),
     Q("user_top_events", "pipelines.relational.user_top_events", {"k": 3}),
     Q("split_counts", "pipelines.splits.split_counts"),
-    Q("ngram_jaccard", _q_ngram_jaccard),
+    Q("ngram_jaccard", "pipelines.dedup.ngram_jaccard_micro"),
     # synthetic embeddings top out near cosine 0.5 — 0.45 keeps the
     # near-dup output non-trivial at every sf
     Q(
@@ -606,21 +245,32 @@ QUERY_TABLE = (
     Q("events_hourly_users", "pipelines.relational.events_hourly_users"),
     Q("user_event_paths", "pipelines.relational.user_event_paths"),
     # -- rows 90-139: the rounds 1-4 window, rows already recorded ------------
-    Q("parse_resumes", _q_parse_resumes),
-    Q("parse_resumes_pii", _q_parse_resumes_pii),
-    Q("detect_sections", _q_detect_sections),
-    Q("span_rollup", _q_span_rollup),
-    Q("layout_blocks", _q_layout_blocks),
-    Q("checkpoint_lineage", _q_checkpoint_lineage),
-    Q("doc_pii", _q_doc_pii),
-    Q("accuracy_eval", _q_accuracy_eval),
+    Q("parse_resumes", "pipelines.resume.parse_resumes", input="spans"),
+    Q(
+        "parse_resumes_pii",
+        "pipelines.resume.parse_resumes",
+        {"with_pii": True},
+        cols=["doc_id", "anonymized_text", "error"],
+        input=200,
+    ),
+    Q("detect_sections", "stages.parse.detect_sections", input="spans"),
+    Q("span_rollup", "pipelines.resume.span_rollup", {"export": _ROLLUP_EXPORT}, input="spans"),
+    Q("layout_blocks", "pipelines.layout.layout_blocks", {"n_docs": 500}, input=None),
+    Q(
+        "checkpoint_lineage",
+        "state.checkpoint.checkpoint_lineage",
+        {"src": _CKPT_SRC, "export": _CKPT_EXPORT},
+        input=None,
+    ),
+    Q("doc_pii", "pipelines.text_analysis.doc_pii_counts", input="spans"),
+    Q("accuracy_eval", "pipelines.evaluate.accuracy_eval", {"export": _EVAL_EXPORT}, input=200),
     Q(
         "q1_pricing_summary",
         "pipelines.relational.q1_pricing_summary",
         cents=["sum_base_price", "sum_disc_price"],
     ),
     Q("revenue_by_nation", "pipelines.relational.revenue_by_nation", cents=["revenue"]),
-    Q("largest_docs", _q_largest_docs),
+    Q("largest_docs", "stages.parse.largest_docs", input="spans"),
     Q("order_lineitem_join", "pipelines.joins.order_lineitem_revenue", cents=["revenue"]),
     Q("customers_no_urgent_orders", "pipelines.joins.customers_no_urgent_orders"),
     Q("profile_columns", "pipelines.profile.profile_columns"),
@@ -646,7 +296,7 @@ QUERY_TABLE = (
     Q("dataset_split", "pipelines.splits.dataset_split"),
     Q("dedup_exact", "pipelines.dedup.dedup_exact"),
     Q("dedup_against_state", "pipelines.dedup.dedup_against_state"),
-    Q("dedup_minhash", _q_dedup_minhash),
+    Q("dedup_minhash", "pipelines.dedup.dedup_minhash_counts"),
     Q("dedup_simhash", "pipelines.dedup.dedup_simhash"),
     Q("html_spans", "pipelines.html.html_spans"),
     Q("semdedup", "pipelines.semdedup.semdedup", {"threshold": 0.45}),
@@ -674,18 +324,21 @@ QUERY_TABLE = (
     Q("build_postings", "pipelines.search.build_postings", {"max_df": 300}),
     Q("supplier_pagerank", "pipelines.pagerank.supplier_pagerank", {"n_iters": 3, "k": 20}),
     Q("dedup_segments", "pipelines.segments.dedup_segments"),
-    Q("media_features", _q_media_features),
-    Q("media_dedup", _q_media_dedup),
+    Q(
+        "media_features",
+        "pipelines.media.media_pipeline",
+        {"n_items": 256, "export": _MEDIA_EXPORT},
+        cols=_MEDIA_COLS,
+        input=None,
+    ),
+    Q("media_dedup", "pipelines.media.media_dedup", {"export": _MEDIA_DEDUP_EXPORT}, input=None),
     Q("pack_sequences", "pipelines.mixing.pack_sequences"),
     Q("vocab_hll", "pipelines.cardinality.vocab_hll"),
 )
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    return {
-        q.name: q.target if callable(q.target) else functools.partial(_run, q)
-        for q in QUERY_TABLE
-    }
+    return {q.name: functools.partial(_run, q) for q in QUERY_TABLE}
 
 
 def _sql_word_list(words) -> str:
@@ -2329,7 +1982,7 @@ def oracle_sql() -> dict[str, str]:
                    CAST(COUNT(*) FILTER (error <> '') AS BIGINT) AS error_count,
                    'committed' AS status,
                    'r1' AS run_id
-            FROM read_parquet('{_CORPUS_CACHE}/ckpt-out/parts/part-*/*.parquet',
+            FROM read_parquet('{_CKPT_EXPORT}/parts/part-*/*.parquet',
                               filename=true)
             GROUP BY 1
             ORDER BY 1
@@ -3943,10 +3596,10 @@ def _data_dependent_oracles() -> dict[str, str]:
         "span_rollup": f"""
             SELECT s.kind AS kind, CAST(COUNT(*) AS BIGINT) AS count
             FROM (SELECT UNNEST(out_spans) AS s
-                  FROM read_parquet('{_rollup_export_path(_verify_sf())}/*.parquet'))
+                  FROM read_parquet('{_ROLLUP_EXPORT}/*.parquet'))
             GROUP BY s.kind
             UNION ALL
             SELECT '__error__', CAST(COUNT(*) FILTER (error <> '') AS BIGINT)
-            FROM read_parquet('{_rollup_export_path(_verify_sf())}/*.parquet')
+            FROM read_parquet('{_ROLLUP_EXPORT}/*.parquet')
         """,
     }

@@ -26,6 +26,7 @@ the plain regexes (``tests/test_optimization_equivalence.py``).
 
 from __future__ import annotations
 
+import bisect
 import re
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -86,14 +87,94 @@ _FIELD_PATTERNS = tuple(
     for field in _FIELDS_OF_STUDY
 )
 
-_PROJECT_BOUNDARIES = (
-    r"\n(?=[A-Z][\w\s-]+ - [\w\s]+(?:app|system|platform|game))",
-    r"\n(?=\d+\.\s+[A-Z][\w\s-]+)",
-    r"\n(?=Project \d+:)",
-    r"\n(?=\s*[•\-*]?\s*[A-Z][^\n:]+[:\n])",
-    r"\n\n(?=[A-Z])",
-)
-_PROJECT_SPLIT_RE = re.compile("|".join(_PROJECT_BOUNDARIES))
+# The reference splits the projects section with one alternation of
+# five lookaheads:
+#   \n(?=[A-Z][\w\s-]+ - [\w\s]+(?:app|system|platform|game))   titled item
+#   \n(?=\d+\.\s+[A-Z][\w\s-]+)                                numbered item
+#   \n(?=Project \d+:)
+#   \n(?=\s*[•\-*]?\s*[A-Z][^\n:]+[:\n])                       (bulleted) line
+#   \n\n(?=[A-Z])
+# Its titled-item and line lookaheads rescan across lines from every
+# newline, so it is quadratic on many capitalised lines and worse on a
+# run of blank lines. ``_split_projects`` finds the same split points in
+# linear time.
+_TITLED_TAIL_RE = re.compile(r"(?= - [\w\s]+(?:app|system|platform|game))")
+# the numbered-item and "Project N:" lookaheads, anchored at i
+_ANCHORED_ITEM_RE = re.compile(r"\d++\.\s++[A-Z][\w\s-]|Project \d++:")
+_NOT_SPACE_RE = re.compile(r"\S")
+_NOT_TITLE_CHAR_RE = re.compile(r"[^\w\s-]")
+
+
+def _scan_to(text: str, regex, i: int, crossed: list) -> int:
+    """First index >= ``i`` where ``regex`` matches (``len(text)`` if
+    none). ``crossed`` is the ``[from, to]`` of the last scan of its
+    kind; scans of one kind come in nondecreasing ``i``, so one that
+    starts inside that stretch has the same answer and costs nothing."""
+    if not crossed[0] <= i <= crossed[1]:
+        m = regex.search(text, i)
+        crossed[:] = i, m.start() if m else len(text)
+    return crossed[1]
+
+
+def _capital_line(text: str, c: int, last_stop: int) -> bool:
+    # [A-Z][^\n:]+[:\n] at c, with last_stop the last "\n" or ":"
+    return (
+        c + 1 < len(text) and "A" <= text[c] <= "Z"
+        and text[c + 1] not in "\n:" and last_stop > c + 1
+    )
+
+
+def _split_projects(text: str) -> List[str]:
+    r"""``re.split`` of ``text`` at the reference's project boundaries
+    (above), in linear time.
+
+    A newline at ``p`` splits off ``text[p]`` when one of the first
+    four lookaheads holds at ``i = p + 1``, else ``text[p:p+2]`` when
+    the fifth does. Each lookahead reduces to a check near a few
+    positions. Titled item: ``text[i]`` is a capital, and a " - " tail
+    (``_TITLED_TAIL_RE``) starts at some ``s >= i + 2`` inside the
+    ``[\w\s-]`` run from ``i + 1`` (every character of the match lies
+    in that run). Line: where the whitespace from ``i`` ends, or (past
+    a bullet there) where the next whitespace ends, is a capital and a
+    ``[^\n:]`` character with a ``\n`` or ``:`` somewhere after.
+    Numbered and ``Project N:`` items are anchored matches whose scans
+    stay on their own line (``_ANCHORED_ITEM_RE``; ``\s`` is
+    ``str.isspace``). The " - " tails are found once (their
+    ``[\w\s]`` stretches do not overlap), and the scans for a run's end
+    are shared between the newlines inside it (``_scan_to``)."""
+    n = len(text)
+    last_stop = max(text.rfind("\n"), text.rfind(":"))
+    tails = None
+    line, bullet, title = [n + 1, n], [n + 1, n], [n + 1, n]
+    pieces, start, p = [], 0, text.find("\n")
+    while p != -1:
+        i = p + 1
+        end = 0
+        if i < n:
+            c = text[i]
+            # the four one-newline lookaheads cut alike, so the cheap ones go first
+            q = _scan_to(text, _NOT_SPACE_RE, i, line) if c.isspace() else i
+            if (
+                _capital_line(text, q, last_stop)
+                or (q < n and text[q] in "•-*" and _capital_line(
+                    text, _scan_to(text, _NOT_SPACE_RE, q + 1, bullet), last_stop))
+                or _ANCHORED_ITEM_RE.match(text, i)
+            ):
+                end = i
+            elif "A" <= c <= "Z" and " - " in text:
+                if tails is None:
+                    tails = [m.start() for m in _TITLED_TAIL_RE.finditer(text)]
+                k = bisect.bisect_left(tails, i + 2)
+                if k < len(tails) and tails[k] < _scan_to(text, _NOT_TITLE_CHAR_RE, i + 1, title):
+                    end = i
+            elif c == "\n" and i + 1 < n and "A" <= text[i + 1] <= "Z":
+                end = i + 1
+        if end:
+            pieces.append(text[start:p])
+            start = end
+        p = text.find("\n", end or i)
+    pieces.append(text[start:])
+    return pieces
 
 
 def _search_company(text: str) -> Optional[str]:
@@ -349,7 +430,7 @@ class ResumeExtractor:
         if not projects_text.strip():
             return []
         projects = []
-        for entry in _PROJECT_SPLIT_RE.split(projects_text):
+        for entry in _split_projects(projects_text):
             entry = entry.strip()
             if not entry:
                 continue

@@ -13,7 +13,6 @@ from typing import List, Set
 
 import numpy as np
 
-_MERSENNE = (1 << 61) - 1
 # Smallest prime > 2^32: the MMDS ch.3 universal-hash modulus for
 # MinHash over a 32-bit shingle universe. a, x < 2^32 keeps a*x + b
 # < 2^64 (exact uint64, and exact UBIGINT in a DuckDB oracle), while
@@ -96,10 +95,6 @@ def simhash64(text: str) -> int:
         if v > 0:
             out |= 1 << (63 - i)
     return out
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
 
 
 def jaccard(a: Set[int], b: Set[int]) -> float:

@@ -41,43 +41,6 @@ def lang_id(text: str) -> str:
     return best_lang
 
 
-# --- quality scoring (SQL-parity metrics) ------------------------------
-
-def quality_metrics(text: str) -> Dict[str, float]:
-    """Deterministic quality features. Definitions (kept SQL-equivalent):
-      n_chars   = length(text)
-      n_words   = number of whitespace-separated tokens
-      avg_word_len = n_chars_in_words / n_words
-      upper_ratio  = uppercase letters / n_chars
-      digit_ratio  = digits / n_chars
-      punct_ratio  = non-alnum-non-space / n_chars
-      stopword_ratio = english stopword tokens / n_words
-    """
-    text = text or ""
-    n_chars = len(text)
-    tokens = text.split()
-    n_words = len(tokens)
-    if n_chars == 0:
-        return {
-            "n_chars": 0, "n_words": 0, "avg_word_len": 0.0, "upper_ratio": 0.0,
-            "digit_ratio": 0.0, "punct_ratio": 0.0, "stopword_ratio": 0.0,
-        }
-    n_upper = sum(1 for c in text if c.isupper())
-    n_digit = sum(1 for c in text if c.isdigit())
-    n_punct = sum(1 for c in text if not (c.isalnum() or c.isspace()))
-    stops = _LANG_STOPWORDS["en"]
-    n_stop = sum(1 for t in tokens if t.lower() in stops)
-    return {
-        "n_chars": n_chars,
-        "n_words": n_words,
-        "avg_word_len": (sum(len(t) for t in tokens) / n_words) if n_words else 0.0,
-        "upper_ratio": n_upper / n_chars,
-        "digit_ratio": n_digit / n_chars,
-        "punct_ratio": n_punct / n_chars,
-        "stopword_ratio": (n_stop / n_words) if n_words else 0.0,
-    }
-
-
 # --- token counting ----------------------------------------------------
 
 #: GPT2-style pretokenizer shape: contractions, letter runs, digit runs,
@@ -89,10 +52,6 @@ def quality_metrics(text: str) -> Dict[str, float]:
 _BPE_RE = re.compile(
     r"'s|'t|'re|'ve|'m|'ll|'d| ?[A-Za-z]+| ?\d+| ?[^\sA-Za-z\d]+|\s+"
 )
-
-
-def whitespace_token_count(text: str) -> int:
-    return len((text or "").split())
 
 
 def bpe_token_count(text: str) -> int:

@@ -201,12 +201,3 @@ def component_drops(pairs, n_edges: int, driver_threshold: int = 200_000) -> lis
         return sorted(n for n, r in roots.items() if r != n)
     labels = connected_components(pairs)
     return sorted(r["node"] for r in labels.take_all() if r["node"] != r["label"])
-
-
-def components_survivors(pairs) -> dict:
-    """Component labels -> survivor/drop lists (survivor = node whose
-    label == itself). Collects only the (small) label table."""
-    rows = connected_components(pairs).take_all()
-    drops = sorted(r["node"] for r in rows if r["node"] != r["label"])
-    survivors = sorted(r["node"] for r in rows if r["node"] == r["label"])
-    return {"survivors": survivors, "dropped": drops}

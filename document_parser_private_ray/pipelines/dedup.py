@@ -233,6 +233,19 @@ def dedup_minhash(sf_dir: str, threshold: float = 0.8, n_perm: int = 128, n_band
     }
 
 
+def dedup_minhash_counts(sf_dir: str):
+    """``dedup_minhash`` as one row: (n_candidate_pairs, n_verified_pairs,
+    n_dropped)."""
+    res = dedup_minhash(sf_dir)
+    return pa.table(
+        {
+            "n_candidate_pairs": [res["n_candidate_pairs"]],
+            "n_verified_pairs": [res["n_verified_pairs"]],
+            "n_dropped": [len(res["dropped_doc_ids"])],
+        }
+    )
+
+
 def _elect_keepers(group: pa.Table) -> pa.Table:
     """One row per label of (label, node, n_bytes) rows: the keeper is
     the first of each label run under (label asc, bytes desc, doc asc)
@@ -569,6 +582,23 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
             empties.map_batches(star, batch_format="pyarrow", zero_copy_batch=True)
         )
     return scored.sort(["doc_a", "doc_b"])
+
+
+def ngram_jaccard_micro(sf_dir: str):
+    """``ngram_jaccard_pairs`` at threshold 0.5, ``jaccard_sim`` as
+    integer micro-units ``jaccard_micro`` = floor(j * 1e6 + 0.5): the
+    form a SQL oracle compares bit-exactly (cross-engine ROUND() differs
+    in the last place)."""
+
+    def to_micro(t: pa.Table) -> pa.Table:
+        micro = pc.cast(
+            pc.floor(pc.add(pc.multiply(t["jaccard_sim"], 1e6), 0.5)), pa.int64()
+        )
+        return t.set_column(t.schema.get_field_index("jaccard_sim"), "jaccard_micro", micro)
+
+    return ngram_jaccard_pairs(sf_dir, threshold=0.5).map_batches(
+        to_micro, batch_format="pyarrow"
+    )
 
 
 # -- embedding cosine near-dup ------------------------------------------

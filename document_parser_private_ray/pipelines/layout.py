@@ -178,10 +178,11 @@ def layout_blocks(n_docs: int = 500, seed: int = 42):
     ).sort("doc_id")
 
 
-def span_kind_transitions(corpus_path: str):
+def span_kind_transitions(spans):
     """Document-structure analytics over the interleaved-span corpus
-    itself: (prev_kind -> kind) adjacency counts across every document's
-    span sequence — the structural signature of the corpus (how often
+    itself (the ``spans`` Dataset, as ``resume.read_corpus`` reads it):
+    (prev_kind -> kind) adjacency counts across every document's span
+    sequence — the structural signature of the corpus (how often
     text runs into images, tables into text, ...). Fully vectorized: the
     span kinds flatten off the list buffer, intra-document adjacent
     pairs select with one offsets mask (no per-row Python, no shuffle of
@@ -191,9 +192,6 @@ def span_kind_transitions(corpus_path: str):
     import pyarrow.compute as pc
 
     from .exchange import grouped_agg
-    from .resume import read_corpus
-
-    ds = read_corpus(corpus_path)
 
     def pairs(batch: pa.Table) -> pa.Table:
         spans = batch["spans"]
@@ -220,13 +218,13 @@ def span_kind_transitions(corpus_path: str):
         )
 
     return grouped_agg(
-        ds, ["prev_kind", "next_kind"], {"n_transitions": (None, "count")}, rows=pairs
+        spans, ["prev_kind", "next_kind"], {"n_transitions": (None, "count")}, rows=pairs
     ).sort(["prev_kind", "next_kind"])
 
 
-def span_bytes_by_kind(corpus_path: str):
-    """Corpus storage profile: span counts and total text BYTES per
-    span kind — where the corpus's mass actually lives (the number that
+def span_bytes_by_kind(spans):
+    """Corpus storage profile of the ``spans`` Dataset: span counts and
+    total text BYTES per span kind — where the corpus's mass actually lives (the number that
     sizes block/batch budgets for each kind's processing stage). One
     scan; binary_length runs on the flattened values buffer; only
     kinds-sized partials move."""
@@ -234,7 +232,6 @@ def span_bytes_by_kind(corpus_path: str):
     import pyarrow.compute as pc
 
     from .exchange import grouped_agg
-    from .resume import read_corpus
 
     def kind_bytes(batch: pa.Table) -> pa.Table:
         spans = batch["spans"]
@@ -248,7 +245,7 @@ def span_bytes_by_kind(corpus_path: str):
         return pa.Table.from_pydict({"kind": kinds, "b": pc.cast(nbytes, pa.int64())})
 
     return grouped_agg(
-        read_corpus(corpus_path),
+        spans,
         "kind",
         {"n_spans": (None, "count"), "total_bytes": ("b", "sum")},
         rows=kind_bytes,

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 import pyarrow as pa
 
+from ..state import exported
 from .exchange import co_partition
 
 
@@ -264,37 +265,44 @@ class MediaFeatures:
         )
 
 
-def media_full_pipeline(n_items: int = 256):
+def _synth_media(n_items: int, with_video: bool = False):
+    """``n_items`` synthetic media rows (``synth_media_batch``) as a
+    Dataset."""
+    import ray.data as rd
+
+    refs = rd.from_items([{"ref": f"media://synth/{i}"} for i in range(n_items)])
+    return refs.map_batches(
+        lambda b: synth_media_batch(b["ref"], with_video=with_video),
+        batch_format="numpy",
+        batch_size=64,
+    )
+
+
+def media_full_pipeline(n_items: int = 256, export: Optional[str] = None):
     """The full multimodal chain: synthesize (image/audio/video) ->
     frame-sample videos into image rows -> resize images -> decode/
     feature. Every stage is a task map_batches over binary columns with
-    small batches."""
-    import ray.data as rd
-
-    refs = rd.from_items([{"ref": f"media://synth/{i}"} for i in range(n_items)])
-    media = refs.map_batches(
-        lambda b: synth_media_batch(b["ref"], with_video=True),
-        batch_format="numpy",
-        batch_size=64,
+    small batches. ``export``: the resized rows go through an atomic
+    parquet export there before the feature stage, so a SQL oracle
+    recomputes the byte accounting and checksum from the same payloads."""
+    resized = (
+        _synth_media(n_items, with_video=True)
+        .map_batches(FrameSample(), batch_format="pyarrow", batch_size=32)
+        .map_batches(MediaResize(), batch_format="pyarrow", batch_size=32)
     )
-    sampled = media.map_batches(FrameSample(), batch_format="pyarrow", batch_size=32)
-    resized = sampled.map_batches(MediaResize(), batch_format="pyarrow", batch_size=32)
-    return resized.map_batches(MediaFeatures(), batch_format="pyarrow", batch_size=32)
+    return exported(resized, export).map_batches(
+        MediaFeatures(), batch_format="pyarrow", batch_size=32
+    )
 
 
-def media_pipeline(n_items: int = 256):
+def media_pipeline(n_items: int = 256, export: Optional[str] = None):
     """End-to-end media stage demo: synthesize refs -> decode/feature
     task map -> features table. Small batches on purpose (binary
-    payload sizing)."""
-    import ray.data as rd
-
-    refs = rd.from_items([{"ref": f"media://synth/{i}"} for i in range(n_items)])
-    media = refs.map_batches(
-        lambda b: synth_media_batch(b["ref"]),
-        batch_format="numpy",
-        batch_size=64,
+    payload sizing). ``export``: the synthesized rows go through an
+    atomic parquet export there first (see ``media_full_pipeline``)."""
+    return exported(_synth_media(n_items), export).map_batches(
+        MediaFeatures(), batch_format="pyarrow", batch_size=32
     )
-    return media.map_batches(MediaFeatures(), batch_format="pyarrow", batch_size=32)
 
 
 def synth_aliased_media(n_items: int = 256, alias_mod: int = 200):
@@ -321,7 +329,9 @@ def synth_aliased_media(n_items: int = 256, alias_mod: int = 200):
     return refs.map_batches(synth_aliased, batch_format="numpy", batch_size=64)
 
 
-def media_dedup(media=None, n_items: int = 256, alias_mod: int = 200):
+def media_dedup(
+    media=None, n_items: int = 256, alias_mod: int = 200, export: Optional[str] = None
+):
     """Exact dedup over BINARY media payloads — the ``dedup_exact``
     shape applied to a multimodal column: each payload collapses to its
     md5 digest BEFORE the shuffle (the exchange ships (digest, ref)
@@ -333,13 +343,16 @@ def media_dedup(media=None, n_items: int = 256, alias_mod: int = 200):
     checksum convention).
 
     ``media``: any Dataset with (media_ref, payload) columns; defaults
-    to the planted-duplicate synthetic corpus.
+    to the planted-duplicate synthetic corpus. ``export``: the media
+    rows go through an atomic parquet export there first, so the oracle
+    digests the same bytes.
 
     Output: (payload_md5, keep_ref, n_copies) sorted by keep_ref."""
     import hashlib
 
     if media is None:
         media = synth_aliased_media(n_items, alias_mod)
+    media = exported(media.select_columns(["media_ref", "payload"]), export)
 
     def digest(batch: pa.Table) -> pa.Table:
         payloads = batch["payload"].to_pylist()

@@ -106,10 +106,17 @@ def sample_corpus(ds, fraction: float = 0.01, seed: int = 7, limit: int = 0):
     return out.limit(limit) if limit else out
 
 
-def resume_rollup(parsed):
-    """Corpus-level aggregate over parsed output (R2-style): per-section
-    span counts + error count — a small, driver-safe result."""
+def span_rollup(spans, export: str):
+    """R2 over a spans Dataset: parse it, then per-section span counts +
+    an error count over the parsed (doc_id, out_spans, error) columns —
+    a small, driver-safe result. Those columns go through an atomic
+    parquet export at ``export``, so a SQL oracle recounts the rollup
+    from the same intermediate (the parse chain itself is gated by the
+    pytest span-equality suite)."""
     import pyarrow as pa
+    from ray.data.aggregate import Sum
+
+    from ..state import exported
 
     def count_batch(batch: pa.Table) -> pa.Table:
         kinds = pc.struct_field(pc.list_flatten(batch["out_spans"]), "kind")
@@ -125,11 +132,11 @@ def resume_rollup(parsed):
             rows, schema=pa.schema([("kind", pa.string()), ("n", pa.int64())])
         )
 
-    from ray.data.aggregate import Sum
-
+    parsed = parse_resumes(spans).select_columns(["doc_id", "out_spans", "error"])
     # partial counts per batch (tiny) -> global groupby over partials
     return (
-        parsed.map_batches(count_batch, batch_format="pyarrow", zero_copy_batch=True)
+        exported(parsed, export)
+        .map_batches(count_batch, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("kind")
         .aggregate(Sum("n", alias_name="count"))
     )

@@ -421,18 +421,15 @@ def _reconstruct_text_batch(batch: pa.Table) -> pa.Table:
     return pa.Table.from_arrays([batch["doc_id"], joined], names=["doc_id", "text"])
 
 
-def doc_pii_counts(corpus_path: str, config=None):
-    """Per-document PII counts over the spans corpus — the
+def doc_pii_counts(spans, config=None):
+    """Per-document PII counts over the ``spans`` Dataset — the
     oracle-checked face of the PII engine (anonymized text itself is
     verified by the pytest span-equality suite; hash replacements are
     not SQL-recomputable without sha256-of-arbitrary-bytes). Raw text
     reconstructs distributed (vectorized map_batches), never on the
     driver."""
-    from .resume import read_corpus
-
     return (
-        read_corpus(corpus_path)
-        .map_batches(_reconstruct_text_batch, batch_format="pyarrow", zero_copy_batch=True)
+        spans.map_batches(_reconstruct_text_batch, batch_format="pyarrow", zero_copy_batch=True)
         .map_batches(
             PIICounts(config),
             batch_format="pyarrow", zero_copy_batch=True,

@@ -215,7 +215,6 @@ def write_minimal_pdf(
     return bytes(out)
 
 
-_STREAM_RE = re.compile(rb"stream\r?\n(.*?)\r?\nendstream", re.DOTALL)
 # the nearest dictionary preceding each `stream` keyword (content-stream
 # dicts are flat or one-level-nested: /Length, /Filter, /DecodeParms)
 _STREAM_DICT_RE = re.compile(
@@ -234,8 +233,6 @@ _INLINE_PARMS_RE = re.compile(rb"/DecodeParms\s*[<\[]")
 _FONT_REF_RE = re.compile(rb"/(F\d+)\s+(\d+)\s+0\s+R")
 _OBJ_RE = re.compile(rb"(\d+)\s+0\s+obj(.*?)endobj", re.DOTALL)
 _BASEFONT_RE = re.compile(rb"/BaseFont\s*/([A-Za-z0-9+-]+)")
-_TF_RE = re.compile(rb"/(F\d+)\s+([0-9.]+)\s+Tf")
-_TJ_RE = re.compile(rb"\(((?:[^()\\]|\\.)*)\)\s*Tj")
 _TOKEN_RE = re.compile(rb"/(F\d+)\s+([0-9.]+)\s+Tf|\(((?:[^()\\]|\\.)*)\)\s*Tj")
 
 

@@ -293,6 +293,52 @@ def add_cost_column(batch: pa.Table) -> pa.Table:
     return batch.append_column("est_cost", pa.array(sums, type=pa.int64()))
 
 
+def _flatten_sections(batch: pa.Table) -> pa.Table:
+    """Packed sections -> one row per section (doc_id, sec_idx, name,
+    content), sec_idx = position within its document's list."""
+    import numpy as np
+
+    secs = batch["sections"]
+    flat = pc.list_flatten(secs)
+    parents = pc.list_parent_indices(secs).to_numpy(zero_copy_only=False)
+    starts = np.zeros(len(batch), dtype=np.int64)
+    lens = pc.list_value_length(secs).fill_null(0).to_numpy(zero_copy_only=False)
+    np.cumsum(lens[:-1], out=starts[1:])
+    sec_idx = np.arange(len(flat)) - starts[parents]
+    return pa.table(
+        {
+            "doc_id": pc.take(batch["doc_id"], pa.array(parents)),
+            "sec_idx": pa.array(sec_idx.astype(np.int32)),
+            "name": pc.struct_field(flat, "name"),
+            "content": pc.struct_field(flat, "content"),
+        }
+    )
+
+
+def detect_sections(spans):
+    """M4 over a spans Dataset, flattened to one row per detected section
+    (doc_id, sec_idx, name, content) and sorted, so a SQL oracle that
+    replays the line-state machine can hash-compare it without
+    nested-type stringification skew."""
+    return (
+        spans.map_batches(DetectSectionsStage(), batch_format="pyarrow", batch_size=64)
+        .map_batches(_flatten_sections, batch_format="pyarrow", zero_copy_batch=True)
+        .sort(["doc_id", "sec_idx"])
+    )
+
+
+def largest_docs(spans):
+    """R6: the top-20 documents of a spans Dataset by estimated span
+    cost (vectorized cost column -> global sort -> limit), the skew
+    diagnostic the routing threshold is tuned from."""
+    return (
+        spans.map_batches(add_cost_column, batch_format="pyarrow", zero_copy_batch=True)
+        .select_columns(["doc_id", "est_cost"])
+        .sort(["est_cost", "doc_id"], descending=[True, False])
+        .limit(20)
+    )
+
+
 def explode_spans(batch: pa.Table) -> pa.Table:
     """One row per span (doc_id, kind, text, media_ref, offset) — the
     explode half of the R1 reassembly pair, fully vectorized."""

@@ -23,6 +23,7 @@ lineage write is tiny and atomic per partition.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -62,6 +63,66 @@ def committed_partitions(out_dir: str) -> set:
     return done
 
 
+def _commit_partitions(
+    out_dir: str,
+    reads: List[Callable],
+    pipeline_fn: Callable,
+    run_id: str,
+    fail_after: Optional[int],
+) -> dict:
+    """The one commit loop: partition ``pid`` is ``reads[pid]()``, the
+    Dataset of its input. Each partition not yet committed runs through
+    ``pipeline_fn``, is written to a tmp dir, renamed into place (the
+    atomic commit of the data), and then gets its lineage row (renamed
+    into place too). ``fail_after`` kills the run after N partitions
+    (failure injection for resume tests)."""
+    import shutil
+
+    os.makedirs(os.path.join(out_dir, "parts"), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "lineage"), exist_ok=True)
+    done = committed_partitions(out_dir)
+
+    processed, skipped = 0, 0
+    for pid, read in enumerate(reads):
+        if pid in done:
+            skipped += 1
+            continue
+        if fail_after is not None and processed >= fail_after:
+            raise RuntimeError(f"injected failure after {processed} partitions")
+
+        t0 = time.monotonic()
+        out = pipeline_fn(read())
+        final_dir = os.path.join(out_dir, "parts", f"part-{pid:05d}")
+        tmp_dir = final_dir + ".tmp"
+        shutil.rmtree(tmp_dir, ignore_errors=True)  # leftover from a crashed attempt
+        out.write_parquet(tmp_dir)
+        doc_count, span_count, error_count = _written_counters(tmp_dir)
+        shutil.rmtree(final_dir, ignore_errors=True)
+        os.rename(tmp_dir, final_dir)
+
+        lineage_row = {
+            "partition_id": pid,
+            "doc_count": doc_count,
+            "span_count": span_count,
+            "error_count": error_count,
+            "wall_ms": (time.monotonic() - t0) * 1000.0,
+            "status": "committed",
+            "run_id": run_id,
+        }
+        lineage_path = os.path.join(out_dir, "lineage", f"part-{pid:05d}.json")
+        with open(lineage_path + ".tmp", "w") as f:
+            json.dump(lineage_row, f)
+        os.rename(lineage_path + ".tmp", lineage_path)
+        processed += 1
+
+    return {
+        "n_partitions": len(reads),
+        "processed": processed,
+        "skipped": skipped,
+        "run_id": run_id,
+    }
+
+
 def run_resumable(
     input_files: List[str],
     out_dir: str,
@@ -77,69 +138,11 @@ def run_resumable(
     for resume tests). Returns run summary."""
     from ..pipelines.resume import read_corpus
 
-    os.makedirs(os.path.join(out_dir, "parts"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "lineage"), exist_ok=True)
-    done = committed_partitions(out_dir)
-    parts = _partitions(input_files, files_per_partition)
-
-    processed, skipped = 0, 0
-    for pid, part_files in enumerate(parts):
-        if pid in done:
-            skipped += 1
-            continue
-        if fail_after is not None and processed >= fail_after:
-            raise RuntimeError(f"injected failure after {processed} partitions")
-
-        t0 = time.monotonic()
-        ds = pipeline_fn(read_corpus(part_files))
-
-        final_dir = os.path.join(out_dir, "parts", f"part-{pid:05d}")
-        tmp_dir = final_dir + ".tmp"
-        if os.path.isdir(tmp_dir):
-            import shutil
-
-            shutil.rmtree(tmp_dir)  # leftover from a crashed attempt
-        ds.write_parquet(tmp_dir)
-
-        # counters from the written output (streamed, small per partition)
-        import pyarrow.dataset as pads
-
-        written = pads.dataset(tmp_dir, format="parquet")
-        doc_count, span_count, error_count = 0, 0, 0
-        for fragment_batch in written.to_batches(columns=["out_spans", "error"]):
-            doc_count += fragment_batch.num_rows
-            span_count += len(pc.list_flatten(fragment_batch.column(0)))
-            error_count += pc.sum(
-                pc.cast(pc.not_equal(fragment_batch.column(1), ""), pa.int64())
-            ).as_py() or 0
-
-        if os.path.isdir(final_dir):
-            import shutil
-
-            shutil.rmtree(final_dir)
-        os.rename(tmp_dir, final_dir)  # atomic commit of the data
-
-        lineage_row = {
-            "partition_id": pid,
-            "doc_count": doc_count,
-            "span_count": span_count,
-            "error_count": error_count,
-            "wall_ms": (time.monotonic() - t0) * 1000.0,
-            "status": "committed",
-            "run_id": run_id,
-        }
-        lineage_tmp = os.path.join(out_dir, "lineage", f"part-{pid:05d}.json.tmp")
-        with open(lineage_tmp, "w") as f:
-            json.dump(lineage_row, f)
-        os.rename(lineage_tmp, os.path.join(out_dir, "lineage", f"part-{pid:05d}.json"))
-        processed += 1
-
-    return {
-        "n_partitions": len(parts),
-        "processed": processed,
-        "skipped": skipped,
-        "run_id": run_id,
-    }
+    reads = [
+        functools.partial(read_corpus, part_files)
+        for part_files in _partitions(input_files, files_per_partition)
+    ]
+    return _commit_partitions(out_dir, reads, pipeline_fn, run_id, fail_after)
 
 
 def _written_counters(tmp_dir: str) -> tuple:
@@ -196,60 +199,14 @@ def run_resumable_table(
 
     if n_partitions & (n_partitions - 1):
         raise ValueError(f"n_partitions must be a power of two, got {n_partitions}")
-    os.makedirs(os.path.join(out_dir, "parts"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "lineage"), exist_ok=True)
-    done = committed_partitions(out_dir)
-
-    processed, skipped = 0, 0
-    for pid in range(n_partitions):
-        if pid in done:
-            skipped += 1
-            continue
-        if fail_after is not None and processed >= fail_after:
-            raise RuntimeError(f"injected failure after {processed} partitions")
-
-        t0 = time.monotonic()
-        ds = read_table(
-            table_path, columns,
+    reads = [
+        functools.partial(
+            read_table, table_path, columns,
             filter=pc.equal(pc.bit_wise_and(pc.field(key), n_partitions - 1), pid),
         )
-        out = pipeline_fn(ds)
-
-        final_dir = os.path.join(out_dir, "parts", f"part-{pid:05d}")
-        tmp_dir = final_dir + ".tmp"
-        import shutil
-
-        if os.path.isdir(tmp_dir):
-            shutil.rmtree(tmp_dir)
-        out.write_parquet(tmp_dir)
-        doc_count, span_count, error_count = _written_counters(tmp_dir)
-        if os.path.isdir(final_dir):
-            shutil.rmtree(final_dir)
-        os.rename(tmp_dir, final_dir)
-
-        lineage_row = {
-            "partition_id": pid,
-            "doc_count": doc_count,
-            "span_count": span_count,
-            "error_count": error_count,
-            "wall_ms": (time.monotonic() - t0) * 1000.0,
-            "status": "committed",
-            "run_id": run_id,
-        }
-        lineage_tmp = os.path.join(out_dir, "lineage", f"part-{pid:05d}.json.tmp")
-        with open(lineage_tmp, "w") as f:
-            json.dump(lineage_row, f)
-        os.rename(
-            lineage_tmp, os.path.join(out_dir, "lineage", f"part-{pid:05d}.json")
-        )
-        processed += 1
-
-    return {
-        "n_partitions": n_partitions,
-        "processed": processed,
-        "skipped": skipped,
-        "run_id": run_id,
-    }
+        for pid in range(n_partitions)
+    ]
+    return _commit_partitions(out_dir, reads, pipeline_fn, run_id, fail_after)
 
 
 def lineage_table(out_dir: str) -> pa.Table:
@@ -262,16 +219,33 @@ def lineage_table(out_dir: str) -> pa.Table:
     return pa.Table.from_pylist(rows)
 
 
-def read_output(out_dir: str):
-    """The committed output as one Dataset."""
+def checkpoint_lineage(src: str, export: str):
+    """The resumable runner end to end: parse a 120-document corpus in
+    6 files (written once under ``src``) through ``run_resumable`` twice,
+    2 files per partition, into an atomic export at ``export`` — the
+    second pass must skip every committed partition — and return the
+    lineage counters."""
     import glob
 
-    import ray.data as rd
+    from ..pipelines.resume import parse_resumes
+    from ..sources.corpus import write_corpus_local
+    from . import atomic_export
 
-    parts_dir = os.path.join(out_dir, "parts")
-    files = []
-    for d in sorted(os.listdir(parts_dir)):
-        if d.endswith(".tmp"):
-            continue
-        files.extend(sorted(glob.glob(os.path.join(parts_dir, d, "*.parquet"))))
-    return rd.read_parquet(files)
+    if not os.path.exists(os.path.join(src, "_COMPLETE")):
+        write_corpus_local(src, 120, seed=42, rows_per_file=20)
+        with open(os.path.join(src, "_COMPLETE"), "w") as f:
+            f.write("ok")
+    files = sorted(glob.glob(os.path.join(src, "*.parquet")))
+
+    def write(target: str):
+        for run_id in ("r1", "r2"):
+            summary = run_resumable(
+                files, target, parse_resumes, run_id=run_id, files_per_partition=2
+            )
+        if summary["processed"]:
+            raise RuntimeError(f"the rerun processed {summary['processed']} partitions")
+
+    out = atomic_export(export, write)
+    return lineage_table(out).select(
+        ["partition_id", "doc_count", "span_count", "error_count", "status", "run_id"]
+    )

@@ -10,11 +10,20 @@ from document_parser_private_ray.sources.corpus import write_corpus_local
 from document_parser_private_ray.state.checkpoint import (
     committed_partitions,
     lineage_table,
-    read_output,
     run_resumable,
 )
 
 N_DOCS = 60
+
+
+def read_output(out_dir: str):
+    """The committed output (every ``parts/part-*`` dir) as one Dataset."""
+    import glob
+
+    import ray.data as rd
+
+    parts = os.path.join(out_dir, "parts", "part-*[0-9]", "*.parquet")
+    return rd.read_parquet(sorted(glob.glob(parts)))
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +87,7 @@ def test_table_job_resume_after_failure(ray_session, tmp_path):
     import pytest
 
     from document_parser_private_ray.pipelines.html import html_spans, web_extract_job
-    from document_parser_private_ray.state.checkpoint import (
-        lineage_table,
-        read_output,
-    )
+    from document_parser_private_ray.state.checkpoint import lineage_table
 
     sf = "/root/testdata/sf0.001"
     out = str(tmp_path / "web")

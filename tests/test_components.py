@@ -103,14 +103,3 @@ def test_stress_500k_edges_43_components(ray_session):
     exp = naive_components(edges)
     assert got == exp
     assert len(set(got.values())) == 43
-
-
-def test_survivors_helper(ray_session):
-    import ray.data as rd
-
-    from document_parser_private_ray.pipelines.components import components_survivors
-
-    ds = rd.from_items([{"doc_a": a, "doc_b": b} for a, b in [(5, 9), (9, 7), (2, 3)]])
-    out = components_survivors(ds)
-    assert out["survivors"] == [2, 5]
-    assert out["dropped"] == [3, 7, 9]

@@ -59,7 +59,9 @@ ORDER = [
     "pack_sequences", "vocab_hll",
 ]
 
-ROWS = [q for q in entry_mod.QUERY_TABLE if isinstance(q.target, str)]
+ROWS = entry_mod.QUERY_TABLE
+# rows whose input is the synthetic spans corpus (sf-sized or n documents)
+SPANS_ROWS = {q.name for q in ROWS if q.input not in ("sf_dir", None)}
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +94,12 @@ def test_every_oracle_names_a_query(oracles):
 
 
 def test_targets_resolve_and_take_their_kwargs():
+    assert len(ROWS) == 139
     bad = []
     for row in ROWS:
+        args = () if row.input is None else (row.input,)
         try:
-            inspect.signature(_resolve(row.target)).bind("sf_dir", **row.kwargs)
+            inspect.signature(_resolve(row.target)).bind(*args, **row.kwargs)
         except (ImportError, AttributeError, TypeError) as e:
             bad.append((row.name, repr(e)))
     assert bad == []
@@ -121,9 +125,15 @@ def test_changed_maps_each_query_to_its_modules():
     cc = _check_contract()
     deps = cc.query_modules(entry_mod, cc.package_modules())
     assert list(deps) == ORDER
+    spans_staging = {f"{PKG}.pipelines.resume", f"{PKG}.sources.corpus"}
     for row in ROWS:
         assert f"{PKG}.{row.target.rpartition('.')[0]}" in deps[row.name], row.name
+        # the corpus staging is a dependency only of rows that read the corpus
+        staged = spans_staging <= deps[row.name]
+        assert staged == (row.name in SPANS_ROWS), row.name
+    assert len(SPANS_ROWS) == 9
     assert {f"{PKG}.stages.parse", f"{PKG}.pipelines.resume"} <= deps["detect_sections"]
+    assert deps["media_full"] == {f"{PKG}", f"{PKG}.pipelines", f"{PKG}.pipelines.media"}
 
 
 def test_broken_oracle_is_an_error_row_and_the_sweep_goes_on(monkeypatch, tmp_path):

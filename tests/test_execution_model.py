@@ -450,3 +450,102 @@ def test_one_exchange_width_rule():
     ``override_num_blocks=`` outside the rule's two readers, and no
     width kwarg in ``QUERY_TABLE``."""
     assert [f for f in _width_offenders() if f[0] not in ALLOWED_WIDTHS] == []
+
+
+# -- no public API that only tests reach -------------------------------------
+
+# public package functions and classes nothing in the product reaches,
+# kept with why (each is a surface a COVERAGE row names and a test drives)
+ALLOWED_UNREACHED = {
+    "document_parser_private_ray/config.py::default_config_path": "S8: the YAML loaders",
+    "document_parser_private_ray/config.py::load_yaml_config": "S8: the YAML loaders",
+    "document_parser_private_ray/config.py::pii_rules_from_config": "S8: the YAML loaders",
+    "document_parser_private_ray/config.py::pattern_groups_from_config": "S8: the YAML loaders",
+    "document_parser_private_ray/pipelines/evaluate.py::evaluate_predictions": (
+        "R3: the fuzzy similarity channel of the eval join, which SQL cannot replay"
+    ),
+    "document_parser_private_ray/pipelines/html.py::web_extract_job": (
+        "Scale layer: the resumable, key-partitioned HTML job"
+    ),
+    "document_parser_private_ray/pipelines/resume.py::sample_corpus": "R7: seeded sampling",
+    "document_parser_private_ray/sources/files.py::from_text_files": "S1 / M12: raw-file mode",
+    "document_parser_private_ray/sources/files.py::from_pdf_files": "S2-S5: the PDF chain",
+    "document_parser_private_ray/sources/files.py::from_docx_files": "S6: the DOCX chain",
+    "document_parser_private_ray/sources/files.py::from_html_files": "S6b: the HTML file chain",
+    "document_parser_private_ray/sources/pdf.py::write_minimal_pdf": (
+        "S2-S5: the PDF writer the chain's round-trip fixtures are made with"
+    ),
+    "document_parser_private_ray/sources/docx.py::write_minimal_docx": (
+        "S6: the DOCX writer the chain's round-trip fixtures are made with"
+    ),
+    "document_parser_private_ray/stages/parse.py::explode_spans": "R1: span reassembly",
+    "document_parser_private_ray/stages/parse.py::reassemble_group": "R1: span reassembly",
+    "document_parser_private_ray/stages/parse.py::split_oversize_rows": (
+        "R1 / SURVEY §7.4: very-wide-row continuation rows"
+    ),
+    "document_parser_private_ray/stages/parse.py::reassemble_continuations": (
+        "R1 / SURVEY §7.4: very-wide-row continuation rows"
+    ),
+}
+
+
+def _referenced(node) -> set:
+    """Names code under ``node`` refers to: bare names, attributes and
+    imported names (a docstring mention is not a reference)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+    return out
+
+
+def _unreached(root: str = ROOT) -> set:
+    """``path::name`` of every public top-level function and class of the
+    package under ``root`` that no other package code (``job.py``
+    included), no ``__ray_entry__.py`` code or ``QUERY_TABLE`` target,
+    ``bench.py`` nor ``perfbench/`` names."""
+    public, reached = {}, set()
+    for walk_root, _, files in os.walk(os.path.join(root, "document_parser_private_ray")):
+        for f in sorted(files):
+            if not f.endswith(".py"):
+                continue
+            path = os.path.join(walk_root, f)
+            for node in ast.parse(open(path).read()).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    if not node.name.startswith("_"):
+                        public[f"{os.path.relpath(path, root)}::{node.name}"] = node.name
+                    reached |= _referenced(node) - {node.name}
+                else:
+                    reached |= _referenced(node)
+    outside = ["__ray_entry__.py", "bench.py"] + [
+        os.path.join("perfbench", f)
+        for f in sorted(os.listdir(os.path.join(root, "perfbench"))) if f.endswith(".py")
+    ]
+    for path in outside:
+        tree = ast.parse(open(os.path.join(root, path)).read())
+        reached |= _referenced(tree)
+        # a QUERY_TABLE target: the string second argument of a ``Q(...)`` row
+        reached |= {
+            n.args[1].value.rpartition(".")[2]
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Q"
+            and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)
+        }
+    return {where for where, name in public.items() if name not in reached}
+
+
+def test_no_public_api_only_tests_reach():
+    """Every public package function and class is reached by the product:
+    a ``QUERY_TABLE`` row or other driver-contract code, ``job.py``
+    (package code), ``bench.py``, ``perfbench/`` or another package
+    name. One only a test calls is
+    deleted or moved into its test, unless ``ALLOWED_UNREACHED`` names
+    it with the COVERAGE row it serves."""
+    unreached = _unreached()
+    assert sorted(unreached - set(ALLOWED_UNREACHED)) == []
+    # every allowance still names a live, unreached definition
+    assert sorted(set(ALLOWED_UNREACHED) - unreached) == []

@@ -3,8 +3,8 @@
 One 300 KB input per construct goes through each entry scan on a fresh,
 cold instance (empty memos), and each call must return inside a wall
 bound. A linear scan takes well under a second here; a super-linear one
-(the old month-year, company and email regexes, the unguarded
-job-title section patterns) takes minutes to hours on the same input, so the
+(the old month-year, company, email and project-split regexes, the
+unguarded job-title section patterns) takes minutes to hours on the same input, so the
 bound separates the two without being tight. The bound is enforced with
 an interval timer, which also interrupts a running regex search.
 """
@@ -45,6 +45,13 @@ INPUTS = {
     "dotted_run_no_at": _fill("a.b."),
     # the same run, and one "@" far from it
     "dotted_run_far_at": _fill("a.b.") + " me@example.org",
+    # capitalised lines with no " - " tail: every line starts a titled-item
+    # look-ahead of the reference's project split that runs to the end
+    "capitalised_lines": _fill("Alpha beta gamma\n"),
+    # blank lines before one capitalised word: the project split's line
+    # look-ahead retries, from every newline, each way of sharing the run
+    # between its two whitespace loops
+    "blank_lines": _fill("\n")[:-10] + "Alpha beta",
 }
 
 # "Class.method" -> the class a fresh instance is made from
@@ -56,6 +63,7 @@ _CALLS = {
     "SectionDetector.detect": SectionDetector,
     "ResumeExtractor.extract_skills": ResumeExtractor,
     "ResumeExtractor.extract_contact": ResumeExtractor,
+    "ResumeExtractor.extract_projects": ResumeExtractor,
 }
 
 

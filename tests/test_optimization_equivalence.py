@@ -288,3 +288,27 @@ def test_word_start_guard_keeps_answers(line):
         assert bool(re.search(guarded, line, re.IGNORECASE)) == bool(
             re.search(plain, line, re.IGNORECASE)
         )
+
+
+# the reference's project-boundary split, as one regex
+_NAIVE_PROJECT_SPLIT = re.compile(
+    r"\n(?=[A-Z][\w\s-]+ - [\w\s]+(?:app|system|platform|game))"
+    r"|\n(?=\d+\.\s+[A-Z][\w\s-]+)"
+    r"|\n(?=Project \d+:)"
+    r"|\n(?=\s*[•\-*]?\s*[A-Z][^\n:]+[:\n])"
+    r"|\n\n(?=[A-Z])"
+)
+# newlines and blank runs, capitals, the " - " title tail and its
+# keywords, numbered and "Project N:" items, bullets, ":" and
+# whitespace outside ASCII
+_PROJECT_ATOMS = [
+    "\n", "\n\n", "\nT", " ", "\t", "\u00a0", "\x1c", " - ", "-", ":", "•", "*",
+    "A", "Title", "x", "é", "_", "(", "1", "12.", "2. ", "Project 3:", "Project ",
+    "app", "system", "plat", "form", "game",
+]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_PROJECT_ATOMS), max_size=24).map("".join))
+def test_project_split_equivalence(text):
+    assert extract_mod._split_projects(text) == _NAIVE_PROJECT_SPLIT.split(text)

@@ -12,13 +12,15 @@ wall_s}) plus the CPU count and git SHA of the checkout.
 ``REV`` can reach: every package module changed since REV (committed,
 staged, unstaged or untracked), then every package module importing one
 of them, directly or transitively. A ``QUERY_TABLE`` row is selected
-when the module of its ``"pipelines.<module>.<func>"`` target is among
-them; a row whose target is a ``_q_*`` function is selected when that
-function, or a ``__ray_entry__`` helper it calls, imports one of them.
-When ``__ray_entry__.py`` itself changed, a query is selected too when
-its row, the entry-file functions it runs (for a string target, the
-shared runner and, with ``cents``, ``_round_cols``) or its oracle SQL
-differ from REV's. The selected names are printed before the sweep.
+when the module of its ``"<module>.<func>"`` target is among them, or
+when an entry-file function it runs imports one of them (a row whose
+input is the synthetic spans corpus runs the corpus staging, which
+imports ``pipelines.resume`` and ``sources.corpus``). When
+``__ray_entry__.py`` itself changed, a query is selected too when its
+row, the entry-file functions it runs (the shared runner, with
+``cents`` ``_round_cols``, with a spans input the corpus staging) or
+its oracle SQL differ from REV's. The selected names are printed
+before the sweep.
 
 Importing this module starts no Ray and parses no arguments; ``main()``
 does both."""
@@ -108,33 +110,29 @@ def closure(fn, funcs, seen) -> dict:
 
 
 def query_trees(row, funcs) -> dict:
-    """The entry-file functions a table row runs, as name -> AST."""
-    if callable(row.target):
-        return closure(row.target, funcs, {})
+    """The entry-file functions a table row runs, as name -> AST: the
+    shared runner, ``_round_cols`` with ``cents``, and the spans-corpus
+    staging when the row reads that corpus."""
     trees = closure(funcs["_run"], funcs, {})
     if not row.cents:
         trees.pop("_round_cols")
+    if row.input in ("sf_dir", None):
+        trees.pop("_spans")
+        trees.pop("_corpus_for")
     return trees
 
 
 def query_modules(entry_mod, mods) -> dict:
-    """Query name -> the package modules running it imports."""
+    """Query name -> the package modules running it imports: its
+    target's module and those the entry-file functions it runs import."""
     funcs = entry_functions(entry_mod)
     out = {}
     for row in entry_mod.QUERY_TABLE:
-        deps = set()
+        deps = with_parents(f"{PKG}.{row.target.rpartition('.')[0]}", mods)
         for tree in query_trees(row, funcs).values():
             deps |= imported_modules(tree, "", mods)
-        if isinstance(row.target, str):
-            deps |= with_parents(f"{PKG}.{row.target.rpartition('.')[0]}", mods)
         out[row.name] = deps
     return out
-
-
-def row_key(row):
-    """A row comparable across two loaded copies of the entry file."""
-    target = row.target if isinstance(row.target, str) else row.target.__name__
-    return row._replace(target=target)
 
 
 def changed_queries(rev: str, entry_mod, oracles: dict) -> set:
@@ -164,12 +162,12 @@ def changed_queries(rev: str, entry_mod, oracles: dict) -> set:
         exec(compile(old_text, f"__ray_entry__.py@{rev}", "exec"), old_mod.__dict__)
         old_oracles = old_mod.oracle_sql()
         # a REV from before the table has no rows: every query counts as changed
-        old_rows = {r.name: row_key(r) for r in getattr(old_mod, "QUERY_TABLE", ())}
+        old_rows = {r.name: r for r in getattr(old_mod, "QUERY_TABLE", ())}
         funcs = entry_functions(entry_mod)
         for row in entry_mod.QUERY_TABLE:
             trees = query_trees(row, funcs)
             if (
-                old_rows.get(row.name) != row_key(row)
+                old_rows.get(row.name) != row
                 or any(old_src.get(f) != ast.dump(t.body[0]) for f, t in trees.items())
                 or old_oracles.get(row.name) != oracles.get(row.name)
             ):
@@ -178,11 +176,7 @@ def changed_queries(rev: str, entry_mod, oracles: dict) -> set:
 
 
 def to_df(res):
-    if hasattr(res, "to_pandas"):
-        return res.to_pandas()
-    if isinstance(res, pd.DataFrame):
-        return res
-    return res.to_pandas() if hasattr(res, "to_pandas") else pd.DataFrame(res)
+    return res if isinstance(res, pd.DataFrame) else res.to_pandas()
 
 
 def value_hash(df: pd.DataFrame) -> str:
@@ -215,7 +209,12 @@ def main(argv):
     import duckdb
     import ray
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+    # the CPUs this process may run on: the exchange width a deployment on
+    # this box would use (the JSON records the same count as nproc)
+    ray.init(
+        address="local", num_cpus=len(os.sched_getaffinity(0)),
+        include_dashboard=False, logging_level="ERROR",
+    )
     import __ray_entry__ as entry_mod
 
     # 1. entry()
