@@ -51,11 +51,11 @@ def _corpus_for(sf_dir: str, n_docs: int | None = None) -> str:
     return path
 
 
-def _spans(sf_dir: str, n_docs: int | None = None):
-    """The synthetic spans corpus for ``sf_dir`` as a Dataset."""
+def _spans(corpus: str):
+    """A synthetic spans corpus as a Dataset."""
     from document_parser_private_ray.pipelines.resume import read_corpus
 
-    return read_corpus(_corpus_for(sf_dir, n_docs))
+    return read_corpus(corpus)
 
 
 def entry() -> Any:
@@ -69,8 +69,12 @@ def entry() -> Any:
 
 # Oracle exports: a query writes its intermediate here (atomically, see
 # ``state.atomic_export``) and its oracle SQL reads the same parquet.
-_ROLLUP_EXPORT = f"{_CORPUS_CACHE}/span-rollup-export"
-_EVAL_EXPORT = f"{_CORPUS_CACHE}/accuracy-eval-export"
+# A row reading a synthetic corpus names its export after that corpus
+# (``<corpus>-<export>``, see ``_run``), so runs over different corpora
+# never share one.
+_ROLLUP_EXPORT = "rollup-export"
+_EVAL_EXPORT = "accuracy-eval-export"
+_EVAL_DOCS = 200
 _CKPT_SRC = f"{_CORPUS_CACHE}/ckpt-src"
 _CKPT_EXPORT = f"{_CORPUS_CACHE}/ckpt-out"
 _MEDIA_FULL_EXPORT = f"{_CORPUS_CACHE}/media-full-export-n192-s42"
@@ -105,7 +109,8 @@ class Q(NamedTuple):
     when given. ``input`` is ``"sf_dir"`` (the sf directory),
     ``"spans"`` (the sf-sized synthetic spans corpus as a Dataset), an
     int n (an n-document one) or None (no input: the function makes
-    its own)."""
+    its own). A corpus row's ``export`` kwarg is prefixed with its
+    corpus path."""
 
     name: str
     target: str
@@ -123,7 +128,9 @@ def _run(row: Q, sf_dir: str):
     elif row.input == "sf_dir":
         ds = fn(sf_dir, **row.kwargs)
     else:
-        ds = fn(_spans(sf_dir, None if row.input == "spans" else row.input), **row.kwargs)
+        corpus = _corpus_for(sf_dir, None if row.input == "spans" else row.input)
+        kwargs = {k: f"{corpus}-{v}" if k == "export" else v for k, v in row.kwargs.items()}
+        ds = fn(_spans(corpus), **kwargs)
     if row.cents:
         ds = _round_cols(ds, row.cents)
     if row.cols:
@@ -258,12 +265,17 @@ QUERY_TABLE = (
     Q("layout_blocks", "pipelines.layout.layout_blocks", {"n_docs": 500}, input=None),
     Q(
         "checkpoint_lineage",
-        "state.checkpoint.checkpoint_lineage",
+        "job.checkpoint_lineage",
         {"src": _CKPT_SRC, "export": _CKPT_EXPORT},
         input=None,
     ),
     Q("doc_pii", "pipelines.text_analysis.doc_pii_counts", input="spans"),
-    Q("accuracy_eval", "pipelines.evaluate.accuracy_eval", {"export": _EVAL_EXPORT}, input=200),
+    Q(
+        "accuracy_eval",
+        "pipelines.evaluate.accuracy_eval",
+        {"export": _EVAL_EXPORT, "n_docs": _EVAL_DOCS},
+        input=_EVAL_DOCS,
+    ),
     Q(
         "q1_pricing_summary",
         "pipelines.relational.q1_pricing_summary",
@@ -2003,55 +2015,6 @@ def oracle_sql() -> dict[str, str]:
             FROM read_parquet('{_MEDIA_FULL_EXPORT}/*.parquet')
             ORDER BY media_ref
         """,
-        "accuracy_eval": f"""
-            WITH p AS (
-              SELECT * FROM read_parquet('{_EVAL_EXPORT}-preds/*.parquet')),
-            g AS (
-              SELECT * FROM read_parquet('{_EVAL_EXPORT}-golden/*.parquet')),
-            j AS (
-              SELECT p.doc_id,
-                     list_distinct(g.skills) AS gsk, list_distinct(p.skills) AS psk,
-                     list_distinct(g.companies) AS gco, list_distinct(p.companies) AS pco,
-                     list_distinct(g.education) AS ged, list_distinct(p.education) AS ped
-              FROM p JOIN g USING (doc_id)),
-            c AS (
-              SELECT 'skills' AS entity_type,
-                     len(list_intersect(gsk, psk)) AS tp,
-                     len(psk) - len(list_intersect(gsk, psk)) AS fp,
-                     len(gsk) - len(list_intersect(gsk, psk)) AS fn
-              FROM j
-              UNION ALL
-              SELECT 'companies',
-                     len(list_intersect(gco, pco)),
-                     len(pco) - len(list_intersect(gco, pco)),
-                     len(gco) - len(list_intersect(gco, pco))
-              FROM j
-              UNION ALL
-              SELECT 'education',
-                     len(list_intersect(ged, ped)),
-                     len(ped) - len(list_intersect(ged, ped)),
-                     len(ged) - len(list_intersect(ged, ped))
-              FROM j),
-            a AS (
-              SELECT entity_type,
-                     CAST(SUM(tp) AS BIGINT) AS tp,
-                     CAST(SUM(fp) AS BIGINT) AS fp,
-                     CAST(SUM(fn) AS BIGINT) AS fn
-              FROM c GROUP BY 1),
-            m AS (
-              SELECT entity_type, tp, fp, fn,
-                     CASE WHEN tp + fp > 0
-                          THEN (tp * 1000000) // (tp + fp) ELSE 0 END AS precision_micro,
-                     CASE WHEN tp + fn > 0
-                          THEN (tp * 1000000) // (tp + fn) ELSE 0 END AS recall_micro
-              FROM a)
-            SELECT entity_type, tp, fp, fn, precision_micro, recall_micro,
-                   CAST(CASE WHEN precision_micro + recall_micro > 0
-                        THEN (2 * precision_micro * recall_micro)
-                             // (precision_micro + recall_micro)
-                        ELSE 0 END AS BIGINT) AS f1_micro
-            FROM m ORDER BY entity_type
-        """,
         "media_dedup": f"""
             SELECT md5(hex(payload)) AS payload_md5,
                    MIN(media_ref) AS keep_ref,
@@ -3551,6 +3514,7 @@ def _data_dependent_oracles() -> dict[str, str]:
     ):
         return {}
     corpus = _corpus_for(_verify_sf())
+    eval_corpus = _corpus_for(_verify_sf(), _EVAL_DOCS)
     return {
         "largest_docs": _largest_docs_oracle(corpus),
         "ann_ivf": _ivf_oracle_sql(),
@@ -3593,13 +3557,62 @@ def _data_dependent_oracles() -> dict[str, str]:
             GROUP BY prev_kind, next_kind
             ORDER BY prev_kind, next_kind
         """,
+        "accuracy_eval": f"""
+            WITH p AS (
+              SELECT * FROM read_parquet('{eval_corpus}-{_EVAL_EXPORT}-preds/*.parquet')),
+            g AS (
+              SELECT * FROM read_parquet('{eval_corpus}-{_EVAL_EXPORT}-golden/*.parquet')),
+            j AS (
+              SELECT p.doc_id,
+                     list_distinct(g.skills) AS gsk, list_distinct(p.skills) AS psk,
+                     list_distinct(g.companies) AS gco, list_distinct(p.companies) AS pco,
+                     list_distinct(g.education) AS ged, list_distinct(p.education) AS ped
+              FROM p JOIN g USING (doc_id)),
+            c AS (
+              SELECT 'skills' AS entity_type,
+                     len(list_intersect(gsk, psk)) AS tp,
+                     len(psk) - len(list_intersect(gsk, psk)) AS fp,
+                     len(gsk) - len(list_intersect(gsk, psk)) AS fn
+              FROM j
+              UNION ALL
+              SELECT 'companies',
+                     len(list_intersect(gco, pco)),
+                     len(pco) - len(list_intersect(gco, pco)),
+                     len(gco) - len(list_intersect(gco, pco))
+              FROM j
+              UNION ALL
+              SELECT 'education',
+                     len(list_intersect(ged, ped)),
+                     len(ped) - len(list_intersect(ged, ped)),
+                     len(ged) - len(list_intersect(ged, ped))
+              FROM j),
+            a AS (
+              SELECT entity_type,
+                     CAST(SUM(tp) AS BIGINT) AS tp,
+                     CAST(SUM(fp) AS BIGINT) AS fp,
+                     CAST(SUM(fn) AS BIGINT) AS fn
+              FROM c GROUP BY 1),
+            m AS (
+              SELECT entity_type, tp, fp, fn,
+                     CASE WHEN tp + fp > 0
+                          THEN (tp * 1000000) // (tp + fp) ELSE 0 END AS precision_micro,
+                     CASE WHEN tp + fn > 0
+                          THEN (tp * 1000000) // (tp + fn) ELSE 0 END AS recall_micro
+              FROM a)
+            SELECT entity_type, tp, fp, fn, precision_micro, recall_micro,
+                   CAST(CASE WHEN precision_micro + recall_micro > 0
+                        THEN (2 * precision_micro * recall_micro)
+                             // (precision_micro + recall_micro)
+                        ELSE 0 END AS BIGINT) AS f1_micro
+            FROM m ORDER BY entity_type
+        """,
         "span_rollup": f"""
             SELECT s.kind AS kind, CAST(COUNT(*) AS BIGINT) AS count
             FROM (SELECT UNNEST(out_spans) AS s
-                  FROM read_parquet('{_ROLLUP_EXPORT}/*.parquet'))
+                  FROM read_parquet('{corpus}-{_ROLLUP_EXPORT}/*.parquet'))
             GROUP BY s.kind
             UNION ALL
             SELECT '__error__', CAST(COUNT(*) FILTER (error <> '') AS BIGINT)
-            FROM read_parquet('{_ROLLUP_EXPORT}/*.parquet')
+            FROM read_parquet('{corpus}-{_ROLLUP_EXPORT}/*.parquet')
         """,
     }

@@ -87,5 +87,36 @@ def main(argv=None) -> dict:
     return summary
 
 
+def checkpoint_lineage(src: str, export: str):
+    """The resumable job end to end on a small corpus: parse 120
+    documents in 6 files (written once under ``src``) through
+    ``run_resumable`` twice, 2 files per partition, into an atomic
+    export at ``export`` — the second pass must skip every committed
+    partition — and return the lineage counters."""
+    from .pipelines.resume import parse_resumes
+    from .sources.corpus import write_corpus_local
+    from .state import atomic_export
+    from .state.checkpoint import lineage_table, run_resumable
+
+    if not os.path.exists(os.path.join(src, "_COMPLETE")):
+        write_corpus_local(src, 120, seed=42, rows_per_file=20)
+        with open(os.path.join(src, "_COMPLETE"), "w") as f:
+            f.write("ok")
+    files = sorted(glob.glob(os.path.join(src, "*.parquet")))
+
+    def write(target: str):
+        for run_id in ("r1", "r2"):
+            summary = run_resumable(
+                files, target, parse_resumes, run_id=run_id, files_per_partition=2
+            )
+        if summary["processed"]:
+            raise RuntimeError(f"the rerun processed {summary['processed']} partitions")
+
+    out = atomic_export(export, write)
+    return lineage_table(out).select(
+        ["partition_id", "doc_count", "span_count", "error_count", "status", "run_id"]
+    )
+
+
 if __name__ == "__main__":
     main()

@@ -205,30 +205,34 @@ def parsed_to_prediction_columns(parsed):
     return parsed.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def accuracy_eval(spans, export: str):
-    """Eval join (R3) + §5 metrics over a spans Dataset: parse-chain
-    predictions vs the single-doc oracle's golden entities for the same
-    documents. F1 == 1.0 (1_000_000 micro) for every entity type IS the
-    invariant. Predictions and golden go through atomic parquet exports
-    at ``export``-preds / ``export``-golden, so a SQL oracle replays the
+def accuracy_eval(spans, export: str, n_docs: int):
+    """Eval join (R3) + §5 metrics: parse-chain predictions over a spans
+    Dataset (the synthetic corpus of ``n_docs`` documents, default seed)
+    vs the single-doc oracle's golden entities for the same documents,
+    generated afresh from ``sources.corpus.generate_document`` so the
+    golden side never passes through the corpus write and read. F1 ==
+    1.0 (1_000_000 micro) for every entity type IS the invariant.
+    Predictions and golden go through atomic parquet exports at
+    ``export``-preds / ``export``-golden, so a SQL oracle replays the
     exact-set tp/fp/fn counters and integer micro metrics; the fuzzy
     similarity channel stays with ``evaluate_predictions``."""
     import ray.data as rd
 
     from ..oracle import DocumentOracle
+    from ..sources.corpus import generate_document
     from ..state import exported
     from .resume import parse_resumes
 
     oracle = DocumentOracle()
     golden = []
-    for batch in spans.iter_batches(batch_format="pyarrow"):
-        for row in batch.to_pylist():
-            sp = row["spans"]
-            out = oracle.process(
-                row["doc_id"], [s["kind"] for s in sp], [s["text"] for s in sp],
-                [s["media_ref"] for s in sp],
-            )
-            golden.append(_entities(row["doc_id"], out["resume"]))
+    for i in range(n_docs):
+        doc = generate_document(i)
+        sp = doc["spans"]
+        out = oracle.process(
+            doc["doc_id"], [s["kind"] for s in sp], [s["text"] for s in sp],
+            [s["media_ref"] for s in sp],
+        )
+        golden.append(_entities(doc["doc_id"], out["resume"]))
     exported(rd.from_arrow(pa.Table.from_pylist(golden)), f"{export}-golden")
     preds = exported(parsed_to_prediction_columns(parse_resumes(spans)), f"{export}-preds")
     return entity_counter_metrics(preds, golden)

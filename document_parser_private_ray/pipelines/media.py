@@ -278,7 +278,7 @@ def _synth_media(n_items: int, with_video: bool = False):
     )
 
 
-def media_full_pipeline(n_items: int = 256, export: Optional[str] = None):
+def media_full_pipeline(export: str, n_items: int = 256):
     """The full multimodal chain: synthesize (image/audio/video) ->
     frame-sample videos into image rows -> resize images -> decode/
     feature. Every stage is a task map_batches over binary columns with
@@ -295,7 +295,7 @@ def media_full_pipeline(n_items: int = 256, export: Optional[str] = None):
     )
 
 
-def media_pipeline(n_items: int = 256, export: Optional[str] = None):
+def media_pipeline(export: str, n_items: int = 256):
     """End-to-end media stage demo: synthesize refs -> decode/feature
     task map -> features table. Small batches on purpose (binary
     payload sizing). ``export``: the synthesized rows go through an
@@ -329,9 +329,7 @@ def synth_aliased_media(n_items: int = 256, alias_mod: int = 200):
     return refs.map_batches(synth_aliased, batch_format="numpy", batch_size=64)
 
 
-def media_dedup(
-    media=None, n_items: int = 256, alias_mod: int = 200, export: Optional[str] = None
-):
+def media_dedup(export: str, n_items: int = 256, alias_mod: int = 200):
     """Exact dedup over BINARY media payloads — the ``dedup_exact``
     shape applied to a multimodal column: each payload collapses to its
     md5 digest BEFORE the shuffle (the exchange ships (digest, ref)
@@ -342,17 +340,18 @@ def media_dedup(
     recomputes it from the same exported bytes (the MediaFeatures
     checksum convention).
 
-    ``media``: any Dataset with (media_ref, payload) columns; defaults
-    to the planted-duplicate synthetic corpus. ``export``: the media
-    rows go through an atomic parquet export there first, so the oracle
-    digests the same bytes.
+    The input is the planted-duplicate synthetic corpus
+    (``synth_aliased_media``). ``export``: the media rows go through an
+    atomic parquet export there first, so the oracle digests the same
+    bytes.
 
     Output: (payload_md5, keep_ref, n_copies) sorted by keep_ref."""
     import hashlib
 
-    if media is None:
-        media = synth_aliased_media(n_items, alias_mod)
-    media = exported(media.select_columns(["media_ref", "payload"]), export)
+    media = exported(
+        synth_aliased_media(n_items, alias_mod).select_columns(["media_ref", "payload"]),
+        export,
+    )
 
     def digest(batch: pa.Table) -> pa.Table:
         payloads = batch["payload"].to_pylist()

@@ -1,4 +1,4 @@
-"""Minimal deterministic DOCX writer + extractor (S6).
+"""Minimal DOCX extractor (S6).
 
 The reference's ``docx_parser.py`` is a 0-byte stub, so there is no
 parity obligation — this module EXCEEDS the reference by closing the
@@ -11,11 +11,11 @@ PDF minimal subset produces ({"kind": heading|text|table, ...}), so
 ``files._blocks_to_spans`` and the whole downstream parse chain are
 shared unchanged.
 
-Like ``sources.pdf``, the writer exists so the full chain
-docx-bytes -> blocks -> spans -> parse is generated and tested
-entirely in-sandbox; real-world documents with features outside the
-subset (embedded media, footnotes, tracked changes) still carry their
-visible paragraph/table text through this extractor.
+The tests generate the full chain docx-bytes -> blocks -> spans ->
+parse in-sandbox with a fixture writer of this subset; real-world
+documents with features outside it (embedded media, footnotes, tracked
+changes) still carry their visible paragraph/table text through this
+extractor.
 """
 
 from __future__ import annotations
@@ -26,87 +26,9 @@ import re
 import zipfile
 from typing import Dict, List
 from xml.etree import ElementTree as ET
-from xml.sax.saxutils import escape
 
 W_NS = "http://schemas.openxmlformats.org/wordprocessingml/2006/main"
 W = f"{{{W_NS}}}"
-
-_CONTENT_TYPES = (
-    '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
-    '<Types xmlns="http://schemas.openxmlformats.org/package/2006/content-types">'
-    '<Default Extension="rels" ContentType='
-    '"application/vnd.openxmlformats-package.relationships+xml"/>'
-    '<Default Extension="xml" ContentType="application/xml"/>'
-    '<Override PartName="/word/document.xml" ContentType='
-    '"application/vnd.openxmlformats-officedocument.wordprocessingml.document.main+xml"/>'
-    "</Types>"
-)
-_RELS = (
-    '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
-    '<Relationships xmlns="http://schemas.openxmlformats.org/package/2006/relationships">'
-    '<Relationship Id="rId1" Type="http://schemas.openxmlformats.org/'
-    'officeDocument/2006/relationships/officeDocument" Target="word/document.xml"/>'
-    "</Relationships>"
-)
-
-
-def _para_xml(text: str, heading: bool) -> str:
-    style = (
-        '<w:pPr><w:pStyle w:val="Heading1"/></w:pPr>' if heading else ""
-    )
-    # a break run BEFORE each continuation line, in document order
-    runs = ""
-    for i, ln in enumerate(text.split("\n")):
-        if i:
-            runs += "<w:r><w:br/></w:r>"
-        runs += f'<w:r><w:t xml:space="preserve">{escape(ln)}</w:t></w:r>'
-    return f"<w:p>{style}{runs}</w:p>"
-
-
-def _table_xml(data: List[List[str]]) -> str:
-    rows = "".join(
-        "<w:tr>"
-        + "".join(
-            f'<w:tc><w:p><w:r><w:t xml:space="preserve">{escape(str(c))}'
-            "</w:t></w:r></w:p></w:tc>"
-            for c in row
-        )
-        + "</w:tr>"
-        for row in data
-    )
-    return f"<w:tbl>{rows}</w:tbl>"
-
-
-def write_minimal_docx(blocks: List[Dict]) -> bytes:
-    """[{"kind": "heading"|"text", "text": str} |
-    {"kind": "table", "data": [[cell, ...], ...]}] -> .docx bytes.
-    Deterministic (fixed zip timestamps), stdlib-only."""
-    body = []
-    for b in blocks:
-        if b.get("kind") == "table":
-            body.append(_table_xml(b.get("data") or []))
-        else:
-            body.append(
-                _para_xml(b.get("text") or "", b.get("kind") == "heading")
-            )
-    doc = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
-        f'<w:document xmlns:w="{W_NS}"><w:body>'
-        + "".join(body)
-        + "</w:body></w:document>"
-    )
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as z:
-        for name, payload in (
-            ("[Content_Types].xml", _CONTENT_TYPES),
-            ("_rels/.rels", _RELS),
-            ("word/document.xml", doc),
-        ):
-            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = zipfile.ZIP_DEFLATED
-            z.writestr(info, payload)
-    return buf.getvalue()
-
 
 _HEADING_STYLE_RE = re.compile(r"^(heading|title|h)\s*\d*$", re.IGNORECASE)
 

@@ -38,10 +38,10 @@ retained content become interleaved media spans carrying ``media_ref``
 — the north rule's (kind, text, media_ref, order) span tuple.
 
 ``render_html_page`` is the deterministic in-sandbox page generator
-(the HTML analogue of ``docx.write_minimal_docx`` /
-``pdf.write_minimal_pdf``): it wraps a document's text in realistic
-chrome (nav, cookie banner, share widget, aside, footer, inline
-markup, entities, comments) so extraction is verifiable CLOSED-FORM —
+(the HTML analogue of the tests' PDF and DOCX fixture writers): it
+wraps a document's text in realistic chrome (nav, cookie banner,
+share widget, aside, footer, inline markup, entities, comments) so
+extraction is verifiable CLOSED-FORM —
 the DuckDB oracle reconstructs the exact expected span sequence from
 the raw text alone, making any leak of boilerplate or loss of content
 a hash mismatch.

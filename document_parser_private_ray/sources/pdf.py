@@ -1,13 +1,13 @@
-"""Minimal deterministic PDF writer + byte-stream text extractor (S2).
+"""Minimal byte-stream PDF text extractor (S2).
 
 The container ships no PDF library (SURVEY §7.0), so ``from_pdf_files``
 was a pluggable slot only. This module closes the loop the way SURVEY
-§7.0 planned: a tiny GENERATOR writing text PDFs (the subset:
-literal-string `Tj` show-text operators, ASCII/latin-1 text, Helvetica
-fonts, optionally Flate-compressed) and an EXTRACTOR handling that
-subset under any chain of the stdlib-decodable filters (FlateDecode
-and LZWDecode with predictors, RunLengthDecode, ASCIIHexDecode,
-ASCII85Decode) — so the full chain
+§7.0 planned: an EXTRACTOR for text PDFs of a minimal subset
+(literal-string `Tj` show-text operators, ASCII/latin-1 text,
+Helvetica fonts, Courier for table grids — the shape the tests'
+fixture writer emits) under any chain of the stdlib-decodable filters
+(FlateDecode and LZWDecode with predictors, RunLengthDecode,
+ASCIIHexDecode, ASCII85Decode) — so the full chain
 pdf-bytes -> blocks -> spans -> parse runs and is testable entirely
 in-sandbox. Real-world PDFs still route through the pluggable
 ``extract=`` hook (pdfplumber/fitz chain, pdf_parser.py:119-196 shape)
@@ -29,49 +29,12 @@ from typing import Dict, List
 
 from ..functions.layout import is_heading_block
 
-HEADING_FONT = ("F2", "Helvetica-Bold", 14)
-TEXT_FONT = ("F1", "Helvetica", 10)
-# Tables set in the monospace font: the extractor recognizes Courier
-# blocks as table grids (rows = lines, cells = tab-separated) — the
-# minimal-subset analogue of pdfplumber's line-detection
-# (pdf_parser.py:152-162 emits {"page", "data"} per table).
-TABLE_FONT = ("F3", "Courier", 9)
-
-
-def _pdf_escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace("(", "\\(").replace(")", "\\)")
-
-
 def _paeth(a: int, b: int, c: int) -> int:
     p = a + b - c
     pa_, pb_, pc_ = abs(p - a), abs(p - b), abs(p - c)
     if pa_ <= pb_ and pa_ <= pc_:
         return a
     return b if pb_ <= pc_ else c
-
-
-def _png_predict_encode(data: bytes, columns: int) -> bytes:
-    """PNG per-row predictor ENCODER (generator side, 1 byte/pixel):
-    rows of ``columns`` bytes, filter byte prepended, cycling through
-    all five PNG filter types so a round-trip exercises every decode
-    branch. Data is newline-padded to a whole row (trailing whitespace
-    is inert in a content stream)."""
-    pad = (-len(data)) % columns
-    data += b"\n" * pad
-    out = bytearray()
-    prev = bytes(columns)
-    for idx, r in enumerate(range(0, len(data), columns)):
-        row = data[r : r + columns]
-        ft = idx % 5
-        out.append(ft)
-        for i in range(columns):
-            a = row[i - 1] if i >= 1 else 0
-            b = prev[i]
-            c = prev[i - 1] if i >= 1 else 0
-            pred = (0, a, b, (a + b) >> 1, _paeth(a, b, c))[ft]
-            out.append((row[i] - pred) & 0xFF)
-        prev = row
-    return bytes(out)
 
 
 def _undo_predictor(
@@ -132,86 +95,6 @@ def _undo_predictor(
             raise ValueError(f"unknown PNG filter type {ft}")
         out += row
         prev = row
-    return bytes(out)
-
-
-def write_minimal_pdf(
-    blocks: List[Dict], compress: bool = False, predictor: int | None = None,
-    predictor_columns: int = 64,
-) -> bytes:
-    """[{"kind": "heading"|"text", "text": str} |
-    {"kind": "table", "data": [[cell, ...], ...]}] -> PDF bytes.
-    Headings set in Helvetica-Bold 14, body in Helvetica 10 (sizes
-    chosen so the M3 heuristic round-trips the kind); table rows set
-    in Courier 9 with tab-separated cells (cells must not contain
-    tabs/newlines — the minimal subset's table encoding).
-    ``compress=True`` Flate-encodes the content stream (the filter
-    virtually every real-world PDF uses — pdf_parser.py:137-166
-    handles it through pdfplumber; here it's stdlib zlib).
-    ``predictor=15`` (with ``compress=True``) additionally runs the
-    content stream through the PNG per-row predictor before Flate and
-    writes the matching ``/DecodeParms`` — the layout real-world
-    writers emit for predictor-compressed streams."""
-    content_lines = []
-    y = 760
-    for b in blocks:
-        if b.get("kind") == "table":
-            fkey, _, size = TABLE_FONT
-            lines = ["\t".join(str(c) for c in row) for row in b.get("data") or []]
-        else:
-            fkey, _, size = HEADING_FONT if b.get("kind") == "heading" else TEXT_FONT
-            lines = (b.get("text") or "").split("\n")
-        for ln in lines:
-            content_lines.append(
-                f"BT /{fkey} {size} Tf 72 {y} Td ({_pdf_escape(ln)}) Tj ET"
-            )
-            y -= size + 4
-            if y < 40:
-                y = 760
-    stream = "\n".join(content_lines).encode("latin-1", "replace")
-    filter_entry = b""
-    if compress:
-        if predictor is not None:
-            if not 10 <= predictor <= 15:
-                raise ValueError("generator supports PNG predictors (10-15) only")
-            stream = _png_predict_encode(stream, predictor_columns)
-        stream = zlib.compress(stream)
-        filter_entry = b" /Filter /FlateDecode"
-        if predictor is not None:
-            filter_entry += (
-                f" /DecodeParms << /Predictor {predictor} "
-                f"/Columns {predictor_columns} >>".encode()
-            )
-
-    objects = []
-    objects.append(b"<< /Type /Catalog /Pages 2 0 R >>")
-    objects.append(b"<< /Type /Pages /Kids [3 0 R] /Count 1 >>")
-    objects.append(
-        b"<< /Type /Page /Parent 2 0 R /MediaBox [0 0 612 792] "
-        b"/Resources << /Font << /F1 5 0 R /F2 6 0 R /F3 7 0 R >> >> /Contents 4 0 R >>"
-    )
-    objects.append(
-        b"<< /Length " + str(len(stream)).encode() + filter_entry
-        + b" >>\nstream\n" + stream + b"\nendstream"
-    )
-    objects.append(b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>")
-    objects.append(b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica-Bold >>")
-    objects.append(b"<< /Type /Font /Subtype /Type1 /BaseFont /Courier >>")
-
-    out = bytearray(b"%PDF-1.4\n")
-    offsets = [0]
-    for i, body in enumerate(objects, start=1):
-        offsets.append(len(out))
-        out += f"{i} 0 obj\n".encode() + body + b"\nendobj\n"
-    xref_pos = len(out)
-    out += f"xref\n0 {len(objects) + 1}\n".encode()
-    out += b"0000000000 65535 f \n"
-    for off in offsets[1:]:
-        out += f"{off:010d} 00000 n \n".encode()
-    out += (
-        f"trailer\n<< /Size {len(objects) + 1} /Root 1 0 R >>\n"
-        f"startxref\n{xref_pos}\n%%EOF\n"
-    ).encode()
     return bytes(out)
 
 

@@ -33,12 +33,9 @@ def atomic_export(export: str, write_fn) -> str:
     return target
 
 
-def exported(ds, export):
+def exported(ds, export: str):
     """``ds`` read back from its atomic parquet export at ``export`` (the
-    intermediate a SQL oracle recomputes from), or ``ds`` itself when
-    ``export`` is None."""
-    if export is None:
-        return ds
+    intermediate a SQL oracle recomputes from)."""
     import ray.data as rd
 
     return rd.read_parquet(atomic_export(export, ds.write_parquet))

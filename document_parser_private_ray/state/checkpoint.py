@@ -217,35 +217,3 @@ def lineage_table(out_dir: str) -> pa.Table:
             with open(os.path.join(lineage_dir, name)) as f:
                 rows.append(json.load(f))
     return pa.Table.from_pylist(rows)
-
-
-def checkpoint_lineage(src: str, export: str):
-    """The resumable runner end to end: parse a 120-document corpus in
-    6 files (written once under ``src``) through ``run_resumable`` twice,
-    2 files per partition, into an atomic export at ``export`` — the
-    second pass must skip every committed partition — and return the
-    lineage counters."""
-    import glob
-
-    from ..pipelines.resume import parse_resumes
-    from ..sources.corpus import write_corpus_local
-    from . import atomic_export
-
-    if not os.path.exists(os.path.join(src, "_COMPLETE")):
-        write_corpus_local(src, 120, seed=42, rows_per_file=20)
-        with open(os.path.join(src, "_COMPLETE"), "w") as f:
-            f.write("ok")
-    files = sorted(glob.glob(os.path.join(src, "*.parquet")))
-
-    def write(target: str):
-        for run_id in ("r1", "r2"):
-            summary = run_resumable(
-                files, target, parse_resumes, run_id=run_id, files_per_partition=2
-            )
-        if summary["processed"]:
-            raise RuntimeError(f"the rerun processed {summary['processed']} partitions")
-
-    out = atomic_export(export, write)
-    return lineage_table(out).select(
-        ["partition_id", "doc_count", "span_count", "error_count", "status", "run_id"]
-    )

@@ -123,7 +123,8 @@ def _check_contract():
 
 def test_changed_maps_each_query_to_its_modules():
     cc = _check_contract()
-    deps = cc.query_modules(entry_mod, cc.package_modules())
+    mods = cc.package_modules()
+    deps = cc.query_modules(entry_mod, mods)
     assert list(deps) == ORDER
     spans_staging = {f"{PKG}.pipelines.resume", f"{PKG}.sources.corpus"}
     for row in ROWS:
@@ -134,6 +135,11 @@ def test_changed_maps_each_query_to_its_modules():
     assert len(SPANS_ROWS) == 9
     assert {f"{PKG}.stages.parse", f"{PKG}.pipelines.resume"} <= deps["detect_sections"]
     assert deps["media_full"] == {f"{PKG}", f"{PKG}.pipelines", f"{PKG}.pipelines.media"}
+    # an edit to the corpus generator reaches the corpus rows and the
+    # checkpoint run that writes its own corpus, never an HTML row
+    affected = cc.importers({f"{PKG}.sources.corpus"}, mods)
+    reached = {q for q, d in deps.items() if d & affected}
+    assert reached == SPANS_ROWS | {"checkpoint_lineage"}
 
 
 def test_broken_oracle_is_an_error_row_and_the_sweep_goes_on(monkeypatch, tmp_path):

@@ -7,10 +7,8 @@ import os
 
 import pytest
 
-from document_parser_private_ray.sources.docx import (
-    extract_docx_blocks,
-    write_minimal_docx,
-)
+from doc_writers import write_minimal_docx
+from document_parser_private_ray.sources.docx import extract_docx_blocks
 
 
 def test_roundtrip_blocks():

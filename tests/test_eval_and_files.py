@@ -132,7 +132,7 @@ def test_pdf_default_backend_and_override(ray_session, tmp_path):
     import os
 
     from document_parser_private_ray.sources.files import from_pdf_files
-    from document_parser_private_ray.sources.pdf import write_minimal_pdf
+    from doc_writers import write_minimal_pdf
 
     (tmp_path / "real.pdf").write_bytes(
         write_minimal_pdf([{"kind": "text", "text": "hello from pdf"}])

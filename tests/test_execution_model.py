@@ -472,12 +472,6 @@ ALLOWED_UNREACHED = {
     "document_parser_private_ray/sources/files.py::from_pdf_files": "S2-S5: the PDF chain",
     "document_parser_private_ray/sources/files.py::from_docx_files": "S6: the DOCX chain",
     "document_parser_private_ray/sources/files.py::from_html_files": "S6b: the HTML file chain",
-    "document_parser_private_ray/sources/pdf.py::write_minimal_pdf": (
-        "S2-S5: the PDF writer the chain's round-trip fixtures are made with"
-    ),
-    "document_parser_private_ray/sources/docx.py::write_minimal_docx": (
-        "S6: the DOCX writer the chain's round-trip fixtures are made with"
-    ),
     "document_parser_private_ray/stages/parse.py::explode_spans": "R1: span reassembly",
     "document_parser_private_ray/stages/parse.py::reassemble_group": "R1: span reassembly",
     "document_parser_private_ray/stages/parse.py::split_oversize_rows": (

@@ -6,10 +6,8 @@ import os
 
 import pytest
 
-from document_parser_private_ray.sources.pdf import (
-    extract_pdf_blocks,
-    write_minimal_pdf,
-)
+from doc_writers import write_minimal_pdf
+from document_parser_private_ray.sources.pdf import extract_pdf_blocks
 
 
 def test_roundtrip_blocks():
@@ -473,7 +471,7 @@ def test_lzw_roundtrip_through_width_changes_and_clears(early_change):
 
 
 def test_lzw_early_change_zero_and_predictor_in_pdf():
-    from document_parser_private_ray.sources.pdf import _png_predict_encode
+    from doc_writers import _png_predict_encode
 
     plain = extract_pdf_blocks(write_minimal_pdf(_CHAIN_BLOCKS))
     data = _refiltered(_CHAIN_BLOCKS, ["LZWDecode"], b"<< /EarlyChange 0 >>")

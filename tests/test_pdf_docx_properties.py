@@ -21,14 +21,9 @@ by the directed tests in test_pdf.py/test_docx.py.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from document_parser_private_ray.sources.docx import (
-    extract_docx_blocks,
-    write_minimal_docx,
-)
-from document_parser_private_ray.sources.pdf import (
-    extract_pdf_blocks,
-    write_minimal_pdf,
-)
+from doc_writers import write_minimal_docx, write_minimal_pdf
+from document_parser_private_ray.sources.docx import extract_docx_blocks
+from document_parser_private_ray.sources.pdf import extract_pdf_blocks
 
 # body words: lowercase + PDF/XML-hostile punctuation, never uppercase
 _body_word = st.text(

@@ -118,17 +118,17 @@ def test_doc_quality_matches_duckdb(ray_session):
     assert got["n_words"].tolist() == exp["n_words"].tolist()
 
 
-def test_media_pipeline_plumbing(ray_session):
+def test_media_pipeline_plumbing(ray_session, tmp_path):
     from document_parser_private_ray.pipelines.media import media_pipeline
 
-    out = media_pipeline(n_items=64).to_pandas()
+    out = media_pipeline(str(tmp_path / "export"), n_items=64).to_pandas()
     assert len(out) == 64
     assert set(out["kind"]) <= {"image", "audio"}
     assert (out["n_bytes"] > 0).all()
     assert (out["decode_error"] == "").all()
     assert out["feature"].map(len).eq(8).all()
     # deterministic across runs
-    out2 = media_pipeline(n_items=64).to_pandas()
+    out2 = media_pipeline(str(tmp_path / "again"), n_items=64).to_pandas()
     assert out["checksum"].tolist() == out2["checksum"].tolist()
 
 
@@ -696,7 +696,7 @@ def test_ann_ivfpq_recall_and_naive_adc(ray_session):
     assert got == again[["query_id", "vec_id", "adc", "rank"]].values.tolist()
 
 
-def test_media_full_pipeline_stages(ray_session):
+def test_media_full_pipeline_stages(ray_session, tmp_path):
     """Frame-sample explodes videos into image rows, resize pins image
     dimensions, features decode every surviving row — deterministic."""
     from document_parser_private_ray.pipelines.media import (
@@ -704,7 +704,7 @@ def test_media_full_pipeline_stages(ray_session):
         synth_media_batch,
     )
 
-    out = media_full_pipeline(n_items=96).to_pandas()
+    out = media_full_pipeline(str(tmp_path / "export"), n_items=96).to_pandas()
     src = synth_media_batch(
         [f"media://synth/{i}" for i in range(96)], with_video=True
     ).to_pandas()
@@ -719,7 +719,7 @@ def test_media_full_pipeline_stages(ray_session):
     assert out["media_ref"].str.contains("#frame").sum() == expected_frames
     assert (out["decode_error"] == "").all()
     assert out["feature"].map(len).eq(8).all()
-    again = media_full_pipeline(n_items=96).to_pandas()
+    again = media_full_pipeline(str(tmp_path / "again"), n_items=96).to_pandas()
     assert out.sort_values("media_ref")["checksum"].tolist() == \
         again.sort_values("media_ref")["checksum"].tolist()
 
@@ -1131,13 +1131,13 @@ def test_bpe_pair_counts_hand_case(ray_session, tmp_path):
     assert got["pair"].tolist() == ["an", "na", "ba", "nd"]
 
 
-def test_media_dedup_planted_payload_copies(ray_session):
+def test_media_dedup_planted_payload_copies(ray_session, tmp_path):
     """Binary-payload exact dedup: 256 refs aliased mod 200 -> exactly
     200 distinct payloads, 56 groups of 2 copies, survivors are the
     lexicographic-min refs."""
     from document_parser_private_ray.pipelines.media import media_dedup
 
-    got = media_dedup(n_items=256, alias_mod=200).to_pandas()
+    got = media_dedup(str(tmp_path / "export"), n_items=256, alias_mod=200).to_pandas()
     assert len(got) == 200
     assert int((got["n_copies"] == 2).sum()) == 56
     assert int(got["n_copies"].sum()) == 256

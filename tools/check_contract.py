@@ -135,21 +135,28 @@ def query_modules(entry_mod, mods) -> dict:
     return out
 
 
-def changed_queries(rev: str, entry_mod, oracles: dict) -> set:
-    mods = package_modules()
-    files = set(git("diff", "--name-only", rev).splitlines())
-    files |= set(git("ls-files", "--others", "--exclude-standard").splitlines())
-    affected = {m for m, path in mods.items() if path in files}
+def importers(changed: set, mods) -> set:
+    """``changed`` and every package module importing one of them,
+    directly or transitively."""
     graph = {}
     for m, path in mods.items():
         pkg = m if path.endswith("__init__.py") else m.rpartition(".")[0]
         with open(os.path.join(HERE, path)) as f:
             graph[m] = imported_modules(ast.parse(f.read()), pkg, mods)
+    affected = set(changed)
     grew = True
     while grew:
         more = {m for m, deps in graph.items() if deps & affected} - affected
         affected |= more
         grew = bool(more)
+    return affected
+
+
+def changed_queries(rev: str, entry_mod, oracles: dict) -> set:
+    mods = package_modules()
+    files = set(git("diff", "--name-only", rev).splitlines())
+    files |= set(git("ls-files", "--others", "--exclude-standard").splitlines())
+    affected = importers({m for m, path in mods.items() if path in files}, mods)
 
     picked = {q for q, deps in query_modules(entry_mod, mods).items() if deps & affected}
     if "__ray_entry__.py" in files:
