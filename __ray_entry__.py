@@ -2015,6 +2015,55 @@ def oracle_sql() -> dict[str, str]:
             FROM read_parquet('{_MEDIA_FULL_EXPORT}/*.parquet')
             ORDER BY media_ref
         """,
+        "accuracy_eval": f"""
+            WITH p AS (
+              SELECT * FROM read_parquet('{_corpus_for(_verify_sf(), _EVAL_DOCS)}-{_EVAL_EXPORT}-preds/*.parquet')),
+            g AS (
+              SELECT * FROM read_parquet('{_corpus_for(_verify_sf(), _EVAL_DOCS)}-{_EVAL_EXPORT}-golden/*.parquet')),
+            j AS (
+              SELECT p.doc_id,
+                     list_distinct(g.skills) AS gsk, list_distinct(p.skills) AS psk,
+                     list_distinct(g.companies) AS gco, list_distinct(p.companies) AS pco,
+                     list_distinct(g.education) AS ged, list_distinct(p.education) AS ped
+              FROM p JOIN g USING (doc_id)),
+            c AS (
+              SELECT 'skills' AS entity_type,
+                     len(list_intersect(gsk, psk)) AS tp,
+                     len(psk) - len(list_intersect(gsk, psk)) AS fp,
+                     len(gsk) - len(list_intersect(gsk, psk)) AS fn
+              FROM j
+              UNION ALL
+              SELECT 'companies',
+                     len(list_intersect(gco, pco)),
+                     len(pco) - len(list_intersect(gco, pco)),
+                     len(gco) - len(list_intersect(gco, pco))
+              FROM j
+              UNION ALL
+              SELECT 'education',
+                     len(list_intersect(ged, ped)),
+                     len(ped) - len(list_intersect(ged, ped)),
+                     len(ged) - len(list_intersect(ged, ped))
+              FROM j),
+            a AS (
+              SELECT entity_type,
+                     CAST(SUM(tp) AS BIGINT) AS tp,
+                     CAST(SUM(fp) AS BIGINT) AS fp,
+                     CAST(SUM(fn) AS BIGINT) AS fn
+              FROM c GROUP BY 1),
+            m AS (
+              SELECT entity_type, tp, fp, fn,
+                     CASE WHEN tp + fp > 0
+                          THEN (tp * 1000000) // (tp + fp) ELSE 0 END AS precision_micro,
+                     CASE WHEN tp + fn > 0
+                          THEN (tp * 1000000) // (tp + fn) ELSE 0 END AS recall_micro
+              FROM a)
+            SELECT entity_type, tp, fp, fn, precision_micro, recall_micro,
+                   CAST(CASE WHEN precision_micro + recall_micro > 0
+                        THEN (2 * precision_micro * recall_micro)
+                             // (precision_micro + recall_micro)
+                        ELSE 0 END AS BIGINT) AS f1_micro
+            FROM m ORDER BY entity_type
+        """,
         "media_dedup": f"""
             SELECT md5(hex(payload)) AS payload_md5,
                    MIN(media_ref) AS keep_ref,
@@ -3514,7 +3563,6 @@ def _data_dependent_oracles() -> dict[str, str]:
     ):
         return {}
     corpus = _corpus_for(_verify_sf())
-    eval_corpus = _corpus_for(_verify_sf(), _EVAL_DOCS)
     return {
         "largest_docs": _largest_docs_oracle(corpus),
         "ann_ivf": _ivf_oracle_sql(),
@@ -3556,55 +3604,6 @@ def _data_dependent_oracles() -> dict[str, str]:
             FROM p WHERE prev IS NOT NULL
             GROUP BY prev_kind, next_kind
             ORDER BY prev_kind, next_kind
-        """,
-        "accuracy_eval": f"""
-            WITH p AS (
-              SELECT * FROM read_parquet('{eval_corpus}-{_EVAL_EXPORT}-preds/*.parquet')),
-            g AS (
-              SELECT * FROM read_parquet('{eval_corpus}-{_EVAL_EXPORT}-golden/*.parquet')),
-            j AS (
-              SELECT p.doc_id,
-                     list_distinct(g.skills) AS gsk, list_distinct(p.skills) AS psk,
-                     list_distinct(g.companies) AS gco, list_distinct(p.companies) AS pco,
-                     list_distinct(g.education) AS ged, list_distinct(p.education) AS ped
-              FROM p JOIN g USING (doc_id)),
-            c AS (
-              SELECT 'skills' AS entity_type,
-                     len(list_intersect(gsk, psk)) AS tp,
-                     len(psk) - len(list_intersect(gsk, psk)) AS fp,
-                     len(gsk) - len(list_intersect(gsk, psk)) AS fn
-              FROM j
-              UNION ALL
-              SELECT 'companies',
-                     len(list_intersect(gco, pco)),
-                     len(pco) - len(list_intersect(gco, pco)),
-                     len(gco) - len(list_intersect(gco, pco))
-              FROM j
-              UNION ALL
-              SELECT 'education',
-                     len(list_intersect(ged, ped)),
-                     len(ped) - len(list_intersect(ged, ped)),
-                     len(ged) - len(list_intersect(ged, ped))
-              FROM j),
-            a AS (
-              SELECT entity_type,
-                     CAST(SUM(tp) AS BIGINT) AS tp,
-                     CAST(SUM(fp) AS BIGINT) AS fp,
-                     CAST(SUM(fn) AS BIGINT) AS fn
-              FROM c GROUP BY 1),
-            m AS (
-              SELECT entity_type, tp, fp, fn,
-                     CASE WHEN tp + fp > 0
-                          THEN (tp * 1000000) // (tp + fp) ELSE 0 END AS precision_micro,
-                     CASE WHEN tp + fn > 0
-                          THEN (tp * 1000000) // (tp + fn) ELSE 0 END AS recall_micro
-              FROM a)
-            SELECT entity_type, tp, fp, fn, precision_micro, recall_micro,
-                   CAST(CASE WHEN precision_micro + recall_micro > 0
-                        THEN (2 * precision_micro * recall_micro)
-                             // (precision_micro + recall_micro)
-                        ELSE 0 END AS BIGINT) AS f1_micro
-            FROM m ORDER BY entity_type
         """,
         "span_rollup": f"""
             SELECT s.kind AS kind, CAST(COUNT(*) AS BIGINT) AS count
