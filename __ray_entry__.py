@@ -859,7 +859,7 @@ def _curate_oracle_sql(url_keep: bool = False) -> str:
         WITH base AS (
           SELECT doc_id, text,
                  CASE WHEN LENGTH(TRIM(text, ' \t\n\r\f\v')) = 0 THEN 0
-                      ELSE LEN(regexp_split_to_array(TRIM(text, ' \t\n\r\f\v'), '\s+'))
+                      ELSE LEN(regexp_split_to_array(TRIM(text, ' \t\n\r\f\v'), '\\s+'))
                  END AS n_words,
                  LENGTH(regexp_replace(text, '[^0-9]', '', 'g')) * 1.0
                    / GREATEST(LENGTH(text), 1) AS digit_ratio

@@ -4,11 +4,11 @@ shingles overlap an evaluation ("benchmark") set.
 The eval side of a decontamination pass is tiny next to the training
 corpus (an eval suite is KBs-MBs against TBs of crawl), so the
 scalable shape is broadcast-not-shuffle: shingle the benchmark once,
-``ray.put`` the distinct hash set, and stream the corpus through ONE
-``map_batches`` scan — per batch all shingle hashes are checked with a
-single ``np.isin`` against the broadcast set and per-document overlap
-counts are recovered from the flat hit vector with cumsum differences
-over the list offsets. No shuffle, no join, nothing materialized.
+close the scan over the distinct hash set, and stream the corpus
+through ONE ``map_batches`` scan — per batch all shingle hashes are
+checked with a single ``np.isin`` against the broadcast set and
+per-document overlap counts are recovered from the flat hit vector
+with cumsum differences over the list offsets. No shuffle, no join, nothing materialized.
 
 The benchmark stand-in is deterministic (``doc_id % 37 == 0``) so the
 SQL oracle can replay the exact same split. Shingle semantics (k-word
@@ -74,12 +74,9 @@ def decontaminate(
     ``contam_micro`` (overlap fraction in micro-units), ``is_benchmark``
     and ``contaminated`` (non-benchmark doc at or above the threshold).
     """
-    import ray
-
-    bench_ref = ray.put(benchmark_shingles(sf_dir, k))
+    bench = benchmark_shingles(sf_dir, k)
 
     def scan(t: pa.Table) -> pa.Table:
-        bench = ray.get(bench_ref)
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         texts = t["text"].to_pylist()
         n = len(texts)
@@ -129,20 +126,17 @@ def decontaminate_clean(sf_dir: str, k: int = 3):
     window is removed; the cleaned text is re-emitted. Benchmark docs
     pass through untouched (real pipelines exclude them upstream).
 
-    Same broadcast-not-shuffle shape as ``decontaminate``: the bench
-    hash set ships once via ``ray.put``, the corpus streams through ONE
+    Same broadcast-not-shuffle shape as ``decontaminate``: the scan
+    closes over the bench hash set, the corpus streams through ONE
     scan, and per batch the POSITIONAL shingle hashes are checked with
     a single ``np.isin``; window coverage comes from a +1/-1 difference
     array cumsum — no per-token Python. Output: (doc_id, clean_text,
     n_tokens, n_removed)."""
-    import ray
-
     from ..functions.sketches import _stable_hash64
 
-    bench_ref = ray.put(benchmark_shingles(sf_dir, k))
+    bench = benchmark_shingles(sf_dir, k)
 
     def clean_batch(t: pa.Table) -> pa.Table:
-        bench = ray.get(bench_ref)
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         texts = t["text"].to_pylist()
         # positional shingle hashes, concatenated across the batch

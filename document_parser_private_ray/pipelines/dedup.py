@@ -605,13 +605,11 @@ def ngram_jaccard_micro(sf_dir: str):
 
 def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.95, max_vectors: int = 200_000):
     """Pairs of embeddings with cosine similarity > threshold. The
-    normalized matrix is broadcast via ray.put once; each batch does one
+    batch kernel closes over the normalized matrix; each batch does one
     numpy matmul against it (vectorized brute force — the exact
     baseline). This path is HARD-GATED to ``max_vectors``: it is the
     test-scale exact baseline only; the LSH-bucketed scale path is
     ``similarity.embedding_neardup_lsh`` (no full-matrix broadcast)."""
-    import ray
-
     from ..sources.readers import read_table
 
     ds = read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"])
@@ -627,7 +625,6 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.95, max_vectors: i
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     mat = mat / norms
-    ref = ray.put((ids, mat))
 
     def batch_pairs(batch: pa.Table) -> pa.Table:
         from .similarity import embedding_matrix
@@ -637,14 +634,13 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.95, max_vectors: i
         bn = np.linalg.norm(bmat, axis=1, keepdims=True)
         bn[bn == 0] = 1.0
         bmat = bmat / bn
-        gids, gmat = ray.get(ref)
-        sims = bmat @ gmat.T  # (batch, n)
+        sims = bmat @ mat.T  # (batch, n)
         # upper triangle only (id_a < id_b), fully vectorized
-        hit_i, hit_j = np.nonzero((sims > threshold) & (bids[:, None] < gids[None, :]))
+        hit_i, hit_j = np.nonzero((sims > threshold) & (bids[:, None] < ids[None, :]))
         return pa.Table.from_arrays(
             [
                 pa.array(bids[hit_i], type=pa.int64()),
-                pa.array(gids[hit_j], type=pa.int64()),
+                pa.array(ids[hit_j], type=pa.int64()),
                 pa.array(sims[hit_i, hit_j], type=pa.float64()),
             ],
             names=["id_a", "id_b", "cosine_sim"],

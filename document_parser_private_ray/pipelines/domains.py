@@ -15,8 +15,8 @@ Scale shape:
   bounded by batches x domains, not docs;
 * the surviving-source set is bounded by the number of DOMAINS (tiny
   next to any corpus — the web has ~1e8 registrable domains vs 1e11+
-  pages), so it is driver-collected and broadcast via ``ray.put``; the
-  verdict pass is one streaming scan against the broadcast set.
+  pages), so it is driver-collected and the verdict pass, one
+  streaming scan, closes over the set.
 
 ``source_filter`` re-runs the cheap scoring scan for the verdict pass
 instead of materializing the corpus-sized scored table between the two
@@ -102,15 +102,13 @@ def source_filter(
     ``src_kept`` (the doc's whole source survived the mean-score gate),
     sorted by doc_id. All docs are emitted — the flag IS the result, so
     downstream can either filter on it or audit what a drop removes."""
-    import ray
-
     stats = source_stats(sf_dir, cutoff_micro, min_docs).to_pandas()
     kept = set(stats.loc[stats["src_kept"] == 1, "source"])  # bounded by #domains
-    kept_ref = ray.put(pa.array(sorted(kept), type=pa.string()))
+    kept = pa.array(sorted(kept), type=pa.string())
 
     def attach(t: pa.Table) -> pa.Table:
         flag = pa.compute.cast(
-            pa.compute.is_in(t["source"], value_set=ray.get(kept_ref)), pa.int64()
+            pa.compute.is_in(t["source"], value_set=kept), pa.int64()
         )
         return pa.Table.from_pydict(
             {

@@ -3,9 +3,10 @@ mirroring testing/accuracy_benchmark/evaluation_metrics.py:6-50).
 
 Distributed shape: ground truth ⋈ predictions on doc_id. The per-pair
 counters (tp/fp/fn, token_set similarity) are computed inside
-``map_batches`` against a BROADCAST ground-truth map (``ray.put`` once),
-then reduced with a tiny global aggregate — corpus-level
-precision/recall/F1 per entity type without shuffling either side.
+``map_batches`` against a BROADCAST ground-truth map the batch
+function closes over, then reduced with a tiny global aggregate —
+corpus-level precision/recall/F1 per entity type without shuffling
+either side.
 """
 
 from __future__ import annotations
@@ -49,13 +50,11 @@ def evaluate_predictions(predictions, ground_truth_rows: List[Dict]) -> Dict:
     """``predictions``: Dataset with (doc_id, skills, companies,
     education) list columns; ``ground_truth_rows``: small golden list of
     dicts with the same fields. Returns {entity_type: metrics}."""
-    import ray
     from ray.data.aggregate import Count, Sum
 
-    gt_ref = ray.put({r["doc_id"]: r for r in ground_truth_rows})
+    gt = {r["doc_id"]: r for r in ground_truth_rows}
 
     def counters(batch: pa.Table) -> pa.Table:
-        gt = ray.get(gt_ref)
         rows = []
         for row in batch.to_pylist():
             g = gt.get(row["doc_id"])
@@ -102,13 +101,11 @@ def entity_counter_metrics(predictions, ground_truth_rows: List[Dict]):
     so a DuckDB oracle over the exported prediction/golden parquets
     reproduces every value bit-for-bit; the fuzzy similarity channel
     stays in ``evaluate_predictions``/pytest)."""
-    import ray
     from ray.data.aggregate import Sum
 
-    gt_ref = ray.put({r["doc_id"]: r for r in ground_truth_rows})
+    gt = {r["doc_id"]: r for r in ground_truth_rows}
 
     def counters(batch: pa.Table) -> pa.Table:
-        gt = ray.get(gt_ref)
         rows = []
         for row in batch.to_pylist():
             g = gt.get(row["doc_id"])

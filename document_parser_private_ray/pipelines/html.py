@@ -219,11 +219,13 @@ def html_metadata(sf_dir: str):
 
 
 class WebCurationFeatures(HtmlMainContent):
-    """ONE parse per page emitting everything curation needs: the
+    """ONE read of each page emitting everything curation needs: the
     boilerplate-stripped main text AND the normalized canonical URL.
-    At 100 TB this is the single pass over the crawl store — the text
-    and URL dedup sides must never each re-read (or re-parse) the
-    corpus."""
+    Each page is walked twice (``_tokenize`` under the block walker via
+    ``self.extract``, then under the link walker via ``extract_links``),
+    both inside the same task. At 100 TB this is the single pass over
+    the crawl store — the text and URL dedup sides must never each
+    re-read the corpus."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..sources.html import extract_links, normalize_url

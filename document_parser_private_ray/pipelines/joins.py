@@ -309,11 +309,9 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     # whose order key cannot be in the (date+segment-filtered) build
     # side never enter the groupby/join shuffles; false positives just
     # ride through to the exact join (correctness untouched)
-    import ray
-
     from .bloom import build_bloom, bloom_mask
 
-    bloom_ref = ray.put(build_bloom(orders, "o_orderkey"))
+    bloom = build_bloom(orders, "o_orderkey")
 
     def line_revenue_partial(batch: pa.Table) -> pa.Table:
         # aggregate BEFORE the join: per-batch per-order partial sums,
@@ -333,7 +331,7 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
         g = g.rename_columns(["l_orderkey", "rev_cents"])
         keep = bloom_mask(
             g["l_orderkey"].to_numpy(zero_copy_only=False),
-            ray.get(bloom_ref),
+            bloom,
         )
         return g.filter(pa.array(keep))
 

@@ -17,10 +17,11 @@ uniform training sequences. Two-pass shape that holds at 100 TB:
 per-bucket partial sums via one small groupby (bucket = doc_id //
 bucket_size, so the driver-side prefix table has n_docs/bucket_size
 rows — size bucket_size so this stays ~1e5 rows at full scale), bucket
-offsets broadcast via ``ray.put``, then intra-bucket cumulative sums
-computed vectorized inside one ``sorted_runs`` pass on the bucket.
-No global sort, no full materialization; the only exchange is the
-bucket co-partition shuffle of the slim (doc_id, n_tokens) projection.
+offsets broadcast in the kernel's closure, then intra-bucket
+cumulative sums computed vectorized inside one ``sorted_runs`` pass on
+the bucket. No global sort, no full materialization; the only exchange
+is the bucket co-partition shuffle of the slim (doc_id, n_tokens)
+projection.
 """
 
 from __future__ import annotations
@@ -111,8 +112,6 @@ def pack_sequences(
     doc_id order) // capacity: documents streamed in id order fill
     fixed-capacity token bins (a doc whose tokens straddle a boundary
     starts in the bin its first token lands in)."""
-    import ray
-
     from .text_analysis import _ws_token_count_vec
 
     ds = read_documents(sf_dir)
@@ -145,14 +144,12 @@ def pack_sequences(
     for r in totals:
         offsets[r["bucket"]] = acc
         acc += r["bucket_tokens"]
-    offs_ref = ray.put(offsets)
 
     # pass 2: broadcast offset + exclusive cumsum within each range
     # bucket's doc_id-sorted run; a group may hold several range buckets
     def assign(g: pa.Table, pos: np.ndarray) -> pa.Table:
-        offs = ray.get(offs_ref)
         starts = pos == 0
-        base = np.array([offs[x] for x in g["bucket"].to_numpy()[starts]], dtype=np.int64)
+        base = np.array([offsets[x] for x in g["bucket"].to_numpy()[starts]], dtype=np.int64)
         n = g["n_tokens"].to_numpy()
         cs = np.cumsum(n) - n
         before = base[np.cumsum(starts) - 1] + cs - cs[np.arange(len(pos)) - pos]

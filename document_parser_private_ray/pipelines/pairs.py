@@ -94,15 +94,13 @@ def lookup(ids: np.ndarray, keys: np.ndarray):
 
 def scan_ids(table, id_col: str, ids: np.ndarray, columns) -> pa.Table:
     """``columns`` of the Dataset ``table``'s rows whose ``id_col`` is in
-    ``ids``, collected on the driver: the id set broadcasts once
-    (``ray.put``) and one shuffle-free scan filters it."""
-    import ray
-
-    ids_ref = ray.put(pa.array(ids, type=pa.int64()))
+    ``ids``, collected on the driver: the id set broadcasts in the
+    scan's closure and one shuffle-free scan filters it."""
+    ids = pa.array(ids, type=pa.int64())
     columns = list(columns)
 
     def keep_ids(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(pc.cast(batch[id_col], pa.int64()), value_set=ray.get(ids_ref))
+        mask = pc.is_in(pc.cast(batch[id_col], pa.int64()), value_set=ids)
         return batch.select(columns).filter(mask)
 
     parts = list(
@@ -154,8 +152,6 @@ def _attach_shuffle(pairs, table, id_col, value_col, a, b):
     pairs with the table rows on that side's id, one ``lookup`` per
     bucket. Table rows are bloom-pruned to the pair ids before either
     exchange (false positives drop at the lookup; no false negatives)."""
-    import ray
-
     from .bloom import bloom_mask, build_bloom
 
     pairs = pairs.materialize()  # consumed by the bloom build and side a
@@ -163,13 +159,13 @@ def _attach_shuffle(pairs, table, id_col, value_col, a, b):
     def both_ids(t: pa.Table) -> pa.Table:
         return pa.table({"key": np.concatenate([_ids(t[a]), _ids(t[b])])})
 
-    bloom_ref = ray.put(
-        build_bloom(pairs.map_batches(both_ids, batch_format="pyarrow", zero_copy_batch=True), "key")
+    bloom = build_bloom(
+        pairs.map_batches(both_ids, batch_format="pyarrow", zero_copy_batch=True), "key"
     )
 
     def candidate_rows(t: pa.Table) -> pa.Table:
         t = t.select([id_col, value_col])
-        return t.filter(pa.array(bloom_mask(_ids(t[id_col]), ray.get(bloom_ref))))
+        return t.filter(pa.array(bloom_mask(_ids(t[id_col]), bloom)))
 
     # the pruned rows feed both exchanges: scan the table once
     rows = table.map_batches(

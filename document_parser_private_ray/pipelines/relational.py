@@ -274,8 +274,6 @@ def purchases_asof_views(sf_dir: str):
     (``exchange.sorted_runs``) and one forward-max scan match every
     purchase to its latest prior view vectorized (guide: as-of/range
     join)."""
-    import ray
-
     from .bloom import bloom_mask, build_bloom
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "value"])
@@ -291,16 +289,14 @@ def purchases_asof_views(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    bloom_ref = ray.put(build_bloom(purch_users, "user_id"))
+    bloom = build_bloom(purch_users, "user_id")
 
     def pick(batch: pa.Table) -> pa.Table:
         mask = pc.is_in(
             batch["event_type"], value_set=pa.array(["purchase", "view"])
         )
         t = batch.filter(mask)
-        keep = bloom_mask(
-            t["user_id"].to_numpy(zero_copy_only=False), ray.get(bloom_ref)
-        )
+        keep = bloom_mask(t["user_id"].to_numpy(zero_copy_only=False), bloom)
         return t.filter(pa.array(keep))
 
     both = ds.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)

@@ -93,11 +93,10 @@ def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
     ONE groupby(seg) document-frequency sum — the shuffle moves
     per-batch partial counts, never raw rows; the surviving boilerplate
     set (only ultra-frequent segments, bounded like a stop-shingle set)
-    is collected and broadcast via ``ray.put``; (2) a second scan strips
+    is collected and the second scan closes over it; (2) that scan strips
     flagged segments with one ``pc.is_in`` per batch and rejoins the
     kept segments per document. Output: one row per non-empty document
     with exact removal counts and the cleaned text."""
-    import ray
     from ray.data.aggregate import Sum
 
     docs = read_documents(sf_dir)
@@ -121,17 +120,15 @@ def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )  # ultra-frequent segments only: a small set by construction
-    boiler_set = pa.concat_arrays(
+    bset = pa.concat_arrays(
         [
             _as_array(b["seg"]).cast(pa.string())
             for b in boiler.iter_batches(batch_format="pyarrow", batch_size=None)
         ]
         or [pa.array([], type=pa.string())]
     )
-    boiler_ref = ray.put(boiler_set)
 
     def strip(batch: pa.Table) -> pa.Table:
-        bset = ray.get(boiler_ref)
         segs = _segment_batch(batch, seg_words)
         if segs.num_rows == 0:
             return pa.Table.from_pydict(

@@ -11,7 +11,8 @@ comparison to one cluster at a time, so the corpus-wide cost is
 * the centroid matrix is trained once on a tiny driver-side sample
   (``similarity.train_ivf_centroids`` — the same deterministic
   quantizer the IVF ANN index uses, so the two operators share one
-  partitioning of the embedding space) and broadcast via ``ray.put``;
+  partitioning of the embedding space) and broadcast in the closure of
+  the assignment scan;
 * cluster assignment is one streaming ``map_batches`` scan (per-batch
   argmin over squared L2 against the broadcast matrix);
 * the ONE all-to-all exchange is the ``groupby("cluster")``; each
@@ -54,15 +55,11 @@ def semdedup(
     """Per-vector semantic-dup verdicts: ``vec_id``, ``cluster``,
     ``is_dup``, ``dup_of`` (min lower-id cluster-mate above the cosine
     threshold, -1 if none), sorted by ``vec_id``."""
-    import ray
-
     C = train_ivf_centroids(sf_dir, n_centroids, train_sample)
-    cref = ray.put(C)
 
     def assign(t: pa.Table) -> pa.Table:
-        Cm = ray.get(cref)
         M = embedding_matrix(t["embedding"], np.float64)
-        d = ((M[:, None, :] - Cm[None, :, :]) ** 2).sum(-1)
+        d = ((M[:, None, :] - C[None, :, :]) ** 2).sum(-1)
         cid = d.argmin(1)  # ties -> lowest cid, same as the oracle's (d, cid) order
         return pa.Table.from_pydict(
             {

@@ -1,7 +1,7 @@
 """Similarity search over an embedding column (list<float>).
 
-* ``ann_bruteforce_topk`` — exact cosine top-k: the query matrix is
-  broadcast once (``ray.put``); every batch does one numpy matmul and
+* ``ann_bruteforce_topk`` — exact cosine top-k: the batch function
+  closes over the query matrix; every batch does one numpy matmul and
   emits its LOCAL top-k per query; a final tiny groupby-merge keeps the
   global top-k. The shuffle moves (n_queries x k) rows per batch, never
   vectors.
@@ -125,16 +125,12 @@ def _global_topk(locals_, k: int, score_col: str, descending: bool):
 def ann_bruteforce_topk(sf_dir: str, k: int = 5, n_queries: int = 8):
     """Exact top-k cosine neighbours for each query vector.
     Returns (query_id, vec_id, cosine_sim, rank) sorted."""
-    import ray
-
     qids, qmat = load_queries(sf_dir, n_queries)
-    qref = ray.put((qids, qmat))
 
     def local_topk(batch: pa.Table) -> pa.Table:
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         mat = _norm_rows(embedding_matrix(batch["embedding"], np.float32))
-        q_ids, q_mat = ray.get(qref)
-        sims = q_mat @ mat.T  # (nq, batch)
+        sims = qmat @ mat.T  # (nq, batch)
         out = {"query_id": [], "vec_id": [], "cosine_sim": []}
         kk = min(k, sims.shape[1])
         for qi in range(sims.shape[0]):
@@ -144,7 +140,7 @@ def ann_bruteforce_topk(sf_dir: str, k: int = 5, n_queries: int = 8):
             order = np.lexsort((ids, -sims[qi]))
             top = order[:kk]
             for j in top:
-                out["query_id"].append(int(q_ids[qi]))
+                out["query_id"].append(int(qids[qi]))
                 out["vec_id"].append(int(ids[j]))
                 out["cosine_sim"].append(float(sims[qi, j]))
         return pa.Table.from_pydict(
@@ -304,29 +300,24 @@ def ann_lsh_topk(sf_dir: str, k: int = 5, n_queries: int = 8, n_bits: int = 6):
     """LSH-bucketed ANN: rerank only inside each query's bucket.
     Scale path: bucket assignment is a map_batches; the per-bucket rerank
     shuffles only bucketed candidates (a 2^n_bits-way partition)."""
-    import ray
-
     qids, qmat = load_queries(sf_dir, n_queries)
     dim = qmat.shape[1]
     lsh = SignLSH(dim, n_bits)
     qbuckets = lsh.bucket_of(qmat)
-    # queries grouped by bucket, broadcast
-    qref = ray.put((qids, qmat, qbuckets))
 
     def bucket_and_score(batch: pa.Table) -> pa.Table:
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         mat = _norm_rows(embedding_matrix(batch["embedding"], np.float32))
         hasher = SignLSH(mat.shape[1], n_bits)  # deterministic (same seed)
         buckets = hasher.bucket_of(mat)
-        q_ids, q_mat, q_buckets = ray.get(qref)
         out = {"query_id": [], "vec_id": [], "cosine_sim": []}
-        for qi in range(len(q_ids)):
-            mask = buckets == q_buckets[qi]
+        for qi in range(len(qids)):
+            mask = buckets == qbuckets[qi]
             if not mask.any():
                 continue
-            sims = mat[mask] @ q_mat[qi]
+            sims = mat[mask] @ qmat[qi]
             for j, s in zip(ids[mask], sims):
-                out["query_id"].append(int(q_ids[qi]))
+                out["query_id"].append(int(qids[qi]))
                 out["vec_id"].append(int(j))
                 out["cosine_sim"].append(float(s))
         return pa.Table.from_pydict(
@@ -381,8 +372,6 @@ def ann_ivf_topk(
     Same merge/rank determinism as ``ann_bruteforce_topk``; candidate
     volume per batch is bounded by the probed cells' occupancy instead
     of the whole batch."""
-    import ray
-
     C = train_ivf_centroids(sf_dir, n_centroids, train_sample)
 
     t = _first_k_by_vec_id(sf_dir, n_queries)
@@ -392,30 +381,28 @@ def ann_ivf_topk(
     # probe sets: n_probe nearest centroids per query (dist asc, cid asc)
     qd = ((qraw[:, None, :] - C[None, :, :]) ** 2).sum(-1)
     probe = np.argsort(qd, axis=1, kind="stable")[:, :n_probe]
-    ref = ray.put((C, qids, qnorm, probe))
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        Cm, q_ids, q_norm, q_probe = ray.get(ref)
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         raw = embedding_matrix(batch["embedding"], np.float64)
         d = (
             (raw**2).sum(1, keepdims=True)
-            - 2.0 * raw @ Cm.T
-            + (Cm**2).sum(1)[None, :]
+            - 2.0 * raw @ C.T
+            + (C**2).sum(1)[None, :]
         )
         assign = d.argmin(1)
         normed = _norm_rows(raw)
         out = {"query_id": [], "vec_id": [], "cosine_sim": []}
-        for qi in range(len(q_ids)):
-            mask = np.isin(assign, q_probe[qi])
+        for qi in range(len(qids)):
+            mask = np.isin(assign, probe[qi])
             if not mask.any():
                 continue
             cand_ids = ids[mask]
-            sims = normed[mask] @ q_norm[qi]
+            sims = normed[mask] @ qnorm[qi]
             kk = min(k, len(cand_ids))
             sel = np.lexsort((cand_ids, -sims))[:kk]
             for j in sel:
-                out["query_id"].append(int(q_ids[qi]))
+                out["query_id"].append(int(qids[qi]))
                 out["vec_id"].append(int(cand_ids[j]))
                 out["cosine_sim"].append(float(sims[j]))
         return pa.Table.from_pydict(
@@ -521,8 +508,6 @@ def ann_ivfpq_topk(
     never touches raw vectors. Scores are integer micro (order-free
     sums); ranking is (adc asc, vec_id asc). Returns
     (query_id, vec_id, adc, rank)."""
-    import ray
-
     C = train_ivf_centroids(sf_dir, n_centroids, train_sample)
     books = train_pq_codebooks(sf_dir, m_sub, n_codes, train_sample)
 
@@ -533,32 +518,30 @@ def ann_ivfpq_topk(
     qd = ((qraw[:, None, :] - C[None, :, :]) ** 2).sum(-1)
     probe = np.argsort(qd, axis=1, kind="stable")[:, :n_probe]
     lut = pq_adc_lut_micro(qraw, books)
-    ref = ray.put((C, books, qids, probe, lut))
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        Cm, Bk, q_ids, q_probe, q_lut = ray.get(ref)
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         raw = embedding_matrix(batch["embedding"], np.float64)
         d = (
             (raw**2).sum(1, keepdims=True)
-            - 2.0 * raw @ Cm.T
-            + (Cm**2).sum(1)[None, :]
+            - 2.0 * raw @ C.T
+            + (C**2).sum(1)[None, :]
         )
         assign = d.argmin(1)
-        codes = pq_encode(raw, Bk)
+        codes = pq_encode(raw, books)
         out = {"query_id": [], "vec_id": [], "adc": []}
         m_idx = np.arange(codes.shape[1])
-        for qi in range(len(q_ids)):
-            mask = np.isin(assign, q_probe[qi])
+        for qi in range(len(qids)):
+            mask = np.isin(assign, probe[qi])
             if not mask.any():
                 continue
             cand_ids = ids[mask]
             # ADC: gather each candidate's m_sub LUT entries and sum
-            adc = q_lut[qi][m_idx[None, :], codes[mask]].sum(1)
+            adc = lut[qi][m_idx[None, :], codes[mask]].sum(1)
             kk = min(k, len(cand_ids))
             sel = np.lexsort((cand_ids, adc))[:kk]
             for j in sel:
-                out["query_id"].append(int(q_ids[qi]))
+                out["query_id"].append(int(qids[qi]))
                 out["vec_id"].append(int(cand_ids[j]))
                 out["adc"].append(int(adc[j]))
         return pa.Table.from_pydict(
@@ -584,21 +567,17 @@ def embedding_kmeans_sizes(
     Assignment uses the same expanded squared-L2 kernel as
     ``ann_ivf_topk`` so both operators put every vector in the same
     cell."""
-    import ray
-
     from ..sources.readers import read_table
 
     C = train_ivf_centroids(sf_dir, n_centroids, train_sample)
-    ref = ray.put(C)
 
     def assign(batch: pa.Table) -> pa.Table:
-        Cm = ray.get(ref)
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         raw = embedding_matrix(batch["embedding"], np.float64)
         d = (
             (raw**2).sum(1, keepdims=True)
-            - 2.0 * raw @ Cm.T
-            + (Cm**2).sum(1)[None, :]
+            - 2.0 * raw @ C.T
+            + (C**2).sum(1)[None, :]
         )
         return pa.Table.from_pydict({"cid": d.argmin(1).astype(np.int64), "vec_id": ids})
 

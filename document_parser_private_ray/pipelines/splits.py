@@ -116,7 +116,6 @@ def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
     broadcasts them, and ONE shuffle on the range id ranks each bucket
     locally (range offset + position in the range's (h, doc_id)-sorted
     run, ``exchange.sorted_runs``). Only (doc_id, hash) ever moves."""
-    import ray
     from ray.data.aggregate import Count
 
     salt = f":s{seed}"
@@ -152,13 +151,11 @@ def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
     for r in counts:
         offsets[r["rng"]] = acc
         acc += r["n"]
-    offsets_ref = ray.put(offsets)
 
     def rank_range(g: pa.Table, pos: np.ndarray) -> pa.Table:
         # rank = the range's offset + position in its (h, doc_id) run
-        offs = ray.get(offsets_ref)
         rng = g["rng"].to_numpy()
-        base = np.array([offs[int(r)] for r in rng[pos == 0]], dtype=np.int64)
+        base = np.array([offsets[int(r)] for r in rng[pos == 0]], dtype=np.int64)
         return pa.table(
             {"doc_id": g["doc_id"], "pos": pa.array(base[np.cumsum(pos == 0) - 1] + pos)}
         )

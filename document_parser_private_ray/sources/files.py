@@ -13,12 +13,12 @@ undecodable file degrades to an ``error`` row, never a task failure.
 per document, the succeeding one recorded in ``parse_stage``. The
 default chain is the in-repo minimal-subset extractor (S2 + Courier
 table grids for S3); real backends (pdfplumber/fitz/OCR — not in this
-container, SURVEY §7.0) slot in via ``backends=``/``extract=``.
+container, SURVEY §7.0) slot in via ``backends=``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import pyarrow as pa
 
@@ -98,23 +98,16 @@ class PdfExtract:
     (``sources.pdf.extract_pdf_blocks``: uncompressed literal-string
     streams, M3 font-heading classification, Courier table grids);
     real-world backends (pdfplumber/fitz/OCR) prepend via
-    ``backends=``/``extract=``. The stage holds nothing but its backend
+    ``backends=``. The stage holds nothing but its backend
     list, so ``from_*_files`` map an instance as Ray tasks, the
     backends pickled with it; a backend that needs a loaded model per
     worker keeps it in a per-process slot (``stages.parse.worker_state``)."""
 
     fmt = "pdf"
 
-    def __init__(
-        self,
-        extract: Optional[Callable] = None,
-        backends: Optional[list] = None,
-    ):
+    def __init__(self, backends: Optional[list] = None):
         if backends is None:
-            backends = (
-                [extract] if extract is not None
-                else [("minimal", self._default_backend())]
-            )
+            backends = [("minimal", self._default_backend())]
         self.backends = [
             b if isinstance(b, tuple) else (getattr(b, "__name__", "custom"), b)
             for b in backends
@@ -181,8 +174,8 @@ class HtmlExtract(PdfExtract):
 
     fmt = "html"
 
-    def __init__(self, extract=None, backends=None):
-        if backends is None and extract is None:
+    def __init__(self, backends: Optional[list] = None):
+        if backends is None:
             from .html import extract_html_blocks, extract_html_blocks_sniffed
 
             # staged chain: strict UTF-8 first (records 'minimal'), then
@@ -191,12 +184,7 @@ class HtmlExtract(PdfExtract):
                 ("minimal", extract_html_blocks),
                 ("sniff", extract_html_blocks_sniffed),
             ]
-        super().__init__(extract=extract, backends=backends)
-
-    def _default_backend(self):
-        from .html import extract_html_blocks
-
-        return extract_html_blocks
+        super().__init__(backends)
 
 
 def _from_staged_files(stage, paths):
@@ -206,25 +194,13 @@ def _from_staged_files(stage, paths):
     return ds.map_batches(stage, batch_format="pyarrow", batch_size=16)
 
 
-def from_pdf_files(
-    paths,
-    extract: Optional[Callable] = None,
-    backends: Optional[list] = None,
-):
-    return _from_staged_files(PdfExtract(extract, backends), paths)
+def from_pdf_files(paths, backends: Optional[list] = None):
+    return _from_staged_files(PdfExtract(backends), paths)
 
 
-def from_docx_files(
-    paths,
-    extract: Optional[Callable] = None,
-    backends: Optional[list] = None,
-):
-    return _from_staged_files(DocxExtract(extract, backends), paths)
+def from_docx_files(paths, backends: Optional[list] = None):
+    return _from_staged_files(DocxExtract(backends), paths)
 
 
-def from_html_files(
-    paths,
-    extract: Optional[Callable] = None,
-    backends: Optional[list] = None,
-):
-    return _from_staged_files(HtmlExtract(extract, backends), paths)
+def from_html_files(paths, backends: Optional[list] = None):
+    return _from_staged_files(HtmlExtract(backends), paths)

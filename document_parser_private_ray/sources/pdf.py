@@ -10,7 +10,7 @@ fixture writer emits) under any chain of the stdlib-decodable filters
 ASCIIHexDecode, ASCII85Decode) — so the full chain
 pdf-bytes -> blocks -> spans -> parse runs and is testable entirely
 in-sandbox. Real-world PDFs still route through the pluggable
-``extract=`` hook (pdfplumber/fitz chain, pdf_parser.py:119-196 shape)
+``backends=`` hook (pdfplumber/fitz chain, pdf_parser.py:119-196 shape)
 when a backend exists.
 
 Block classification reuses the M3 font-heading heuristic
@@ -54,7 +54,7 @@ def _undo_predictor(
         if bpc != 8:
             raise NotImplementedError(
                 "TIFF predictor with BitsPerComponent != 8 is outside the "
-                "minimal subset; pass extract= with a full PDF backend"
+                "minimal subset; pass backends= with a full PDF backend"
             )
         out = bytearray(data)
         for r in range(0, len(out) - len(out) % rowlen, rowlen):
@@ -63,7 +63,7 @@ def _undo_predictor(
         return bytes(out)
     if not 10 <= predictor <= 15:
         raise NotImplementedError(
-            f"unknown /Predictor {predictor}; pass extract= with a full PDF backend"
+            f"unknown /Predictor {predictor}; pass backends= with a full PDF backend"
         )
     stride = rowlen + 1
     if len(data) % stride:
@@ -161,7 +161,7 @@ def _filters(d: bytes) -> List[str]:
         if b"/Filter" in d:
             raise NotImplementedError(
                 "/Filter that is not a name or an array of names is outside "
-                "the minimal subset; pass extract= with a full PDF backend"
+                "the minimal subset; pass backends= with a full PDF backend"
             )
         return []
     return [n.decode("latin-1") for n in _NAME_RE.findall(m.group(1))]
@@ -241,14 +241,14 @@ def _decode(payload: bytes, name: str, d: bytes) -> bytes:
     if name not in ("FlateDecode", "LZWDecode"):
         raise NotImplementedError(
             f"/{name} content streams are outside the minimal subset; "
-            "pass extract= with a full PDF backend"
+            "pass backends= with a full PDF backend"
         )
     if b"/DecodeParms" in d and _INLINE_PARMS_RE.search(d) is None:
         # e.g. an indirect ``/DecodeParms n 0 R``: guessing "no
         # predictor" would return garbled text
         raise NotImplementedError(
             "/DecodeParms that is not an inline dictionary is outside the "
-            "minimal subset; pass extract= with a full PDF backend"
+            "minimal subset; pass backends= with a full PDF backend"
         )
     if name == "FlateDecode":
         payload = zlib.decompress(payload)

@@ -155,6 +155,7 @@ def test_pdf_default_backend_and_override(ray_session, tmp_path):
     def fake_extract(data):
         return [{"kind": "text", "text": "from custom backend"}]
 
-    rows2 = from_pdf_files(str(tmp_path / "junk.pdf"), extract=fake_extract).take_all()
+    rows2 = from_pdf_files(str(tmp_path / "junk.pdf"), backends=[fake_extract]).take_all()
     assert rows2[0]["error"] == ""
     assert rows2[0]["spans"][0]["text"] == "from custom backend"
+    assert rows2[0]["parse_stage"] == "fake_extract"  # named from __name__

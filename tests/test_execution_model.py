@@ -9,6 +9,8 @@ pool winning, and then by name in ``ALLOWED``."""
 
 import ast
 import os
+import subprocess
+import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 POOL_KWARGS = {"concurrency", "fn_constructor_kwargs", "fn_constructor_args", "compute"}
@@ -17,11 +19,11 @@ POOL_KWARGS = {"concurrency", "fn_constructor_kwargs", "fn_constructor_args", "c
 ALLOWED: set = set()
 
 
-def _sources():
-    paths = [os.path.join(ROOT, "__ray_entry__.py")]
-    for root, _, files in os.walk(os.path.join(ROOT, "document_parser_private_ray")):
-        paths += [os.path.join(root, f) for f in files if f.endswith(".py")]
-    return {os.path.relpath(p, ROOT): ast.parse(open(p).read()) for p in sorted(paths)}
+def _sources(root: str = ROOT, extra=()):
+    paths = [os.path.join(root, f) for f in ("__ray_entry__.py", *extra)]
+    for walk_root, _, files in os.walk(os.path.join(root, "document_parser_private_ray")):
+        paths += [os.path.join(walk_root, f) for f in files if f.endswith(".py")]
+    return {os.path.relpath(p, root): ast.parse(open(p).read()) for p in sorted(paths)}
 
 
 def _stage_name(call: ast.Call) -> str:
@@ -265,9 +267,14 @@ def test_no_hand_rolled_sorted_runs():
 
 READ_CORPUS = "document_parser_private_ray/pipelines/resume.py::read_corpus"
 LIFT_RESERVATION = "document_parser_private_ray/stages/__init__.py::lift_reservation"
-# spans-table reads and reservation switches allowed outside those two
-# (none)
-ALLOWED_SPANS_READS: set = set()
+# spans-table reads and reservation switches allowed outside those two,
+# kept with why
+ALLOWED_SPANS_READS = {
+    "bench.py::run_headline": (
+        "the driver-contract headline's 14 blocks per CPU, tuned on 32 CPUs and not "
+        "re-measured since (ROADMAP H)"
+    ),
+}
 ALLOWED_RESERVATION_SWITCHES: set = set()
 
 
@@ -322,7 +329,7 @@ def _spans_read(call: ast.Call, parents: dict, params: set) -> bool:
 
 def _offenders():
     reads, switches = [], []
-    for path, tree in _sources().items():
+    for path, tree in _sources(extra=["bench.py"]).items():
         parents = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
         owner = _innermost(tree)
         fns = dict(_functions(tree))
@@ -356,6 +363,8 @@ def test_one_spans_read_and_one_reservation_rule():
     reads, switches = _offenders()
     assert [r for r in reads if r[0] not in ALLOWED_SPANS_READS] == []
     assert [s for s in switches if s[0] not in ALLOWED_RESERVATION_SWITCHES] == []
+    # every allowance still names a live read
+    assert sorted(set(ALLOWED_SPANS_READS) - {r[0] for r in reads}) == []
 
 
 # -- one exchange-width rule -------------------------------------------------
@@ -543,3 +552,76 @@ def test_no_public_api_only_tests_reach():
     assert sorted(unreached - set(ALLOWED_UNREACHED)) == []
     # every allowance still names a live, unreached definition
     assert sorted(set(ALLOWED_UNREACHED) - unreached) == []
+
+
+# -- one way to broadcast ----------------------------------------------------
+
+# ``ray.put`` / ``ray.get`` kept, with why: a map closes over its
+# driver-side value (Ray stores a map's function, closure included, in
+# the object store once per operator), so only a ref that is itself an
+# interface stays
+ALLOWED_BROADCASTS = {
+    "document_parser_private_ray/job.py::main": (
+        "puts the warm caches once per job; every resumable partition's "
+        "parse_resumes reuses the same ref"
+    ),
+    "document_parser_private_ray/pipelines/resume.py::parse_resumes": (
+        "turns warm caches into the ObjectRef whose id keys the parse worker_state slot "
+        "(callers such as perfbench pass a ref already)"
+    ),
+    "document_parser_private_ray/stages/parse.py::oracle.build": (
+        "resolves the warm-cache ref once per worker and warm set, inside worker_state"
+    ),
+}
+
+
+def _broadcasts(root: str = ROOT):
+    """``(path::function, line)`` of every ``ray.put`` / ``ray.get`` use
+    in the package and the driver entry file under ``root``."""
+    found = []
+    for path, tree in _sources(root).items():
+        owner = _innermost(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("put", "get")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "ray"
+            ):
+                found.append((f"{path}::{owner[node]}", node.lineno))
+    return found
+
+
+def test_one_way_to_broadcast():
+    """A map that needs a driver-side value (a bloom filter, an id or hash
+    set, an offset dict, a centroid matrix) closes over it: no
+    hand-written ``ray.put`` ref resolved by ``ray.get`` in every batch.
+    Only the warm-cache ref, whose id keys a worker's parse state, is
+    put and got, in the places ``ALLOWED_BROADCASTS`` names."""
+    found = _broadcasts()
+    assert [f for f in found if f[0] not in ALLOWED_BROADCASTS] == []
+    # every allowance still names a live call
+    assert sorted(set(ALLOWED_BROADCASTS) - {f[0] for f in found}) == []
+
+
+# -- every tracked file compiles clean ---------------------------------------
+
+def test_tracked_python_compiles_without_warnings():
+    """Every git-tracked ``.py`` compiles with warnings as errors: an
+    invalid escape such as ``'\\s'`` in a non-raw string warns today and
+    is a syntax error in a later Python."""
+    files = subprocess.run(
+        ["git", "ls-files", "*.py"], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert files
+    bad = []
+    for path in files:
+        with open(os.path.join(ROOT, path), encoding="utf-8") as f:
+            src = f.read()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                compile(src, path, "exec")
+            except (SyntaxError, Warning) as e:
+                bad.append((path, str(e)))
+    assert bad == []
