@@ -10,8 +10,10 @@ embarrassingly parallel per-document maps — no shuffle anywhere; at
 100 TB the chain streams block-by-block with backpressure. Extraction
 holds no per-worker state, so each stage is a stage instance (its
 ``extract`` callable pickled with it) mapped as Ray tasks, which fuse
-with the render map into one task per 128-page batch and start on the
-reusable task-worker pool instead of waiting for an actor pool.
+with the table read and the render map into one task per read block
+(``read_table`` makes ``stages.width()`` of them, one per CPU) and
+start on the reusable task-worker pool instead of waiting for an actor
+pool.
 
 Verification is closed-form: the page generator's chrome is boilerplate
 by construction, so the DuckDB oracle reconstructs the exact expected
@@ -132,26 +134,30 @@ def _pages(sf_dir: str):
 
 
 def _extract_pages(sf_dir: str, stage: HtmlMainContent):
-    """``stage`` over the rendered pages, 128 pages per batch: one cheap
-    parquet scan feeding a CPU-bound map, so it runs under
-    ``stages.lift_reservation``. On the ``html_extract`` benchmark (4
-    CPUs) that took the run-to-run ``docs_per_s`` spread from 17% to
-    4.5% of the median."""
+    """``stage`` over the rendered pages, one batch per read block.
+    Each of the ``stages.width()`` read tasks fuses with render and
+    ``stage`` into one task, so every CPU starts extracting at once
+    instead of waiting for one read task to hand out its blocks
+    (``html_extract``, 4 CPUs: 4,133 -> 5,994 docs/s median over 10
+    pairs, ``PERF_pr16_bench_pairs.json``). A ``batch_size`` here
+    would stop that fusion: Ray fuses no read with a map that asks for
+    a minimum batch. It runs under ``stages.lift_reservation``, the
+    rule for a scan feeding a CPU-bound map."""
     return lift_reservation(
-        _pages(sf_dir).map_batches(stage, batch_format="pyarrow", batch_size=128)
+        _pages(sf_dir).map_batches(stage, batch_format="pyarrow")
     )
 
 
 def html_spans(sf_dir: str, extract: Optional[Callable] = None):
     """Per-document main-content span sequence (kind, text, media_ref,
     span_offset) after boilerplate strip — the north rule's span tuple
-    over HTML input. Render and extraction fuse into one Ray task per
-    read block (extraction runs on 128-page batches) on the shared
-    task-worker pool, so the stage scales with the cluster's CPUs
-    without a pool size to tune: it is embarrassingly parallel and
-    compute-bound (0.54 ms/page extraction,
-    ``html.extract_html_blocks.ms_per_page`` of the ``html_extract``
-    benchmark trace, seed 1, on 4 CPUs)."""
+    over HTML input. Read, render and extraction fuse into one Ray task
+    per read block, one block per CPU, on the shared task-worker pool,
+    so the stage scales with the cluster's CPUs without a pool size to
+    tune: it is embarrassingly parallel and compute-bound (0.33-0.45
+    ms/page extraction, ``html.extract_html_blocks.ms_per_page`` of the
+    two traced ``html_extract`` runs in ``PERF_pr16_bench_pairs.json``,
+    seed 51, on 4 CPUs)."""
     return _extract_pages(sf_dir, HtmlMainContent(extract))
 
 

@@ -20,7 +20,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages import width
 from .exchange import co_partition, grouped_agg, run_starts, sorted_runs
 from .segments import _as_array
 
@@ -28,14 +27,12 @@ from .segments import _as_array
 def _read(sf_dir: str, table: str, columns, filter=None):
     """The ``{sf_dir}/{table}.parquet`` table through ``read_table``
     (column-pruned; ``filter`` is a ``pyarrow.dataset`` predicate run
-    inside the scan) in ``stages.width()`` blocks: the exchanges
-    downstream partition by incoming block count, so the read takes
-    the one cluster-derived width instead of a per-query count."""
+    inside the scan), in its ``stages.width()`` blocks. The exchanges
+    downstream make their own ``width()`` buckets, whatever the block
+    count."""
     from ..sources.readers import read_table
 
-    return read_table(
-        f"{sf_dir}/{table}.parquet", columns, override_num_blocks=width(), filter=filter
-    )
+    return read_table(f"{sf_dir}/{table}.parquet", columns, filter=filter)
 
 
 def _dim_lookup(sorted_keys, fact_keys):

@@ -33,15 +33,27 @@ def _as_array(col) -> pa.Array:
     return col
 
 
+def _split_words(text) -> pa.ListArray:
+    """``utf8_split_whitespace`` of ``text`` trimmed first. The split
+    (pyarrow 16.1) reads past the end of a string that ends in
+    whitespace and, when the byte there is >= 0x80 (the next string's
+    first byte, or the uninitialised buffer padding after the last
+    string), returns that whitespace as a token: ``"  "`` gives
+    ``["", " "]``. Trimming removes only edge whitespace, which the
+    split turns into empty tokens that both callers drop."""
+    trimmed = pc.utf8_trim_whitespace(_as_array(text))
+    return _as_array(pc.utf8_split_whitespace(trimmed))
+
+
 def _segment_batch(batch: pa.Table, seg_words: int) -> pa.Table:
     """Explode a documents batch into (doc_id, pos, seg) rows — one row
     per non-overlapping ``seg_words``-token window, text rejoined with
     single spaces (whitespace-normalizing, so SQL replays byte-exactly).
     Empty documents contribute no rows (both engines agree)."""
-    toks = _as_array(pc.utf8_split_whitespace(_as_array(batch["text"])))
+    toks = _split_words(batch["text"])
     raw_off = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    # drop empty tokens (split keeps ''-elements for empty/edge
-    # whitespace; the SQL oracle's list_filter drops them)
+    # drop empty tokens (split gives an empty (trimmed) text one
+    # ''-element; the SQL oracle's list_filter drops them)
     start, end = int(raw_off[0]), int(raw_off[-1])
     window_vals = toks.values.slice(start, end - start)
     keep_flat = (

@@ -35,6 +35,7 @@ from ..functions.sketches import shingles
 from .exchange import co_partition, grouped_agg, run_starts, sorted_runs
 from .joins import bucketed_join
 from .pairs import attach_pair_values, self_pairs
+from .segments import _split_words
 
 
 def _explode_shingles(batch: pa.Table, k: int) -> pa.Table:
@@ -65,11 +66,10 @@ def _explode_shingles(batch: pa.Table, k: int) -> pa.Table:
     lowered = pa.array(
         [(t or "").lower() for t in batch["text"].to_pylist()], type=pa.string()
     )
-    toks = pc.utf8_split_whitespace(lowered)
-    toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
+    toks = _split_words(lowered)
     raw_off = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     window_vals = toks.values.slice(int(raw_off[0]), int(raw_off[-1] - raw_off[0]))
-    # drop the empty tokens utf8_split_whitespace keeps at string edges
+    # drop the empty token the split gives an empty (trimmed) text
     keep_flat = pc.utf8_length(window_vals).to_numpy(zero_copy_only=False) > 0
     n_raw = np.diff(raw_off)
     vals = window_vals.filter(pa.array(keep_flat))

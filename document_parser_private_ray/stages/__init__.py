@@ -1,10 +1,10 @@
 """Ray Data stages for the parse chain, and the two execution rules every
 chain shares: ``lift_reservation`` (a scan feeding a CPU-bound map) and
-``width`` (how many blocks an exchange-feeding read asks for and how
-many buckets an exchange makes)."""
+``width`` (how many blocks a table read makes and how many buckets an
+exchange makes)."""
 
-# blocks and buckets per cluster CPU of every exchange and every read
-# feeding one: of 1, 2 and 4 per CPU, 1 gave the lowest total wall on
+# blocks and buckets per cluster CPU of every exchange and every table
+# read: of 1, 2 and 4 per CPU, 1 gave the lowest total wall on
 # the 120 contract queries that reach an exchange, at sf0.01 and sf0.1
 # (PERF_pr13_width_sweep.json)
 EXCHANGE_PER_CPU = 1
@@ -20,7 +20,7 @@ def width(per_cpu: int | None = None) -> int:
 
     Read on the driver when a plan is built: the bucket count of every
     exchange (``exchange.co_partition`` and the layers on it) and the
-    block count of the reads that feed them (``relational._read``,
+    block count of every table read (``sources.readers.read_table``,
     and ``resume.read_corpus`` at ``SPANS_READ_PER_CPU``). Starts a
     local Ray session if none is running, as a read would on its own."""
     import ray

@@ -371,7 +371,7 @@ def test_one_spans_read_and_one_reservation_rule():
 
 WIDTH_READERS = {
     "document_parser_private_ray/pipelines/resume.py::read_corpus",
-    "document_parser_private_ray/pipelines/relational.py::_read",
+    "document_parser_private_ray/sources/readers.py::read_table",
 }
 WIDTH_NAMES = {"n_buckets", "num_blocks", "num_read_blocks"}
 # positional arity of the exchange layers; one more argument is a width

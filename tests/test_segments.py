@@ -74,6 +74,41 @@ def test_segment_kernel_tail_and_empty(ray_session, tmp_path):
     assert got["clean_text"].tolist() == ["a b c d e"]
 
 
+def test_word_split_ignores_the_bytes_after_a_string():
+    """pyarrow's ``utf8_split_whitespace`` reads past a string's trailing
+    whitespace and, with a byte >= 0x80 there, returns the whitespace as
+    a token. The shared split (segments and the shingle explode of the
+    ngram / set-join family) trims first, so a document's words do not
+    depend on the bytes after it in the buffer: the next document's, or
+    the uninitialised padding after the last one, which gave
+    whitespace-only documents a " " shingle now and then and so made
+    ``ngram_jaccard_pairs`` pair them."""
+    import numpy as np
+
+    from document_parser_private_ray.pipelines.segments import (
+        _segment_batch,
+        _split_words,
+    )
+    from document_parser_private_ray.pipelines.setjoin import _explode_shingles
+
+    # each string ends in whitespace and the bytes after it are >= 0x80
+    texts = ["alpha beta ", "\u00e9 b  ", "\u4e2d ", "  "]
+    raw = [t.encode() for t in texts]
+    offsets = np.cumsum([0] + [len(r) for r in raw]).astype(np.int32)
+    dirty = pa.StringArray.from_buffers(
+        len(texts), pa.py_buffer(offsets.tobytes()), pa.py_buffer(b"".join(raw) + b"\x80" * 8)
+    )
+    assert [[w for w in ws if w] for ws in _split_words(dirty).to_pylist()] == [
+        t.split() for t in texts
+    ]
+    ids = pa.array(range(len(texts)), type=pa.int64())
+    clean = pa.table({"doc_id": ids, "text": pa.array(texts)})
+    assert _segment_batch(pa.table({"doc_id": ids, "text": dirty}), 2).equals(
+        _segment_batch(clean, 2)
+    )
+    assert _explode_shingles(pa.table({"doc_id": ids, "text": ["  "] * 4}), 3).num_rows == 0
+
+
 def test_segment_ops_null_text_poison(ray_session, tmp_path):
     """A NULL text row is dropped (matching SQL NULL semantics: the
     oracle's len(w) > 0 filter excludes it) — no task failure."""
