@@ -31,6 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import grouped_agg
+
 K_DEFAULT = 16
 _PREFIX_DIV = 1 << 48
 
@@ -59,15 +61,10 @@ def vocab_kmv(sf_dir: str, k: int = K_DEFAULT):
     from ..sources.readers import read_documents
 
     minima = (
-        read_documents(sf_dir)
-        .map_batches(
-            lambda t: _batch_word_hash_minima(t, k),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=1024,
+        grouped_agg(  # distinct across partials
+            read_documents(sf_dir), "h", {},
+            rows=lambda t: _batch_word_hash_minima(t, k), batch_size=1024,
         )
-        .groupby("h")
-        .count()  # distinct across partials
         .sort("h")
         .limit(k)
         .take_all()
@@ -209,16 +206,10 @@ def word_cms_estimates(sf_dir: str, probes=None,
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    counters = (
-        read_documents(sf_dir)
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True,
-                     batch_size=1024)
-        .groupby(["row", "bucket"])
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    )  # <= depth x width rows by construction — the sketch, not the corpus
+    counters = grouped_agg(
+        read_documents(sf_dir), ["row", "bucket"], {"n": ("n", "sum")},
+        rows=partials, batch_size=1024,
+    ).take_all()  # <= depth x width rows by construction — the sketch, not the corpus
     table = {(r["row"], r["bucket"]): r["n"] for r in counters}
     est = [
         min(table.get((r, _cms_bucket(w, r, width)), 0) for r in range(depth))
@@ -286,22 +277,12 @@ def vocab_hll(sf_dir: str):
     replays it bit-for-bit. No small-range linear-counting correction:
     the raw estimator is the deterministic, engine-neutral choice.
     Columns: m, n_zero_registers, sum_rho, est_distinct."""
-    from ray.data.aggregate import Max
-
     from ..sources.readers import read_documents
 
-    merged = (
-        read_documents(sf_dir)
-        .map_batches(
-            _hll_partial,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=1024,
-        )
-        .groupby("register")
-        .aggregate(Max("rho", alias_name="rho"))
-        .take_all()
-    )  # <= 64 rows by construction — the sketch, not the corpus
+    merged = grouped_agg(
+        read_documents(sf_dir), "register", {"rho": ("rho", "max")},
+        rows=_hll_partial, batch_size=1024,
+    ).take_all()  # <= 64 rows by construction — the sketch, not the corpus
     rho = {r["register"]: r["rho"] for r in merged}
     full = [rho.get(j, 0) for j in range(_HLL_M)]
     s = sum(1 << (_HLL_RHO_CAP - v) for v in full)

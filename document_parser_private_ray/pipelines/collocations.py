@@ -112,22 +112,13 @@ def word_collocations(
 ):
     """Top-k bigram collocations: ``w1``, ``w2``, ``n_xy``,
     ``lift_micro`` — ordered by lift desc, then w1, w2."""
-    from ray.data.aggregate import Sum
-
     from ..sources.readers import read_documents
+    from .exchange import grouped_agg
 
-    counts = (
-        read_documents(sf_dir)
-        .map_batches(
-            _tagged_partials,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=1024,
-        )
-        .groupby(["kind", "key"])
-        .aggregate(Sum("n", alias_name="n"))
-        .materialize()  # bounded by vocabulary; checkpoint at 100 TB
-    )
+    counts = grouped_agg(
+        read_documents(sf_dir), ["kind", "key"], {"n": ("n", "sum")},
+        rows=_tagged_partials, batch_size=1024,
+    ).materialize()  # bounded by vocabulary; checkpoint at 100 TB
     bigrams = counts.filter(
         expr=f"kind == 'b' and n >= {min_count}"
     )

@@ -43,7 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages import width
-from .exchange import co_partition
+from .exchange import grouped_agg
 
 
 def union_find(edges: Iterable[Tuple[int, int]]) -> Dict[int, int]:
@@ -101,8 +101,6 @@ def _label_links(labels):
 def connected_components(pairs, node_cols=("doc_a", "doc_b"), max_rounds: int = 32):
     """``pairs``: Dataset of undirected edges. Returns a Dataset of
     (node, label) with label = min node id of the component."""
-    from ray.data.aggregate import Sum
-
     a, b = node_cols
 
     def to_directed(batch: pa.Table) -> pa.Table:
@@ -129,27 +127,12 @@ def connected_components(pairs, node_cols=("doc_a", "doc_b"), max_rounds: int = 
             )
         )
 
-    def _min_label_bucketed(rows):
-        """groupby(node).min(label) via node-hash co-partition + one
-        vectorized group_by per bucket — node keys are graph-scale and
-        repeat across blocks every round, the per-distinct-key merge
-        path Ray-native aggregates pay (the PageRank/cosupplier
-        lesson)."""
-
-        def min_bucket(group: pa.Table) -> pa.Table:
-            g = group.group_by("node").aggregate([("label", "min")])
-            return g.rename_columns(["node", "label"])
-
-        return co_partition({"labels": (rows, None)}, "node", min_bucket)
-
     # initial labels: every node labels itself (distinct src covers all
     # nodes because edges are directed both ways)
     labels = _cut(
-        _min_label_bucketed(
-            edges.map_batches(
-                lambda t: pa.Table.from_pydict({"node": t["src"], "label": t["src"]}),
-                batch_format="pyarrow", zero_copy_batch=True,
-            )
+        grouped_agg(
+            edges, "node", {"label": ("label", "min")},
+            rows=lambda t: pa.Table.from_pydict({"node": t["src"], "label": t["src"]}),
         ).repartition(width())
     )
 
@@ -160,21 +143,19 @@ def connected_components(pairs, node_cols=("doc_a", "doc_b"), max_rounds: int = 
         relation = edges.union(_label_links(labels))
         joined = bucketed_join(relation, labels, "src", "node")
         labels = _cut(
-            _min_label_bucketed(
-                joined.map_batches(
-                    lambda t: pa.Table.from_pydict(
-                        {
-                            "node": pc.cast(t["dst"], pa.int64()),
-                            "label": pc.cast(t["label"], pa.int64()),
-                        }
-                    ),
-                    batch_format="pyarrow", zero_copy_batch=True,
-                )
+            grouped_agg(
+                joined, "node", {"label": ("label", "min")},
+                rows=lambda t: pa.Table.from_pydict(
+                    {
+                        "node": pc.cast(t["dst"], pa.int64()),
+                        "label": pc.cast(t["label"], pa.int64()),
+                    }
+                ),
             ).repartition(width())
         )
         # labels only decrease -> sum(label) is a monotone convergence
         # witness; two scalars of driver state per round
-        cur = labels.aggregate(Sum("label", alias_name="s"))["s"]
+        cur = labels.sum("label")
         if prev_sum is not None and cur == prev_sum:
             break
         prev_sum = cur

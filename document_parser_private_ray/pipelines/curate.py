@@ -21,6 +21,7 @@ import pyarrow.compute as pc
 
 from ..functions.textstats import lang_id
 from ..sources.readers import read_documents
+from .exchange import grouped_agg
 
 
 def make_quality_filter(min_words: int = 5, max_digit_ratio: float = 0.3):
@@ -82,27 +83,23 @@ def curated_survivors(
     exact-dedup filtering (min doc_id per duplicate group). ``docs``
     substitutes a pre-built (doc_id, text) Dataset for the parquet read
     — e.g. main text recovered by the HTML extractor (web_curate)."""
-    from ray.data.aggregate import Min
-
     ds = docs if docs is not None else read_documents(sf_dir)
     quality_filter = make_quality_filter(min_words, max_digit_ratio)
     language_filter = make_language_filter(langs)
 
-    return (
+    hashed = (
         ds.map_batches(quality_filter, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
         .map_batches(language_filter, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
         .map_batches(content_hash, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
-        .groupby("content_hash")
-        .aggregate(Min("doc_id", alias_name="doc_id"))
-        .select_columns(["doc_id"])
     )
+    return grouped_agg(
+        hashed, "content_hash", {"doc_id": ("doc_id", "min")}
+    ).select_columns(["doc_id"])
 
 
 def split_rollup(survivors):
     """(split, n_docs) rollup of a (doc_id) survivor Dataset via the
     content-stable md5 split assignment."""
-    from ray.data.aggregate import Count
-
     from .splits import split_of
 
     def assign(batch: pa.Table) -> pa.Table:
@@ -112,12 +109,7 @@ def split_rollup(survivors):
             names=["doc_id", "split"],
         )
 
-    return (
-        survivors.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("split")
-        .aggregate(Count(alias_name="n_docs"))
-        .sort("split")
-    )
+    return grouped_agg(survivors, "split", {"n_docs": (None, "count")}, rows=assign).sort("split")
 
 
 def curate_corpus(sf_dir: str, **kwargs):

@@ -30,7 +30,7 @@ import pyarrow.compute as pc
 
 from ..functions.sketches import MinHasher, jaccard, shingles, simhash64
 from ..sources.readers import read_documents
-from .exchange import co_partition, co_partition_pairs, grouped_agg, run_starts, sorted_runs
+from .exchange import co_partition, grouped_agg, run_starts, sorted_runs
 from .pairs import attach_pair_values, fits_broadcast, lookup, scan_ids, self_pairs
 
 
@@ -119,26 +119,9 @@ def minhash_candidate_pairs(
         # bands within the bucket): fewer rows move
         return out.group_by(["doc_a", "doc_b"]).aggregate([])
 
-    pairs = co_partition_pairs(sigs, class_pairs, "key", "band")
+    pairs = co_partition({"sigs": (sigs, None)}, ["key", "band"], class_pairs)
     # distinct pairs (same pair can collide in several exchange buckets)
-    return _dedupe_pairs_bucketed(
-        pairs, [([], "count_all")], ["doc_a", "doc_b", "count()"]
-    )
-
-
-def _dedupe_pairs_bucketed(pairs, aggs, out_names):
-    """Global per-(doc_a, doc_b) aggregate via pair-class co-partition
-    + ONE vectorized pa group_by per bucket. Pair keys are corpus-scale
-    and repeat across LSH buckets, where a native
-    groupby(doc_a, doc_b).aggregate pays the per-distinct-key
-    cross-block merge cost (the cosupplier lesson). Same single
-    exchange, no per-key cost."""
-
-    def agg_bucket(group: pa.Table) -> pa.Table:
-        g = group.group_by(["doc_a", "doc_b"]).aggregate(aggs)
-        return g.rename_columns(out_names)
-
-    return co_partition_pairs(pairs, agg_bucket)
+    return grouped_agg(pairs, ["doc_a", "doc_b"], {"count()": (None, "count")})
 
 
 def minhash_verified_pairs(
@@ -426,10 +409,10 @@ def dedup_simhash(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
         )
 
     banded = sigs.map_batches(explode_bands, batch_format="pyarrow", zero_copy_batch=True)
-    pairs = co_partition_pairs(banded, class_pairs, "value", "band")
+    pairs = co_partition({"bands": (banded, None)}, ["value", "band"], class_pairs)
     # a pair can collide in several exchange buckets -> global dedupe
-    return _dedupe_pairs_bucketed(
-        pairs, [("hamming", "min")], ["doc_a", "doc_b", "hamming"]
+    return grouped_agg(
+        pairs, ["doc_a", "doc_b"], {"hamming": ("hamming", "min")}
     ).sort(["doc_a", "doc_b"])
 
 
@@ -502,8 +485,8 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
                 ),
             )
         )
-        # partial |A ∩ B| per pair within the bucket (combined globally
-        # by the downstream groupby); sizes ride along (equal per doc)
+        # partial |A ∩ B| per pair within the bucket (summed globally
+        # by ``grouped_agg``); sizes ride along (equal per doc)
         agg = pairs.group_by(["doc_a", "doc_b"]).aggregate(
             [("sh", "count"), ("n_a", "max"), ("n_b", "max")]
         )
@@ -518,19 +501,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
             names=["doc_a", "doc_b", "n_inter", "n_a", "n_b"],
         )
 
-    def sum_pairs_bucket(group: pa.Table) -> pa.Table:
-        # pair keys are corpus-scale and repeat across shingle buckets:
-        # co-partition by pair hash + ONE vectorized group_by per bucket
-        # instead of groupby(doc_a, doc_b).aggregate's per-key
-        # cross-block merge (r5 — the cosupplier idiom)
-        g = group.group_by(["doc_a", "doc_b"]).aggregate(
-            [("n_inter", "sum"), ("n_a", "max"), ("n_b", "max")]
-        )
-        return g.rename_columns(["doc_a", "doc_b", "n_inter", "n_a", "n_b"])
-
-    inter = co_partition_pairs(
+    inter = grouped_agg(
         co_partition({"postings": (postings, None)}, "sh", bucket_self_join),
-        sum_pairs_bucket,
+        ["doc_a", "doc_b"],
+        {"n_inter": ("n_inter", "sum"), "n_a": ("n_a", "max"), "n_b": ("n_b", "max")},
     )
 
     def score(t: pa.Table) -> pa.Table:
@@ -559,13 +533,11 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
             {"doc_id": pc.cast(batch["doc_id"], pa.int64()).filter(mask)}
         )
 
-    from ray.data.aggregate import Min
-
     empties = read_documents(sf_dir).map_batches(
         empty_ids, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
     if empties.count() > 1:
-        root = empties.aggregate(Min("doc_id", alias_name="root"))["root"]
+        root = empties.min("doc_id")
 
         def star(t: pa.Table) -> pa.Table:
             others = t["doc_id"].filter(pc.not_equal(t["doc_id"], root))
@@ -700,10 +672,10 @@ def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000
             names=["doc_a", "doc_b", "n_shared"],
         )
 
-    out = _dedupe_pairs_bucketed(
+    out = grouped_agg(
         co_partition({"postings": (postings, None)}, "fp", class_pairs),
-        [("n_shared", "sum")],
-        ["doc_a", "doc_b", "n_shared"],
+        ["doc_a", "doc_b"],
+        {"n_shared": ("n_shared", "sum")},
     )
 
     def threshold(t: pa.Table) -> pa.Table:
@@ -787,15 +759,11 @@ def dup_cluster_histogram(sf_dir: str):
     as ``dedup_exact`` (only (hash, doc) ever shuffles), then the
     cluster-size aggregate collapses to a histogram via
     ``grouped_agg``."""
-    from ray.data.aggregate import Count
-
     ds = read_documents(sf_dir)
     hashed = ds.map_batches(
         add_content_hash, batch_format="pyarrow", zero_copy_batch=True
     ).select_columns(["content_hash", "doc_id"])
-    clusters = hashed.groupby("content_hash").aggregate(
-        Count(alias_name="cluster_size")
-    )
+    clusters = grouped_agg(hashed, "content_hash", {"cluster_size": (None, "count")})
     return (
         grouped_agg(clusters, "cluster_size", {"n_clusters": ("cluster_size", "count")})
         .map_batches(
@@ -862,8 +830,6 @@ def minhash_against_state(
     gate (``pairs.fits_broadcast``)."""
     import numpy as np
 
-    from ray.data.aggregate import Count, Min
-
     def cross_side(batch: pa.Table) -> pa.Table:
         a = batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -922,15 +888,11 @@ def minhash_against_state(
             }
         )
 
-    matches = (
-        verified.map_batches(to_inc, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("inc_id")
-        .aggregate(
-            Count(alias_name="n_matches"),
-            Min("st_id", alias_name="match_doc_id"),
-        )
-        .materialize()
-    )
+    matches = grouped_agg(
+        verified, "inc_id",
+        {"n_matches": (None, "count"), "match_doc_id": ("st_id", "min")},
+        rows=to_inc,
+    ).materialize()
     if fits_broadcast(matches.count()):
         tbl = pa.concat_tables(
             matches.iter_batches(batch_format="pyarrow", batch_size=None)

@@ -50,7 +50,7 @@ def evaluate_predictions(predictions, ground_truth_rows: List[Dict]) -> Dict:
     """``predictions``: Dataset with (doc_id, skills, companies,
     education) list columns; ``ground_truth_rows``: small golden list of
     dicts with the same fields. Returns {entity_type: metrics}."""
-    from ray.data.aggregate import Count, Sum
+    from .exchange import grouped_agg
 
     gt = {r["doc_id"]: r for r in ground_truth_rows}
 
@@ -74,16 +74,14 @@ def evaluate_predictions(predictions, ground_truth_rows: List[Dict]) -> Dict:
         )
         return pa.Table.from_pylist(rows, schema=schema)
 
-    agg = (
-        predictions.map_batches(counters, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("entity_type")
-        .aggregate(
-            Sum("tp", alias_name="tp"),
-            Sum("fp", alias_name="fp"),
-            Sum("fn", alias_name="fn"),
-            Sum("similarity", alias_name="sim_sum"),
-            Count(alias_name="n"),
-        )
+    agg = grouped_agg(
+        predictions,
+        "entity_type",
+        {
+            "tp": ("tp", "sum"), "fp": ("fp", "sum"), "fn": ("fn", "sum"),
+            "sim_sum": ("similarity", "sum"), "n": (None, "count"),
+        },
+        rows=counters,
     )
     out = {}
     for row in agg.take_all():
@@ -101,7 +99,7 @@ def entity_counter_metrics(predictions, ground_truth_rows: List[Dict]):
     so a DuckDB oracle over the exported prediction/golden parquets
     reproduces every value bit-for-bit; the fuzzy similarity channel
     stays in ``evaluate_predictions``/pytest)."""
-    from ray.data.aggregate import Sum
+    from .exchange import grouped_agg
 
     gt = {r["doc_id"]: r for r in ground_truth_rows}
 
@@ -157,14 +155,11 @@ def entity_counter_metrics(predictions, ground_truth_rows: List[Dict]):
         )
 
     return (
-        predictions.map_batches(
-            counters, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("entity_type")
-        .aggregate(
-            Sum("tp", alias_name="tp"),
-            Sum("fp", alias_name="fp"),
-            Sum("fn", alias_name="fn"),
+        grouped_agg(
+            predictions,
+            "entity_type",
+            {"tp": ("tp", "sum"), "fp": ("fp", "sum"), "fn": ("fn", "sum")},
+            rows=counters,
         )
         .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
         .sort("entity_type")

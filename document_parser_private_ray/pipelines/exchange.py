@@ -8,16 +8,23 @@ exchange layout in one place:
 * bucket count — ``stages.width()``, read on the driver when the plan
   is built: one rule for every exchange, derived from the cluster's
   CPUs, never chosen per query;
-* bucket function — int keys ``key % n``; string keys
-  ``crc32(utf-8) % n`` (stable across worker processes, unlike
-  Python's salted ``hash``);
+* bucket function — a key is one column or a list of columns; each
+  column hashes to its int value (temporals by their int encoding) or
+  to ``crc32(utf-8)`` of the string (stable across worker processes,
+  unlike Python's salted ``hash``), nulls as 0 / ``""``; one column
+  buckets on ``hash % n``, several fold their hashes with a
+  golden-ratio mix first, so every row of an (a, b) pair lands in one
+  bucket whatever the id distribution;
 * union layout — each side is null-padded to the union of the schemas
   the caller states on the driver (never ``Dataset.schema()`` inside a
   UDF), with a ``__side`` tag typed ``pa.string()`` so a zero-row block
   unions cleanly with non-empty ones;
-* the kernel call — ``groupby(__bucket).map_groups`` hands the kernel a
-  ``{tag: table}`` dict, each table holding only its own side's
-  columns (a single-side call hands over the table itself).
+* the kernel call — one ``Dataset.sort`` on ``__bucket`` with the
+  bucket ids as its boundaries (no sampling pass; one output block per
+  bucket), then a ``map_batches`` over those blocks hands the kernel a
+  ``{tag: table}`` dict per non-empty bucket, each table holding only
+  its own side's columns (a single-side call hands over the table
+  itself).
 
 Co-partitioning both sides once and joining inside each bucket is the
 large-⋈-large shape. Kernels group by key inside their bucket, so the
@@ -25,13 +32,16 @@ bucket count never changes an answer. A hot key stays in one bucket
 whatever the width; salting spreads it (bucket on a (key, salt)
 column).
 
-``grouped_agg`` is the one two-phase grouped aggregate: inside one
-``map_batches`` task each batch collapses to one partial row per key
-(``pa.Table.group_by``), then one Ray ``groupby(keys).aggregate`` merges
-the partials (``Sum`` for sums and counts, ``Min`` / ``Max``), so the
-exchange carries partials, never raw rows. A ``co_partition`` kernel
-whose result is summed per key returns its raw rows and hands the
-exchange's output to ``grouped_agg``.
+``grouped_agg`` is the one grouped aggregate, in two phases on this
+exchange: inside one ``map_batches`` task each batch collapses to one
+partial row per key (``pa.Table.group_by``), then a ``co_partition``
+on the keys merges each bucket's partials with one more
+``pa.Table.group_by`` (sum for sums and counts, min, max), so the
+exchange carries partials, never raw rows, and no Ray
+``groupby().aggregate`` runs anywhere. A ``co_partition`` kernel whose
+result is summed per key returns its raw rows and hands the
+exchange's output to ``grouped_agg``. Its output order is the
+buckets', not the keys': a caller whose answer reads the order sorts.
 
 ``sorted_runs`` is the one "sort the bucket, find each key's run, rank
 within it" step: after the single-side exchange, each bucket is combined
@@ -59,23 +69,38 @@ BUCKET = "__bucket"
 SIDE = "__side"
 
 
-def bucket_ids(keys, n: int) -> pa.Array:
-    """int32 bucket of every key: ``key % n`` for integer keys,
-    ``crc32(utf-8) % n`` for string keys (null strings hash as the empty
-    string)."""
+def _key_hash(keys) -> np.ndarray:
+    """uint64 hash of one key column: the int value (temporals by their
+    int encoding, null as 0), or one crc32 per distinct string (null as
+    the empty string)."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
     if pa.types.is_string(keys.type) or pa.types.is_large_string(keys.type):
         # one crc32 per DISTINCT string, broadcast back through the codes
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
         enc = pc.dictionary_encode(pc.fill_null(keys, ""))
         crc = np.array(
             [zlib.crc32(s.encode("utf-8")) for s in enc.dictionary.to_pylist()],
-            dtype=np.int64,
+            dtype=np.uint64,
         )
-        h = crc[enc.indices.to_numpy(zero_copy_only=False)]
-    else:
-        h = keys.to_numpy(zero_copy_only=False)
-    return pa.array((h % n).astype(np.int32))
+        return crc[enc.indices.to_numpy(zero_copy_only=False)]
+    if pa.types.is_temporal(keys.type):
+        keys = keys.view(pa.int32() if keys.type.bit_width == 32 else pa.int64())
+    return pc.fill_null(keys, 0).to_numpy(zero_copy_only=False).astype(np.uint64)
+
+
+def bucket_ids(keys, n: int) -> pa.Array:
+    """int32 bucket of every row of ``keys``, one key column or a list
+    of them: ``hash % n`` of one column's ``_key_hash``; several columns
+    fold theirs as ``h * g + next`` (``g`` the 64-bit golden ratio) and
+    bucket on the top 31 bits of the last ``h * g``."""
+    cols = keys if isinstance(keys, list) else [keys]
+    h = _key_hash(cols[0])
+    if len(cols) > 1:
+        g = np.uint64(0x9E3779B97F4A7C15)
+        for c in cols[1:]:
+            h = h * g + _key_hash(c)
+        h = (h * g) >> np.uint64(33)
+    return pa.array((h % np.uint64(n)).astype(np.int32))
 
 
 def _const_str(value: str, n: int) -> pa.Array:
@@ -88,9 +113,14 @@ def _const_str(value: str, n: int) -> pa.Array:
     )
 
 
+def _key_columns(key, tag: str) -> list:
+    k = key[tag] if isinstance(key, Mapping) else key
+    return [k] if isinstance(k, str) else list(k)
+
+
 def co_partition(
     sides: Mapping[str, tuple],
-    key: str | Mapping[str, str],
+    key: str | list | Mapping[str, str | list],
     kernel: Callable,
 ):
     """One exchange co-locating every side's rows into ``stages.width()``
@@ -99,18 +129,19 @@ def co_partition(
     ``sides`` maps a tag to ``(dataset, schema)``: ``schema`` is the
     ``pa.Schema`` of the columns that side ships, stated on the driver
     (``None`` is allowed for a single side, which ships its rows as
-    they are). ``key`` names the key column, shared by every side or
-    given per tag as ``{tag: column}``. With several sides the kernel
-    receives ``{tag: pa.Table}`` holding only that side's schema columns
-    (a column several sides share takes the type of the first side that
-    states it); with one side it receives the bucket's table."""
+    they are). ``key`` names the key column or a list of key columns,
+    shared by every side or given per tag as ``{tag: key}``. With
+    several sides the kernel receives ``{tag: pa.Table}`` holding only
+    that side's schema columns (a column several sides share takes the
+    type of the first side that states it); with one side it receives
+    the bucket's table."""
     buckets = stages.width()
     if len(sides) == 1:
         ((tag, (ds, _)),) = sides.items()
-        col = key if isinstance(key, str) else key[tag]
+        cols = _key_columns(key, tag)
 
         def add_bucket(batch: pa.Table) -> pa.Table:
-            return batch.append_column(BUCKET, bucket_ids(batch[col], buckets))
+            return batch.append_column(BUCKET, bucket_ids([batch[c] for c in cols], buckets))
 
         def run(group: pa.Table):
             return kernel(group.drop_columns([BUCKET]))
@@ -125,7 +156,7 @@ def co_partition(
 
         def pad(tag: str, schema: pa.Schema):
             own = set(schema.names)
-            col = key if isinstance(key, str) else key[tag]
+            cols = _key_columns(key, tag)
 
             def fn(batch: pa.Table) -> pa.Table:
                 n = batch.num_rows
@@ -137,7 +168,7 @@ def co_partition(
                         arrays.append(pc.cast(batch[c], t))
                     else:
                         arrays.append(batch[c])
-                arrays.append(bucket_ids(batch[col], buckets))
+                arrays.append(bucket_ids([batch[c] for c in cols], buckets))
                 arrays.append(_const_str(tag, n))
                 return pa.Table.from_arrays(arrays, names=names)
 
@@ -158,8 +189,14 @@ def co_partition(
                 }
             )
 
-    return tagged.groupby(BUCKET).map_groups(
-        run, batch_format="pyarrow", zero_copy_batch=True
+    def each_bucket(block: pa.Table):
+        if block.num_rows:
+            yield run(block)
+
+    # the bucket ids are the sort's boundaries: no sampling pass, and
+    # each output block holds exactly one bucket (width 1 still needs one)
+    return tagged.sort(BUCKET, boundaries=list(range(1, max(buckets, 2)))).map_batches(
+        each_bucket, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
 
 
@@ -194,42 +231,26 @@ def grouped_agg(ds, keys, aggs: Mapping[str, tuple], rows: Callable | None = Non
     column's non-null values, or every row when ``column`` is ``None``.
     Each batch of ``batch_size`` rows (``None``: one block) first goes
     through ``rows`` (a batch -> table function deriving the key and
-    value columns), then collapses to one partial row per key. Output
-    columns: the keys, then ``aggs`` in order."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    merge = {"sum": Sum, "count": Sum, "min": Min, "max": Max}
+    value columns), then collapses to one partial row per key; a
+    ``co_partition`` on ``keys`` merges the partials bucket by bucket.
+    Output columns: the keys, then ``aggs`` in order (an empty ``aggs``
+    gives the distinct keys); rows come in bucket order."""
     keys = [keys] if isinstance(keys, str) else list(keys)
+    names = [*keys, *aggs]
     specs = [([], "count_all") if col is None else (col, op) for col, op in aggs.values()]
+    merge = [(name, "sum" if op == "count" else op) for name, (_, op) in aggs.items()]
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch if rows is None else rows(batch)
-        return t.group_by(keys).aggregate(specs).rename_columns([*keys, *aggs])
+        return t.group_by(keys).aggregate(specs).rename_columns(names)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
-                       batch_size=batch_size)
-        .groupby(keys)
-        .aggregate(*(merge[op](name, alias_name=name) for name, (_, op) in aggs.items()))
-    )
+    def merged(bucket: pa.Table) -> pa.Table:
+        # one thread: a float sum adds the partials in arrival order
+        return bucket.group_by(keys, use_threads=False).aggregate(merge).rename_columns(names)
 
-
-def co_partition_pairs(pairs, kernel: Callable, a: str = "doc_a", b: str = "doc_b"):
-    """``co_partition`` of one pair table on an (a, b) id mix (the top
-    31 bits of a golden-ratio hash), so every row of a pair lands in one
-    bucket whatever the id distribution. Any two int columns work: the
-    class-keyed pair kernels co-locate their (band, key) rows the same
-    way."""
-    g = np.uint64(0x9E3779B97F4A7C15)
-
-    def mix_class(t: pa.Table) -> pa.Table:
-        x = t[a].to_numpy(zero_copy_only=False).astype(np.uint64)
-        y = t[b].to_numpy(zero_copy_only=False).astype(np.uint64)
-        cls = (((x * g + y) * g) >> np.uint64(33)).astype(np.int32)
-        return t.append_column("pair_cls", pa.array(cls))
-
-    tagged = pairs.map_batches(mix_class, batch_format="pyarrow", zero_copy_batch=True)
-    return co_partition({"pairs": (tagged, None)}, "pair_cls", kernel)
+    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
+                              batch_size=batch_size)
+    return co_partition({"partials": (partials, None)}, keys, merged)
 
 
 def run_starts(*sorted_keys: np.ndarray) -> np.ndarray:

@@ -454,7 +454,6 @@ def anchor_texts(sf_dir: str, top_k: int = 30):
     per-url argmax closes in ``exchange.sorted_runs`` on the url (one
     Arrow sort per url-hash bucket, no per-url Python)."""
     import numpy as np
-    from ray.data.aggregate import Sum
 
     def partials(batch: pa.Table) -> pa.Table:
         from collections import Counter
@@ -487,12 +486,7 @@ def anchor_texts(sf_dir: str, top_k: int = 30):
             names=["url", "atext", "n"],
         )
 
-    counts = (
-        _pages(sf_dir)
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["url", "atext"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    counts = grouped_agg(_pages(sf_dir), ["url", "atext"], {"n": ("n", "sum")}, rows=partials)
 
     def reduce_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         # each url run sorted by count desc, text asc: its first row

@@ -36,9 +36,8 @@ def table_checksum(sf_dir: str):
     checksum = sum of row hashes mod 2^64, reported as int64 via two's
     complement (DuckDB BIGINT overflow-free arithmetic on HUGEINT then
     cast)."""
-    from ray.data.aggregate import Sum
-
     from ..sources.readers import read_documents
+    from .exchange import grouped_agg
 
     ds = read_documents(sf_dir, ["doc_id", "text", "source"])
 
@@ -64,11 +63,9 @@ def table_checksum(sf_dir: str):
             }
         )
 
-    # merge per-source partials: sum of uint64 partials can overflow a
-    # uint64 aggregate only in VALUE, not in meaning — Ray's Sum works
-    # in Python ints on uint64 columns? Keep it exact by splitting each
-    # partial into two int64 halves (lo 32 / hi 32 bits): int64 sums of
-    # 32-bit pieces cannot overflow below ~2^31 batches.
+    # merge per-source partials exactly: a uint64 sum would wrap, so
+    # each partial splits into two int64 halves (lo 32 / hi 32 bits):
+    # int64 sums of 32-bit pieces cannot overflow below ~2^31 batches.
     def split_halves(batch: pa.Table) -> pa.Table:
         p = batch["partial"].to_numpy(zero_copy_only=False).astype(np.uint64)
         return pa.Table.from_pydict(
@@ -84,17 +81,12 @@ def table_checksum(sf_dir: str):
             }
         )
 
-    merged = (
+    merged = grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(split_halves, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(
-            Sum("n_rows", alias_name="n_rows"),
-            Sum("lo", alias_name="lo"),
-            Sum("hi", alias_name="hi"),
-        )
-        .take_all()
-    )  # <= #sources rows by construction
+        .map_batches(split_halves, batch_format="pyarrow", zero_copy_batch=True),
+        "source",
+        {"n_rows": ("n_rows", "sum"), "lo": ("lo", "sum"), "hi": ("hi", "sum")},
+    ).take_all()  # <= #sources rows by construction
     out_s, out_n, out_c = [], [], []
     tot_n, tot_c = 0, 0
     for r in sorted(merged, key=lambda r: r["source"]):

@@ -216,8 +216,6 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
     paid a corpus-key groupby AND a second join exchange."""
     import numpy as np
 
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", ["o_orderkey"])
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
@@ -253,19 +251,15 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
             }
         )
 
-    return (
-        co_partition(
-            {
-                "O": (orders, pa.schema([("o_orderkey", pa.int64())])),
-                "L": (partials, pa.schema([("l_orderkey", pa.int64()), ("n", pa.int64())])),
-            },
-            {"O": "o_orderkey", "L": "l_orderkey"},
-            hist_bucket,
-        )
-        .groupby("n_big")
-        .aggregate(Sum("n", alias_name="n_orders"))
-        .sort("n_big")
+    hist = co_partition(
+        {
+            "O": (orders, pa.schema([("o_orderkey", pa.int64())])),
+            "L": (partials, pa.schema([("l_orderkey", pa.int64()), ("n", pa.int64())])),
+        },
+        {"O": "o_orderkey", "L": "l_orderkey"},
+        hist_bucket,
     )
+    return grouped_agg(hist, "n_big", {"n_orders": ("n", "sum")}).sort("n_big")
 
 
 def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
@@ -335,18 +329,14 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
         )
         return g.filter(pa.array(keep))
 
-    from ray.data.aggregate import Sum
-
-    revenue = (
+    revenue = grouped_agg(
         _read(
             sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
             filter=pads.field("l_shipdate") > cut.item(),
-        )
-        .map_batches(
-            line_revenue_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("l_orderkey")
-        .aggregate(Sum("rev_cents", alias_name="revenue_cents"))
+        ),
+        "l_orderkey",
+        {"revenue_cents": ("rev_cents", "sum")},
+        rows=line_revenue_partial,
     )
 
     joined = bucketed_join(orders, revenue, "o_orderkey", "l_orderkey")
@@ -406,8 +396,6 @@ def building_not_big_spenders(sf_dir: str, spend_floor: float = 1_500_000.0):
     the semi/anti joins: the subtrahend set is itself an aggregate
     (groupby custkey -> filter), and the EXCEPT is one anti
     ``bucketed_filter_join``. Output: (c_custkey, c_acctbal) sorted."""
-    from ray.data.aggregate import Sum
-
     building = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"]).map_batches(
         lambda b: b.filter(pc.equal(b["c_mktsegment"], "BUILDING")).drop_columns(
             ["c_mktsegment"]
@@ -417,9 +405,11 @@ def building_not_big_spenders(sf_dir: str, spend_floor: float = 1_500_000.0):
     )
 
     big = (
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .groupby("o_custkey")
-        .aggregate(Sum("o_totalprice", alias_name="total"))
+        grouped_agg(
+            _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+            "o_custkey",
+            {"total": ("o_totalprice", "sum")},
+        )
         .map_batches(
             lambda b: b.filter(pc.greater(b["total"], spend_floor)).select(
                 ["o_custkey"]

@@ -115,9 +115,8 @@ def train_char_bigram_counts(sf_dir: str) -> np.ndarray:
     """Distributed transition counts: per-batch 729-long partials ->
     ONE tiny groupby over codes. The exchange is bounded by
     batches x 729 rows regardless of corpus size."""
-    from ray.data.aggregate import Sum
-
     from ..sources.readers import read_documents
+    from .exchange import grouped_agg
 
     def partial(t: pa.Table) -> pa.Table:
         codes, rel = _flat_codes(_normalize(t["text"]))
@@ -131,13 +130,13 @@ def train_char_bigram_counts(sf_dir: str) -> np.ndarray:
             }
         )
 
-    rows = (
-        read_documents(sf_dir, columns=("text",))
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("code")
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    )  # <= 729 rows by construction
+    rows = grouped_agg(
+        read_documents(sf_dir, columns=("text",)).map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "code",
+        {"n": ("n", "sum")},
+    ).take_all()  # <= 729 rows by construction
     counts = np.zeros(N_CODES, dtype=np.int64)
     for r in rows:
         counts[int(r["code"])] = int(r["n"])

@@ -32,7 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..sources.readers import read_documents
-from .exchange import sorted_runs
+from .exchange import grouped_agg, sorted_runs
 
 
 WEIGHT_EIGHTHS_BASE = 4  # weight = (4 + md5(source) % 16) / 8 in [0.5, 2.375]
@@ -95,14 +95,9 @@ def data_mix(sf_dir: str, weights_eighths: dict[str, int] | None = None):
 
 def mix_counts(sf_dir: str, weights_eighths: dict[str, int] | None = None):
     """Rollup: training copies per source (the realized mixing ratio)."""
-    from ray.data.aggregate import Count
-
-    return (
-        data_mix(sf_dir, weights_eighths)
-        .groupby("source")
-        .aggregate(Count(alias_name="n_copies"))
-        .sort("source")
-    )
+    return grouped_agg(
+        data_mix(sf_dir, weights_eighths), "source", {"n_copies": (None, "count")}
+    ).sort("source")
 
 
 def pack_sequences(
@@ -131,13 +126,9 @@ def pack_sequences(
 
     # pass 1: per-bucket totals (one row per range bucket — tiny
     # relative to corpus)
-    from ray.data.aggregate import Sum
-
-    totals = (
-        slim.groupby("bucket")
-        .aggregate(Sum("n_tokens", alias_name="bucket_tokens"))
-        .take_all()
-    )
+    totals = grouped_agg(
+        slim, "bucket", {"bucket_tokens": ("n_tokens", "sum")}
+    ).take_all()
     totals.sort(key=lambda r: r["bucket"])
     offsets: dict[int, int] = {}
     acc = 0

@@ -37,7 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages import width
-from .exchange import co_partition, co_partition_pairs, sorted_runs
+from .exchange import co_partition, grouped_agg, sorted_runs
 
 DAMP_NUM = 85          # 0.85 damping as a rational
 DAMP_DEN = 100
@@ -54,12 +54,9 @@ def _cut(ds):
 def distinct_cust_supp_pairs(sf_dir: str):
     """Distinct (cust, supp) relation from orders ⋈ lineitem.
 
-    The dedup runs at pair-hash-bucket grain: per-batch local distinct
-    (each order's ~4 lines collapse before the exchange), then ONE
-    vectorized Arrow ``group_by`` per pair bucket.
-    Ray's ``groupby(keys).aggregate()`` pays its cross-block merge cost
-    per distinct key when keys repeat across blocks — measured 13.0 s
-    for the ~590k sf0.1 pairs vs 0.25 s for this shape, same exchange."""
+    The dedup is ``grouped_agg`` with no aggregates: a per-block local
+    distinct (each order's ~4 lines collapse before the exchange), then
+    one Arrow ``group_by`` per (cust, supp) bucket."""
     from .joins import bucketed_join
     from .relational import _read
 
@@ -67,19 +64,15 @@ def distinct_cust_supp_pairs(sf_dir: str):
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
     joined = bucketed_join(orders, lineitem, "o_orderkey", "l_orderkey")
 
-    def local_pairs(t: pa.Table) -> pa.Table:
+    def cust_supp(t: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
             {
                 "c": pc.cast(t["o_custkey"], pa.int64()),
                 "s": pc.cast(t["l_suppkey"], pa.int64()),
             }
-        ).group_by(["c", "s"]).aggregate([])
+        )
 
-    def distinct_bucket(group: pa.Table) -> pa.Table:
-        return group.group_by(["c", "s"]).aggregate([])
-
-    local = joined.map_batches(local_pairs, batch_format="pyarrow", zero_copy_batch=True)
-    return co_partition_pairs(local, distinct_bucket, "c", "s")
+    return grouped_agg(joined, ["c", "s"], {}, rows=cust_supp)
 
 
 def build_bipartite_edges(sf_dir: str):
@@ -304,17 +297,8 @@ def cosupplier_pairs(sf_dir: str, k: int = 15, max_deg: int = 32):
 
     exploded = sorted_runs(pairs, "c", ["s"], explode_bucket)
 
-    # final reduce at BUCKET grain again: Ray's groupby().aggregate()
-    # pays per-distinct-group overhead (~0.1 ms/group — 500k pair keys
-    # would cost ~45 s); a pair-hash bucket co-partition plus ONE
-    # vectorized Arrow group_by per bucket does the same exchange in
-    # 64 calls
-    def reduce_bucket(group: pa.Table) -> pa.Table:
-        g = group.group_by(["s_a", "s_b"]).aggregate([("n", "sum")])
-        return g.rename_columns(["s_a", "s_b", "n_shared_customers"])
-
     return (
-        co_partition_pairs(exploded, reduce_bucket, "s_a", "s_b")
+        grouped_agg(exploded, ["s_a", "s_b"], {"n_shared_customers": ("n", "sum")})
         .sort(
             ["n_shared_customers", "s_a", "s_b"], descending=[True, False, False]
         )

@@ -1,10 +1,9 @@
 """The pair layer shared by the near-dup and set-similarity queries.
 
 Candidate generation in this family is one algorithm: co-locate rows
-that share a class key (``exchange.co_partition_pairs`` on the two
-class columns, or ``co_partition`` on one), self-join every key group
-into ``a < b`` pairs, then attach each side's payload for the caller's
-verify. This module holds the two pieces:
+that share a class key (``exchange.co_partition`` on the class column
+or columns), self-join every key group into ``a < b`` pairs, then
+attach each side's payload for the caller's verify. This module holds the two pieces:
 
 * ``self_pairs`` — the in-bucket kernel. A key group over
   ``max_bucket`` rows emits only the star over its min id: O(n) pairs

@@ -45,9 +45,8 @@ def profile_columns(sf_dir: str, table: str = "orders", columns=ORDERS_COLUMNS):
     """One-scan column profile of a table. Output: one row per column
     with exact row/null counts and engine-neutral min/max strings
     (floats profiled in integer cents)."""
-    from ray.data.aggregate import Max, Min, Sum
-
     from ..sources.readers import read_table
+    from .exchange import grouped_agg
 
     cols = list(columns)
     ds = read_table(f"{sf_dir}/{table}.parquet", cols)
@@ -113,18 +112,15 @@ def profile_columns(sf_dir: str, table: str = "orders", columns=ORDERS_COLUMNS):
             }
         )
 
-    merged = (
+    merged = grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(pad_keys, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("column")
-        .aggregate(
-            Sum("n_rows", alias_name="n_rows"),
-            Sum("n_null", alias_name="n_null"),
-            Min("min_key", alias_name="min_key"),
-            Max("max_key", alias_name="max_key"),
-        )
-        .take_all()
-    )  # <= n_columns rows by construction
+        .map_batches(pad_keys, batch_format="pyarrow", zero_copy_batch=True),
+        "column",
+        {
+            "n_rows": ("n_rows", "sum"), "n_null": ("n_null", "sum"),
+            "min_key": ("min_key", "min"), "max_key": ("max_key", "max"),
+        },
+    ).take_all()  # <= n_columns rows by construction
 
     def unkey(s: str) -> str:
         if s == "\x7f":

@@ -198,20 +198,17 @@ def events_hourly_window(sf_dir: str):
     """Tumbling 1-hour event-time windows per event_type: Ray Data has no
     native windows (SURVEY §2.6) — the window key is computed vectorized
     (timestamp floor) and the window is a groupby over (type, hour)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
     def add_window(batch: pa.Table) -> pa.Table:
         hour = pc.floor_temporal(batch["ts"], unit="hour")
         return batch.append_column("window_start", hour)
 
-    return (
-        ds.map_batches(add_window, batch_format="pyarrow", zero_copy_batch=True, batch_size=65536)
-        .groupby(["event_type", "window_start"])
-        .aggregate(Count(alias_name="n_events"), Sum("value", alias_name="sum_value"))
-        .sort(["event_type", "window_start"])
-    )
+    return grouped_agg(
+        ds, ["event_type", "window_start"],
+        {"n_events": (None, "count"), "sum_value": ("value", "sum")},
+        rows=add_window, batch_size=65536,
+    ).sort(["event_type", "window_start"])
 
 
 def events_sliding_window(sf_dir: str, width_hours: int = 3, step_hours: int = 1):
@@ -222,8 +219,6 @@ def events_sliding_window(sf_dir: str, width_hours: int = 3, step_hours: int = 1
     groupby over (type, window_start) aggregates. Expansion factor =
     width/step, applied per batch with Arrow kernels — no per-row
     Python, no window state."""
-    from ray.data.aggregate import Count, Sum
-
     assert width_hours % step_hours == 0, "width must be a multiple of step"
     n_copies = width_hours // step_hours
 
@@ -250,12 +245,11 @@ def events_sliding_window(sf_dir: str, width_hours: int = 3, step_hours: int = 1
             )
         return pa.concat_tables(parts)
 
-    return (
-        ds.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True, batch_size=65536)
-        .groupby(["event_type", "window_start"])
-        .aggregate(Count(alias_name="n_events"), Sum("value", alias_name="sum_value"))
-        .sort(["event_type", "window_start"])
-    )
+    return grouped_agg(
+        ds, ["event_type", "window_start"],
+        {"n_events": (None, "count"), "sum_value": ("value", "sum")},
+        rows=expand, batch_size=65536,
+    ).sort(["event_type", "window_start"])
 
 
 # -- as-of join (ordered merge within co-partitioned groups) -------------
@@ -528,9 +522,7 @@ def funnel_counts(sf_dir: str, stages=("view", "click", "purchase")):
         )
 
     per_user = sorted_runs(ds, "user_id", ["ts", "event_id"], depth_bucket)
-    from ray.data.aggregate import Count
-
-    hist = per_user.groupby("depth").aggregate(Count(alias_name="n")).take_all()
+    hist = grouped_agg(per_user, "depth", {"n": (None, "count")}).take_all()
     counts = {r["depth"]: r["n"] for r in hist}  # <= len(stages)+1 rows
     labels, vals = [], []
     for i, s in enumerate(stages, start=1):
@@ -580,14 +572,11 @@ def retention_cohorts(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Count
-
-    return (
-        sorted_runs(ds, "user_id", ["ts"], weeks_bucket)
-        .groupby(["cohort_week", "active_week"])
-        .aggregate(Count(alias_name="n_users"))
-        .sort(["cohort_week", "active_week"])
-    )
+    return grouped_agg(
+        sorted_runs(ds, "user_id", ["ts"], weeks_bucket),
+        ["cohort_week", "active_week"],
+        {"n_users": (None, "count")},
+    ).sort(["cohort_week", "active_week"])
 
 
 # -- broadcast range join (band assignment) -------------------------------
@@ -898,24 +887,16 @@ def events_hourly_users(sf_dir: str):
     """Distinct active users per hour — the windowed COUNT(DISTINCT)
     shape. Per batch, (hour, user) pairs are deduplicated BEFORE the
     exchange (the distinct-partial idiom: the shuffle carries at most
-    windows x users-per-batch pairs, never raw events), one
-    groupby(hour, user) completes the global dedup, and ``grouped_agg``
+    windows x users-per-batch pairs, never raw events): ``grouped_agg``
+    with no aggregates completes the global dedup, and a second one
     counts the pairs per hour."""
-    from ray.data.aggregate import Count
-
     ds = _read(sf_dir, "events", ["ts", "user_id"])
 
-    def dedup_partial(batch: pa.Table) -> pa.Table:
+    def hour_user(batch: pa.Table) -> pa.Table:
         hours = pc.floor_temporal(batch["ts"], unit="hour")
-        t = pa.Table.from_pydict({"hour": hours, "user_id": batch["user_id"]})
-        return t.group_by(["hour", "user_id"]).aggregate([])
+        return pa.Table.from_pydict({"hour": hours, "user_id": batch["user_id"]})
 
-    pairs = (
-        ds.map_batches(dedup_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["hour", "user_id"])
-        .aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    )
+    pairs = grouped_agg(ds, ["hour", "user_id"], {}, rows=hour_user)
 
     return grouped_agg(pairs, "hour", {"n_users": ("hour", "count")}).sort("hour")
 
@@ -1143,8 +1124,6 @@ def props_field_stats(sf_dir: str, field: str = "k"):
     aggregate via partials. The SQL oracle uses DuckDB's native JSON
     path extraction, pinning the two engines' parse semantics to each
     other."""
-    from ray.data.aggregate import Count, Max, Min, Sum
-
     ds = _read(sf_dir, "events", ["event_type", "props"])
     pattern = rf'"{field}"\s*:\s*(?P<v>-?\d+)'
 
@@ -1154,17 +1133,15 @@ def props_field_stats(sf_dir: str, field: str = "k"):
         t = pa.Table.from_pydict({"event_type": batch["event_type"], "v": v})
         return t.filter(pc.is_valid(t["v"]))
 
-    return (
-        ds.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            Count(alias_name="n"),
-            Sum("v", alias_name="sum_v"),
-            Min("v", alias_name="min_v"),
-            Max("v", alias_name="max_v"),
-        )
-        .sort("event_type")
-    )
+    return grouped_agg(
+        ds,
+        "event_type",
+        {
+            "n": (None, "count"), "sum_v": ("v", "sum"),
+            "min_v": ("v", "min"), "max_v": ("v", "max"),
+        },
+        rows=extract,
+    ).sort("event_type")
 
 
 def orders_by_weekday(sf_dir: str):
@@ -1527,8 +1504,6 @@ def signup_conversion_24h(sf_dir: str):
     analysis: ONE shuffle on user_id, first-signup and first-qualifying-
     purchase found vectorized inside the group, a single summary row
     out. Output: (n_signup_users, n_converted_24h)."""
-    from ray.data.aggregate import Sum
-
     US_DAY = 86_400_000_000
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
@@ -1577,21 +1552,12 @@ def signup_conversion_24h(sf_dir: str):
             }
         )
 
-    agg = (
-        co_partition({"events": (ds, None)}, "user_id", per_bucket)
-        .aggregate(
-            Sum("signed", alias_name="n_signup_users"),
-            Sum("converted", alias_name="n_converted_24h"),
-        )
-    )
+    # one row per bucket: the driver sums <= width() rows
+    per = co_partition({"events": (ds, None)}, "user_id", per_bucket).take_all()
     return pa.Table.from_pydict(
         {
-            "n_signup_users": pa.array(
-                [int(agg["n_signup_users"] or 0)], type=pa.int64()
-            ),
-            "n_converted_24h": pa.array(
-                [int(agg["n_converted_24h"] or 0)], type=pa.int64()
-            ),
+            "n_signup_users": pa.array([sum(r["signed"] for r in per)], type=pa.int64()),
+            "n_converted_24h": pa.array([sum(r["converted"] for r in per)], type=pa.int64()),
         }
     )
 
@@ -1674,8 +1640,6 @@ def time_to_convert_percentiles(sf_dir: str, percentiles=(0.5, 0.9)):
     derived metric)."""
     import math
 
-    from ray.data.aggregate import Sum
-
     US_MIN = 60_000_000
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
@@ -1719,12 +1683,11 @@ def time_to_convert_percentiles(sf_dir: str, percentiles=(0.5, 0.9)):
             }
         )
 
-    hist = (
-        co_partition({"events": (ds, None)}, "user_id", delta_bucket)
-        .groupby("mins")
-        .aggregate(Sum("n", alias_name="cnt"))
-        .take_all()
-    )  # <= event-span minutes rows by construction
+    hist = grouped_agg(
+        co_partition({"events": (ds, None)}, "user_id", delta_bucket),
+        "mins",
+        {"cnt": ("n", "sum")},
+    ).take_all()  # <= event-span minutes rows by construction
     hist.sort(key=lambda r: r["mins"])
     total = sum(int(r["cnt"]) for r in hist)
     out_p, out_v = [], []

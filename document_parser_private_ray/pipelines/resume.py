@@ -114,9 +114,9 @@ def span_rollup(spans, export: str):
     from the same intermediate (the parse chain itself is gated by the
     pytest span-equality suite)."""
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
     from ..state import exported
+    from .exchange import grouped_agg
 
     def count_batch(batch: pa.Table) -> pa.Table:
         kinds = pc.struct_field(pc.list_flatten(batch["out_spans"]), "kind")
@@ -134,9 +134,10 @@ def span_rollup(spans, export: str):
 
     parsed = parse_resumes(spans).select_columns(["doc_id", "out_spans", "error"])
     # partial counts per batch (tiny) -> global groupby over partials
-    return (
-        exported(parsed, export)
-        .map_batches(count_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("kind")
-        .aggregate(Sum("n", alias_name="count"))
+    return grouped_agg(
+        exported(parsed, export).map_batches(
+            count_batch, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "kind",
+        {"count": ("n", "sum")},
     )

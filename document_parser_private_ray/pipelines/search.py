@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.readers import read_documents
-from .exchange import co_partition, run_positions, run_starts
+from .exchange import co_partition, grouped_agg, run_positions, run_starts
 
 DEFAULT_QUERY = "hash join merge"
 BM25_K1 = 1.2
@@ -83,9 +83,7 @@ def bm25_search(sf_dir: str, query: str = DEFAULT_QUERY, k: int = 10):
     total_tokens = float(lens_ds.sum("n"))
     avg_len = total_tokens / n_docs
 
-    from ray.data.aggregate import Count
-
-    df_rows = cand.groupby("term").aggregate(Count(alias_name="df")).take_all()
+    df_rows = grouped_agg(cand, "term", {"df": (None, "count")}).take_all()
     df_map = {r["term"]: float(r["df"]) for r in df_rows}
     idf = {
         t: float(np.log((n_docs - d + 0.5) / (d + 0.5) + 1.0))
@@ -106,13 +104,7 @@ def bm25_search(sf_dir: str, query: str = DEFAULT_QUERY, k: int = 10):
             [batch["doc_id"], pa.array(micro)], names=["doc_id", "c"]
         )
 
-    from ray.data.aggregate import Sum
-
-    scored = (
-        cand.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("doc_id")
-        .aggregate(Sum("c", alias_name="score_micro"))
-    )
+    scored = grouped_agg(cand, "doc_id", {"score_micro": ("c", "sum")}, rows=score)
     return scored.sort(
         ["score_micro", "doc_id"], descending=[True, False]
     ).limit(k)

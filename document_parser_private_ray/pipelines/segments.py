@@ -21,7 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.readers import read_documents
-from .exchange import co_partition, sorted_runs
+from .exchange import co_partition, grouped_agg, sorted_runs
 
 
 def _as_array(col) -> pa.Array:
@@ -102,15 +102,13 @@ def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
     """Boilerplate removal, CCNet shape: segments appearing in >=
     ``min_df`` distinct documents are stripped from every document.
     Two corpus scans: (1) per-batch DISTINCT (seg, doc) partials ->
-    ONE groupby(seg) document-frequency sum — the shuffle moves
+    ONE ``grouped_agg`` document-frequency sum per seg — the shuffle moves
     per-batch partial counts, never raw rows; the surviving boilerplate
     set (only ultra-frequent segments, bounded like a stop-shingle set)
     is collected and the second scan closes over it; (2) that scan strips
     flagged segments with one ``pc.is_in`` per batch and rejoins the
     kept segments per document. Output: one row per non-empty document
     with exact removal counts and the cleaned text."""
-    from ray.data.aggregate import Sum
-
     docs = read_documents(sf_dir)
 
     def df_partials(batch: pa.Table) -> pa.Table:
@@ -122,11 +120,7 @@ def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
         g = per_doc.group_by("seg").aggregate([("doc_id", "count")])
         return g.rename_columns(["seg", "df"])
 
-    df = (
-        docs.map_batches(df_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("seg")
-        .aggregate(Sum("df", alias_name="df"))
-    )
+    df = grouped_agg(docs, "seg", {"df": ("df", "sum")}, rows=df_partials)
     boiler = df.map_batches(
         lambda b: b.filter(pc.greater_equal(b["df"], min_df)).select(["seg"]),
         batch_format="pyarrow",

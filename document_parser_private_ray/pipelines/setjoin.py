@@ -175,25 +175,8 @@ def ppjoin_pairs(
         batch_size=1024,
     )
 
-    # -- global document frequency per shingle: per-batch partials, then
-    # a tok-bucket co-partition + one vectorized pa group_by per bucket
-    # instead of groupby(tok).aggregate(Sum) — shingle vocab is
-    # corpus-scale and every tok repeats across many blocks, which is
-    # exactly the ~0.1 ms/key cross-block merge path the engine avoids
-    # (the cosupplier fix); same single exchange, no per-key cost
-    def partial_df(t: pa.Table) -> pa.Table:
-        tok, cnt = np.unique(t["tok"].to_numpy(zero_copy_only=False), return_counts=True)
-        return pa.Table.from_pydict(
-            {"tok": pa.array(tok, type=pa.int64()),
-             "df_part": pa.array(cnt.astype(np.int64), type=pa.int64())}
-        )
-
-    def sum_df_bucket(group: pa.Table) -> pa.Table:
-        g = group.group_by("tok").aggregate([("df_part", "sum")])
-        return g.rename_columns(["tok", "df"])
-
-    df_parts = postings.map_batches(partial_df, batch_format="pyarrow", zero_copy_batch=True)
-    dftab = co_partition({"df_parts": (df_parts, None)}, "tok", sum_df_bucket)
+    # -- global document frequency per shingle (one posting per doc)
+    dftab = grouped_agg(postings, "tok", {"df": (None, "count")})
 
     with_df = bucketed_join(postings, dftab, "tok", "tok")
 

@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import co_partition_pairs, grouped_agg, sorted_runs
+from .exchange import co_partition, grouped_agg, sorted_runs
 from .pairs import attach_pair_values, self_pairs
 
 
@@ -240,22 +240,13 @@ def embedding_neardup_lsh(
             a="id_a", b="id_b",
         ).select(["id_a", "id_b"])
 
-    def count_pair_bucket(group: pa.Table) -> pa.Table:
-        # candidate-pair collision counts are corpus-scale with keys
-        # repeated across LSH buckets: co-partition by pair hash and
-        # count with ONE vectorized group_by per bucket instead of
-        # groupby(id_a, id_b).Count's per-key cross-block merge
-        g = group.group_by(["id_a", "id_b"]).aggregate([([], "count_all")])
-        return g.rename_columns(["id_a", "id_b", "n_collisions"])
-
     banded = ds.map_batches(
         bucketize, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
     )
-    pairs = co_partition_pairs(
-        co_partition_pairs(banded, class_pairs, "bucket", "table"),
-        count_pair_bucket,
-        "id_a",
-        "id_b",
+    pairs = grouped_agg(
+        co_partition({"bands": (banded, None)}, ["bucket", "table"], class_pairs),
+        ["id_a", "id_b"],
+        {"n_collisions": (None, "count")},
     ).materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:

@@ -56,14 +56,7 @@ def dataset_split(sf_dir: str):
 
 def split_counts(sf_dir: str):
     """Rollup: documents per split (sanity check of the 80/10/10 shape)."""
-    from ray.data.aggregate import Count
-
-    return (
-        dataset_split(sf_dir)
-        .groupby("split")
-        .aggregate(Count(alias_name="n_docs"))
-        .sort("split")
-    )
+    return grouped_agg(dataset_split(sf_dir), "split", {"n_docs": (None, "count")}).sort("split")
 
 
 def sample_stratified(sf_dir: str, n_per_source: int = 10):
@@ -116,8 +109,6 @@ def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
     broadcasts them, and ONE shuffle on the range id ranks each bucket
     locally (range offset + position in the range's (h, doc_id)-sorted
     run, ``exchange.sorted_runs``). Only (doc_id, hash) ever moves."""
-    from ray.data.aggregate import Count
-
     salt = f":s{seed}"
 
     def hash_batch(batch: pa.Table) -> pa.Table:
@@ -145,7 +136,7 @@ def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
     hashed = _read_ids(sf_dir).map_batches(
         hash_batch, batch_format="pyarrow", zero_copy_batch=True
     )
-    counts = hashed.groupby("rng").aggregate(Count(alias_name="n")).take_all()
+    counts = grouped_agg(hashed, "rng", {"n": (None, "count")}).take_all()
     counts.sort(key=lambda r: r["rng"])
     offsets, acc = {}, 0
     for r in counts:

@@ -352,9 +352,7 @@ def doc_stopwords(sf_dir: str):
 
 def lang_histogram(sf_dir: str):
     """Corpus language histogram (groupby over the lang-ID output)."""
-    from ray.data.aggregate import Count
-
-    return doc_language(sf_dir).groupby("lang").aggregate(Count(alias_name="n_docs")).sort("lang")
+    return grouped_agg(doc_language(sf_dir), "lang", {"n_docs": (None, "count")}).sort("lang")
 
 
 class PIICounts:
@@ -444,8 +442,6 @@ def top_words(sf_dir: str, k: int = 50):
     count per batch with Arrow value_counts (partial aggregation BEFORE
     the shuffle — the combiner pattern: only (word, partial_n) rows move,
     never tokens), groupby-sum, deterministic (n desc, word) top-k."""
-    from ray.data.aggregate import Sum
-
     ds = read_documents(sf_dir)
 
     def partial_counts(batch: pa.Table) -> pa.Table:
@@ -463,9 +459,7 @@ def top_words(sf_dir: str, k: int = 50):
         )
 
     return (
-        ds.map_batches(partial_counts, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
-        .groupby("word")
-        .aggregate(Sum("n", alias_name="n"))
+        grouped_agg(ds, "word", {"n": ("n", "sum")}, rows=partial_counts, batch_size=4096)
         .sort(["n", "word"], descending=[True, False])
         .limit(k)
     )
@@ -478,8 +472,6 @@ def doc_length_percentiles(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
     discrete percentile from cumulative counts. At 100 TB the histogram
     is still tiny (distinct lengths), while a sort would shuffle every
     row."""
-    from ray.data.aggregate import Count
-
     ds = read_documents(sf_dir, columns=("doc_id", "text"))
 
     def lengths(batch: pa.Table) -> pa.Table:
@@ -488,9 +480,7 @@ def doc_length_percentiles(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
         )
 
     hist = (
-        ds.map_batches(lengths, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
-        .groupby("n_chars")
-        .aggregate(Count(alias_name="cnt"))
+        grouped_agg(ds, "n_chars", {"cnt": (None, "count")}, rows=lengths, batch_size=4096)
         .sort("n_chars")
         .take_all()
     )
@@ -659,8 +649,6 @@ def doc_length_percentiles_by_lang(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
     discrete percentile."""
     import math
 
-    from ray.data.aggregate import Count
-
     ds = read_documents(sf_dir, columns=("lang", "text"))
 
     def lengths(batch: pa.Table) -> pa.Table:
@@ -673,10 +661,8 @@ def doc_length_percentiles_by_lang(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
         )
 
     hist = (
-        ds.map_batches(lengths, batch_format="pyarrow", zero_copy_batch=True,
-                       batch_size=4096)
-        .groupby(["lang", "n_chars"])
-        .aggregate(Count(alias_name="cnt"))
+        grouped_agg(ds, ["lang", "n_chars"], {"cnt": (None, "count")}, rows=lengths,
+                    batch_size=4096)
         .sort(["lang", "n_chars"])
         .take_all()
     )  # <= strata x distinct lengths rows by construction
@@ -770,8 +756,6 @@ def length_mad_by_lang(sf_dir: str):
     (== SQL PERCENTILE_DISC)."""
     import math
 
-    from ray.data.aggregate import Count
-
     ds = read_documents(sf_dir, columns=("lang", "text"))
 
     def lengths(batch: pa.Table) -> pa.Table:
@@ -780,13 +764,9 @@ def length_mad_by_lang(sf_dir: str):
             names=["lang", "n_chars"],
         )
 
-    hist = (
-        ds.map_batches(lengths, batch_format="pyarrow", zero_copy_batch=True,
-                       batch_size=4096)
-        .groupby(["lang", "n_chars"])
-        .aggregate(Count(alias_name="cnt"))
-        .take_all()
-    )  # <= strata x distinct lengths rows by construction
+    hist = grouped_agg(
+        ds, ["lang", "n_chars"], {"cnt": (None, "count")}, rows=lengths, batch_size=4096
+    ).take_all()  # <= strata x distinct lengths rows by construction
     by_lang: dict = {}
     for r in hist:
         by_lang.setdefault(r["lang"], []).append((int(r["n_chars"]), int(r["cnt"])))
@@ -863,8 +843,6 @@ def split_length_ks(sf_dir: str):
     count histogram (bounded by splits x distinct lengths); the driver
     walks merged cumulative counts. Output: n_train, n_test, the
     integer numerator max and ks_micro."""
-    from ray.data.aggregate import Count
-
     from .splits import split_of
 
     ds = read_documents(sf_dir, columns=("doc_id", "text"))
@@ -878,12 +856,11 @@ def split_length_ks(sf_dir: str):
             }
         )
 
-    hist = (
-        ds.map_batches(lengths, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["split", "n_chars"])
-        .aggregate(Count(alias_name="cnt"))
-        .take_all()
-    )  # <= splits x distinct lengths rows by construction
+    hist = grouped_agg(
+        ds.map_batches(lengths, batch_format="pyarrow", zero_copy_batch=True),
+        ["split", "n_chars"],
+        {"cnt": (None, "count")},
+    ).take_all()  # <= splits x distinct lengths rows by construction
     tr: dict = {}
     te: dict = {}
     for r in hist:

@@ -11,7 +11,7 @@ Scale shape: the count is a classic partial-aggregate reduce —
   straight out of the Arrow string buffer as one numpy uint8 array
   (rows are space-terminated so no false cross-row pairs), pairs are
   the shifted-by-one overlay, and ``np.unique`` counts them;
-* the ONE exchange is a groupby over pair codes — at most 26x26=676
+* the ONE exchange is a ``grouped_agg`` over pair codes — at most 26x26=676
   distinct keys regardless of corpus size, so the shuffle is bounded
   by batches x alphabet^2, not by characters;
 * top-k is a sort+limit on the tiny aggregated table.
@@ -76,15 +76,15 @@ def _pair_partials(t: pa.Table) -> pa.Table:
 def bpe_pair_counts(sf_dir: str, top_k: int = 50):
     """Top-k in-word adjacent character pairs: ``pair`` (2-char
     string), ``n`` — ordered by count desc, pair asc."""
-    from ray.data.aggregate import Sum
-
     from ..sources.readers import read_documents
+    from .exchange import grouped_agg
 
-    agg = (
-        read_documents(sf_dir)
-        .map_batches(_pair_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pair_code")
-        .aggregate(Sum("n", alias_name="n"))
+    agg = grouped_agg(
+        read_documents(sf_dir).map_batches(
+            _pair_partials, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "pair_code",
+        {"n": ("n", "sum")},
     )
 
     def decode(t: pa.Table) -> pa.Table:

@@ -63,129 +63,70 @@ def test_no_actor_pool_map_batches():
     assert bad == []
 
 
-# -- one grouped-aggregate layer ---------------------------------------------
+# -- one grouped aggregate ----------------------------------------------------
 
-GROUPED_AGG = "document_parser_private_ray/pipelines/exchange.py::grouped_agg"
-# hand-written partials kept outside ``exchange.grouped_agg``, with why
-ALLOWED_PARTIALS = {
-    "document_parser_private_ray/pipelines/joins.py::q3_shipping_priority.line_revenue_partial": (
-        "Bloom-prunes the per-order partial before its exchange"
+EXCHANGE = "document_parser_private_ray/pipelines/exchange.py"
+# Ray ``.groupby(`` calls allowed outside the exchange, with why: each is a
+# per-natural-key ``map_groups`` whose kernel needs exactly one key per
+# call, not a bucket exchange
+ALLOWED_GROUPBYS = {
+    "document_parser_private_ray/pipelines/relational.py::customer_balance_quartiles": (
+        "per-nation NTILE: one nation's balances ranked per call"
     ),
-    "document_parser_private_ray/pipelines/segments.py::remove_boilerplate.df_partials": (
-        "distinct (segment, doc) pairs first, then a count"
+    "document_parser_private_ray/pipelines/semdedup.py::semdedup": (
+        "one similarity matrix per k-means cluster"
     ),
-    "document_parser_private_ray/pipelines/relational.py::events_hourly_users.dedup_partial": (
-        "a distinct partial (no aggregate), merged by a Count"
+    "document_parser_private_ray/pipelines/cardinality.py::vocab_kmv_by_source": (
+        "per-source KMV finalize: one source's partial minima per call"
     ),
 }
 
 
-def _is_arrow_agg(node) -> bool:
-    # ``<x>.group_by(...).aggregate(...)``
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "aggregate"
-        and isinstance(node.func.value, ast.Call)
-        and isinstance(node.func.value.func, ast.Attribute)
-        and node.func.value.func.attr == "group_by"
-    )
+def _grouped_aggregates(root: str = ROOT):
+    """``(ray.data.aggregate imports, Ray .groupby( calls outside the
+    exchange)``, each a list of ``path:line`` / ``(path::function,
+    line)``. The package has no pandas ``groupby``; Arrow spells it
+    ``group_by``."""
+    imports, groupbys = [], []
+    for path, tree in _sources(root).items():
+        owner = _innermost(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                names = []
+            if any(n == "ray.data.aggregate" or n.startswith("ray.data.aggregate.") for n in names):
+                imports.append(f"{path}:{node.lineno}")
+            if (
+                path != EXCHANGE
+                and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "groupby"
+            ):
+                groupbys.append((f"{path}::{owner[node]}", node.lineno))
+    return imports, groupbys
 
 
-def _spine_hits(expr, names: set) -> bool:
-    """Whether ``expr``'s receiver chain (method calls, attributes,
-    subscripts) runs through an Arrow group-by aggregate or a name
-    bound to one."""
-    while True:
-        if _is_arrow_agg(expr) or (isinstance(expr, ast.Name) and expr.id in names):
-            return True
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
-            expr = expr.func.value
-        elif isinstance(expr, (ast.Attribute, ast.Subscript)):
-            expr = expr.value
-        else:
-            return False
-
-
-def _ends_in_arrow_agg(fn: ast.FunctionDef) -> bool:
-    """The function's last statement returns an Arrow group-by aggregate,
-    directly or through names bound to one (renames, re-packing)."""
-    bound: set = set()
-    for stmt in fn.body:
-        if isinstance(stmt, ast.Assign) and _spine_hits(stmt.value, bound):
-            bound |= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
-    last = fn.body[-1]
-    if not (isinstance(last, ast.Return) and last.value is not None):
-        return False
-    return any(
-        _is_arrow_agg(n) or (isinstance(n, ast.Name) and n.id in bound)
-        for n in ast.walk(last.value)
-    )
-
-
-def _feeds_ray_groupby(call: ast.Call, parents: dict, scope) -> bool:
-    """``call``'s dataset reaches ``.groupby(...).aggregate(...)``: chained
-    on it directly, or through the name it is assigned to."""
-    up = parents.get(call)
-    if isinstance(up, ast.Attribute) and up.attr == "groupby":
-        return True
-    if isinstance(up, ast.Assign):
-        names = {t.id for t in up.targets if isinstance(t, ast.Name)}
-        return any(
-            isinstance(n, ast.Attribute)
-            and n.attr == "groupby"
-            and isinstance(n.value, ast.Name)
-            and n.value.id in names
-            for n in ast.walk(scope)
-        )
-    return False
-
-
-def _hand_rolled_partials():
-    found = []
-    for path, tree in _sources().items():
-        parents = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
-        for scope in ast.walk(tree):
-            if not isinstance(scope, ast.FunctionDef):
-                continue
-            if f"{path}::{scope.name}" == GROUPED_AGG:
-                continue
-            local = {s.name: s for s in scope.body if isinstance(s, ast.FunctionDef)}
-            for node in ast.walk(scope):
-                if not isinstance(node, ast.Call):
-                    continue
-                if isinstance(node.func, ast.Attribute) and node.func.attr == "map_batches":
-                    fn = node.args[0] if node.args else None
-                elif isinstance(node.func, ast.Name) and node.func.id == "co_partition":
-                    fn = node.args[2] if len(node.args) > 2 else None
-                else:
-                    continue
-                if not (isinstance(fn, ast.Name) and fn.id in local):
-                    continue
-                if _ends_in_arrow_agg(local[fn.id]) and _feeds_ray_groupby(
-                    node, parents, scope
-                ):
-                    found.append(f"{path}::{scope.name}.{fn.id}")
-    return found
-
-
-def test_no_hand_rolled_grouped_partials():
-    """A function handed to ``map_batches`` or ``co_partition`` that ends
-    in a pyarrow ``.group_by(...).aggregate(...)`` whose dataset feeds a
-    Ray ``.groupby(...).aggregate(...)`` is the two-phase grouped
-    aggregate ``exchange.grouped_agg`` owns; only the partials named in
-    ``ALLOWED_PARTIALS`` (not plain per-key aggregates) stay by hand."""
-    found = _hand_rolled_partials()
-    assert sorted(set(found) - set(ALLOWED_PARTIALS)) == []
-    # every allowance still names a live partial
-    assert sorted(set(ALLOWED_PARTIALS) - set(found)) == []
+def test_one_grouped_aggregate():
+    """Every grouped aggregate is ``exchange.grouped_agg``, merged through
+    ``co_partition``: no module imports ``ray.data.aggregate``, and no
+    Ray ``.groupby(`` runs outside ``exchange.py`` except the
+    per-natural-key ``map_groups`` sites named in ``ALLOWED_GROUPBYS``."""
+    imports, groupbys = _grouped_aggregates()
+    assert imports == []
+    sites = {name for name, _ in groupbys}
+    assert sorted(sites - set(ALLOWED_GROUPBYS)) == []
+    # every allowance still names a live call
+    assert sorted(set(ALLOWED_GROUPBYS) - sites) == []
 
 
 # -- one sorted-run layer ----------------------------------------------------
 
 SORTS = {"lexsort", "sort_indices", "sort_by"}
 # positional index of each exchange layer's ``kernel`` argument
-KERNEL_ARG = {"co_partition": 2, "co_partition_pairs": 1, "sorted_runs": 3}
+KERNEL_ARG = {"co_partition": 2, "sorted_runs": 3}
 # bucket kernels allowed to sort by hand, with why (a kernel that sorts
 # its bucket by key and order columns to find key runs belongs on
 # ``exchange.sorted_runs``). Outside this guard's reach, and staying as

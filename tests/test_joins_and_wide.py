@@ -284,23 +284,47 @@ def test_co_partition_zero_row_block_side(ray_session):
     assert sorted(out["v"].to_pylist()) == [1, 3, 7, 9]
 
 
+def _grouped_agg_blocks(case):
+    import pyarrow as pa
+
+    if case == "null_keys_float":
+        # dyadic values: every summation order gives the same double
+        return [
+            pa.table({"k": ["a", None, "a", "b"], "g": [1, None, 1, None],
+                      "v": [0.25, 1.5, None, -2.0]}),
+            pa.table({"k": pa.array([], pa.string()), "g": pa.array([], pa.int64()),
+                      "v": pa.array([], pa.float64())}),
+            pa.table({"k": [None, "b", None, "a"], "g": [None, None, 3, 1],
+                      "v": [0.125, 1024.5, 8.0, 3.75]}),
+        ]
+    if case == "empty":
+        return [pa.table({"k": pa.array([], pa.string()), "g": pa.array([], pa.int64()),
+                          "v": pa.array([], pa.int64())})] * 3
+    return [
+        pa.table({"k": ["a", "b", "a", "c"], "g": [1, 1, 1, 2], "v": [5, None, 7, -1]}),
+        pa.table({"k": pa.array([], pa.string()), "g": pa.array([], pa.int64()),
+                  "v": pa.array([], pa.int64())}),
+        pa.table({"k": ["b", "a", "c", "c", "b"], "g": [1, 1, 2, 3, 1], "v": [2, 3, None, 4, 9]}),
+    ]
+
+
+@pytest.mark.parametrize("case", ["ints", "null_keys_float", "empty"])
 @pytest.mark.parametrize("derive", [False, True])
-def test_grouped_agg_matches_one_arrow_group_by(ray_session, derive):
+def test_grouped_agg_matches_one_arrow_group_by(ray_session, derive, case):
     """Partial-per-batch then merge equals one ``pa.Table.group_by`` over
-    the whole table, across several blocks (one empty), null values,
-    and both the ``rows=`` and the ``rows=None`` path."""
+    the whole table, on (string, int) keys, across several blocks (one
+    empty), null values, a null key group and a float sum, and both the
+    ``rows=`` and the ``rows=None`` path. An all-empty input comes back
+    as no block at all (zero rows, no schema): the exchange's sort turns
+    zero-row blocks into schema-less ones and the merge kernel never
+    runs."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
     from document_parser_private_ray.pipelines.exchange import grouped_agg
 
-    blocks = [
-        pa.table({"k": ["a", "b", "a", "c"], "g": [1, 1, 1, 2], "v": [5, None, 7, -1]}),
-        pa.table({"k": pa.array([], pa.string()), "g": pa.array([], pa.int64()),
-                  "v": pa.array([], pa.int64())}),
-        pa.table({"k": ["b", "a", "c", "c", "b"], "g": [1, 1, 2, 3, 1], "v": [2, 3, None, 4, 9]}),
-    ]
+    blocks = _grouped_agg_blocks(case)
 
     def doubled(t: pa.Table) -> pa.Table:
         return t.append_column("x", pc.multiply(t["v"], 2))
@@ -313,16 +337,47 @@ def test_grouped_agg_matches_one_arrow_group_by(ray_session, derive):
         "s": (col, "sum"), "n": (col, "count"), "rows": (None, "count"),
         "lo": (col, "min"), "hi": (col, "max"),
     }
-    out = _table(grouped_agg(
+    out = grouped_agg(
         rd.from_arrow(blocks), ["k", "g"], aggs, rows=doubled if derive else None,
         batch_size=2 if derive else None,
-    ))
+    )
+    if case == "empty":
+        assert list(out.iter_batches(batch_format="pyarrow", batch_size=None)) == []
+        assert out.schema() is None
+        return
+    out = _table(out)
     exp = full.group_by(["k", "g"]).aggregate(
         [(col, "sum"), (col, "count"), ([], "count_all"), (col, "min"), (col, "max")]
     ).rename_columns(["k", "g", *aggs])
-    assert out.column_names == ["k", "g", *aggs]
+    assert out.schema == exp.schema
     cols = out.column_names
-    assert _sorted_rows(out, cols) == _sorted_rows(exp, cols)
+    key = lambda r: tuple((x is None, x) for x in r)  # noqa: E731 - nulls sort last
+    assert sorted(zip(*(out[c].to_pylist() for c in cols)), key=key) == sorted(
+        zip(*(exp[c].to_pylist() for c in cols)), key=key
+    )
+
+
+def test_bucket_ids_null_keys_without_warnings():
+    """Null keys get a defined bucket, with warnings as errors: an int
+    null buckets as 0, a string null as the empty string, in one column
+    and in a (string, int) key."""
+    import warnings
+
+    import pyarrow as pa
+
+    from document_parser_private_ray.pipelines.exchange import bucket_ids
+
+    ints = pa.array([1, None, 7, 0])
+    strs = pa.chunked_array([["a", None], ["", "a"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bucket_ids(ints, 4).to_pylist() == [1, 0, 3, 0]
+        s = bucket_ids(strs, 4).to_pylist()
+        pair = bucket_ids([strs, ints], 4).to_pylist()
+    assert s[1] == s[2] and s[0] == s[3]
+    # (None, 0) and ("", 0) are the same key hash
+    assert pair[1] == bucket_ids([pa.array([""]), pa.array([0])], 4).to_pylist()[0]
+    assert all(0 <= b < 4 for b in s + pair)
 
 
 SORTED_RUNS_CASES = {
