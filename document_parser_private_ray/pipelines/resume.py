@@ -10,52 +10,62 @@ mapped ``ParseDocuments`` instance ships as its constructor arguments
 (warm caches as one ``ray.put`` ref) and each worker process keeps the
 oracle it built in a per-process slot (``stages.parse``), so imports,
 ontologies and seeded memos are paid once per worker, not once per job.
-A task map also fuses with the following write into one
-``MapBatches(ParseDocuments)->Write`` operator.
+A task map also fuses with the read before it and the write after it.
 
 Sizing: documents are heavy-tailed (FIXTURES §1), but in a short job
-the fixed cost of each task and the CPUs left idle while the scan
-streams cost more than the tail. ``read_corpus`` asks for
-``SPANS_READ_PER_CPU`` read blocks per cluster CPU, each fused
-parse->write task takes one read block, and the map runs under
-``stages.lift_reservation``. On a 6,000-doc corpus split into 2 to 40
-files (4 CPUs, ``PERF_pr11_blocks_by_files.json``), 2 blocks per CPU
-was 6-22% faster than Ray's default block count at every file count;
-1 per CPU lost 10% at 5 files, and 3 and 4 per CPU gained less. On
-the ``resume_stream`` benchmark (12 or 13 files) that is 8 tasks per
-job instead of 25 behind a ``SplitBlocks(2)`` read.
+the fixed cost of each stage and task and the last straggler set the
+wall. ``read_corpus`` plans ``stages.width()`` read tasks, one per
+cluster CPU, over row ranges of the corpus that differ by at most one
+row (a range may span files), and the parse sets no ``batch_size``, so
+each job is one balanced
+``ReadParquet->MapBatches(ParseDocuments)->Write`` task per CPU, run
+under ``stages.lift_reservation``. On the ``resume_stream`` benchmark
+(12 files of 500 rows plus one of a few rows, 4 CPUs) that is 4 tasks
+of about 1,500 rows per job instead of 8 file-grouped read tasks of a
+few to 1,000 rows feeding 8 separate parse tasks: 7,436 -> 9,048
+docs/s, median of 10 alternating pairs, 10/10 wins
+(``PERF_pr18_bench_pairs.json``).
 """
 
 from __future__ import annotations
 
+import glob
+import os
 from typing import Optional
 
 import pyarrow.compute as pc
 
-from ..stages import SPANS_READ_PER_CPU, lift_reservation, width
+from ..stages import lift_reservation
 from ..stages.parse import ParseDocuments
 
 
 def read_corpus(path, columns=("doc_id", "spans")):
-    """Read the spans table from a path or a list of parquet files: the
-    one read of it in the package. Prefers Lance when available (the
-    logical format of the north rule); falls back to Parquet (sandbox
-    physical format — no pylance wheel offline, SURVEY §1.5).
+    """Read the spans table from a path (a directory of parquet files,
+    or one file) or a list of parquet files: the one read of it in the
+    package. Prefers Lance when available (the logical format of the
+    north rule); falls back to Parquet (sandbox physical format — no
+    pylance wheel offline, SURVEY §1.5).
 
-    The parquet read asks for ``width(SPANS_READ_PER_CPU)`` blocks
-    instead of Ray's default: a narrow corpus is split and a wide one
-    merged to that count, and Ray's own ``target_max_block_size`` cap
-    still splits a read block that would grow past the target. Measured
-    on 4 CPUs over 2 to 40 files (``PERF_pr11_blocks_by_files.json``):
-    +6% to +22% docs/s against Ray's default at each file count. On the
-    ``resume_stream`` benchmark that is 8 blocks with no ``SplitBlocks``."""
-    import ray.data as rd
-
+    The parquet read is ``sources.readers.read_table`` over the files
+    in sorted order (a directory's ``*.parquet`` files; markers and
+    caches beside them are skipped): ``stages.width()`` read tasks
+    planned from the footers, each a row range of the corpus taken end
+    to end, their row counts differing by at most one. No task splits
+    its output, so each fuses with a following map that sets no
+    ``batch_size``."""
     if isinstance(path, str) and path.endswith(".lance"):
+        import ray.data as rd
+
         return rd.read_lance(path, columns=list(columns))
-    return rd.read_parquet(
-        path, columns=list(columns), override_num_blocks=width(SPANS_READ_PER_CPU)
-    )
+    from ..sources.readers import read_table
+
+    if not isinstance(path, str):
+        files = sorted(path)
+    elif os.path.isdir(path):
+        files = sorted(glob.glob(os.path.join(path, "*.parquet")))
+    else:
+        files = [path]
+    return read_table(files, list(columns))
 
 
 def parse_resumes(
@@ -71,9 +81,10 @@ def parse_resumes(
     """Attach the parse chain to a spans Dataset as a task map, one
     task per input block (``read_corpus`` sizes them), under
     ``stages.lift_reservation``: the read is a cheap scan and the parse
-    is CPU-bound. With both, the ``resume_stream`` benchmark (6,000
-    docs, 4 CPUs) went from 1,833 to 2,794 docs/s and from 1.40 to 1.19
-    CPU ms per doc (medians of 10 alternating pairs, 10/10 wins each).
+    is CPU-bound. The map sets no ``batch_size``, so Ray fuses it with
+    the read before it and the write after it; ``ParseDocuments`` parses
+    each block in ``batch_size``-row slices, which bounds the per-row
+    Python objects a task holds at once, and returns one table.
 
     ``warm_caches``: pure-function memo caches (fuzzy decisions, line
     classifications, date parses — ``DocumentOracle.warm`` builds them
@@ -91,12 +102,11 @@ def parse_resumes(
         if not isinstance(warm_caches, ray.ObjectRef):
             warm_caches = ray.put(warm_caches)
     stage = ParseDocuments(
-        data_dir=data_dir, today=today, with_pii=with_pii, warm_caches=warm_caches
+        data_dir=data_dir, today=today, with_pii=with_pii, warm_caches=warm_caches,
+        batch_size=batch_size,
     )
     return lift_reservation(
-        ds.map_batches(
-            stage, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
-        )
+        ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
     )
 
 

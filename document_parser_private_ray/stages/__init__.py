@@ -4,32 +4,27 @@ chain shares: ``lift_reservation`` (a scan feeding a CPU-bound map) and
 exchange makes)."""
 
 # blocks and buckets per cluster CPU of every exchange and every table
-# read: of 1, 2 and 4 per CPU, 1 gave the lowest total wall on
-# the 120 contract queries that reach an exchange, at sf0.01 and sf0.1
-# (PERF_pr13_width_sweep.json)
+# read, the spans read included (there each block is one fused
+# read->parse->write task over a balanced row range of the corpus,
+# PERF_pr18_bench_pairs.json): of 1, 2 and 4 per CPU, 1 gave the lowest
+# total wall on the 120 contract queries that reach an exchange, at
+# sf0.01 and sf0.1 (PERF_pr13_width_sweep.json)
 EXCHANGE_PER_CPU = 1
-# blocks per cluster CPU of the spans read, where each block is one
-# fused parse->write task: of 1-4 per CPU, the one faster than Ray's
-# default at every file count from 2 to 40 (PERF_pr11_blocks_by_files.json)
-SPANS_READ_PER_CPU = 2
 
 
-def width(per_cpu: int | None = None) -> int:
-    """The one exchange width: ``per_cpu`` (default
-    ``EXCHANGE_PER_CPU``) x cluster CPUs.
+def width() -> int:
+    """The one exchange width: ``EXCHANGE_PER_CPU`` x cluster CPUs.
 
     Read on the driver when a plan is built: the bucket count of every
     exchange (``exchange.co_partition`` and the layers on it) and the
     block count of every table read (``sources.readers.read_table``,
-    and ``resume.read_corpus`` at ``SPANS_READ_PER_CPU``). Starts a
-    local Ray session if none is running, as a read would on its own."""
+    which ``resume.read_corpus`` reads the spans corpus through). Starts
+    a local Ray session if none is running, as a read would on its own."""
     import ray
 
     if not ray.is_initialized():
         ray.init()
-    if per_cpu is None:
-        per_cpu = EXCHANGE_PER_CPU
-    return per_cpu * int(ray.cluster_resources().get("CPU", 1))
+    return EXCHANGE_PER_CPU * int(ray.cluster_resources().get("CPU", 1))
 
 
 def lift_reservation(ds):

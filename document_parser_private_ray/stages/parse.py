@@ -73,7 +73,12 @@ class ParseDocuments:
     ``warm_caches``: a dict of memo caches (``DocumentOracle.warm``)
     gives the instance its own oracle, built here; an ObjectRef to such
     a dict, or None, takes the process slot's oracle on first use, so
-    the pickled instance is only its constructor arguments."""
+    the pickled instance is only its constructor arguments.
+
+    ``batch_size``: a call parses its table in slices of that many rows
+    (all at once when None) and returns one table, so a whole read block
+    can be mapped while the per-row Python objects held at once stay
+    those of one slice."""
 
     def __init__(
         self,
@@ -82,12 +87,14 @@ class ParseDocuments:
         with_pii: bool = False,
         pii_config: Optional[dict] = None,
         warm_caches=None,
+        batch_size: Optional[int] = None,
     ):
         self.config = dict(
             data_dir=data_dir, today=today, with_pii=with_pii, pii_config=pii_config
         )
         self.with_pii = with_pii or pii_config is not None
         self.schema = PARSED_PII_SCHEMA if self.with_pii else PARSED_SCHEMA
+        self.batch_size = batch_size
         self.warm_ref = None
         self._oracle = None
         if isinstance(warm_caches, dict):
@@ -111,6 +118,14 @@ class ParseDocuments:
         return worker_state("parse", key, build)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        step = self.batch_size or batch.num_rows
+        if batch.num_rows <= step:
+            return self._parse(batch)
+        return pa.concat_tables(
+            [self._parse(batch.slice(o, step)) for o in range(0, batch.num_rows, step)]
+        )
+
+    def _parse(self, batch: pa.Table) -> pa.Table:
         import numpy as np
 
         from ..schemas import OUT_SPAN_TYPE, PII_ENTRY_TYPE, RESUME_TYPE
@@ -321,7 +336,7 @@ def detect_sections(spans):
     replays the line-state machine can hash-compare it without
     nested-type stringification skew."""
     return (
-        spans.map_batches(DetectSectionsStage(), batch_format="pyarrow", batch_size=64)
+        spans.map_batches(DetectSectionsStage(), batch_format="pyarrow")
         .map_batches(_flatten_sections, batch_format="pyarrow", zero_copy_batch=True)
         .sort(["doc_id", "sec_idx"])
     )

@@ -311,29 +311,25 @@ def test_one_spans_read_and_one_reservation_rule():
 # -- one exchange-width rule -------------------------------------------------
 
 WIDTH_READERS = {
-    "document_parser_private_ray/pipelines/resume.py::read_corpus",
     "document_parser_private_ray/sources/readers.py::read_table",
 }
 WIDTH_NAMES = {"n_buckets", "num_blocks", "num_read_blocks"}
 # positional arity of the exchange layers; one more argument is a width
 EXCHANGE_ARITY = {"co_partition": 3, "sorted_runs": 4}
-# the per-CPU constants of ``stages`` a width may be taken at
-RULE_CONSTANTS = {"EXCHANGE_PER_CPU", "SPANS_READ_PER_CPU"}
 # widths allowed off the rule, with why (none)
 ALLOWED_WIDTHS: set = set()
 
 
 def _is_rule_call(node) -> bool:
-    """``width()`` or ``stages.width()``, bare or at a named per-CPU
-    constant of the rule's module (``width(SPANS_READ_PER_CPU)``)."""
+    """``width()`` or ``stages.width()``, called bare."""
     return (
         isinstance(node, ast.Call)
         and not node.keywords
+        and not node.args
         and (
             (isinstance(node.func, ast.Name) and node.func.id == "width")
             or (isinstance(node.func, ast.Attribute) and node.func.attr == "width")
         )
-        and all(ast.unparse(a).split(".")[-1] in RULE_CONSTANTS for a in node.args)
     )
 
 
@@ -397,7 +393,7 @@ def test_one_exchange_width_rule():
     modulus of ``exchange.bucket_ids`` is ``n``), no width argument to
     ``co_partition`` / ``sorted_runs``, no ``repartition``,
     ``bucket_ids`` modulus or ``override_num_blocks=`` off the rule, no
-    ``override_num_blocks=`` outside the rule's two readers, and no
+    ``override_num_blocks=`` outside the rule's reader (``read_table``), and no
     width kwarg in ``QUERY_TABLE``."""
     assert [f for f in _width_offenders() if f[0] not in ALLOWED_WIDTHS] == []
 

@@ -300,34 +300,34 @@ def test_back_to_back_jobs_identical_rows(ray_session, corpus_path, with_pii):
 
 
 def test_parse_fuses_with_write(ray_session, corpus_path, many_files, tmp_path):
-    """The parse is a task map, so Ray fuses it with the write. On a
-    corpus with more files than the read asks blocks for, each fused
-    task parses and writes one read block: as many tasks and part files
-    as read blocks, and no SplitBlocks."""
-    import re
-
+    """The parse is a task map that sets no ``batch_size``, so Ray fuses
+    it with the read before it and the write after it. On a corpus with
+    fewer files than cluster CPUs and on one with more, each job is one
+    ``ReadParquet->MapBatches(ParseDocuments)->Write`` task per CPU
+    (``width()``), each writing one part file, and no SplitBlocks."""
     from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
+    from document_parser_private_ray.stages import width
 
-    parsed = parse_resumes(read_corpus(corpus_path), batch_size=16)
-    parsed.write_parquet(str(tmp_path / "out"))
-    assert "MapBatches(ParseDocuments)->Write" in parsed.stats()
-
-    blocks = read_corpus(many_files).materialize().num_blocks()
-    parsed = parse_resumes(read_corpus(many_files), batch_size=16)
-    parsed.write_parquet(str(tmp_path / "many"))
-    stats = parsed.stats()
-    assert "SplitBlocks" not in stats
-    tasks = re.search(r"MapBatches\(ParseDocuments\)->Write: (\d+) tasks", stats)
-    assert int(tasks.group(1)) == blocks
-    assert len(os.listdir(tmp_path / "many")) == blocks
+    assert len(os.listdir(corpus_path)) < width() < len(os.listdir(many_files))
+    for corpus, out in ((corpus_path, "out"), (many_files, "many")):
+        parsed = parse_resumes(read_corpus(corpus), batch_size=16)
+        parsed.write_parquet(str(tmp_path / out))
+        stats = parsed.stats()
+        assert "SplitBlocks" not in stats
+        assert (
+            f"ReadParquet->MapBatches(ParseDocuments)->Write: {width()} tasks executed"
+            in stats
+        )
+        assert len(os.listdir(tmp_path / out)) == width()
 
 
 def test_read_corpus_sizes_blocks_to_the_cluster(ray_session, many_files):
-    """read_corpus asks for SPANS_READ_PER_CPU x cluster CPUs blocks. On a
-    corpus with more files than that it makes exactly that many, with no
-    SplitBlocks and none past the target; a tiny target raises the
-    count through Ray's own block cap (which slices by average row size,
-    so there a block of a few heavy rows can still pass the target)."""
+    """read_corpus makes ``width()`` blocks, one per cluster CPU. On a
+    corpus with more files than that it makes exactly that many, their
+    row counts differing by at most one, with no SplitBlocks and none
+    past the target; a tiny target raises the count through Ray's own
+    block cap on the read's output (which slices by average row size, so
+    there a block of a few heavy rows can still pass the target)."""
     import ray
     from ray.data import DataContext
 
@@ -338,13 +338,14 @@ def test_read_corpus_sizes_blocks_to_the_cluster(ray_session, many_files):
         return [m.size_bytes for b in ds.iter_internal_ref_bundles() for _, m in b.blocks]
 
     ctx = DataContext.get_current()
-    per_cpu = stages.width(stages.SPANS_READ_PER_CPU)
-    # the spans read stays at 2 blocks per CPU (PERF_pr11_blocks_by_files.json)
-    assert per_cpu == 2 * int(ray.cluster_resources()["CPU"])
+    per_cpu = stages.width()
+    assert per_cpu == int(ray.cluster_resources()["CPU"])
     assert len(os.listdir(many_files)) > per_cpu
 
     ds = resume.read_corpus(many_files).materialize()
     assert ds.num_blocks() == per_cpu
+    rows = [m.num_rows for b in ds.iter_internal_ref_bundles() for _, m in b.blocks]
+    assert max(rows) - min(rows) <= 1
     assert "SplitBlocks" not in ds.stats()
     assert ds.count() == MANY_DOCS
     assert max(sizes(ds)) <= ctx.target_max_block_size

@@ -1,4 +1,4 @@
-"""``sources/readers.read_table``: one parquet file read as
+"""``sources/readers.read_table``: one parquet file (or a list) read as
 ``stages.width()`` read tasks planned from its footer, compared with
 ``pyarrow.parquet.read_table`` (values, row count, metadata-free schema)."""
 
@@ -156,3 +156,106 @@ def test_html_spans_has_no_split_blocks(ray_session, tmp_path):
         f"ReadParquet->MapBatches(_render_batch)->MapBatches(HtmlMainContent): "
         f"{width()} tasks executed" in stats
     )
+
+
+# -- the spans corpus: a list of files read as balanced row ranges ------------
+
+
+def _ranges(tmp_path, sizes):
+    """One parquet file per row count in ``sizes``, doc ids running on
+    across the files in name order."""
+    paths, start = [], 0
+    for k, n in enumerate(sizes):
+        paths.append(str(tmp_path / f"part-{k:03d}.parquet"))
+        pq.write_table(_table(start + n).slice(start, n), paths[-1])
+        start += n
+    return paths
+
+
+def test_file_list_is_width_balanced_row_ranges(ray_session, tmp_path):
+    """Files of 5, 1, 0 and 7 rows, listed out of order: ``width()``
+    blocks whose row counts differ by at most one (ranges cross file
+    boundaries), holding the files' rows end to end in sorted order."""
+    from document_parser_private_ray.pipelines.resume import read_corpus
+    from document_parser_private_ray.stages import width
+
+    paths = _ranges(tmp_path, [5, 1, 0, 7])
+    assert [pq.read_metadata(p).num_rows for p in paths] == [5, 1, 0, 7]
+    columns = ["doc_id", "text", "score"]
+    blocks = _blocks(read_corpus(paths[::-1], columns))
+    assert len(blocks) == width()
+    rows = [b.num_rows for b in blocks]
+    assert max(rows) - min(rows) <= 1
+    for b in blocks:
+        assert b.schema.metadata is None
+    want = pa.concat_tables(
+        [pq.read_table(p).replace_schema_metadata(None) for p in sorted(paths)]
+    )
+    got = pa.concat_tables(sorted(blocks, key=lambda b: b["doc_id"][0].as_py()))
+    assert got.equals(want)
+
+
+def test_directory_reads_its_parquet_files_only(ray_session, tmp_path):
+    """A corpus directory's markers and caches beside its parquet files
+    are not read: the directory reads as the list of its files."""
+    import os
+
+    from document_parser_private_ray.pipelines.resume import read_corpus
+
+    paths = _ranges(tmp_path, [3, 1, 0, 6])
+    (tmp_path / "_COMPLETE").write_text("ok\n")
+    (tmp_path / "_warm-4.pkl").write_bytes(b"\x80\x04N.")
+    assert len(os.listdir(tmp_path)) == len(paths) + 2
+    columns = ["doc_id", "text", "score"]
+
+    def rows(ds):
+        return pa.concat_tables(_blocks(ds)).sort_by("doc_id")
+
+    assert rows(read_corpus(str(tmp_path), columns)).equals(rows(read_corpus(paths, columns)))
+    assert read_corpus(str(tmp_path), columns).count() == 10
+
+
+def test_zero_row_corpus_parses_to_zero_rows(ray_session, tmp_path):
+    """A corpus whose files all hold no rows reads as a typed empty
+    dataset, and its parse writes no rows without raising."""
+    import os
+
+    from document_parser_private_ray.pipelines.resume import parse_resumes, read_corpus
+    from document_parser_private_ray.schemas import INPUT_SCHEMA
+
+    src = tmp_path / "spans"
+    src.mkdir()
+    for k in range(3):
+        pq.write_table(INPUT_SCHEMA.empty_table(), str(src / f"part-{k}.parquet"))
+    ds = read_corpus(str(src))
+    assert ds.count() == 0
+    assert ds.schema().base_schema == INPUT_SCHEMA.remove_metadata()
+
+    out = tmp_path / "out"
+    parse_resumes(read_corpus(str(src))).write_parquet(str(out))
+    files = os.listdir(out) if out.exists() else []
+    assert sum(pq.read_metadata(str(out / f)).num_rows for f in files) == 0
+
+
+def test_parse_documents_slices_a_block():
+    """No Ray: a block of 3 x ``batch_size`` rows, a poison document in
+    the second slice, parses to the same table as three calls on its
+    slices, the error row in its original position."""
+    from document_parser_private_ray.schemas import INPUT_SCHEMA
+    from document_parser_private_ray.sources.corpus import generate_batch
+    from document_parser_private_ray.stages.parse import ParseDocuments
+
+    step = 4
+    rows = generate_batch(range(3 * step), seed=42).to_pylist()
+    rows[step + 1]["spans"] = [{"kind": "text", "text": None, "media_ref": "", "offset": 0}]
+    block = pa.Table.from_pylist(rows, schema=INPUT_SCHEMA)
+
+    got = ParseDocuments(batch_size=step)(block)
+    stage = ParseDocuments()
+    want = pa.concat_tables([stage(block.slice(o, step)) for o in range(0, 3 * step, step)])
+    assert got.num_rows == 3 * step
+    assert got.equals(want)
+    errors = got["error"].to_pylist()
+    assert errors[step + 1].startswith("TypeError")
+    assert [e for k, e in enumerate(errors) if k != step + 1] == [""] * (3 * step - 1)
+    assert got["doc_id"].to_pylist() == block["doc_id"].to_pylist()
