@@ -55,6 +55,10 @@ def ensure_corpus(n_docs: int) -> str:
     return path
 
 
+def _warm_cache_path(corpus_path: str, n_docs: int = 4000) -> str:
+    return os.path.join(corpus_path, f"_warmcache-{n_docs}.pkl")
+
+
 def full_warm_caches(corpus_path: str, n_docs: int = 4000):
     """Build (or load) the saturated pure-function cache for this corpus:
     one driver-side oracle pass over a deterministic sample, persisted
@@ -64,7 +68,7 @@ def full_warm_caches(corpus_path: str, n_docs: int = 4000):
     warm-up transient from the scaling measurement (see BASELINE.md)."""
     import pickle
 
-    cache_path = os.path.join(corpus_path, f"_warmcache-{n_docs}.pkl")
+    cache_path = _warm_cache_path(corpus_path, n_docs)
     if os.path.exists(cache_path):
         with open(cache_path, "rb") as f:
             return pickle.load(f)
@@ -215,73 +219,34 @@ def main_plain():
     print(json.dumps(compact))
 
 
-_MP_STATE = {}
-
-
-def _mp_init(corpus_path: str):
-    """Control-worker init: the identical parse stage, warm caches
-    seeded from the same persisted file the Ray workers use."""
-    from document_parser_private_ray.stages.parse import ParseDocuments
-
-    _MP_STATE["stage"] = ParseDocuments(warm_caches=full_warm_caches(corpus_path))
-
-
-def _mp_parse_chunk(task) -> int:
-    """Parse rows [start, start+n) of one corpus file (the worker caches
-    the last decoded file: chunks of the same file reuse the read)."""
-    import pyarrow.parquet as pq
-
-    path, start, n = task
-    stage = _MP_STATE["stage"]
-    cached = _MP_STATE.get("file")
-    if cached is None or cached[0] != path:
-        cached = (path, pq.read_table(path, columns=["doc_id", "spans"]))
-        _MP_STATE["file"] = cached
-    table = cached[1].slice(start, n)
-    done = 0
-    for off in range(0, table.num_rows, 256):
-        done += stage(table.slice(off, 256)).num_rows
-    return done
-
-
 def run_mp_control(corpus_path: str, n_procs: int, n_docs: int) -> dict:
-    """Hardware-ceiling control (no Ray anywhere): the IDENTICAL parse
-    kernel under plain ``multiprocessing.Pool`` with dynamic file-level
-    work stealing (imap_unordered), same batch size, same warm caches.
-    Any throughput loss from N to 4N workers here is the box (all-core
-    frequency scaling / host contention), not the engine: the north
-    rule's criterion is N -> 4N *nodes*, each with its own sockets, so
-    the single-box measurement charges the engine for contention that
-    cannot exist on a real cluster. This control quantifies exactly that
-    charge; see BASELINE.md."""
+    """Hardware-ceiling control (no Ray anywhere): ``perfbench.control.run``,
+    the IDENTICAL parse kernel under a spawned ``multiprocessing`` pool
+    with dynamic row-range work stealing, over the sorted corpus files
+    that cover ``n_docs`` rows, with the persisted warm caches the Ray
+    workers get and batch size 256. Any throughput loss from N to 4N
+    workers here is the box (all-core frequency scaling / host
+    contention), not the engine: the north rule's criterion is N -> 4N
+    *nodes*, each with its own sockets, so the single-box measurement
+    charges the engine for contention that cannot exist on a real
+    cluster. This control quantifies exactly that charge; see
+    BASELINE.md."""
     import glob as _glob
-    import multiprocessing as mp
 
     import pyarrow.parquet as pq
 
-    files = sorted(_glob.glob(os.path.join(corpus_path, "*.parquet")))
-    # row-range chunks (~2048 docs) so the pool never starves on coarse
-    # files — the corpus is written as ~16 large parquet files
-    chunk = 2048
-    tasks, total = [], 0
-    for f in files:
-        rows = pq.ParquetFile(f).metadata.num_rows
-        for start in range(0, rows, chunk):
-            n = min(chunk, rows - start)
-            tasks.append((f, start, n))
-            total += n
+    from perfbench.control import run
+
+    files, total = [], 0
+    for f in sorted(_glob.glob(os.path.join(corpus_path, "*.parquet"))):
         if total >= n_docs:
             break
-    full_warm_caches(corpus_path)  # materialize once before forking
-    with mp.Pool(n_procs, initializer=_mp_init, initargs=(corpus_path,)) as pool:
-        # untimed warm lap: every worker JITs its regex banks / imports
-        for _ in pool.imap_unordered(_mp_parse_chunk, tasks[:n_procs]):
-            pass
-        t0 = time.monotonic()
-        done = sum(pool.imap_unordered(_mp_parse_chunk, tasks))
-        wall = time.monotonic() - t0
-    return {"n_procs": n_procs, "docs": done, "wall_sec": round(wall, 3),
-            "docs_per_sec": round(done / wall, 1)}
+        files.append(f)
+        total += pq.ParquetFile(f).metadata.num_rows
+    full_warm_caches(corpus_path)  # persist the warm set the workers load
+    ctl = run(files, _warm_cache_path(corpus_path), n_procs, batch_size=256)
+    return {"n_procs": n_procs, "docs": ctl["docs"], "wall_sec": round(ctl["wall_s"], 3),
+            "docs_per_sec": round(ctl["docs"] / ctl["wall_s"], 1)}
 
 
 def main_scaling():

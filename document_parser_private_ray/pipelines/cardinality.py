@@ -144,7 +144,6 @@ def vocab_kmv_by_source(sf_dir: str, k: int = K_DEFAULT):
     return (
         partials.groupby("source")
         .map_groups(finalize, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("source")
     )
 
 

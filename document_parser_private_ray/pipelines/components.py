@@ -160,7 +160,7 @@ def connected_components(pairs, node_cols=("doc_a", "doc_b"), max_rounds: int = 
             break
         prev_sum = cur
 
-    return labels.sort("node")
+    return labels
 
 
 def component_drops(pairs, n_edges: int, driver_threshold: int = 200_000) -> list:

@@ -109,7 +109,7 @@ def split_rollup(survivors):
             names=["doc_id", "split"],
         )
 
-    return grouped_agg(survivors, "split", {"n_docs": (None, "count")}, rows=assign).sort("split")
+    return grouped_agg(survivors, "split", {"n_docs": (None, "count")}, rows=assign)
 
 
 def curate_corpus(sf_dir: str, **kwargs):

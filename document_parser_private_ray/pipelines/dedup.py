@@ -66,7 +66,7 @@ def dedup_exact(sf_dir: str):
 
     return co_partition(
         {"hashes": (hashed, None)}, "content_hash", reduce_bucket
-    ).sort("keep_doc_id")
+    )
 
 
 # -- MinHash-LSH near-dup ------------------------------------------------
@@ -261,7 +261,7 @@ def neardup_keep_best(
     text bytes, tie -> min doc_id) instead of min doc_id — the curation
     policy that keeps the longest/most complete copy of a duplicated
     page rather than whichever crawled first. Returns
-    (cluster, keep_doc_id, keep_bytes, n_members) sorted by cluster.
+    (cluster, keep_doc_id, keep_bytes, n_members), one row per cluster.
 
     Scale shape (the ``pairs`` broadcast-vs-shuffle gate, applied to
     the LABELLED-NODE count — bounded by verified near-dup pairs, never
@@ -321,7 +321,7 @@ def neardup_keep_best(
     joined = bucketed_join(labels, lens, "node", "doc_id")
     return co_partition(
         {"members": (joined, None)}, "label", _elect_keepers
-    ).sort("cluster")
+    )
 
 
 # -- SimHash near-dup ----------------------------------------------------
@@ -413,7 +413,7 @@ def dedup_simhash(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
     # a pair can collide in several exchange buckets -> global dedupe
     return grouped_agg(
         pairs, ["doc_a", "doc_b"], {"hamming": ("hamming", "min")}
-    ).sort(["doc_a", "doc_b"])
+    )
 
 
 # -- n-gram Jaccard (exact, fully distributed) ---------------------------
@@ -553,7 +553,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
         scored = scored.union(
             empties.map_batches(star, batch_format="pyarrow", zero_copy_batch=True)
         )
-    return scored.sort(["doc_a", "doc_b"])
+    return scored
 
 
 def ngram_jaccard_micro(sf_dir: str):
@@ -683,7 +683,7 @@ def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000
 
     return out.map_batches(
         threshold, batch_format="pyarrow", zero_copy_batch=True
-    ).sort(["doc_a", "doc_b"])
+    )
 
 
 # -- incremental dedup against a persisted ingest state -------------------
@@ -749,7 +749,7 @@ def dedup_against_state(sf_dir: str):
 
     return co_partition(
         {"hashes": (hashed, None)}, "content_hash", classify
-    ).sort("doc_id")
+    )
 
 
 def dup_cluster_histogram(sf_dir: str):
@@ -777,7 +777,6 @@ def dup_cluster_histogram(sf_dir: str):
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        .sort("cluster_size")
     )
 
 
@@ -802,7 +801,7 @@ def dup_rate_by_source(sf_dir: str):
         marked,
         "source",
         {"n_docs": (None, "count"), "n_duplicates": ("is_dup", "sum")},
-    ).sort("source")
+    )
 
 
 def minhash_against_state(
@@ -816,7 +815,7 @@ def minhash_against_state(
     classify every INCOMING document (odd doc_ids, the scale-free
     increment simulation shared with dedup_against_state) against the
     persisted STATE (even doc_ids) without re-deduping the whole
-    corpus. Returns one row per incoming doc, sorted:
+    corpus. Returns one row per incoming doc:
     (doc_id, status 'neardup_state'|'new', match_doc_id = min verified
     state match or -1, n_matches).
 
@@ -875,7 +874,7 @@ def minhash_against_state(
             lambda t: finalize(t, *empty),
             batch_format="pyarrow",
             zero_copy_batch=True,
-        ).sort("doc_id")
+        )
 
     def to_inc(batch: pa.Table) -> pa.Table:
         a = batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -905,7 +904,7 @@ def minhash_against_state(
             lambda t: finalize(t, *consts),
             batch_format="pyarrow",
             zero_copy_batch=True,
-        ).sort("doc_id")
+        )
 
     from .joins import bucketed_join
 
@@ -930,4 +929,4 @@ def minhash_against_state(
 
     return joined.map_batches(
         fill, batch_format="pyarrow", zero_copy_batch=True
-    ).sort("doc_id")
+    )

@@ -68,7 +68,7 @@ def source_stats(
     min_docs: int = MIN_DOCS,
 ):
     """Per-source rollup: ``source``, ``n_docs``, ``sum_score_micro``,
-    ``src_kept`` — one row per domain, sorted by source."""
+    ``src_kept`` — one row per domain."""
     agg = grouped_agg(
         _scored(sf_dir),
         "source",
@@ -90,7 +90,7 @@ def source_stats(
 
     return agg.map_batches(
         verdict, batch_format="pyarrow", zero_copy_batch=True
-    ).sort("source")
+    )
 
 
 def source_filter(
@@ -99,8 +99,8 @@ def source_filter(
     min_docs: int = MIN_DOCS,
 ):
     """Per-doc verdicts: ``doc_id``, ``source``, ``score_micro``,
-    ``src_kept`` (the doc's whole source survived the mean-score gate),
-    sorted by doc_id. All docs are emitted — the flag IS the result, so
+    ``src_kept`` (the doc's whole source survived the mean-score gate).
+    All docs are emitted — the flag IS the result, so
     downstream can either filter on it or audit what a drop removes."""
     stats = source_stats(sf_dir, cutoff_micro, min_docs).to_pandas()
     kept = set(stats.loc[stats["src_kept"] == 1, "source"])  # bounded by #domains
@@ -122,5 +122,4 @@ def source_filter(
     return (
         _scored(sf_dir)
         .map_batches(attach, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("doc_id")
     )

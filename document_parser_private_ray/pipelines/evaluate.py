@@ -162,7 +162,6 @@ def entity_counter_metrics(predictions, ground_truth_rows: List[Dict]):
             rows=counters,
         )
         .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("entity_type")
     )
 
 

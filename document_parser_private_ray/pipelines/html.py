@@ -390,7 +390,7 @@ def crawl_frontier(sf_dir: str):
 
     return co_partition(
         {"urls": (both, None)}, "url", frontier_bucket
-    ).sort("url")
+    )
 
 
 def url_dedup(sf_dir: str):
@@ -412,7 +412,7 @@ def url_dedup(sf_dir: str):
 
     return co_partition(
         {"urls": (urls, None)}, "canonical_url", reduce_bucket
-    ).sort("keep_doc_id")
+    )
 
 
 def web_extract_job(

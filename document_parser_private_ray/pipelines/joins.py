@@ -165,7 +165,7 @@ def bucketed_filter_join(
 
 def customers_no_urgent_orders(sf_dir: str):
     """Anti join (TPC-H Q22 shape): customers that never placed an
-    urgent-priority order, with their segment — sorted by c_custkey.
+    urgent-priority order, with their segment.
     The urgency filter runs batch-wise BEFORE the shuffle so only
     matching keys leave the read stage."""
     customers = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"])
@@ -180,12 +180,12 @@ def customers_no_urgent_orders(sf_dir: str):
     )
     return bucketed_filter_join(
         customers, urgent, "c_custkey", "o_custkey", mode="anti"
-    ).sort("c_custkey")
+    )
 
 
 def customers_big_spenders(sf_dir: str):
     """Semi join: customers with at least one fulfilled order above a
-    price floor — sorted by c_custkey. Same co-partitioned shuffle as
+    price floor. Same co-partitioned shuffle as
     the anti join; only the membership polarity differs."""
     customers = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderstatus", "o_totalprice"])
@@ -200,7 +200,7 @@ def customers_big_spenders(sf_dir: str):
     big = orders.map_batches(big_keys, batch_format="pyarrow", zero_copy_batch=True)
     return bucketed_filter_join(
         customers, big, "c_custkey", "o_custkey", mode="semi"
-    ).sort("c_custkey")
+    )
 
 
 def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
@@ -259,7 +259,7 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
         {"O": "o_orderkey", "L": "l_orderkey"},
         hist_bucket,
     )
-    return grouped_agg(hist, "n_big", {"n_orders": ("n", "sum")}).sort("n_big")
+    return grouped_agg(hist, "n_big", {"n_orders": ("n", "sum")})
 
 
 def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
@@ -395,7 +395,7 @@ def building_not_big_spenders(sf_dir: str, spend_floor: float = 1_500_000.0):
     floor — composed from the same keys-only co-partition primitives as
     the semi/anti joins: the subtrahend set is itself an aggregate
     (groupby custkey -> filter), and the EXCEPT is one anti
-    ``bucketed_filter_join``. Output: (c_custkey, c_acctbal) sorted."""
+    ``bucketed_filter_join``. Output: (c_custkey, c_acctbal)."""
     building = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"]).map_batches(
         lambda b: b.filter(pc.equal(b["c_mktsegment"], "BUILDING")).drop_columns(
             ["c_mktsegment"]
@@ -431,7 +431,7 @@ def building_not_big_spenders(sf_dir: str, spend_floor: float = 1_500_000.0):
 
     return out.map_batches(
         to_cents, batch_format="pyarrow", zero_copy_batch=True
-    ).sort("c_custkey")
+    )
 
 
 def orders_above_customer_avg(sf_dir: str):
@@ -491,7 +491,7 @@ def orders_above_customer_avg(sf_dir: str):
         flagged,
         "o_orderpriority",
         {"n_above_avg": ("above", "sum"), "n_orders": (None, "count")},
-    ).sort("o_orderpriority")
+    )
 
 
 def snapshot_diff(sf_dir: str):
@@ -581,4 +581,4 @@ def snapshot_diff(sf_dir: str):
 
     return joined.map_batches(
         classify, batch_format="pyarrow", zero_copy_batch=True
-    ).sort("doc_id")
+    )

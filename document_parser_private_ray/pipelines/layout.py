@@ -175,7 +175,7 @@ def layout_blocks(n_docs: int = 500, seed: int = 42):
     ds = rd.range(n_docs)
     return ds.map_batches(
         LayoutAnalyzeStage(seed), batch_format="numpy", batch_size=128
-    ).sort("doc_id")
+    )
 
 
 def span_kind_transitions(spans):
@@ -219,7 +219,7 @@ def span_kind_transitions(spans):
 
     return grouped_agg(
         spans, ["prev_kind", "next_kind"], {"n_transitions": (None, "count")}, rows=pairs
-    ).sort(["prev_kind", "next_kind"])
+    )
 
 
 def span_bytes_by_kind(spans):
@@ -249,4 +249,4 @@ def span_bytes_by_kind(spans):
         "kind",
         {"n_spans": (None, "count"), "total_bytes": ("b", "sum")},
         rows=kind_bytes,
-    ).sort("kind")
+    )

@@ -166,7 +166,7 @@ def doc_perplexity(
     counts: np.ndarray | None = None,
 ):
     """Per-document bigram-LM score: (doc_id, n_trans, nll_micro,
-    keep) sorted by doc_id. nll_micro is the exact int64 sum of
+    keep), one row per document. nll_micro is the exact int64 sum of
     per-transition micro-nat NLLs; keep = 1 iff the integer
     cross-multiply ``nll_micro <= threshold_micro * n_trans`` holds
     (empty/1-char docs keep by definition).
@@ -203,5 +203,4 @@ def doc_perplexity(
     return (
         read_documents(sf_dir)
         .map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("doc_id")
     )

@@ -345,7 +345,7 @@ def media_dedup(export: str, n_items: int = 256, alias_mod: int = 200):
     atomic parquet export there first, so the oracle digests the same
     bytes.
 
-    Output: (payload_md5, keep_ref, n_copies) sorted by keep_ref."""
+    Output: (payload_md5, keep_ref, n_copies), one row per payload."""
     import hashlib
 
     media = exported(
@@ -382,4 +382,4 @@ def media_dedup(export: str, n_items: int = 256, alias_mod: int = 200):
     )
     return co_partition(
         {"digests": (digests, None)}, "payload_md5", reduce_bucket
-    ).sort("keep_ref")
+    )

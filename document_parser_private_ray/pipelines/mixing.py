@@ -89,7 +89,6 @@ def data_mix(sf_dir: str, weights_eighths: dict[str, int] | None = None):
     return (
         read_documents(sf_dir, ["doc_id", "source"])
         .map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["doc_id", "copy"])
     )
 
 
@@ -97,7 +96,7 @@ def mix_counts(sf_dir: str, weights_eighths: dict[str, int] | None = None):
     """Rollup: training copies per source (the realized mixing ratio)."""
     return grouped_agg(
         data_mix(sf_dir, weights_eighths), "source", {"n_copies": (None, "count")}
-    ).sort("source")
+    )
 
 
 def pack_sequences(
@@ -151,4 +150,4 @@ def pack_sequences(
 
     return sorted_runs(
         slim, "bucket", ["doc_id"], assign
-    ).sort("doc_id")
+    )

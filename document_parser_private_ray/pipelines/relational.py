@@ -84,7 +84,7 @@ def q1_pricing_summary(sf_dir: str):
         },
         rows=disc_price,
         batch_size=65536,
-    ).sort(["l_returnflag", "l_linestatus"])
+    )
 
 
 # -- broadcast-join revenue by nation (R3/R5) ----------------------------
@@ -127,7 +127,7 @@ def revenue_by_nation(sf_dir: str):
 
     return grouped_agg(
         ds, "n_name", {"revenue": ("revenue", "sum")}, rows=join, batch_size=65536
-    ).sort("revenue", descending=True)
+    )
 
 
 # -- top-k with broadcast filter (R6) ------------------------------------
@@ -208,7 +208,7 @@ def events_hourly_window(sf_dir: str):
         ds, ["event_type", "window_start"],
         {"n_events": (None, "count"), "sum_value": ("value", "sum")},
         rows=add_window, batch_size=65536,
-    ).sort(["event_type", "window_start"])
+    )
 
 
 def events_sliding_window(sf_dir: str, width_hours: int = 3, step_hours: int = 1):
@@ -249,7 +249,7 @@ def events_sliding_window(sf_dir: str, width_hours: int = 3, step_hours: int = 1
         ds, ["event_type", "window_start"],
         {"n_events": (None, "count"), "sum_value": ("value", "sum")},
         rows=expand, batch_size=65536,
-    ).sort(["event_type", "window_start"])
+    )
 
 
 # -- as-of join (ordered merge within co-partitioned groups) -------------
@@ -379,7 +379,7 @@ def user_top_events(sf_dir: str, k: int = 3):
 
     return sorted_runs(
         ds, "user_id", [("value", "descending"), "ts", "event_id"], topk_bucket
-    ).sort(["user_id", "rank"])
+    )
 
 
 # -- per-user lag window (inter-event gaps) ------------------------------
@@ -415,7 +415,7 @@ def event_gaps(sf_dir: str):
 
     return sorted_runs(
         ds, "user_id", ["ts", "event_id"], gaps_bucket
-    ).sort("user_id")
+    )
 
 
 # -- hierarchical rollup (GROUP BY ROLLUP shape) --------------------------
@@ -576,7 +576,7 @@ def retention_cohorts(sf_dir: str):
         sorted_runs(ds, "user_id", ["ts"], weeks_bucket),
         ["cohort_week", "active_week"],
         {"n_users": (None, "count")},
-    ).sort(["cohort_week", "active_week"])
+    )
 
 
 # -- broadcast range join (band assignment) -------------------------------
@@ -618,7 +618,7 @@ def orders_price_bands(sf_dir: str, bands=None):
         "band",
         {"sum_price_cents": ("cents", "sum"), "n_orders": ("cents", "count")},
         rows=assign,
-    ).sort("band")
+    )
 
 
 # -- pivot / crosstab ------------------------------------------------------
@@ -784,7 +784,6 @@ def session_purchase_counts(sf_dir: str, gap_minutes: int = 30):
             "user_id",
             join_bucket,
         )
-        .sort(["user_id", "session_start"])
     )
 
 
@@ -834,7 +833,6 @@ def customer_balance_quartiles(sf_dir: str, k: int = 4):
     return (
         ds.groupby("c_nationkey")
         .map_groups(quartile_group, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["c_nationkey", "quartile"])
     )
 
 
@@ -878,7 +876,7 @@ def user_cumulative_spend(sf_dir: str):
 
     return sorted_runs(
         purchases, "user_id", ["ts", "event_id"], cumsum_bucket
-    ).sort(["user_id", "ts", "event_id"])
+    )
 
 
 # -- tumbling-window distinct users (DAU/HAU counting) ---------------------
@@ -898,7 +896,7 @@ def events_hourly_users(sf_dir: str):
 
     pairs = grouped_agg(ds, ["hour", "user_id"], {}, rows=hour_user)
 
-    return grouped_agg(pairs, "hour", {"n_users": ("hour", "count")}).sort("hour")
+    return grouped_agg(pairs, "hour", {"n_users": ("hour", "count")})
 
 
 # -- path mining (per-user ordered event-type sequences) -------------------
@@ -1021,7 +1019,7 @@ def event_transitions(sf_dir: str):
     pairs = sorted_runs(ds, "user_id", ["ts", "event_id"], pairs_bucket)
     return grouped_agg(
         pairs, ["prev_type", "next_type"], {"n_transitions": (None, "count")}
-    ).sort(["prev_type", "next_type"])
+    )
 
 
 # -- star-schema rollup with a broadcast dimension --------------------------
@@ -1061,7 +1059,7 @@ def revenue_by_parttype(sf_dir: str):
         "p_type",
         {"revenue_cents": ("rev", "sum"), "n_lines": ("rev", "count")},
         rows=attach,
-    ).sort("p_type")
+    )
 
 
 def revenue_by_region(sf_dir: str):
@@ -1111,7 +1109,7 @@ def revenue_by_region(sf_dir: str):
         "r_name",
         {"revenue_cents": ("rev", "sum"), "n_lines": ("rev", "count")},
         rows=attach,
-    ).sort("r_name")
+    )
 
 
 # -- semi-structured extraction (JSON property column) ----------------------
@@ -1141,7 +1139,7 @@ def props_field_stats(sf_dir: str, field: str = "k"):
             "min_v": ("v", "min"), "max_v": ("v", "max"),
         },
         rows=extract,
-    ).sort("event_type")
+    )
 
 
 def orders_by_weekday(sf_dir: str):
@@ -1168,7 +1166,7 @@ def orders_by_weekday(sf_dir: str):
         "dow",
         {"n_orders": (None, "count"), "sum_price_cents": ("cents", "sum")},
         rows=dow_cents,
-    ).sort("dow")
+    )
 
 
 def priority_segment_chi2(sf_dir: str):
@@ -1294,7 +1292,7 @@ def user_first_last_purchase(sf_dir: str):
 
     return sorted_runs(
         purchases, "user_id", ["ts", "event_id"], endpoints_bucket
-    ).sort("user_id")
+    )
 
 
 def nation_share_of_region(sf_dir: str):
@@ -1495,7 +1493,7 @@ def value_outliers(sf_dir: str, k_sigma: int = 3):
         "event_type",
         {"n_events": (None, "count"), "n_outliers": ("is_out", "sum")},
         rows=flag,
-    ).sort("event_type")
+    )
 
 
 def signup_conversion_24h(sf_dir: str):

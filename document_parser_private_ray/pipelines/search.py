@@ -254,4 +254,4 @@ def build_postings(
     )
     return co_partition(
         {"partials": (partials, None)}, "word", merge_bucket
-    ).sort("word")
+    )

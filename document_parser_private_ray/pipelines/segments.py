@@ -181,7 +181,7 @@ def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
 
     return docs.map_batches(
         strip, batch_format="pyarrow", zero_copy_batch=True
-    ).sort("doc_id")
+    )
 
 
 def dedup_segments(sf_dir: str, seg_words: int = 4):
@@ -283,4 +283,4 @@ def dedup_segments(sf_dir: str, seg_words: int = 4):
             }
         )
 
-    return sorted_runs(flagged, "doc_id", ["pos"], reassemble_bucket).sort("doc_id")
+    return sorted_runs(flagged, "doc_id", ["pos"], reassemble_bucket)

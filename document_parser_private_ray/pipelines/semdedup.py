@@ -54,7 +54,7 @@ def semdedup(
 ):
     """Per-vector semantic-dup verdicts: ``vec_id``, ``cluster``,
     ``is_dup``, ``dup_of`` (min lower-id cluster-mate above the cosine
-    threshold, -1 if none), sorted by ``vec_id``."""
+    threshold, -1 if none), one row per vector."""
     C = train_ivf_centroids(sf_dir, n_centroids, train_sample)
 
     def assign(t: pa.Table) -> pa.Table:
@@ -98,5 +98,4 @@ def semdedup(
     return (
         ds.groupby("cluster")
         .map_groups(dedup_cluster, batch_format="pyarrow")
-        .sort("vec_id")
     )

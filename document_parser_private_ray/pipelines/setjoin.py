@@ -140,7 +140,7 @@ def ppjoin_pairs(
     k: int = 3,
 ):
     """All document pairs with shingle-set Jaccard >= t_num/t_den,
-    EXACT. Returns (doc_a, doc_b, n_common, n_union) sorted — integer
+    EXACT. Returns (doc_a, doc_b, n_common, n_union) — integer
     counts, so the SQL oracle compares with no float hashing channel.
 
     Stages (each a bounded exchange):
@@ -313,7 +313,4 @@ def ppjoin_pairs(
             schema=schema_out,
         )
 
-    return (
-        with_texts.map_batches(verify, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["doc_a", "doc_b"])
-    )
+    return with_texts.map_batches(verify, batch_format="pyarrow", zero_copy_batch=True)

@@ -119,12 +119,12 @@ def _global_topk(locals_, k: int, score_col: str, descending: bool):
     order = (score_col, "descending" if descending else "ascending")
     return sorted_runs(
         locals_, "query_id", [order, "vec_id"], topk_bucket
-    ).sort(["query_id", "rank"])
+    )
 
 
 def ann_bruteforce_topk(sf_dir: str, k: int = 5, n_queries: int = 8):
     """Exact top-k cosine neighbours for each query vector.
-    Returns (query_id, vec_id, cosine_sim, rank) sorted."""
+    Returns (query_id, vec_id, cosine_sim, rank)."""
     qids, qmat = load_queries(sf_dir, n_queries)
 
     def local_topk(batch: pa.Table) -> pa.Table:
@@ -250,7 +250,7 @@ def embedding_neardup_lsh(
     ).materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
-        return pairs.sort(["id_a", "id_b"])
+        return pairs
     logging.getLogger(__name__).info(
         "neardup-lsh: %d candidate pairs; verify attach ships <= %d vectors "
         "(2/pair) instead of n_vectors x %d full embeddings",
@@ -284,7 +284,7 @@ def embedding_neardup_lsh(
 
     return with_vecs.map_batches(
         verify, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
-    ).sort(["id_a", "id_b"])
+    )
 
 
 def ann_lsh_topk(sf_dir: str, k: int = 5, n_queries: int = 8, n_bits: int = 6):
@@ -577,7 +577,7 @@ def embedding_kmeans_sizes(
         "cid",
         {"n_vecs": ("vec_id", "count"), "min_vec_id": ("vec_id", "min")},
         rows=assign,
-    ).sort("cid")
+    )
 
 
 def embedding_norms(sf_dir: str):
@@ -616,7 +616,7 @@ def embedding_norms(sf_dir: str):
 
     return ds.map_batches(
         norms, batch_format="pyarrow", zero_copy_batch=True
-    ).sort("vec_id")
+    )
 
 
 def train_pca_components(
@@ -653,7 +653,7 @@ def train_pca_components(
 
 def embedding_pca(sf_dir: str, n_components: int = 4, train_sample: int = 512):
     """Integer-exact PCA projection of every embedding onto the top-k
-    components: (vec_id, pc1..pck) sorted by vec_id, each value the
+    components: (vec_id, pc1..pck), each value the
     int64 sum of (value_micro - mean_micro) * comp_micro terms
     (magnitude ~1e12 per term x dim — comfortably inside int64).
 
@@ -676,5 +676,4 @@ def embedding_pca(sf_dir: str, n_components: int = 4, train_sample: int = 512):
     return (
         _read_embeddings(sf_dir)
         .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("vec_id")
     )

@@ -50,13 +50,12 @@ def dataset_split(sf_dir: str):
     return (
         _read_ids(sf_dir)
         .map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("doc_id")
     )
 
 
 def split_counts(sf_dir: str):
     """Rollup: documents per split (sanity check of the 80/10/10 shape)."""
-    return grouped_agg(dataset_split(sf_dir), "split", {"n_docs": (None, "count")}).sort("split")
+    return grouped_agg(dataset_split(sf_dir), "split", {"n_docs": (None, "count")})
 
 
 def sample_stratified(sf_dir: str, n_per_source: int = 10):
@@ -94,9 +93,7 @@ def sample_stratified(sf_dir: str, n_per_source: int = 10):
         )
 
     keyed_ds = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-    return sorted_runs(keyed_ds, "source", ["hkey", "doc_id"], topn).sort(
-        ["source", "rk"]
-    )
+    return sorted_runs(keyed_ds, "source", ["hkey", "doc_id"], topn)
 
 
 def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
@@ -151,7 +148,7 @@ def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
             {"doc_id": g["doc_id"], "pos": pa.array(base[np.cumsum(pos == 0) - 1] + pos)}
         )
 
-    return sorted_runs(hashed, "rng", ["h", "doc_id"], rank_range).sort("doc_id")
+    return sorted_runs(hashed, "rng", ["h", "doc_id"], rank_range)
 
 
 def label_balance_by_split(sf_dir: str):
@@ -177,4 +174,4 @@ def label_balance_by_split(sf_dir: str):
         ["split", "label"],
         {"n_vectors": (None, "count")},
         rows=split_label,
-    ).sort(["split", "label"])
+    )

@@ -59,7 +59,7 @@ def doc_quality(sf_dir: str):
             names=["doc_id", "n_chars", "n_words", "upper_ratio", "digit_ratio"],
         )
 
-    return ds.map_batches(metrics, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096).sort("doc_id")
+    return ds.map_batches(metrics, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
 
 
 def doc_quality_extended(sf_dir: str):
@@ -86,7 +86,7 @@ def doc_quality_extended(sf_dir: str):
             names=["doc_id", "punct_ratio", "alpha_chars", "space_chars"],
         )
 
-    return ds.map_batches(metrics, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096).sort("doc_id")
+    return ds.map_batches(metrics, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
 
 
 def doc_tokens(sf_dir: str):
@@ -104,7 +104,7 @@ def doc_tokens(sf_dir: str):
             names=["doc_id", "ws_tokens", "bpe_tokens"],
         )
 
-    return ds.map_batches(counts, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096).sort("doc_id")
+    return ds.map_batches(counts, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
 
 
 def doc_language(sf_dir: str):
@@ -120,7 +120,7 @@ def doc_language(sf_dir: str):
             names=["doc_id", "lang"],
         )
 
-    return ds.map_batches(langs, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096).sort("doc_id")
+    return ds.map_batches(langs, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
 
 
 def doc_fingerprints(sf_dir: str):
@@ -139,7 +139,7 @@ def doc_fingerprints(sf_dir: str):
             names=["doc_id", "md5", "n_winnow"],
         )
 
-    return ds.map_batches(fp, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096).sort("doc_id")
+    return ds.map_batches(fp, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
 
 
 def doc_repetition(sf_dir: str):
@@ -193,7 +193,7 @@ def doc_repetition(sf_dir: str):
 
     return ds.map_batches(
         rep, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
-    ).sort("doc_id")
+    )
 
 
 def doc_tfidf(sf_dir: str, k: int = 5):
@@ -267,7 +267,7 @@ def doc_tfidf(sf_dir: str, k: int = 5):
 
     return sorted_runs(
         scored, "doc_id", [("tfidf_micro", "descending"), "word"], topk_bucket
-    ).sort(["doc_id", "rank"])
+    )
 
 
 def doc_chunks(sf_dir: str, window: int = 64, stride: int = 48):
@@ -304,7 +304,7 @@ def doc_chunks(sf_dir: str, window: int = 64, stride: int = 48):
 
     return ds.map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True, batch_size=2048
-    ).sort(["doc_id", "chunk_id"])
+    )
 
 
 STOPWORDS = ("a", "the", "of", "and", "in", "to", "is")
@@ -347,12 +347,12 @@ def doc_stopwords(sf_dir: str):
 
     return ds.map_batches(
         count, batch_format="pyarrow", zero_copy_batch=True
-    ).sort("doc_id")
+    )
 
 
 def lang_histogram(sf_dir: str):
     """Corpus language histogram (groupby over the lang-ID output)."""
-    return grouped_agg(doc_language(sf_dir), "lang", {"n_docs": (None, "count")}).sort("lang")
+    return grouped_agg(doc_language(sf_dir), "lang", {"n_docs": (None, "count")})
 
 
 class PIICounts:
@@ -433,7 +433,6 @@ def doc_pii_counts(spans, config=None):
             batch_format="pyarrow", zero_copy_batch=True,
             batch_size=1024,
         )
-        .sort("doc_id")
     )
 
 
@@ -468,8 +467,8 @@ def top_words(sf_dir: str, k: int = 50):
 def doc_length_percentiles(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
     """Exact PERCENTILE_DISC of document length (n_chars) without a
     global sort: lengths have bounded cardinality, so a groupby(n_chars)
-    count produces a small histogram; the driver takes the exact
-    discrete percentile from cumulative counts. At 100 TB the histogram
+    count produces a small histogram; the driver sorts it and takes the
+    exact discrete percentile from cumulative counts. At 100 TB the histogram
     is still tiny (distinct lengths), while a sort would shuffle every
     row."""
     ds = read_documents(sf_dir, columns=("doc_id", "text"))
@@ -479,11 +478,12 @@ def doc_length_percentiles(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
             [pc.cast(pc.utf8_length(batch["text"]), pa.int64())], names=["n_chars"]
         )
 
-    hist = (
-        grouped_agg(ds, "n_chars", {"cnt": (None, "count")}, rows=lengths, batch_size=4096)
-        .sort("n_chars")
-        .take_all()
-    )
+    hist = sorted(
+        grouped_agg(
+            ds, "n_chars", {"cnt": (None, "count")}, rows=lengths, batch_size=4096
+        ).take_all(),
+        key=lambda r: r["n_chars"],
+    )  # <= distinct lengths rows by construction
     total = sum(r["cnt"] for r in hist)
     out_p, out_v = [], []
     for p in percentiles:
@@ -596,7 +596,7 @@ def doc_model_score(sf_dir: str):
     model over the corpus, weights shipped with the mapped instance."""
     return read_documents(sf_dir).map_batches(
         ModelScore(), batch_format="pyarrow", zero_copy_batch=True, batch_size=2048
-    ).sort("doc_id")
+    )
 
 
 def top_words_by_source(sf_dir: str, k: int = 5):
@@ -636,9 +636,7 @@ def top_words_by_source(sf_dir: str, k: int = 5):
             names=["source", "word", "n", "rk"],
         )
 
-    return sorted_runs(agg, "source", [("n", "descending"), "word"], topk).sort(
-        ["source", "rk"]
-    )
+    return sorted_runs(agg, "source", [("n", "descending"), "word"], topk)
 
 
 def doc_length_percentiles_by_lang(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
@@ -660,11 +658,11 @@ def doc_length_percentiles_by_lang(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
             names=["lang", "n_chars"],
         )
 
-    hist = (
-        grouped_agg(ds, ["lang", "n_chars"], {"cnt": (None, "count")}, rows=lengths,
-                    batch_size=4096)
-        .sort(["lang", "n_chars"])
-        .take_all()
+    hist = sorted(
+        grouped_agg(
+            ds, ["lang", "n_chars"], {"cnt": (None, "count")}, rows=lengths, batch_size=4096
+        ).take_all(),
+        key=lambda r: (r["lang"], r["n_chars"]),
     )  # <= strata x distinct lengths rows by construction
     by_lang: dict = {}
     for r in hist:
@@ -739,10 +737,7 @@ def doc_letter_concentration(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(conc, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("doc_id")
-    )
+    return ds.map_batches(conc, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def length_mad_by_lang(sf_dir: str):

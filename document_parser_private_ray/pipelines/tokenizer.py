@@ -169,5 +169,4 @@ def doc_oov_rate(sf_dir: str, top_k: int = 20):
     return (
         read_documents(sf_dir)
         .map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("doc_id")
     )

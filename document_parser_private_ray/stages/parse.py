@@ -332,13 +332,13 @@ def _flatten_sections(batch: pa.Table) -> pa.Table:
 
 def detect_sections(spans):
     """M4 over a spans Dataset, flattened to one row per detected section
-    (doc_id, sec_idx, name, content) and sorted, so a SQL oracle that
-    replays the line-state machine can hash-compare it without
-    nested-type stringification skew."""
+    (doc_id, sec_idx, name, content), so a SQL oracle that replays the
+    line-state machine can hash-compare it without nested-type
+    stringification skew. Rows come in no set order; ``sec_idx``
+    numbers each document's sections."""
     return (
         spans.map_batches(DetectSectionsStage(), batch_format="pyarrow")
         .map_batches(_flatten_sections, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["doc_id", "sec_idx"])
     )
 
 

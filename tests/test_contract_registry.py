@@ -1,8 +1,9 @@
 """The driver contract's query table, checked without Ray: the emitted
 order is pinned, every oracle names a query, every row's target
 resolves and accepts its kwargs, every ``cents=`` column is one the
-oracle compares as ``<col>_cents``, and ``tools/check_contract.py
---changed`` maps each query to the modules it runs."""
+oracle compares as ``<col>_cents``, ``tools/check_contract.py
+--changed`` maps each query to the modules it runs, and the answer hash
+ignores row and column order."""
 
 import importlib
 import importlib.util
@@ -140,6 +141,29 @@ def test_changed_maps_each_query_to_its_modules():
     affected = cc.importers({f"{PKG}.sources.corpus"}, mods)
     reached = {q for q, d in deps.items() if d & affected}
     assert reached == SPANS_ROWS | {"checkpoint_lineage"}
+
+
+def test_value_hash_ignores_row_and_column_order():
+    """The contract compares an answer by ``value_hash``, which sorts its
+    columns and rows first, so no answer is ordered across rows: a
+    ``Dataset.sort`` that only orders a returned Dataset changes no hash.
+    One changed value still does."""
+    import itertools
+
+    import pandas as pd
+
+    cc = _check_contract()
+    df = pd.DataFrame(
+        {"doc_id": [3, 1, 2, 1], "name": ["c", "a", "b", "z"], "n": [30, 10, 20, 11]}
+    )
+    h = cc.value_hash(df)
+    for rows in itertools.permutations(range(len(df))):
+        for cols in itertools.permutations(df.columns):
+            assert cc.value_hash(df.iloc[list(rows)][list(cols)]) == h, (rows, cols)
+    for i, col in itertools.product(range(len(df)), df.columns):
+        changed = df.copy()
+        changed.loc[i, col] = 99 if col != "name" else "y"
+        assert cc.value_hash(changed) != h, (i, col)
 
 
 def test_broken_oracle_is_an_error_row_and_the_sweep_goes_on(monkeypatch, tmp_path):

@@ -134,7 +134,7 @@ KERNEL_ARG = {"co_partition": 2, "sorted_runs": 3}
 # per-nation ``groupby().map_groups``, not a ``co_partition``;
 # ``relational.signup_conversion_24h`` and
 # ``time_to_convert_percentiles`` use scatter-min and do not sort.
-ALLOWED_SORTS = {
+ALLOWED_KERNEL_SORTS = {
     "document_parser_private_ray/pipelines/exchange.py::sorted_runs.run": (
         "the layer itself: the one stable sort per bucket"
     ),
@@ -197,11 +197,11 @@ def _sorting_kernels():
 def test_no_hand_rolled_sorted_runs():
     """A bucket kernel that sorts its rows is the "sort the bucket, find
     key runs, rank" step ``exchange.sorted_runs`` owns; only the kernels
-    named in ``ALLOWED_SORTS`` sort by hand."""
+    named in ``ALLOWED_KERNEL_SORTS`` sort by hand."""
     found = _sorting_kernels()
-    assert sorted(found - set(ALLOWED_SORTS)) == []
+    assert sorted(found - set(ALLOWED_KERNEL_SORTS)) == []
     # every allowance still names a live sorting kernel
-    assert sorted(set(ALLOWED_SORTS) - found) == []
+    assert sorted(set(ALLOWED_KERNEL_SORTS) - found) == []
 
 
 # -- one spans read, one reservation rule ------------------------------------
@@ -539,6 +539,82 @@ def test_one_way_to_broadcast():
     assert [f for f in found if f[0] not in ALLOWED_BROADCASTS] == []
     # every allowance still names a live call
     assert sorted(set(ALLOWED_BROADCASTS) - {f[0] for f in found}) == []
+
+
+# -- order only where the answer is an order ---------------------------------
+
+# ``Dataset.sort`` calls kept although they do not feed ``.limit(``
+# directly, with why. No contract answer is ordered across rows
+# (``tools/check_contract.value_hash`` sorts the rows before hashing),
+# and every sort is a Ray all-to-all, so a sort that only orders a
+# returned Dataset goes; a bounded driver collect whose code reads the
+# order sorts the collected rows locally instead.
+ALLOWED_SORTS = {
+    "document_parser_private_ray/pipelines/exchange.py::co_partition": (
+        "the exchange layer itself: the bucket ids, given as the sort's "
+        "boundaries, route each bucket's rows to one block"
+    ),
+}
+
+
+def _dataset_sort(call: ast.Call) -> bool:
+    """A ``Dataset.sort``: a ``.sort`` with a positional key, a key given
+    as column names, or a ``descending`` / ``boundaries`` argument
+    (``list.sort`` takes only ``key=`` callables and ``reverse=``)."""
+    if not isinstance(call.func, ast.Attribute) or call.func.attr != "sort":
+        return False
+    return bool(call.args) or any(
+        k.arg in ("descending", "boundaries")
+        or (k.arg == "key" and isinstance(k.value, (ast.Constant, ast.List, ast.Tuple)))
+        for k in call.keywords
+    )
+
+
+def _dataset_sorts(root: str = ROOT):
+    """``(path::function, line, feeds_limit)`` of every ``Dataset.sort``
+    in the package and the driver entry file under ``root``;
+    ``feeds_limit`` when the call is chained straight into ``.limit(``."""
+    found = []
+    for path, tree in _sources(root).items():
+        owner = _innermost(tree)
+        parents = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _dataset_sort(node)):
+                continue
+            up = parents.get(node)
+            feeds_limit = (
+                isinstance(up, ast.Attribute)
+                and up.attr == "limit"
+                and isinstance(parents.get(up), ast.Call)
+                and parents[up].func is up
+            )
+            found.append((f"{path}::{owner[node]}", node.lineno, feeds_limit))
+    return found
+
+
+def test_every_dataset_sort_has_a_reason():
+    """A ``Dataset.sort`` stays only where the answer is an order: chained
+    into ``.limit(`` (a top-k), or named with its reason in
+    ``ALLOWED_SORTS``."""
+    found = _dataset_sorts()
+    assert found, "the scan found no Dataset.sort at all"
+    assert [f[:2] for f in found if not f[2] and f[0] not in ALLOWED_SORTS] == []
+    # every allowance still names a live call that needs it
+    assert sorted(set(ALLOWED_SORTS) - {f[0] for f in found if not f[2]}) == []
+
+
+def test_dataset_sort_scan_tells_a_dataset_sort_from_a_list_sort():
+    calls = {
+        "ds.sort('doc_id')": True,
+        "ds.sort(['n', 'w'], descending=[True, False])": True,
+        "ds.sort(key='doc_id')": True,
+        "ds.sort(key=['a', 'b'])": True,
+        "rows.sort()": False,
+        "rows.sort(key=lambda r: r['day'])": False,
+        "rows.sort(key=itemgetter(0), reverse=True)": False,
+    }
+    got = {src: _dataset_sort(ast.parse(src, mode="eval").body) for src in calls}
+    assert got == calls
 
 
 # -- every tracked file compiles clean ---------------------------------------

@@ -179,7 +179,8 @@ def test_embedding_norms_order_free_exact(ray_session, tmp_path):
         ),
         tmp_path / "embeddings.parquet",
     )
-    got = embedding_norms(str(tmp_path)).to_pandas()
+    # rows come in no set order
+    got = embedding_norms(str(tmp_path)).to_pandas().sort_values("vec_id", ignore_index=True)
     import numpy as np
 
     exp = [

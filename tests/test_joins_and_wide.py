@@ -679,7 +679,10 @@ def test_customer_balance_quartiles_ntile_sizes(ray_session, tmp_path):
         }
     )
     pq.write_table(tbl, tmp_path / "customer.parquet")
-    got = customer_balance_quartiles(str(tmp_path)).to_pandas()
+    # rows come in no set order
+    got = customer_balance_quartiles(str(tmp_path)).to_pandas().sort_values(
+        ["c_nationkey", "quartile"]
+    )
     assert got["n_customers"].tolist() == [2, 2, 1, 1]
     assert got["quartile"].tolist() == [1, 2, 3, 4]
     assert got["min_bal_cents"].tolist() == [1000, 3000, 5000, 6000]
@@ -717,7 +720,10 @@ def test_user_cumulative_spend_hand_case(ray_session, tmp_path):
         }
     )
     pq.write_table(tbl, tmp_path / "events.parquet")
-    got = user_cumulative_spend(str(tmp_path)).to_pandas()
+    # rows come in no set order
+    got = user_cumulative_spend(str(tmp_path)).to_pandas().sort_values(
+        ["user_id", "ts", "event_id"]
+    )
     assert got["spend_cents"].tolist() == [100, 250, 1000]
     assert got["cum_spend_cents"].tolist() == [100, 350, 1000]
     assert got["user_id"].tolist() == [1, 1, 2]
@@ -782,7 +788,8 @@ def test_events_hourly_users_dedups_within_hour(ray_session, tmp_path):
         }
     )
     pq.write_table(tbl, tmp_path / "events.parquet")
-    got = events_hourly_users(str(tmp_path)).to_pandas()
+    # rows come in no set order
+    got = events_hourly_users(str(tmp_path)).to_pandas().sort_values("hour")
     assert got["n_users"].tolist() == [2, 1]
 
 

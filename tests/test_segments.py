@@ -29,7 +29,8 @@ def test_remove_boilerplate_planted(ray_session, tmp_path):
         "iota kappa lambda mu",
     ]
     _write_docs(tmp_path, texts)
-    got = remove_boilerplate(str(tmp_path), min_df=2).to_pandas()
+    # rows come in no set order
+    got = remove_boilerplate(str(tmp_path), min_df=2).to_pandas().sort_values("doc_id")
     assert got["n_segs"].tolist() == [2, 2, 1]
     assert got["n_removed"].tolist() == [1, 1, 0]
     assert got["clean_text"].tolist() == [
@@ -51,7 +52,8 @@ def test_dedup_segments_first_occurrence_wins(ray_session, tmp_path):
         "thirteen fourteen fifteen sixteen",
     ]
     _write_docs(tmp_path, texts)
-    got = dedup_segments(str(tmp_path)).to_pandas()
+    # rows come in no set order
+    got = dedup_segments(str(tmp_path)).to_pandas().sort_values("doc_id")
     assert got["n_segs"].tolist() == [3, 2, 1]
     assert got["n_kept"].tolist() == [2, 1, 1]
     assert got["clean_text"].tolist() == [
@@ -130,9 +132,10 @@ def test_segment_ops_null_text_poison(ray_session, tmp_path):
         }
     )
     pq.write_table(tbl, tmp_path / "documents.parquet")
-    got_d = dedup_segments(str(tmp_path)).to_pandas()
+    # rows come in no set order
+    got_d = dedup_segments(str(tmp_path)).to_pandas().sort_values("doc_id")
     assert got_d["doc_id"].tolist() == [0, 2]
-    got_b = remove_boilerplate(str(tmp_path), min_df=2).to_pandas()
+    got_b = remove_boilerplate(str(tmp_path), min_df=2).to_pandas().sort_values("doc_id")
     assert got_b["doc_id"].tolist() == [0, 2]
     assert got_b["clean_text"].tolist() == ["a b c d", "e f g h"]
 
