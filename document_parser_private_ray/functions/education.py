@@ -87,9 +87,9 @@ def _canonical_map(mapping: Dict[str, List[str]]) -> Dict[str, str]:
 
 
 class EducationNormalizer:
-    def __init__(self, data_dir: Optional[str] = None, patterns: Optional[dict] = None):
+    def __init__(self, data_dir: Optional[str] = None):
         data_dir = data_dir or _DATA_DIR
-        self.patterns = patterns or EDUCATION_PATTERNS
+        self.patterns = EDUCATION_PATTERNS
         self.institution_mapping = _load_mapping(os.path.join(data_dir, "institutions.json"))
         self.degree_mapping = _load_mapping(os.path.join(data_dir, "degrees.json"))
         self.field_mapping = _load_mapping(os.path.join(data_dir, "fields.json"))

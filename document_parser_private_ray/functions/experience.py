@@ -81,12 +81,11 @@ class ExperienceNormalizer:
     def __init__(
         self,
         data_dir: Optional[str] = None,
-        patterns: Optional[dict] = None,
         skill_normalizer: Optional[SkillNormalizer] = None,
         date_normalizer: Optional[DateNormalizer] = None,
     ):
         data_dir = data_dir or _DATA_DIR
-        self.patterns = patterns or EXPERIENCE_PATTERNS
+        self.patterns = EXPERIENCE_PATTERNS
         self.date_normalizer = date_normalizer or DateNormalizer()
         self.skill_normalizer = skill_normalizer or SkillNormalizer()
         self.company_mapping = _load_mapping(os.path.join(data_dir, "companies.json"))

@@ -290,7 +290,6 @@ class FuzzyIndex:
 def extract_one(
     query: str,
     choices: Sequence[str],
-    scorer=wratio,
     score_cutoff: float = 0.0,
 ) -> Optional[Tuple[str, float, int]]:
     """First strictly-best match over ``choices`` (``process.extractOne``
@@ -298,12 +297,12 @@ def extract_one(
     Returns ``(choice, score, index)`` or ``None`` if nothing reaches
     ``score_cutoff``."""
     best: Optional[Tuple[str, float, int]] = None
-    prune = scorer is wratio and score_cutoff > 10
+    prune = score_cutoff > 10
     floor = score_cutoff
     for i, choice in enumerate(choices):
         if prune and wratio_ceiling(query, choice) < floor - 10:
             continue
-        s = scorer(query, choice)
+        s = wratio(query, choice)
         if s < score_cutoff:
             continue
         if best is None or s > best[1]:

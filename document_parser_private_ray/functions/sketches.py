@@ -53,8 +53,8 @@ class MinHasher:
     Truncating shingle hashes to 32 bits adds ~n²/2^33 spurious
     collisions per document — negligible for per-doc shingle sets."""
 
-    def __init__(self, n_perm: int = 128, seed: int = 7):
-        rng = np.random.RandomState(seed)
+    def __init__(self, n_perm: int = 128):
+        rng = np.random.RandomState(7)
         self.a = rng.randint(1, 1 << 32, size=n_perm, dtype=np.uint64)
         self.b = rng.randint(0, 1 << 32, size=n_perm, dtype=np.uint64)
         self.n_perm = n_perm

@@ -42,28 +42,17 @@ class SkillNormalizer:
     def __init__(
         self,
         ontology: Optional[Dict[str, List[str]]] = None,
-        ontology_path: Optional[str] = None,
-        threshold: int = 80,
-        category_labels: Optional[List[str]] = None,
-        stop_words=None,
     ):
         if ontology is None:
-            path = ontology_path or DEFAULT_ONTOLOGY_PATH
             try:
-                with open(path, "r") as f:
+                with open(DEFAULT_ONTOLOGY_PATH, "r") as f:
                     ontology = json.load(f)
             except FileNotFoundError:
                 ontology = {}
         self.ontology: Dict[str, List[str]] = ontology
-        self.threshold = threshold
-        self.category_labels = (
-            category_labels
-            if category_labels is not None
-            else SKILL_PATTERNS["category_labels"]
-        )
-        self.stop_words = set(stop_words) if stop_words is not None else set(
-            SKILL_PATTERNS["stop_words"]
-        )
+        self.threshold = 80
+        self.category_labels = SKILL_PATTERNS["category_labels"]
+        self.stop_words = set(SKILL_PATTERNS["stop_words"])
         self._rebuild_index()
         self._memo: Dict[str, Optional[str]] = {}
 

@@ -65,10 +65,11 @@ def md5_fingerprint(text: str) -> str:
     return hashlib.md5((text or "").encode("utf-8")).hexdigest()
 
 
-def winnow_fingerprints(text: str, k: int = 5, window: int = 4) -> List[int]:
-    """Winnowing (Schleimer et al., SIGMOD'03): rolling word k-gram
-    hashes, minimum per sliding window, deduplicated in order — a
+def winnow_fingerprints(text: str) -> List[int]:
+    """Winnowing (Schleimer et al., SIGMOD'03): rolling word 5-gram
+    hashes, minimum per sliding window of 4, deduplicated in order — a
     compact local fingerprint set for near-dup detection."""
+    k, window = 5, 4
     words = (text or "").lower().split()
     if len(words) < k:
         return [_hash64(" ".join(words))] if words else []

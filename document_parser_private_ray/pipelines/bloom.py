@@ -9,7 +9,7 @@ positives only pass extra rows through to the exact join downstream —
 correctness is untouched; false negatives are impossible.
 
 Two multiplicative hashes (Knuth's 2^64 golden-ratio constants) index
-the bitmap; m defaults to 2^21 bits (256 KiB — broadcastable) which at
+the bitmap; m is 2^21 bits (256 KiB — broadcastable) which at
 ~150k build keys gives a false-positive rate well under 1%.
 """
 
@@ -18,38 +18,34 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-M_BITS_DEFAULT = 1 << 21
+M_BITS = 1 << 21
 _C1 = np.uint64(0x9E3779B97F4A7C15)
 _C2 = np.uint64(0xC2B2AE3D27D4EB4F)
+# the top 21 bits of each product address exactly [0, M_BITS): a power
+# of two, so every bit of the M_BITS // 64-word bitmap is reachable
+_SHIFT = np.uint64(64 - M_BITS.bit_length() + 1)
 
 
-def _positions(keys: np.ndarray, m_bits: int):
-    # the top-bits hash only addresses [0, 2^(bit_length-1)): m_bits must
-    # be a power of two (and >=64 so every bitmap word is addressable),
-    # else positions can exceed the m_bits//64-word bitmap (OOB) or leave
-    # part of it forever unset (silently inflated false-positive rate)
-    if m_bits < 64 or (m_bits & (m_bits - 1)) != 0:
-        raise ValueError(f"m_bits must be a power of two >= 64, got {m_bits}")
+def _positions(keys: np.ndarray):
     k = keys.astype(np.uint64)
-    shift = np.uint64(64 - int(m_bits).bit_length() + 1)
     return (
-        ((k * _C1) >> shift).astype(np.int64),
-        ((k * _C2) >> shift).astype(np.int64),
+        ((k * _C1) >> _SHIFT).astype(np.int64),
+        ((k * _C2) >> _SHIFT).astype(np.int64),
     )
 
 
-def build_bloom(ds, key: str, m_bits: int = M_BITS_DEFAULT) -> np.ndarray:
+def build_bloom(ds, key: str) -> np.ndarray:
     """OR-merge per-batch partial bitmaps of the build side's keys into
-    one uint64 word array (m_bits/64 words). The per-batch partial is
+    one uint64 word array (M_BITS/64 words). The per-batch partial is
     the full bitmap — small by construction — and the driver ORs one
     bitmap per batch; at multi-node scale the same merge runs as a
     tree reduce because OR is associative."""
-    n_words = m_bits // 64
+    n_words = M_BITS // 64
     bitmap = np.zeros(n_words, dtype=np.uint64)
 
     def partial(batch: pa.Table) -> pa.Table:
         keys = batch[key].to_numpy(zero_copy_only=False)
-        h1, h2 = _positions(keys, m_bits)
+        h1, h2 = _positions(keys)
         bm = np.zeros(n_words, dtype=np.uint64)
         for pos in (h1, h2):
             np.bitwise_or.at(
@@ -65,9 +61,9 @@ def build_bloom(ds, key: str, m_bits: int = M_BITS_DEFAULT) -> np.ndarray:
     return bitmap
 
 
-def bloom_mask(keys: np.ndarray, bitmap: np.ndarray, m_bits: int = M_BITS_DEFAULT):
+def bloom_mask(keys: np.ndarray, bitmap: np.ndarray):
     """Vectorized membership test: True where the key MAY be present."""
-    h1, h2 = _positions(keys, m_bits)
+    h1, h2 = _positions(keys)
     hit1 = (bitmap[h1 // 64] >> (h1 % 64).astype(np.uint64)) & np.uint64(1)
     hit2 = (bitmap[h2 // 64] >> (h2 % 64).astype(np.uint64)) & np.uint64(1)
     return (hit1 & hit2).astype(bool)

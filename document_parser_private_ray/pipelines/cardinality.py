@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import grouped_agg
+from .exchange import as_array, grouped_agg
 
 K_DEFAULT = 16
 _PREFIX_DIV = 1 << 48
@@ -41,8 +41,7 @@ def _batch_word_hash_minima(t: pa.Table, k: int) -> pa.Table:
     """Per-batch partial: the k smallest distinct md5(word) hex values
     over lowercase a-z words."""
     text = t["text"]
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
+    text = as_array(text)
     cleaned = pc.replace_substring_regex(
         pc.utf8_lower(pc.fill_null(text, "")), "[^a-z]+", " "
     )
@@ -151,16 +150,15 @@ CMS_DEPTH = 4
 CMS_WIDTH = 1024
 
 
-def _cms_bucket(word: str, row: int, width: int = CMS_WIDTH) -> int:
+def _cms_bucket(word: str, row: int) -> int:
     """Row-salted md5 bucket — replayable in SQL as
-    md5_number_upper(CONCAT(row, ':', word)) % width."""
+    md5_number_upper(CONCAT(row, ':', word)) % CMS_WIDTH."""
     return int.from_bytes(
         hashlib.md5(f"{row}:{word}".encode()).digest()[:8], "little"
-    ) % width
+    ) % CMS_WIDTH
 
 
-def word_cms_estimates(sf_dir: str, probes=None,
-                       depth: int = CMS_DEPTH, width: int = CMS_WIDTH):
+def word_cms_estimates(sf_dir: str, probes=None):
     """Count-Min sketch (Cormode-Muthukrishnan'05 — public method) of
     corpus word frequencies, probed for a fixed word list. The sketch
     is the canonical mergeable partial: each batch emits (row, bucket,
@@ -178,8 +176,7 @@ def word_cms_estimates(sf_dir: str, probes=None,
 
     def partials(t: pa.Table) -> pa.Table:
         text = t["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
+        text = as_array(text)
         cleaned = pc.replace_substring_regex(
             pc.utf8_lower(pc.fill_null(text, "")), "[^a-z]+", " "
         )
@@ -189,8 +186,8 @@ def word_cms_estimates(sf_dir: str, probes=None,
         words = pc.struct_field(vc, "values").to_pylist()
         counts = pc.struct_field(vc, "counts").to_numpy(zero_copy_only=False)
         rows_out, buckets_out, n_out = [], [], []
-        for r in range(depth):
-            bks = np.array([_cms_bucket(w, r, width) for w in words])
+        for r in range(CMS_DEPTH):
+            bks = np.array([_cms_bucket(w, r) for w in words])
             # collapse same-bucket words inside the batch partial
             uniq, inv = np.unique(bks, return_inverse=True)
             sums = np.bincount(inv, weights=counts).astype(np.int64)
@@ -208,10 +205,10 @@ def word_cms_estimates(sf_dir: str, probes=None,
     counters = grouped_agg(
         read_documents(sf_dir), ["row", "bucket"], {"n": ("n", "sum")},
         rows=partials, batch_size=1024,
-    ).take_all()  # <= depth x width rows by construction — the sketch, not the corpus
+    ).take_all()  # <= CMS_DEPTH x CMS_WIDTH rows by construction — the sketch, not the corpus
     table = {(r["row"], r["bucket"]): r["n"] for r in counters}
     est = [
-        min(table.get((r, _cms_bucket(w, r, width)), 0) for r in range(depth))
+        min(table.get((r, _cms_bucket(w, r)), 0) for r in range(CMS_DEPTH))
         for w in probes
     ]
     return pa.Table.from_pydict(
@@ -235,8 +232,7 @@ def _hll_partial(t: pa.Table) -> pa.Table:
     md5_number_upper-compatible (first 8 md5 bytes little-endian), so
     the DuckDB oracle replays every register bit-exactly."""
     text = t["text"]
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
+    text = as_array(text)
     cleaned = pc.replace_substring_regex(
         pc.utf8_lower(pc.fill_null(text, "")), "[^a-z]+", " "
     )

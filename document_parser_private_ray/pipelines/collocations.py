@@ -33,6 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import as_array
+
 MIN_COUNT = 5
 MAX_CANDIDATES = 200
 
@@ -41,8 +43,7 @@ def _token_lists(text_col) -> pa.ListArray:
     """Per-row lowercase a-z token lists (no empty tokens except the
     single [''] of a wordless row, which pairs with nothing and is
     dropped from the counts)."""
-    if isinstance(text_col, pa.ChunkedArray):
-        text_col = text_col.combine_chunks()
+    text_col = as_array(text_col)
     cleaned = pc.utf8_trim(
         pc.replace_substring_regex(
             pc.utf8_lower(pc.fill_null(text_col, "")), "[^a-z]+", " "
@@ -50,8 +51,7 @@ def _token_lists(text_col) -> pa.ListArray:
         " ",
     )
     lists = pc.split_pattern(cleaned, " ")
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
+    lists = as_array(lists)
     return lists
 
 
@@ -108,7 +108,6 @@ def word_collocations(
     sf_dir: str,
     top_k: int = 25,
     min_count: int = MIN_COUNT,
-    max_candidates: int = MAX_CANDIDATES,
 ):
     """Top-k bigram collocations: ``w1``, ``w2``, ``n_xy``,
     ``lift_micro`` — ordered by lift desc, then w1, w2."""
@@ -124,7 +123,7 @@ def word_collocations(
     )
     cand = (
         bigrams.sort(["n", "key"], descending=[True, False])
-        .limit(max_candidates)
+        .limit(MAX_CANDIDATES)
         .take_all()
     )
     words = set()

@@ -45,6 +45,10 @@ import pyarrow.compute as pc
 from ..stages import width
 from .exchange import grouped_agg
 
+MAX_ROUNDS = 32
+# edge count up to which component_drops runs union_find on the driver
+DRIVER_EDGES = 200_000
+
 
 def union_find(edges: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     """Exact min-root labels for every node appearing in ``edges``."""
@@ -98,14 +102,14 @@ def _label_links(labels):
     return labels.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def connected_components(pairs, node_cols=("doc_a", "doc_b"), max_rounds: int = 32):
-    """``pairs``: Dataset of undirected edges. Returns a Dataset of
-    (node, label) with label = min node id of the component."""
-    a, b = node_cols
+def connected_components(pairs):
+    """``pairs``: Dataset of undirected ``doc_a``-``doc_b`` edges. Returns
+    a Dataset of (node, label) with label = min node id of the
+    component, after at most ``MAX_ROUNDS`` propagation rounds."""
 
     def to_directed(batch: pa.Table) -> pa.Table:
-        src = pc.cast(batch[a], pa.int64())
-        dst = pc.cast(batch[b], pa.int64())
+        src = pc.cast(batch["doc_a"], pa.int64())
+        dst = pc.cast(batch["doc_b"], pa.int64())
         return pa.Table.from_pydict(
             {
                 "src": pa.concat_arrays([src.combine_chunks(), dst.combine_chunks()]),
@@ -139,7 +143,7 @@ def connected_components(pairs, node_cols=("doc_a", "doc_b"), max_rounds: int = 
     from .joins import bucketed_join
 
     prev_sum = None
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         relation = edges.union(_label_links(labels))
         joined = bucketed_join(relation, labels, "src", "node")
         labels = _cut(
@@ -163,18 +167,18 @@ def connected_components(pairs, node_cols=("doc_a", "doc_b"), max_rounds: int = 
     return labels
 
 
-def component_drops(pairs, n_edges: int, driver_threshold: int = 200_000) -> list:
+def component_drops(pairs, n_edges: int) -> list:
     """Drop list (every node that is not its component's min) for a
     verified-pair graph whose edge count is already known.
 
     The RESULT is a driver-side list either way, so when the edge list
     itself fits comfortably on the driver (``n_edges`` within
-    ``driver_threshold``) the exact ``union_find`` runs directly on the
+    ``DRIVER_EDGES``) the exact ``union_find`` runs directly on the
     collected edges — one round, no shuffles. Above the gate, the
     distributed label propagation runs and only the (node, label) table
     is collected. The gate bounds driver memory explicitly instead of
     assuming the graph is small."""
-    if n_edges <= driver_threshold:
+    if n_edges <= DRIVER_EDGES:
         edges = [
             (r["doc_a"], r["doc_b"]) for r in pairs.select_columns(["doc_a", "doc_b"]).take_all()
         ]

@@ -24,38 +24,37 @@ from ..sources.readers import read_documents
 from .exchange import grouped_agg
 
 
-def make_quality_filter(min_words: int = 5, max_digit_ratio: float = 0.3):
-    """Vectorized quality mask over a (.., text) batch: minimum word
-    count + maximum digit ratio (Arrow kernels only)."""
+MIN_WORDS = 5
+MAX_DIGIT_RATIO = 0.3
+LANG = "en"
+
+
+def quality_filter(batch: pa.Table) -> pa.Table:
+    """Vectorized quality mask over a (.., text) batch: at least
+    ``MIN_WORDS`` words and at most ``MAX_DIGIT_RATIO`` digits (Arrow
+    kernels only)."""
     from .text_analysis import _ws_token_count_vec
 
-    def quality_filter(batch: pa.Table) -> pa.Table:
-        text = batch["text"]
-        n_chars = pc.utf8_length(text)
-        n_words = _ws_token_count_vec(text)
-        digit = pc.utf8_length(pc.replace_substring_regex(text, "[^0-9]", ""))
-        denom = pc.cast(
-            pc.max_element_wise(n_chars, pa.scalar(1, type=pa.int32())), pa.float64()
-        )
-        ratio = pc.divide(pc.cast(digit, pa.float64()), denom)
-        mask = pc.and_(
-            pc.greater_equal(n_words, min_words),
-            pc.less_equal(ratio, max_digit_ratio),
-        )
-        return batch.filter(mask)
-
-    return quality_filter
+    text = batch["text"]
+    n_chars = pc.utf8_length(text)
+    n_words = _ws_token_count_vec(text)
+    digit = pc.utf8_length(pc.replace_substring_regex(text, "[^0-9]", ""))
+    denom = pc.cast(
+        pc.max_element_wise(n_chars, pa.scalar(1, type=pa.int32())), pa.float64()
+    )
+    ratio = pc.divide(pc.cast(digit, pa.float64()), denom)
+    mask = pc.and_(
+        pc.greater_equal(n_words, MIN_WORDS),
+        pc.less_equal(ratio, MAX_DIGIT_RATIO),
+    )
+    return batch.filter(mask)
 
 
-def make_language_filter(langs=("en",)):
-    """Stopword-argmax language-ID filter over a (.., text) batch."""
-    lang_set = frozenset(langs)
-
-    def language_filter(batch: pa.Table) -> pa.Table:
-        keep = [lang_id(t) in lang_set for t in batch["text"].to_pylist()]
-        return batch.filter(pa.array(keep, type=pa.bool_()))
-
-    return language_filter
+def language_filter(batch: pa.Table) -> pa.Table:
+    """Stopword-argmax language-ID filter over a (.., text) batch: keeps
+    the ``LANG`` documents."""
+    keep = [lang_id(t) == LANG for t in batch["text"].to_pylist()]
+    return batch.filter(pa.array(keep, type=pa.bool_()))
 
 
 def content_hash(batch: pa.Table) -> pa.Table:
@@ -72,23 +71,11 @@ def content_hash(batch: pa.Table) -> pa.Table:
     )
 
 
-def curated_survivors(
-    sf_dir: str,
-    min_words: int = 5,
-    max_digit_ratio: float = 0.3,
-    langs=("en",),
-    docs=None,
-):
+def curated_survivors(sf_dir: str):
     """(doc_id) Dataset of documents surviving quality + language +
-    exact-dedup filtering (min doc_id per duplicate group). ``docs``
-    substitutes a pre-built (doc_id, text) Dataset for the parquet read
-    — e.g. main text recovered by the HTML extractor (web_curate)."""
-    ds = docs if docs is not None else read_documents(sf_dir)
-    quality_filter = make_quality_filter(min_words, max_digit_ratio)
-    language_filter = make_language_filter(langs)
-
+    exact-dedup filtering (min doc_id per duplicate group)."""
     hashed = (
-        ds.map_batches(quality_filter, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
+        read_documents(sf_dir).map_batches(quality_filter, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
         .map_batches(language_filter, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
         .map_batches(content_hash, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
     )
@@ -112,6 +99,6 @@ def split_rollup(survivors):
     return grouped_agg(survivors, "split", {"n_docs": (None, "count")}, rows=assign)
 
 
-def curate_corpus(sf_dir: str, **kwargs):
+def curate_corpus(sf_dir: str):
     """(split, n_docs) rollup of the curated corpus."""
-    return split_rollup(curated_survivors(sf_dir, **kwargs))
+    return split_rollup(curated_survivors(sf_dir))

@@ -34,9 +34,10 @@ from ..sources.readers import read_documents
 
 BENCH_MOD = 37  # deterministic eval-set stand-in: doc_id % 37 == 0
 THRESHOLD_MICRO = 200_000  # contaminated iff >=20% of a doc's shingles hit
+K = 3  # shingle width in words
 
 
-def benchmark_shingles(sf_dir: str, k: int = 3) -> np.ndarray:
+def benchmark_shingles(sf_dir: str) -> np.ndarray:
     """Distinct shingle hashes of the benchmark docs as sorted int64.
 
     Small by construction (it is the eval set), so per-batch partial
@@ -49,7 +50,7 @@ def benchmark_shingles(sf_dir: str, k: int = 3) -> np.ndarray:
         mask = (ids % BENCH_MOD) == 0
         out: set = set()
         for txt in t.filter(pa.array(mask))["text"].to_pylist():
-            out |= shingles(txt, k)
+            out |= shingles(txt, K)
         arr = np.fromiter(out, dtype=np.uint64, count=len(out)).astype(np.int64)
         return pa.Table.from_pydict({"sh": pa.array(arr, type=pa.int64())})
 
@@ -62,11 +63,7 @@ def benchmark_shingles(sf_dir: str, k: int = 3) -> np.ndarray:
     return np.unique(tbl["sh"].to_numpy(zero_copy_only=False))
 
 
-def decontaminate(
-    sf_dir: str,
-    k: int = 3,
-    threshold_micro: int = THRESHOLD_MICRO,
-):
+def decontaminate(sf_dir: str):
     """Per-document benchmark-overlap stats over the whole corpus.
 
     Output columns (all deterministic): ``doc_id``, ``n_sh`` (distinct
@@ -74,7 +71,7 @@ def decontaminate(
     ``contam_micro`` (overlap fraction in micro-units), ``is_benchmark``
     and ``contaminated`` (non-benchmark doc at or above the threshold).
     """
-    bench = benchmark_shingles(sf_dir, k)
+    bench = benchmark_shingles(sf_dir)
 
     def scan(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -83,7 +80,7 @@ def decontaminate(
         counts = np.empty(n, dtype=np.int64)
         hash_parts = []
         for i, txt in enumerate(texts):
-            s = shingles(txt, k)
+            s = shingles(txt, K)
             counts[i] = len(s)
             hash_parts.append(np.fromiter(s, dtype=np.uint64, count=len(s)))
         flat = (
@@ -102,7 +99,7 @@ def decontaminate(
         micro[counts == 0] = 0
         is_bench = ((ids % BENCH_MOD) == 0).astype(np.int64)
         contaminated = (
-            (micro >= threshold_micro) & (is_bench == 0) & (counts > 0)
+            (micro >= THRESHOLD_MICRO) & (is_bench == 0) & (counts > 0)
         ).astype(np.int64)
         return pa.Table.from_pydict(
             {
@@ -120,9 +117,9 @@ def decontaminate(
     )
 
 
-def decontaminate_clean(sf_dir: str, k: int = 3):
+def decontaminate_clean(sf_dir: str):
     """Removal variant (the GPT-3 appendix-style span cut): every token
-    of a non-benchmark document covered by a benchmark-hit k-gram
+    of a non-benchmark document covered by a benchmark-hit K-gram
     window is removed; the cleaned text is re-emitted. Benchmark docs
     pass through untouched (real pipelines exclude them upstream).
 
@@ -134,7 +131,7 @@ def decontaminate_clean(sf_dir: str, k: int = 3):
     n_tokens, n_removed)."""
     from ..functions.sketches import _stable_hash64
 
-    bench = benchmark_shingles(sf_dir, k)
+    bench = benchmark_shingles(sf_dir)
 
     def clean_batch(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -148,18 +145,18 @@ def decontaminate_clean(sf_dir: str, k: int = 3):
             lowers.append(wl)
             if not wl:
                 counts.append(0)
-            elif len(wl) < k:
+            elif len(wl) < K:
                 counts.append(1)
                 hash_parts.append(
                     np.array([_stable_hash64(" ".join(wl))], dtype=np.uint64)
                 )
             else:
-                m = len(wl) - k + 1
+                m = len(wl) - K + 1
                 counts.append(m)
                 hash_parts.append(
                     np.fromiter(
                         (
-                            _stable_hash64(" ".join(wl[i : i + k]))
+                            _stable_hash64(" ".join(wl[i : i + K]))
                             for i in range(m)
                         ),
                         dtype=np.uint64,
@@ -183,15 +180,15 @@ def decontaminate_clean(sf_dir: str, k: int = 3):
                 clean.append(" ".join(wo))
                 n_rm.append(0)
                 continue
-            if len(wl) < k:
+            if len(wl) < K:
                 # the single whole-doc shingle hit: everything goes
                 clean.append("")
                 n_rm.append(n)
                 continue
             hs = np.flatnonzero(row_hits)
-            diff = np.zeros(n + k, dtype=np.int64)
+            diff = np.zeros(n + K, dtype=np.int64)
             np.add.at(diff, hs, 1)
-            np.add.at(diff, hs + k, -1)
+            np.add.at(diff, hs + K, -1)
             covered = np.cumsum(diff[:n]) > 0
             kept = [w for w, c in zip(wo, covered) if not c]
             clean.append(" ".join(kept))

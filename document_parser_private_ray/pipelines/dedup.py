@@ -33,6 +33,16 @@ from ..sources.readers import read_documents
 from .exchange import co_partition, grouped_agg, run_starts, sorted_runs
 from .pairs import attach_pair_values, fits_broadcast, lookup, scan_ids, self_pairs
 
+# MinHash-LSH: permutations, bands (rows per band = N_PERM // N_BANDS)
+# and shingle width in words; the dedup_minhash SQL oracle replays them
+N_PERM, N_BANDS, SHINGLE_K = 128, 16, 3
+# SimHash: 4 bands of 16 bits guarantee a shared band at Hamming <= 3
+MAX_HAMMING = 3
+# inverted-index stop list: shingles / fingerprints in more documents go
+MAX_DF = 100_000
+# document cap of the exact, full-matrix embedding_neardup_pairs
+MAX_EXACT_VECTORS = 200_000
+
 
 # -- exact dedup ---------------------------------------------------------
 
@@ -76,16 +86,14 @@ class MinHashSignatures:
     coefficients are built once on the driver and ship with the
     instance."""
 
-    def __init__(self, n_perm: int = 128, n_bands: int = 16, k_shingle: int = 3):
-        self.hasher = MinHasher(n_perm=n_perm)
-        self.n_bands = n_bands
-        self.k = k_shingle
+    def __init__(self):
+        self.hasher = MinHasher(n_perm=N_PERM)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids, bands, keys = [], [], []
         for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-            sig = self.hasher.signature(shingles(text, self.k))
-            for band, key in enumerate(self.hasher.band_keys(sig, self.n_bands)):
+            sig = self.hasher.signature(shingles(text, SHINGLE_K))
+            for band, key in enumerate(self.hasher.band_keys(sig, N_BANDS)):
                 doc_ids.append(doc_id)
                 bands.append(band)
                 keys.append(key)
@@ -99,16 +107,14 @@ class MinHashSignatures:
         )
 
 
-def minhash_candidate_pairs(
-    sf_dir: str, n_perm: int = 128, n_bands: int = 16, max_bucket: int = 4096
-):
+def minhash_candidate_pairs(sf_dir: str, max_bucket: int = 4096):
     """(doc_a, doc_b, count()) candidate pairs from shared LSH buckets:
     the (band, key) rows co-partition on those two columns and every
     bucket runs ``pairs.self_pairs`` (the star over the min id for an
     LSH bucket over ``max_bucket`` members, logged)."""
     ds = read_documents(sf_dir)
     sigs = ds.map_batches(
-        MinHashSignatures(n_perm=n_perm, n_bands=n_bands),
+        MinHashSignatures(),
         batch_format="pyarrow", zero_copy_batch=True,
         batch_size=512,
     )
@@ -124,10 +130,7 @@ def minhash_candidate_pairs(
     return grouped_agg(pairs, ["doc_a", "doc_b"], {"count()": (None, "count")})
 
 
-def minhash_verified_pairs(
-    sf_dir: str, threshold: float = 0.8, n_perm: int = 128, n_bands: int = 16,
-    pair_filter=None,
-):
+def minhash_verified_pairs(sf_dir: str, threshold: float = 0.8, pair_filter=None):
     """Shared front half of the MinHash near-dup family: LSH candidate
     pairs -> exact Jaccard verify. Returns (verified_pairs_dataset,
     n_candidates, n_verified); the dataset is None when no candidates
@@ -141,7 +144,7 @@ def minhash_verified_pairs(
     predicate applied to the candidate pairs BEFORE text attach +
     verify — e.g. keep only cross-side (incoming x state) pairs so the
     expensive verify never touches pairs the caller will discard."""
-    pairs_ds = minhash_candidate_pairs(sf_dir, n_perm, n_bands)
+    pairs_ds = minhash_candidate_pairs(sf_dir)
     if pair_filter is not None:
         pairs_ds = pairs_ds.map_batches(
             pair_filter, batch_format="pyarrow", zero_copy_batch=True
@@ -159,7 +162,7 @@ def minhash_verified_pairs(
         def sh(doc, text):
             s = memo.get(doc)
             if s is None:
-                s = shingles(text, 3)
+                s = shingles(text, SHINGLE_K)
                 memo[doc] = s
             return s
 
@@ -189,16 +192,14 @@ def minhash_verified_pairs(
     return verified, n_candidates, n_verified
 
 
-def dedup_minhash(sf_dir: str, threshold: float = 0.8, n_perm: int = 128, n_bands: int = 16):
+def dedup_minhash(sf_dir: str, threshold: float = 0.8):
     """Near-dup clusters: LSH candidates -> exact Jaccard verify ->
     survivor = min doc_id per connected component
     (``minhash_verified_pairs`` for the shared front half). Survivor
     labels come from the join-based ``connected_components``; the
     driver holds only the final counts and the drop list (which IS the
     query's result)."""
-    verified, n_candidates, n_verified = minhash_verified_pairs(
-        sf_dir, threshold, n_perm, n_bands
-    )
+    verified, n_candidates, n_verified = minhash_verified_pairs(sf_dir, threshold)
     if verified is None:
         return {
             "n_candidate_pairs": n_candidates,
@@ -250,12 +251,7 @@ def _elect_keepers(group: pa.Table) -> pa.Table:
     )
 
 
-def neardup_keep_best(
-    sf_dir: str,
-    threshold: float = 0.8,
-    n_perm: int = 128,
-    n_bands: int = 16,
-):
+def neardup_keep_best(sf_dir: str, threshold: float = 0.8):
     """Quality-canonical near-dup resolution: one row per MinHash
     near-dup cluster with the keeper chosen by CONTENT QUALITY (max
     text bytes, tie -> min doc_id) instead of min doc_id — the curation
@@ -281,7 +277,7 @@ def neardup_keep_best(
     from .components import connected_components
     from .joins import bucketed_join
 
-    verified, _, _ = minhash_verified_pairs(sf_dir, threshold, n_perm, n_bands)
+    verified, _, _ = minhash_verified_pairs(sf_dir, threshold)
     if verified is None:
         return rd.from_arrow(_elect_keepers(pa.table({
             "label": pa.array([], pa.int64()),
@@ -343,7 +339,7 @@ def simhash_table(sf_dir: str):
     return ds.map_batches(sig, batch_format="pyarrow", zero_copy_batch=True, batch_size=1024)
 
 
-def dedup_simhash(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
+def dedup_simhash(sf_dir: str, max_bucket: int = 4096):
     """Near-dup pairs by SimHash banding + Hamming verify — fully
     distributed: signatures explode to (band, value, doc_id, simhash)
     rows co-partitioned on (band, value), and each bucket generates its
@@ -402,7 +398,7 @@ def dedup_simhash(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
             [cand["doc_a"], cand["doc_b"], pa.array(ham, type=pa.int64())],
             names=["doc_a", "doc_b", "hamming"],
         )
-        cand = cand.filter(pc.less_equal(cand["hamming"], max_hamming))
+        cand = cand.filter(pc.less_equal(cand["hamming"], MAX_HAMMING))
         # local distinct (a pair may collide in several bands in-bucket)
         return cand.group_by(["doc_a", "doc_b"]).aggregate([("hamming", "min")]).rename_columns(
             ["doc_a", "doc_b", "hamming"]
@@ -418,7 +414,7 @@ def dedup_simhash(sf_dir: str, max_hamming: int = 3, max_bucket: int = 4096):
 
 # -- n-gram Jaccard (exact, fully distributed) ---------------------------
 
-def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df: int = 100_000):
+def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5):
     """All pairs with shingle-Jaccard >= threshold — EXACT, with the
     inverted-index shuffle shape (no take_all, no broadcast corpus map):
 
@@ -429,7 +425,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
          in one bucket, so document frequency stays globally exact) and
          each bucket runs ``pairs.self_pairs``: per-pair partial
          intersection counts plus both set sizes, stop-shingles with
-         df > ``max_df`` dropped (logged);
+         df > ``MAX_DF`` dropped (logged);
       3. one global groupby(doc_a, doc_b) sums the partials;
          jaccard = i / (|A| + |B| - i), filter >= threshold.
 
@@ -448,7 +444,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
         # per-doc Python loop
         from .setjoin import _explode_shingles
 
-        t = _explode_shingles(batch, k)
+        t = _explode_shingles(batch, SHINGLE_K)
         return t.rename_columns(["sh", "doc_id", "n"])
 
     postings = read_documents(sf_dir).map_batches(
@@ -463,10 +459,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3, max_df:
         g = group.select(["sh", "doc_id", "n"]).combine_chunks()
         # global df per shingle (complete posting lists are in-group)
         df = pc.value_counts(g["sh"])
-        heavy = df.filter(pc.greater(pc.struct_field(df, "counts"), max_df))
+        heavy = df.filter(pc.greater(pc.struct_field(df, "counts"), MAX_DF))
         if len(heavy) > 0:
             logging.getLogger(__name__).warning(
-                "%d stop-shingles with df > %d dropped", len(heavy), max_df
+                "%d stop-shingles with df > %d dropped", len(heavy), MAX_DF
             )
             keep = pc.invert(
                 pc.is_in(g["sh"], value_set=pc.struct_field(heavy, "values"))
@@ -575,21 +571,21 @@ def ngram_jaccard_micro(sf_dir: str):
 
 # -- embedding cosine near-dup ------------------------------------------
 
-def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.95, max_vectors: int = 200_000):
+def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.95):
     """Pairs of embeddings with cosine similarity > threshold. The
     batch kernel closes over the normalized matrix; each batch does one
     numpy matmul against it (vectorized brute force — the exact
-    baseline). This path is HARD-GATED to ``max_vectors``: it is the
+    baseline). This path is HARD-GATED to ``MAX_EXACT_VECTORS``: it is the
     test-scale exact baseline only; the LSH-bucketed scale path is
     ``similarity.embedding_neardup_lsh`` (no full-matrix broadcast)."""
     from ..sources.readers import read_table
 
     ds = read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"])
     n_total = ds.count()
-    if n_total > max_vectors:
+    if n_total > MAX_EXACT_VECTORS:
         raise ValueError(
             f"embedding_neardup_pairs is the exact small-scale baseline "
-            f"(n={n_total} > cap {max_vectors}); use embedding_neardup_lsh"
+            f"(n={n_total} > cap {MAX_EXACT_VECTORS}); use embedding_neardup_lsh"
         )
     all_rows = ds.take_all()
     ids = np.array([r["vec_id"] for r in all_rows], dtype=np.int64)
@@ -623,13 +619,13 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.95, max_vectors: i
 
 # -- winnowing fingerprint overlap (substring-dup candidates) ------------
 
-def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000):
+def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5):
     """Document pairs sharing >= ``min_shared`` winnowing fingerprints
     (Schleimer'03 local fingerprints -> shared-substring candidates, the
     MOSS shape). Same scale pattern as the n-gram inverted index: one
     fingerprinting pass explodes to (fp, doc_id) rows, fingerprints
     hash into buckets, each bucket emits per-pair partial counts via
-    ``pairs.self_pairs`` (stop-fingerprints with df > ``max_df``
+    ``pairs.self_pairs`` (stop-fingerprints with df > ``MAX_DF``
     dropped, logged), and a global groupby sums the partials."""
     from ..functions.textstats import winnow_fingerprints
 
@@ -656,10 +652,10 @@ def winnow_overlap_pairs(sf_dir: str, min_shared: int = 5, max_df: int = 100_000
 
         g = group.select(["fp", "doc_id"]).combine_chunks()
         df = pc.value_counts(g["fp"])
-        heavy = df.filter(pc.greater(pc.struct_field(df, "counts"), max_df))
+        heavy = df.filter(pc.greater(pc.struct_field(df, "counts"), MAX_DF))
         if len(heavy) > 0:
             logging.getLogger(__name__).warning(
-                "%d stop-fingerprints with df > %d dropped", len(heavy), max_df
+                "%d stop-fingerprints with df > %d dropped", len(heavy), MAX_DF
             )
             g = g.filter(
                 pc.invert(pc.is_in(g["fp"], value_set=pc.struct_field(heavy, "values")))
@@ -804,12 +800,7 @@ def dup_rate_by_source(sf_dir: str):
     )
 
 
-def minhash_against_state(
-    sf_dir: str,
-    threshold: float = 0.8,
-    n_perm: int = 128,
-    n_bands: int = 16,
-):
+def minhash_against_state(sf_dir: str):
     """Incremental NEAR-dup ingestion — ``dedup_against_state``'s
     production shape upgraded from exact hashes to MinHash similarity:
     classify every INCOMING document (odd doc_ids, the scale-free
@@ -834,9 +825,7 @@ def minhash_against_state(
         b = batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
         return batch.filter(pa.array((a % 2) != (b % 2)))
 
-    verified, _, _ = minhash_verified_pairs(
-        sf_dir, threshold, n_perm, n_bands, pair_filter=cross_side
-    )
+    verified, _, _ = minhash_verified_pairs(sf_dir, pair_filter=cross_side)
 
     incoming = read_documents(sf_dir, columns=("doc_id",)).map_batches(
         lambda t: t.filter(

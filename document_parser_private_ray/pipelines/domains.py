@@ -25,7 +25,7 @@ read it back for pass 2 (``state/checkpoint.py``), trading storage for
 the recompute.
 
 The keep rule is a pure integer multiply-compare —
-``sum_score >= cutoff * n AND n >= min_docs`` — never a mean division,
+``sum_score >= CUTOFF_MICRO * n AND n >= MIN_DOCS`` — never a mean division,
 so DuckDB replays it bit-exactly (cross-engine integer-division
 flooring of negative sums never enters the picture).
 
@@ -62,11 +62,7 @@ def _scored(sf_dir: str):
     )
 
 
-def source_stats(
-    sf_dir: str,
-    cutoff_micro: int = CUTOFF_MICRO,
-    min_docs: int = MIN_DOCS,
-):
+def source_stats(sf_dir: str):
     """Per-source rollup: ``source``, ``n_docs``, ``sum_score_micro``,
     ``src_kept`` — one row per domain."""
     agg = grouped_agg(
@@ -78,7 +74,7 @@ def source_stats(
     def verdict(t: pa.Table) -> pa.Table:
         s = t["sum_score_micro"].to_numpy(zero_copy_only=False).astype(np.int64)
         n = t["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
-        kept = ((s >= cutoff_micro * n) & (n >= min_docs)).astype(np.int64)
+        kept = ((s >= CUTOFF_MICRO * n) & (n >= MIN_DOCS)).astype(np.int64)
         return pa.Table.from_pydict(
             {
                 "source": t["source"],
@@ -93,16 +89,12 @@ def source_stats(
     )
 
 
-def source_filter(
-    sf_dir: str,
-    cutoff_micro: int = CUTOFF_MICRO,
-    min_docs: int = MIN_DOCS,
-):
+def source_filter(sf_dir: str):
     """Per-doc verdicts: ``doc_id``, ``source``, ``score_micro``,
     ``src_kept`` (the doc's whole source survived the mean-score gate).
     All docs are emitted — the flag IS the result, so
     downstream can either filter on it or audit what a drop removes."""
-    stats = source_stats(sf_dir, cutoff_micro, min_docs).to_pandas()
+    stats = source_stats(sf_dir).to_pandas()
     kept = set(stats.loc[stats["src_kept"] == 1, "source"])  # bounded by #domains
     kept = pa.array(sorted(kept), type=pa.string())
 

@@ -69,12 +69,18 @@ BUCKET = "__bucket"
 SIDE = "__side"
 
 
+def as_array(col) -> pa.Array:
+    """``col`` as one contiguous Arrow array, for offsets/values access:
+    a ChunkedArray's chunks combined (a table filtered to no rows has
+    columns of no chunks: they give an empty array of their type)."""
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+
+
 def _key_hash(keys) -> np.ndarray:
     """uint64 hash of one key column: the int value (temporals by their
     int encoding, null as 0), or one crc32 per distinct string (null as
     the empty string)."""
-    if isinstance(keys, pa.ChunkedArray):
-        keys = keys.combine_chunks()
+    keys = as_array(keys)
     if pa.types.is_string(keys.type) or pa.types.is_large_string(keys.type):
         # one crc32 per DISTINCT string, broadcast back through the codes
         enc = pc.dictionary_encode(pc.fill_null(keys, ""))

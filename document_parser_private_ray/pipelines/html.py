@@ -255,12 +255,7 @@ class WebCurationFeatures(HtmlMainContent):
         )
 
 
-def web_curate(
-    sf_dir: str,
-    min_words: int = 5,
-    max_digit_ratio: float = 0.3,
-    langs=("en",),
-):
+def web_curate(sf_dir: str):
     """The composed WEB curation chain — what a crawl-to-training-set
     pipeline actually runs, end to end as one streaming plan:
 
@@ -280,13 +275,11 @@ def web_curate(
     exchanges carry keys only, nothing broadcasts."""
     import hashlib
 
-    from .curate import make_language_filter, make_quality_filter, split_rollup
+    from .curate import language_filter, quality_filter, split_rollup
 
     feats = _pages(sf_dir).map_batches(
         WebCurationFeatures(), batch_format="pyarrow", batch_size=128
     )
-    quality_filter = make_quality_filter(min_words, max_digit_ratio)
-    language_filter = make_language_filter(langs)
 
     def tag_union(t: pa.Table) -> pa.Table:
         # U rows for every crawled page; T rows only for quality+lang
@@ -327,18 +320,18 @@ def web_curate(
     return split_rollup(survivors)
 
 
-def link_indegree(sf_dir: str, top_k: int = 30):
+def link_indegree(sf_dir: str):
     """Link-graph in-degree: how many pages point at each URL — the
     first signal every crawl ranker computes. Chrome URLs (/home, the
     footer links) are HOT KEYS appearing once per page, so the edge
     list pre-aggregates per batch (url -> partial count) BEFORE the
     groupby: each batch collapses its chrome edges to one row per URL
     and the exchange carries partials, never the raw hot-key edges.
-    Top-k by (in_degree desc, url) keeps the result driver-small."""
+    The top 30 by (in_degree desc, url) keep the result driver-small."""
     return (
         grouped_agg(html_outlinks(sf_dir), "url", {"in_degree": ("doc_id", "count")})
         .sort(["in_degree", "url"], descending=[True, False])
-        .limit(top_k)
+        .limit(30)
     )
 
 
@@ -445,7 +438,7 @@ def web_extract_job(
     )
 
 
-def anchor_texts(sf_dir: str, top_k: int = 30):
+def anchor_texts(sf_dir: str):
     """Anchor-text aggregation — the classic off-page ranking signal:
     for each link target, how many anchors point at it, how many
     distinct anchor texts, and the dominant text (max count, ties by
@@ -505,5 +498,5 @@ def anchor_texts(sf_dir: str, top_k: int = 30):
     return (
         sorted_runs(counts, "url", [("n", "descending"), "atext"], reduce_bucket)
         .sort(["n_anchors", "url"], descending=[True, False])
-        .limit(top_k)
+        .limit(30)
     )

@@ -203,9 +203,9 @@ def customers_big_spenders(sf_dir: str):
     )
 
 
-def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
+def order_bigline_histogram(sf_dir: str):
     """Distribution of big-line counts per order with LEFT OUTER
-    semantics — orders with zero qualifying lineitems must appear
+    semantics — orders with zero big lineitems (quantity over 45) must appear
     (n_big = 0), which an inner join cannot produce. Fused shape (r5):
     the lineitem side filters and pre-aggregates per batch BEFORE the
     exchange, both sides co-partition by orderkey bucket in ONE
@@ -220,7 +220,7 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def big_line_partials(batch: pa.Table) -> pa.Table:
-        big = batch.filter(pc.greater(batch["l_quantity"], qty_floor))
+        big = batch.filter(pc.greater(batch["l_quantity"], 45.0))
         g = big.select(["l_orderkey"]).group_by("l_orderkey").aggregate(
             [("l_orderkey", "count")]
         )
@@ -262,9 +262,9 @@ def order_bigline_histogram(sf_dir: str, qty_floor: float = 45.0):
     return grouped_agg(hist, "n_big", {"n_orders": ("n", "sum")})
 
 
-def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
-                         cutoff: str = "1998-01-01", k: int = 10):
-    """TPC-H Q3 shape — a CHAINED multi-way join, each link the cheapest
+def q3_shipping_priority(sf_dir: str):
+    """TPC-H Q3 shape, top 10 orders of the BUILDING segment around the
+    1998-01-01 cutoff — a CHAINED multi-way join, each link the cheapest
     exchange that preserves semantics: (1) orders dated before the
     cutoff are SEMI-joined against the segment's customer keys
     (``bucketed_filter_join`` — one co-partition exchange, the customer
@@ -275,11 +275,11 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     bit-for-bit. Filters run at the scan on every input."""
     import numpy as np
 
-    cut = np.datetime64(cutoff, "us")
+    cut = np.datetime64("1998-01-01", "us")
 
     customers = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     cust_keys = customers.map_batches(
-        lambda b: b.filter(pc.equal(b["c_mktsegment"], segment)).select(["c_custkey"]),
+        lambda b: b.filter(pc.equal(b["c_mktsegment"], "BUILDING")).select(["c_custkey"]),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
@@ -349,7 +349,7 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
             zero_copy_batch=True,
         )
         .sort(["revenue_cents", "o_orderkey"], descending=[True, False])
-        .limit(k)
+        .limit(10)
     )
 
 
@@ -389,10 +389,10 @@ def fk_violations(sf_dir: str):
     )
 
 
-def building_not_big_spenders(sf_dir: str, spend_floor: float = 1_500_000.0):
+def building_not_big_spenders(sf_dir: str):
     """Set algebra (EXCEPT) over derived key sets: BUILDING-segment
-    customers MINUS customers whose total order value exceeds the
-    floor — composed from the same keys-only co-partition primitives as
+    customers MINUS customers whose total order value exceeds
+    1,500,000 — composed from the same keys-only co-partition primitives as
     the semi/anti joins: the subtrahend set is itself an aggregate
     (groupby custkey -> filter), and the EXCEPT is one anti
     ``bucketed_filter_join``. Output: (c_custkey, c_acctbal)."""
@@ -411,7 +411,7 @@ def building_not_big_spenders(sf_dir: str, spend_floor: float = 1_500_000.0):
             {"total": ("o_totalprice", "sum")},
         )
         .map_batches(
-            lambda b: b.filter(pc.greater(b["total"], spend_floor)).select(
+            lambda b: b.filter(pc.greater(b["total"], 1_500_000.0)).select(
                 ["o_custkey"]
             ),
             batch_format="pyarrow",

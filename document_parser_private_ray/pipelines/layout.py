@@ -17,6 +17,7 @@ from typing import Dict, List
 import pyarrow as pa
 
 from ..functions.layout import analyze_layout, integrate_layout, layout_to_spans
+from .exchange import as_array
 
 _FONTS = [
     ("Arial", 10.0), ("Arial", 11.0), ("Arial-Bold", 14.0), ("Arial-Bold", 16.0),
@@ -81,17 +82,12 @@ _STATS_SCHEMA = pa.schema(
 
 
 class LayoutAnalyzeStage:
-    """Task stage: doc ids -> analyze -> integrate -> span + stats row.
-    (State is trivial here, but the stage is a class so a real layout
-    model slots into __init__ without reshaping the pipeline.)"""
-
-    def __init__(self, seed: int = 42):
-        self.seed = seed
+    """Task stage: doc ids -> analyze -> integrate -> span + stats row."""
 
     def __call__(self, batch) -> pa.Table:
         rows = []
         for i in batch["id"]:
-            doc = generate_layout_document(int(i), self.seed)
+            doc = generate_layout_document(int(i))
             layout = analyze_layout(doc["pages"])
             integrated = integrate_layout({"raw_text": "", "tables": []}, layout)
             spans = layout_to_spans(integrated, layout)
@@ -167,14 +163,14 @@ def write_layout_flat(out_dir: str, n_docs: int = 500, seed: int = 42) -> None:
     )
 
 
-def layout_blocks(n_docs: int = 500, seed: int = 42):
+def layout_blocks(n_docs: int = 500):
     """Driver query: layout-analyze a deterministic synthetic corpus,
     one stats row per document."""
     import ray.data as rd
 
     ds = rd.range(n_docs)
     return ds.map_batches(
-        LayoutAnalyzeStage(seed), batch_format="numpy", batch_size=128
+        LayoutAnalyzeStage(), batch_format="numpy", batch_size=128
     )
 
 
@@ -195,9 +191,7 @@ def span_kind_transitions(spans):
 
     def pairs(batch: pa.Table) -> pa.Table:
         spans = batch["spans"]
-        spans = spans.combine_chunks() if isinstance(spans, pa.ChunkedArray) else spans
-        if isinstance(spans, pa.ChunkedArray):
-            spans = spans.chunk(0)
+        spans = as_array(spans)
         off = spans.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         kinds = pc.struct_field(spans.values, "kind")
         k = np.asarray(kinds.to_pylist(), dtype=object)[off[0] : off[-1]]
@@ -235,9 +229,7 @@ def span_bytes_by_kind(spans):
 
     def kind_bytes(batch: pa.Table) -> pa.Table:
         spans = batch["spans"]
-        spans = spans.combine_chunks() if isinstance(spans, pa.ChunkedArray) else spans
-        if isinstance(spans, pa.ChunkedArray):
-            spans = spans.chunk(0)
+        spans = as_array(spans)
         kinds = pc.struct_field(spans.values, "kind")
         nbytes = pc.fill_null(
             pc.binary_length(pc.struct_field(spans.values, "text")), 0

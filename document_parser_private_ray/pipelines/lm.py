@@ -34,6 +34,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import as_array
+
 N_SYMBOLS = 27  # space + a-z
 N_CODES = N_SYMBOLS * N_SYMBOLS
 
@@ -62,8 +64,7 @@ def _flat_codes(norm: pa.Array):
     """(codes uint8 flat stream, per-row offsets int64) read straight
     off the Arrow string buffer — zero per-row Python. space->0,
     a..z -> 1..26."""
-    if isinstance(norm, pa.ChunkedArray):
-        norm = norm.combine_chunks()
+    norm = as_array(norm)
     nrows = len(norm)
     off_dtype = np.int64 if pa.types.is_large_string(norm.type) else np.int32
     offs = np.frombuffer(norm.buffers()[1], dtype=off_dtype)[
@@ -104,8 +105,7 @@ def train_char_bigram_counts_local(sf_dir: str) -> np.ndarray:
 
     t = pq.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
     norm = _normalize(t["text"].combine_chunks())
-    if isinstance(norm, pa.ChunkedArray):
-        norm = norm.combine_chunks()
+    norm = as_array(norm)
     codes, rel = _flat_codes(norm)
     pairs, valid = _pair_codes(codes, rel)
     return np.bincount(pairs[valid], minlength=N_CODES).astype(np.int64)
@@ -160,15 +160,11 @@ def bigram_nll_lut_micro(counts: np.ndarray) -> np.ndarray:
     return lut
 
 
-def doc_perplexity(
-    sf_dir: str,
-    threshold_micro: int = DEFAULT_THRESHOLD_MICRO,
-    counts: np.ndarray | None = None,
-):
+def doc_perplexity(sf_dir: str):
     """Per-document bigram-LM score: (doc_id, n_trans, nll_micro,
     keep), one row per document. nll_micro is the exact int64 sum of
     per-transition micro-nat NLLs; keep = 1 iff the integer
-    cross-multiply ``nll_micro <= threshold_micro * n_trans`` holds
+    cross-multiply ``nll_micro <= DEFAULT_THRESHOLD_MICRO * n_trans`` holds
     (empty/1-char docs keep by definition).
 
     The 729-entry LUT is trained distributed (one bounded-exchange
@@ -176,9 +172,7 @@ def doc_perplexity(
     one shuffle-free pass."""
     from ..sources.readers import read_documents
 
-    if counts is None:
-        counts = train_char_bigram_counts(sf_dir)
-    lut = bigram_nll_lut_micro(counts)
+    lut = bigram_nll_lut_micro(train_char_bigram_counts(sf_dir))
 
     def score(t: pa.Table) -> pa.Table:
         codes, rel = _flat_codes(_normalize(t["text"]))
@@ -189,7 +183,7 @@ def doc_perplexity(
         lens = rel[1:] - rel[:-1]
         n_trans = np.maximum(lens - 1, 0)
         keep = np.where(
-            n_trans == 0, 1, (nll <= threshold_micro * n_trans).astype(np.int64)
+            n_trans == 0, 1, (nll <= DEFAULT_THRESHOLD_MICRO * n_trans).astype(np.int64)
         )
         return pa.Table.from_pydict(
             {

@@ -2,10 +2,9 @@
 columns with typed metadata, processed by task map stages.
 
 The decode kernels (PIL/ffmpeg-class work) are STUBBED — the libraries
-are not in this container — behind ``decoder=`` hooks with a
-deterministic fake default, so the Ray-side plumbing (schema, batch
-sizing for large binaries, stage signature, output layout) is real and
-tested; swapping in a real decoder is a constructor argument.
+are not installed — by deterministic fakes, so the Ray-side plumbing
+(schema, batch sizing for large binaries, stage signature, output
+layout) is real and tested.
 
 Memory notes for binary columns: batches stay small (batch_size 32) so
 batch x concurrent tasks fits worker heaps; blocks of wide binary rows
@@ -16,7 +15,6 @@ than absurdly-small split blocks (ray guide: object-store pressure).
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -49,13 +47,13 @@ FEATURE_SCHEMA = pa.schema(
 )
 
 
-def synth_media_batch(refs, seed: int = 42, with_video: bool = False) -> pa.Table:
+def synth_media_batch(refs, with_video: bool = False) -> pa.Table:
     """Deterministic fake media rows for tests/benches: payload bytes are
     a function of the media_ref. ``with_video=True`` adds a video kind
     (with frame-count metadata) for the frame-sampling stage."""
     rows = []
     for ref in refs:
-        h = hashlib.blake2b(f"{seed}:{ref}".encode(), digest_size=32).digest()
+        h = hashlib.blake2b(f"42:{ref}".encode(), digest_size=32).digest()
         if with_video:
             kind = ("image", "audio", "video")[h[0] % 3]
         else:
@@ -75,26 +73,25 @@ def synth_media_batch(refs, seed: int = 42, with_video: bool = False) -> pa.Tabl
     return pa.Table.from_pylist(rows, schema=MEDIA_SCHEMA)
 
 
-def _fake_resize(payload: bytes, width: int, height: int) -> bytes:
+# MediaResize's target, FrameSample's stride, MediaFeatures' vector size
+WIDTH, HEIGHT = 32, 32
+EVERY_K = 4
+DIM = 8
+
+
+def _fake_resize(payload: bytes) -> bytes:
     """Deterministic stand-in for an image resize kernel: output bytes
     derived from (payload, target) with size proportional to the target
-    area. Replace via ``MediaResize(resizer=...)``."""
-    h = hashlib.blake2b(payload + f":{width}x{height}".encode(), digest_size=32).digest()
-    return h * max(1, (width * height) // 512)
+    area."""
+    h = hashlib.blake2b(payload + f":{WIDTH}x{HEIGHT}".encode(), digest_size=32).digest()
+    return h * max(1, (WIDTH * HEIGHT) // 512)
 
 
 class MediaResize:
-    """Task stage: resize image payloads to a fixed target (video/audio
-    rows pass through untouched). ``resizer(payload, w, h) -> bytes`` is
-    the pluggable kernel slot (a real deployment passes PIL/libvips and
-    sets ``num_cpus``/``num_gpus`` on the map); the default is the
-    deterministic fake, so the plumbing — schema, pass-through,
-    metadata update — is real and tested."""
-
-    def __init__(self, width: int = 32, height: int = 32, resizer: Optional[Callable] = None):
-        self.width = width
-        self.height = height
-        self.resizer = resizer or _fake_resize
+    """Task stage: resize image payloads to ``WIDTH`` x ``HEIGHT``
+    (video/audio rows pass through untouched) with the deterministic
+    fake kernel, so the plumbing — schema, pass-through, metadata
+    update — is real and tested."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -107,9 +104,7 @@ class MediaResize:
         if not np_mask.any():
             return batch
         img_payloads = batch["payload"].filter(mask).to_pylist()
-        resized = iter(
-            self.resizer(p or b"", self.width, self.height) for p in img_payloads
-        )
+        resized = iter(_fake_resize(p or b"") for p in img_payloads)
         scattered = pa.array(
             [next(resized) if m else None for m in np_mask], type=pa.binary()
         )
@@ -121,12 +116,12 @@ class MediaResize:
         out = out.set_column(
             out.schema.get_field_index("meta_width"),
             "meta_width",
-            pc.if_else(mask, pa.scalar(self.width, pa.int32()), out["meta_width"]),
+            pc.if_else(mask, pa.scalar(WIDTH, pa.int32()), out["meta_width"]),
         )
         return out.set_column(
             out.schema.get_field_index("meta_height"),
             "meta_height",
-            pc.if_else(mask, pa.scalar(self.height, pa.int32()), out["meta_height"]),
+            pc.if_else(mask, pa.scalar(HEIGHT, pa.int32()), out["meta_height"]),
         )
 
 
@@ -137,15 +132,10 @@ def _fake_frame(payload: bytes, idx: int) -> bytes:
 
 class FrameSample:
     """Task stage: explode each video row into one IMAGE row per
-    sampled frame (every ``every_k``-th of ``meta_n_frames``) — the
+    sampled frame (every ``EVERY_K``-th of ``meta_n_frames``) — the
     flat-map shape: output rows != input rows is native to map_batches.
-    Non-video rows pass through. ``sampler(payload, idx) -> bytes`` is
-    the pluggable frame-decode slot (ffmpeg-class in a real
-    deployment)."""
-
-    def __init__(self, every_k: int = 4, sampler: Optional[Callable] = None):
-        self.every_k = every_k
-        self.sampler = sampler or _fake_frame
+    Non-video rows pass through. ``_fake_frame`` stands in for the
+    (ffmpeg-class) frame decode."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -170,9 +160,9 @@ class FrameSample:
             vids["meta_width"].to_pylist(),
             vids["meta_height"].to_pylist(),
         ):
-            for idx in range(0, nf or 0, self.every_k):
+            for idx in range(0, nf or 0, EVERY_K):
                 refs_out.append(f"{ref}#frame{idx}")
-                payloads_out.append(self.sampler(p or b"", idx))
+                payloads_out.append(_fake_frame(p or b"", idx))
                 w_out.append(w)
                 h_out.append(h)
         n = len(refs_out)
@@ -193,28 +183,19 @@ class FrameSample:
         return pa.concat_tables([passthrough.cast(MEDIA_SCHEMA), frames])
 
 
-def _fake_decode(kind: str, payload: bytes, dim: int = 8) -> np.ndarray:
+def _fake_decode(payload: bytes) -> np.ndarray:
     """Deterministic stand-in for image-decode/audio-feature extraction:
-    a feature vector derived from payload digest. Replace with a real
-    decoder via ``MediaFeatures(decoder=...)``."""
-    h = hashlib.blake2b(payload, digest_size=4 * dim).digest()
+    a ``DIM``-vector derived from the payload digest."""
+    h = hashlib.blake2b(payload, digest_size=4 * DIM).digest()
     return (
         np.frombuffer(h, dtype=np.uint32).astype(np.float32) / np.float32(2**32)
     )
 
 
 class MediaFeatures:
-    """Task stage: binary payload -> feature vector + integrity info.
-    ``decoder(kind, payload) -> np.ndarray`` is the pluggable model slot
-    (ships with the mapped instance); default is the deterministic fake.
-
-    A real deployment would pass e.g. a PIL/torchvision pipeline here and
-    schedule with ``num_gpus=``; raising NotImplementedError from a
-    strict decoder is converted to a per-row decode_error, never a task
-    failure."""
-
-    def __init__(self, decoder: Optional[Callable] = None, dim: int = 8):
-        self.decoder = decoder or (lambda kind, payload: _fake_decode(kind, payload, dim))
+    """Task stage: binary payload -> feature vector (``_fake_decode``,
+    the stand-in for a PIL/torchvision model) + integrity info. The
+    stub decodes every payload, so ``decode_error`` is empty."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -224,25 +205,18 @@ class MediaFeatures:
         # flat float32 array + offsets (the ParseDocuments pattern) —
         # only the unavoidable per-row digest/decode touches Python.
         payloads = batch["payload"].to_pylist()
-        kinds = batch["kind"].to_pylist()
         n = len(payloads)
         checksum: list = []
-        errs: list = []
         feats: list = []
         offsets = np.empty(n + 1, dtype=np.int32)
         offsets[0] = 0
-        for i, (k, p) in enumerate(zip(kinds, payloads)):
+        for i, p in enumerate(payloads):
             p = p or b""
             # integrity checksum over the payload hex encoding: the
             # same value is computable in ANSI SQL (sha256(hex(payload))),
             # which lets the driver oracle gate this stage end-to-end
             checksum.append(hashlib.sha256(p.hex().upper().encode()).hexdigest())
-            try:
-                f = np.asarray(self.decoder(k, p), dtype=np.float32)
-                errs.append("")
-            except NotImplementedError as e:
-                f = np.zeros(0, dtype=np.float32)
-                errs.append(f"decoder stub: {e}")
+            f = _fake_decode(p)
             feats.append(f)
             offsets[i + 1] = offsets[i] + len(f)
         flat = np.concatenate(feats) if feats else np.zeros(0, dtype=np.float32)
@@ -259,7 +233,7 @@ class MediaFeatures:
                 n_bytes,
                 pa.array(checksum, type=pa.string()),
                 feature,
-                pa.array(errs, type=pa.string()),
+                pa.array([""] * n, type=pa.string()),
             ],
             schema=FEATURE_SCHEMA,
         )

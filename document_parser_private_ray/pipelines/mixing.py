@@ -48,14 +48,15 @@ def _md5_int(key: str) -> int:
 
 def source_weight_eighths(source: str) -> int:
     """Deterministic demo mixing weight in integer eighths (4..19 ->
-    0.5x..2.375x). Real pipelines pass an explicit weights map; integer
-    eighths keep the copy-count arithmetic exact across engines."""
+    0.5x..2.375x). Integer eighths keep the copy-count arithmetic exact
+    across engines."""
     return WEIGHT_EIGHTHS_BASE + _md5_int(source) % WEIGHT_EIGHTHS_MOD
 
 
-def data_mix(sf_dir: str, weights_eighths: dict[str, int] | None = None):
+def data_mix(sf_dir: str):
     """(doc_id, source, copy) — one output row per training copy of each
-    document under per-source mixing weights. copy = 0..n_copies-1 where
+    document under the ``source_weight_eighths`` mixing weights.
+    copy = 0..n_copies-1 where
     n_copies = w8 // 8 plus one more iff
     md5(doc_id || ':' || source) % 8 < w8 % 8."""
 
@@ -67,12 +68,7 @@ def data_mix(sf_dir: str, weights_eighths: dict[str, int] | None = None):
         for i, s in zip(ids, srcs):
             w8 = w8_memo.get(s)
             if w8 is None:
-                w8 = (
-                    weights_eighths[s]
-                    if weights_eighths is not None
-                    else source_weight_eighths(s)
-                )
-                w8_memo[s] = w8
+                w8 = w8_memo[s] = source_weight_eighths(s)
             n = w8 // 8 + (1 if _md5_int(f"{i}:{s}") % 8 < w8 % 8 else 0)
             out_id.extend([i] * n)
             out_src.extend([s] * n)
@@ -92,11 +88,9 @@ def data_mix(sf_dir: str, weights_eighths: dict[str, int] | None = None):
     )
 
 
-def mix_counts(sf_dir: str, weights_eighths: dict[str, int] | None = None):
+def mix_counts(sf_dir: str):
     """Rollup: training copies per source (the realized mixing ratio)."""
-    return grouped_agg(
-        data_mix(sf_dir, weights_eighths), "source", {"n_copies": (None, "count")}
-    )
+    return grouped_agg(data_mix(sf_dir), "source", {"n_copies": (None, "count")})
 
 
 def pack_sequences(

@@ -37,7 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages import width
-from .exchange import co_partition, grouped_agg, sorted_runs
+from .exchange import as_array, co_partition, grouped_agg, sorted_runs
 
 DAMP_NUM = 85          # 0.85 damping as a rational
 DAMP_DEN = 100
@@ -87,8 +87,8 @@ def build_bipartite_edges(sf_dir: str):
             pc.multiply(t["s"], pa.scalar(2, type=pa.int64())),
             pa.scalar(1, type=pa.int64()),
         )
-        c = c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-        s = s.combine_chunks() if isinstance(s, pa.ChunkedArray) else s
+        c = as_array(c)
+        s = as_array(s)
         return pa.Table.from_pydict(
             {
                 "src": pa.concat_arrays([c, s]),
@@ -245,8 +245,8 @@ def supplier_pagerank(sf_dir: str, n_iters: int = 3, k: int = 20):
     )
 
 
-def cosupplier_pairs(sf_dir: str, k: int = 15, max_deg: int = 32):
-    """Two-hop graph co-occurrence: supplier pairs ranked by how many
+def cosupplier_pairs(sf_dir: str, max_deg: int = 32):
+    """Two-hop graph co-occurrence: the top 15 supplier pairs by how many
     customers they share — the collaborative-filtering join over the
     same distinct (cust, supp) relation PageRank builds. Hot customers
     are DEGREE-CAPPED deterministically (each customer contributes
@@ -302,5 +302,5 @@ def cosupplier_pairs(sf_dir: str, k: int = 15, max_deg: int = 32):
         .sort(
             ["n_shared_customers", "s_a", "s_b"], descending=[True, False, False]
         )
-        .limit(k)
+        .limit(15)
     )

@@ -20,8 +20,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import co_partition, grouped_agg, run_starts, sorted_runs
-from .segments import _as_array
+from .exchange import as_array, co_partition, grouped_agg, run_starts, sorted_runs
 
 
 def _read(sf_dir: str, table: str, columns, filter=None):
@@ -132,7 +131,7 @@ def revenue_by_nation(sf_dir: str):
 
 # -- top-k with broadcast filter (R6) ------------------------------------
 
-def top_customers_by_order_value(sf_dir: str, segment: str = "BUILDING", k: int = 10):
+def top_customers_by_order_value(sf_dir: str):
     """orders ⋉ customer(segment) -> top-k customers by total order
     value. Customer SCALES with the fact tables (unlike nation/region/
     part), so it is never driver-read or broadcast by value (VERDICT r4
@@ -142,6 +141,8 @@ def top_customers_by_order_value(sf_dir: str, segment: str = "BUILDING", k: int 
     in-bucket aggregate is final — no second corpus-scale groupby), and
     only the top-k result KEYS — k rows, driver-small by construction —
     come back to fetch display names with one filtered scan."""
+    segment = "BUILDING"
+    k = 10
     seg_cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
         lambda b: b.filter(pc.equal(b["c_mktsegment"], segment)).select(["c_custkey"]),
         batch_format="pyarrow",
@@ -211,16 +212,16 @@ def events_hourly_window(sf_dir: str):
     )
 
 
-def events_sliding_window(sf_dir: str, width_hours: int = 3, step_hours: int = 1):
-    """Sliding event-time windows per event_type (width 3h, hop 1h by
-    default): each event is expanded vectorized to every window that
+def events_sliding_window(sf_dir: str):
+    """Sliding event-time windows per event_type (width 3h, hop 1h):
+    each event is expanded vectorized to every window that
     covers it (width/step copies with shifted window_start keys — the
     standard explode-then-aggregate sliding-window encoding), then one
     groupby over (type, window_start) aggregates. Expansion factor =
     width/step, applied per batch with Arrow kernels — no per-row
     Python, no window state."""
-    assert width_hours % step_hours == 0, "width must be a multiple of step"
-    n_copies = width_hours // step_hours
+    step_hours = 1
+    n_copies = 3  # width 3h // step 1h
 
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
@@ -479,12 +480,13 @@ def orders_rollup(sf_dir: str):
 
 # -- strict ordered funnel (event-sequence analytics) ---------------------
 
-def funnel_counts(sf_dir: str, stages=("view", "click", "purchase")):
+def funnel_counts(sf_dir: str):
     """Strict ordered funnel: users whose FIRST stage-k event happens
     strictly after their first stage-(k-1) completion. One hash shuffle
     on user_id, per-group vectorized first-after scan, then a driver
     fold of the tiny per-user stage depth. Output: one row per stage
     with the users-remaining count."""
+    stages = ("view", "click", "purchase")
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"])
 
     def depth_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
@@ -589,14 +591,14 @@ PRICE_BANDS = [
 ]
 
 
-def orders_price_bands(sf_dir: str, bands=None):
+def orders_price_bands(sf_dir: str):
     """Range join of a large fact table against a tiny band table —
     the broadcast pattern: the band boundaries ride into every task as
     a closure constant (ray.put-scale payload), each batch assigns
     bands with ONE vectorized np.searchsorted (no shuffle join), and
     the only exchange is the final <= #bands groupby. Exact integer
     cents so the SQL BETWEEN-join oracle replays the totals."""
-    bands = bands or PRICE_BANDS
+    bands = PRICE_BANDS
     names = [b[0] for b in bands]
     uppers = np.array([b[2] for b in bands[:-1]], dtype=np.float64)
 
@@ -668,13 +670,13 @@ def _priority_segment_cells(sf_dir: str):
     return grouped_agg(cells, ["prio", "seg"], {"n": ("seg", "count")}).take_all()
 
 
-def priority_segment_pivot(sf_dir: str, segments=None):
+def priority_segment_pivot(sf_dir: str):
     """Crosstab of order counts: priority rows x market-segment columns
     — the PIVOT shape. Cells come from the co-partitioned
     ``_priority_segment_cells`` exchange (no customer broadcast); the
     driver spreads the <= priorities x segments aggregate to wide
     columns."""
-    segments = segments or SEGMENTS
+    segments = SEGMENTS
     agg = _priority_segment_cells(sf_dir)
     counts = {(r["prio"], r["seg"]): r["n"] for r in agg}
     prios = sorted({p for p, _ in counts})
@@ -688,7 +690,7 @@ def priority_segment_pivot(sf_dir: str, segments=None):
 
 # -- interval join (events into containing session windows) ---------------
 
-def session_purchase_counts(sf_dir: str, gap_minutes: int = 30):
+def session_purchase_counts(sf_dir: str):
     """Interval join — each event matched to the session window
     [start, end] that contains it (same user), counting purchases per
     session. The two large sides (session windows from
@@ -700,6 +702,7 @@ def session_purchase_counts(sf_dir: str, gap_minutes: int = 30):
     (r5) no per-user interpreter call: the previous groupby(user_id)
     paid one Python group call per user, the shape this engine removes
     everywhere else."""
+    gap_minutes = 30
     sessions = events_sessionize(sf_dir, gap_minutes=gap_minutes)
     events = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
@@ -789,7 +792,7 @@ def session_purchase_counts(sf_dir: str, gap_minutes: int = 30):
 
 # -- grouped NTILE window (per-nation balance quartiles) -------------------
 
-def customer_balance_quartiles(sf_dir: str, k: int = 4):
+def customer_balance_quartiles(sf_dir: str):
     """Per-nation account-balance quartiles — the grouped NTILE window.
     ONE shuffle on the partition key (c_nationkey); inside each group
     the rows are lexsorted by (acctbal, custkey) and the exact NTILE
@@ -800,6 +803,7 @@ def customer_balance_quartiles(sf_dir: str, k: int = 4):
     (exact NTILE needs the whole partition ranked; for a partition too
     large for that, use the corpus_shuffle range-bucket + prefix-offset
     rank instead)."""
+    k = 4
     ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
 
     def quartile_group(group: pa.Table) -> pa.Table:
@@ -901,7 +905,7 @@ def events_hourly_users(sf_dir: str):
 
 # -- path mining (per-user ordered event-type sequences) -------------------
 
-def user_event_paths(sf_dir: str, k: int = 20, max_len: int = 50):
+def user_event_paths(sf_dir: str):
     """Most common user journeys — every user's chronologically ordered
     event-type sequence (joined with '>'), truncated to the first
     ``max_len`` events, counted across users and ranked. ONE shuffle on
@@ -911,11 +915,13 @@ def user_event_paths(sf_dir: str, k: int = 20, max_len: int = 50):
     group call per user), ``grouped_agg`` collapses the
     paths to partial path counts, and only the top-k survive the final
     tiny exchange."""
+    k = 20
+    max_len = 50
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def paths_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         keep = pos < max_len
-        et = _as_array(g["event_type"]).filter(pa.array(keep))
+        et = as_array(g["event_type"]).filter(pa.array(keep))
         # every run starts a path; the last offset closes the last one
         offsets = np.flatnonzero(np.append(pos[keep] == 0, True))
         paths = pc.binary_join(
@@ -1007,7 +1013,7 @@ def event_transitions(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def pairs_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
-        et = _as_array(g["event_type"])
+        et = as_array(g["event_type"])
         within = pa.array(pos[1:] > 0)
         return pa.Table.from_pydict(
             {
@@ -1114,7 +1120,7 @@ def revenue_by_region(sf_dir: str):
 
 # -- semi-structured extraction (JSON property column) ----------------------
 
-def props_field_stats(sf_dir: str, field: str = "k"):
+def props_field_stats(sf_dir: str):
     """Typed extraction from the semi-structured JSON ``props`` column —
     the log-processing shape: ONE vectorized ``pc.extract_regex`` pulls
     the integer field out of every JSON blob (no per-row json.loads),
@@ -1122,6 +1128,7 @@ def props_field_stats(sf_dir: str, field: str = "k"):
     aggregate via partials. The SQL oracle uses DuckDB's native JSON
     path extraction, pinning the two engines' parse semantics to each
     other."""
+    field = "k"
     ds = _read(sf_dir, "events", ["event_type", "props"])
     pattern = rf'"{field}"\s*:\s*(?P<v>-?\d+)'
 
@@ -1363,7 +1370,7 @@ def nation_share_of_region(sf_dir: str):
     )
 
 
-def order_price_quartiles(sf_dir: str, percentiles=(0.25, 0.5, 0.75)):
+def order_price_quartiles(sf_dir: str):
     """Exact PERCENTILE_DISC over a value whose distinct-cardinality is
     UNBOUNDED (order prices) — the two-pass coarse-histogram rank
     search: pass 1 reduces the corpus to <= value_range/2^14 coarse
@@ -1373,6 +1380,8 @@ def order_price_quartiles(sf_dir: str, percentiles=(0.25, 0.5, 0.75)):
     predicate-filtered read, bounded by bucket width — and resolves the
     exact k-th value locally. No global sort, no unbounded histogram."""
     import math
+
+    percentiles = (0.25, 0.5, 0.75)
 
     SHIFT = 14
 
@@ -1433,7 +1442,7 @@ def order_price_quartiles(sf_dir: str, percentiles=(0.25, 0.5, 0.75)):
     )
 
 
-def value_outliers(sf_dir: str, k_sigma: int = 3):
+def value_outliers(sf_dir: str):
     """Anomaly detection in EXACT integer arithmetic — purchases more
     than ``k_sigma`` standard deviations from their event type's mean,
     with no float mean or sigma anywhere: pass 1 reduces to per-type
@@ -1444,6 +1453,8 @@ def value_outliers(sf_dir: str, k_sigma: int = 3):
     evaluates per row in HUGEINT); pass 2 flags rows against the
     broadcast thresholds with one vectorized compare per batch."""
     import math
+
+    k_sigma = 3
 
     ds = _read(sf_dir, "events", ["event_type", "value"]).map_batches(
         lambda b: pa.Table.from_pydict(
@@ -1628,7 +1639,7 @@ def transition_majority_accuracy(sf_dir: str):
     )
 
 
-def time_to_convert_percentiles(sf_dir: str, percentiles=(0.5, 0.9)):
+def time_to_convert_percentiles(sf_dir: str):
     """Conversion-latency distribution: minutes from each user's FIRST
     view to their first purchase AT OR AFTER it — exact
     PERCENTILE_DISC over per-user deltas. ONE shuffle on user computes
@@ -1637,6 +1648,8 @@ def time_to_convert_percentiles(sf_dir: str, percentiles=(0.5, 0.9)):
     discrete percentiles exactly (the doc_length_percentiles idiom on a
     derived metric)."""
     import math
+
+    percentiles = (0.5, 0.9)
 
     US_MIN = 60_000_000
 

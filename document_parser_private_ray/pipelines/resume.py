@@ -70,8 +70,6 @@ def read_corpus(path, columns=("doc_id", "spans")):
 
 def parse_resumes(
     ds,
-    data_dir: Optional[str] = None,
-    today=None,
     with_pii: bool = False,
     concurrency=None,
     batch_size: int = 32,
@@ -101,10 +99,7 @@ def parse_resumes(
 
         if not isinstance(warm_caches, ray.ObjectRef):
             warm_caches = ray.put(warm_caches)
-    stage = ParseDocuments(
-        data_dir=data_dir, today=today, with_pii=with_pii, warm_caches=warm_caches,
-        batch_size=batch_size,
-    )
+    stage = ParseDocuments(with_pii=with_pii, warm_caches=warm_caches, batch_size=batch_size)
     return lift_reservation(
         ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
     )

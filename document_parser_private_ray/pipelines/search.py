@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.readers import read_documents
-from .exchange import co_partition, grouped_agg, run_positions, run_starts
+from .exchange import as_array, co_partition, grouped_agg, run_positions, run_starts
 
 DEFAULT_QUERY = "hash join merge"
 BM25_K1 = 1.2
@@ -110,34 +110,32 @@ def bm25_search(sf_dir: str, query: str = DEFAULT_QUERY, k: int = 10):
     ).limit(k)
 
 
-def build_postings(
-    sf_dir: str, max_df: int = 1000, n_salts: int = 8
-):
+def build_postings(sf_dir: str, max_df: int = 1000):
     """Inverted-index CONSTRUCTION as a dataset product: (word, df,
     doc_ids) posting lists over the corpus vocabulary, doc_ids sorted
     and comma-joined; stop-word-scale lists are truncated to the
     ``max_df`` smallest doc_ids with an explicit ``truncated`` flag and
     the TRUE df kept. Hot keys are salted: the first exchange
-    co-partitions by WORD-HASH BUCKET and dedupes at (word, doc_id % n_salts) grain —
+    co-partitions by WORD-HASH BUCKET and dedupes at (word, doc_id % 8) grain —
     each salt sees a DISJOINT doc partition, so per-salt distinct
     counts sum to the exact global df and per-salt smallest ids are
     correct partials of the global smallest. Every kernel handles ALL
     its bucket's words at once (dictionary-encode + lexsort + run
     offsets + one ListArray binary_join; r5 — was one Python group call
     per (word, salt) and per word), and the second exchange merges
-    <= n_salts list-typed partial rows per word, still bucket-grain.
+    <= 8 list-typed partial rows per word (one per salt), still bucket-grain.
     No group ever materializes an unbounded posting."""
+    n_salts = 8
     ds = read_documents(sf_dir)
 
     def explode(batch: pa.Table) -> pa.Table:
         text = batch["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
+        text = as_array(text)
         cleaned = pc.replace_substring_regex(
             pc.utf8_lower(pc.fill_null(text, "")), "[^a-z]+", " "
         )
         toks = pc.split_pattern(cleaned, " ")
-        toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
+        toks = as_array(toks)
         off = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         start, end = int(off[0]), int(off[-1])
         vals = toks.values.slice(start, end - start)
@@ -167,8 +165,7 @@ def build_postings(
         # run length, ids = each run's max_df smallest as a list column
         g = group.combine_chunks()
         word_arr = g["word"]
-        if isinstance(word_arr, pa.ChunkedArray):
-            word_arr = word_arr.combine_chunks()
+        word_arr = as_array(word_arr)
         enc = pc.dictionary_encode(word_arr)
         code = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         salt = g["salt"].to_numpy(zero_copy_only=False)
@@ -203,13 +200,11 @@ def build_postings(
         # keep each word's max_df smallest, one binary_join per run
         g = group.combine_chunks()
         word_arr = g["word"]
-        if isinstance(word_arr, pa.ChunkedArray):
-            word_arr = word_arr.combine_chunks()
+        word_arr = as_array(word_arr)
         enc = pc.dictionary_encode(word_arr)
         code = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         ids_col = g["ids"]
-        if isinstance(ids_col, pa.ChunkedArray):
-            ids_col = ids_col.combine_chunks()
+        ids_col = as_array(ids_col)
         lens = pc.list_value_length(ids_col).to_numpy(zero_copy_only=False)
         flat_ids = pc.list_flatten(ids_col).to_numpy(zero_copy_only=False)
         code_flat = np.repeat(code, lens)

@@ -21,16 +21,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.readers import read_documents
-from .exchange import co_partition, grouped_agg, sorted_runs
+from .exchange import as_array, co_partition, grouped_agg, sorted_runs
 
-
-def _as_array(col) -> pa.Array:
-    """Plain (non-chunked) Arrow array for offsets/values access."""
-    if isinstance(col, pa.ChunkedArray):
-        return (
-            col.chunk(0) if col.num_chunks == 1 else pa.concat_arrays(col.chunks)
-        )
-    return col
+SEG_WORDS = 4  # words per segment
 
 
 def _split_words(text) -> pa.ListArray:
@@ -41,8 +34,8 @@ def _split_words(text) -> pa.ListArray:
     string), returns that whitespace as a token: ``"  "`` gives
     ``["", " "]``. Trimming removes only edge whitespace, which the
     split turns into empty tokens that both callers drop."""
-    trimmed = pc.utf8_trim_whitespace(_as_array(text))
-    return _as_array(pc.utf8_split_whitespace(trimmed))
+    trimmed = pc.utf8_trim_whitespace(as_array(text))
+    return as_array(pc.utf8_split_whitespace(trimmed))
 
 
 def _segment_batch(batch: pa.Table, seg_words: int) -> pa.Table:
@@ -98,7 +91,7 @@ def _segment_batch(batch: pa.Table, seg_words: int) -> pa.Table:
     )
 
 
-def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
+def remove_boilerplate(sf_dir: str, min_df: int = 5):
     """Boilerplate removal, CCNet shape: segments appearing in >=
     ``min_df`` distinct documents are stripped from every document.
     Two corpus scans: (1) per-batch DISTINCT (seg, doc) partials ->
@@ -112,7 +105,7 @@ def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
     docs = read_documents(sf_dir)
 
     def df_partials(batch: pa.Table) -> pa.Table:
-        segs = _segment_batch(batch, seg_words)
+        segs = _segment_batch(batch, SEG_WORDS)
         # distinct (seg, doc) within the batch, then per-seg doc counts
         per_doc = segs.select(["seg", "doc_id"]).group_by(
             ["seg", "doc_id"]
@@ -128,14 +121,14 @@ def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
     )  # ultra-frequent segments only: a small set by construction
     bset = pa.concat_arrays(
         [
-            _as_array(b["seg"]).cast(pa.string())
+            as_array(b["seg"]).cast(pa.string())
             for b in boiler.iter_batches(batch_format="pyarrow", batch_size=None)
         ]
         or [pa.array([], type=pa.string())]
     )
 
     def strip(batch: pa.Table) -> pa.Table:
-        segs = _segment_batch(batch, seg_words)
+        segs = _segment_batch(batch, SEG_WORDS)
         if segs.num_rows == 0:
             return pa.Table.from_pydict(
                 {
@@ -165,7 +158,7 @@ def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
         kept_offsets = np.concatenate(([0], np.cumsum(kept_counts))).astype(
             np.int32
         )
-        seg_arr = _as_array(kept["seg"])
+        seg_arr = as_array(kept["seg"])
         clean = pc.binary_join(
             pa.ListArray.from_arrays(pa.array(kept_offsets, type=pa.int32()), seg_arr),
             " ",
@@ -184,7 +177,7 @@ def remove_boilerplate(sf_dir: str, seg_words: int = 4, min_df: int = 5):
     )
 
 
-def dedup_segments(sf_dir: str, seg_words: int = 4):
+def dedup_segments(sf_dir: str):
     """Corpus-wide exact segment dedup (Lee et al. 2021 ExactSubstr at
     fixed-window granularity): only the FIRST occurrence of each
     segment — min (doc_id, pos) over the whole corpus — survives; later
@@ -202,7 +195,7 @@ def dedup_segments(sf_dir: str, seg_words: int = 4):
     POS_BITS = 21
 
     def explode(batch: pa.Table) -> pa.Table:
-        t = _segment_batch(batch, seg_words)
+        t = _segment_batch(batch, SEG_WORDS)
         segs = t["seg"].to_pylist()
         h1 = np.empty(len(segs), dtype=np.int64)
         h2 = np.empty(len(segs), dtype=np.int64)
@@ -266,7 +259,7 @@ def dedup_segments(sf_dir: str, seg_words: int = 4):
         starts = np.flatnonzero(run_pos == 0)
         run_lens = np.diff(np.append(starts, len(run_pos)))
         kept_counts = np.add.reduceat(keep.astype(np.int64), starts)
-        seg_kept = _as_array(g["seg"]).filter(pa.array(keep))
+        seg_kept = as_array(g["seg"]).filter(pa.array(keep))
         offsets = np.concatenate(([0], np.cumsum(kept_counts)))
         clean = pc.binary_join(
             pa.ListArray.from_arrays(

@@ -50,12 +50,11 @@ def semdedup(
     sf_dir: str,
     threshold: float = 0.45,
     n_centroids: int = 16,
-    train_sample: int = 512,
 ):
     """Per-vector semantic-dup verdicts: ``vec_id``, ``cluster``,
     ``is_dup``, ``dup_of`` (min lower-id cluster-mate above the cosine
     threshold, -1 if none), one row per vector."""
-    C = train_ivf_centroids(sf_dir, n_centroids, train_sample)
+    C = train_ivf_centroids(sf_dir, n_centroids)
 
     def assign(t: pa.Table) -> pa.Table:
         M = embedding_matrix(t["embedding"], np.float64)

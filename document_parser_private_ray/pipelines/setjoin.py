@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.sketches import shingles
-from .exchange import co_partition, grouped_agg, run_starts, sorted_runs
+from .exchange import as_array, co_partition, grouped_agg, run_starts, sorted_runs
 from .joins import bucketed_join
 from .pairs import attach_pair_values, self_pairs
 from .segments import _split_words
@@ -106,7 +106,7 @@ def _explode_shingles(batch: pa.Table, k: int) -> pa.Table:
     flat_str = (
         parts_str[0]
         if len(parts_str) == 1
-        else pa.concat_arrays([p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p for p in parts_str])
+        else pa.concat_arrays([as_array(p) for p in parts_str])
     )
     flat_doc = np.concatenate(parts_doc)
     md5 = hashlib.md5
@@ -133,13 +133,8 @@ def _explode_shingles(batch: pa.Table, k: int) -> pa.Table:
     )
 
 
-def ppjoin_pairs(
-    sf_dir: str,
-    t_num: int = 7,
-    t_den: int = 10,
-    k: int = 3,
-):
-    """All document pairs with shingle-set Jaccard >= t_num/t_den,
+def ppjoin_pairs(sf_dir: str):
+    """All document pairs with shingle-set Jaccard >= t_num/t_den = 7/10,
     EXACT. Returns (doc_a, doc_b, n_common, n_union) — integer
     counts, so the SQL oracle compares with no float hashing channel.
 
@@ -166,6 +161,10 @@ def ppjoin_pairs(
     star; see ``ngram_jaccard_pairs``).
     """
     from .relational import _read
+
+    t_num = 7
+    t_den = 10
+    k = 3
 
     docs = _read(sf_dir, "documents", ("doc_id", "text"))
     postings = docs.map_batches(

@@ -26,13 +26,13 @@ def _read_ids(sf_dir: str):
     return read_documents(sf_dir, ["doc_id"])
 
 
-def split_of(key: str, train_buckets: int = 8, val_buckets: int = 1) -> str:
-    """train/val/test by md5 bucket in [0, 10): [0,8) train, 8 val, 9 test
-    (defaults). == DuckDB md5_number_upper(key) % 10."""
+def split_of(key: str) -> str:
+    """train/val/test by md5 bucket in [0, 10): [0,8) train, 8 val, 9
+    test. == DuckDB md5_number_upper(key) % 10."""
     b = int.from_bytes(hashlib.md5(key.encode()).digest()[:8], "little") % 10
-    if b < train_buckets:
+    if b < 8:
         return "train"
-    if b < train_buckets + val_buckets:
+    if b == 8:
         return "val"
     return "test"
 
@@ -96,17 +96,17 @@ def sample_stratified(sf_dir: str, n_per_source: int = 10):
     return sorted_runs(keyed_ds, "source", ["hkey", "doc_id"], topn)
 
 
-def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
+def corpus_shuffle(sf_dir: str):
     """Deterministic global training shuffle WITH exact positions —
     every document gets its global 0-based rank in the shuffled order
-    (ORDER BY md5(doc_id:seed), doc_id), without a global sort carrying
-    payloads: the keyed hash is range-bucketed on its top bits
+    (ORDER BY md5(doc_id || ':s42'), doc_id), without a global sort carrying
+    payloads: the keyed hash is range-bucketed on its top 10 bits
     (order-preserving), a tiny groupby counts each range, the driver
-    turns the <= ``n_ranges`` counts into exclusive prefix offsets and
+    turns the <= 1024 counts into exclusive prefix offsets and
     broadcasts them, and ONE shuffle on the range id ranks each bucket
     locally (range offset + position in the range's (h, doc_id)-sorted
     run, ``exchange.sorted_runs``). Only (doc_id, hash) ever moves."""
-    salt = f":s{seed}"
+    salt = ":s42"
 
     def hash_batch(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
@@ -121,8 +121,8 @@ def corpus_shuffle(sf_dir: str, seed: int = 42, n_ranges: int = 1024):
             {
                 "doc_id": batch["doc_id"],
                 "h": pa.array(h, type=pa.uint64()),
-                "rng": pa.array(
-                    (h >> np.uint64(64 - n_ranges.bit_length() + 1)).astype(
+                "rng": pa.array(  # the top 10 bits: 1,024 ranges
+                    (h >> np.uint64(54)).astype(
                         np.int64
                     ),
                     type=pa.int64(),

@@ -19,7 +19,7 @@ from ..functions.textstats import (
     winnow_fingerprints,
 )
 from ..sources.readers import read_documents
-from .exchange import co_partition, grouped_agg, sorted_runs
+from .exchange import as_array, co_partition, grouped_agg, sorted_runs
 
 
 def _ws_token_count_vec(text: pa.ChunkedArray | pa.Array):
@@ -196,7 +196,7 @@ def doc_repetition(sf_dir: str):
     )
 
 
-def doc_tfidf(sf_dir: str, k: int = 5):
+def doc_tfidf(sf_dir: str):
     """(doc_id, word, tf, df, tfidf_micro, rank) — top-k TF-IDF terms
     per document. Scale shape: explode to (doc_id, word, tf) inside
     map_batches (per-doc Counter, one row per distinct term), then ONE
@@ -207,6 +207,8 @@ def doc_tfidf(sf_dir: str, k: int = 5):
     (floor(tf * ln(N/df) * 1e6 + 0.5)) so the DuckDB oracle
     hash-compares exactly; ties break by word ascending."""
     from collections import Counter
+
+    k = 5
 
     ds = read_documents(sf_dir)
     n_docs = ds.count()
@@ -270,13 +272,15 @@ def doc_tfidf(sf_dir: str, k: int = 5):
     )
 
 
-def doc_chunks(sf_dir: str, window: int = 64, stride: int = 48):
+def doc_chunks(sf_dir: str):
     """(doc_id, chunk_id, n_tokens, chunk_text) — overlapping
     fixed-token training windows (the pre-tokenization chunking step for
     long documents). Tokens are whitespace splits; chunk k covers tokens
     [k*stride, k*stride+window); chunk_text rejoins with single spaces
     (whitespace-normalizing, so the DuckDB oracle reproduces it
     byte-exactly). Pure per-row flat map — no shuffle, no state."""
+    window = 64
+    stride = 48
 
     ds = read_documents(sf_dir)
 
@@ -322,13 +326,10 @@ def doc_stopwords(sf_dir: str):
     stop_set = pa.array(STOPWORDS, type=pa.string())
 
     def count(batch: pa.Table) -> pa.Table:
-        text = batch["text"].combine_chunks() if isinstance(
-            batch["text"], pa.ChunkedArray
-        ) else batch["text"]
+        text = as_array(batch["text"])
         trimmed = pc.utf8_trim_whitespace(pc.utf8_lower(pc.fill_null(text, "")))
         lists = pc.split_pattern_regex(trimmed, r"\s+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = as_array(lists)
         flat = pc.list_flatten(lists)
         hits = pc.is_in(flat, value_set=stop_set)
         hv = hits.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -364,10 +365,10 @@ class PIICounts:
 
     TYPES = ("EMAIL", "PHONE", "SSN", "ADDRESS")
 
-    def __init__(self, config=None):
+    def __init__(self):
         from ..functions.pii import PIIAnonymizer
 
-        self.engine = PIIAnonymizer(config)
+        self.engine = PIIAnonymizer()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from collections import Counter
@@ -404,8 +405,7 @@ def _reconstruct_text_batch(batch: pa.Table) -> pa.Table:
     text = pc.struct_field(flat, "text")
     mask = pc.is_in(kind, value_set=pa.array(["text", "heading"]))
     kept = pc.filter(text, mask)
-    if isinstance(kept, pa.ChunkedArray):
-        kept = kept.combine_chunks()
+    kept = as_array(kept)
     lens = pc.list_value_length(spans).fill_null(0).to_numpy(zero_copy_only=False)
     row_ids = np.repeat(np.arange(len(lens)), lens)
     mask_np = mask.to_numpy(zero_copy_only=False)
@@ -419,7 +419,7 @@ def _reconstruct_text_batch(batch: pa.Table) -> pa.Table:
     return pa.Table.from_arrays([batch["doc_id"], joined], names=["doc_id", "text"])
 
 
-def doc_pii_counts(spans, config=None):
+def doc_pii_counts(spans):
     """Per-document PII counts over the ``spans`` Dataset — the
     oracle-checked face of the PII engine (anonymized text itself is
     verified by the pytest span-equality suite; hash replacements are
@@ -429,7 +429,7 @@ def doc_pii_counts(spans, config=None):
     return (
         spans.map_batches(_reconstruct_text_batch, batch_format="pyarrow", zero_copy_batch=True)
         .map_batches(
-            PIICounts(config),
+            PIICounts(),
             batch_format="pyarrow", zero_copy_batch=True,
             batch_size=1024,
         )
@@ -464,13 +464,14 @@ def top_words(sf_dir: str, k: int = 50):
     )
 
 
-def doc_length_percentiles(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
+def doc_length_percentiles(sf_dir: str):
     """Exact PERCENTILE_DISC of document length (n_chars) without a
     global sort: lengths have bounded cardinality, so a groupby(n_chars)
     count produces a small histogram; the driver sorts it and takes the
     exact discrete percentile from cumulative counts. At 100 TB the histogram
     is still tiny (distinct lengths), while a sort would shuffle every
     row."""
+    percentiles = (0.5, 0.9, 0.99)
     ds = read_documents(sf_dir, columns=("doc_id", "text"))
 
     def lengths(batch: pa.Table) -> pa.Table:
@@ -525,17 +526,14 @@ class ModelScore:
     WEIGHTS = (-500_000, 3, 2, -5)
     KEEP_MICRO = 1_500_000
 
-    def __init__(self, weights=None, keep_micro=None):
-        self.bias, self.w_stop, self.w_alpha, self.w_punct = (
-            weights or self.WEIGHTS
-        )
-        self.keep_micro = self.KEEP_MICRO if keep_micro is None else keep_micro
+    def __init__(self):
+        self.bias, self.w_stop, self.w_alpha, self.w_punct = self.WEIGHTS
+        self.keep_micro = self.KEEP_MICRO
         self.stop_set = pa.array(STOPWORDS, type=pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         text = batch["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
+        text = as_array(text)
         text = pc.fill_null(text, "")
         n_chars = pc.utf8_length(text).to_numpy(zero_copy_only=False).astype(np.int64)
         alpha = (
@@ -553,8 +551,7 @@ class ModelScore:
         lists = pc.split_pattern_regex(
             pc.utf8_trim_whitespace(pc.utf8_lower(text)), r"\s+"
         )
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = as_array(lists)
         flat = pc.list_flatten(lists)
         hv = (
             pc.is_in(flat, value_set=self.stop_set)
@@ -639,13 +636,15 @@ def top_words_by_source(sf_dir: str, k: int = 5):
     return sorted_runs(agg, "source", [("n", "descending"), "word"], topk)
 
 
-def doc_length_percentiles_by_lang(sf_dir: str, percentiles=(0.5, 0.9, 0.99)):
+def doc_length_percentiles_by_lang(sf_dir: str):
     """Exact grouped PERCENTILE_DISC without a global sort: ONE
     groupby (lang, n_chars) count builds a per-stratum histogram
     (bounded by strata x distinct lengths regardless of corpus rows);
     the driver walks each stratum's cumulative counts for the exact
     discrete percentile."""
     import math
+
+    percentiles = (0.5, 0.9, 0.99)
 
     ds = read_documents(sf_dir, columns=("lang", "text"))
 
@@ -706,13 +705,11 @@ def doc_letter_concentration(sf_dir: str):
 
     def conc(t: pa.Table) -> pa.Table:
         text = t["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
+        text = as_array(text)
         letters = pc.replace_substring_regex(
             pc.utf8_lower(pc.fill_null(text, "")), "[^a-z]+", ""
         )
-        if isinstance(letters, pa.ChunkedArray):
-            letters = letters.combine_chunks()
+        letters = as_array(letters)
         nrows = len(letters)
         off_dtype = np.int64 if pa.types.is_large_string(letters.type) else np.int32
         offs = np.frombuffer(letters.buffers()[1], dtype=off_dtype)[

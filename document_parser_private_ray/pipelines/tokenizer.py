@@ -30,6 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import as_array
+
 SPACE = 0x20
 
 
@@ -37,8 +39,7 @@ def _pair_partials(t: pa.Table) -> pa.Table:
     """Per-batch partial (pair_code, n) counts over in-word adjacent
     character pairs (lowercase a-z only)."""
     text = t["text"]
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
+    text = as_array(text)
     cleaned = pc.replace_substring_regex(
         pc.utf8_lower(pc.fill_null(text, "")), "[^a-z]+", " "
     )
@@ -46,8 +47,7 @@ def _pair_partials(t: pa.Table) -> pa.Table:
     # join_element_wise uses its LAST arg as the separator: row + "" with
     # separator " " == row + trailing space
     arr = pc.binary_join_element_wise(cleaned, pa.scalar(""), pa.scalar(" "))
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    arr = as_array(arr)
     off_dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
     offs = np.frombuffer(arr.buffers()[1], dtype=off_dtype)[
         arr.offset : arr.offset + len(arr) + 1
@@ -129,14 +129,12 @@ def doc_oov_rate(sf_dir: str, top_k: int = 20):
 
     def score(t: pa.Table) -> pa.Table:
         text = t["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
+        text = as_array(text)
         cleaned = pc.replace_substring_regex(
             pc.utf8_lower(pc.fill_null(text, "")), "[^a-z]+", " "
         )
         arr = pc.binary_join_element_wise(cleaned, pa.scalar(""), pa.scalar(" "))
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
+        arr = as_array(arr)
         nrows = len(arr)
         off_dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
         offs = np.frombuffer(arr.buffers()[1], dtype=off_dtype)[

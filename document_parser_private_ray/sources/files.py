@@ -174,17 +174,14 @@ class HtmlExtract(PdfExtract):
 
     fmt = "html"
 
-    def __init__(self, backends: Optional[list] = None):
-        if backends is None:
-            from .html import extract_html_blocks, extract_html_blocks_sniffed
+    def __init__(self):
+        from .html import extract_html_blocks, extract_html_blocks_sniffed
 
-            # staged chain: strict UTF-8 first (records 'minimal'), then
-            # the charset-sniffing decode (BOM / meta charset / latin-1)
-            backends = [
-                ("minimal", extract_html_blocks),
-                ("sniff", extract_html_blocks_sniffed),
-            ]
-        super().__init__(backends)
+        # staged chain: strict UTF-8 first (records 'minimal'), then
+        # the charset-sniffing decode (BOM / meta charset / latin-1)
+        super().__init__(
+            [("minimal", extract_html_blocks), ("sniff", extract_html_blocks_sniffed)]
+        )
 
 
 def _from_staged_files(stage, paths):
@@ -198,9 +195,9 @@ def from_pdf_files(paths, backends: Optional[list] = None):
     return _from_staged_files(PdfExtract(backends), paths)
 
 
-def from_docx_files(paths, backends: Optional[list] = None):
-    return _from_staged_files(DocxExtract(backends), paths)
+def from_docx_files(paths):
+    return _from_staged_files(DocxExtract(), paths)
 
 
-def from_html_files(paths, backends: Optional[list] = None):
-    return _from_staged_files(HtmlExtract(backends), paths)
+def from_html_files(paths):
+    return _from_staged_files(HtmlExtract(), paths)

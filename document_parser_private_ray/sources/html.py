@@ -327,24 +327,20 @@ class _BlockParser(HTMLParser):
             self._link_chars += len(data.strip())
 
 
-def classify_blocks(
-    blocks: List[Dict],
-    short_len: int = SHORT_LEN,
-    max_link_density: float = MAX_LINK_DENSITY,
-) -> List[str]:
+def classify_blocks(blocks: List[Dict]) -> List[str]:
     """Label each raw block 'good' (main content) or 'bad' (boilerplate)
     with the context-smoothing rules documented in the module header."""
     labels: List[str] = []
     for b in blocks:
         if b["boiler_tag"]:
             labels.append("bad")
-        elif b["chars"] > 0 and b["link_chars"] / b["chars"] > max_link_density:
+        elif b["chars"] > 0 and b["link_chars"] / b["chars"] > MAX_LINK_DENSITY:
             labels.append("bad")
         elif b["kind"] == "media":
             labels.append("short")
         elif b["kind"] == "heading":
             labels.append("heading")
-        elif b["chars"] < short_len:
+        elif b["chars"] < SHORT_LEN:
             labels.append("short")
         else:
             labels.append("good")
@@ -564,16 +560,12 @@ def extract_outlinks(data) -> Tuple[str, List[str]]:
 
 _NAV_ITEMS = ["Home", "World", "Business", "Technology", "Science"]
 _ASIDE_ITEMS = ["Most read this week", "Editor picks today", "From the archive"]
+WORDS_PER_PARA = 40
 
 
-def render_html_page(
-    doc_id: int,
-    text: str,
-    source: str = "web",
-    words_per_para: int = 40,
-) -> str:
+def render_html_page(doc_id: int, text: str, source: str = "web") -> str:
     """Wrap a document's text in deterministic page chrome. The main
-    content is the text split into ``words_per_para``-word paragraphs
+    content is the text split into ``WORDS_PER_PARA``-word paragraphs
     under an ``<h1>Document {doc_id}</h1>``; every fifth doc embeds an
     ``<img src="media://{doc_id}/0" alt="fig-{doc_id}">`` after the
     first paragraph. Everything else on the page is boilerplate the
@@ -583,8 +575,8 @@ def render_html_page(
     the heuristics, not the template, decide."""
     words = (text or "").split()
     paras = [
-        " ".join(words[i : i + words_per_para])
-        for i in range(0, len(words), words_per_para)
+        " ".join(words[i : i + WORDS_PER_PARA])
+        for i in range(0, len(words), WORDS_PER_PARA)
     ]
     tmpl = doc_id % 3
     has_img = doc_id % 5 == 0 and len(paras) > 0

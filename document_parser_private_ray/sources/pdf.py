@@ -25,7 +25,7 @@ import base64
 import binascii
 import re
 import zlib
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..functions.layout import is_heading_block
 
@@ -114,7 +114,7 @@ _BPC_RE = re.compile(rb"/BitsPerComponent\s+(\d+)")
 _EARLY_RE = re.compile(rb"/EarlyChange\s+(\d+)")
 _INLINE_PARMS_RE = re.compile(rb"/DecodeParms\s*[<\[]")
 _FONT_REF_RE = re.compile(rb"/(F\d+)\s+(\d+)\s+0\s+R")
-_OBJ_RE = re.compile(rb"(\d+)\s+0\s+obj(.*?)endobj", re.DOTALL)
+_OBJ_HEAD_RE = re.compile(rb"(\d+)\s+0\s+obj")
 _BASEFONT_RE = re.compile(rb"/BaseFont\s*/([A-Za-z0-9+-]+)")
 _TOKEN_RE = re.compile(rb"/(F\d+)\s+([0-9.]+)\s+Tf|\(((?:[^()\\]|\\.)*)\)\s*Tj")
 
@@ -139,10 +139,27 @@ def _unescape(raw: bytes) -> str:
     return b"".join(out).decode("latin-1")
 
 
+def _objects(data: bytes) -> List[Tuple[bytes, bytes]]:
+    r"""``(number, body)`` of every ``N 0 obj ... endobj`` object in order:
+    the matches of ``rb"(\d+)\s+0\s+obj(.*?)endobj"`` (DOTALL), found in
+    linear time. That regex rescans to the end of the data from every
+    object head with no ``endobj`` after it; here the scan stops at the
+    first such head, since no later head has one either."""
+    out = []
+    pos = 0
+    while (head := _OBJ_HEAD_RE.search(data, pos)) is not None:
+        end = data.find(b"endobj", head.end())
+        if end < 0:
+            break
+        out.append((head.group(1), data[head.end() : end]))
+        pos = end + len(b"endobj")
+    return out
+
+
 def _font_map(data: bytes) -> Dict[bytes, str]:
     """Resolve /Fx resource keys to BaseFont names through the object
     table (the minimal-subset version of a font-descriptor walk)."""
-    obj_bodies = {num: body for num, body in _OBJ_RE.findall(data)}
+    obj_bodies = dict(_objects(data))
     mapping: Dict[bytes, str] = {}
     for fkey, objnum in _FONT_REF_RE.findall(data):
         body = obj_bodies.get(objnum, b"")

@@ -82,17 +82,12 @@ class ParseDocuments:
 
     def __init__(
         self,
-        data_dir: Optional[str] = None,
-        today=None,
         with_pii: bool = False,
-        pii_config: Optional[dict] = None,
         warm_caches=None,
         batch_size: Optional[int] = None,
     ):
-        self.config = dict(
-            data_dir=data_dir, today=today, with_pii=with_pii, pii_config=pii_config
-        )
-        self.with_pii = with_pii or pii_config is not None
+        self.config = dict(with_pii=with_pii)
+        self.with_pii = with_pii
         self.schema = PARSED_PII_SCHEMA if self.with_pii else PARSED_SCHEMA
         self.batch_size = batch_size
         self.warm_ref = None

@@ -182,18 +182,17 @@ def run_resumable_table(
     pipeline_fn: Callable,
     run_id: str = "run-0",
     n_partitions: int = 8,
-    key: str = "doc_id",
     columns: Optional[List[str]] = None,
     fail_after: Optional[int] = None,
 ) -> dict:
     """Key-partitioned variant of ``run_resumable`` for single-table
     inputs (the web/HTML chain): partitions are deterministic hash
-    buckets of ``key`` (partition_id = key & (n_partitions - 1),
+    buckets of ``doc_id`` (partition_id = doc_id & (n_partitions - 1),
     n_partitions a power of two — pyarrow scan expressions have
     bit_wise_and but no modulo), each read with a pushed-down scan
     filter, run as its own bounded pipeline and committed atomically
     with a lineage row — restart skips committed buckets. At 100 TB the
-    same layout holds with partitions = key ranges aligned to the
+    same layout holds with partitions = doc_id ranges aligned to the
     table's shard boundaries."""
     from ..sources.readers import read_table
 
@@ -202,7 +201,7 @@ def run_resumable_table(
     reads = [
         functools.partial(
             read_table, table_path, columns,
-            filter=pc.equal(pc.bit_wise_and(pc.field(key), n_partitions - 1), pid),
+            filter=pc.equal(pc.bit_wise_and(pc.field("doc_id"), n_partitions - 1), pid),
         )
         for pid in range(n_partitions)
     ]

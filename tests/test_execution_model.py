@@ -638,3 +638,139 @@ def test_tracked_python_compiles_without_warnings():
             except (SyntaxError, Warning) as e:
                 bad.append((path, str(e)))
     assert bad == []
+
+
+# -- one value per option ----------------------------------------------------
+
+# defaulted options of public package functions and constructors that no
+# call passes, kept with why; any other such option is a second
+# configuration nothing runs, so it goes (its default becomes a constant)
+ALLOWED_UNSET_OPTIONS = {
+    "document_parser_private_ray/pipelines/html.py::web_extract_job(run_id)": (
+        "deployment setting: the run id stamped on every lineage row of a job"
+    ),
+}
+OPTION_CALLERS = ("document_parser_private_ray", "__ray_entry__.py", "bench.py",
+                  "perfbench", "tools", "tests")
+
+
+def _defaulted(fn: ast.FunctionDef, skip: int = 0):
+    """(positional parameter names, defaulted parameter names) of ``fn``,
+    the first ``skip`` positional parameters (``self``) left out."""
+    a = fn.args
+    pos = [p.arg for p in a.posonlyargs + a.args]
+    defaulted = pos[len(pos) - len(a.defaults):] if a.defaults else []
+    defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return pos[skip:], [d for d in defaulted if d not in pos[:skip]]
+
+
+def _options(root: str = ROOT) -> dict:
+    """``path::name(option)`` -> (name, positional names, option) for every
+    defaulted parameter of a public top-level function or public class
+    ``__init__`` in the package under ``root``."""
+    out = {}
+    for path, tree in _sources(root).items():
+        if not path.startswith("document_parser_private_ray"):
+            continue
+        for node in tree.body:
+            fn, skip = node, 0
+            if isinstance(node, ast.ClassDef):
+                fn = next((b for b in node.body if isinstance(b, ast.FunctionDef)
+                           and b.name == "__init__"), None)
+                skip = 1
+            if fn is None or not isinstance(fn, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            pos, defaulted = _defaulted(fn, skip)
+            for opt in defaulted:
+                out[f"{path}::{node.name}({opt})"] = (node.name, pos, opt)
+    return out
+
+
+def _passed(tree) -> dict:
+    """Callee name -> what its calls in ``tree`` pass: keyword names,
+    ``("#", n)`` for n positional arguments and ``"**"`` for a call that
+    unpacks a mapping or sequence. A ``functools.partial(f, ...)`` is a
+    call of ``f``; a ``QUERY_TABLE`` row ``Q(name, "mod.f", kwargs, ...,
+    input=...)`` calls ``f`` with its kwargs dict's keys, after one
+    positional input unless ``input=None``."""
+    got: dict = {}
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        fn, args, keywords = n.func, list(n.args), n.keywords
+        name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+        if name == "partial" and args:
+            name = getattr(args[0], "id", None) or getattr(args[0], "attr", None)
+            args = args[1:]
+        if name == "Q" and len(args) > 1 and isinstance(args[1], ast.Constant):
+            kw = {k.arg: k.value for k in keywords}
+            table = args[2] if len(args) > 2 else kw.get("kwargs")
+            inp = kw.get("input")
+            no_input = isinstance(inp, ast.Constant) and inp.value is None
+            got.setdefault(args[1].value.rpartition(".")[2], set()).update(
+                {("#", 0 if no_input else 1)}
+                | {k.value for k in getattr(table, "keys", [])}
+            )
+            continue
+        if name is None:
+            continue
+        passed = got.setdefault(name, set())
+        passed.add(("#", len(args)))
+        passed.update(k.arg for k in keywords if k.arg)
+        if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in keywords):
+            passed.add("**")
+    return got
+
+
+def _unset_options(root: str = ROOT) -> set:
+    """Every ``path::name(option)`` of ``_options`` that no call in the
+    package, the driver entry file, ``bench.py``, ``perfbench/``,
+    ``tools/`` or ``tests/`` passes, by keyword or by position."""
+    passed: dict = {}
+    for top in OPTION_CALLERS:
+        full = os.path.join(root, top)
+        paths = [full] if full.endswith(".py") else [
+            os.path.join(d, f) for d, _, fs in os.walk(full) for f in fs if f.endswith(".py")
+        ]
+        for path in paths:
+            for name, got in _passed(ast.parse(open(path).read())).items():
+                passed.setdefault(name, set()).update(got)
+    unset = set()
+    for where, (name, pos, opt) in _options(root).items():
+        got = passed.get(name, set())
+        by_position = opt in pos and any(
+            isinstance(g, tuple) and g[1] > pos.index(opt) for g in got
+        )
+        if not ("**" in got or opt in got or by_position):
+            unset.add(where)
+    return unset
+
+
+def test_every_option_is_set_by_a_caller():
+    """Each query computes one thing: a defaulted keyword option of a
+    public package function or class constructor stays only while some
+    call passes it (the product, a ``QUERY_TABLE`` row, ``bench.py``,
+    ``perfbench/``, ``tools/`` or a test), or ``ALLOWED_UNSET_OPTIONS``
+    names it with its reason. An option no call sets is a second
+    configuration no run or test takes."""
+    unset = _unset_options()
+    assert sorted(unset - set(ALLOWED_UNSET_OPTIONS)) == []
+    # every allowance still names a live, unset option
+    assert sorted(set(ALLOWED_UNSET_OPTIONS) - unset) == []
+
+
+def test_option_scan_counts_keyword_positional_and_unpacked_calls():
+    src = (
+        "f(1, b=2)\n"
+        "g(*xs)\n"
+        "h(**kw)\n"
+        "functools.partial(p, 1, 2)\n"
+        'Q("q", "pipelines.m.r", {"k": 3})\n'
+        'Q("q2", "pipelines.m.s", input=None)\n'
+    )
+    got = _passed(ast.parse(src))
+    assert got["f"] == {("#", 1), "b"}
+    assert "**" in got["g"] and "**" in got["h"]
+    assert got["p"] == {("#", 2)}
+    assert got["r"] == {("#", 1), "k"}
+    assert got["s"] == {("#", 0)}

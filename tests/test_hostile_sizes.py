@@ -1,4 +1,5 @@
-"""Hostile-size budget for the regex-heavy resume functions.
+"""Hostile-size budget for the regex-heavy resume functions and the
+PDF and HTML file extractors.
 
 One 300 KB input per construct goes through each entry scan on a fresh,
 cold instance (empty memos), and each call must return inside a wall
@@ -17,6 +18,8 @@ import pytest
 from document_parser_private_ray.functions.dates import DateNormalizer
 from document_parser_private_ray.functions.extract import ResumeExtractor
 from document_parser_private_ray.functions.sections import SectionDetector
+from document_parser_private_ray.sources.html import extract_html_blocks, extract_links
+from document_parser_private_ray.sources.pdf import extract_pdf_blocks
 
 SIZE = 300_000
 WALL_BOUND_S = 5.0
@@ -75,20 +78,46 @@ def _raise_over_budget(signum, frame):
     raise _OverBudget()
 
 
-@pytest.mark.parametrize("input_name", sorted(INPUTS))
-@pytest.mark.parametrize("call_name", sorted(_CALLS))
-def test_single_construct_input_within_wall_bound(call_name, input_name):
-    text = INPUTS[input_name]
-    # construction (ontology loads) is outside the bound
-    call = getattr(_CALLS[call_name](), call_name.split(".")[1])
+def _call_within_bound(call, arg, label: str):
     previous = signal.signal(signal.SIGALRM, _raise_over_budget)
     t0 = time.perf_counter()
     try:
         signal.setitimer(signal.ITIMER_REAL, WALL_BOUND_S)
-        call(text)
+        call(arg)
     except _OverBudget:
-        pytest.fail(f"{call_name} on {input_name} ({len(text)} chars) ran past {WALL_BOUND_S} s")
+        pytest.fail(f"{label} ({len(arg)} chars) ran past {WALL_BOUND_S} s")
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - t0 < WALL_BOUND_S
+
+
+@pytest.mark.parametrize("input_name", sorted(INPUTS))
+@pytest.mark.parametrize("call_name", sorted(_CALLS))
+def test_single_construct_input_within_wall_bound(call_name, input_name):
+    # construction (ontology loads) is outside the bound
+    call = getattr(_CALLS[call_name](), call_name.split(".")[1])
+    _call_within_bound(call, INPUTS[input_name], f"{call_name} on {input_name}")
+
+
+_OBJ_NO_END = b"1 0 obj << /Length 5 >> "
+# (extractor, input): shapes a file extractor must scan in linear time
+FILE_INPUTS = {
+    # object heads with no endobj anywhere: the object-table regex used
+    # to rescan to the end of the file from each of them
+    "pdf_objects_without_endobj": (
+        extract_pdf_blocks, b"%PDF-1.4\n" + _OBJ_NO_END * (SIZE // len(_OBJ_NO_END)),
+    ),
+    "html_one_text_node": (extract_html_blocks, "<p>" + _fill("lorem ipsum ") + "</p>"),
+    "html_nested_divs": (extract_html_blocks, "<div>" * 30_000 + "x" + "</div>" * 30_000),
+    "html_attribute_run": (extract_html_blocks, "<p " + _fill('a="b" ') + ">x</p>"),
+    "links_one_text_node": (extract_links, "<p>" + _fill("lorem ipsum ") + "</p>"),
+    "links_nested_divs": (extract_links, "<div>" * 30_000 + "x" + "</div>" * 30_000),
+    "links_attribute_run": (extract_links, "<p " + _fill('a="b" ') + ">x</p>"),
+}
+
+
+@pytest.mark.parametrize("input_name", sorted(FILE_INPUTS))
+def test_file_extractor_single_construct_within_wall_bound(input_name):
+    call, data = FILE_INPUTS[input_name]
+    _call_within_bound(call, data, input_name)

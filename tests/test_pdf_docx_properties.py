@@ -18,12 +18,14 @@ promotes) cannot reclassify them — classification variance is covered
 by the directed tests in test_pdf.py/test_docx.py.
 """
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doc_writers import write_minimal_docx, write_minimal_pdf
 from document_parser_private_ray.sources.docx import extract_docx_blocks
-from document_parser_private_ray.sources.pdf import extract_pdf_blocks
+from document_parser_private_ray.sources.pdf import _objects, extract_pdf_blocks
 
 # body words: lowercase + PDF/XML-hostile punctuation, never uppercase
 _body_word = st.text(
@@ -109,3 +111,18 @@ def test_docx_roundtrip(blocks):
     got = extract_docx_blocks(write_minimal_docx(blocks))
     assert _key(got) == _key(blocks)
     assert _key(extract_docx_blocks(write_minimal_docx(blocks))) == _key(blocks)
+
+
+# the object-table regex ``_objects`` replaces (it rescans to the end of
+# the data from every object head with no endobj after it)
+_OBJ_RE = re.compile(rb"(\d+)\s+0\s+obj(.*?)endobj", re.DOTALL)
+_obj_token = st.sampled_from(
+    [b"1", b"12", b"0", b" ", b"\n", b"obj", b"endobj", b"endob", b"<<", b">>", b"x", b"0 obj"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(_obj_token, max_size=40))
+def test_pdf_object_scan_matches_the_regex(tokens):
+    data = b"".join(tokens)
+    assert _objects(data) == _OBJ_RE.findall(data)

@@ -185,3 +185,42 @@ def test_dup_rate_by_source_planted(ray_session, tmp_path):
     # doc 0 (source a) is the keeper; docs 1,2 (source b) are duplicates
     assert got.loc["a", "n_docs"] == 2 and got.loc["a", "n_duplicates"] == 0
     assert got.loc["b", "n_docs"] == 3 and got.loc["b", "n_duplicates"] == 2
+
+
+def test_remove_boilerplate_all_boilerplate_batch(ray_session, tmp_path):
+    """Ten copies of one 8-word text: both segments are in every
+    document, so a batch keeps no segment at all and each document comes
+    back empty (the kept-segment column of a table filtered to no rows
+    has no chunks). Expected rows come from a naive reference."""
+    from collections import defaultdict
+
+    from document_parser_private_ray.pipelines.segments import remove_boilerplate
+
+    texts = ["the quick brown fox jumps over the dog"] * 10
+    _write_docs(tmp_path, texts)
+    segs = {
+        d: [" ".join(w[i : i + 4]) for i in range(0, len(w), 4)]  # 4-word segments
+        for d, w in enumerate(t.split() for t in texts)
+    }
+    docs_of = defaultdict(set)
+    for d, ss in segs.items():
+        for s in ss:
+            docs_of[s].add(d)
+    boiler = {s for s, ds in docs_of.items() if len(ds) >= 5}
+    expected = [
+        (d, len(ss), sum(s in boiler for s in ss), " ".join(s for s in ss if s not in boiler))
+        for d, ss in segs.items()
+    ]
+    got = remove_boilerplate(str(tmp_path)).to_pandas().sort_values("doc_id")
+    assert list(got.itertuples(index=False, name=None)) == expected
+    assert [e[3] for e in expected] == [""] * 10
+
+
+def test_as_array_of_a_zero_chunk_column():
+    from document_parser_private_ray.pipelines.exchange import as_array
+
+    t = pa.table({"seg": pa.array(["a", "b"])}).filter(pa.array([False, False]))
+    assert t["seg"].num_chunks == 0
+    assert as_array(t["seg"]).equals(pa.array([], type=pa.string()))
+    chunked = pa.chunked_array([["a"], ["b", "c"]])
+    assert as_array(chunked).equals(pa.array(["a", "b", "c"]))
