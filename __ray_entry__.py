@@ -29,7 +29,6 @@ import os
 from collections.abc import Callable
 from typing import Any, NamedTuple
 
-SEED = 42
 _CORPUS_CACHE = "/tmp/dppr_corpus"
 
 
@@ -38,14 +37,14 @@ def _corpus_for(sf_dir: str, n_docs: int | None = None) -> str:
     table (cached under /tmp per size)."""
     import pyarrow.parquet as pq
 
-    from document_parser_private_ray.sources.corpus import write_corpus_local
+    from document_parser_private_ray.sources.corpus import SEED, write_corpus_local
 
     if n_docs is None:
         n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     path = os.path.join(_CORPUS_CACHE, f"n{n_docs}-s{SEED}")
     marker = os.path.join(path, "_COMPLETE")
     if not os.path.exists(marker):
-        write_corpus_local(path, n_docs, seed=SEED)
+        write_corpus_local(path, n_docs)
         with open(marker, "w") as f:
             f.write("ok")
     return path
@@ -196,7 +195,7 @@ QUERY_TABLE = (
     Q("winnow_overlap", "pipelines.dedup.winnow_overlap_pairs", {"min_shared": 5}),
     Q("top_words", "pipelines.text_analysis.top_words", {"k": 50}),
     Q("doc_length_percentiles", "pipelines.text_analysis.doc_length_percentiles"),
-    Q("user_top_events", "pipelines.relational.user_top_events", {"k": 3}),
+    Q("user_top_events", "pipelines.relational.user_top_events"),
     Q("split_counts", "pipelines.splits.split_counts"),
     Q("ngram_jaccard", "pipelines.dedup.ngram_jaccard_micro"),
     # synthetic embeddings top out near cosine 0.5 — 0.45 keeps the
@@ -207,7 +206,7 @@ QUERY_TABLE = (
         {"threshold": 0.45},
         cols=["id_a", "id_b"],
     ),
-    Q("embedding_neardup_lsh", "pipelines.similarity.embedding_neardup_lsh", {"threshold": 0.45}),
+    Q("embedding_neardup_lsh", "pipelines.similarity.embedding_neardup_lsh"),
     Q("html_main_content", "pipelines.html.html_main_content"),
     Q("html_outlinks", "pipelines.html.html_outlinks"),
     Q("html_metadata", "pipelines.html.html_metadata"),
@@ -221,10 +220,9 @@ QUERY_TABLE = (
     Q(
         "ann_lsh",
         "pipelines.similarity.ann_lsh_topk",
-        {"k": 5, "n_queries": 8},
         cols=["query_id", "vec_id", "rank"],
     ),
-    Q("ann_ivfpq", "pipelines.similarity.ann_ivfpq_topk", {"k": 5, "n_queries": 8}),
+    Q("ann_ivfpq", "pipelines.similarity.ann_ivfpq_topk"),
     Q("neardup_keep_best", "pipelines.dedup.neardup_keep_best"),
     Q("doc_perplexity", "pipelines.lm.doc_perplexity"),
     Q("embedding_pca", "pipelines.similarity.embedding_pca"),
@@ -240,8 +238,8 @@ QUERY_TABLE = (
     Q("source_filter", "pipelines.domains.source_filter"),
     Q("source_stats", "pipelines.domains.source_stats"),
     Q("bpe_pair_counts", "pipelines.tokenizer.bpe_pair_counts", {"top_k": 50}),
-    Q("vocab_kmv", "pipelines.cardinality.vocab_kmv", {"k": 16}),
-    Q("vocab_kmv_by_source", "pipelines.cardinality.vocab_kmv_by_source", {"k": 16}),
+    Q("vocab_kmv", "pipelines.cardinality.vocab_kmv"),
+    Q("vocab_kmv_by_source", "pipelines.cardinality.vocab_kmv_by_source"),
     Q("word_cms_estimates", "pipelines.cardinality.word_cms_estimates"),
     Q("orders_price_bands", "pipelines.relational.orders_price_bands"),
     Q("priority_segment_pivot", "pipelines.relational.priority_segment_pivot"),
@@ -299,11 +297,7 @@ QUERY_TABLE = (
     Q("user_cumulative_spend", "pipelines.relational.user_cumulative_spend"),
     Q("web_curate", "pipelines.html.web_curate"),
     Q("corpus_shuffle", "pipelines.splits.corpus_shuffle"),
-    Q(
-        "distinct_segments",
-        "pipelines.joins.distinct_values",
-        {"table": "customer", "column": "c_mktsegment"},
-    ),
+    Q("distinct_segments", "pipelines.joins.distinct_values"),
     Q("sample_stratified", "pipelines.splits.sample_stratified", {"n_per_source": 10}),
     Q("dataset_split", "pipelines.splits.dataset_split"),
     Q("dedup_exact", "pipelines.dedup.dedup_exact"),
@@ -315,13 +309,11 @@ QUERY_TABLE = (
     Q(
         "ann_bruteforce",
         "pipelines.similarity.ann_bruteforce_topk",
-        {"k": 5, "n_queries": 8},
         cols=["query_id", "vec_id", "rank"],
     ),
     Q(
         "ann_ivf",
         "pipelines.similarity.ann_ivf_topk",
-        {"k": 5, "n_queries": 8},
         cols=["query_id", "vec_id", "rank"],
     ),
     Q("embedding_kmeans", "pipelines.similarity.embedding_kmeans_sizes"),
@@ -334,7 +326,7 @@ QUERY_TABLE = (
     Q("decontaminate", "pipelines.decontam.decontaminate"),
     Q("bm25_search", "pipelines.search.bm25_search"),
     Q("build_postings", "pipelines.search.build_postings", {"max_df": 300}),
-    Q("supplier_pagerank", "pipelines.pagerank.supplier_pagerank", {"n_iters": 3, "k": 20}),
+    Q("supplier_pagerank", "pipelines.pagerank.supplier_pagerank"),
     Q("dedup_segments", "pipelines.segments.dedup_segments"),
     Q(
         "media_features",
@@ -512,7 +504,7 @@ def _ivf_oracle_sql(
 
 def _ivfpq_oracle_sql(
     k: int = 5, n_queries: int = 8, n_centroids: int = 16, n_probe: int = 4,
-    m_sub: int = 8, n_codes: int = 16, train_sample: int = 512,
+    train_sample: int = 512,
 ) -> str:
     """IVF-PQ oracle: the SAME float64 coarse centroids + PQ codebooks
     the pipeline trains (repr round-trips float64 exactly), cell
@@ -533,8 +525,8 @@ def _ivfpq_oracle_sql(
 
     sf = _verify_sf()
     C = train_ivf_centroids(sf, n_centroids, train_sample)
-    books = train_pq_codebooks(sf, m_sub, n_codes, train_sample)
-    dsub = books.shape[2]
+    books = train_pq_codebooks(sf)
+    m_sub, n_codes, dsub = books.shape
 
     t = pq.read_table(f"{sf}/embeddings.parquet", columns=["vec_id", "embedding"])
     order = pc.sort_indices(t["vec_id"])[:n_queries]
@@ -989,7 +981,7 @@ def _perplexity_oracle_sql(threshold_micro: int | None = None) -> str:
     """
 
 
-def _pca_oracle_sql(n_components: int = 4, train_sample: int = 512) -> str:
+def _pca_oracle_sql() -> str:
     """PCA oracle: the SAME integer-micro mean/component constants the
     pipeline trains are inlined as list literals; the SQL re-quantizes
     each embedding (floor(x * 1e6) on the float64 promotion of the
@@ -997,7 +989,8 @@ def _pca_oracle_sql(n_components: int = 4, train_sample: int = 512) -> str:
     dot products term-for-term."""
     from document_parser_private_ray.pipelines.similarity import train_pca_components
 
-    mean_q, comps_q = train_pca_components(_verify_sf(), n_components, train_sample)
+    mean_q, comps_q = train_pca_components(_verify_sf())
+    n_components = len(comps_q)
     dim = int(mean_q.size)
     mean_lit = "[" + ", ".join(str(int(v)) for v in mean_q) + "]"
     comp_cols = ", ".join(
@@ -1152,16 +1145,16 @@ def _pii_oracle_sql(corpus: str) -> str:
     """
 
 
-def _layout_flat_for(n_docs: int = 500, seed: int = SEED) -> str:
+def _layout_flat_for() -> str:
     """Flat (span/image row) export of the synthetic layout corpus the
     layout_blocks query analyzes — cached like _corpus_for so the SQL
     oracle reads the identical deterministic input."""
-    path = os.path.join("/tmp/dppr_layout", f"n{n_docs}-s{seed}")
+    from document_parser_private_ray.pipelines import layout
+
+    path = os.path.join("/tmp/dppr_layout", f"n{layout.N_DOCS}-s{layout.SEED}")
     marker = os.path.join(path, "_COMPLETE")
     if not os.path.exists(marker):
-        from document_parser_private_ray.pipelines.layout import write_layout_flat
-
-        write_layout_flat(path, n_docs, seed)
+        layout.write_layout_flat(path)
         with open(marker, "w") as f:
             f.write("ok")
     return path

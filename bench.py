@@ -27,7 +27,6 @@ import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-SEED = 42
 
 
 def corpus_docs_for(sf_dir: str) -> int:
@@ -38,10 +37,17 @@ def corpus_docs_for(sf_dir: str) -> int:
     # steady-state throughput, not start-up, is what the bench measures
 
 
+def _corpus_path(n_docs: int) -> str:
+    """The bench corpus's cache directory, keyed by size+seed."""
+    from document_parser_private_ray.sources.corpus import SEED
+
+    return f"/tmp/dppr_corpus/bench-n{n_docs}-s{SEED}"
+
+
 def ensure_corpus(n_docs: int) -> str:
     """Generate the bench corpus WITH Ray (parallel, deterministic),
     cached under /tmp keyed by size+seed."""
-    path = f"/tmp/dppr_corpus/bench-n{n_docs}-s{SEED}"
+    path = _corpus_path(n_docs)
     marker = os.path.join(path, "_COMPLETE")
     if os.path.exists(marker):
         return path
@@ -49,7 +55,7 @@ def ensure_corpus(n_docs: int) -> str:
 
     if os.path.isdir(path):
         shutil.rmtree(path)
-    corpus_dataset(n_docs, seed=SEED).write_parquet(path)
+    corpus_dataset(n_docs).write_parquet(path)
     with open(marker, "w") as f:
         f.write("ok")
     return path
@@ -75,7 +81,7 @@ def full_warm_caches(corpus_path: str, n_docs: int = 4000):
     from document_parser_private_ray.oracle.document import DocumentOracle
     from document_parser_private_ray.sources.corpus import generate_document
 
-    caches = DocumentOracle().warm(generate_document(i, SEED) for i in range(n_docs))
+    caches = DocumentOracle().warm(generate_document(i) for i in range(n_docs))
     tmp = cache_path + ".tmp"
     with open(tmp, "wb") as f:
         pickle.dump(caches, f)
@@ -280,9 +286,7 @@ def main_scaling():
     if with_control:
         import glob as _glob
 
-        corpus = os.path.join(
-            "/tmp/dppr_corpus", f"bench-n{corpus_docs_for(SF_DIR)}-s{SEED}"
-        )
+        corpus = _corpus_path(corpus_docs_for(SF_DIR))
     for _ in range(rounds):
         for ncpu in levels:
             env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_SF_DIR=SF_DIR,

@@ -87,12 +87,11 @@ def _canonical_map(mapping: Dict[str, List[str]]) -> Dict[str, str]:
 
 
 class EducationNormalizer:
-    def __init__(self, data_dir: Optional[str] = None):
-        data_dir = data_dir or _DATA_DIR
+    def __init__(self):
         self.patterns = EDUCATION_PATTERNS
-        self.institution_mapping = _load_mapping(os.path.join(data_dir, "institutions.json"))
-        self.degree_mapping = _load_mapping(os.path.join(data_dir, "degrees.json"))
-        self.field_mapping = _load_mapping(os.path.join(data_dir, "fields.json"))
+        self.institution_mapping = _load_mapping(os.path.join(_DATA_DIR, "institutions.json"))
+        self.degree_mapping = _load_mapping(os.path.join(_DATA_DIR, "degrees.json"))
+        self.field_mapping = _load_mapping(os.path.join(_DATA_DIR, "fields.json"))
         self.institution_index = _index_of(self.institution_mapping)
         self.degree_index = _index_of(self.degree_mapping)
         self._inst_findex = fuzzy.FuzzyIndex(self.institution_index)

@@ -80,16 +80,14 @@ def months_between(start: date, end: date) -> int:
 class ExperienceNormalizer:
     def __init__(
         self,
-        data_dir: Optional[str] = None,
         skill_normalizer: Optional[SkillNormalizer] = None,
         date_normalizer: Optional[DateNormalizer] = None,
     ):
-        data_dir = data_dir or _DATA_DIR
         self.patterns = EXPERIENCE_PATTERNS
         self.date_normalizer = date_normalizer or DateNormalizer()
         self.skill_normalizer = skill_normalizer or SkillNormalizer()
-        self.company_mapping = _load_mapping(os.path.join(data_dir, "companies.json"))
-        self.title_mapping = _load_mapping(os.path.join(data_dir, "titles.json"))
+        self.company_mapping = _load_mapping(os.path.join(_DATA_DIR, "companies.json"))
+        self.title_mapping = _load_mapping(os.path.join(_DATA_DIR, "titles.json"))
         self.company_index = _index_of(self.company_mapping)
         self.title_index = _index_of(self.title_mapping)
         self._company_findex = fuzzy.FuzzyIndex(self.company_index)

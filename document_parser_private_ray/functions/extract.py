@@ -2,15 +2,14 @@
 
 Pure-Python reimplementation of the reference's EntityExtractor
 (/root/reference/parsing_engine/entity_extractor.py) along the main.py
-pipeline path (SURVEY §3.1 — the golden semantics), with the NER model
-slot kept behind an optional hook:
+pipeline path (SURVEY §3.1 — the golden semantics), without the NER
+model:
 
   * the reference loads a HF NER pipeline (entity_extractor.py:17) whose
     output is nondeterministic across versions/hardware; every extractor
     carries a deterministic regex fallback that fires when NER returns
     nothing. Golden semantics are pinned to those fallback paths
-    (SURVEY §4.3); pass ``ner=callable`` to re-enable model assistance
-    (same ``[{word, entity_group}]`` contract).
+    (SURVEY §4.3), so they are the extractors here.
 
 Outputs are plain dicts/lists shaped for Arrow struct columns: every
 string field present ("" when absent), dates as ISO-8601 strings.
@@ -28,14 +27,12 @@ from __future__ import annotations
 
 import bisect
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .dates import DateNormalizer
 from .education import EducationNormalizer
 from .experience import ExperienceNormalizer
 from .skills import SkillNormalizer
-
-NerFn = Callable[[str], List[Dict[str, str]]]
 
 # The reference's email pattern is
 #   \b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Z|a-z]{2,}\b
@@ -238,24 +235,14 @@ class ResumeExtractor:
     (loads ontologies, compiles banks); ``ParseDocuments`` keeps it in
     the per-process slot."""
 
-    def __init__(
-        self,
-        data_dir: Optional[str] = None,
-        today=None,
-        ner: Optional[NerFn] = None,
-    ):
-        self.ner = ner
-        self.date_normalizer = DateNormalizer(today=today)
+    def __init__(self):
+        self.date_normalizer = DateNormalizer()
         self.skill_normalizer = SkillNormalizer()
-        self.edu_normalizer = EducationNormalizer(data_dir=data_dir)
+        self.edu_normalizer = EducationNormalizer()
         self.exp_normalizer = ExperienceNormalizer(
-            data_dir=data_dir,
             skill_normalizer=self.skill_normalizer,
             date_normalizer=self.date_normalizer,
         )
-
-    def _ner(self, text: str) -> List[Dict[str, str]]:
-        return self.ner(text) if self.ner else []
 
     # -- M5 (entity_extractor.py:49-84) ---------------------------------
     def extract_contact(self, contact_text: str) -> Dict[str, str]:
@@ -276,10 +263,6 @@ class ResumeExtractor:
         m = _GITHUB_RE.search(contact_text)
         if m:
             contact["github"] = m.group(0)
-        if contact_text.strip():
-            locations = [e["word"] for e in self._ner(contact_text) if e.get("entity_group") == "LOC"]
-            if locations:
-                contact["location"] = locations[0]
         return contact
 
     # -- M6 (:86-91) -----------------------------------------------------
@@ -295,21 +278,10 @@ class ResumeExtractor:
     def extract_skills(self, skills_text: str) -> List[str]:
         if not skills_text.strip():
             return []
-        ner = self.ner
         skills = set()
         for phrase in _SKILL_DELIM_RE.split(skills_text):
             phrase = phrase.strip()
-            if not phrase:
-                continue
-            found_ner = False
-            # no hook, no call: this runs once per phrase of every entry
-            for entity in ner(phrase) if ner else ():
-                group = entity.get("entity_group", "")
-                word = entity.get("word", "")
-                if group in ("MISC", "ORG", "LOC", "PROD") or "skill" in word.lower():
-                    skills.add(word)
-                    found_ner = True
-            if not found_ner:
+            if phrase:
                 skills.add(phrase)
         normalize = self.skill_normalizer.normalize
         normalized = set()
@@ -347,18 +319,13 @@ class ResumeExtractor:
             )
         return entries
 
-    def _extract_institution(self, text: str) -> Optional[str]:
-        for entity in self._ner(text):
-            if entity.get("entity_group") == "ORG":
-                return entity["word"]
+    @staticmethod
+    def _extract_institution(text: str) -> Optional[str]:
         m = _INSTITUTION_FALLBACK_RE.search(text)
         return m.group(0) if m else None
 
-    def _extract_degree(self, text: str) -> Optional[str]:
-        for entity in self._ner(text):
-            word = entity.get("word", "")
-            if "degree" in word.lower() or "certificate" in word.lower():
-                return word
+    @staticmethod
+    def _extract_degree(text: str) -> Optional[str]:
         m = _DEGREE_FALLBACK_RE.search(text)
         return m.group(0) if m else None
 
@@ -408,20 +375,12 @@ class ResumeExtractor:
             )
         return entries
 
-    def _extract_company(self, text: str) -> Optional[str]:
-        for entity in self._ner(text):
-            if entity.get("entity_group") == "ORG":
-                return entity["word"]
+    @staticmethod
+    def _extract_company(text: str) -> Optional[str]:
         return _search_company(text)
 
-    def _extract_position(self, text: str) -> Optional[str]:
-        for entity in self._ner(text):
-            group = entity.get("entity_group", "")
-            word = entity.get("word", "")
-            if group == "JOB_TITLE":
-                return word
-            if group == "MISC" and ("developer" in word.lower() or "engineer" in word.lower()):
-                return word
+    @staticmethod
+    def _extract_position(text: str) -> Optional[str]:
         m = _POSITION_FALLBACK_RE.search(text)
         return m.group(0) if m else None
 

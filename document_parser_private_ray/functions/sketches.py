@@ -20,6 +20,8 @@ import numpy as np
 # unlike a 2^61-1 modulus, where only ~8 wraps leave the hash
 # correlated with x and the min biased toward small shingle hashes.
 _MINHASH_PRIME = 4294967311
+# seed of MinHasher's coefficient draws (the minhash SQL oracles inline the draws)
+MINHASH_SEED = 7
 
 
 def _stable_hash64(s: str) -> int:
@@ -31,14 +33,22 @@ def _stable_hash64(s: str) -> int:
     return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[:8], "big")
 
 
-def shingles(text: str, k: int = 3) -> Set[int]:
-    """Word k-gram shingle hash set (lowercased, whitespace tokens)."""
+# words per shingle
+SHINGLE_K = 3
+
+
+def shingles(text: str) -> Set[int]:
+    """Word ``SHINGLE_K``-gram shingle hash set (lowercased, whitespace
+    tokens)."""
     words = (text or "").lower().split()
     if not words:
         return set()
-    if len(words) < k:
+    if len(words) < SHINGLE_K:
         return {_stable_hash64(" ".join(words))}
-    return {_stable_hash64(" ".join(words[i : i + k])) for i in range(len(words) - k + 1)}
+    return {
+        _stable_hash64(" ".join(words[i : i + SHINGLE_K]))
+        for i in range(len(words) - SHINGLE_K + 1)
+    }
 
 
 class MinHasher:
@@ -54,7 +64,7 @@ class MinHasher:
     collisions per document — negligible for per-doc shingle sets."""
 
     def __init__(self, n_perm: int = 128):
-        rng = np.random.RandomState(7)
+        rng = np.random.RandomState(MINHASH_SEED)
         self.a = rng.randint(1, 1 << 32, size=n_perm, dtype=np.uint64)
         self.b = rng.randint(0, 1 << 32, size=n_perm, dtype=np.uint64)
         self.n_perm = n_perm

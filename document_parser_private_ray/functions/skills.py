@@ -30,6 +30,8 @@ from ..config import SKILL_PATTERNS
 
 _DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
 DEFAULT_ONTOLOGY_PATH = os.path.join(_DATA_DIR, "skills_ontology.json")
+# the fuzzy-match score a skill needs to map onto an ontology entry
+THRESHOLD = 80
 
 _BULLET_RE = re.compile(r"^[-•*]\s*")
 _WS_RE = re.compile(r"\s+")
@@ -50,7 +52,6 @@ class SkillNormalizer:
             except FileNotFoundError:
                 ontology = {}
         self.ontology: Dict[str, List[str]] = ontology
-        self.threshold = 80
         self.category_labels = SKILL_PATTERNS["category_labels"]
         self.stop_words = set(SKILL_PATTERNS["stop_words"])
         self._rebuild_index()
@@ -117,7 +118,7 @@ class SkillNormalizer:
         if hit is not None:
             result = self._get_canonical(hit)
         else:
-            m = self._findex.extract_one(skill, score_cutoff=self.threshold)
+            m = self._findex.extract_one(skill, score_cutoff=THRESHOLD)
             result = self._get_canonical(m[0]) if m else skill
         from .memocap import memo_put
 

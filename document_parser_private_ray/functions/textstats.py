@@ -65,21 +65,28 @@ def md5_fingerprint(text: str) -> str:
     return hashlib.md5((text or "").encode("utf-8")).hexdigest()
 
 
+# winnow_fingerprints: words per k-gram, k-grams per window
+WINNOW_K, WINNOW_WINDOW = 5, 4
+
+
 def winnow_fingerprints(text: str) -> List[int]:
-    """Winnowing (Schleimer et al., SIGMOD'03): rolling word 5-gram
-    hashes, minimum per sliding window of 4, deduplicated in order — a
-    compact local fingerprint set for near-dup detection."""
-    k, window = 5, 4
+    """Winnowing (Schleimer et al., SIGMOD'03): rolling word
+    ``WINNOW_K``-gram hashes, minimum per sliding window of
+    ``WINNOW_WINDOW``, deduplicated in order — a compact local
+    fingerprint set for near-dup detection."""
     words = (text or "").lower().split()
-    if len(words) < k:
+    if len(words) < WINNOW_K:
         return [_hash64(" ".join(words))] if words else []
-    grams = [_hash64(" ".join(words[i : i + k])) for i in range(len(words) - k + 1)]
-    if len(grams) <= window:
+    grams = [
+        _hash64(" ".join(words[i : i + WINNOW_K]))
+        for i in range(len(words) - WINNOW_K + 1)
+    ]
+    if len(grams) <= WINNOW_WINDOW:
         return [min(grams)]
     out: List[int] = []
     last = -1
-    for i in range(len(grams) - window + 1):
-        j = i + int(np.argmin(grams[i : i + window]))
+    for i in range(len(grams) - WINNOW_WINDOW + 1):
+        j = i + int(np.argmin(grams[i : i + WINNOW_WINDOW]))
         if j != last:
             out.append(grams[j])
             last = j

@@ -99,7 +99,7 @@ def checkpoint_lineage(src: str, export: str):
     from .state.checkpoint import lineage_table, run_resumable
 
     if not os.path.exists(os.path.join(src, "_COMPLETE")):
-        write_corpus_local(src, 120, seed=42, rows_per_file=20)
+        write_corpus_local(src, 120, rows_per_file=20)
         with open(os.path.join(src, "_COMPLETE"), "w") as f:
             f.write("ok")
     files = sorted(glob.glob(os.path.join(src, "*.parquet")))

@@ -21,7 +21,7 @@ Output span contract (north rule: per-row span-sequence equality on
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..config import SECTION_NAMES
 from ..functions.extract import ResumeExtractor
@@ -36,17 +36,10 @@ class DocumentOracle:
     """Holds the per-worker state (regex banks, ontologies, PII rules);
     ``process`` is a pure function of one document's span sequence."""
 
-    def __init__(
-        self,
-        data_dir: Optional[str] = None,
-        today=None,
-        ner=None,
-        pii_config: Optional[dict] = None,
-        with_pii: bool = False,
-    ):
+    def __init__(self, with_pii: bool = False):
         self.detector = SectionDetector()
-        self.extractor = ResumeExtractor(data_dir=data_dir, today=today, ner=ner)
-        self.pii = PIIAnonymizer(pii_config) if (with_pii or pii_config) else None
+        self.extractor = ResumeExtractor()
+        self.pii = PIIAnonymizer() if with_pii else None
 
     def detect_sections(self, raw_text: str) -> Dict[str, str]:
         return self.detector.detect(raw_text)

@@ -33,7 +33,7 @@ import pyarrow.compute as pc
 
 from .exchange import as_array, grouped_agg
 
-K_DEFAULT = 16
+K = 16  # sketch size: the K smallest distinct word hashes
 _PREFIX_DIV = 1 << 48
 
 
@@ -53,7 +53,7 @@ def _batch_word_hash_minima(t: pa.Table, k: int) -> pa.Table:
     return pa.Table.from_pydict({"h": pa.array(hashes, type=pa.string())})
 
 
-def vocab_kmv(sf_dir: str, k: int = K_DEFAULT):
+def vocab_kmv(sf_dir: str):
     """Single-row KMV estimate of the corpus vocabulary size:
     ``k`` (sketch size), ``kth_hash`` (the k-th minimum md5, '' when
     the vocabulary is smaller than k), ``est_distinct``."""
@@ -62,21 +62,21 @@ def vocab_kmv(sf_dir: str, k: int = K_DEFAULT):
     minima = (
         grouped_agg(  # distinct across partials
             read_documents(sf_dir), "h", {},
-            rows=lambda t: _batch_word_hash_minima(t, k), batch_size=1024,
+            rows=lambda t: _batch_word_hash_minima(t, K), batch_size=1024,
         )
         .sort("h")
-        .limit(k)
+        .limit(K)
         .take_all()
     )  # <= k rows by construction — the sketch, not the corpus
     hashes = [r["h"] for r in minima]
-    if len(hashes) < k:
+    if len(hashes) < K:
         est, kth = len(hashes), ""
     else:
         kth = hashes[-1]
-        est = (k - 1) * _PREFIX_DIV // max(int(kth[:12], 16), 1)
+        est = (K - 1) * _PREFIX_DIV // max(int(kth[:12], 16), 1)
     return pa.Table.from_pydict(
         {
-            "k": pa.array([k], type=pa.int64()),
+            "k": pa.array([K], type=pa.int64()),
             "kth_hash": pa.array([kth], type=pa.string()),
             "est_distinct": pa.array([est], type=pa.int64()),
         }
@@ -106,7 +106,7 @@ def _batch_source_hash_minima(t: pa.Table, k: int) -> pa.Table:
     )
 
 
-def vocab_kmv_by_source(sf_dir: str, k: int = K_DEFAULT):
+def vocab_kmv_by_source(sf_dir: str):
     """Per-source KMV vocabulary estimate — the grouped-sketch shape:
     each batch emits at most sources x k partial minima, ONE hash
     shuffle on source merges them (group size bounded by batches x k,
@@ -117,7 +117,7 @@ def vocab_kmv_by_source(sf_dir: str, k: int = K_DEFAULT):
 
     ds = read_documents(sf_dir, ["doc_id", "text", "source"])
     partials = ds.map_batches(
-        lambda t: _batch_source_hash_minima(t, k),
+        lambda t: _batch_source_hash_minima(t, K),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=1024,
@@ -125,16 +125,16 @@ def vocab_kmv_by_source(sf_dir: str, k: int = K_DEFAULT):
 
     def finalize(group: pa.Table) -> pa.Table:
         src = group["source"][0].as_py()
-        hashes = sorted(set(group["h"].to_pylist()))[:k]
-        if len(hashes) < k:
+        hashes = sorted(set(group["h"].to_pylist()))[:K]
+        if len(hashes) < K:
             est, kth = len(hashes), ""
         else:
             kth = hashes[-1]
-            est = (k - 1) * _PREFIX_DIV // max(int(kth[:12], 16), 1)
+            est = (K - 1) * _PREFIX_DIV // max(int(kth[:12], 16), 1)
         return pa.Table.from_pydict(
             {
                 "source": pa.array([src], type=pa.string()),
-                "k": pa.array([k], type=pa.int64()),
+                "k": pa.array([K], type=pa.int64()),
                 "kth_hash": pa.array([kth], type=pa.string()),
                 "est_distinct": pa.array([est], type=pa.int64()),
             }

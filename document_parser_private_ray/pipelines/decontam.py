@@ -29,12 +29,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.sketches import shingles
+from ..functions.sketches import SHINGLE_K, shingles
 from ..sources.readers import read_documents
 
 BENCH_MOD = 37  # deterministic eval-set stand-in: doc_id % 37 == 0
 THRESHOLD_MICRO = 200_000  # contaminated iff >=20% of a doc's shingles hit
-K = 3  # shingle width in words
 
 
 def benchmark_shingles(sf_dir: str) -> np.ndarray:
@@ -50,7 +49,7 @@ def benchmark_shingles(sf_dir: str) -> np.ndarray:
         mask = (ids % BENCH_MOD) == 0
         out: set = set()
         for txt in t.filter(pa.array(mask))["text"].to_pylist():
-            out |= shingles(txt, K)
+            out |= shingles(txt)
         arr = np.fromiter(out, dtype=np.uint64, count=len(out)).astype(np.int64)
         return pa.Table.from_pydict({"sh": pa.array(arr, type=pa.int64())})
 
@@ -80,7 +79,7 @@ def decontaminate(sf_dir: str):
         counts = np.empty(n, dtype=np.int64)
         hash_parts = []
         for i, txt in enumerate(texts):
-            s = shingles(txt, K)
+            s = shingles(txt)
             counts[i] = len(s)
             hash_parts.append(np.fromiter(s, dtype=np.uint64, count=len(s)))
         flat = (
@@ -119,7 +118,7 @@ def decontaminate(sf_dir: str):
 
 def decontaminate_clean(sf_dir: str):
     """Removal variant (the GPT-3 appendix-style span cut): every token
-    of a non-benchmark document covered by a benchmark-hit K-gram
+    of a non-benchmark document covered by a benchmark-hit shingle
     window is removed; the cleaned text is re-emitted. Benchmark docs
     pass through untouched (real pipelines exclude them upstream).
 
@@ -145,18 +144,18 @@ def decontaminate_clean(sf_dir: str):
             lowers.append(wl)
             if not wl:
                 counts.append(0)
-            elif len(wl) < K:
+            elif len(wl) < SHINGLE_K:
                 counts.append(1)
                 hash_parts.append(
                     np.array([_stable_hash64(" ".join(wl))], dtype=np.uint64)
                 )
             else:
-                m = len(wl) - K + 1
+                m = len(wl) - SHINGLE_K + 1
                 counts.append(m)
                 hash_parts.append(
                     np.fromiter(
                         (
-                            _stable_hash64(" ".join(wl[i : i + K]))
+                            _stable_hash64(" ".join(wl[i : i + SHINGLE_K]))
                             for i in range(m)
                         ),
                         dtype=np.uint64,
@@ -180,15 +179,15 @@ def decontaminate_clean(sf_dir: str):
                 clean.append(" ".join(wo))
                 n_rm.append(0)
                 continue
-            if len(wl) < K:
+            if len(wl) < SHINGLE_K:
                 # the single whole-doc shingle hit: everything goes
                 clean.append("")
                 n_rm.append(n)
                 continue
             hs = np.flatnonzero(row_hits)
-            diff = np.zeros(n + K, dtype=np.int64)
+            diff = np.zeros(n + SHINGLE_K, dtype=np.int64)
             np.add.at(diff, hs, 1)
-            np.add.at(diff, hs + K, -1)
+            np.add.at(diff, hs + SHINGLE_K, -1)
             covered = np.cumsum(diff[:n]) > 0
             kept = [w for w, c in zip(wo, covered) if not c]
             clean.append(" ".join(kept))

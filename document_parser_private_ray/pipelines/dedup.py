@@ -28,14 +28,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.sketches import MinHasher, jaccard, shingles, simhash64
+from ..functions.sketches import SHINGLE_K, MinHasher, jaccard, shingles, simhash64
 from ..sources.readers import read_documents
 from .exchange import co_partition, grouped_agg, run_starts, sorted_runs
 from .pairs import attach_pair_values, fits_broadcast, lookup, scan_ids, self_pairs
 
-# MinHash-LSH: permutations, bands (rows per band = N_PERM // N_BANDS)
-# and shingle width in words; the dedup_minhash SQL oracle replays them
-N_PERM, N_BANDS, SHINGLE_K = 128, 16, 3
+# MinHash-LSH: permutations and bands (rows per band = N_PERM //
+# N_BANDS); the dedup_minhash SQL oracle replays them
+N_PERM, N_BANDS = 128, 16
 # SimHash: 4 bands of 16 bits guarantee a shared band at Hamming <= 3
 MAX_HAMMING = 3
 # inverted-index stop list: shingles / fingerprints in more documents go
@@ -92,7 +92,7 @@ class MinHashSignatures:
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids, bands, keys = [], [], []
         for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-            sig = self.hasher.signature(shingles(text, SHINGLE_K))
+            sig = self.hasher.signature(shingles(text))
             for band, key in enumerate(self.hasher.band_keys(sig, N_BANDS)):
                 doc_ids.append(doc_id)
                 bands.append(band)
@@ -162,7 +162,7 @@ def minhash_verified_pairs(sf_dir: str, threshold: float = 0.8, pair_filter=None
         def sh(doc, text):
             s = memo.get(doc)
             if s is None:
-                s = shingles(text, SHINGLE_K)
+                s = shingles(text)
                 memo[doc] = s
             return s
 

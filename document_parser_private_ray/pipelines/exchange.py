@@ -71,9 +71,12 @@ SIDE = "__side"
 
 def as_array(col) -> pa.Array:
     """``col`` as one contiguous Arrow array, for offsets/values access:
-    a ChunkedArray's chunks combined (a table filtered to no rows has
-    columns of no chunks: they give an empty array of their type)."""
-    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    a ChunkedArray's one chunk as is, else its chunks combined (a table
+    filtered to no rows has columns of no chunks: they give an empty
+    array of their type)."""
+    if not isinstance(col, pa.ChunkedArray):
+        return col
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
 
 
 def _key_hash(keys) -> np.ndarray:

@@ -320,6 +320,10 @@ def web_curate(sf_dir: str):
     return split_rollup(survivors)
 
 
+# link_indegree and anchor_texts: link targets kept
+TOP_URLS = 30
+
+
 def link_indegree(sf_dir: str):
     """Link-graph in-degree: how many pages point at each URL — the
     first signal every crawl ranker computes. Chrome URLs (/home, the
@@ -327,11 +331,12 @@ def link_indegree(sf_dir: str):
     list pre-aggregates per batch (url -> partial count) BEFORE the
     groupby: each batch collapses its chrome edges to one row per URL
     and the exchange carries partials, never the raw hot-key edges.
-    The top 30 by (in_degree desc, url) keep the result driver-small."""
+    The top ``TOP_URLS`` by (in_degree desc, url) keep the result
+    driver-small."""
     return (
         grouped_agg(html_outlinks(sf_dir), "url", {"in_degree": ("doc_id", "count")})
         .sort(["in_degree", "url"], descending=[True, False])
-        .limit(30)
+        .limit(TOP_URLS)
     )
 
 
@@ -498,5 +503,5 @@ def anchor_texts(sf_dir: str):
     return (
         sorted_runs(counts, "url", [("n", "descending"), "atext"], reduce_bucket)
         .sort(["n_anchors", "url"], descending=[True, False])
-        .limit(30)
+        .limit(TOP_URLS)
     )

@@ -128,11 +128,16 @@ def order_lineitem_revenue(sf_dir: str, k: int = 15):
     )
 
 
-def distinct_values(sf_dir: str, table: str = "customer", column: str = "c_mktsegment"):
-    """Distinct values of a column (R9) — ``Dataset.unique`` shuffle."""
-    ds = _read(sf_dir, table, [column])
-    vals = sorted(ds.unique(column))
-    return pa.Table.from_pydict({column: pa.array(vals)})
+# distinct_values: the table and its column
+DISTINCT_TABLE, DISTINCT_COLUMN = "customer", "c_mktsegment"
+
+
+def distinct_values(sf_dir: str):
+    """Distinct values of ``DISTINCT_COLUMN`` (R9) — ``Dataset.unique``
+    shuffle."""
+    ds = _read(sf_dir, DISTINCT_TABLE, [DISTINCT_COLUMN])
+    vals = sorted(ds.unique(DISTINCT_COLUMN))
+    return pa.Table.from_pydict({DISTINCT_COLUMN: pa.array(vals)})
 
 
 def bucketed_filter_join(
@@ -203,9 +208,14 @@ def customers_big_spenders(sf_dir: str):
     )
 
 
+# order_bigline_histogram: a big lineitem's quantity exceeds this
+BIG_QUANTITY = 45.0
+
+
 def order_bigline_histogram(sf_dir: str):
     """Distribution of big-line counts per order with LEFT OUTER
-    semantics — orders with zero big lineitems (quantity over 45) must appear
+    semantics — orders with zero big lineitems (quantity over
+    ``BIG_QUANTITY``) must appear
     (n_big = 0), which an inner join cannot produce. Fused shape (r5):
     the lineitem side filters and pre-aggregates per batch BEFORE the
     exchange, both sides co-partition by orderkey bucket in ONE
@@ -220,7 +230,7 @@ def order_bigline_histogram(sf_dir: str):
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def big_line_partials(batch: pa.Table) -> pa.Table:
-        big = batch.filter(pc.greater(batch["l_quantity"], 45.0))
+        big = batch.filter(pc.greater(batch["l_quantity"], BIG_QUANTITY))
         g = big.select(["l_orderkey"]).group_by("l_orderkey").aggregate(
             [("l_orderkey", "count")]
         )
@@ -262,9 +272,16 @@ def order_bigline_histogram(sf_dir: str):
     return grouped_agg(hist, "n_big", {"n_orders": ("n", "sum")})
 
 
+# q3_shipping_priority: the market segment, the order/ship date cutoff
+# and the number of orders
+Q3_SEGMENT = "BUILDING"
+Q3_CUTOFF = "1998-01-01"
+Q3_K = 10
+
+
 def q3_shipping_priority(sf_dir: str):
-    """TPC-H Q3 shape, top 10 orders of the BUILDING segment around the
-    1998-01-01 cutoff — a CHAINED multi-way join, each link the cheapest
+    """TPC-H Q3 shape, top ``Q3_K`` orders of the ``Q3_SEGMENT`` segment
+    around the ``Q3_CUTOFF`` date — a CHAINED multi-way join, each link the cheapest
     exchange that preserves semantics: (1) orders dated before the
     cutoff are SEMI-joined against the segment's customer keys
     (``bucketed_filter_join`` — one co-partition exchange, the customer
@@ -275,11 +292,11 @@ def q3_shipping_priority(sf_dir: str):
     bit-for-bit. Filters run at the scan on every input."""
     import numpy as np
 
-    cut = np.datetime64("1998-01-01", "us")
+    cut = np.datetime64(Q3_CUTOFF, "us")
 
     customers = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     cust_keys = customers.map_batches(
-        lambda b: b.filter(pc.equal(b["c_mktsegment"], "BUILDING")).select(["c_custkey"]),
+        lambda b: b.filter(pc.equal(b["c_mktsegment"], Q3_SEGMENT)).select(["c_custkey"]),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
@@ -349,7 +366,7 @@ def q3_shipping_priority(sf_dir: str):
             zero_copy_batch=True,
         )
         .sort(["revenue_cents", "o_orderkey"], descending=[True, False])
-        .limit(10)
+        .limit(Q3_K)
     )
 
 
@@ -389,10 +406,14 @@ def fk_violations(sf_dir: str):
     )
 
 
+# building_not_big_spenders: a big spender's total order value exceeds this
+BIG_SPEND = 1_500_000.0
+
+
 def building_not_big_spenders(sf_dir: str):
     """Set algebra (EXCEPT) over derived key sets: BUILDING-segment
     customers MINUS customers whose total order value exceeds
-    1,500,000 — composed from the same keys-only co-partition primitives as
+    ``BIG_SPEND`` — composed from the same keys-only co-partition primitives as
     the semi/anti joins: the subtrahend set is itself an aggregate
     (groupby custkey -> filter), and the EXCEPT is one anti
     ``bucketed_filter_join``. Output: (c_custkey, c_acctbal)."""
@@ -411,7 +432,7 @@ def building_not_big_spenders(sf_dir: str):
             {"total": ("o_totalprice", "sum")},
         )
         .map_batches(
-            lambda b: b.filter(pc.greater(b["total"], 1_500_000.0)).select(
+            lambda b: b.filter(pc.greater(b["total"], BIG_SPEND)).select(
                 ["o_custkey"]
             ),
             batch_format="pyarrow",

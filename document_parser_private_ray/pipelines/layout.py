@@ -31,9 +31,14 @@ _BODY_WORDS = [
 ]
 
 
-def generate_layout_document(doc_index: int, seed: int = 42) -> Dict:
-    """Pure function (seed, doc_index) -> {doc_id, pages: [page_dict]}."""
-    rng = random.Random((seed << 21) ^ doc_index)
+# the synthetic layout corpus: its generator's seed and its documents
+SEED = 42
+N_DOCS = 500
+
+
+def generate_layout_document(doc_index: int) -> Dict:
+    """Pure function (SEED, doc_index) -> {doc_id, pages: [page_dict]}."""
+    rng = random.Random((SEED << 21) ^ doc_index)
     pages: List[Dict] = []
     for page_num in range(rng.randint(1, 3)):
         blocks = []
@@ -110,8 +115,8 @@ class LayoutAnalyzeStage:
         return pa.Table.from_pylist(rows, schema=_STATS_SCHEMA)
 
 
-def write_layout_flat(out_dir: str, n_docs: int = 500, seed: int = 42) -> None:
-    """Flatten the synthetic layout corpus to parquet — one row per
+def write_layout_flat(out_dir: str) -> None:
+    """Flatten the ``N_DOCS``-document synthetic layout corpus to parquet — one row per
     text-block SPAN plus one row per image block — so a SQL oracle can
     recompute the M2/M3 stats (font histograms, dominant font,
     heading heuristic) from the exact input the layout_blocks query
@@ -124,8 +129,8 @@ def write_layout_flat(out_dir: str, n_docs: int = 500, seed: int = 42) -> None:
 
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for i in range(n_docs):
-        doc = generate_layout_document(i, seed)
+    for i in range(N_DOCS):
+        doc = generate_layout_document(i)
         ordinal = 0
         for page_num, page in enumerate(doc["pages"]):
             for block_idx, block in enumerate(page["blocks"]):
@@ -163,7 +168,7 @@ def write_layout_flat(out_dir: str, n_docs: int = 500, seed: int = 42) -> None:
     )
 
 
-def layout_blocks(n_docs: int = 500):
+def layout_blocks(n_docs: int = N_DOCS):
     """Driver query: layout-analyze a deterministic synthetic corpus,
     one stats row per document."""
     import ray.data as rd

@@ -47,13 +47,17 @@ FEATURE_SCHEMA = pa.schema(
 )
 
 
+# synth_media_batch: the salt of every fake payload digest
+SEED = 42
+
+
 def synth_media_batch(refs, with_video: bool = False) -> pa.Table:
     """Deterministic fake media rows for tests/benches: payload bytes are
     a function of the media_ref. ``with_video=True`` adds a video kind
     (with frame-count metadata) for the frame-sampling stage."""
     rows = []
     for ref in refs:
-        h = hashlib.blake2b(f"42:{ref}".encode(), digest_size=32).digest()
+        h = hashlib.blake2b(f"{SEED}:{ref}".encode(), digest_size=32).digest()
         if with_video:
             kind = ("image", "audio", "video")[h[0] % 3]
         else:
@@ -279,16 +283,21 @@ def media_pipeline(export: str, n_items: int = 256):
     )
 
 
-def synth_aliased_media(n_items: int = 256, alias_mod: int = 200):
-    """Synthetic media corpus WITH planted byte-duplicates: payloads
-    derive from ``ref mod alias_mod`` while media_ref stays unique, so
-    refs >= alias_mod are byte-identical copies of earlier ones."""
+# synth_aliased_media: items, and distinct payloads among them
+N_ITEMS, ALIAS_MOD = 256, 200
+
+
+def synth_aliased_media():
+    """Synthetic media corpus WITH planted byte-duplicates: ``N_ITEMS``
+    refs whose payloads derive from ``ref mod ALIAS_MOD`` while
+    media_ref stays unique, so refs >= ``ALIAS_MOD`` are byte-identical
+    copies of earlier ones."""
     import ray.data as rd
 
     refs = rd.from_items(
         [
-            {"ref": f"media://synth/{i % alias_mod}", "media_ref": f"media://synth/{i}"}
-            for i in range(n_items)
+            {"ref": f"media://synth/{i % ALIAS_MOD}", "media_ref": f"media://synth/{i}"}
+            for i in range(N_ITEMS)
         ]
     )
 
@@ -303,7 +312,7 @@ def synth_aliased_media(n_items: int = 256, alias_mod: int = 200):
     return refs.map_batches(synth_aliased, batch_format="numpy", batch_size=64)
 
 
-def media_dedup(export: str, n_items: int = 256, alias_mod: int = 200):
+def media_dedup(export: str):
     """Exact dedup over BINARY media payloads — the ``dedup_exact``
     shape applied to a multimodal column: each payload collapses to its
     md5 digest BEFORE the shuffle (the exchange ships (digest, ref)
@@ -323,7 +332,7 @@ def media_dedup(export: str, n_items: int = 256, alias_mod: int = 200):
     import hashlib
 
     media = exported(
-        synth_aliased_media(n_items, alias_mod).select_columns(["media_ref", "payload"]),
+        synth_aliased_media().select_columns(["media_ref", "payload"]),
         export,
     )
 

@@ -116,8 +116,12 @@ def _sum_by_int64(keys, vals):
     return ks[starts], np.add.reduceat(vs, starts)
 
 
-def supplier_pagerank(sf_dir: str, n_iters: int = 3, k: int = 20):
-    """Top-k supplier nodes by integer PageRank after ``n_iters``
+# supplier_pagerank: synchronous iterations
+N_ITERS = 3
+
+
+def supplier_pagerank(sf_dir: str, k: int = 20):
+    """Top-k supplier nodes by integer PageRank after ``N_ITERS``
     synchronous iterations: (s_suppkey, score_micro), ordered by
     (score desc, suppkey).
 
@@ -210,7 +214,7 @@ def supplier_pagerank(sf_dir: str, n_iters: int = 3, k: int = 20):
         .repartition(width())
     )
     # per-iteration cuts: measured 1.8x faster than one deep lazy plan
-    for _ in range(n_iters - 1):
+    for _ in range(N_ITERS - 1):
         contribs = _cut(
             co_partition(
                 {"E": (edges, edge_schema), "C": (contribs, contrib_schema)},
@@ -245,8 +249,12 @@ def supplier_pagerank(sf_dir: str, n_iters: int = 3, k: int = 20):
     )
 
 
+# cosupplier_pairs: supplier pairs kept
+TOP_PAIRS = 15
+
+
 def cosupplier_pairs(sf_dir: str, max_deg: int = 32):
-    """Two-hop graph co-occurrence: the top 15 supplier pairs by how many
+    """Two-hop graph co-occurrence: the top ``TOP_PAIRS`` supplier pairs by how many
     customers they share — the collaborative-filtering join over the
     same distinct (cust, supp) relation PageRank builds. Hot customers
     are DEGREE-CAPPED deterministically (each customer contributes
@@ -302,5 +310,5 @@ def cosupplier_pairs(sf_dir: str, max_deg: int = 32):
         .sort(
             ["n_shared_customers", "s_a", "s_b"], descending=[True, False, False]
         )
-        .limit(15)
+        .limit(TOP_PAIRS)
     )

@@ -131,6 +131,11 @@ def revenue_by_nation(sf_dir: str):
 
 # -- top-k with broadcast filter (R6) ------------------------------------
 
+# top_customers_by_order_value: the market segment and the number of customers
+TOP_CUSTOMERS_SEGMENT = "BUILDING"
+TOP_CUSTOMERS_K = 10
+
+
 def top_customers_by_order_value(sf_dir: str):
     """orders ⋉ customer(segment) -> top-k customers by total order
     value. Customer SCALES with the fact tables (unlike nation/region/
@@ -141,10 +146,8 @@ def top_customers_by_order_value(sf_dir: str):
     in-bucket aggregate is final — no second corpus-scale groupby), and
     only the top-k result KEYS — k rows, driver-small by construction —
     come back to fetch display names with one filtered scan."""
-    segment = "BUILDING"
-    k = 10
     seg_cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
-        lambda b: b.filter(pc.equal(b["c_mktsegment"], segment)).select(["c_custkey"]),
+        lambda b: b.filter(pc.equal(b["c_mktsegment"], TOP_CUSTOMERS_SEGMENT)).select(["c_custkey"]),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
@@ -168,7 +171,7 @@ def top_customers_by_order_value(sf_dir: str):
             semi_agg_bucket,
         )
         .sort("total_value", descending=True)
-        .limit(k)
+        .limit(TOP_CUSTOMERS_K)
         .materialize()  # k rows
     )
     top_keys = pa.array(
@@ -212,27 +215,30 @@ def events_hourly_window(sf_dir: str):
     )
 
 
+# events_sliding_window: window width and hop
+WINDOW_HOURS = 3
+STEP_HOURS = 1
+
+
 def events_sliding_window(sf_dir: str):
-    """Sliding event-time windows per event_type (width 3h, hop 1h):
+    """Sliding event-time windows per event_type (``WINDOW_HOURS`` wide,
+    every ``STEP_HOURS``):
     each event is expanded vectorized to every window that
     covers it (width/step copies with shifted window_start keys — the
     standard explode-then-aggregate sliding-window encoding), then one
     groupby over (type, window_start) aggregates. Expansion factor =
     width/step, applied per batch with Arrow kernels — no per-row
     Python, no window state."""
-    step_hours = 1
-    n_copies = 3  # width 3h // step 1h
-
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
     def expand(batch: pa.Table) -> pa.Table:
         import datetime
 
-        base = pc.floor_temporal(batch["ts"], multiple=step_hours, unit="hour")
+        base = pc.floor_temporal(batch["ts"], multiple=STEP_HOURS, unit="hour")
         parts = []
-        for i in range(n_copies):
+        for i in range(WINDOW_HOURS // STEP_HOURS):
             shift = pa.scalar(
-                datetime.timedelta(hours=i * step_hours), type=pa.duration("us")
+                datetime.timedelta(hours=i * STEP_HOURS), type=pa.duration("us")
             )
             parts.append(
                 pa.Table.from_arrays(
@@ -322,19 +328,23 @@ def purchases_asof_views(sf_dir: str):
 
 # -- per-user sessionization (map_groups ordered-state pattern) ----------
 
-def events_sessionize(sf_dir: str, gap_minutes: int = 30):
+# events_sessionize: the idle gap that closes a session
+GAP_MINUTES = 30
+
+
+def events_sessionize(sf_dir: str):
     """Session windows per user: ONE co-partitioning exchange on a
     user-hash BUCKET (``stages.width()`` groups — constant per-group
     Python overhead instead of one interpreter call per user), then the
     bucket's rows sorted by (user, ts) (``exchange.sorted_runs``);
-    session breaks are a vectorized diff (user-change OR gap>threshold)
+    session breaks are a vectorized diff (user-change OR gap > ``GAP_MINUTES``)
     and the per-session aggregates come from np.add.reduceat over the
     break offsets. Partitioning assumption: one bucket's events fit in
     one group — the width grows with the cluster, and the kernel is
     bucket-count-agnostic."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
-    gap = np.timedelta64(int(gap_minutes), "m")
+    gap = np.timedelta64(GAP_MINUTES, "m")
 
     def sessionize_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         brk = pos == 0
@@ -358,8 +368,12 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
 
 # -- per-group top-k (grouped rank at scale) -----------------------------
 
-def user_top_events(sf_dir: str, k: int = 3):
-    """Top-k events per user by (value desc, ts, event_id) with a dense
+# user_top_events: events ranked per user
+TOP_EVENTS = 3
+
+
+def user_top_events(sf_dir: str):
+    """Top ``TOP_EVENTS`` events per user by (value desc, ts, event_id) with a dense
     1-based rank — the grouped-rank operator shape: one hash shuffle on
     the user-BUCKET key, then the bucket's sorted rows and run positions
     (``exchange.sorted_runs``) rank every user in it at once (r5 — was
@@ -368,7 +382,7 @@ def user_top_events(sf_dir: str, k: int = 3):
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
     def topk_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
-        sel = np.flatnonzero(pos < k)
+        sel = np.flatnonzero(pos < TOP_EVENTS)
         return pa.table(
             {
                 "user_id": g["user_id"].take(sel),
@@ -480,13 +494,16 @@ def orders_rollup(sf_dir: str):
 
 # -- strict ordered funnel (event-sequence analytics) ---------------------
 
+# funnel_counts: the event types of the funnel, in order
+FUNNEL_STAGES = ("view", "click", "purchase")
+
+
 def funnel_counts(sf_dir: str):
     """Strict ordered funnel: users whose FIRST stage-k event happens
     strictly after their first stage-(k-1) completion. One hash shuffle
     on user_id, per-group vectorized first-after scan, then a driver
     fold of the tiny per-user stage depth. Output: one row per stage
     with the users-remaining count."""
-    stages = ("view", "click", "purchase")
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"])
 
     def depth_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
@@ -503,7 +520,7 @@ def funnel_counts(sf_dir: str):
         cur = np.full(len(users), -(2**62), dtype=np.int64)
         reached = np.zeros(len(users), dtype=np.int64)
         alive = np.ones(len(users), dtype=bool)
-        for s in stages:
+        for s in FUNNEL_STAGES:
             cand = np.flatnonzero(
                 (types_s == s) & (ts_s > cur[inv]) & alive[inv]
             )
@@ -527,7 +544,7 @@ def funnel_counts(sf_dir: str):
     hist = grouped_agg(per_user, "depth", {"n": (None, "count")}).take_all()
     counts = {r["depth"]: r["n"] for r in hist}  # <= len(stages)+1 rows
     labels, vals = [], []
-    for i, s in enumerate(stages, start=1):
+    for i, s in enumerate(FUNNEL_STAGES, start=1):
         labels.append(f"{i}_{s}")
         vals.append(sum(n for d, n in counts.items() if d >= i))
     return pa.Table.from_pydict(
@@ -598,9 +615,8 @@ def orders_price_bands(sf_dir: str):
     bands with ONE vectorized np.searchsorted (no shuffle join), and
     the only exchange is the final <= #bands groupby. Exact integer
     cents so the SQL BETWEEN-join oracle replays the totals."""
-    bands = PRICE_BANDS
-    names = [b[0] for b in bands]
-    uppers = np.array([b[2] for b in bands[:-1]], dtype=np.float64)
+    names = [b[0] for b in PRICE_BANDS]
+    uppers = np.array([b[2] for b in PRICE_BANDS[:-1]], dtype=np.float64)
 
     ds = _read(sf_dir, "orders", ["o_totalprice"])
 
@@ -676,12 +692,11 @@ def priority_segment_pivot(sf_dir: str):
     ``_priority_segment_cells`` exchange (no customer broadcast); the
     driver spreads the <= priorities x segments aggregate to wide
     columns."""
-    segments = SEGMENTS
     agg = _priority_segment_cells(sf_dir)
     counts = {(r["prio"], r["seg"]): r["n"] for r in agg}
     prios = sorted({p for p, _ in counts})
     cols = {"o_orderpriority": pa.array(prios, type=pa.string())}
-    for s in segments:
+    for s in SEGMENTS:
         cols[f"n_{s}"] = pa.array(
             [counts.get((p, s), 0) for p in prios], type=pa.int64()
         )
@@ -702,8 +717,7 @@ def session_purchase_counts(sf_dir: str):
     (r5) no per-user interpreter call: the previous groupby(user_id)
     paid one Python group call per user, the shape this engine removes
     everywhere else."""
-    gap_minutes = 30
-    sessions = events_sessionize(sf_dir, gap_minutes=gap_minutes)
+    sessions = events_sessionize(sf_dir)
     events = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
     def join_bucket(t: dict) -> pa.Table:
@@ -792,6 +806,10 @@ def session_purchase_counts(sf_dir: str):
 
 # -- grouped NTILE window (per-nation balance quartiles) -------------------
 
+# customer_balance_quartiles: NTILE buckets per nation
+BALANCE_TILES = 4
+
+
 def customer_balance_quartiles(sf_dir: str):
     """Per-nation account-balance quartiles — the grouped NTILE window.
     ONE shuffle on the partition key (c_nationkey); inside each group
@@ -803,7 +821,6 @@ def customer_balance_quartiles(sf_dir: str):
     (exact NTILE needs the whole partition ranked; for a partition too
     large for that, use the corpus_shuffle range-bucket + prefix-offset
     rank instead)."""
-    k = 4
     ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
 
     def quartile_group(group: pa.Table) -> pa.Table:
@@ -812,8 +829,8 @@ def customer_balance_quartiles(sf_dir: str):
         order = np.lexsort((key, bal))
         cents = _cents(bal[order])
         n = len(order)
-        q, r = divmod(n, k)
-        sizes = np.full(k, q, dtype=np.int64)
+        q, r = divmod(n, BALANCE_TILES)
+        sizes = np.full(BALANCE_TILES, q, dtype=np.int64)
         sizes[:r] += 1
         sizes = sizes[sizes > 0]
         tiles = np.repeat(np.arange(1, len(sizes) + 1, dtype=np.int64), sizes)
@@ -905,6 +922,11 @@ def events_hourly_users(sf_dir: str):
 
 # -- path mining (per-user ordered event-type sequences) -------------------
 
+# user_event_paths: paths kept, and events per user path
+TOP_PATHS = 20
+PATH_MAX_LEN = 50
+
+
 def user_event_paths(sf_dir: str):
     """Most common user journeys — every user's chronologically ordered
     event-type sequence (joined with '>'), truncated to the first
@@ -915,12 +937,10 @@ def user_event_paths(sf_dir: str):
     group call per user), ``grouped_agg`` collapses the
     paths to partial path counts, and only the top-k survive the final
     tiny exchange."""
-    k = 20
-    max_len = 50
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def paths_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
-        keep = pos < max_len
+        keep = pos < PATH_MAX_LEN
         et = as_array(g["event_type"]).filter(pa.array(keep))
         # every run starts a path; the last offset closes the last one
         offsets = np.flatnonzero(np.append(pos[keep] == 0, True))
@@ -934,7 +954,7 @@ def user_event_paths(sf_dir: str):
     return (
         grouped_agg(paths, "path", {"n_users": (None, "count")})
         .sort(["n_users", "path"], descending=[True, False])
-        .limit(k)
+        .limit(TOP_PATHS)
     )
 
 
@@ -1120,6 +1140,10 @@ def revenue_by_region(sf_dir: str):
 
 # -- semi-structured extraction (JSON property column) ----------------------
 
+# props_field_stats: the JSON field read from every props blob
+PROPS_FIELD = "k"
+
+
 def props_field_stats(sf_dir: str):
     """Typed extraction from the semi-structured JSON ``props`` column —
     the log-processing shape: ONE vectorized ``pc.extract_regex`` pulls
@@ -1128,9 +1152,8 @@ def props_field_stats(sf_dir: str):
     aggregate via partials. The SQL oracle uses DuckDB's native JSON
     path extraction, pinning the two engines' parse semantics to each
     other."""
-    field = "k"
     ds = _read(sf_dir, "events", ["event_type", "props"])
-    pattern = rf'"{field}"\s*:\s*(?P<v>-?\d+)'
+    pattern = rf'"{PROPS_FIELD}"\s*:\s*(?P<v>-?\d+)'
 
     def extract(batch: pa.Table) -> pa.Table:
         m = pc.extract_regex(batch["props"], pattern)
@@ -1370,6 +1393,9 @@ def nation_share_of_region(sf_dir: str):
     )
 
 
+PRICE_PERCENTILES = (0.25, 0.5, 0.75)
+
+
 def order_price_quartiles(sf_dir: str):
     """Exact PERCENTILE_DISC over a value whose distinct-cardinality is
     UNBOUNDED (order prices) — the two-pass coarse-histogram rank
@@ -1380,8 +1406,6 @@ def order_price_quartiles(sf_dir: str):
     predicate-filtered read, bounded by bucket width — and resolves the
     exact k-th value locally. No global sort, no unbounded histogram."""
     import math
-
-    percentiles = (0.25, 0.5, 0.75)
 
     SHIFT = 14
 
@@ -1397,7 +1421,7 @@ def order_price_quartiles(sf_dir: str):
     hist.sort(key=lambda r: r["bkt"])
     total = sum(int(r["n"]) for r in hist)
     targets = {}  # bucket -> [(p, residual_rank_within_bucket)]
-    for p in percentiles:
+    for p in PRICE_PERCENTILES:
         need = max(1, math.ceil(p * total))
         cum = 0
         for r in hist:
@@ -1442,9 +1466,13 @@ def order_price_quartiles(sf_dir: str):
     )
 
 
+# value_outliers: standard deviations from the type mean
+OUTLIER_SIGMAS = 3
+
+
 def value_outliers(sf_dir: str):
     """Anomaly detection in EXACT integer arithmetic — purchases more
-    than ``k_sigma`` standard deviations from their event type's mean,
+    than ``OUTLIER_SIGMAS`` standard deviations from their event type's mean,
     with no float mean or sigma anywhere: pass 1 reduces to per-type
     (n, Sx, Sxx) int64 partials; the driver converts the squared
     condition (x*n - Sx)^2 > k^2 * (n*Sxx - Sx^2) into two exact
@@ -1453,8 +1481,6 @@ def value_outliers(sf_dir: str):
     evaluates per row in HUGEINT); pass 2 flags rows against the
     broadcast thresholds with one vectorized compare per batch."""
     import math
-
-    k_sigma = 3
 
     ds = _read(sf_dir, "events", ["event_type", "value"]).map_batches(
         lambda b: pa.Table.from_pydict(
@@ -1482,7 +1508,7 @@ def value_outliers(sf_dir: str):
     TH = {}
     for r in stats:
         n, sx, sxx = int(r["n"]), int(r["sx"]), int(r["sxx"])
-        K = k_sigma * k_sigma * (n * sxx - sx * sx)
+        K = OUTLIER_SIGMAS * OUTLIER_SIGMAS * (n * sxx - sx * sx)
         root = math.isqrt(K) if K > 0 else 0
         TH[r["event_type"]] = (n, sx, root)
 
@@ -1639,6 +1665,9 @@ def transition_majority_accuracy(sf_dir: str):
     )
 
 
+CONVERT_PERCENTILES = (0.5, 0.9)
+
+
 def time_to_convert_percentiles(sf_dir: str):
     """Conversion-latency distribution: minutes from each user's FIRST
     view to their first purchase AT OR AFTER it — exact
@@ -1649,8 +1678,6 @@ def time_to_convert_percentiles(sf_dir: str):
     derived metric)."""
     import math
 
-    percentiles = (0.5, 0.9)
-
     US_MIN = 60_000_000
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
@@ -1660,7 +1687,6 @@ def time_to_convert_percentiles(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-
 
     def delta_bucket(group: pa.Table) -> pa.Table:
         # every user at once: first view and first at-or-after purchase
@@ -1702,7 +1728,7 @@ def time_to_convert_percentiles(sf_dir: str):
     hist.sort(key=lambda r: r["mins"])
     total = sum(int(r["cnt"]) for r in hist)
     out_p, out_v = [], []
-    for p in percentiles:
+    for p in CONVERT_PERCENTILES:
         need = max(1, math.ceil(p * total))
         cum, val = 0, int(hist[-1]["mins"]) if hist else 0
         for r in hist:

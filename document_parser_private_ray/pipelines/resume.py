@@ -105,9 +105,13 @@ def parse_resumes(
     )
 
 
-def sample_corpus(ds, fraction: float = 0.01, seed: int = 7, limit: int = 0):
+# sample_corpus: the sampling seed
+SAMPLE_SEED = 7
+
+
+def sample_corpus(ds, fraction: float = 0.01, limit: int = 0):
     """R7: seeded sampling for bench subsets / quick looks."""
-    out = ds.random_sample(fraction, seed=seed)
+    out = ds.random_sample(fraction, seed=SAMPLE_SEED)
     return out.limit(limit) if limit else out
 
 

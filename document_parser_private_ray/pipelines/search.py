@@ -28,16 +28,18 @@ import pyarrow.compute as pc
 from ..sources.readers import read_documents
 from .exchange import as_array, co_partition, grouped_agg, run_positions, run_starts
 
-DEFAULT_QUERY = "hash join merge"
+# bm25_search: the query and the documents kept
+QUERY = "hash join merge"
+TOP_DOCS = 10
 BM25_K1 = 1.2
 BM25_B = 0.75
 BM25_TF_W = 2.2  # k1 + 1, as its own literal (1.2 + 1.0 != parse("2.2"))
 
 
-def bm25_search(sf_dir: str, query: str = DEFAULT_QUERY, k: int = 10):
-    """(doc_id, score_micro) — top-k documents for the query under BM25
+def bm25_search(sf_dir: str):
+    """(doc_id, score_micro) — the top ``TOP_DOCS`` documents for ``QUERY`` under BM25
     (Robertson/Sparck Jones idf: ln((N - df + 0.5)/(df + 0.5) + 1))."""
-    terms = sorted(set(query.lower().split()))
+    terms = sorted(set(QUERY.lower().split()))
     term_set = set(terms)
 
     ds = read_documents(sf_dir)
@@ -107,7 +109,11 @@ def bm25_search(sf_dir: str, query: str = DEFAULT_QUERY, k: int = 10):
     scored = grouped_agg(cand, "doc_id", {"score_micro": ("c", "sum")}, rows=score)
     return scored.sort(
         ["score_micro", "doc_id"], descending=[True, False]
-    ).limit(k)
+    ).limit(TOP_DOCS)
+
+
+# build_postings: hot-key salts per word
+N_SALTS = 8
 
 
 def build_postings(sf_dir: str, max_df: int = 1000):
@@ -125,7 +131,6 @@ def build_postings(sf_dir: str, max_df: int = 1000):
     per (word, salt) and per word), and the second exchange merges
     <= 8 list-typed partial rows per word (one per salt), still bucket-grain.
     No group ever materializes an unbounded posting."""
-    n_salts = 8
     ds = read_documents(sf_dir)
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -153,7 +158,7 @@ def build_postings(sf_dir: str, max_df: int = 1000):
                 # DOCS disjointly, so distinct counts and smallest-ids
                 # DECOMPOSE EXACTLY across salts
                 "salt": pa.array(
-                    (kept_docs % n_salts).astype("int64"), type=pa.int64()
+                    (kept_docs % N_SALTS).astype("int64"), type=pa.int64()
                 ),
             }
         )

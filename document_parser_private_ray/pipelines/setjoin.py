@@ -18,7 +18,7 @@ members sort after c), so c lies in BOTH prefixes — sharing a prefix
 posting is therefore a complete candidate generator. Ordering by
 ascending df makes prefixes maximally rare, so posting-list groups in
 the pair exchange stay small; the subsequent length filter
-(t_den*min(|A|,|B|) >= t_num*max) prunes before any text ships, and
+(T_DEN*min(|A|,|B|) >= T_NUM*max) prunes before any text ships, and
 the exact verify runs only on surviving pairs via the gated
 broadcast-vs-shuffle ``pairs.attach_pair_values``.
 
@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.sketches import shingles
+from ..functions.sketches import SHINGLE_K, shingles
 from .exchange import as_array, co_partition, grouped_agg, run_starts, sorted_runs
 from .joins import bucketed_join
 from .pairs import attach_pair_values, self_pairs
@@ -133,8 +133,13 @@ def _explode_shingles(batch: pa.Table, k: int) -> pa.Table:
     )
 
 
+# ppjoin_pairs: Jaccard threshold T_NUM / T_DEN over shingle sets
+T_NUM = 7
+T_DEN = 10
+
+
 def ppjoin_pairs(sf_dir: str):
-    """All document pairs with shingle-set Jaccard >= t_num/t_den = 7/10,
+    """All document pairs with shingle-set Jaccard >= T_NUM/T_DEN = 7/10,
     EXACT. Returns (doc_a, doc_b, n_common, n_union) — integer
     counts, so the SQL oracle compares with no float hashing channel.
 
@@ -162,13 +167,9 @@ def ppjoin_pairs(sf_dir: str):
     """
     from .relational import _read
 
-    t_num = 7
-    t_den = 10
-    k = 3
-
     docs = _read(sf_dir, "documents", ("doc_id", "text"))
     postings = docs.map_batches(
-        lambda b: _explode_shingles(b, k),
+        lambda b: _explode_shingles(b, SHINGLE_K),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=1024,
@@ -184,7 +185,7 @@ def ppjoin_pairs(sf_dir: str):
     def prefix_select(g: pa.Table, pos: np.ndarray) -> pa.Table:
         n = g["n"].to_numpy()
         # prefix length p = n - ceil(t*n) + 1 (integer ceil)
-        keep = pa.array(pos < n - (t_num * n + t_den - 1) // t_den + 1)
+        keep = pa.array(pos < n - (T_NUM * n + T_DEN - 1) // T_DEN + 1)
         return pa.table(
             {
                 "tok": pc.cast(g["tok"], pa.int64()).filter(keep),
@@ -222,11 +223,11 @@ def ppjoin_pairs(sf_dir: str):
         mask = pc.greater_equal(
             pc.multiply(
                 pc.min_element_wise(joined["n_a"], joined["n_b"]),
-                pa.scalar(t_den, type=pa.int64()),
+                pa.scalar(T_DEN, type=pa.int64()),
             ),
             pc.multiply(
                 pc.max_element_wise(joined["n_a"], joined["n_b"]),
-                pa.scalar(t_num, type=pa.int64()),
+                pa.scalar(T_NUM, type=pa.int64()),
             ),
         )
         # positional filter (Xiao'08 §3.2): with c the smallest common
@@ -248,10 +249,10 @@ def ppjoin_pairs(sf_dir: str):
         mask = pc.and_(
             mask,
             pc.greater_equal(
-                pc.multiply(ub, pa.scalar(t_num + t_den, type=pa.int64())),
+                pc.multiply(ub, pa.scalar(T_NUM + T_DEN, type=pa.int64())),
                 pc.multiply(
                     pc.add(joined["n_a"], joined["n_b"]),
-                    pa.scalar(t_num, type=pa.int64()),
+                    pa.scalar(T_NUM, type=pa.int64()),
                 ),
             ),
         )
@@ -288,7 +289,7 @@ def ppjoin_pairs(sf_dir: str):
         def sh(doc, text):
             s = memo.get(doc)
             if s is None:
-                s = shingles(text, k)
+                s = shingles(text)
                 memo[doc] = s
             return s
 
@@ -302,7 +303,7 @@ def ppjoin_pairs(sf_dir: str):
             sa, sb = sh(a, ta), sh(b, tb_)
             i = len(sa & sb)
             u = len(sa) + len(sb) - i
-            if i * t_den >= t_num * u and u > 0:
+            if i * T_DEN >= T_NUM * u and u > 0:
                 da.append(a)
                 db.append(b)
                 ni.append(i)

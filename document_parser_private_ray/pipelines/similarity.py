@@ -20,6 +20,16 @@ import pyarrow.compute as pc
 from .exchange import as_array, co_partition, grouped_agg, sorted_runs
 from .pairs import attach_pair_values, self_pairs
 
+# every ANN query: K neighbours for each of the first N_QUERIES vectors
+K, N_QUERIES = 5, 8
+# embedding_neardup_lsh: cosine threshold (synthetic embeddings top out
+# near 0.5), hyperplanes per table, tables
+NEARDUP_THRESHOLD, NEARDUP_BITS, NEARDUP_TABLES = 0.45, 4, 8
+# trainers: sample size; PQ subspaces and codes per subspace; PCA components
+TRAIN_SAMPLE = 512
+M_SUB, N_CODES = 8, 16
+N_COMPONENTS = 4
+
 
 def _norm_rows(mat: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(mat, axis=1, keepdims=True)
@@ -121,7 +131,7 @@ def _global_topk(locals_, k: int, score_col: str, descending: bool):
     )
 
 
-def ann_bruteforce_topk(sf_dir: str, k: int = 5, n_queries: int = 8):
+def ann_bruteforce_topk(sf_dir: str, n_queries: int = N_QUERIES):
     """Exact top-k cosine neighbours for each query vector.
     Returns (query_id, vec_id, cosine_sim, rank)."""
     qids, qmat = load_queries(sf_dir, n_queries)
@@ -131,7 +141,7 @@ def ann_bruteforce_topk(sf_dir: str, k: int = 5, n_queries: int = 8):
         mat = _norm_rows(embedding_matrix(batch["embedding"], np.float32))
         sims = qmat @ mat.T  # (nq, batch)
         out = {"query_id": [], "vec_id": [], "cosine_sim": []}
-        kk = min(k, sims.shape[1])
+        kk = min(K, sims.shape[1])
         for qi in range(sims.shape[0]):
             # deterministic local top-k: (sim desc, vec_id asc) — a tie
             # at the k-boundary must not be cut arbitrarily, or the
@@ -154,7 +164,7 @@ def ann_bruteforce_topk(sf_dir: str, k: int = 5, n_queries: int = 8):
     locals_ = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=1024)
     # local top-k keeps k rows per (query, batch), so every global tie
     # candidate survives to the vectorized bucketed merge
-    return _global_topk(locals_, k, "cosine_sim", descending=True)
+    return _global_topk(locals_, K, "cosine_sim", descending=True)
 
 
 class SignLSH:
@@ -173,10 +183,7 @@ class SignLSH:
         return (signs.T @ weights).astype(np.int64)
 
 
-def embedding_neardup_lsh(
-    sf_dir: str, threshold: float = 0.45, n_bits: int = 4, n_tables: int = 8,
-    max_bucket: int = 8192,
-):
+def embedding_neardup_lsh(sf_dir: str, max_bucket: int = 8192):
     """Scale path for embedding near-dup — three stages, none of which
     ships a vector more than once per pair side:
 
@@ -189,7 +196,7 @@ def embedding_neardup_lsh(
       3. verify: vectors co-locate with their candidate pairs via the
          size-gated ``pairs.attach_pair_values``, and a row-wise dot
          over normalized float64 matrices
-         keeps pairs with cosine > threshold. Shuffle volume for this
+         keeps pairs with cosine > ``NEARDUP_THRESHOLD``. Shuffle volume for this
          stage is <= 2 vectors per candidate pair (logged).
 
     Bucket assignment is numerically identical to the all-in-one r2
@@ -215,17 +222,17 @@ def embedding_neardup_lsh(
         )
         buckets = np.concatenate(
             [
-                SignLSH(m32.shape[1], n_bits, seed=100 + t).bucket_of(m32)
-                for t in range(n_tables)
+                SignLSH(m32.shape[1], NEARDUP_BITS, seed=100 + t).bucket_of(m32)
+                for t in range(NEARDUP_TABLES)
             ]
         )
         return pa.Table.from_pydict(
             {
                 "table": pa.array(
-                    np.repeat(np.arange(n_tables, dtype=np.int32), n), type=pa.int32()
+                    np.repeat(np.arange(NEARDUP_TABLES, dtype=np.int32), n), type=pa.int32()
                 ),
                 "bucket": pa.array(buckets, type=pa.int64()),
-                "vec_id": pa.array(np.tile(ids, n_tables), type=pa.int64()),
+                "vec_id": pa.array(np.tile(ids, NEARDUP_TABLES), type=pa.int64()),
             }
         )
 
@@ -253,7 +260,7 @@ def embedding_neardup_lsh(
     logging.getLogger(__name__).info(
         "neardup-lsh: %d candidate pairs; verify attach ships <= %d vectors "
         "(2/pair) instead of n_vectors x %d full embeddings",
-        n_pairs, 2 * n_pairs, n_tables,
+        n_pairs, 2 * n_pairs, NEARDUP_TABLES,
     )
     with_vecs = attach_pair_values(
         pairs, ds, "vec_id", "embedding", n_pairs, a="id_a", b="id_b"
@@ -271,7 +278,7 @@ def embedding_neardup_lsh(
         va = _norm_rows(embedding_matrix(batch["embedding_a"], np.float64))
         vb = _norm_rows(embedding_matrix(batch["embedding_b"], np.float64))
         sims = np.einsum("ij,ij->i", va, vb)
-        mask = pa.array(sims > threshold)
+        mask = pa.array(sims > NEARDUP_THRESHOLD)
         return pa.Table.from_arrays(
             [
                 batch["id_a"].filter(mask),
@@ -286,11 +293,11 @@ def embedding_neardup_lsh(
     )
 
 
-def ann_lsh_topk(sf_dir: str, k: int = 5, n_queries: int = 8, n_bits: int = 6):
+def ann_lsh_topk(sf_dir: str, n_bits: int = 6):
     """LSH-bucketed ANN: rerank only inside each query's bucket.
     Scale path: bucket assignment is a map_batches; the per-bucket rerank
     shuffles only bucketed candidates (a 2^n_bits-way partition)."""
-    qids, qmat = load_queries(sf_dir, n_queries)
+    qids, qmat = load_queries(sf_dir, N_QUERIES)
     dim = qmat.shape[1]
     lsh = SignLSH(dim, n_bits)
     qbuckets = lsh.bucket_of(qmat)
@@ -320,12 +327,18 @@ def ann_lsh_topk(sf_dir: str, k: int = 5, n_queries: int = 8, n_bits: int = 6):
 
     ds = _read_embeddings(sf_dir)
     cands = ds.map_batches(bucket_and_score, batch_format="pyarrow", batch_size=1024)
-    return _global_topk(cands, k, "cosine_sim", descending=True)
+    return _global_topk(cands, K, "cosine_sim", descending=True)
 
 
 # -- IVF (inverted-file) ANN ---------------------------------------------
 
-def train_ivf_centroids(sf_dir: str, n_centroids: int = 16, train_sample: int = 512):
+# k-means iterations of train_ivf_centroids and train_pq_codebooks
+N_ITER = 8
+
+
+def train_ivf_centroids(
+    sf_dir: str, n_centroids: int = 16, train_sample: int = TRAIN_SAMPLE
+):
     """Deterministic k-means coarse quantizer: fixed init (the first
     n_centroids training vectors by vec_id), fixed iteration count,
     float64 throughout. Trains on a driver-side sample — the standard
@@ -333,11 +346,10 @@ def train_ivf_centroids(sf_dir: str, n_centroids: int = 16, train_sample: int = 
     tiny and broadcasts to every assign task (and inlines into the
     DuckDB oracle as literals, so both engines share the exact
     quantizer)."""
-    n_iter = 8
     t = _first_k_by_vec_id(sf_dir, train_sample)
     X = np.array(t["embedding"].to_pylist(), dtype=np.float64)
     C = X[:n_centroids].copy()
-    for _ in range(n_iter):
+    for _ in range(N_ITER):
         d = ((X[:, None, :] - C[None, :, :]) ** 2).sum(-1)
         assign = d.argmin(1)
         for c in range(n_centroids):
@@ -349,8 +361,6 @@ def train_ivf_centroids(sf_dir: str, n_centroids: int = 16, train_sample: int = 
 
 def ann_ivf_topk(
     sf_dir: str,
-    k: int = 5,
-    n_queries: int = 8,
     n_centroids: int = 16,
     n_probe: int = 4,
 ):
@@ -362,7 +372,7 @@ def ann_ivf_topk(
     of the whole batch."""
     C = train_ivf_centroids(sf_dir, n_centroids)
 
-    t = _first_k_by_vec_id(sf_dir, n_queries)
+    t = _first_k_by_vec_id(sf_dir, N_QUERIES)
     qids = np.asarray(t["vec_id"].to_pylist(), dtype=np.int64)
     qraw = np.array(t["embedding"].to_pylist(), dtype=np.float64)
     qnorm = _norm_rows(qraw)
@@ -387,7 +397,7 @@ def ann_ivf_topk(
                 continue
             cand_ids = ids[mask]
             sims = normed[mask] @ qnorm[qi]
-            kk = min(k, len(cand_ids))
+            kk = min(K, len(cand_ids))
             sel = np.lexsort((cand_ids, -sims))[:kk]
             for j in sel:
                 out["query_id"].append(int(qids[qi]))
@@ -403,39 +413,33 @@ def ann_ivf_topk(
 
     ds = _read_embeddings(sf_dir)
     locals_ = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=1024)
-    return _global_topk(locals_, k, "cosine_sim", descending=True)
+    return _global_topk(locals_, K, "cosine_sim", descending=True)
 
 
-def train_pq_codebooks(
-    sf_dir: str,
-    m_sub: int = 8,
-    n_codes: int = 16,
-    train_sample: int = 512,
-) -> np.ndarray:
+def train_pq_codebooks(sf_dir: str) -> np.ndarray:
     """Deterministic product-quantization codebooks (Jégou'11, public
-    method): the embedding dim splits into ``m_sub`` contiguous
+    method): the embedding dim splits into ``M_SUB`` contiguous
     subspaces and each subspace gets its own k-means codebook — same
-    recipe as ``train_ivf_centroids`` (fixed init = first ``n_codes``
+    recipe as ``train_ivf_centroids`` (fixed init = first ``N_CODES``
     training subvectors by vec_id, fixed iteration count, float64).
-    Returns (m_sub, n_codes, dim//m_sub). Trains on a driver-side
-    sample; the codebooks are tiny (m_sub*n_codes*dsub floats) and
+    Returns (M_SUB, N_CODES, dim//M_SUB). Trains on a driver-side
+    sample; the codebooks are tiny (M_SUB*N_CODES*dsub floats) and
     broadcast to every encode task (and inline into the DuckDB oracle
     as literals, so both engines share the exact quantizer)."""
-    n_iter = 8
-    t = _first_k_by_vec_id(sf_dir, train_sample)
+    t = _first_k_by_vec_id(sf_dir, TRAIN_SAMPLE)
     X = np.array(t["embedding"].to_pylist(), dtype=np.float64)
     dim = X.shape[1]
-    if dim % m_sub:
-        raise ValueError(f"dim {dim} not divisible by m_sub {m_sub}")
-    dsub = dim // m_sub
-    books = np.zeros((m_sub, n_codes, dsub), dtype=np.float64)
-    for m in range(m_sub):
+    if dim % M_SUB:
+        raise ValueError(f"dim {dim} not divisible by M_SUB {M_SUB}")
+    dsub = dim // M_SUB
+    books = np.zeros((M_SUB, N_CODES, dsub), dtype=np.float64)
+    for m in range(M_SUB):
         S = X[:, m * dsub : (m + 1) * dsub]
-        B = S[:n_codes].copy()
-        for _ in range(n_iter):
+        B = S[:N_CODES].copy()
+        for _ in range(N_ITER):
             d = ((S[:, None, :] - B[None, :, :]) ** 2).sum(-1)
             assign = d.argmin(1)
-            for c in range(n_codes):
+            for c in range(N_CODES):
                 members = S[assign == c]
                 if len(members):
                     B[c] = members.mean(0)
@@ -478,8 +482,6 @@ def pq_adc_lut_micro(qraw: np.ndarray, books: np.ndarray) -> np.ndarray:
 
 def ann_ivfpq_topk(
     sf_dir: str,
-    k: int = 5,
-    n_queries: int = 8,
     n_centroids: int = 16,
     n_probe: int = 4,
 ):
@@ -496,7 +498,7 @@ def ann_ivfpq_topk(
     C = train_ivf_centroids(sf_dir, n_centroids)
     books = train_pq_codebooks(sf_dir)
 
-    t = _first_k_by_vec_id(sf_dir, n_queries)
+    t = _first_k_by_vec_id(sf_dir, N_QUERIES)
     qids = np.asarray(t["vec_id"].to_pylist(), dtype=np.int64)
     qraw = np.array(t["embedding"].to_pylist(), dtype=np.float64)
     # probe sets: n_probe nearest centroids per query (dist asc, cid asc)
@@ -523,7 +525,7 @@ def ann_ivfpq_topk(
             cand_ids = ids[mask]
             # ADC: gather each candidate's m_sub LUT entries and sum
             adc = lut[qi][m_idx[None, :], codes[mask]].sum(1)
-            kk = min(k, len(cand_ids))
+            kk = min(K, len(cand_ids))
             sel = np.lexsort((cand_ids, adc))[:kk]
             for j in sel:
                 out["query_id"].append(int(qids[qi]))
@@ -539,11 +541,11 @@ def ann_ivfpq_topk(
 
     ds = _read_embeddings(sf_dir)
     locals_ = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=1024)
-    return _global_topk(locals_, k, "adc", descending=False)
+    return _global_topk(locals_, K, "adc", descending=False)
 
 
 def embedding_kmeans_sizes(
-    sf_dir: str, n_centroids: int = 16, train_sample: int = 512
+    sf_dir: str, n_centroids: int = 16, train_sample: int = TRAIN_SAMPLE
 ):
     """K-means cluster profile of the embedding corpus: (cid, n_vecs,
     min_vec_id) per cluster — the train-small / assign-everywhere
@@ -611,9 +613,7 @@ def embedding_norms(sf_dir: str):
     )
 
 
-def train_pca_components(
-    sf_dir: str, n_components: int = 4, train_sample: int = 512
-):
+def train_pca_components(sf_dir: str):
     """Deterministic PCA trainer for embedding whitening/compression
     (the standard pre-step before clustering / ANN at scale — OPQ and
     PCA-rotated IVF both start here). Same train-small recipe as
@@ -627,14 +627,14 @@ def train_pca_components(
     dot products are exact int64 sums (order-free, oracle-replayable).
     The float64->micro floor is the only lossy step and happens ONCE,
     identically for the pipeline and the inlined oracle literals."""
-    t = _first_k_by_vec_id(sf_dir, train_sample)
+    t = _first_k_by_vec_id(sf_dir, TRAIN_SAMPLE)
     X = np.array(t["embedding"].to_pylist(), dtype=np.float64)
     mean = X.mean(axis=0)
     centered = X - mean
     cov = centered.T @ centered
     evals, evecs = np.linalg.eigh(cov)  # ascending
-    comps = evecs[:, ::-1][:, :n_components].T  # (k, dim), descending eigenvalue
-    for k in range(n_components):
+    comps = evecs[:, ::-1][:, :N_COMPONENTS].T  # (k, dim), descending eigenvalue
+    for k in range(N_COMPONENTS):
         pivot = np.argmax(np.abs(comps[k]))
         if comps[k, pivot] < 0:
             comps[k] = -comps[k]

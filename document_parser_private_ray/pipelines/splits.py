@@ -26,13 +26,17 @@ def _read_ids(sf_dir: str):
     return read_documents(sf_dir, ["doc_id"])
 
 
+# split_of: md5 buckets [0, TRAIN_BUCKETS) of 10 train, the next one val
+TRAIN_BUCKETS = 8
+
+
 def split_of(key: str) -> str:
     """train/val/test by md5 bucket in [0, 10): [0,8) train, 8 val, 9
     test. == DuckDB md5_number_upper(key) % 10."""
     b = int.from_bytes(hashlib.md5(key.encode()).digest()[:8], "little") % 10
-    if b < 8:
+    if b < TRAIN_BUCKETS:
         return "train"
-    if b == 8:
+    if b == TRAIN_BUCKETS:
         return "val"
     return "test"
 
@@ -96,23 +100,26 @@ def sample_stratified(sf_dir: str, n_per_source: int = 10):
     return sorted_runs(keyed_ds, "source", ["hkey", "doc_id"], topn)
 
 
+# corpus_shuffle: the hash key's salt, and the top hash bits that pick a range
+SHUFFLE_SALT = ":s42"
+RANGE_BITS = 10
+
+
 def corpus_shuffle(sf_dir: str):
     """Deterministic global training shuffle WITH exact positions —
     every document gets its global 0-based rank in the shuffled order
     (ORDER BY md5(doc_id || ':s42'), doc_id), without a global sort carrying
-    payloads: the keyed hash is range-bucketed on its top 10 bits
-    (order-preserving), a tiny groupby counts each range, the driver
+    payloads: the keyed hash is range-bucketed on its top ``RANGE_BITS``
+    bits (order-preserving), a tiny groupby counts each range, the driver
     turns the <= 1024 counts into exclusive prefix offsets and
     broadcasts them, and ONE shuffle on the range id ranks each bucket
     locally (range offset + position in the range's (h, doc_id)-sorted
     run, ``exchange.sorted_runs``). Only (doc_id, hash) ever moves."""
-    salt = ":s42"
-
     def hash_batch(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
         hs = [
             int.from_bytes(
-                hashlib.md5((str(i) + salt).encode()).digest()[:8], "little"
+                hashlib.md5((str(i) + SHUFFLE_SALT).encode()).digest()[:8], "little"
             )
             for i in ids
         ]
@@ -121,10 +128,8 @@ def corpus_shuffle(sf_dir: str):
             {
                 "doc_id": batch["doc_id"],
                 "h": pa.array(h, type=pa.uint64()),
-                "rng": pa.array(  # the top 10 bits: 1,024 ranges
-                    (h >> np.uint64(54)).astype(
-                        np.int64
-                    ),
+                "rng": pa.array(
+                    (h >> np.uint64(64 - RANGE_BITS)).astype(np.int64),
                     type=pa.int64(),
                 ),
             }

@@ -196,6 +196,10 @@ def doc_repetition(sf_dir: str):
     )
 
 
+# doc_tfidf: terms kept per document
+TFIDF_K = 5
+
+
 def doc_tfidf(sf_dir: str):
     """(doc_id, word, tf, df, tfidf_micro, rank) — top-k TF-IDF terms
     per document. Scale shape: explode to (doc_id, word, tf) inside
@@ -207,8 +211,6 @@ def doc_tfidf(sf_dir: str):
     (floor(tf * ln(N/df) * 1e6 + 0.5)) so the DuckDB oracle
     hash-compares exactly; ties break by word ascending."""
     from collections import Counter
-
-    k = 5
 
     ds = read_documents(sf_dir)
     n_docs = ds.count()
@@ -264,12 +266,17 @@ def doc_tfidf(sf_dir: str):
 
     def topk_bucket(g: pa.Table, pos: np.ndarray) -> pa.Table:
         # every doc of the bucket ranked at once from its run positions
-        sel = pa.array(pos < k)
+        sel = pa.array(pos < TFIDF_K)
         return g.filter(sel).append_column("rank", pa.array(pos + 1).filter(sel))
 
     return sorted_runs(
         scored, "doc_id", [("tfidf_micro", "descending"), "word"], topk_bucket
     )
+
+
+# doc_chunks: words per chunk and words between chunk starts
+CHUNK_WINDOW = 64
+CHUNK_STRIDE = 48
 
 
 def doc_chunks(sf_dir: str):
@@ -279,9 +286,6 @@ def doc_chunks(sf_dir: str):
     [k*stride, k*stride+window); chunk_text rejoins with single spaces
     (whitespace-normalizing, so the DuckDB oracle reproduces it
     byte-exactly). Pure per-row flat map — no shuffle, no state."""
-    window = 64
-    stride = 48
-
     ds = read_documents(sf_dir)
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -290,8 +294,8 @@ def doc_chunks(sf_dir: str):
             toks = (t or "").split()
             if not toks:
                 continue
-            for kk in range((len(toks) - 1) // stride + 1):
-                sl = toks[kk * stride : kk * stride + window]
+            for kk in range((len(toks) - 1) // CHUNK_STRIDE + 1):
+                sl = toks[kk * CHUNK_STRIDE : kk * CHUNK_STRIDE + CHUNK_WINDOW]
                 out_id.append(i)
                 out_k.append(kk)
                 out_n.append(len(sl))
@@ -464,6 +468,10 @@ def top_words(sf_dir: str, k: int = 50):
     )
 
 
+# doc_length_percentiles and doc_length_percentiles_by_lang
+LENGTH_PERCENTILES = (0.5, 0.9, 0.99)
+
+
 def doc_length_percentiles(sf_dir: str):
     """Exact PERCENTILE_DISC of document length (n_chars) without a
     global sort: lengths have bounded cardinality, so a groupby(n_chars)
@@ -471,7 +479,6 @@ def doc_length_percentiles(sf_dir: str):
     exact discrete percentile from cumulative counts. At 100 TB the histogram
     is still tiny (distinct lengths), while a sort would shuffle every
     row."""
-    percentiles = (0.5, 0.9, 0.99)
     ds = read_documents(sf_dir, columns=("doc_id", "text"))
 
     def lengths(batch: pa.Table) -> pa.Table:
@@ -487,7 +494,7 @@ def doc_length_percentiles(sf_dir: str):
     )  # <= distinct lengths rows by construction
     total = sum(r["cnt"] for r in hist)
     out_p, out_v = [], []
-    for p in percentiles:
+    for p in LENGTH_PERCENTILES:
         import math
 
         need = max(1, math.ceil(p * total))
@@ -644,8 +651,6 @@ def doc_length_percentiles_by_lang(sf_dir: str):
     discrete percentile."""
     import math
 
-    percentiles = (0.5, 0.9, 0.99)
-
     ds = read_documents(sf_dir, columns=("lang", "text"))
 
     def lengths(batch: pa.Table) -> pa.Table:
@@ -670,7 +675,7 @@ def doc_length_percentiles_by_lang(sf_dir: str):
     for lang in sorted(by_lang):
         rows = by_lang[lang]
         total = sum(c for _, c in rows)
-        for p in percentiles:
+        for p in LENGTH_PERCENTILES:
             need = max(1, math.ceil(p * total))
             cum, val = 0, rows[-1][0]
             for v, c in rows:

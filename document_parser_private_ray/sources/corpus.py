@@ -171,7 +171,11 @@ def _n_spans_for(rng: random.Random) -> int:
     return max(4, int(rng.lognormvariate(math.log(12), 0.6)))
 
 
-def generate_document(doc_index: int, seed: int = 42) -> Dict:
+# seed of the synthetic corpus the queries, the tests and bench.py read
+SEED = 42
+
+
+def generate_document(doc_index: int, seed: int = SEED) -> Dict:
     """One document's row — pure function of (seed, doc_index)."""
     rng = random.Random((seed << 20) ^ doc_index)
     doc_id = f"doc-{doc_index:08d}"
@@ -249,14 +253,14 @@ def generate_document(doc_index: int, seed: int = 42) -> Dict:
     return {"doc_id": doc_id, "spans": spans}
 
 
-def generate_batch(doc_indices, seed: int = 42) -> pa.Table:
+def generate_batch(doc_indices) -> pa.Table:
     """Vector entry point for map_batches: ndarray/sequence of int ids ->
     Arrow table in the corpus schema."""
-    rows = [generate_document(int(i), seed) for i in doc_indices]
+    rows = [generate_document(int(i)) for i in doc_indices]
     return pa.Table.from_pylist(rows, schema=CORPUS_SCHEMA)
 
 
-def write_corpus_local(out_dir: str, n_docs: int, seed: int = 42, rows_per_file: int = 2000):
+def write_corpus_local(out_dir: str, n_docs: int, rows_per_file: int = 2000):
     """Driver-side (no Ray) corpus writer for tests/small fixtures."""
     import os
 
@@ -265,16 +269,16 @@ def write_corpus_local(out_dir: str, n_docs: int, seed: int = 42, rows_per_file:
     os.makedirs(out_dir, exist_ok=True)
     for start in range(0, n_docs, rows_per_file):
         idx = range(start, min(start + rows_per_file, n_docs))
-        table = generate_batch(idx, seed)
+        table = generate_batch(idx)
         pq.write_table(table, os.path.join(out_dir, f"part-{start:09d}.parquet"))
 
 
-def corpus_dataset(n_docs: int, seed: int = 42):
+def corpus_dataset(n_docs: int):
     """Ray Data generation pipeline: range -> map_batches(generate)."""
     import ray.data as rd
 
     return rd.range(n_docs).map_batches(
-        lambda b: generate_batch(b["id"], seed),
+        lambda b: generate_batch(b["id"]),
         batch_format="numpy",
         batch_size=1000,
     )

@@ -56,8 +56,8 @@ def worker_state(name: str, key, build):
     return _SLOTS[name][1]
 
 
-def _build_oracle(config: dict, warm_caches: Optional[dict]) -> DocumentOracle:
-    oracle = DocumentOracle(**config)
+def _build_oracle(with_pii: bool, warm_caches: Optional[dict]) -> DocumentOracle:
+    oracle = DocumentOracle(with_pii=with_pii)
     if warm_caches is not None:
         # broadcast warm-start: driver-warmed memo dicts (pure-function
         # caches, valid on any worker)
@@ -86,14 +86,13 @@ class ParseDocuments:
         warm_caches=None,
         batch_size: Optional[int] = None,
     ):
-        self.config = dict(with_pii=with_pii)
         self.with_pii = with_pii
         self.schema = PARSED_PII_SCHEMA if self.with_pii else PARSED_SCHEMA
         self.batch_size = batch_size
         self.warm_ref = None
         self._oracle = None
         if isinstance(warm_caches, dict):
-            self._oracle = _build_oracle(self.config, warm_caches)
+            self._oracle = _build_oracle(with_pii, warm_caches)
         else:
             self.warm_ref = warm_caches
 
@@ -106,10 +105,10 @@ class ParseDocuments:
         def build():
             import ray
 
-            return _build_oracle(self.config, None if ref is None else ray.get(ref))
+            return _build_oracle(self.with_pii, None if ref is None else ray.get(ref))
 
         # keyed on the ref's id, not the ref, so the slot never pins it
-        key = (self.config, None if ref is None else ref.binary())
+        key = (self.with_pii, None if ref is None else ref.binary())
         return worker_state("parse", key, build)
 
     def __call__(self, batch: pa.Table) -> pa.Table:

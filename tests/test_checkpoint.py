@@ -29,7 +29,7 @@ def read_output(out_dir: str):
 @pytest.fixture(scope="module")
 def corpus_files(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "spans"
-    write_corpus_local(str(path), N_DOCS, seed=42, rows_per_file=10)  # 6 files
+    write_corpus_local(str(path), N_DOCS, rows_per_file=10)  # 6 files
     return sorted(str(path / f) for f in os.listdir(path))
 
 

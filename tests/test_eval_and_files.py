@@ -88,7 +88,7 @@ def test_parsed_projection(ray_session, tmp_path):
     import ray.data as rd
 
     d = tmp_path / "c"
-    write_corpus_local(str(d), 10, 42)
+    write_corpus_local(str(d), 10)
     parsed = parse_resumes(rd.read_parquet(str(d)))
     proj = parsed_to_prediction_columns(parsed).take_all()
     assert len(proj) == 10

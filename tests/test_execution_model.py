@@ -654,96 +654,221 @@ OPTION_CALLERS = ("document_parser_private_ray", "__ray_entry__.py", "bench.py",
                   "perfbench", "tools", "tests")
 
 
-def _defaulted(fn: ast.FunctionDef, skip: int = 0):
-    """(positional parameter names, defaulted parameter names) of ``fn``,
-    the first ``skip`` positional parameters (``self``) left out."""
-    a = fn.args
-    pos = [p.arg for p in a.posonlyargs + a.args]
-    defaulted = pos[len(pos) - len(a.defaults):] if a.defaults else []
-    defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-    return pos[skip:], [d for d in defaulted if d not in pos[:skip]]
+_NOT = object()  # an expression that is no literal
 
 
-def _options(root: str = ROOT) -> dict:
-    """``path::name(option)`` -> (name, positional names, option) for every
-    defaulted parameter of a public top-level function or public class
-    ``__init__`` in the package under ``root``."""
-    out = {}
-    for path, tree in _sources(root).items():
-        if not path.startswith("document_parser_private_ray"):
-            continue
-        for node in tree.body:
-            fn, skip = node, 0
-            if isinstance(node, ast.ClassDef):
-                fn = next((b for b in node.body if isinstance(b, ast.FunctionDef)
-                           and b.name == "__init__"), None)
-                skip = 1
-            if fn is None or not isinstance(fn, ast.FunctionDef) or node.name.startswith("_"):
-                continue
-            pos, defaulted = _defaulted(fn, skip)
-            for opt in defaulted:
-                out[f"{path}::{node.name}({opt})"] = (node.name, pos, opt)
-    return out
+def _literal(node, names: dict):
+    """The value of the literal ``node``, or of a name ``names`` binds to
+    a literal; ``_NOT`` for anything else."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id, _NOT)
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, RecursionError):
+        return _NOT
 
 
-def _passed(tree) -> dict:
-    """Callee name -> what its calls in ``tree`` pass: keyword names,
-    ``("#", n)`` for n positional arguments and ``"**"`` for a call that
-    unpacks a mapping or sequence. A ``functools.partial(f, ...)`` is a
-    call of ``f``; a ``QUERY_TABLE`` row ``Q(name, "mod.f", kwargs, ...,
-    input=...)`` calls ``f`` with its kwargs dict's keys, after one
-    positional input unless ``input=None``."""
-    got: dict = {}
-    for n in ast.walk(tree):
-        if not isinstance(n, ast.Call):
-            continue
-        fn, args, keywords = n.func, list(n.args), n.keywords
+def _scope(node):
+    """The nodes of ``node``'s own scope: nested function, lambda and
+    class bodies left out."""
+    todo = list(ast.iter_child_nodes(node))
+    while todo:
+        n = todo.pop()
+        yield n
+        if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(n))
+
+
+def _scope_literals(node, outer: dict) -> dict:
+    """Name -> value of every name bound in ``node``'s scope: the literal
+    of its one assignment (``outer``'s names resolved), ``_NOT`` for a
+    name bound by anything else or more than once."""
+    count: dict = {}
+    value: dict = {}
+    for n in _scope(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            count[n.id] = count.get(n.id, 0) + 1
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            count[n.name] = count.get(n.name, 0) + 1
+        elif isinstance(n, ast.alias):
+            name = (n.asname or n.name).split(".")[0]
+            count[name] = count.get(name, 0) + 1
+        if isinstance(n, ast.Assign) and len(n.targets) == 1:
+            t, v = n.targets[0], n.value
+            pairs = [(t, v)]
+            if isinstance(t, ast.Tuple) and isinstance(v, ast.Tuple) and len(t.elts) == len(v.elts):
+                pairs = zip(t.elts, v.elts)
+            for t, v in pairs:
+                if isinstance(t, ast.Name):
+                    value[t.id] = _literal(v, outer)
+    return {k: value.get(k, _NOT) if c == 1 else _NOT for k, c in count.items()}
+
+
+def _default(node, names: dict):
+    """A parameter default as a comparable value: its literal, else its
+    source."""
+    v = _literal(node, names)
+    return ("expr", ast.dump(node)) if v is _NOT else ("lit", type(v).__name__, v)
+
+
+def _scan(path: str, tree):
+    """(defs, arguments) of one file. ``defs``: ``path::qualname`` ->
+    (callee name, positional parameter names, {defaulted parameter:
+    default}) for every function, method and class ``__init__`` (called
+    by the class name), ``self`` left out. ``arguments``: (callee name,
+    parameter, source) for every argument of every call, the parameter
+    a keyword, a position or ``"**"`` (an unpacked argument: every
+    parameter) and the source ``"set"``, ``("lit", value)`` for a
+    literal or a name bound once to one, or ``("param", def, name)``
+    for a defaulted parameter of an enclosing function passed along. A
+    ``functools.partial(f, ...)`` is a call of ``f``; a ``QUERY_TABLE``
+    row ``Q(name, "mod.f", kwargs, ..., input=...)`` calls ``f`` with its
+    kwargs dict, after one positional input unless ``input=None``."""
+    defs: dict = {}
+    args: list = []
+
+    def source(node, frames):
+        if isinstance(node, ast.Name):
+            for key, params, names in reversed(frames):
+                if node.id in params:
+                    return ("param", key, node.id) if params[node.id] else "set"
+                if node.id in names:
+                    v = names[node.id]
+                    return "set" if v is _NOT else ("lit", v)
+            return "set"
+        v = _literal(node, {})
+        return "set" if v is _NOT else ("lit", v)
+
+    def call(n: ast.Call, frames):
+        fn, pos, keywords = n.func, list(n.args), n.keywords
         name = getattr(fn, "id", None) or getattr(fn, "attr", None)
-        if name == "partial" and args:
-            name = getattr(args[0], "id", None) or getattr(args[0], "attr", None)
-            args = args[1:]
-        if name == "Q" and len(args) > 1 and isinstance(args[1], ast.Constant):
+        if name == "partial" and pos:
+            name = getattr(pos[0], "id", None) or getattr(pos[0], "attr", None)
+            pos = pos[1:]
+        if name == "Q" and len(pos) > 1 and isinstance(pos[1], ast.Constant):
             kw = {k.arg: k.value for k in keywords}
-            table = args[2] if len(args) > 2 else kw.get("kwargs")
+            table = pos[2] if len(pos) > 2 else kw.get("kwargs")
             inp = kw.get("input")
-            no_input = isinstance(inp, ast.Constant) and inp.value is None
-            got.setdefault(args[1].value.rpartition(".")[2], set()).update(
-                {("#", 0 if no_input else 1)}
-                | {k.value for k in getattr(table, "keys", [])}
-            )
-            continue
+            target = pos[1].value.rpartition(".")[2]
+            if not (isinstance(inp, ast.Constant) and inp.value is None):
+                args.append((target, 0, "set"))
+            for k, v in zip(getattr(table, "keys", []), getattr(table, "values", [])):
+                args.append((target, k.value, source(v, frames)))
+            return
         if name is None:
-            continue
-        passed = got.setdefault(name, set())
-        passed.add(("#", len(args)))
-        passed.update(k.arg for k in keywords if k.arg)
-        if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in keywords):
-            passed.add("**")
-    return got
+            return
+        for i, a in enumerate(pos):
+            if isinstance(a, ast.Starred):
+                args.append((name, "**", "set"))
+                break
+            args.append((name, i, source(a, frames)))
+        for k in keywords:
+            args.append((name, k.arg or "**", "set" if k.arg is None else source(k.value, frames)))
+
+    def visit(nodes, frames, qual="", cls=False):
+        for n in nodes:
+            if isinstance(n, ast.ClassDef):
+                visit(n.bases + n.keywords + n.decorator_list, frames, qual)
+                visit(n.body, frames, f"{qual}{n.name}.", cls=True)
+                continue
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = n.args
+                decorators = getattr(n, "decorator_list", [])
+                visit(a.defaults + [d for d in a.kw_defaults if d] + decorators, frames, qual)
+                names = [p.arg for p in a.posonlyargs + a.args]
+                defaulted = dict(zip(names[len(names) - len(a.defaults):], a.defaults))
+                defaulted.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d)
+                params = {p: p in defaulted for p in names + [p.arg for p in a.kwonlyargs]}
+                if isinstance(n, ast.Lambda):
+                    visit([n.body], frames + [("", params, {})], qual)
+                    continue
+                key = f"{path}::{qual}{n.name}"
+                static = any(getattr(d, "id", None) == "staticmethod" for d in decorators)
+                skip = 1 if cls and not static else 0
+                callee = qual.rstrip(".").rpartition(".")[2] if cls and n.name == "__init__" else n.name
+                defs[key] = (
+                    callee,
+                    names[skip:],
+                    {p: _default(d, frames[0][2]) for p, d in defaulted.items()},
+                )
+                frame = (key, params, _scope_literals(n, frames[0][2]))
+                visit(n.body, frames + [frame], f"{qual}{n.name}.")
+                continue
+            if isinstance(n, ast.Call):
+                call(n, frames)
+            visit(ast.iter_child_nodes(n), frames, qual)
+
+    visit(tree.body, [(path, {}, _scope_literals(tree, {}))])
+    return defs, args
+
+
+def _unset(trees: dict) -> tuple:
+    """(options, unset): ``path::name(option)`` for every defaulted
+    parameter of a public top-level function or public class
+    ``__init__`` in the package, and those of them no call sets. An
+    argument sets a parameter unless it is the parameter's own default:
+    that literal, a name bound once to it, or an enclosing function's
+    parameter with the same default that is itself unset."""
+    defs: dict = {}
+    args: list = []
+    for path, tree in trees.items():
+        d, a = _scan(path, tree)
+        defs.update(d)
+        args += a
+    by_name: dict = {}
+    for key, (callee, _, _) in defs.items():
+        by_name.setdefault(callee, []).append(key)
+    edges = []
+    for callee, param, src in args:
+        for key in by_name.get(callee, ()):
+            pos, defaults = defs[key][1], defs[key][2]
+            if param == "**":
+                params = list(defaults)
+            elif isinstance(param, int):
+                params = pos[param : param + 1]
+            else:
+                params = [param]
+            edges += [(key, p, src) for p in params if p in defaults]
+    is_set: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for key, p, src in edges:
+            if (key, p) in is_set:
+                continue
+            default = defs[key][2][p]
+            if src == "set":
+                hit = True
+            elif src[0] == "lit":
+                hit = default != ("lit", type(src[1]).__name__, src[1])
+            else:
+                hit = (src[1], src[2]) in is_set or defs[src[1]][2][src[2]] != default
+            if hit:
+                is_set.add((key, p))
+                grew = True
+    options = {}
+    for key, (callee, _, defaults) in defs.items():
+        path, _, qual = key.partition("::")
+        parts = qual.split(".")
+        top = parts == [callee] or parts == [callee, "__init__"]
+        if path.startswith("document_parser_private_ray") and top and not callee.startswith("_"):
+            for p in defaults:
+                options[f"{path}::{callee}({p})"] = (key, p)
+    return set(options), {o for o, kp in options.items() if kp not in is_set}
 
 
 def _unset_options(root: str = ROOT) -> set:
-    """Every ``path::name(option)`` of ``_options`` that no call in the
-    package, the driver entry file, ``bench.py``, ``perfbench/``,
-    ``tools/`` or ``tests/`` passes, by keyword or by position."""
-    passed: dict = {}
+    """Every option no call in the package, the driver entry file,
+    ``bench.py``, ``perfbench/``, ``tools/`` or ``tests/`` sets."""
+    trees = {}
     for top in OPTION_CALLERS:
         full = os.path.join(root, top)
-        paths = [full] if full.endswith(".py") else [
+        paths = [full] if full.endswith(".py") else sorted(
             os.path.join(d, f) for d, _, fs in os.walk(full) for f in fs if f.endswith(".py")
-        ]
-        for path in paths:
-            for name, got in _passed(ast.parse(open(path).read())).items():
-                passed.setdefault(name, set()).update(got)
-    unset = set()
-    for where, (name, pos, opt) in _options(root).items():
-        got = passed.get(name, set())
-        by_position = opt in pos and any(
-            isinstance(g, tuple) and g[1] > pos.index(opt) for g in got
         )
-        if not ("**" in got or opt in got or by_position):
-            unset.add(where)
-    return unset
+        for path in paths:
+            trees[os.path.relpath(path, root)] = ast.parse(open(path).read())
+    return _unset(trees)[1]
 
 
 def test_every_option_is_set_by_a_caller():
@@ -751,26 +876,44 @@ def test_every_option_is_set_by_a_caller():
     public package function or class constructor stays only while some
     call passes it (the product, a ``QUERY_TABLE`` row, ``bench.py``,
     ``perfbench/``, ``tools/`` or a test), or ``ALLOWED_UNSET_OPTIONS``
-    names it with its reason. An option no call sets is a second
-    configuration no run or test takes."""
+    names it with its reason. An option no call sets, or that every
+    call sets only to its own default (a literal, a name bound to it or
+    a parameter passed along), is a second configuration no run or test
+    takes."""
     unset = _unset_options()
     assert sorted(unset - set(ALLOWED_UNSET_OPTIONS)) == []
     # every allowance still names a live, unset option
     assert sorted(set(ALLOWED_UNSET_OPTIONS) - unset) == []
 
 
-def test_option_scan_counts_keyword_positional_and_unpacked_calls():
-    src = (
-        "f(1, b=2)\n"
-        "g(*xs)\n"
-        "h(**kw)\n"
-        "functools.partial(p, 1, 2)\n"
-        'Q("q", "pipelines.m.r", {"k": 3})\n'
-        'Q("q2", "pipelines.m.s", input=None)\n'
+def test_option_scan_counts_a_call_that_passes_another_value():
+    package = (
+        "N = 3\n"
+        "def f(a, b=1, c=2, d=N, e=None): pass\n"
+        "def g(k=2, j=2):\n"
+        "    f(0, c=k, e=j)\n"
+        "def h(sf, w=0):\n"
+        "    n = 3\n"
+        "    f(1, d=n)\n"
+        "class C:\n"
+        "    def __init__(self, p=1, q=2): pass\n"
+        "def r(s, t=1): pass\n"
     )
-    got = _passed(ast.parse(src))
-    assert got["f"] == {("#", 1), "b"}
-    assert "**" in got["g"] and "**" in got["h"]
-    assert got["p"] == {("#", 2)}
-    assert got["r"] == {("#", 1), "k"}
-    assert got["s"] == {("#", 0)}
+    callers = (
+        "f(1, 2)\n"
+        "g(k=5)\n"
+        "C(*xs)\n"
+        "functools.partial(r, 1, 2)\n"
+        'Q("q", "pipelines.m.h", {"w": 0})\n'
+    )
+    options, unset = _unset({
+        "document_parser_private_ray/m.py": ast.parse(package),
+        "tests/t.py": ast.parse(callers),
+    })
+    m = "document_parser_private_ray/m.py::"
+    assert options == {m + o for o in (
+        "f(b)", "f(c)", "f(d)", "f(e)", "g(k)", "g(j)", "h(w)", "C(p)", "C(q)", "r(t)"
+    )}
+    # d gets its default through a bound local, j reaches no caller, the
+    # row passes w's default; c is set through g(k=5), e by j's other value
+    assert unset == {m + "f(d)", m + "g(j)", m + "h(w)"}

@@ -63,7 +63,7 @@ def test_asof_join_matches_duckdb(ray_session):
 def test_distinct_values(ray_session):
     from document_parser_private_ray.pipelines.joins import distinct_values
 
-    got = distinct_values(SF, "customer", "c_mktsegment").to_pydict()["c_mktsegment"]
+    got = distinct_values(SF).to_pydict()["c_mktsegment"]
     exp = duckdb.sql(
         f"SELECT DISTINCT c_mktsegment FROM read_parquet('{SF}/customer.parquet') ORDER BY 1"
     ).df()["c_mktsegment"].tolist()
@@ -92,7 +92,7 @@ def test_wide_row_split_reassemble_roundtrip(ray_session):
     assert idx, "corpus should contain huge docs"
     ids = idx + [0, 1, 2]
 
-    table = generate_batch(ids, 42)
+    table = generate_batch(ids)
     direct = {
         r["doc_id"]: r["out_spans"]
         for r in parse_resumes(rd.from_arrow(table)).take_all()
@@ -589,7 +589,7 @@ def test_supplier_pagerank_vs_naive(ray_session, tmp_path):
         ),
         tmp_path / "lineitem.parquet",
     )
-    got = supplier_pagerank(str(tmp_path), n_iters=3, k=10).to_pandas()
+    got = supplier_pagerank(str(tmp_path), k=10).to_pandas()
 
     # naive replay
     pairs = set()
@@ -1023,10 +1023,10 @@ def test_sample_corpus_seeded_and_bounded(ray_session, tmp_path):
     ds = rd.from_arrow(
         pa.table({"doc_id": pa.array(range(2000), type=pa.int64())})
     )
-    a = sorted(r["doc_id"] for r in sample_corpus(ds, 0.1, seed=7).take_all())
-    b = sorted(r["doc_id"] for r in sample_corpus(ds, 0.1, seed=7).take_all())
+    a = sorted(r["doc_id"] for r in sample_corpus(ds, 0.1).take_all())
+    b = sorted(r["doc_id"] for r in sample_corpus(ds, 0.1).take_all())
     assert a == b and 100 <= len(a) <= 320
-    capped = sample_corpus(ds, 0.5, seed=7, limit=10).take_all()
+    capped = sample_corpus(ds, 0.5, limit=10).take_all()
     assert len(capped) == 10
 
 

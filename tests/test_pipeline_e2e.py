@@ -18,7 +18,7 @@ def corpus_path(tmp_path_factory):
     from document_parser_private_ray.sources.corpus import write_corpus_local
 
     path = tmp_path_factory.mktemp("corpus") / "spans"
-    write_corpus_local(str(path), N_DOCS, seed=SEED, rows_per_file=40)
+    write_corpus_local(str(path), N_DOCS, rows_per_file=40)
     return str(path)
 
 
@@ -31,7 +31,7 @@ def many_files(tmp_path_factory):
     from document_parser_private_ray.sources.corpus import write_corpus_local
 
     path = tmp_path_factory.mktemp("corpus") / "many"
-    write_corpus_local(str(path), MANY_DOCS, seed=SEED, rows_per_file=10)
+    write_corpus_local(str(path), MANY_DOCS, rows_per_file=10)
     return str(path)
 
 
@@ -92,7 +92,7 @@ def test_span_equality_larger_corpus(ray_session, tmp_path):
     from document_parser_private_ray.sources.corpus import write_corpus_local
 
     path = str(tmp_path / "big")
-    write_corpus_local(path, 400, seed=SEED, rows_per_file=100)
+    write_corpus_local(path, 400, rows_per_file=100)
     parsed = parse_resumes(read_corpus(path), batch_size=64)
     got = {r["doc_id"]: r["out_spans"] for r in parsed.take_all()}
 

@@ -246,7 +246,7 @@ def test_parse_documents_slices_a_block():
     from document_parser_private_ray.stages.parse import ParseDocuments
 
     step = 4
-    rows = generate_batch(range(3 * step), seed=42).to_pylist()
+    rows = generate_batch(range(3 * step)).to_pylist()
     rows[step + 1]["spans"] = [{"kind": "text", "text": None, "media_ref": "", "offset": 0}]
     block = pa.Table.from_pylist(rows, schema=INPUT_SCHEMA)
 

@@ -18,12 +18,12 @@ from document_parser_private_ray.functions.textstats import (
 
 
 def test_shingles():
-    assert shingles("a b c d", 3) == {
-        s for s in shingles("a b c d", 3)
+    assert shingles("a b c d") == {
+        s for s in shingles("a b c d")
     }
-    assert len(shingles("a b c d", 3)) == 2  # "a b c", "b c d"
-    assert shingles("", 3) == set()
-    assert len(shingles("one two", 3)) == 1  # shorter than k -> whole text
+    assert len(shingles("a b c d")) == 2  # "a b c", "b c d"
+    assert shingles("") == set()
+    assert len(shingles("one two")) == 1  # shorter than k -> whole text
 
 
 def test_jaccard():
@@ -38,7 +38,7 @@ def test_minhash_estimates_jaccard():
     base = [f"w{i}" for i in range(200)]
     t1 = " ".join(base)
     t2 = " ".join(base[:150] + [f"x{i}" for i in range(50)])  # ~0.58 overlap
-    s1, s2 = shingles(t1, 3), shingles(t2, 3)
+    s1, s2 = shingles(t1), shingles(t2)
     true_j = jaccard(s1, s2)
     h = MinHasher(n_perm=256)
     est = float(np.mean(h.signature(s1) == h.signature(s2)))
@@ -47,7 +47,7 @@ def test_minhash_estimates_jaccard():
 
 def test_minhash_bands_identical_for_identical_text():
     h = MinHasher()
-    s = shingles("the quick brown fox jumps over the lazy dog", 3)
+    s = shingles("the quick brown fox jumps over the lazy dog")
     assert h.band_keys(h.signature(s)) == h.band_keys(h.signature(set(s)))
 
 

@@ -53,7 +53,7 @@ def test_embedding_neardup_lsh_recall(ray_session):
 
     exact = embedding_neardup_pairs(SF, threshold=0.45).to_pandas()
     exact_pairs = set(zip(exact["id_a"], exact["id_b"]))
-    approx = embedding_neardup_lsh(SF, threshold=0.45, n_bits=4, n_tables=8).to_pandas()
+    approx = embedding_neardup_lsh(SF).to_pandas()
     approx_pairs = set(zip(approx["id_a"], approx["id_b"]))
     assert approx_pairs <= exact_pairs  # exact verification => precision 1.0
     if exact_pairs:
@@ -66,7 +66,7 @@ def test_ann_bruteforce_exact(ray_session):
 
     from document_parser_private_ray.pipelines.similarity import ann_bruteforce_topk
 
-    got = ann_bruteforce_topk(SF, k=5, n_queries=4).to_pandas()
+    got = ann_bruteforce_topk(SF, n_queries=4).to_pandas()
     t = pq.read_table(f"{SF}/embeddings.parquet")
     ids = np.array(t["vec_id"].to_pylist())
     order = np.argsort(ids)
@@ -89,8 +89,8 @@ def test_ann_lsh_recall_vs_bruteforce(ray_session):
         ann_lsh_topk,
     )
 
-    exact = ann_bruteforce_topk(SF, k=5, n_queries=8).to_pandas()
-    approx = ann_lsh_topk(SF, k=5, n_queries=8, n_bits=4).to_pandas()
+    exact = ann_bruteforce_topk(SF).to_pandas()
+    approx = ann_lsh_topk(SF, n_bits=4).to_pandas()
     # every query must at least find itself; overall recall is reported
     hits, total = 0, 0
     for q in exact["query_id"].unique():
@@ -274,7 +274,7 @@ def test_user_top_events_matches_duckdb(ray_session):
     from document_parser_private_ray.pipelines.relational import user_top_events
 
     # rows come in no set order
-    got = user_top_events(SF, k=3).to_pandas().sort_values(["user_id", "rank"])
+    got = user_top_events(SF).to_pandas().sort_values(["user_id", "rank"])
     exp = duckdb.sql(
         f"""SELECT user_id, event_id,
                CAST(FLOOR(value * 100 + 0.5) AS BIGINT) AS value_cents, rank
@@ -445,7 +445,7 @@ def test_ngram_jaccard_exact_with_empty_docs(ray_session, tmp_path):
         for a, b, j in zip(got.doc_a, got.doc_b, got.jaccard_sim)
     }
     exp = {}
-    sets = {r["doc_id"]: shingles(r["text"], 3) for r in rows}
+    sets = {r["doc_id"]: shingles(r["text"]) for r in rows}
     for a, b in itertools.combinations(sorted(sets), 2):
         j = 1.0 if not sets[a] and not sets[b] else jaccard(sets[a], sets[b])
         if j >= 0.3:
@@ -622,8 +622,8 @@ def test_ann_ivf_recall_vs_bruteforce(ray_session):
         ann_ivf_topk,
     )
 
-    exact = ann_bruteforce_topk(SF, k=5, n_queries=8).to_pandas()
-    approx = ann_ivf_topk(SF, k=5, n_queries=8, n_centroids=8, n_probe=3).to_pandas()
+    exact = ann_bruteforce_topk(SF).to_pandas()
+    approx = ann_ivf_topk(SF, n_centroids=8, n_probe=3).to_pandas()
     hits, total = 0, 0
     for q in exact["query_id"].unique():
         e = set(exact[exact["query_id"] == q]["vec_id"])
@@ -634,7 +634,7 @@ def test_ann_ivf_recall_vs_bruteforce(ray_session):
     assert hits / total > 0.2
     # deterministic across runs (fixed init/iterations k-means); rows
     # come in no set order
-    again = ann_ivf_topk(SF, k=5, n_queries=8, n_centroids=8, n_probe=3).to_pandas()
+    again = ann_ivf_topk(SF, n_centroids=8, n_probe=3).to_pandas()
     assert sorted(approx[["query_id", "vec_id", "rank"]].values.tolist()) == \
         sorted(again[["query_id", "vec_id", "rank"]].values.tolist())
 
@@ -658,10 +658,8 @@ def test_ann_ivfpq_recall_and_naive_adc(ray_session):
     )
 
     k, nq, nc, npr = 5, 8, 8, 3
-    approx = ann_ivfpq_topk(
-        SF, k=k, n_queries=nq, n_centroids=nc, n_probe=npr
-    ).to_pandas()
-    exact = ann_bruteforce_topk(SF, k=k, n_queries=nq).to_pandas()
+    approx = ann_ivfpq_topk(SF, n_centroids=nc, n_probe=npr).to_pandas()
+    exact = ann_bruteforce_topk(SF).to_pandas()
     hits, total = 0, 0
     for q in exact["query_id"].unique():
         e = set(exact[exact["query_id"] == q]["vec_id"])
@@ -696,9 +694,7 @@ def test_ann_ivfpq_recall_and_naive_adc(ray_session):
     got = approx[["query_id", "vec_id", "adc", "rank"]].values.tolist()
     assert sorted(got) == sorted(expect)
 
-    again = ann_ivfpq_topk(
-        SF, k=k, n_queries=nq, n_centroids=nc, n_probe=npr
-    ).to_pandas()
+    again = ann_ivfpq_topk(SF, n_centroids=nc, n_probe=npr).to_pandas()
     # rows come in no set order
     assert sorted(got) == sorted(again[["query_id", "vec_id", "adc", "rank"]].values.tolist())
 
@@ -903,7 +899,7 @@ def test_bm25_matches_naive(ray_session):
 
     from document_parser_private_ray.pipelines.search import bm25_search
 
-    got = bm25_search(SF, query="hash join merge", k=10).to_pandas()
+    got = bm25_search(SF).to_pandas()
     docs = duckdb.sql(
         f"SELECT doc_id, text FROM read_parquet('{SF}/documents.parquet')"
     ).df()
@@ -953,7 +949,7 @@ def test_decontaminate_matches_naive(ray_session):
     docs = duckdb.sql(
         f"SELECT doc_id, text FROM read_parquet('{SF}/documents.parquet') ORDER BY doc_id"
     ).df()
-    sets = {d: shingles(t, 3) for d, t in zip(docs["doc_id"], docs["text"])}
+    sets = {d: shingles(t) for d, t in zip(docs["doc_id"], docs["text"])}
     bench = set()
     for d, s in sets.items():
         if d % BENCH_MOD == 0:
@@ -1146,7 +1142,7 @@ def test_media_dedup_planted_payload_copies(ray_session, tmp_path):
     lexicographic-min refs."""
     from document_parser_private_ray.pipelines.media import media_dedup
 
-    got = media_dedup(str(tmp_path / "export"), n_items=256, alias_mod=200).to_pandas()
+    got = media_dedup(str(tmp_path / "export")).to_pandas()
     assert len(got) == 200
     assert int((got["n_copies"] == 2).sum()) == 56
     assert int(got["n_copies"].sum()) == 256
@@ -1186,7 +1182,7 @@ def test_vocab_kmv_paths(ray_session, tmp_path):
     # vocab of 5 < k=16 -> exact count, empty kth_hash
     write_docs([["apple", "pear"], ["pear", "plum", "Fig!"], ["kiwi"]],
                tmp_path / "small")
-    got = vocab_kmv(str(tmp_path / "small"), k=16).to_pandas().iloc[0]
+    got = vocab_kmv(str(tmp_path / "small")).to_pandas().iloc[0]
     assert got["est_distinct"] == 5 and got["kth_hash"] == ""
 
     # vocab of 40 >= k=16 -> sketch estimate replayed naively
@@ -1195,7 +1191,7 @@ def test_vocab_kmv_paths(ray_session, tmp_path):
 
     vocab = ["".join(p) for p in itertools.product("abcdefg", repeat=2)][:40]
     write_docs([vocab[:25], vocab[20:]], tmp_path / "big")
-    got = vocab_kmv(str(tmp_path / "big"), k=16).to_pandas().iloc[0]
+    got = vocab_kmv(str(tmp_path / "big")).to_pandas().iloc[0]
     hashes = sorted(hashlib.md5(w.encode()).hexdigest() for w in vocab)[:16]
     kth = hashes[-1]
     assert got["kth_hash"] == kth
@@ -1392,7 +1388,7 @@ def test_vocab_kmv_by_source(ray_session, tmp_path):
         }
     )
     _write_tbl(tmp_path, "documents", tbl)
-    got = vocab_kmv_by_source(str(tmp_path), k=16).to_pandas().set_index("source")
+    got = vocab_kmv_by_source(str(tmp_path)).to_pandas().set_index("source")
     assert got.loc["small", "est_distinct"] == 3
     assert got.loc["small", "kth_hash"] == ""
     hashes = sorted(hashlib.md5(w.encode()).hexdigest() for w in big_vocab)[:16]
@@ -1876,7 +1872,7 @@ def test_minhash_against_state_vs_bruteforce(ray_session):
     got = minhash_against_state(SF).to_pandas()
     t = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
     ids = [int(i) for i in t["doc_id"].to_pylist()]
-    sh = {i: shingles(tx, 3) for i, tx in zip(ids, t["text"].to_pylist())}
+    sh = {i: shingles(tx) for i, tx in zip(ids, t["text"].to_pylist())}
     inc = sorted(i for i in ids if i % 2 == 1)
     state = [i for i in ids if i % 2 == 0]
     exp = {}
@@ -1955,7 +1951,7 @@ def test_ppjoin_pairs_vs_bruteforce(ray_session):
     got = ppjoin_pairs(SF).to_pandas().sort_values(["doc_a", "doc_b"])  # rows come in no set order
     t = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
     sh = {
-        int(d): shingles(tx, 3)
+        int(d): shingles(tx)
         for d, tx in zip(t["doc_id"].to_pylist(), t["text"].to_pylist())
     }
     exp = []
@@ -2019,7 +2015,7 @@ def test_decontaminate_clean_vs_naive(ray_session):
     bench = set()
     for i, t in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
         if i % BENCH_MOD == 0:
-            bench |= shingles(t, 3)
+            bench |= shingles(t)
     removed_any = 0
     for i, t in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
         wo = t.split()
