@@ -4,14 +4,12 @@ The north rule names "HTML boilerplate strip, PDF/layout parse, DOM
 heuristics" as the main-content extraction surface. The reference repo
 has no HTML reader (resume inputs are text/PDF), so — like the DOCX
 reader — this module EXCEEDS the reference by closing that part of the
-source matrix with stdlib-only parsing. One regex tokenizer
-(``_tokenize``) walks each page and calls the walkers'
-``html.parser.HTMLParser`` hooks with the events the stdlib parser
-would emit; a page holding a construct it does not handle (CDATA,
-``<?...>``, an unterminated tag, comment or script, a stray ``<``) is
-re-parsed whole by the stdlib parser and counted in
-``FALLBACK_PAGES``; one the stdlib parser raises on yields nothing and
-is counted in ``FAILED_PAGES``.
+source matrix with stdlib-only parsing. One tokenizer (``_tokenize``)
+walks each page once, left to right and in linear time, and calls the
+walkers' four hooks with the events CPython's ``html.parser`` would
+emit for it, unterminated and malformed constructs included; the one
+exception is noted at the tokenizer. The stdlib parser itself is only
+the tests' oracle.
 
 The classifier is the published shape shared by jusText (Pomikálek
 2011) and the Boilerpipe/Kohlschütter (WSDM 2010) features — all
@@ -73,16 +71,31 @@ MAX_LINK_DENSITY = 0.4
 
 # -- tokenizer ----------------------------------------------------------------
 #
-# One master pattern walks the page and calls the walkers' HTMLParser
-# hooks directly. Each alternative is the CPython 3.11 ``html.parser``
-# rule for that construct (``locatestarttagend_tolerant`` in an atomic
-# group, ``endtagfind``, the ``--\s*>`` comment close, the
-# ``set_cdata_mode`` raw-text end; attributes split by the stdlib's own
-# ``tagfind_tolerant`` / ``attrfind_tolerant``), so the hook calls are
-# the stdlib's by construction. Anything else (CDATA, ``<?...>``, a
-# bogus ``<!...>`` comment, an unterminated tag/comment/script, a ``<``
-# that opens no construct, ``</`` + non-letter) raises ``_Fallback``,
-# and ``_parse`` re-parses the whole page with a fresh stdlib walker.
+# One left-to-right pass calls the walkers' four hooks (handle_starttag,
+# handle_startendtag, handle_endtag, handle_data) with the events that
+# CPython 3.11's ``HTMLParser.feed`` + ``close`` emit, for every page.
+#
+# ``_tokenize`` walks with one master pattern. Each alternative is the
+# stdlib rule for that construct (``locatestarttagend_tolerant`` in an
+# atomic group, ``endtagfind``, the ``--\s*>`` comment close; attributes
+# split by the stdlib's own ``tagfind_tolerant`` / ``attrfind_tolerant``),
+# so the hook calls are the stdlib's by construction. At the first ``<``
+# the pattern does not take (CDATA, ``<?...>``, a bogus ``<!...>``, an
+# unterminated tag, comment or end tag, a ``<`` that opens no construct,
+# ``</`` + a non-letter), ``_walk`` takes the rest of the page: the
+# stdlib's ``goahead(end=True)``, where a construct that never ends
+# becomes text up to the next ``>`` (or ``<``).
+#
+# To stay linear, ``_walk`` searches each terminator once and reuses the
+# match while the cursor is still before it, so N unterminated constructs
+# cost one scan instead of N. A start tag with no ``>`` ahead is settled
+# by its name alone; otherwise its attribute walk is memoized per
+# attribute start, so walks that meet (after the quoted value that holds
+# a ``>``) share the rest. A script/style body is searched once per close.
+#
+# One construct differs from the stdlib: ``<![`` followed by a non-name
+# token or an unknown keyword, on which ``_markupbase`` raises
+# ``AssertionError``, is a bogus comment here, as ``<!x`` is.
 
 _TOKEN = re.compile(
     r"""
@@ -99,7 +112,7 @@ _TOKEN = re.compile(
               (?:\s|/(?!>))*
             )*
           )?\s*))
-        (?P<close>/?)>
+        /?>
     )
     """,
     re.S | re.X,
@@ -108,22 +121,60 @@ _TOKEN = re.compile(
 _RAW_END = {
     t: re.compile(r"</\s*(%s)\s*>" % t, re.I) for t in HTMLParser.CDATA_CONTENT_ELEMENTS
 }
+# terminators ``_walk`` searches for (html.parser / _markupbase rules)
+_GT = re.compile(">")
+_COMMENT_END = re.compile(r"--\s*>")
+# from the end of a tag name to its first attribute start
+_ATTRS = re.compile(r"(?=[\t\n\r\f />\x00])[\s/]*")
+_END_TAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")  # endtagfind
+_DECL_NAME = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*\s*")
+# marked-section keyword -> the close searched for
+_SECTIONS = {
+    **dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"), re.compile(r"]\s*]\s*>")),
+    **dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>")),  # MS Office
+}
+# a character here after a start tag's attributes means it is unfinished
+_UNFINISHED = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ=/"
 
-# pages the tokenizer handed to the stdlib walker, in this process
-FALLBACK_PAGES = 0
-# fallback pages the stdlib walker raised on (no blocks, no links), in
-# this process
-FAILED_PAGES = 0
+
+def _tokenize(data: str, handler) -> None:
+    """Call ``handler``'s four hooks with the events the stdlib parser's
+    ``feed(data)`` + ``close()`` would emit."""
+    match = _TOKEN.match
+    on_data = handler.handle_data
+    on_start = handler.handle_starttag
+    on_end = handler.handle_endtag
+    pos, n = 0, len(data)
+    while pos < n:
+        m = match(data, pos)
+        if m is None:
+            _walk(data, pos, handler)
+            return
+        i, pos = pos, m.end()
+        kind = m.lastindex
+        if kind == 1:  # text
+            text = m.group(1)
+            on_data(unescape(text) if "&" in text else text)
+        elif kind == 5:  # start tag
+            if m.group(5):
+                pos = _start_tag(data, i, pos, handler)
+                continue
+            tag = m.group(4).lower()  # bare ``<name>``
+            on_start(tag, [])
+            if tag in _RAW_END:
+                pos = _raw_body(data, pos, tag, handler)
+        elif kind is not None:  # end tag (endtagfind / tolerant)
+            on_end(m.group(kind).lower())
+        # comment / doctype: no event
 
 
-class _Fallback(Exception):
-    """The page holds a construct the tokenizer does not handle."""
-
-
-def _start_attrs(data: str, i: int, endpos: int):
-    """stdlib ``parse_starttag`` attribute split of the tag at
-    ``data[i:endpos]`` -> (attrs, self_closing)."""
-    k = tagfind_tolerant.match(data, i + 1).end()
+def _start_tag(data: str, i: int, endpos: int, handler) -> int:
+    """stdlib ``parse_starttag`` events for the start tag at
+    ``data[i:endpos]``; returns where the walk goes on (past the body of
+    a script or style)."""
+    m = tagfind_tolerant.match(data, i + 1)
+    tag = m.group(1).lower()
+    k = m.end()
     attrs = []
     while k < endpos:
         m = attrfind_tolerant.match(data, k)
@@ -139,86 +190,144 @@ def _start_attrs(data: str, i: int, endpos: int):
         attrs.append((name.lower(), value))
         k = m.end()
     end = data[k:endpos].strip()
-    if end not in (">", "/>"):
-        raise _Fallback
-    return attrs, end == "/>"
+    if end not in (">", "/>"):  # junk after the attributes: raw text
+        handler.handle_data(data[i:endpos])
+    elif end == "/>":
+        handler.handle_startendtag(tag, attrs)
+    else:
+        handler.handle_starttag(tag, attrs)
+        if tag in _RAW_END:
+            return _raw_body(data, endpos, tag, handler)
+    return endpos
 
 
-def _tokenize(data: str, handler) -> None:
-    """Walk ``data`` once, calling ``handler``'s HTMLParser hooks with
-    the events the stdlib parser would emit; raises ``_Fallback`` on any
-    construct outside the handled set."""
-    match = _TOKEN.match
+def _raw_body(data: str, pos: int, tag: str, handler) -> int:
+    """A script/style body from ``pos``: raw text up to its close, and the
+    position after that close. A body that is never closed takes the rest
+    of the page and emits nothing."""
+    raw_end = _RAW_END[tag]
+    while True:
+        e = raw_end.search(data, pos)
+        if e is None:
+            return len(data)
+        if e.start() > pos:
+            handler.handle_data(data[pos : e.start()])
+        if e.group(1).isascii():
+            handler.handle_endtag(tag)
+            return e.end()
+        # re.I also folds e.g. "ſ" to "s"; the stdlib's endtagfind is
+        # ASCII, so such a close is body text and the body goes on
+        handler.handle_data(e.group())
+        pos = e.end()
+
+
+def _ahead(pattern, data: str):
+    """``pattern.search(data, pos)`` for a ``pos`` that only moves
+    forward: a match is reused while ``pos`` is at or before its start,
+    and a miss holds for the rest of the page."""
+    found, since = None, len(data) + 1
+
+    def search(pos: int):
+        nonlocal found, since
+        if pos < since or (found is not None and found.start() < pos):
+            found, since = pattern.search(data, pos), pos
+        return found
+
+    return search
+
+
+def _walk(data: str, pos: int, handler) -> None:
+    """The stdlib's ``goahead(end=True)`` from ``pos`` to the end of the
+    page, with each terminator searched once."""
+    n = len(data)
     on_data = handler.handle_data
-    on_start = handler.handle_starttag
-    on_end = handler.handle_endtag
-    pos, n = 0, len(data)
+    gt, comment_end, attrs = (_ahead(p, data) for p in (_GT, _COMMENT_END, _ATTRS))
+    section_end = {p: _ahead(p, data) for p in set(_SECTIONS.values())}
+    ends = {}  # attribute start -> end of the attribute run from it
     while pos < n:
-        m = match(data, pos)
-        if m is None:
-            raise _Fallback
-        i, pos = pos, m.end()
-        kind = m.lastindex
-        if kind == 1:  # text
-            text = m.group(1)
+        if data[pos] != "<":
+            k = data.find("<", pos)
+            if k < 0:
+                k = n
+            text = data[pos:k]
             on_data(unescape(text) if "&" in text else text)
-        elif kind == 6:  # start tag
-            tag, attrs, close = m.group(4, 5, 6)
-            tag = tag.lower()
-            if attrs:
-                attrs, closed = _start_attrs(data, i, pos)
-            else:  # bare ``<name>`` / ``<name/>``
-                attrs, closed = [], close == "/"
-            if closed:
-                handler.handle_startendtag(tag, attrs)
+            pos = k
+            continue
+        m = gt(pos)
+        g = m.start() if m else -1
+        c = data[pos + 1 : pos + 2]
+        if c.isascii() and c.isalpha():  # start tag: check_for_whole_start_tag
+            m = attrs(pos + 1)
+            if g < 0:
+                # no ">" ahead: the attribute walk ends at an unclosed
+                # quote's "=" or at the end of the page (unfinished),
+                # unless no attribute can start after the name (bogus)
+                e = m.start() if m else n
+                k = e if data[e : e + 1] == "\x00" and data[e - 1] not in "'\"" else -1
+            else:
+                j = _attrs_end(data, m.end(), ends)
+                if data[j : j + 1] == ">":
+                    k = j + 1
+                elif data.startswith("/>", j):
+                    k = j + 2
+                elif j == n or data[j] in _UNFINISHED:
+                    k = -1
+                else:  # bogus: the tag ends before this character
+                    k = j
+            if k >= 0:
+                pos = _start_tag(data, pos, k, handler)
                 continue
-            on_start(tag, attrs)
-            raw_end = _RAW_END.get(tag)
-            if raw_end is not None:
-                e = raw_end.search(data, pos)
-                # re.I also folds e.g. "ſ" to "s"; the stdlib's endtagfind
-                # then keeps the body open, so such a close falls back
-                if e is None or e.group(1).lower() != tag:
-                    raise _Fallback
-                if e.start() > pos:
-                    on_data(data[pos : e.start()])
-                on_end(tag)
-                pos = e.end()
-        elif kind is not None:  # end tag (endtagfind / tolerant)
-            on_end(m.group(kind).lower())
-        # comment / doctype: no event
+        elif c == "/":  # end tag; ``</`` + a non-name is a bogus comment
+            k = g + 1 if g >= 0 else -1
+            if g >= 0:
+                m = _END_TAG.match(data, pos) or tagfind_tolerant.match(data, pos + 2)
+                if m:
+                    handler.handle_endtag(m.group(1).lower())
+        elif data.startswith("<!--", pos):
+            m = comment_end(pos + 4)
+            k = m.end() if m else -1
+        elif c == "!" or c == "?":  # doctype, bogus comment, <?pi>
+            k = g + 1 if g >= 0 else -1
+            m = _DECL_NAME.match(data, pos + 3) if data.startswith("<![", pos) else None
+            section = m and _SECTIONS.get(m.group().strip().lower())
+            if section:  # marked section
+                m = section_end[section](pos + 3)
+                k = m.end() if m else -1
+        else:  # a "<" that opens nothing
+            on_data("<")
+            pos += 1
+            continue
+        if k < 0:  # unterminated: text up to the next ">" (or "<")
+            k = g + 1 if g >= 0 else data.find("<", pos + 1)
+            if k < 0:
+                k = pos + 1
+            text = data[pos:k]
+            on_data(unescape(text) if "&" in text else text)
+        pos = k
 
 
-def _parse(walker_cls, data: str):
-    """A closed ``walker_cls`` instance that has seen ``data``: through
-    ``_tokenize``, or — counted in ``FALLBACK_PAGES`` — through a fresh
-    walker's stdlib ``feed``. A page the stdlib walker raises on (its
-    ``_markupbase`` asserts on ``<![`` + a non-name token) is counted in
-    ``FAILED_PAGES`` and comes back as an empty walker: no blocks, no
-    links, and the rest of its batch goes on."""
-    global FALLBACK_PAGES, FAILED_PAGES
-    walker = walker_cls()
-    try:
-        _tokenize(data, walker)
-    except _Fallback:
-        FALLBACK_PAGES += 1
-        walker = walker_cls()
-        try:
-            walker.feed(data)
-            walker.close()
-        except AssertionError:  # the stdlib parser's one failure type
-            FAILED_PAGES += 1
-            return walker_cls()
-        return walker
-    walker.close()
-    return walker
+def _attrs_end(data: str, b: int, ends: dict) -> int:
+    """End of ``locatestarttagend_tolerant``'s attribute run from the
+    attribute start ``b`` (one ``attrfind_tolerant`` match per
+    attribute). ``ends`` memoizes it per attribute start: two tags whose
+    runs meet share the rest."""
+    path = []
+    while b not in ends:
+        m = attrfind_tolerant.match(data, b)
+        if m is None:
+            ends[b] = b
+            break
+        path.append(b)
+        b = m.end()
+    for p in path:
+        ends[p] = ends[b]
+    return ends[b]
 
 
-class _BlockParser(HTMLParser):
+class _BlockParser:
     """DOM walk -> ordered raw blocks with classification features."""
 
     def __init__(self):
-        super().__init__(convert_charrefs=True)
         self.blocks: List[Dict] = []
         self._buf: List[str] = []
         self._link_chars = 0
@@ -269,7 +378,7 @@ class _BlockParser(HTMLParser):
             }
         )
 
-    # -- HTMLParser hooks ---------------------------------------------------
+    # -- tokenizer hooks -----------------------------------------------------
     def handle_starttag(self, tag, attrs):
         if tag in SKIP_TAGS:
             self._skip += 1
@@ -368,7 +477,8 @@ def classify_html_blocks(data) -> Tuple[List[Dict], List[str]]:
     for diagnostics, block-level stats and tests."""
     if isinstance(data, (bytes, bytearray)):
         data = bytes(data).decode("utf-8")
-    p = _parse(_BlockParser, data)
+    p = _BlockParser()
+    _tokenize(data, p)
     p._flush()
     return p.blocks, classify_blocks(p.blocks)
 
@@ -465,12 +575,11 @@ def normalize_url(url: str, base: Optional[str] = None) -> str:
     return urlunsplit((scheme, host, path, urlencode(q), ""))
 
 
-class _LinkParser(HTMLParser):
+class _LinkParser:
     """Collect <a href> anchors (with anchor text) and head metadata
     (<title>, <meta name=description>, <link rel=canonical>)."""
 
     def __init__(self):
-        super().__init__(convert_charrefs=True)
         self.links: List[Dict] = []
         self.canonical = ""
         self.title = ""
@@ -511,7 +620,6 @@ class _LinkParser(HTMLParser):
             self._in_title = False
 
     def close(self):
-        super().close()
         # an anchor left open at EOF still counts (browser behavior)
         while self._a_stack:
             self._emit_open_anchor()
@@ -529,7 +637,9 @@ def extract_links(data) -> Dict:
     function so real crawl URLs can flow through the same path)."""
     if isinstance(data, (bytes, bytearray)):
         data = bytes(data).decode("utf-8")
-    p = _parse(_LinkParser, data)
+    p = _LinkParser()
+    _tokenize(data, p)
+    p.close()
     return {
         "canonical": p.canonical,
         "title": " ".join(p.title.split()),

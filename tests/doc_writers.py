@@ -4,11 +4,13 @@ literal-string ``Tj`` show-text operators, Helvetica/Courier fonts,
 optionally Flate-compressed with a PNG predictor) and a stdlib-zip
 .docx writer (the ``<w:p>`` / ``<w:tbl>`` body ``sources.docx.
 extract_docx_blocks`` reads), so the chains' round trips are generated
-in-process."""
+in-process. For HTML, the stdlib parser driving a ``sources.html``
+walker is the oracle the tokenizer's events are checked against."""
 
 import io
 import zipfile
 import zlib
+from html.parser import HTMLParser
 from typing import Dict, List
 from xml.sax.saxutils import escape
 
@@ -207,3 +209,45 @@ def write_minimal_docx(blocks: List[Dict]) -> bytes:
             info.compress_type = zipfile.ZIP_DEFLATED
             z.writestr(info, payload)
     return buf.getvalue()
+
+
+class StdlibWalk(HTMLParser):
+    """CPython's ``HTMLParser`` ``feed(page)`` + ``close()``, forwarding
+    the four hooks ``sources.html._tokenize`` calls to ``walker``."""
+
+    def __init__(self, walker, page: str):
+        super().__init__(convert_charrefs=True)
+        self.walker = walker
+        self.feed(page)
+        self.close()
+
+    def handle_starttag(self, tag, attrs):
+        self.walker.handle_starttag(tag, attrs)
+
+    def handle_startendtag(self, tag, attrs):
+        self.walker.handle_startendtag(tag, attrs)
+
+    def handle_endtag(self, tag):
+        self.walker.handle_endtag(tag)
+
+    def handle_data(self, data):
+        self.walker.handle_data(data)
+
+
+class HookLog:
+    """A walker that records the four hook calls, in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def handle_starttag(self, tag, attrs):
+        self.events.append(("start", tag, attrs))
+
+    def handle_startendtag(self, tag, attrs):
+        self.events.append(("startend", tag, attrs))
+
+    def handle_endtag(self, tag):
+        self.events.append(("end", tag))
+
+    def handle_data(self, data):
+        self.events.append(("data", data))

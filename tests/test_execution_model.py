@@ -917,3 +917,57 @@ def test_option_scan_counts_a_call_that_passes_another_value():
     # d gets its default through a bound local, j reaches no caller, the
     # row passes w's default; c is set through g(k=5), e by j's other value
     assert unset == {m + "f(d)", m + "g(j)", m + "h(w)"}
+
+
+# -- one HTML parse path -----------------------------------------------------
+
+
+def _stdlib_html_parsing(trees: dict) -> list:
+    """``path:line`` of each class that subclasses ``html.parser.HTMLParser``
+    and of each ``.feed(`` call in a module that imports ``html.parser``
+    (the one way to an HTMLParser to feed)."""
+    found = []
+    for path, tree in trees.items():
+        imports_parser = any(
+            (isinstance(n, ast.ImportFrom) and n.module == "html.parser")
+            or (isinstance(n, ast.ImportFrom) and n.module == "html"
+                and any(a.name == "parser" for a in n.names))
+            or (isinstance(n, ast.Import) and any(a.name == "html.parser" for a in n.names))
+            for n in ast.walk(tree)
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(b).split(".")[-1] == "HTMLParser" for b in node.bases
+            ):
+                found.append(f"{path}:{node.lineno}: class {node.name}")
+            if (
+                imports_parser
+                and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "feed"
+            ):
+                found.append(f"{path}:{node.lineno}: .feed(")
+    return found
+
+
+def test_one_html_parse_path():
+    """``sources/html._tokenize`` is the package's one HTML parser: no
+    class subclasses the stdlib's ``HTMLParser`` and nothing feeds one
+    (the stdlib parser stays only as the tests' oracle)."""
+    assert _stdlib_html_parsing(_sources()) == []
+
+
+def test_html_parse_path_scan_finds_a_subclass_and_a_feed():
+    src = (
+        "from html.parser import HTMLParser\n"
+        "import html.parser\n"
+        "class A(HTMLParser): pass\n"
+        "class B(html.parser.HTMLParser): pass\n"
+        "def parse(cls, page):\n"
+        "    w = cls()\n"
+        "    w.feed(page)\n"
+    )
+    other = "class C(object): pass\ndef f(q): q.feed(1)\n"
+    assert _stdlib_html_parsing({"m.py": ast.parse(src), "n.py": ast.parse(other)}) == [
+        "m.py:3: class A", "m.py:4: class B", "m.py:7: .feed(",
+    ]

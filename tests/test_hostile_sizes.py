@@ -1,5 +1,5 @@
 """Hostile-size budget for the regex-heavy resume functions and the
-PDF and HTML file extractors.
+PDF, HTML and DOCX file extractors.
 
 One 300 KB input per construct goes through each entry scan on a fresh,
 cold instance (empty memos), and each call must return inside a wall
@@ -10,14 +10,18 @@ bound separates the two without being tight. The bound is enforced with
 an interval timer, which also interrupts a running regex search.
 """
 
+import io
 import signal
 import time
+import zipfile
 
 import pytest
 
+from doc_writers import write_minimal_docx
 from document_parser_private_ray.functions.dates import DateNormalizer
 from document_parser_private_ray.functions.extract import ResumeExtractor
 from document_parser_private_ray.functions.sections import SectionDetector
+from document_parser_private_ray.sources.docx import W_NS, extract_docx_blocks
 from document_parser_private_ray.sources.html import extract_html_blocks, extract_links
 from document_parser_private_ray.sources.pdf import extract_pdf_blocks
 
@@ -101,6 +105,39 @@ def test_single_construct_input_within_wall_bound(call_name, input_name):
 
 
 _OBJ_NO_END = b"1 0 obj << /Length 5 >> "
+# pages both HTML extractors must walk in linear time
+_PAGES = {
+    "one_text_node": "<p>" + _fill("lorem ipsum ") + "</p>",
+    "nested_divs": "<div>" * 30_000 + "x" + "</div>" * 30_000,
+    "attribute_run": "<p " + _fill('a="b" ') + ">x</p>",
+    # runs of unterminated constructs: the stdlib parser's close()
+    # rescans the rest of the page for each of them
+    "lt_run": "<p>x</p>" + _fill("a<b "),
+    "comment_then_lt_run": "<p>x</p><!--" + _fill("a<b "),
+    "comment_runs": _fill("<!-- x "),
+    "open_quote_runs": _fill('<b a="x '),
+    "pi_runs": _fill("<?x "),
+    "end_tag_runs": _fill("</ x "),
+    # start tags whose quoted values hold the next ">", the last one unclosed
+    "crossing_tag_runs": _fill('<b a="x>y" ') + 'c="z',
+    # one tag name holding every later "<"
+    "tag_name_run": _fill("<a"),
+    # one raw-text body with no close: searched once
+    "script_close_fragments": "<script>" + _fill("</scr "),
+}
+
+
+def _docx(body: str) -> bytes:
+    """A .docx holding only ``word/document.xml`` with this body."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as z:
+        z.writestr(
+            "word/document.xml",
+            f'<w:document xmlns:w="{W_NS}"><w:body>{body}</w:body></w:document>',
+        )
+    return buf.getvalue()
+
+
 # (extractor, input): shapes a file extractor must scan in linear time
 FILE_INPUTS = {
     # object heads with no endobj anywhere: the object-table regex used
@@ -108,12 +145,26 @@ FILE_INPUTS = {
     "pdf_objects_without_endobj": (
         extract_pdf_blocks, b"%PDF-1.4\n" + _OBJ_NO_END * (SIZE // len(_OBJ_NO_END)),
     ),
-    "html_one_text_node": (extract_html_blocks, "<p>" + _fill("lorem ipsum ") + "</p>"),
-    "html_nested_divs": (extract_html_blocks, "<div>" * 30_000 + "x" + "</div>" * 30_000),
-    "html_attribute_run": (extract_html_blocks, "<p " + _fill('a="b" ') + ">x</p>"),
-    "links_one_text_node": (extract_links, "<p>" + _fill("lorem ipsum ") + "</p>"),
-    "links_nested_divs": (extract_links, "<div>" * 30_000 + "x" + "</div>" * 30_000),
-    "links_attribute_run": (extract_links, "<p " + _fill('a="b" ') + ">x</p>"),
+    **{f"html_{name}": (extract_html_blocks, page) for name, page in _PAGES.items()},
+    **{f"links_{name}": (extract_links, page) for name, page in _PAGES.items()},
+    "docx_one_paragraph": (
+        extract_docx_blocks, write_minimal_docx([{"kind": "text", "text": _fill("lorem ipsum ")}]),
+    ),
+    "docx_many_paragraphs": (
+        extract_docx_blocks,
+        write_minimal_docx([{"kind": "text", "text": f"para {i}"} for i in range(30_000)]),
+    ),
+    "docx_many_runs": (
+        extract_docx_blocks, _docx("<w:p>" + "<w:r><w:t>x </w:t></w:r>" * 30_000 + "</w:p>"),
+    ),
+    "docx_deep_runs": (
+        extract_docx_blocks,
+        _docx("<w:p>" + "<w:r>" * 20_000 + "<w:t>x</w:t>" + "</w:r>" * 20_000 + "</w:p>"),
+    ),
+    "docx_wide_table_row": (
+        extract_docx_blocks,
+        write_minimal_docx([{"kind": "table", "data": [[f"c{i}" for i in range(4_000)]]}]),
+    ),
 }
 
 

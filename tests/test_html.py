@@ -8,6 +8,7 @@ source path."""
 
 import pytest
 
+from doc_writers import HookLog, StdlibWalk
 from document_parser_private_ray.sources.html import (
     classify_html_blocks,
     extract_html_blocks,
@@ -492,35 +493,38 @@ def test_extract_chains_lift_reservation_on_own_context(ray_session, tmp_path):
     assert DataContext.get_current().op_resource_reservation_enabled == before
 
 
-# a page the stdlib walker raises on: ``<![`` followed by a non-name token
-# (``_markupbase._scan_name`` asserts "expected name token")
+# ``<![`` followed by a non-name token: the stdlib's ``_markupbase``
+# raises ``AssertionError: expected name token`` on it
 _STDLIB_KILLER = "<p>hello world</p><![ 1"
 
 
-def test_stdlib_walker_failure_yields_an_empty_counted_page():
-    """The tokenizer hands the page to the stdlib walker, which raises;
-    the page then yields no blocks and no links and bumps FAILED_PAGES
-    (next to FALLBACK_PAGES) instead of raising."""
-    from document_parser_private_ray.sources import html as mod
+@pytest.mark.parametrize(
+    "page,blocks",
+    [
+        # no ">" after it: unterminated, so "<" and the rest are text
+        (_STDLIB_KILLER, ["hello world", "<![ 1"]),
+        # a ">" after it: a bogus comment up to that ">", as "<!x ...>"
+        (_STDLIB_KILLER + " ><p>after</p>", ["hello world", "after"]),
+        # an unknown keyword (the stdlib raises on it too)
+        ("<p>hello world</p><![foo x]><p>after</p>", ["hello world", "after"]),
+    ],
+)
+def test_marked_section_the_stdlib_raises_on_is_a_bogus_comment(page, blocks):
+    """The one construct where the tokenizer differs from the stdlib:
+    ``<![`` + a non-name token or an unknown keyword, on which the stdlib
+    raises, is a bogus comment (``<!x``) here, in both walkers."""
     from document_parser_private_ray.sources.html import extract_links
 
-    fallback, failed = mod.FALLBACK_PAGES, mod.FAILED_PAGES
-    assert classify_html_blocks(_STDLIB_KILLER) == ([], [])
-    assert extract_html_blocks(_STDLIB_KILLER.encode()) == []
-    assert extract_links(_STDLIB_KILLER) == {
-        "canonical": "", "title": "", "description": "", "links": []
-    }
-    assert mod.FALLBACK_PAGES - fallback == 3
-    assert mod.FAILED_PAGES - failed == 3
-    # a page that falls back but parses is not a failure
-    assert classify_html_blocks("<p>hello world</p><![CDATA[x]]>")[0]
-    assert (mod.FALLBACK_PAGES - fallback, mod.FAILED_PAGES - failed) == (4, 3)
+    with pytest.raises(AssertionError):
+        StdlibWalk(HookLog(), page)
+    assert [b["text"] for b in classify_html_blocks(page)[0]] == blocks
+    assert extract_links(page) == extract_links(page.replace("<![", "<!x"))
 
 
 def test_failing_page_does_not_fail_its_batch(ray_session, tmp_path):
-    """Through html_spans on a 3-page table, one page ending in the
-    stdlib killer loses only its own spans; the other two pages' spans
-    equal direct extraction."""
+    """Through html_spans on a 3-page table, the page ending in the
+    stdlib killer gives its defined spans: every page's spans equal
+    direct extraction, and no page comes back empty."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -544,10 +548,11 @@ def test_failing_page_does_not_fail_its_batch(ray_session, tmp_path):
     want = {
         i: [
             (b["kind"], b["text"], b["media_ref"])
-            for b in extract_html_blocks(render_html_page(i, texts[i], f"s{i}"))
+            for b in poisoned(render_html_page(i, texts[i], f"s{i}"))
         ]
-        for i in (0, 2)
+        for i in (0, 1, 2)
     }
+    assert all(want.values())
     assert got == want
 
 
@@ -555,6 +560,7 @@ def test_failing_page_does_not_fail_its_batch(ray_session, tmp_path):
 
 import random  # noqa: E402
 import time  # noqa: E402
+from unittest import mock  # noqa: E402
 
 from document_parser_private_ray.sources import html as html_mod  # noqa: E402
 
@@ -568,82 +574,102 @@ _BENCH_WORDS = (
 
 
 def _stdlib_blocks(page):
-    p = html_mod._BlockParser()
-    p.feed(page)
-    p.close()
+    p = StdlibWalk(html_mod._BlockParser(), page).walker
     p._flush()
     return p.blocks
 
 
 def _stdlib_links(page):
-    p = html_mod._LinkParser()
-    p.feed(page)
+    p = StdlibWalk(html_mod._LinkParser(), page).walker
     p.close()
     return p.links, p.canonical, p.title, p.description
 
 
 def _parsed(page):
-    """(blocks, links) through ``_parse`` and the fallback count it took."""
-    before = html_mod.FALLBACK_PAGES
-    b = html_mod._parse(html_mod._BlockParser, page)
-    b._flush()
-    q = html_mod._parse(html_mod._LinkParser, page)
-    return (b.blocks, (q.links, q.canonical, q.title, q.description),
-            html_mod.FALLBACK_PAGES - before)
+    """(blocks, links) through the tokenizer."""
+    blocks, _ = classify_html_blocks(page)
+    q = html_mod._LinkParser()
+    html_mod._tokenize(page, q)
+    q.close()
+    return blocks, (q.links, q.canonical, q.title, q.description)
 
 
 def test_benchmark_mix_never_falls_back():
+    """The benchmark's pages equal the stdlib walker and never leave the
+    master pattern for the general walk."""
     rng = random.Random(7)
-    before = html_mod.FALLBACK_PAGES
-    for doc_id in range(3000):  # doc_id % 3 = template, % 5 = image
-        text = " ".join(
-            rng.choice(_BENCH_WORDS) for _ in range(rng.randint(10, 99))
-        )
-        page = render_html_page(doc_id, text, f"src{doc_id % 20}")
-        blocks, labels = classify_html_blocks(page)
-        expected = _stdlib_blocks(page)
-        assert blocks == expected
-        assert labels == html_mod.classify_blocks(expected)
-    assert html_mod.FALLBACK_PAGES == before
+    left = AssertionError("left the master pattern")
+    with mock.patch.object(html_mod, "_walk", side_effect=left):
+        for doc_id in range(3000):  # doc_id % 3 = template, % 5 = image
+            text = " ".join(
+                rng.choice(_BENCH_WORDS) for _ in range(rng.randint(10, 99))
+            )
+            page = render_html_page(doc_id, text, f"src{doc_id % 20}")
+            blocks, labels = classify_html_blocks(page)
+            expected = _stdlib_blocks(page)
+            assert blocks == expected
+            assert labels == html_mod.classify_blocks(expected)
 
 
 _BODY = "<p>genuine content paragraph that is long enough</p>"
 
 
+def _run(unit):
+    """2 KB of ``unit``: the shapes the stdlib's close() takes quadratic
+    time on, at a size it finishes (tests/test_hostile_sizes.py times
+    them at 300 KB)."""
+    return (unit * (2_000 // len(unit) + 1))[:2_000]
+
+
 @pytest.mark.parametrize(
-    "name,page,falls_back",
+    "name,page",
     [
-        ("comment", f"<body><!-- x <p>y</p> --  >{_BODY}</body>", False),
-        ("doctype", f"<!DocType html><body>{_BODY}</body>", False),
+        ("comment", f"<body><!-- x <p>y</p> --  >{_BODY}</body>"),
+        ("doctype", f"<!DocType html><body>{_BODY}</body>"),
         ("entities", "<p>a &amp; b &lt;c&gt; &copy d & e &#65;&#x42;&bogus; "
-                     "long enough text</p>", False),
+                     "long enough text</p>"),
         ("quoted_gt_attr", '<p><a title="a>b" href=\'x>y\'>see</a> and '
-                           "more words to be long</p>", False),
+                           "more words to be long</p>"),
         ("attr_forms", "<P CLASS=x Data-A=\"&amp;1\" hidden><IMG SRC=a.png "
-                       "alt='&lt;t&gt;'/><br/>long enough text here</P>", False),
-        ("mixed_case_end", f"<DIV>{_BODY}</Div ><div>tail x</DIV junk='>'>",
-         False),
+                       "alt='&lt;t&gt;'/><br/>long enough text here</P>"),
+        ("mixed_case_end", f"<DIV>{_BODY}</Div ><div>tail x</DIV junk='>'>"),
         ("script_body", "<script>if (a<b) {x='</div>'} </scriptx></SCRIPT >"
-                        + _BODY, False),
-        ("style_body", f"<style>p > a{{}}</ style >{_BODY}", False),
-        ("cdata", f"<body><![CDATA[x<y]]>{_BODY}</body>", True),
-        ("processing_instruction", f"<?xml version='1.0'?><body>{_BODY}", True),
-        ("bogus_comment", f"<!ELEMENT x><body>{_BODY}</body>", True),
-        ("unterminated_tag", f'<body>{_BODY}<p class="x', True),
-        ("unterminated_comment", f"<body>{_BODY}<!-- never closed", True),
-        ("unterminated_script", f"<body>{_BODY}<script>var x = 1;", True),
-        ("script_casefold_close", f"<script>x</\u017fcript>y</script>{_BODY}",
-         True),
-        ("stray_lt", "<p>a < b and 3<4 long enough text here</p>", True),
-        ("end_tag_space", f"<body><p>{_BODY}</ p></body>", True),
-        ("end_tag_empty", f"<body>{_BODY}</></body>", True),
+                        + _BODY),
+        ("style_body", f"<style>p > a{{}}</ style >{_BODY}"),
+        ("cdata", f"<body><![CDATA[x<y]]>{_BODY}</body>"),
+        ("ms_section", f"<body><![if !IE]>{_BODY}<![endif]></body>"),
+        ("processing_instruction", f"<?xml version='1.0'?><body>{_BODY}"),
+        ("bogus_comment", f"<!ELEMENT x><body>{_BODY}</body>"),
+        ("unterminated_tag", f'<body>{_BODY}<p class="x'),
+        ("unterminated_comment", f"<body>{_BODY}<!-- never closed"),
+        ("unterminated_script", f"<body>{_BODY}<script>var x = 1;"),
+        ("unterminated_section", f"<body>{_BODY}<![CDATA[x<y"),
+        ("script_casefold_close", f"<script>x</\u017fcript>y</script>{_BODY}"),
+        ("stray_lt", "<p>a < b and 3<4 long enough text here</p>"),
+        ("end_tag_space", f"<body><p>{_BODY}</ p></body>"),
+        ("end_tag_empty", f"<body>{_BODY}</></body>"),
+        ("end_tag_bogus", f"<body>{_BODY}</1 x></body>"),
+        ("start_tag_nul", f"<body>{_BODY}<p\x00x>y</p></body>"),
+        ("start_tag_junk_end", f"<body><a b='c'/d>{_BODY}</body>"),
+        ("tag_crosses_gt", f'<body>{_BODY}<b a="x>y" c="z'),
+        ("lt_run", "<p>x</p>" + _run("a<b ")),
+        ("comment_then_lt_run", "<p>x</p><!--" + _run("a<b ")),
+        ("comment_runs", _BODY + _run("<!-- x ")),
+        ("open_quote_runs", _BODY + _run('<b a="x ')),
+        ("pi_runs", _BODY + _run("<?x ")),
+        ("end_tag_runs", _BODY + _run("</ x ")),
+        ("script_close_fragments", _BODY + "<script>" + _run("</scr ")),
+        ("crossing_tag_runs", _BODY + _run('<b a="x>y" ') + 'c="z'),
+        ("tag_name_run", _BODY + _run("<a")),
     ],
 )
-def test_hostile_construct_equal_and_counted(name, page, falls_back):
-    blocks, links, fallbacks = _parsed(page)
+def test_hostile_construct_equal_to_stdlib(name, page):
+    log = HookLog()
+    html_mod._tokenize(page, log)
+    assert log.events == StdlibWalk(HookLog(), page).walker.events
+    blocks, links = _parsed(page)
     assert blocks == _stdlib_blocks(page)
     assert links == _stdlib_links(page)
-    assert fallbacks == (2 if falls_back else 0)
 
 
 # -- heading lookahead ---------------------------------------------------------

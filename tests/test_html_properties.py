@@ -14,10 +14,12 @@ ARBITRARY (generated) DOM trees, not just the fixture corpus.
 """
 
 from html import escape
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doc_writers import HookLog, StdlibWalk
 from document_parser_private_ray.sources.html import (
     extract_html_blocks,
     render_html_page,
@@ -154,19 +156,21 @@ _clean = st.one_of(
 _hostile = st.sampled_from([
     "<![CDATA[x<y]]>", "<?xml version='1.0'?>", "<", "a < b", "<3", "</ p>",
     "</>", "<!x>", "</1>", "&", "<!--", "<script>", '<p class="',
+    # the shapes the stdlib's close() is quadratic on
+    "a<b ", '<b a="x ', "<!-- x ", "<?x ", "</ x ", "</scr ", '<b a="x>y" ',
 ])
 
 
 def _equal_to_stdlib(page):
+    log = HookLog()
+    html_mod._tokenize(page, log)
+    assert log.events == StdlibWalk(HookLog(), page).walker.events
     blocks, labels = html_mod.classify_html_blocks(page)
-    p = html_mod._BlockParser()
-    p.feed(page)
-    p.close()
+    p = StdlibWalk(html_mod._BlockParser(), page).walker
     p._flush()
     assert blocks == p.blocks
     assert labels == html_mod.classify_blocks(p.blocks)
-    q = html_mod._LinkParser()
-    q.feed(page)
+    q = StdlibWalk(html_mod._LinkParser(), page).walker
     q.close()
     assert html_mod.extract_links(page) == {
         "canonical": q.canonical,
@@ -179,11 +183,12 @@ def _equal_to_stdlib(page):
 @settings(max_examples=300, deadline=None)
 @given(pieces=st.lists(_clean, max_size=30))
 def test_tokenizer_equals_stdlib_without_fallback(pieces):
-    """Tag soup built only from handled constructs: equal events, and
-    the page never falls back."""
-    before = html_mod.FALLBACK_PAGES
-    _equal_to_stdlib("".join(pieces))
-    assert html_mod.FALLBACK_PAGES == before
+    """Tag soup built only from constructs the master pattern takes:
+    equal events, and the page never leaves the master pattern for the
+    general walk."""
+    left = AssertionError("left the master pattern")
+    with mock.patch.object(html_mod, "_walk", side_effect=left):
+        _equal_to_stdlib("".join(pieces))
 
 
 @settings(max_examples=300, deadline=None)
@@ -192,7 +197,6 @@ def test_tokenizer_equals_stdlib_without_fallback(pieces):
     cut=st.none() | st.integers(min_value=0, max_value=400),
 )
 def test_tokenizer_equals_stdlib_on_hostile_soup(pieces, cut):
-    """Hostile constructs and truncation at any offset: equal results,
-    whichever path the page took."""
+    """Hostile constructs and truncation at any offset: equal events."""
     page = "".join(pieces)
     _equal_to_stdlib(page if cut is None else page[:cut])
